@@ -248,76 +248,93 @@ def init_params(rng: np.random.Generator, cell: str, embed_dim: int,
 # forward / backward
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
 
+# Per-gate scale for the fused nonlinearity, gate order [i, f, g, o]:
+# sigmoid(x) = s*tanh(s*x) + s with s = 1/2, and tanh(x) = 1*tanh(1*x) + 0.
+_GATE_SCALE = np.array([[0.5], [0.5], [1.0], [0.5]])
+_GATE_SHIFT = np.array([[0.5], [0.5], [0.0], [0.5]])
+_GATE_SCALE.flags.writeable = False
+_GATE_SHIFT.flags.writeable = False
+
+
 def _lstm_forward(w, u, b, X):
+    """LSTM over the rows of ``X`` (T, d), starting from zero state.
+
+    ``w`` (4h, d), ``u`` (4h, h) and ``b`` (4h,) stack the gates in the
+    order [i, f, g, o]: input, forget, candidate, output. The sigmoid gates
+    use sigma(x) = (1 + tanh(x/2)) / 2, so one ``tanh`` call per timestep
+    covers all four gates and large preactivations cannot overflow.
+
+    Returns the hidden states ``Hs`` (T, h) and the cache
+    ``(X, A, Cs, TC, Hs)``: ``A`` (T, 4h) holds the gate activations
+    [I, F, G, O] in the same order, ``Cs`` the cell states and ``TC``
+    their tanh.
+    """
     T = X.shape[0]
     h = u.shape[1]
-    I = np.empty((T, h)); F = np.empty((T, h))
-    G = np.empty((T, h)); O = np.empty((T, h))
-    Cs = np.empty((T, h)); TC = np.empty((T, h)); Hs = np.empty((T, h))
-    pre = X @ w.T + b
-    hp = np.zeros(h)
-    cp = np.zeros(h)
+    A = X @ w.T
+    A += b
+    gates = A.reshape(T, 4, h)
+    Cs = np.empty((T, h))
+    TC = np.empty((T, h))
+    Hs = np.empty((T, h))
+    c_prev = np.zeros(h)
     for t in range(T):
-        z = pre[t] + u @ hp
-        I[t] = _sigmoid(z[:h])
-        F[t] = _sigmoid(z[h:2 * h])
-        G[t] = np.tanh(z[2 * h:3 * h])
-        O[t] = _sigmoid(z[3 * h:])
-        Cs[t] = F[t] * cp + I[t] * G[t]
-        TC[t] = np.tanh(Cs[t])
-        Hs[t] = O[t] * TC[t]
-        hp = Hs[t]
-        cp = Cs[t]
-    return Hs, (X, I, F, G, O, Cs, TC, Hs)
+        if t:
+            A[t] += u @ h_prev
+        a = gates[t]
+        a *= _GATE_SCALE
+        np.tanh(a, out=a)
+        a *= _GATE_SCALE
+        a += _GATE_SHIFT
+        i, f, g, o = a
+        c, tc, h_prev = Cs[t], TC[t], Hs[t]
+        np.multiply(f, c_prev, out=c)
+        c += i * g
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h_prev)
+        c_prev = c
+    return Hs, (X, A, Cs, TC, Hs)
+
+
+def _cell_grads(w, X, Hs, dA):
+    """Weight, recurrent, bias and input gradients of a recurrent cell
+    from the preactivation gradients ``dA`` of every timestep."""
+    return dA.T @ X, dA[1:].T @ Hs[:-1], dA.sum(axis=0), dA @ w
 
 
 def _lstm_backward(w, u, cache, dHs):
-    X, I, F, G, O, Cs, TC, Hs = cache
+    X, A, Cs, TC, Hs = cache
     T, h = Hs.shape
-    dw = np.zeros_like(w)
-    du = np.zeros_like(u)
-    db = np.zeros(4 * h)
-    dX = np.empty_like(X)
-    dh_next = np.zeros(h)
-    dc_next = np.zeros(h)
-    zero = np.zeros(h)
+    I, F, G, O = A.reshape(T, 4, h).transpose(1, 0, 2)
+    C_prev = np.zeros((T, h))
+    C_prev[1:] = Cs[:-1]
+    # Per gate, dA[t] = dc * DC[t] + dh * DO[t]: the activation derivative
+    # (a(1 - a) for sigmoid, 1 - g^2 for tanh) times what the gate multiplies
+    # in c = f*c_prev + i*g or h = o*tanh(c). Only the o block needs dh, so
+    # DC's o block is zero and DO holds the o block alone.
+    DC = np.stack([G * I * (1.0 - I), C_prev * F * (1.0 - F),
+                   I * (1.0 - G * G), np.zeros((T, h))], axis=1)
+    DO = TC * O * (1.0 - O)
+    OT = O * (1.0 - TC * TC)
+    dA = np.empty((T, 4 * h))
+    dA_gates = dA.reshape(T, 4, h)
+    dh = dHs[T - 1]
+    dc = dh * OT[T - 1]
     for t in range(T - 1, -1, -1):
-        h_prev = Hs[t - 1] if t > 0 else zero
-        c_prev = Cs[t - 1] if t > 0 else zero
-        dh = dHs[t] + dh_next
-        do = dh * TC[t]
-        dc = dh * O[t] * (1.0 - TC[t] ** 2) + dc_next
-        di = dc * G[t]
-        dg = dc * I[t]
-        df = dc * c_prev
-        dc_next = dc * F[t]
-        da = np.concatenate([
-            di * I[t] * (1.0 - I[t]),
-            df * F[t] * (1.0 - F[t]),
-            dg * (1.0 - G[t] ** 2),
-            do * O[t] * (1.0 - O[t]),
-        ])
-        dw += np.outer(da, X[t])
-        du += np.outer(da, h_prev)
-        db += da
-        dh_next = u.T @ da
-        dX[t] = w.T @ da
-    return dw, du, db, dX
+        np.multiply(DC[t], dc, out=dA_gates[t])
+        np.multiply(dh, DO[t], out=dA_gates[t, 3])
+        if t:
+            dh = dA[t] @ u
+            dh += dHs[t - 1]
+            dc *= F[t]
+            dc += dh * OT[t - 1]
+    return _cell_grads(w, X, Hs, dA)
 
 
 def _rnn_forward(w, u, b, X):
@@ -334,23 +351,16 @@ def _rnn_forward(w, u, b, X):
 
 def _rnn_backward(w, u, cache, dHs):
     X, Hs = cache
-    T, h = Hs.shape
-    dw = np.zeros_like(w)
-    du = np.zeros_like(u)
-    db = np.zeros(h)
-    dX = np.empty_like(X)
-    dh_next = np.zeros(h)
-    zero = np.zeros(h)
-    for t in range(T - 1, -1, -1):
-        h_prev = Hs[t - 1] if t > 0 else zero
-        dh = dHs[t] + dh_next
-        da = dh * (1.0 - Hs[t] ** 2)
-        dw += np.outer(da, X[t])
-        du += np.outer(da, h_prev)
-        db += da
-        dh_next = u.T @ da
-        dX[t] = w.T @ da
-    return dw, du, db, dX
+    D = 1.0 - Hs * Hs
+    dA = np.empty_like(Hs)
+    T = Hs.shape[0]
+    np.multiply(dHs[T - 1], D[T - 1], out=dA[T - 1])
+    for t in range(T - 2, -1, -1):
+        da = dA[t]
+        np.matmul(dA[t + 1], u, out=da)
+        da += dHs[t]
+        da *= D[t]
+    return _cell_grads(w, X, Hs, dA)
 
 
 def _sentence_forward(params: TaggerParams, X: np.ndarray):

@@ -9,6 +9,11 @@ from wsner.tagger import (
     EmbeddingTable,
     TaggerConfig,
     TaggerParams,
+    TrainItem,
+    _item_loss_grads,
+    _lstm_backward,
+    _lstm_forward,
+    _sentence_forward,
     forward,
     init_params,
     load_checkpoint,
@@ -145,6 +150,73 @@ def test_hand_computed_tiny_forward():
     assert np.abs(probs[0] - expected).max() < 1e-12
 
 
+def _stable_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _reference_lstm(w, u, b, X):
+    """Step-by-step LSTM from zero state; rows of w, u, b are the gates
+    [i, f, g, o] in that order."""
+    h = u.shape[1]
+    h_prev = np.zeros(h)
+    c_prev = np.zeros(h)
+    states = []
+    for x in X:
+        z = w @ x + u @ h_prev + b
+        i = _stable_sigmoid(z[:h])
+        f = _stable_sigmoid(z[h:2 * h])
+        g = np.tanh(z[2 * h:3 * h])
+        o = _stable_sigmoid(z[3 * h:])
+        c_prev = f * c_prev + i * g
+        h_prev = o * np.tanh(c_prev)
+        states.append(h_prev)
+    return np.array(states)
+
+
+def test_sentence_forward_matches_per_step_reference():
+    rng = np.random.default_rng(21)
+    shapes = [(1, 1), (1, 4), (12, 1), (12, 5), (17, 3)]
+    shapes += [(int(rng.integers(1, 20)), int(rng.integers(1, 8))) for _ in range(5)]
+    for T, h in shapes:
+        d = int(rng.integers(1, 6))
+        params = init_params(rng, "lstm", d, h, int(rng.integers(2, 5)), 3)
+        params.b_f[:] = rng.normal(size=4 * h)
+        params.b_b[:] = rng.normal(size=4 * h)
+        X = 2.0 * rng.normal(size=(T, d))
+        H = np.concatenate([
+            _reference_lstm(params.w_in_f, params.u_f, params.b_f, X),
+            _reference_lstm(params.w_in_b, params.u_b, params.b_b, X[::-1])[::-1],
+        ], axis=1)
+        logits = (H @ params.w_feat.T + params.b_feat) @ params.w_out.T + params.b_out
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs, cache = _sentence_forward(params, X)
+        assert np.abs(cache[2] - H).max() < 1e-12, (T, h)
+        assert np.abs(probs - e / e.sum(axis=1, keepdims=True)).max() < 1e-12, (T, h)
+
+
+def test_saturated_gates_stay_finite_without_float_errors():
+    rng = np.random.default_rng(4)
+    T, d, h = 6, 3, 4
+    w = 0.1 * rng.normal(size=(4 * h, d))
+    u = 0.1 * rng.normal(size=(4 * h, h))
+    b = 1e3 * rng.choice([-1.0, 1.0], size=4 * h)
+    X = rng.normal(size=(T, d))
+    with np.errstate(all="raise"):
+        Hs, cache = _lstm_forward(w, u, b, X)
+        grads = _lstm_backward(w, u, cache, rng.normal(size=(T, h)))
+    gates = cache[1]
+    assert np.isfinite(gates).all() and np.isfinite(Hs).all()
+    sigmoid_gates = np.delete(gates.reshape(T, 4, h), 2, axis=1)
+    assert ((sigmoid_gates >= 0.0) & (sigmoid_gates <= 1.0)).all()
+    assert (np.abs(gates.reshape(T, 4, h)[:, 2]) <= 1.0).all()
+    assert all(np.isfinite(g).all() for g in grads)
+
+
 def test_vocab_permutation_invariance(tiny_table):
     params = init_params(np.random.default_rng(2), "lstm", 4, 3, 4, 5)
     rng = np.random.default_rng(3)
@@ -194,6 +266,23 @@ def test_gradient_matches_finite_differences(cell):
             lambda: loss_and_gradient(sents, params, table, ts)[0], arrays)
         analytic = [arr for _, arr in grads.arrays()]
         assert max_relative_error(analytic, numeric) < 1e-4
+
+
+@pytest.mark.parametrize("T", [1, 12])
+def test_lstm_gradient_at_sequence_ends(T):
+    # T=1 leaves no recurrent term; T=12 spans both ends of the one-step
+    # shift between gate gradients and previous hidden states.
+    rng = np.random.default_rng(30 + T)
+    params = init_params(rng, "lstm", 3, 2, 3, 3)
+    params.b_f[:] = rng.normal(size=8)
+    params.b_b[:] = rng.normal(size=8)
+    X = rng.normal(size=(T, 3))
+    item = TrainItem(np.zeros(T, dtype=np.int64), X, hard=rng.integers(0, 3, size=T))
+    _, grads, _, dX = _item_loss_grads(params, X, item)
+    arrays = [arr for _, arr in params.arrays()] + [X]
+    numeric = finite_difference(lambda: _item_loss_grads(params, X, item)[0], arrays)
+    analytic = [arr for _, arr in grads.arrays()] + [dX]
+    assert max_relative_error(analytic, numeric) < 1e-4
 
 
 def test_soft_gradient_matches_finite_differences():
