@@ -31,6 +31,7 @@ from .tagger import (
     _item_loss_grads,
     _row_softmax,
     _sentence_forward,
+    _sgd_step,
     _train_core,
     make_items,
 )
@@ -308,8 +309,7 @@ def em_noise_channel(
                     params, X, TrainItem(it.rows, X, soft=soft))
                 if not np.isfinite(loss):
                     raise NumericsError("non-finite loss in EM model step")
-                for (_, arr), (_, g) in zip(params.arrays(), grads.arrays()):
-                    arr -= lr * g
+                _sgd_step(params, grads, lr)
                 if config.fine_tune_embeddings:
                     table.apply_update(it.rows, dX, lr)
             params.check_finite()

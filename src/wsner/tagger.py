@@ -262,6 +262,16 @@ _GATE_SCALE.flags.writeable = False
 _GATE_SHIFT.flags.writeable = False
 
 
+def _activate_gates(a):
+    """Gate activations in place on ``(..., 4, h)`` preactivation blocks
+    in the order [i, f, g, o]: sigmoid on i, f and o, tanh on g, all
+    through one ``tanh`` call."""
+    a *= _GATE_SCALE
+    np.tanh(a, out=a)
+    a *= _GATE_SCALE
+    a += _GATE_SHIFT
+
+
 def _lstm_forward(w, u, b, X):
     """LSTM over the rows of ``X`` (T, d), starting from zero state.
 
@@ -288,10 +298,7 @@ def _lstm_forward(w, u, b, X):
         if t:
             A[t] += u @ h_prev
         a = gates[t]
-        a *= _GATE_SCALE
-        np.tanh(a, out=a)
-        a *= _GATE_SCALE
-        a += _GATE_SHIFT
+        _activate_gates(a)
         i, f, g, o = a
         c, tc, h_prev = Cs[t], TC[t], Hs[t]
         np.multiply(f, c_prev, out=c)
@@ -374,26 +381,105 @@ def _sentence_forward(params: TaggerParams, X: np.ndarray):
     return probs, (cache_f, cache_b, H, feats)
 
 
-def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray,
-                       grads: TaggerParams) -> np.ndarray:
+def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray):
+    """Gradients of one sentence pass from its logit gradients: every
+    parameter's, as a fresh ``TaggerParams``, and the input rows' ``dX``."""
     cache_f, cache_b, H, feats = cache
     h = params.hidden_size
-    grads.w_out += dlogits.T @ feats
-    grads.b_out += dlogits.sum(axis=0)
     dfeats = dlogits @ params.w_out
-    grads.w_feat += dfeats.T @ H
-    grads.b_feat += dfeats.sum(axis=0)
     dH = dfeats @ params.w_feat
     cell_bwd = _lstm_backward if params.cell == "lstm" else _rnn_backward
-    dw, du, db, dX_f = cell_bwd(params.w_in_f, params.u_f, cache_f, dH[:, :h])
-    grads.w_in_f += dw
-    grads.u_f += du
-    grads.b_f += db
-    dw, du, db, dX_b = cell_bwd(params.w_in_b, params.u_b, cache_b, dH[::-1, h:])
-    grads.w_in_b += dw
-    grads.u_b += du
-    grads.b_b += db
-    return dX_f + dX_b[::-1]
+    dw_f, du_f, db_f, dX_f = cell_bwd(params.w_in_f, params.u_f, cache_f, dH[:, :h])
+    dw_b, du_b, db_b, dX_b = cell_bwd(params.w_in_b, params.u_b, cache_b, dH[::-1, h:])
+    grads = TaggerParams(params.cell, dw_f, du_f, db_f, dw_b, du_b, db_b,
+                         dfeats.T @ H, dfeats.sum(axis=0),
+                         dlogits.T @ feats, dlogits.sum(axis=0))
+    return grads, dX_f + dX_b[::-1]
+
+
+# ---------------------------------------------------------------------------
+# batched inference
+#
+# Inference-only forward over many sentences at once. Sentences are sorted
+# longest first, so at each timestep the sentences still running are a
+# prefix of the batch and no masking is needed. Each direction adds its
+# states, times its half of w_feat, straight into one flat (tokens, f)
+# feature buffer, so no (T, B, ...) state or input buffer is kept: a
+# process that tags with the paper-shape tagger reaches its peak memory here.
+
+# A batch holds at most this many sentences and this many padded tokens
+# (sentences times the longest length); a longer sentence runs alone.
+_BATCH_SENTENCES = 32
+_BATCH_TOKENS = 1024
+
+
+def _inference_batches(lengths: np.ndarray):
+    """Input indices sorted by length, longest first (equal lengths keep
+    input order), cut into batches within the caps."""
+    order = np.argsort(-lengths, kind="stable")
+    start = 0
+    while start < len(order):
+        longest = int(lengths[order[start]])
+        size = max(1, min(_BATCH_SENTENCES, _BATCH_TOKENS // max(longest, 1)))
+        yield order[start:start + size]
+        start += size
+
+
+def _batch_direction(cell: str, w, u, b, w_half, table: EmbeddingTable,
+                     rows, pos, active, feats) -> None:
+    """One direction of the recurrent layer over a length-sorted batch:
+    step ``t`` reads embedding rows ``rows[t, :n]`` and adds its states
+    times ``w_half`` into ``feats[pos[t, :n]]``, for ``n = active[t]``."""
+    h = u.shape[1]
+    for t, n in enumerate(active):
+        a = table.embed_rows(rows[t, :n]) @ w.T
+        a += b
+        if t:
+            a += h_prev[:n] @ u.T
+        if cell == "lstm":
+            gates = a.reshape(n, 4, h)
+            _activate_gates(gates)
+            i, f, g, o = gates.transpose(1, 0, 2)
+            c = i * g
+            if t:
+                c += f * c_prev[:n]
+            h_prev = o * np.tanh(c)
+            c_prev = c
+        else:
+            h_prev = np.tanh(a)
+        feats[pos[t, :n]] += h_prev @ w_half.T
+
+
+def _batch_probs(params: TaggerParams, table: EmbeddingTable, batch_rows) -> np.ndarray:
+    """Label distributions of sentences given as row-index arrays sorted
+    longest first, as one ``(tokens, L)`` array in batch order."""
+    lengths = np.array([len(r) for r in batch_rows], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    flat = np.concatenate(batch_rows)
+    steps = np.arange(lengths[0])[:, None]
+    running = steps < lengths
+    active = running.sum(axis=1).tolist()
+    # time-major flat token positions; entries past a sentence's end are
+    # never read, so any valid index will do there
+    pos_f = np.where(running, starts + steps, 0)
+    pos_b = np.where(running, starts + lengths - 1 - steps, 0)
+    h = params.hidden_size
+    feats = np.zeros((len(flat), params.feature_size))
+    _batch_direction(params.cell, params.w_in_f, params.u_f, params.b_f, params.w_feat[:, :h],
+                     table, flat[pos_f], pos_f, active, feats)
+    _batch_direction(params.cell, params.w_in_b, params.u_b, params.b_b, params.w_feat[:, h:],
+                     table, flat[pos_b], pos_b, active, feats)
+    feats += params.b_feat
+    return _softmax(feats @ params.w_out.T + params.b_out)
+
+
+def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
+    """``(index, probs)`` for every token sequence in ``token_lists``, one
+    batch at a time, so that only one batch's distributions are held."""
+    lengths = np.array([len(tokens) for tokens in token_lists], dtype=np.int64)
+    for batch in _inference_batches(lengths):
+        probs = _batch_probs(params, table, [table.row_indices(token_lists[i]) for i in batch])
+        yield from zip(batch.tolist(), np.split(probs, np.cumsum(lengths[batch])[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +527,7 @@ def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None,
         dlogits = probs.copy()
         dlogits[idx, y] -= 1.0
         dlogits /= T
-    grads = params.zeros_like()
-    dX = _sentence_backward(params, cache, dlogits, grads)
+    grads, dX = _sentence_backward(params, cache, dlogits)
     return loss, grads, dC, dX
 
 
@@ -466,6 +551,14 @@ def _row_softmax(B: np.ndarray) -> np.ndarray:
     z = B - B.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _sgd_step(params: TaggerParams, grads: TaggerParams, lr: float) -> None:
+    """``params -= lr * grads`` in place; scales ``grads`` in place too,
+    so the caller must not use them afterwards."""
+    for (_, arr), (_, g) in zip(params.arrays(), grads.arrays()):
+        g *= lr
+        arr -= g
 
 
 def _train_core(items: list[TrainItem], config: TaggerConfig, table: EmbeddingTable,
@@ -495,8 +588,7 @@ def _train_core(items: list[TrainItem], config: TaggerConfig, table: EmbeddingTa
             )
             if not np.isfinite(loss):
                 raise NumericsError(f"non-finite loss in epoch {epoch}")
-            for (_, arr), (_, g) in zip(params.arrays(), grads.arrays()):
-                arr -= lr * g
+            _sgd_step(params, grads, lr)
             if dC is not None:
                 s = (dC * C).sum(axis=1, keepdims=True)
                 B -= lr * (C * (dC - s))
@@ -512,7 +604,7 @@ def _train_core(items: list[TrainItem], config: TaggerConfig, table: EmbeddingTa
 
 def forward(tokens, params: TaggerParams, table: EmbeddingTable) -> np.ndarray:
     """Per-token label distributions, shape (len(tokens), L); rows sum to 1."""
-    probs, _ = _sentence_forward(params, table.embed(tokens))
+    (_, probs), = _forward_batched(params, table, [tokens])
     return probs
 
 
@@ -534,7 +626,7 @@ def loss_and_gradient(batch, params: TaggerParams, table: EmbeddingTable,
     if not batch:
         raise ValueError("batch must be non-empty")
     total_tokens = sum(len(s.tokens) for s in batch)
-    grads = params.zeros_like()
+    grads = None
     loss = 0.0
     for i, sent in enumerate(batch):
         X = table.embed(sent.tokens)
@@ -553,7 +645,12 @@ def loss_and_gradient(batch, params: TaggerParams, table: EmbeddingTable,
             dlogits = probs.copy()
             dlogits[idx, y] -= 1.0
             dlogits /= total_tokens
-        _sentence_backward(params, cache, dlogits, grads)
+        sent_grads, _ = _sentence_backward(params, cache, dlogits)
+        if grads is None:
+            grads = sent_grads
+        else:
+            for (_, acc), (_, g) in zip(grads.arrays(), sent_grads.arrays()):
+                acc += g
     if not np.isfinite(loss):
         raise NumericsError("non-finite loss")
     return loss, grads
@@ -575,14 +672,23 @@ def train(clean: Dataset, config: TaggerConfig, table: EmbeddingTable) -> Tagger
 
 def predict(dataset: Dataset, params: TaggerParams, table: EmbeddingTable) -> Dataset:
     """Replace spans by per-token argmax predictions (ties go to the lowest
-    label index, so all-uniform output yields the outside label)."""
+    label index, so all-uniform output yields the outside label).
+
+    Sentences are tagged in batches: sorted by length, longest first (a
+    stable sort), then cut into batches of at most 32 sentences
+    (``_BATCH_SENTENCES``) and 1024 padded tokens (``_BATCH_TOKENS``,
+    sentences times the longest length); a longer sentence runs alone.
+    The distributions equal the per-sentence forward pass up to rounding,
+    since matrix products of another shape sum in another order, and the
+    output keeps the input order.
+    """
     labels = dataset.tag_set.labels
-    sentences = []
-    for sent in dataset.sentences:
-        probs = forward(sent.tokens, params, table)
-        tags = [labels[int(i)] for i in probs.argmax(axis=1)]
+    sentences = list(dataset.sentences)
+    for i, probs in _forward_batched(params, table, [s.tokens for s in sentences]):
+        sent = sentences[i]
+        tags = [labels[int(k)] for k in probs.argmax(axis=1)]
         spans = io_to_spans(tags, dataset.tag_set)
-        sentences.append(LabeledSentence(sent.tokens, tuple(spans), sent.provenance))
+        sentences[i] = LabeledSentence(sent.tokens, tuple(spans), sent.provenance)
     return Dataset(tuple(sentences), dataset.tag_set)
 
 

@@ -1,0 +1,41 @@
+"""The benchmark's tracer (perfbench/tracing.py) binds wsner functions by
+name; a rename that breaks it fails here in a second rather than in a
+multi-minute benchmark smoke run. Nothing under perfbench/ is changed."""
+
+import importlib.util
+from pathlib import Path
+
+from wsner import noise, synth, tagger
+from wsner.tagger import TaggerConfig
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracing_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_binds_every_traced_layer():
+    task = synth.make_noise_benchmark(0, clean_tokens=30, noisy_tokens=40, test_tokens=20,
+                                      entity_words=6, outside_words=6)
+    config = TaggerConfig(hidden_size=3, feature_size=3, epochs=1, seed=0)
+    tracer = _tracing_module().Tracer()
+    with tracer.patch():
+        params = tagger.train(task.clean, config, task.table)
+        tagger.predict(task.test, params, task.table)
+        noise.em_noise_channel(task.distant, config, task.table, 1)
+        noise.train_cleaning_method(task.clean, task.distant, task.pair_source, config,
+                                    task.table, cleaner_epochs=1)
+    assert tracer.check_bindings() == []
+    values = tracer.layer_values()
+    for span in ("tagger.lstm_forward", "tagger.lstm_backward", "tagger.head_forward",
+                 "tagger.head_backward", "tagger.loss.hard", "tagger.loss.soft",
+                 "tagger.sgd", "tagger.predict", "tagger.feature_vectors", "noise.em",
+                 "noise.em_e_step", "noise.cleaner_train", "noise.cleaner_apply"):
+        assert values.get(f"{span}.calls", 0) >= 1, span
+    # patch() restores every binding it replaced
+    assert not hasattr(tagger.predict, "__wrapped__")
+    assert noise._sentence_forward is tagger._sentence_forward

@@ -3,17 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from wsner.corpus import Dataset, EntitySpan, LabeledSentence, TagSet
+from wsner.corpus import Dataset, EntitySpan, LabeledSentence, TagSet, io_to_spans
+from wsner import tagger
 from wsner.errors import ParseError
 from wsner.tagger import (
+    CELLS,
     EmbeddingTable,
     TaggerConfig,
     TaggerParams,
     TrainItem,
+    _forward_batched,
+    _inference_batches,
     _item_loss_grads,
     _lstm_backward,
     _lstm_forward,
+    _rnn_backward,
+    _sentence_backward,
     _sentence_forward,
+    _sgd_step,
     forward,
     init_params,
     load_checkpoint,
@@ -324,6 +331,59 @@ def test_duplicating_batch_keeps_mean_loss(tiny_table):
     assert loss_twice == pytest.approx(loss_once, rel=1e-12)
 
 
+def _reference_sentence_backward(params, cache, dlogits):
+    """Gradients accumulated into zero-filled arrays, one ``+=`` each."""
+    cache_f, cache_b, H, feats = cache
+    h = params.hidden_size
+    grads = params.zeros_like()
+    grads.w_out += dlogits.T @ feats
+    grads.b_out += dlogits.sum(axis=0)
+    dfeats = dlogits @ params.w_out
+    grads.w_feat += dfeats.T @ H
+    grads.b_feat += dfeats.sum(axis=0)
+    dH = dfeats @ params.w_feat
+    cell_bwd = _lstm_backward if params.cell == "lstm" else _rnn_backward
+    dw, du, db, dX_f = cell_bwd(params.w_in_f, params.u_f, cache_f, dH[:, :h])
+    grads.w_in_f += dw
+    grads.u_f += du
+    grads.b_f += db
+    dw, du, db, dX_b = cell_bwd(params.w_in_b, params.u_b, cache_b, dH[::-1, h:])
+    grads.w_in_b += dw
+    grads.u_b += du
+    grads.b_b += db
+    return grads, dX_f + dX_b[::-1]
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_sentence_backward_is_bitwise_zero_fill_reference(cell):
+    rng = np.random.default_rng(40)
+    for T in (1, 2, 9):
+        params = init_params(rng, cell, 3, 4, 5, 3)
+        X = rng.normal(size=(T, 3))
+        probs, cache = _sentence_forward(params, X)
+        dlogits = (probs - rng.dirichlet(np.ones(3), size=T)) / T
+        grads, dX = _sentence_backward(params, cache, dlogits)
+        ref, ref_dX = _reference_sentence_backward(params, cache, dlogits)
+        assert grads.cell == cell
+        for (name, g), (_, r) in zip(grads.arrays(), ref.arrays()):
+            assert g.shape == r.shape and g.tobytes() == r.tobytes(), (T, name)
+        assert dX.tobytes() == ref_dX.tobytes()
+
+
+def test_sgd_step_is_bitwise_scaled_subtraction():
+    rng = np.random.default_rng(41)
+    params = init_params(rng, "lstm", 3, 4, 5, 3)
+    grads = params.copy()
+    for _, g in grads.arrays():
+        g[...] = rng.normal(size=g.shape)
+    expected = params.copy()
+    for (_, arr), (_, g) in zip(expected.arrays(), grads.arrays()):
+        arr -= 0.037 * g
+    _sgd_step(params, grads, 0.037)
+    for (name, got), (_, want) in zip(params.arrays(), expected.arrays()):
+        assert got.tobytes() == want.tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -438,6 +498,75 @@ def test_predict_is_pure(tiny_table):
     b = predict(ds, params, tiny_table)
     assert a.sentences == b.sentences
     assert a.sentences[0].provenance == "gold"
+
+
+def _per_sentence_probs(dataset, params, table):
+    return [_sentence_forward(params, table.embed(s.tokens))[0] for s in dataset.sentences]
+
+
+def _batch_test_model(cell, token_cap):
+    """Sentences of lengths 1, many equal ones, one longer than the token
+    cap, and OOV tokens throughout, in no particular length order."""
+    rng = np.random.default_rng(50 if cell == "lstm" else 51)
+    ts = TagSet(("PER", "LOC"))
+    table = EmbeddingTable({f"w{i}": i for i in range(8)}, rng.normal(size=(8, 3)))
+    params = init_params(rng, cell, 3, 4, 5, ts.size)
+    params.b_f[:] = rng.normal(size=params.b_f.shape)
+    params.b_b[:] = rng.normal(size=params.b_b.shape)
+    params.b_out[:] = rng.normal(size=ts.size)
+    lengths = [3, 1, 5, 5, 5, token_cap + 5, 1, 5, 5, 2, 5, 5, 5, 1, 7, 5, 4]
+    sents = [make_sentence(tuple(f"w{int(i)}" if i < 8 else f"oov{int(i)}"
+                                 for i in rng.integers(0, 11, size=n)))
+             for n in lengths]
+    return ts, table, params, make_dataset(sents, ts)
+
+
+@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("caps", [None, (3, 12)])
+def test_batched_forward_matches_per_sentence(cell, caps, monkeypatch):
+    if caps is not None:
+        monkeypatch.setattr(tagger, "_BATCH_SENTENCES", caps[0])
+        monkeypatch.setattr(tagger, "_BATCH_TOKENS", caps[1])
+    ts, table, params, ds = _batch_test_model(cell, tagger._BATCH_TOKENS)
+    lengths = np.array([len(s.tokens) for s in ds.sentences])
+    batches = list(_inference_batches(lengths))
+    assert len(batches) >= (6 if caps else 2)
+
+    reference = _per_sentence_probs(ds, params, table)
+    pairs = list(_forward_batched(params, table, [s.tokens for s in ds.sentences]))
+    assert sorted(i for i, _ in pairs) == list(range(len(reference)))
+    batched = dict(pairs)
+    for i, want in enumerate(reference):
+        got = batched[i]
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+
+    out = predict(ds, params, table)
+    assert [s.tokens for s in out.sentences] == [s.tokens for s in ds.sentences]
+    for sent, probs in zip(out.sentences, reference):
+        tags = [ts.labels[int(i)] for i in probs.argmax(axis=1)]
+        assert sent.spans == tuple(io_to_spans(tags, ts))
+    assert np.array_equal(forward(ds.sentences[5].tokens, params, table), batched[5])
+
+
+@pytest.mark.parametrize("caps", [(32, 1024), (3, 12), (1, 1)])
+def test_inference_batches_sort_stably_within_caps(caps, monkeypatch):
+    monkeypatch.setattr(tagger, "_BATCH_SENTENCES", caps[0])
+    monkeypatch.setattr(tagger, "_BATCH_TOKENS", caps[1])
+    lengths = np.array([3, 1, 5, 5, 5, 2000, 1, 5, 5, 2, 5, 5, 5, 1, 7, 5, 4] * 3)
+    batches = list(_inference_batches(lengths))
+    order = np.concatenate(batches)
+    assert order.tolist() == sorted(range(len(lengths)), key=lambda i: -lengths[i])
+    for batch in batches:
+        assert len(batch) == 1 or (len(batch) <= caps[0]
+                                   and len(batch) * lengths[batch].max() <= caps[1])
+
+
+def test_predict_empty_dataset(tiny_table):
+    params = init_params(np.random.default_rng(9), "lstm", 4, 3, 4, 5)
+    ds = make_dataset([])
+    out = predict(ds, params, tiny_table)
+    assert out.sentences == () and out.tag_set == ds.tag_set
 
 
 # ---------------------------------------------------------------------------
