@@ -8,7 +8,6 @@ known), 2 usage error (argparse).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -16,7 +15,7 @@ from . import evaluation, experiment, ingest, noise, tagger
 from .corpus import Dataset, TagSet, read_conll, read_tokens, write_conll
 from .date_rules import DateRuleSet, default_date_rules
 from .errors import WsnerError
-from .gazetteer import annotate_distant, build_gazetteer, read_entity_tsv
+from .gazetteer import annotate_distant, build_gazetteer, distant_twin, read_entity_tsv
 
 ENDPOINT_ENV = "WSNER_ENDPOINT"
 
@@ -59,25 +58,20 @@ def _build_gazetteer(args, tag_set: TagSet):
     )
 
 
-def _tagger_config(path: str | None, seed: int | None) -> tuple[tagger.TaggerConfig, dict]:
-    """Tagger config plus leftover noise-method options from a flat JSON
-    file; CLI seed wins over the file."""
-    doc = {}
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise WsnerError(f"{path}: invalid JSON: {exc}") from None
-    keys = ("hidden_size", "feature_size", "learning_rate", "epochs", "seed",
-            "fine_tune_embeddings", "cell")
-    cfg_kwargs = {k: doc.pop(k) for k in keys if k in doc}
+def _train_config(path: str | None,
+                  seed: int | None) -> tuple[tagger.TaggerConfig, noise.MethodOptions]:
+    """Tagger config and method options from a flat JSON file; CLI seed
+    wins over the file."""
+    doc = experiment.read_json(path) if path else {}
     if seed is not None:
-        cfg_kwargs["seed"] = seed
+        doc["seed"] = seed
     try:
-        return tagger.TaggerConfig(**cfg_kwargs), doc
+        config, options, unknown = noise.split_config(doc)
     except (TypeError, ValueError) as exc:
-        raise WsnerError(f"bad tagger config: {exc}") from None
+        raise WsnerError(f"{path}: bad config: {exc}") from None
+    if unknown:
+        raise WsnerError(f"{path}: unknown config keys: {sorted(unknown)}")
+    return config, options
 
 
 # ---------------------------------------------------------------------------
@@ -116,64 +110,25 @@ def cmd_annotate(args) -> int:
     return 0
 
 
-def _derive_pairs(clean: Dataset, distant: Dataset, args, tag_set: TagSet) -> Dataset:
-    if args.gazetteer:
-        gaz = _build_gazetteer(args, tag_set)
-        return annotate_distant(clean, gaz, _load_rules(args.keywords))
-    index = {}
-    for sent in distant.sentences:
-        index.setdefault(sent.tokens, sent)
-    sentences = []
-    for sent in clean.sentences:
-        match = index.get(sent.tokens)
-        if match is None:
-            raise WsnerError(
-                "cannot pair clean sentences with distant annotations; "
-                "pass --gazetteer/--keywords or include the clean sentences "
-                "in the distant file"
-            )
-        sentences.append(match)
-    return Dataset(tuple(sentences), tag_set)
-
-
 def cmd_train(args) -> int:
     tag_set = _tag_set(args)
     clean = read_conll(args.clean, tag_set=tag_set)
     distant = (read_conll(args.distant, tag_set=tag_set, provenance="distant")
                if args.distant else Dataset((), tag_set))
     table = tagger.EmbeddingTable.load(args.embeddings)
-    config, extra = _tagger_config(args.config, args.seed)
+    config, options = _train_config(args.config, args.seed)
 
-    channel = None
-    if args.method == "baseline-clean" or not distant.sentences:
-        params = tagger.train(clean, config, table)
-    elif args.method == "naive-mix":
-        params = noise.train_naive_mix(clean, distant, config, table)
-    elif args.method == "confusion":
-        pairs = _derive_pairs(clean, distant, args, tag_set)
-        params, channel = noise.train_confusion_method(
-            clean, distant, pairs, config, table,
-            alpha=extra.get("alpha", 1.0))
-    elif args.method == "noise-channel":
-        from .corpus import merge
-        data = merge(clean, distant)
-        params, state = noise.em_noise_channel(
-            data, config, table, extra.get("em_iterations", 10))
-        channel = state.channel
-    elif args.method == "cleaning":
-        pairs = _derive_pairs(clean, distant, args, tag_set)
-        params, _ = noise.train_cleaning_method(
-            clean, distant, pairs, config, table,
-            cleaner_hidden=extra.get("cleaner_hidden", 32),
-            cleaner_learning_rate=extra.get("cleaner_learning_rate", 0.1),
-            cleaner_epochs=extra.get("cleaner_epochs", 50))
-    else:
-        raise WsnerError(f"unknown method {args.method!r}")
+    def pair_source() -> Dataset:
+        gaz = rules = None
+        if args.gazetteer:
+            gaz, rules = _build_gazetteer(args, tag_set), _load_rules(args.keywords)
+        return distant_twin(clean, distant, gaz, rules)
 
-    tagger.save_checkpoint(args.model_out, params, tag_set)
+    result = noise.fit(args.method, clean, distant, config, table, options, pair_source)
+    tagger.save_checkpoint(args.model_out, result.params, tag_set)
     print(f"saved model to {args.model_out}")
-    if channel is not None and args.confusion_out:
-        noise.save_confusion(channel, args.confusion_out)
+    if result.channel is not None and args.confusion_out:
+        noise.save_confusion(result.channel, args.confusion_out)
         print(f"saved confusion matrix to {args.confusion_out}")
     return 0
 
@@ -310,10 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a tagger, optionally with noise handling")
     p.add_argument("--clean", required=True)
     p.add_argument("--distant", default=None)
-    p.add_argument("--method", default="baseline-clean",
-                   choices=("baseline-clean", "naive-mix", "confusion",
-                            "noise-channel", "cleaning"))
-    p.add_argument("--config", default=None, help="flat JSON tagger/noise config")
+    p.add_argument("--method", default="baseline-clean", choices=noise.METHODS)
+    p.add_argument("--config", default=None,
+                   help="flat JSON config with any of the keys "
+                        + ", ".join(noise.TAGGER_KEYS + noise.OPTION_KEYS))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--gazetteer", action="append", default=[])

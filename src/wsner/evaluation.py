@@ -111,24 +111,6 @@ def mean_and_se(values: list[float]) -> tuple[float, float]:
 METRIC_NAMES = ("precision", "recall", "f1")
 
 
-def aggregate(runs: list[RunMetrics]) -> dict[str, dict[str, tuple[float, float]]]:
-    """Per-metric (mean, standard error) across runs, keyed by class name
-    with ``overall`` first."""
-    if not runs:
-        raise ValueError("need at least one run")
-    classes = list(runs[0].per_class)
-    out: dict[str, dict[str, tuple[float, float]]] = {}
-    out["overall"] = {
-        m: mean_and_se([getattr(r.overall, m) for r in runs]) for m in METRIC_NAMES
-    }
-    for c in classes:
-        out[c] = {
-            m: mean_and_se([getattr(r.per_class[c], m) for r in runs])
-            for m in METRIC_NAMES
-        }
-    return out
-
-
 def metrics_columns(tag_set) -> list[str]:
     cols = []
     for cls in ("overall",) + tuple(tag_set.entity_types):

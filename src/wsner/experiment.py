@@ -1,11 +1,14 @@
 """Experiment sweep: clean-budget × method × repeat grid with per-run and
 aggregated CSV output.
 
-Every cell is seeded as ``base_seed + repeat`` (subsampling and training),
-so any cell can be reproduced in isolation and two full runs of the same
-config produce byte-identical CSV files. The runner is resumable: rows
-already present in the per-run CSV are detected by (setting, method,
-repeat) and skipped.
+A cell trains on a subsample of the clean data with ``noise.fit``, the
+pipeline ``wsner train`` runs too, and scores the tagger on the test split
+(``distant-only`` scores the distant annotation of the test split). Every
+cell is seeded as ``base_seed + repeat`` (subsampling and training) and
+never changes the shared context, so any cell can be reproduced in
+isolation and two full runs of the same config produce byte-identical CSV
+files. The runner is resumable: rows already present in the per-run CSV
+are detected by (setting, method, repeat) and skipped.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ from .corpus import Dataset, TagSet, merge, read_conll, subsample_tokens
 from .date_rules import DateRuleSet, default_date_rules
 from .errors import WsnerError
 from .evaluation import mean_and_se, metrics_columns, metrics_row, span_prf
-from .gazetteer import annotate_distant, build_gazetteer, read_entity_tsv
+from .gazetteer import annotate_distant, build_gazetteer, distant_twin, read_entity_tsv
 from .tagger import EmbeddingTable, TaggerConfig
 
-METHODS = ("baseline-clean", "naive-mix", "confusion", "noise-channel",
-           "cleaning", "distant-only")
+METHODS = noise.METHODS + ("distant-only",)
 
 UNLIMITED = "unlimited"
 
@@ -48,12 +50,7 @@ class ExperimentConfig:
     min_len: dict = field(default_factory=dict)
     default_min_len: int = 1
     tagger: TaggerConfig = field(default_factory=TaggerConfig)
-    alpha: float = 1.0
-    em_iterations: int = 10
-    noise_channel_data: str = "mix"  # or "distant-only"
-    cleaner_hidden: int = 32
-    cleaner_epochs: int = 50
-    cleaner_learning_rate: float = 0.1
+    options: noise.MethodOptions = field(default_factory=noise.MethodOptions)
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -67,8 +64,6 @@ class ExperimentConfig:
         as_inf = [float("inf") if b is None else b for b in self.clean_budgets]
         if any(a >= b for a, b in zip(as_inf, as_inf[1:])):
             raise ValueError("budgets must be strictly increasing")
-        if self.noise_channel_data not in ("mix", "distant-only"):
-            raise ValueError("noise_channel_data must be 'mix' or 'distant-only'")
 
     def validate_paths(self) -> None:
         required = [self.train_path, self.test_path, self.embeddings_path]
@@ -79,15 +74,11 @@ class ExperimentConfig:
                 raise WsnerError(f"configured file does not exist: {p}")
 
 
-_TAGGER_KEYS = ("hidden_size", "feature_size", "learning_rate", "epochs",
-                "cell", "fine_tune_embeddings")
 _PATH_KEYS = {"train": "train_path", "test": "test_path",
               "embeddings": "embeddings_path", "distant": "distant_path",
               "distant_test": "distant_test_path",
               "extra_corpus": "extra_corpus_path", "keywords": "keywords_path"}
-_PLAIN_KEYS = ("out_dir", "repeats", "base_seed", "alpha", "em_iterations",
-               "noise_channel_data", "cleaner_hidden", "cleaner_epochs",
-               "cleaner_learning_rate", "default_min_len")
+_PLAIN_KEYS = ("out_dir", "repeats", "base_seed", "default_min_len")
 
 
 def _parse_budget(value):
@@ -125,24 +116,29 @@ def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
         kwargs["entity_types"] = tuple(doc.pop("entity_types"))
     if "min_len" in doc:
         kwargs["min_len"] = {k: int(v) for k, v in doc.pop("min_len").items()}
-    tagger_kwargs = {k: doc.pop(k) for k in list(doc) if k in _TAGGER_KEYS}
-    if "seed" in doc:
-        doc.pop("seed")  # per-repeat seeds override any fixed seed
+    doc.pop("seed", None)  # per-repeat seeds override any fixed seed
+    kwargs["tagger"], kwargs["options"], doc = noise.split_config(doc)
     if doc:
         raise WsnerError(f"unknown config keys: {sorted(doc)}")
-    kwargs["tagger"] = TaggerConfig(**tagger_kwargs)
     return ExperimentConfig(**kwargs)
 
 
-def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+def read_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise WsnerError(f"{path}: invalid JSON: {exc}") from None
+
+
+def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+    doc = read_json(path)
     if overrides:
         doc.update(overrides)
-    return config_from_dict(doc, os.path.dirname(os.path.abspath(path)))
+    try:
+        return config_from_dict(doc, os.path.dirname(os.path.abspath(path)))
+    except (WsnerError, TypeError, ValueError) as exc:
+        raise WsnerError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +156,6 @@ class _Context:
     table: EmbeddingTable
     gazetteer: object | None
     date_rules: DateRuleSet | None
-    distant_index: dict
 
 
 def _build_context(config: ExperimentConfig) -> _Context:
@@ -202,34 +197,13 @@ def _build_context(config: ExperimentConfig) -> _Context:
     elif gaz is not None:
         distant_test = annotate_distant(test, gaz, rules)
 
-    index = {}
-    for sent in distant.sentences:
-        index.setdefault(sent.tokens, sent)
     return _Context(config, tag_set, train, test, distant, distant_test,
-                    table, gaz, rules, index)
-
-
-def _pair_source_for(clean_sub: Dataset, ctx: _Context) -> Dataset:
-    """Distant twin of the clean subsample: re-annotate when a gazetteer is
-    configured, otherwise align into the distant pool by token sequence."""
-    if ctx.gazetteer is not None:
-        return annotate_distant(clean_sub, ctx.gazetteer, ctx.date_rules)
-    sentences = []
-    for sent in clean_sub.sentences:
-        match = ctx.distant_index.get(sent.tokens)
-        if match is None:
-            raise WsnerError(
-                "cannot derive clean/distant pairs: a clean sentence has no "
-                "token-identical sentence in the distant data"
-            )
-        sentences.append(match)
-    return Dataset(tuple(sentences), ctx.tag_set)
+                    table, gaz, rules)
 
 
 def run_cell(ctx: _Context, budget, method: str, repeat: int):
     """Train/score one sweep cell; returns RunMetrics."""
     config = ctx.config
-    seed = config.base_seed + repeat
     if method == "distant-only":
         if ctx.distant_test is None:
             raise WsnerError(
@@ -237,33 +211,14 @@ def run_cell(ctx: _Context, budget, method: str, repeat: int):
             )
         return span_prf(ctx.test, ctx.distant_test)
 
+    seed = config.base_seed + repeat
     effective = budget if budget is not None else ctx.train.num_tokens
     clean_sub = subsample_tokens(ctx.train, effective, seed)
-    tcfg = replace(config.tagger, seed=seed)
-    distant = ctx.distant
-
-    if method == "baseline-clean" or not distant.sentences:
-        params = tagger.train(clean_sub, tcfg, ctx.table)
-    elif method == "naive-mix":
-        params = noise.train_naive_mix(clean_sub, distant, tcfg, ctx.table)
-    elif method == "confusion":
-        params, _ = noise.train_confusion_method(
-            clean_sub, distant, _pair_source_for(clean_sub, ctx), tcfg,
-            ctx.table, alpha=config.alpha)
-    elif method == "noise-channel":
-        data = merge(clean_sub, distant) if config.noise_channel_data == "mix" else distant
-        params, _ = noise.em_noise_channel(data, tcfg, ctx.table,
-                                           config.em_iterations)
-    elif method == "cleaning":
-        params, _ = noise.train_cleaning_method(
-            clean_sub, distant, _pair_source_for(clean_sub, ctx), tcfg,
-            ctx.table, cleaner_hidden=config.cleaner_hidden,
-            cleaner_learning_rate=config.cleaner_learning_rate,
-            cleaner_epochs=config.cleaner_epochs)
-    else:
-        raise WsnerError(f"unknown method {method!r}")
-    predicted = tagger.predict(ctx.test, params, ctx.table)
-    return span_prf(ctx.test, predicted)
+    result = noise.fit(
+        method, clean_sub, ctx.distant, replace(config.tagger, seed=seed), ctx.table,
+        config.options,
+        lambda: distant_twin(clean_sub, ctx.distant, ctx.gazetteer, ctx.date_rules))
+    return span_prf(ctx.test, tagger.predict(ctx.test, result.params, result.table))
 
 
 # ---------------------------------------------------------------------------

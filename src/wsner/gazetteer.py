@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .corpus import Dataset, EntitySpan, LabeledSentence, TagSet
 from .date_rules import DateRuleSet, annotate_dates
-from .errors import ParseError, SchemaError
+from .errors import AlignmentError, ParseError, SchemaError
 from .textnorm import strip_diacritics, visible_length
 
 DEFAULT_PRIORITY = ("PER", "LOC", "ORG")
@@ -183,6 +183,30 @@ def annotate_distant(
                 last_end = span.end
         sentences.append(LabeledSentence(sent.tokens, tuple(kept), "distant"))
     return Dataset(tuple(sentences), dataset.tag_set)
+
+
+def distant_twin(clean: Dataset, distant: Dataset, gaz: Gazetteer | None,
+                 date_rules: DateRuleSet | None = None) -> Dataset:
+    """Distant annotation of the clean sentences, for clean/distant label
+    pairs: re-annotated when a gazetteer is given, otherwise each clean
+    sentence's first token-identical sentence in *distant*."""
+    if gaz is not None:
+        return annotate_distant(clean, gaz, date_rules)
+    index: dict[tuple[str, ...], LabeledSentence] = {}
+    for sent in distant.sentences:
+        index.setdefault(sent.tokens, sent)
+    sentences = []
+    for sent in clean.sentences:
+        match = index.get(sent.tokens)
+        if match is None:
+            raise AlignmentError(
+                "cannot pair clean sentences with distant annotations: a clean "
+                "sentence has no token-identical sentence in the distant data; "
+                "configure entity lists or include the clean sentences in the "
+                "distant data"
+            )
+        sentences.append(match)
+    return Dataset(tuple(sentences), clean.tag_set)
 
 
 def read_entity_tsv(path, tag_set: TagSet | None = None) -> list[GazetteerEntry]:

@@ -1,37 +1,45 @@
 """Label-noise handling for training on automatically annotated data.
 
-Three methods:
+``fit`` is the one training pipeline, shared by ``wsner train`` and the
+sweep. It runs one of ``METHODS`` with the settings in a ``MethodOptions``
+and returns a ``FitResult``: the tagger, the embedding table to tag with (a
+tuned copy under ``fine_tune_embeddings``, so the caller's table never
+changes), and the method's channel or cleaner. ``split_config`` builds the
+``TaggerConfig`` and ``MethodOptions`` of a flat config document.
 
-* confusion-matrix channel — estimate how gold labels show up as noisy
-  labels on a small clean subset, then train with plain cross-entropy on
-  clean sentences and channel-composed cross-entropy on distant ones; the
-  channel itself stays trainable through a row-wise softmax.
-* EM noise channel — treat every label as possibly noisy and alternate
+* baseline-clean and naive-mix — plain training on the clean sentences,
+  or on clean and distant ones with distant labels taken as gold.
+* confusion — estimate how gold labels show up as noisy labels on the
+  clean subset, then train with plain cross-entropy on clean sentences and
+  channel-composed cross-entropy on distant ones; the channel itself stays
+  trainable through a row-wise softmax.
+* noise-channel — treat every label as possibly noisy and alternate
   posterior inference over clean labels with channel and model updates.
-* label cleaning — train a small network that maps (noisy label one-hot,
-  tagger features) to a corrected label distribution, then train on the
-  cleaned soft targets.
+* cleaning — train a small network that maps (noisy label one-hot, tagger
+  features) to a corrected label distribution, then train on the cleaned
+  soft targets.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
 from . import tagger
-from .corpus import Dataset, TagSet, spans_to_io
+from .corpus import Dataset, merge, spans_to_io
 from .errors import AlignmentError, EstimationError, NumericsError, ParseError, SchemaError
 from .tagger import (
     EmbeddingTable,
     TaggerConfig,
     TaggerParams,
     TrainItem,
-    _item_loss_grads,
     _row_softmax,
     _sentence_forward,
-    _sgd_step,
+    _sgd_epoch,
     _train_core,
     make_items,
 )
@@ -71,9 +79,6 @@ class ConfusionMatrix:
         if not 0.0 <= rho <= 1.0:
             raise ValueError("rho must be in [0, 1]")
         return cls(labels, (1.0 - rho) * np.eye(L) + rho / L)
-
-    def row(self, label: str) -> np.ndarray:
-        return self.matrix[self.labels.index(label)]
 
 
 def estimate_confusion(pairs, labels, alpha: float = 0.0) -> ConfusionMatrix:
@@ -207,16 +212,13 @@ def train_confusion_method(
     return params, ConfusionMatrix(labels, _row_softmax(final_logits))
 
 
-def train_naive_mix(clean: Dataset, distant: Dataset, config: TaggerConfig,
-                    table: EmbeddingTable) -> TaggerParams:
-    """Baseline that treats distant labels as gold (clean sentences first,
-    then distant, one shuffled pool)."""
-    from .corpus import merge
-    return tagger.train(merge(clean, distant), config, table)
-
-
 # ---------------------------------------------------------------------------
 # method 2: EM-estimated noise channel over a single noisy pool
+
+
+# EM's default initial channel: the identity blended with this much of the
+# uniform channel
+EM_CHANNEL_ANCHOR = 0.5
 
 
 @dataclass
@@ -236,8 +238,6 @@ def em_noise_channel(
     em_iterations: int,
     *,
     channel_init: ConfusionMatrix | None = None,
-    anchor: float = 0.5,
-    channel_update_from: int = 0,
     train_channel: bool = True,
     train_model: bool = True,
 ) -> tuple[TaggerParams, NoiseChannelState]:
@@ -247,11 +247,10 @@ def em_noise_channel(
     E-step: ``posterior(t | x, y~) ∝ p_model(t | x) · C[t, y~]``. M-step:
     the channel becomes the row-normalized posterior mass per observed
     label (a closed-form maximizer), and the model takes one epoch of SGD
-    on the expected cross-entropy (generalized EM). The channel starts at
-    an identity anchored against the uniform channel so label identities
-    stay pinned; ``channel_update_from`` holds it there for that many
-    initial iterations (a partial M-step schedule) so the model sharpens
-    before the channel races it to the near-identity fixed point.
+    on the expected cross-entropy (generalized EM), whose soft targets are
+    the posteriors. Unless ``channel_init`` is given, the channel starts at
+    the identity blended with the uniform channel (``EM_CHANNEL_ANCHOR``),
+    so label identities stay pinned.
     """
     if not data.sentences:
         raise ValueError("dataset is empty")
@@ -264,7 +263,7 @@ def em_noise_channel(
     params = tagger.init_params(rng, config.cell, table.dimension,
                                 config.hidden_size, config.feature_size, L)
     if channel_init is None:
-        C = ConfusionMatrix.uniform_mix(labels, anchor).matrix.copy()
+        C = ConfusionMatrix.uniform_mix(labels, EM_CHANNEL_ANCHOR).matrix.copy()
     else:
         if tuple(channel_init.labels) != tuple(labels):
             raise SchemaError("channel labels do not match the dataset tag set")
@@ -274,7 +273,6 @@ def em_noise_channel(
     items = make_items(data, table, cache=cache)
     noisy = np.concatenate([it.hard for it in items])
     bounds = np.cumsum([0] + [len(it.hard) for it in items])
-    lr = config.learning_rate
 
     def e_step():
         probs = np.vstack([
@@ -290,29 +288,18 @@ def em_noise_channel(
         return liks / mass[:, None], ll
 
     lls: list[float] = []
-    posteriors = None
-    for iteration in range(em_iterations):
+    for _ in range(em_iterations):
         posteriors, ll = e_step()
         lls.append(ll)
-        if train_channel and iteration >= channel_update_from:
+        if train_channel:
             counts = np.zeros((L, L))
             np.add.at(counts.T, noisy, posteriors)
             mass = counts.sum(axis=1, keepdims=True)
             C = np.where(mass > 0, counts / np.where(mass > 0, mass, 1.0), C)
         if train_model:
-            order = rng.permutation(len(items))
-            for k in order:
-                it = items[int(k)]
-                X = it.X if it.X is not None else table.embed_rows(it.rows)
-                soft = posteriors[bounds[int(k)]:bounds[int(k) + 1]]
-                loss, grads, _, dX = _item_loss_grads(
-                    params, X, TrainItem(it.rows, X, soft=soft))
-                if not np.isfinite(loss):
-                    raise NumericsError("non-finite loss in EM model step")
-                _sgd_step(params, grads, lr)
-                if config.fine_tune_embeddings:
-                    table.apply_update(it.rows, dX, lr)
-            params.check_finite()
+            for it, start, end in zip(items, bounds[:-1], bounds[1:]):
+                it.soft = posteriors[start:end]
+            _sgd_epoch(params, items, config, table, rng)
     posteriors, ll = e_step()
     lls.append(ll)
     state = NoiseChannelState(ConfusionMatrix(labels, C), posteriors, lls)
@@ -411,11 +398,7 @@ def train_cleaning_method(
         raise AlignmentError("pair_source must re-annotate the clean sentences")
 
     # phase 0/1: base tagger for features, then the cleaner on clean pairs
-    base_config = TaggerConfig(
-        hidden_size=config.hidden_size, feature_size=config.feature_size,
-        learning_rate=config.learning_rate, epochs=config.epochs,
-        seed=config.seed, cell=config.cell,
-    )
+    base_config = replace(config, fine_tune_embeddings=False)
     base_items = make_items(clean, table)
     base_params, _ = _train_core(base_items, base_config, table, L,
                                  seed=np.random.SeedSequence([config.seed, 0]))
@@ -450,3 +433,82 @@ def train_cleaning_method(
     # phase 3: final tagger on hard clean + soft cleaned-distant targets
     params, _ = _train_core(items, config, table, L)
     return params, cleaner
+
+
+# ---------------------------------------------------------------------------
+# the one training pipeline
+
+
+METHODS = ("baseline-clean", "naive-mix", "confusion", "noise-channel", "cleaning")
+
+
+@dataclass(frozen=True)
+class MethodOptions:
+    """Settings of the noise methods; each method reads only its own."""
+
+    alpha: float = 1.0  # confusion: add-alpha smoothing of the counted channel
+    em_iterations: int = 10  # noise-channel
+    noise_channel_data: str = "mix"  # noise-channel: "mix" or "distant-only"
+    cleaner_hidden: int = 32  # cleaning
+    cleaner_epochs: int = 50  # cleaning
+    cleaner_learning_rate: float = 0.1  # cleaning
+
+    def __post_init__(self):
+        if self.noise_channel_data not in ("mix", "distant-only"):
+            raise ValueError("noise_channel_data must be 'mix' or 'distant-only'")
+
+
+TAGGER_KEYS = tuple(f.name for f in fields(TaggerConfig))
+OPTION_KEYS = tuple(f.name for f in fields(MethodOptions))
+
+
+def split_config(doc: dict) -> tuple[TaggerConfig, MethodOptions, dict]:
+    """The ``TaggerConfig`` and ``MethodOptions`` set by the keys of a flat
+    config document, and the keys that belong to neither."""
+    rest = {k: v for k, v in doc.items() if k not in TAGGER_KEYS + OPTION_KEYS}
+    return (TaggerConfig(**{k: doc[k] for k in TAGGER_KEYS if k in doc}),
+            MethodOptions(**{k: doc[k] for k in OPTION_KEYS if k in doc}), rest)
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """What ``fit`` trained: the tagger, the embedding table to tag with,
+    and the method's channel or cleaner when it has one."""
+
+    params: TaggerParams
+    table: EmbeddingTable
+    channel: ConfusionMatrix | None = None
+    cleaner: CleaningParams | None = None
+
+
+def fit(method: str, clean: Dataset, distant: Dataset, config: TaggerConfig,
+        table: EmbeddingTable, options: MethodOptions,
+        pair_source: Callable[[], Dataset]) -> FitResult:
+    """Train a tagger with one of ``METHODS``.
+
+    ``pair_source()`` returns the distant annotation of the clean sentences,
+    for clean/distant label pairs; only confusion and cleaning call it.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if config.fine_tune_embeddings:
+        table = copy.deepcopy(table)
+    channel = cleaner = None
+    if method == "baseline-clean" or not distant.sentences:
+        params = tagger.train(clean, config, table)
+    elif method == "naive-mix":
+        params = tagger.train(merge(clean, distant), config, table)
+    elif method == "confusion":
+        params, channel = train_confusion_method(clean, distant, pair_source(), config,
+                                                 table, alpha=options.alpha)
+    elif method == "noise-channel":
+        data = merge(clean, distant) if options.noise_channel_data == "mix" else distant
+        params, state = em_noise_channel(data, config, table, options.em_iterations)
+        channel = state.channel
+    else:
+        params, cleaner = train_cleaning_method(
+            clean, distant, pair_source(), config, table,
+            cleaner_hidden=options.cleaner_hidden,
+            cleaner_learning_rate=options.cleaner_learning_rate,
+            cleaner_epochs=options.cleaner_epochs)
+    return FitResult(params, table, channel, cleaner)

@@ -2,9 +2,9 @@
 
 Words carry a class identity; their embeddings sit near a class centroid
 with per-word jitter, so a model can both generalize across words and
-memorize individual ones. Noisy twins of gold datasets are produced either
-by uniform label flips or by sampling through an explicit channel, which
-gives benchmarks with a known ground-truth noise process.
+memorize individual ones. Noisy twins of gold datasets are produced by
+uniform label flips or by an input-dependent rotation, which gives
+benchmarks with a known ground-truth noise process.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Dataset, LabeledSentence, TagSet, io_to_spans, spans_to_io
-from .noise import ConfusionMatrix
 from .tagger import EmbeddingTable
 
 
@@ -25,7 +24,6 @@ class SynthTask:
     pair_source: Dataset
     test: Dataset
     table: EmbeddingTable
-    true_channel: ConfusionMatrix | None = None
 
 
 def _make_vocabulary(rng, tag_set: TagSet, entity_words: int, outside_words: int,
@@ -114,20 +112,6 @@ def uniform_flip(dataset: Dataset, noise_rate: float, seed) -> Dataset:
     return Dataset(tuple(out), dataset.tag_set)
 
 
-def channel_flip(dataset: Dataset, channel: ConfusionMatrix, seed) -> Dataset:
-    """Noisy twin drawn through an explicit channel row per clean label."""
-    rng = np.random.default_rng(seed)
-    cum = channel.matrix.cumsum(axis=1)
-    out = []
-    for sent in dataset.sentences:
-        idx = _label_indices(sent, dataset.tag_set)
-        noisy = [int(np.searchsorted(cum[t], rng.random(), side="right"))
-                 for t in idx]
-        noisy = [min(n, channel.matrix.shape[1] - 1) for n in noisy]
-        out.append(_from_indices(sent, noisy, dataset.tag_set))
-    return Dataset(tuple(out), dataset.tag_set)
-
-
 # ---------------------------------------------------------------------------
 # benchmark tasks
 
@@ -155,6 +139,7 @@ def make_noise_benchmark(seed: int, *, clean_tokens: int = 200,
     return SynthTask(clean, distant, pair_source, test, table)
 
 
+# A fixed row-stochastic channel over the default five IO labels.
 RECOVERY_CHANNEL = np.array([
     [0.70, 0.15, 0.05, 0.05, 0.05],
     [0.10, 0.70, 0.10, 0.05, 0.05],
@@ -162,25 +147,6 @@ RECOVERY_CHANNEL = np.array([
     [0.05, 0.10, 0.05, 0.70, 0.10],
     [0.10, 0.05, 0.05, 0.10, 0.70],
 ])
-
-
-def make_recovery_task(seed: int, *, tokens: int = 5000, entity_words: int = 12,
-                       outside_words: int = 12, dim: int = 8,
-                       centroid_scale: float = 1.2, jitter: float = 0.2,
-                       entity_rate: float = 0.8, min_len: int = 3,
-                       max_len: int = 6):
-    """Cleanly separable data pushed through a fixed known channel; EM
-    should recover the channel. Returns (noisy data, gold data, channel,
-    embeddings)."""
-    rng = np.random.default_rng([seed, 0])
-    tag_set = TagSet()
-    channel = ConfusionMatrix(tag_set.labels, RECOVERY_CHANNEL)
-    words, table, _ = _make_vocabulary(rng, tag_set, entity_words, outside_words,
-                                       dim, centroid_scale, jitter)
-    gold = Dataset(tuple(_make_sentences(rng, words, tag_set, tokens,
-                                         min_len, max_len, entity_rate)), tag_set)
-    noisy = channel_flip(gold, channel, [seed, 1])
-    return noisy, gold, channel, table
 
 
 def make_feature_noise_task(seed: int, *, clean_tokens: int = 400,

@@ -117,10 +117,6 @@ class EmbeddingTable:
             X[oov] = self.unk
         return X
 
-    def lookup(self, token: str) -> np.ndarray:
-        r = self.index(token)
-        return self.matrix[r].copy() if r >= 0 else self.unk.copy()
-
     def embed(self, tokens) -> np.ndarray:
         return self.embed_rows(self.row_indices(tokens))
 
@@ -146,7 +142,6 @@ class TaggerConfig:
     seed: int = 0
     fine_tune_embeddings: bool = False
     cell: str = "lstm"
-    label_count: int | None = None
 
     def __post_init__(self):
         if self.hidden_size < 1:
@@ -483,13 +478,14 @@ def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
 
 
 # ---------------------------------------------------------------------------
-# per-sentence loss, shared by plain and channel-composed training
+# per-sentence loss: the one loss behind SGD, EM and loss_and_gradient
 
 
 @dataclass
 class TrainItem:
     """One sentence prepared for training: embedding row indices, cached
-    embeddings (frozen mode), and hard or soft targets."""
+    embeddings (frozen mode), and hard or soft targets (soft ones win
+    when both are set)."""
 
     rows: np.ndarray
     X: np.ndarray | None
@@ -500,6 +496,10 @@ class TrainItem:
 
 def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None,
                      want_channel_grad: bool = False):
+    """Mean cross-entropy over one sentence's tokens and its gradients
+    ``(loss, grads, dC, dX)``: against ``item.soft``, else through the
+    channel ``C`` for channel items, else against ``item.hard``. ``dC`` is
+    the channel gradient when asked for, otherwise None."""
     probs, cache = _sentence_forward(params, X)
     T = X.shape[0]
     dC = None
@@ -561,11 +561,37 @@ def _sgd_step(params: TaggerParams, grads: TaggerParams, lr: float) -> None:
         arr -= g
 
 
+def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfig,
+               table: EmbeddingTable, rng: np.random.Generator, B: np.ndarray | None = None,
+               train_channel: bool = False) -> None:
+    """One pass of per-sentence SGD over *items* in an order drawn from
+    *rng*; items flagged ``channel`` are scored through the row-softmax of
+    the channel logits ``B``, which train in place with ``train_channel``."""
+    lr = config.learning_rate
+    for k in rng.permutation(len(items)):
+        item = items[int(k)]
+        X = item.X if item.X is not None else table.embed_rows(item.rows)
+        use_channel = item.channel and B is not None
+        C = _row_softmax(B) if use_channel else None
+        loss, grads, dC, dX = _item_loss_grads(
+            params, X, item, C=C,
+            want_channel_grad=use_channel and train_channel,
+        )
+        if not np.isfinite(loss):
+            raise NumericsError("non-finite training loss")
+        _sgd_step(params, grads, lr)
+        if dC is not None:
+            s = (dC * C).sum(axis=1, keepdims=True)
+            B -= lr * (C * (dC - s))
+        if config.fine_tune_embeddings:
+            table.apply_update(item.rows, dX, lr)
+    params.check_finite()
+
+
 def _train_core(items: list[TrainItem], config: TaggerConfig, table: EmbeddingTable,
                 label_count: int, *, channel_logits: np.ndarray | None = None,
                 train_channel: bool = False, seed=None):
-    """Seeded SGD over per-sentence steps; items flagged ``channel`` are
-    scored through the current row-softmax of ``channel_logits``.
+    """Seeded SGD, ``config.epochs`` passes of ``_sgd_epoch``.
 
     Returns the trained parameters and the (possibly updated) channel
     logits.
@@ -574,27 +600,8 @@ def _train_core(items: list[TrainItem], config: TaggerConfig, table: EmbeddingTa
     params = init_params(rng, config.cell, table.dimension, config.hidden_size,
                          config.feature_size, label_count)
     B = None if channel_logits is None else np.array(channel_logits, dtype=float)
-    lr = config.learning_rate
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(items))
-        for k in order:
-            item = items[int(k)]
-            X = item.X if item.X is not None else table.embed_rows(item.rows)
-            use_channel = item.channel and B is not None
-            C = _row_softmax(B) if use_channel else None
-            loss, grads, dC, dX = _item_loss_grads(
-                params, X, item, C=C,
-                want_channel_grad=use_channel and train_channel,
-            )
-            if not np.isfinite(loss):
-                raise NumericsError(f"non-finite loss in epoch {epoch}")
-            _sgd_step(params, grads, lr)
-            if dC is not None:
-                s = (dC * C).sum(axis=1, keepdims=True)
-                B -= lr * (C * (dC - s))
-            if config.fine_tune_embeddings:
-                table.apply_update(item.rows, dX, lr)
-        params.check_finite()
+    for _ in range(config.epochs):
+        _sgd_epoch(params, items, config, table, rng, B, train_channel)
     return params, B
 
 
@@ -626,31 +633,21 @@ def loss_and_gradient(batch, params: TaggerParams, table: EmbeddingTable,
     if not batch:
         raise ValueError("batch must be non-empty")
     total_tokens = sum(len(s.tokens) for s in batch)
-    grads = None
+    grads = params.zeros_like()
     loss = 0.0
     for i, sent in enumerate(batch):
-        X = table.embed(sent.tokens)
-        probs, cache = _sentence_forward(params, X)
-        T = X.shape[0]
-        if soft_targets is not None:
-            w = np.asarray(soft_targets[i], dtype=float)
-            with np.errstate(divide="ignore"):
-                lp = np.log(probs)
-            loss += -np.where(w > 0.0, w * lp, 0.0).sum() / total_tokens
-            dlogits = (probs - w) / total_tokens
+        rows = table.row_indices(sent.tokens)
+        X = table.embed_rows(rows)
+        if soft_targets is None:
+            item = TrainItem(rows, X, hard=hard_targets(sent, tag_set))
         else:
-            y = hard_targets(sent, tag_set)
-            idx = np.arange(T)
-            loss += -np.log(probs[idx, y]).sum() / total_tokens
-            dlogits = probs.copy()
-            dlogits[idx, y] -= 1.0
-            dlogits /= total_tokens
-        sent_grads, _ = _sentence_backward(params, cache, dlogits)
-        if grads is None:
-            grads = sent_grads
-        else:
-            for (_, acc), (_, g) in zip(grads.arrays(), sent_grads.arrays()):
-                acc += g
+            item = TrainItem(rows, X, soft=np.asarray(soft_targets[i], dtype=float))
+        sent_loss, sent_grads, _, _ = _item_loss_grads(params, X, item)
+        # _item_loss_grads takes the mean over the sentence's own tokens
+        weight = len(sent.tokens) / total_tokens
+        loss += weight * sent_loss
+        for (_, acc), (_, g) in zip(grads.arrays(), sent_grads.arrays()):
+            acc += weight * g
     if not np.isfinite(loss):
         raise NumericsError("non-finite loss")
     return loss, grads
@@ -660,13 +657,8 @@ def train(clean: Dataset, config: TaggerConfig, table: EmbeddingTable) -> Tagger
     """Plain supervised training on gold spans (IO label space)."""
     if not clean.sentences:
         raise ValueError("training dataset is empty")
-    L = clean.tag_set.size
-    if config.label_count is not None and config.label_count != L:
-        raise ValueError(
-            f"config.label_count={config.label_count} but tag set has {L} labels"
-        )
     items = make_items(clean, table, cache=not config.fine_tune_embeddings)
-    params, _ = _train_core(items, config, table, L)
+    params, _ = _train_core(items, config, table, clean.tag_set.size)
     return params
 
 

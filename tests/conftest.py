@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from wsner.corpus import Dataset, EntitySpan, LabeledSentence, TagSet
+from wsner.make_synth import write_synth_corpus
 from wsner.tagger import EmbeddingTable
 
 
@@ -49,3 +52,22 @@ def random_sentences(rng, n_sentences, tag_set, vocab_size=50, max_len=12):
                 pos += 1
         sentences.append(LabeledSentence(tokens, tuple(spans)))
     return sentences
+
+
+# the bundled sweep config cut to a tiny tagger and one repeat
+TINY_SWEEP = {"clean_budgets": [40, "unlimited"], "repeats": 1, "hidden_size": 4,
+              "feature_size": 4, "epochs": 1, "em_iterations": 1, "cleaner_epochs": 2}
+
+
+def write_tiny_sweep(root, **overrides) -> dict[str, str]:
+    """The bundled synthetic corpus at a tiny size, its config updated with
+    ``TINY_SWEEP`` and *overrides*; returns name -> path as
+    ``write_synth_corpus`` does."""
+    paths = write_synth_corpus(str(root), seed=0, train_tokens=80, test_tokens=30,
+                               extra_tokens=30)
+    with open(paths["config"], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.update(TINY_SWEEP, **overrides)
+    with open(paths["config"], "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return paths

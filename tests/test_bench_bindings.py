@@ -5,8 +5,10 @@ multi-minute benchmark smoke run. Nothing under perfbench/ is changed."""
 import importlib.util
 from pathlib import Path
 
-from wsner import noise, synth, tagger
+from wsner import experiment, noise, synth, tagger
 from wsner.tagger import TaggerConfig
+
+from conftest import write_tiny_sweep
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -38,4 +40,20 @@ def test_tracer_binds_every_traced_layer():
         assert values.get(f"{span}.calls", 0) >= 1, span
     # patch() restores every binding it replaced
     assert not hasattr(tagger.predict, "__wrapped__")
+    assert noise._sentence_forward is tagger._sentence_forward
+
+
+def test_tracer_binds_every_sweep_cell(tmp_path):
+    config = experiment.load_config(write_tiny_sweep(tmp_path)["config"])
+    ctx = experiment._build_context(config)
+    tracer = _tracing_module().Tracer()
+    with tracer.patch():
+        for method in experiment.METHODS:
+            experiment.run_cell(ctx, 40, method, 0)
+    assert tracer.check_bindings() == []
+    values = tracer.layer_values()
+    for method in experiment.METHODS:
+        assert values.get(f"experiment.cell.{method}.calls", 0) == 1, method
+    # the EM E-step is what the noise module's own _sentence_forward binding times
+    assert values.get("noise.em_e_step.calls", 0) >= 1
     assert noise._sentence_forward is tagger._sentence_forward

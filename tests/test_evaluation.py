@@ -9,7 +9,6 @@ from wsner.corpus import Dataset, EntitySpan, TagSet
 from wsner.errors import AlignmentError
 from wsner.evaluation import (
     PRF,
-    aggregate,
     annotation_quality,
     format_report,
     mean_and_se,
@@ -111,16 +110,6 @@ def test_mean_and_se_single_run():
 
 def test_mean_and_se_identical_runs():
     assert mean_and_se([0.5, 0.5, 0.5])[1] == 0.0
-
-
-def test_aggregate_structure():
-    gold, pred = _pair((EntitySpan("PER", 0, 2),), (EntitySpan("PER", 0, 2),))
-    runs = [span_prf(gold, pred), span_prf(gold, pred)]
-    agg = aggregate(runs)
-    assert agg["overall"]["f1"] == (1.0, 0.0)
-    assert agg["PER"]["precision"] == (1.0, 0.0)
-    with pytest.raises(ValueError):
-        aggregate([])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from wsner.noise import (
     train_cleaner,
     train_cleaning_method,
     train_confusion_method,
-    train_naive_mix,
 )
 from wsner.tagger import TaggerConfig, train
 from wsner import synth
@@ -42,17 +41,17 @@ def test_identity_when_clean_equals_noisy():
 def test_direct_counting():
     pairs = [("O", "O"), ("O", "LOC"), ("PER", "PER")]
     cm = estimate_confusion(pairs, LABELS, alpha=0.0)
-    assert cm.row("O")[LABELS.index("O")] == 0.5
-    assert cm.row("O")[LABELS.index("LOC")] == 0.5
-    assert cm.row("PER")[LABELS.index("PER")] == 1.0
+    assert cm.matrix[LABELS.index("O")][LABELS.index("O")] == 0.5
+    assert cm.matrix[LABELS.index("O")][LABELS.index("LOC")] == 0.5
+    assert cm.matrix[LABELS.index("PER")][LABELS.index("PER")] == 1.0
     # unobserved rows default to identity
-    assert cm.row("ORG")[LABELS.index("ORG")] == 1.0
+    assert cm.matrix[LABELS.index("ORG")][LABELS.index("ORG")] == 1.0
 
 
 def test_smoothing():
     cm = estimate_confusion([("O", "O")], LABELS, alpha=1.0)
-    assert cm.row("O")[0] == pytest.approx(2 / 6)
-    assert cm.row("PER")[1] == pytest.approx(1 / 5)
+    assert cm.matrix[LABELS.index("O")][0] == pytest.approx(2 / 6)
+    assert cm.matrix[LABELS.index("PER")][1] == pytest.approx(1 / 5)
 
 
 def test_empty_pairs_require_smoothing():
@@ -181,7 +180,7 @@ def test_identity_frozen_channel_equals_naive_mix():
     p1, _ = train_confusion_method(task.clean, task.distant, None, cfg,
                                    task.table, channel=ident,
                                    train_channel=False)
-    p2 = train_naive_mix(task.clean, task.distant, cfg, task.table)
+    p2 = train(merge(task.clean, task.distant), cfg, task.table)
     assert _params_equal(p1, p2)
 
 

@@ -43,7 +43,7 @@ def test_load_embeddings(tmp_path):
     path.write_text("2 3\nfoo 1.0 2.0 3.0\nbar 0.0 1.0 0.5\n", encoding="utf-8")
     table = EmbeddingTable.load(path)
     assert len(table) == 2 and table.dimension == 3
-    assert np.array_equal(table.lookup("foo"), [1.0, 2.0, 3.0])
+    assert np.array_equal(table.embed(["foo"])[0], [1.0, 2.0, 3.0])
 
 
 def test_unknown_token_gets_mean_vector(tmp_path):
@@ -52,7 +52,7 @@ def test_unknown_token_gets_mean_vector(tmp_path):
     table = EmbeddingTable.load(path)
     # independent mean computation
     expected = np.array([(1.0 + 3.0) / 2, (3.0 + 5.0) / 2])
-    assert np.abs(table.lookup("zzz") - expected).max() < 1e-12
+    assert np.abs(table.embed(["zzz"])[0] - expected).max() < 1e-12
 
 
 def test_unk_is_mean_of_rows_large(tmp_path):
@@ -93,7 +93,7 @@ def test_duplicate_tokens_keep_first(tmp_path):
     path.write_text("2 1\nfoo 1.0\nfoo 2.0\n", encoding="utf-8")
     table = EmbeddingTable.load(path)
     assert len(table) == 2  # both rows kept
-    assert table.lookup("foo")[0] == 1.0
+    assert table.embed(["foo"])[0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------
