@@ -300,7 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confusion", default=None)
     p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("experiment", help="run the clean-size × method × seed sweep")
+    p = sub.add_parser(
+        "experiment", help="run the clean-size × method × seed sweep",
+        description="Run the clean-size × method × seed sweep into OUT_DIR/runs.csv and "
+                    "OUT_DIR/aggregate.csv. Pending cells run in spawned worker processes, "
+                    "one per CPU this process may use and at most one per pending cell; "
+                    "with one worker they run in this process. Only this process writes "
+                    "runs.csv: one row per cell in (budget, method, repeat) order, each "
+                    "flushed as it is written, so an interrupted sweep resumes where it "
+                    "stopped. Each worker loads its own BLAS: set OPENBLAS_NUM_THREADS=1 "
+                    "for paper-shape sweeps.")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--repeats", type=int, default=None)

@@ -7,8 +7,25 @@ pipeline ``wsner train`` runs too, and scores the tagger on the test split
 cell is seeded as ``base_seed + repeat`` (subsampling and training) and
 never changes the shared context, so any cell can be reproduced in
 isolation and two full runs of the same config produce byte-identical CSV
-files. The runner is resumable: rows already present in the per-run CSV
-are detected by (setting, method, repeat) and skipped.
+files.
+
+Pending cells run in a pool of worker processes started with ``spawn``,
+one per CPU the process may use (``os.sched_getaffinity``), but never
+more than there are pending cells; with one worker the cells run in this
+process. The shared context is built once and sent to each worker once.
+Cells are submitted in canonical (budget, method, repeat) order and this
+process alone writes ``runs.csv``: each row in that order as its result
+arrives, flushed at once, so the rows are the same bytes whichever path
+ran them and an interrupted sweep leaves a canonical prefix. A worker that
+dies ends the sweep with a ``WsnerError``; the rows written stay. Every
+worker loads its own BLAS, so set ``OPENBLAS_NUM_THREADS=1`` (or the
+variable of the BLAS numpy uses) for paper-shape sweeps, or the workers
+oversubscribe the cores.
+
+The runner is resumable: rows already present in the per-run CSV are
+detected by (setting, method, repeat) and skipped; a torn last line, left
+by a crash in the middle of a row, is cut off so its cell runs again, and a
+file whose header does not match this sweep's columns is refused.
 """
 
 from __future__ import annotations
@@ -233,49 +250,126 @@ def _runs_columns(tag_set: TagSet) -> list[str]:
     return ["setting", "method", "repeat", "seed", "status"] + metrics_columns(tag_set)
 
 
-def _existing_keys(path) -> set[tuple[str, str, str]]:
+def _resume_keys(path, columns: list[str]) -> set[tuple[str, str, str]]:
+    """(setting, method, repeat) of the rows an earlier run left in the
+    per-run CSV at *path*. A torn last line (no line end), left by a crash
+    in the middle of a write, is cut off the file first so its cell runs
+    again."""
     if not os.path.exists(path):
         return set()
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        keep = data.rfind(b"\n") + 1
+        if keep < len(data):
+            fh.truncate(keep)
+    if keep == 0:
+        return set()
     with open(path, encoding="utf-8", newline="") as fh:
-        return {(row["setting"], row["method"], row["repeat"])
-                for row in csv.DictReader(fh)}
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != columns:
+            raise WsnerError(
+                f"{path}: header {reader.fieldnames} does not match this sweep's "
+                f"columns {columns}; use another out_dir"
+            )
+        return {(row["setting"], row["method"], row["repeat"]) for row in reader}
+
+
+def _cell_row(ctx: _Context, budget, method: str, repeat: int) -> dict[str, str]:
+    """The runs.csv row of one cell; a cell that fails gets an error status
+    and empty metrics."""
+    row = {"setting": _budget_name(budget), "method": method, "repeat": str(repeat),
+           "seed": str(ctx.config.base_seed + repeat)}
+    try:
+        metrics = run_cell(ctx, budget, method, repeat)
+    except (WsnerError, ValueError) as exc:
+        row["status"] = f"error: {type(exc).__name__}: {exc}"
+        row.update({c: "" for c in metrics_columns(ctx.tag_set)})
+    else:
+        row["status"] = "ok"
+        row.update(metrics_row(metrics, ctx.tag_set))
+    return row
+
+
+# the sweep context of a worker process, set once by _init_worker
+_worker_ctx: _Context | None = None
+
+
+def _init_worker(ctx: _Context) -> None:
+    global _worker_ctx
+    _worker_ctx = ctx
+
+
+def _worker_row(cell: tuple) -> dict[str, str]:
+    return _cell_row(_worker_ctx, *cell)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_cells(ctx: _Context, cells: list[tuple], write) -> None:
+    """``write(row)`` for every cell, in the order of *cells*, each as soon
+    as it and the cells before it are done."""
+    workers = min(_cpu_count(), len(cells))
+    if workers <= 1:
+        for cell in cells:
+            write(_cell_row(ctx, *cell))
+        return
+    # imported here: they add about 2 MB to every process that imports this
+    # module, and only a sweep with more than one worker uses them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_init_worker, initargs=(ctx,))
+    try:
+        rows = pool.map(_worker_row, cells)
+        for budget, method, repeat in cells:
+            try:
+                row = next(rows)
+            except BrokenProcessPool as exc:
+                raise WsnerError(
+                    f"a sweep worker process died before cell "
+                    f"{_budget_name(budget)}/{method}/{repeat} was done ({exc}); "
+                    f"the rows before it are kept, run the sweep again to resume"
+                ) from None
+            write(row)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[str, str]:
-    """Execute every pending sweep cell in deterministic order, appending
-    one CSV row per cell; failed cells get an error marker and the sweep
-    continues. Returns (runs csv path, aggregate csv path)."""
+    """Execute every pending sweep cell (in a worker pool, see the module
+    docstring), appending one CSV row per cell in canonical order; failed
+    cells get an error marker and the sweep continues. Returns (runs csv
+    path, aggregate csv path)."""
     ctx = _build_context(config)
     os.makedirs(config.out_dir, exist_ok=True)
     runs_path = os.path.join(config.out_dir, "runs.csv")
     agg_path = os.path.join(config.out_dir, "aggregate.csv")
     columns = _runs_columns(ctx.tag_set)
-    done = _existing_keys(runs_path)
+    done = _resume_keys(runs_path, columns)
+    cells = [(budget, method, repeat)
+             for budget in config.clean_budgets
+             for method in config.methods
+             for repeat in range(config.repeats)
+             if (_budget_name(budget), method, str(repeat)) not in done]
 
-    new_file = not os.path.exists(runs_path)
     with open(runs_path, "a", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-        if new_file:
+        if fh.tell() == 0:
             writer.writeheader()
-        for budget in config.clean_budgets:
-            for method in config.methods:
-                for repeat in range(config.repeats):
-                    key = (_budget_name(budget), method, str(repeat))
-                    if key in done:
-                        continue
-                    row = {"setting": key[0], "method": method,
-                           "repeat": str(repeat),
-                           "seed": str(config.base_seed + repeat)}
-                    try:
-                        metrics = run_cell(ctx, budget, method, repeat)
-                    except (WsnerError, ValueError) as exc:
-                        row["status"] = f"error: {type(exc).__name__}: {exc}"
-                        row.update({c: "" for c in metrics_columns(ctx.tag_set)})
-                    else:
-                        row["status"] = "ok"
-                        row.update(metrics_row(metrics, ctx.tag_set))
-                    writer.writerow(row)
-                    fh.flush()
+
+        def write(row):
+            writer.writerow(row)
+            fh.flush()
+
+        _run_cells(ctx, cells, write)
     write_aggregate(runs_path, agg_path, ctx.tag_set)
     return runs_path, agg_path
 

@@ -456,6 +456,13 @@ class MethodOptions:
     def __post_init__(self):
         if self.noise_channel_data not in ("mix", "distant-only"):
             raise ValueError("noise_channel_data must be 'mix' or 'distant-only'")
+        for name in ("em_iterations", "cleaner_epochs", "cleaner_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.cleaner_learning_rate > 0:
+            raise ValueError("cleaner_learning_rate must be > 0")
+        if not self.alpha >= 0:
+            raise ValueError("alpha must be >= 0")
 
 
 TAGGER_KEYS = tuple(f.name for f in fields(TaggerConfig))

@@ -73,7 +73,9 @@ def test_train_equals_direct_method_call(corpus, tmp_path, method, extra):
 @pytest.mark.parametrize("doc, message", [
     ({"hidden_sise": 4}, "unknown config keys: ['hidden_sise']"),
     ({"noise_channel_data": "both"}, "noise_channel_data must be"),
-], ids=["unknown-key", "bad-value"])
+    ({"em_iterations": 0}, "em_iterations must be >= 1"),
+    ({"cleaner_epochs": 0}, "cleaner_epochs must be >= 1"),
+], ids=["unknown-key", "bad-value", "no-em-iterations", "no-cleaner-epochs"])
 def test_train_rejects_bad_config_naming_the_file(corpus, tmp_path, capsys, doc, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(doc), encoding="utf-8")

@@ -1,11 +1,22 @@
-"""Sweep promises: two runs of one config write byte-identical CSVs, and a
-cell neither changes the shared context nor depends on the cells before it."""
+"""Sweep promises: two runs of one config write byte-identical CSVs, a cell
+neither changes the shared context nor depends on the cells before it, the
+worker pool writes the same bytes as the in-process path, and an
+interrupted sweep resumes to the bytes of an uninterrupted one."""
 
+import concurrent.futures
 import csv
+import io
+import multiprocessing
+import os
+import signal
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
-from wsner import experiment
+from wsner import cli, experiment
+from wsner.corpus import TagSet
+from wsner.errors import WsnerError
 
 from conftest import write_tiny_sweep
 
@@ -41,3 +52,151 @@ def test_fine_tuned_cell_leaves_context_table_unchanged(tmp_path):
         experiment.run_cell(ctx, None, method, 1)
     assert experiment.run_cell(ctx, 40, "baseline-clean", 0) == fresh
     assert np.array_equal(ctx.table.matrix, matrix)
+
+
+# ---------------------------------------------------------------------------
+# worker pool and resume
+
+
+def _exit_in_cleaning_cell(cell):
+    """A worker row function whose process dies on the first cleaning cell."""
+    if cell[1] == "cleaning":
+        os._exit(3)
+    return experiment._worker_row(cell)
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in the block after *seconds*, instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _workers(monkeypatch, cpus: int) -> list[int]:
+    """Make the sweep see *cpus* CPUs; returns the worker count of each
+    process pool it starts."""
+    started = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(experiment, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return started
+
+
+def _run(config_path, out_dir) -> tuple[bytes, bytes]:
+    config = experiment.load_config(config_path, {"out_dir": str(out_dir)})
+    runs_path, agg_path = experiment.run_experiment(config)
+    with open(runs_path, "rb") as runs, open(agg_path, "rb") as agg:
+        return runs.read(), agg.read()
+
+
+def _rows(runs: bytes) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(runs.decode("utf-8"))))
+
+
+def _keys(runs: bytes) -> list[tuple[str, str, str]]:
+    return [(row["setting"], row["method"], row["repeat"]) for row in _rows(runs)]
+
+
+CANONICAL = [(setting, method, "0") for setting in ("40", "unlimited")
+             for method in experiment.METHODS]
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """A tiny sweep whose distant-only cells fail (no distant test file), and
+    the bytes of one uninterrupted run of it."""
+    root = tmp_path_factory.mktemp("sweep")
+    config_path = write_tiny_sweep(root / "corpus", distant_test=None)["config"]
+    return config_path, _run(config_path, root / "whole")
+
+
+def test_pool_and_in_process_write_identical_csvs(sweep, tmp_path, monkeypatch):
+    config_path, whole = sweep
+    outputs = {}
+    for cpus in (1, 2):
+        started = _workers(monkeypatch, cpus)
+        outputs[cpus] = _run(config_path, tmp_path / str(cpus))
+        assert started == ([cpus] if cpus > 1 else [])
+        assert multiprocessing.active_children() == []
+    assert outputs[1] == outputs[2] == whole
+    assert _keys(whole[0]) == CANONICAL
+    failed = [r for r in _rows(whole[0]) if r["status"] != "ok"]
+    assert [r["method"] for r in failed] == ["distant-only"] * 2
+    assert failed[0]["status"].startswith("error: WsnerError: distant-only needs")
+
+
+def test_dead_worker_fails_the_sweep_and_it_resumes(sweep, tmp_path, monkeypatch, capsys):
+    config_path, whole = sweep
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(experiment, "_worker_row", _exit_in_cleaning_cell)
+    with _deadline(60):
+        code = cli.main(["experiment", "--config", config_path, "--out-dir", str(tmp_path)])
+    stderr = capsys.readouterr().err
+    assert code == 1 and "worker process died" in stderr
+    assert multiprocessing.active_children() == []
+    written = _keys((tmp_path / "runs.csv").read_bytes())
+    # a canonical prefix that ends before the cell that killed its worker
+    assert written == CANONICAL[:len(written)]
+    assert len(written) <= CANONICAL.index(("40", "cleaning", "0"))
+    assert "cell {}/{}/0 ".format(*CANONICAL[len(written)][:2]) in stderr
+
+    monkeypatch.undo()
+    _workers(monkeypatch, 2)
+    assert _run(config_path, tmp_path) == whole
+
+
+@pytest.mark.parametrize("rows, torn", [(0, False), (5, False), (3, True)],
+                         ids=["header-only", "five-rows", "torn-fourth-row"])
+def test_resumed_sweep_equals_uninterrupted(sweep, tmp_path, monkeypatch, rows, torn):
+    config_path, whole = sweep
+    lines = whole[0].splitlines(keepends=True)
+    cut = b"".join(lines[:1 + rows])
+    if torn:
+        cut += lines[1 + rows][:len(lines[1 + rows]) // 2]
+    (tmp_path / "runs.csv").write_bytes(cut)
+    started = _workers(monkeypatch, 2)
+    assert _run(config_path, tmp_path) == whole
+    assert started == [2]
+
+
+def test_resume_refuses_a_header_of_another_tag_set(sweep, tmp_path):
+    config_path, _ = sweep
+    runs = tmp_path / "runs.csv"
+    header = ",".join(experiment._runs_columns(TagSet(("PER", "LOC")))) + "\n"
+    runs.write_text(header, encoding="utf-8")
+    with pytest.raises(WsnerError, match="does not match this sweep's columns") as err:
+        _run(config_path, tmp_path)
+    assert str(runs) in str(err.value)
+    assert runs.read_text(encoding="utf-8") == header
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("em_iterations", 0, "em_iterations must be >= 1"),
+    ("cleaner_epochs", 0, "cleaner_epochs must be >= 1"),
+    ("cleaner_hidden", 0, "cleaner_hidden must be >= 1"),
+    ("cleaner_learning_rate", 0.0, "cleaner_learning_rate must be > 0"),
+    ("alpha", -0.5, "alpha must be >= 0"),
+])
+def test_bad_method_option_is_refused_naming_the_file(tmp_path, capsys, key, value, message):
+    config_path = write_tiny_sweep(tmp_path / "corpus", **{key: value})["config"]
+    with pytest.raises(WsnerError, match=message) as err:
+        experiment.load_config(config_path)
+    assert str(err.value).startswith(f"{config_path}: ")
+    code = cli.main(["experiment", "--config", config_path,
+                     "--out-dir", str(tmp_path / "out")])
+    stderr = capsys.readouterr().err
+    assert code == 1 and config_path in stderr and message in stderr
+    assert not (tmp_path / "out").exists()
