@@ -308,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "with one worker they run in this process. Only this process writes "
                     "runs.csv: one row per cell in (budget, method, repeat) order, each "
                     "flushed as it is written, so an interrupted sweep resumes where it "
-                    "stopped. Each worker loads its own BLAS: set OPENBLAS_NUM_THREADS=1 "
-                    "for paper-shape sweeps.")
+                    "stopped. Workers start with the BLAS thread variables "
+                    "(OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, ...) set to their share "
+                    "of the CPUs, unless one of them is already set.")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--repeats", type=int, default=None)

@@ -18,21 +18,24 @@ process alone writes ``runs.csv``: each row in that order as its result
 arrives, flushed at once, so the rows are the same bytes whichever path
 ran them and an interrupted sweep leaves a canonical prefix. A worker that
 dies ends the sweep with a ``WsnerError``; the rows written stay. Every
-worker loads its own BLAS, so set ``OPENBLAS_NUM_THREADS=1`` (or the
-variable of the BLAS numpy uses) for paper-shape sweeps, or the workers
-oversubscribe the cores.
+worker loads its own BLAS, which would start a thread per CPU, so the
+workers are started with the BLAS thread variables (``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS``, ...) set to their share of the CPUs, at least
+one; when one of those variables is already set, it is left as it is.
 
 The runner is resumable: rows already present in the per-run CSV are
 detected by (setting, method, repeat) and skipped; a torn last line, left
 by a crash in the middle of a row, is cut off so its cell runs again, and a
-file whose header does not match this sweep's columns is refused.
+file whose header does not match this sweep's columns is refused untouched.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from . import noise, tagger
@@ -252,26 +255,29 @@ def _runs_columns(tag_set: TagSet) -> list[str]:
 
 def _resume_keys(path, columns: list[str]) -> set[tuple[str, str, str]]:
     """(setting, method, repeat) of the rows an earlier run left in the
-    per-run CSV at *path*. A torn last line (no line end), left by a crash
-    in the middle of a write, is cut off the file first so its cell runs
-    again."""
+    per-run CSV at *path*. A file whose header is not *columns* is refused
+    untouched; otherwise a torn last line (no line end), left by a crash in
+    the middle of a write, is cut off so its cell runs again."""
     if not os.path.exists(path):
         return set()
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(columns)
+    header = buf.getvalue().encode("utf-8")
     with open(path, "rb+") as fh:
         data = fh.read()
+        # an empty file or a torn header is this sweep's own start
+        if not (data.startswith(header) or header.startswith(data)):
+            found = data.split(b"\n", 1)[0].decode("utf-8", "replace")
+            raise WsnerError(
+                f"{path}: header {found!r} does not match this sweep's columns "
+                f"{columns}; use another out_dir"
+            )
         keep = data.rfind(b"\n") + 1
         if keep < len(data):
             fh.truncate(keep)
-    if keep == 0:
-        return set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != columns:
-            raise WsnerError(
-                f"{path}: header {reader.fieldnames} does not match this sweep's "
-                f"columns {columns}; use another out_dir"
-            )
-        return {(row["setting"], row["method"], row["repeat"]) for row in reader}
+    rows = csv.DictReader(io.StringIO(data[len(header):keep].decode("utf-8")),
+                          fieldnames=columns)
+    return {(row["setting"], row["method"], row["repeat"]) for row in rows}
 
 
 def _cell_row(ctx: _Context, budget, method: str, repeat: int) -> dict[str, str]:
@@ -311,10 +317,31 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+# the variables that set the thread count of the BLAS libraries numpy may use
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+@contextmanager
+def _blas_threads(threads: int):
+    """Set every BLAS thread variable to *threads* in the environment that
+    processes started inside inherit, unless one of them is already set."""
+    if any(var in os.environ for var in _BLAS_THREAD_VARS):
+        yield
+        return
+    os.environ.update({var: str(threads) for var in _BLAS_THREAD_VARS})
+    try:
+        yield
+    finally:
+        for var in _BLAS_THREAD_VARS:
+            os.environ.pop(var, None)
+
+
 def _run_cells(ctx: _Context, cells: list[tuple], write) -> None:
     """``write(row)`` for every cell, in the order of *cells*, each as soon
     as it and the cells before it are done."""
-    workers = min(_cpu_count(), len(cells))
+    cpus = _cpu_count()
+    workers = min(cpus, len(cells))
     if workers <= 1:
         for cell in cells:
             write(_cell_row(ctx, *cell))
@@ -325,22 +352,23 @@ def _run_cells(ctx: _Context, cells: list[tuple], write) -> None:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                               initializer=_init_worker, initargs=(ctx,))
-    try:
-        rows = pool.map(_worker_row, cells)
-        for budget, method, repeat in cells:
-            try:
-                row = next(rows)
-            except BrokenProcessPool as exc:
-                raise WsnerError(
-                    f"a sweep worker process died before cell "
-                    f"{_budget_name(budget)}/{method}/{repeat} was done ({exc}); "
-                    f"the rows before it are kept, run the sweep again to resume"
-                ) from None
-            write(row)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with _blas_threads(max(1, cpus // workers)):
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                                   initializer=_init_worker, initargs=(ctx,))
+        try:
+            rows = pool.map(_worker_row, cells)
+            for budget, method, repeat in cells:
+                try:
+                    row = next(rows)
+                except BrokenProcessPool as exc:
+                    raise WsnerError(
+                        f"a sweep worker process died before cell "
+                        f"{_budget_name(budget)}/{method}/{repeat} was done ({exc}); "
+                        f"the rows before it are kept, run the sweep again to resume"
+                    ) from None
+                write(row)
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[str, str]:

@@ -172,15 +172,42 @@ def test_resumed_sweep_equals_uninterrupted(sweep, tmp_path, monkeypatch, rows, 
     assert started == [2]
 
 
-def test_resume_refuses_a_header_of_another_tag_set(sweep, tmp_path):
+@pytest.mark.parametrize("torn", ["", "40,baseline-clean,0,7,o"], ids=["header", "torn-row"])
+def test_resume_refuses_a_header_of_another_tag_set(sweep, tmp_path, torn):
     config_path, _ = sweep
     runs = tmp_path / "runs.csv"
-    header = ",".join(experiment._runs_columns(TagSet(("PER", "LOC")))) + "\n"
-    runs.write_text(header, encoding="utf-8")
+    text = ",".join(experiment._runs_columns(TagSet(("PER", "LOC")))) + "\n" + torn
+    runs.write_text(text, encoding="utf-8")
     with pytest.raises(WsnerError, match="does not match this sweep's columns") as err:
         _run(config_path, tmp_path)
     assert str(runs) in str(err.value)
-    assert runs.read_text(encoding="utf-8") == header
+    assert runs.read_text(encoding="utf-8") == text
+
+
+def _blas_env_row(cell):
+    """A worker row function that returns the BLAS thread variables its
+    process sees."""
+    return {var: os.environ.get(var) for var in experiment._BLAS_THREAD_VARS}
+
+
+def test_workers_get_their_share_of_blas_threads(monkeypatch):
+    for var in experiment._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    _workers(monkeypatch, 4)
+    monkeypatch.setattr(experiment, "_worker_row", _blas_env_row)
+    cells = [(None, "baseline-clean", repeat) for repeat in range(2)]
+    rows = []
+    experiment._run_cells(None, cells, rows.append)
+    # 4 CPUs shared by 2 workers
+    assert rows == [dict.fromkeys(experiment._BLAS_THREAD_VARS, "2")] * 2
+    assert not any(var in os.environ for var in experiment._BLAS_THREAD_VARS)
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    rows = []
+    experiment._run_cells(None, cells, rows.append)
+    chosen = dict.fromkeys(experiment._BLAS_THREAD_VARS)
+    chosen["OPENBLAS_NUM_THREADS"] = "3"
+    assert rows == [chosen] * 2
 
 
 @pytest.mark.parametrize("key, value, message", [
