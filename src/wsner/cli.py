@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from . import evaluation, experiment, ingest, noise, tagger
+from . import evaluation, experiment, noise, tagger
 from .corpus import Dataset, TagSet, read_conll, read_tokens, write_conll
 from .date_rules import DateRuleSet, default_date_rules
 from .errors import WsnerError
@@ -79,10 +79,14 @@ def _train_config(path: str | None,
 
 
 def cmd_ingest(args) -> int:
+    # imported here: it loads requests, which no other subcommand needs and
+    # every spawned sweep worker would otherwise load too
+    from . import ingest
+
     query = ingest.EntityQuery(
         entity_class=args.entity_class,
         language_code=args.lang,
-        endpoint_url=args.endpoint,
+        endpoint_url=args.endpoint or os.environ.get(ENDPOINT_ENV, ingest.WIKIDATA_ENDPOINT),
         page_size=args.page_size,
         max_results=args.max_results,
     )
@@ -134,16 +138,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    tag_set = _tag_set(args)
-    gold = read_conll(args.gold, tag_set=tag_set)
     if args.pred:
+        tag_set = _tag_set(args)
+        gold = read_conll(args.gold, tag_set=tag_set)
         pred = read_conll(args.pred, tag_set=tag_set)
     else:
         if not (args.model and args.embeddings):
             raise WsnerError("pass either --pred or both --model and --embeddings")
-        params, model_tags = tagger.load_checkpoint(args.model)
-        gold = read_conll(args.gold, tag_set=model_tags)
-        tag_set = model_tags
+        params, tag_set = tagger.load_checkpoint(args.model)
+        gold = read_conll(args.gold, tag_set=tag_set)
         table = tagger.EmbeddingTable.load(args.embeddings)
         pred = tagger.predict(gold, params, table)
     metrics = evaluation.span_prf(gold, pred)
@@ -174,7 +177,6 @@ def cmd_quality(args) -> int:
 def cmd_inspect(args) -> int:
     if args.model:
         params, tag_set = tagger.load_checkpoint(args.model)
-        print(f"cell: {params.cell}")
         print(f"labels: {' '.join(tag_set.labels)}")
         print(f"embedding dim: {params.embed_dim}  hidden: {params.hidden_size}  "
               f"features: {params.feature_size}  labels: {params.label_count}")
@@ -238,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="entity_class", required=True,
                    choices=("person", "organization", "location"))
     p.add_argument("--lang", required=True, help="label language code, e.g. yo")
-    p.add_argument("--endpoint",
-                   default=os.environ.get(ENDPOINT_ENV, ingest.WIKIDATA_ENDPOINT))
+    p.add_argument("--endpoint", default=None,
+                   help=f"SPARQL endpoint URL (default: ${ENDPOINT_ENV}, "
+                        "else the Wikidata query service)")
     p.add_argument("--out", required=True)
     p.add_argument("--page-size", type=int, default=1000)
     p.add_argument("--max-results", type=int, default=None)
@@ -285,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--embeddings", default=None)
-    p.add_argument("--entity-types", default=None)
+    p.add_argument("--entity-types", default=None,
+                   help="comma-separated; with --model the checkpoint's labels are used")
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_evaluate)
 

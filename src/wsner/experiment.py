@@ -12,7 +12,8 @@ files.
 Pending cells run in a pool of worker processes started with ``spawn``,
 one per CPU the process may use (``os.sched_getaffinity``), but never
 more than there are pending cells; with one worker the cells run in this
-process. The shared context is built once and sent to each worker once.
+process. The shared context is built once and pickled to a temporary
+file that each worker reads once when it starts.
 Cells are submitted in canonical (budget, method, repeat) order and this
 process alone writes ``runs.csv``: each row in that order as its result
 arrives, flushed at once, so the rows are the same bytes whichever path
@@ -35,6 +36,8 @@ import csv
 import io
 import json
 import os
+import pickle
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -300,9 +303,10 @@ def _cell_row(ctx: _Context, budget, method: str, repeat: int) -> dict[str, str]
 _worker_ctx: _Context | None = None
 
 
-def _init_worker(ctx: _Context) -> None:
+def _init_worker(ctx_path: str) -> None:
     global _worker_ctx
-    _worker_ctx = ctx
+    with open(ctx_path, "rb") as fh:
+        _worker_ctx = pickle.load(fh)
 
 
 def _worker_row(cell: tuple) -> dict[str, str]:
@@ -352,21 +356,28 @@ def _run_cells(ctx: _Context, cells: list[tuple], write) -> None:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    with _blas_threads(max(1, cpus // workers)):
+    with _blas_threads(max(1, cpus // workers)), tempfile.TemporaryDirectory() as tmp:
+        # Workers read the context from a file. Passed as initargs, it would
+        # be written into each new worker's pipe while the pool holds the
+        # pipe's read end, so a worker that died before reading it would
+        # block that write for good once it outgrows the pipe buffer.
+        ctx_path = os.path.join(tmp, "context.pickle")
+        with open(ctx_path, "wb") as fh:
+            pickle.dump(ctx, fh)
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                                   initializer=_init_worker, initargs=(ctx,))
+                                   initializer=_init_worker, initargs=(ctx_path,))
+        written = 0
         try:
-            rows = pool.map(_worker_row, cells)
-            for budget, method, repeat in cells:
-                try:
-                    row = next(rows)
-                except BrokenProcessPool as exc:
-                    raise WsnerError(
-                        f"a sweep worker process died before cell "
-                        f"{_budget_name(budget)}/{method}/{repeat} was done ({exc}); "
-                        f"the rows before it are kept, run the sweep again to resume"
-                    ) from None
+            for row in pool.map(_worker_row, cells):
                 write(row)
+                written += 1
+        except BrokenProcessPool as exc:
+            budget, method, repeat = cells[written]
+            raise WsnerError(
+                f"a sweep worker process died before cell "
+                f"{_budget_name(budget)}/{method}/{repeat} was done ({exc}); "
+                f"the rows before it are kept, run the sweep again to resume"
+            ) from None
         finally:
             pool.shutdown(cancel_futures=True)
 
@@ -392,6 +403,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[str, str]:
         writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
         if fh.tell() == 0:
             writer.writeheader()
+            fh.flush()
 
         def write(row):
             writer.writerow(row)

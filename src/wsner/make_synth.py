@@ -32,7 +32,6 @@ SWEEP_CONFIG = {
     "feature_size": 16,
     "learning_rate": 0.05,
     "epochs": 6,
-    "cell": "lstm",
     "alpha": 1.0,
     "em_iterations": 6,
     "cleaner_hidden": 24,

@@ -37,7 +37,6 @@ from .tagger import (
     TaggerConfig,
     TaggerParams,
     TrainItem,
-    _row_softmax,
     _sentence_forward,
     _sgd_epoch,
     _train_core,
@@ -209,7 +208,7 @@ def train_confusion_method(
         items, config, table, clean.tag_set.size,
         channel_logits=logits, train_channel=train_channel,
     )
-    return params, ConfusionMatrix(labels, _row_softmax(final_logits))
+    return params, ConfusionMatrix(labels, tagger._softmax(final_logits))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +259,7 @@ def em_noise_channel(
     L = tag_set.size
     labels = tag_set.labels
     rng = np.random.default_rng(config.seed)
-    params = tagger.init_params(rng, config.cell, table.dimension,
+    params = tagger.init_params(rng, "lstm", table.dimension,
                                 config.hidden_size, config.feature_size, L)
     if channel_init is None:
         C = ConfusionMatrix.uniform_mix(labels, EM_CHANNEL_ANCHOR).matrix.copy()

@@ -1,7 +1,6 @@
 """Compact bidirectional recurrent tagger trained from scratch.
 
-Architecture: pretrained embedding lookup, a bidirectional recurrent layer
-(LSTM by default, a plain tanh cell behind a config switch), a linear
+Architecture: pretrained embedding lookup, a bidirectional LSTM, a linear
 feature layer, and a linear classifier producing per-token label
 distributions. Training is plain SGD with per-sentence updates; all
 randomness (parameter init, shuffling) flows from one seeded generator, so
@@ -21,8 +20,6 @@ import numpy as np
 
 from .corpus import Dataset, LabeledSentence, TagSet, io_to_spans, spans_to_io
 from .errors import NumericsError, ParseError
-
-CELLS = ("lstm", "rnn")
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +138,6 @@ class TaggerConfig:
     epochs: int = 10
     seed: int = 0
     fine_tune_embeddings: bool = False
-    cell: str = "lstm"
 
     def __post_init__(self):
         if self.hidden_size < 1:
@@ -152,8 +148,6 @@ class TaggerConfig:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.cell not in CELLS:
-            raise ValueError(f"cell must be one of {CELLS}")
 
 
 @dataclass
@@ -161,7 +155,6 @@ class TaggerParams:
     """All trainable matrices; field order is the canonical iteration and
     checkpoint order."""
 
-    cell: str
     w_in_f: np.ndarray
     u_f: np.ndarray
     b_f: np.ndarray
@@ -180,12 +173,10 @@ class TaggerParams:
         return [(name, getattr(self, name)) for name in self._FIELDS]
 
     def copy(self) -> "TaggerParams":
-        return TaggerParams(self.cell, *(getattr(self, n).copy() for n in self._FIELDS))
+        return TaggerParams(*(getattr(self, n).copy() for n in self._FIELDS))
 
     def zeros_like(self) -> "TaggerParams":
-        return TaggerParams(
-            self.cell, *(np.zeros_like(getattr(self, n)) for n in self._FIELDS)
-        )
+        return TaggerParams(*(np.zeros_like(getattr(self, n)) for n in self._FIELDS))
 
     @property
     def hidden_size(self) -> int:
@@ -215,10 +206,11 @@ class TaggerParams:
 
 def init_params(rng: np.random.Generator, cell: str, embed_dim: int,
                 hidden_size: int, feature_size: int, label_count: int) -> TaggerParams:
-    """Uniform ±1/sqrt(fan-in) weights, zero biases; draw order is fixed."""
-    if cell not in CELLS:
-        raise ValueError(f"cell must be one of {CELLS}")
-    gate = 4 * hidden_size if cell == "lstm" else hidden_size
+    """Uniform ±1/sqrt(fan-in) weights, zero biases; draw order is fixed.
+    *cell* must be ``"lstm"``, the only cell; callers still pass it."""
+    if cell != "lstm":
+        raise ValueError(f"unknown cell {cell!r}; the tagger is an LSTM")
+    gate = 4 * hidden_size
 
     def u(shape, fan_in):
         bound = 1.0 / math.sqrt(fan_in)
@@ -231,7 +223,6 @@ def init_params(rng: np.random.Generator, cell: str, embed_dim: int,
     w_feat = u((feature_size, 2 * hidden_size), 2 * hidden_size)
     w_out = u((label_count, feature_size), feature_size)
     return TaggerParams(
-        cell,
         w_in_f, u_f, np.zeros(gate),
         w_in_b, u_b, np.zeros(gate),
         w_feat, np.zeros(feature_size),
@@ -304,13 +295,10 @@ def _lstm_forward(w, u, b, X):
     return Hs, (X, A, Cs, TC, Hs)
 
 
-def _cell_grads(w, X, Hs, dA):
-    """Weight, recurrent, bias and input gradients of a recurrent cell
-    from the preactivation gradients ``dA`` of every timestep."""
-    return dA.T @ X, dA[1:].T @ Hs[:-1], dA.sum(axis=0), dA @ w
-
-
 def _lstm_backward(w, u, cache, dHs):
+    """Weight, recurrent, bias and input gradients ``(dW, dU, db, dX)``
+    of one ``_lstm_forward`` pass from the gradients ``dHs`` of its hidden
+    states."""
     X, A, Cs, TC, Hs = cache
     T, h = Hs.shape
     I, F, G, O = A.reshape(T, 4, h).transpose(1, 0, 2)
@@ -336,39 +324,12 @@ def _lstm_backward(w, u, cache, dHs):
             dh += dHs[t - 1]
             dc *= F[t]
             dc += dh * OT[t - 1]
-    return _cell_grads(w, X, Hs, dA)
-
-
-def _rnn_forward(w, u, b, X):
-    T = X.shape[0]
-    h = u.shape[1]
-    Hs = np.empty((T, h))
-    pre = X @ w.T + b
-    hp = np.zeros(h)
-    for t in range(T):
-        Hs[t] = np.tanh(pre[t] + u @ hp)
-        hp = Hs[t]
-    return Hs, (X, Hs)
-
-
-def _rnn_backward(w, u, cache, dHs):
-    X, Hs = cache
-    D = 1.0 - Hs * Hs
-    dA = np.empty_like(Hs)
-    T = Hs.shape[0]
-    np.multiply(dHs[T - 1], D[T - 1], out=dA[T - 1])
-    for t in range(T - 2, -1, -1):
-        da = dA[t]
-        np.matmul(dA[t + 1], u, out=da)
-        da += dHs[t]
-        da *= D[t]
-    return _cell_grads(w, X, Hs, dA)
+    return dA.T @ X, dA[1:].T @ Hs[:-1], dA.sum(axis=0), dA @ w
 
 
 def _sentence_forward(params: TaggerParams, X: np.ndarray):
-    cell_fwd = _lstm_forward if params.cell == "lstm" else _rnn_forward
-    hs_f, cache_f = cell_fwd(params.w_in_f, params.u_f, params.b_f, X)
-    hs_b_rev, cache_b = cell_fwd(params.w_in_b, params.u_b, params.b_b, X[::-1])
+    hs_f, cache_f = _lstm_forward(params.w_in_f, params.u_f, params.b_f, X)
+    hs_b_rev, cache_b = _lstm_forward(params.w_in_b, params.u_b, params.b_b, X[::-1])
     H = np.concatenate([hs_f, hs_b_rev[::-1]], axis=1)
     feats = H @ params.w_feat.T + params.b_feat
     logits = feats @ params.w_out.T + params.b_out
@@ -383,10 +344,9 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray):
     h = params.hidden_size
     dfeats = dlogits @ params.w_out
     dH = dfeats @ params.w_feat
-    cell_bwd = _lstm_backward if params.cell == "lstm" else _rnn_backward
-    dw_f, du_f, db_f, dX_f = cell_bwd(params.w_in_f, params.u_f, cache_f, dH[:, :h])
-    dw_b, du_b, db_b, dX_b = cell_bwd(params.w_in_b, params.u_b, cache_b, dH[::-1, h:])
-    grads = TaggerParams(params.cell, dw_f, du_f, db_f, dw_b, du_b, db_b,
+    dw_f, du_f, db_f, dX_f = _lstm_backward(params.w_in_f, params.u_f, cache_f, dH[:, :h])
+    dw_b, du_b, db_b, dX_b = _lstm_backward(params.w_in_b, params.u_b, cache_b, dH[::-1, h:])
+    grads = TaggerParams(dw_f, du_f, db_f, dw_b, du_b, db_b,
                          dfeats.T @ H, dfeats.sum(axis=0),
                          dlogits.T @ feats, dlogits.sum(axis=0))
     return grads, dX_f + dX_b[::-1]
@@ -420,9 +380,9 @@ def _inference_batches(lengths: np.ndarray):
         start += size
 
 
-def _batch_direction(cell: str, w, u, b, w_half, table: EmbeddingTable,
+def _batch_direction(w, u, b, w_half, table: EmbeddingTable,
                      rows, pos, active, feats) -> None:
-    """One direction of the recurrent layer over a length-sorted batch:
+    """One direction of the LSTM over a length-sorted batch:
     step ``t`` reads embedding rows ``rows[t, :n]`` and adds its states
     times ``w_half`` into ``feats[pos[t, :n]]``, for ``n = active[t]``."""
     h = u.shape[1]
@@ -431,17 +391,14 @@ def _batch_direction(cell: str, w, u, b, w_half, table: EmbeddingTable,
         a += b
         if t:
             a += h_prev[:n] @ u.T
-        if cell == "lstm":
-            gates = a.reshape(n, 4, h)
-            _activate_gates(gates)
-            i, f, g, o = gates.transpose(1, 0, 2)
-            c = i * g
-            if t:
-                c += f * c_prev[:n]
-            h_prev = o * np.tanh(c)
-            c_prev = c
-        else:
-            h_prev = np.tanh(a)
+        gates = a.reshape(n, 4, h)
+        _activate_gates(gates)
+        i, f, g, o = gates.transpose(1, 0, 2)
+        c = i * g
+        if t:
+            c += f * c_prev[:n]
+        h_prev = o * np.tanh(c)
+        c_prev = c
         feats[pos[t, :n]] += h_prev @ w_half.T
 
 
@@ -460,9 +417,9 @@ def _batch_probs(params: TaggerParams, table: EmbeddingTable, batch_rows) -> np.
     pos_b = np.where(running, starts + lengths - 1 - steps, 0)
     h = params.hidden_size
     feats = np.zeros((len(flat), params.feature_size))
-    _batch_direction(params.cell, params.w_in_f, params.u_f, params.b_f, params.w_feat[:, :h],
+    _batch_direction(params.w_in_f, params.u_f, params.b_f, params.w_feat[:, :h],
                      table, flat[pos_f], pos_f, active, feats)
-    _batch_direction(params.cell, params.w_in_b, params.u_b, params.b_b, params.w_feat[:, h:],
+    _batch_direction(params.w_in_b, params.u_b, params.b_b, params.w_feat[:, h:],
                      table, flat[pos_b], pos_b, active, feats)
     feats += params.b_feat
     return _softmax(feats @ params.w_out.T + params.b_out)
@@ -547,12 +504,6 @@ def make_items(dataset: Dataset, table: EmbeddingTable, *, channel: bool = False
     return items
 
 
-def _row_softmax(B: np.ndarray) -> np.ndarray:
-    z = B - B.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _sgd_step(params: TaggerParams, grads: TaggerParams, lr: float) -> None:
     """``params -= lr * grads`` in place; scales ``grads`` in place too,
     so the caller must not use them afterwards."""
@@ -572,7 +523,7 @@ def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfi
         item = items[int(k)]
         X = item.X if item.X is not None else table.embed_rows(item.rows)
         use_channel = item.channel and B is not None
-        C = _row_softmax(B) if use_channel else None
+        C = _softmax(B) if use_channel else None
         loss, grads, dC, dX = _item_loss_grads(
             params, X, item, C=C,
             want_channel_grad=use_channel and train_channel,
@@ -597,7 +548,7 @@ def _train_core(items: list[TrainItem], config: TaggerConfig, table: EmbeddingTa
     logits.
     """
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    params = init_params(rng, config.cell, table.dimension, config.hidden_size,
+    params = init_params(rng, "lstm", table.dimension, config.hidden_size,
                          config.feature_size, label_count)
     B = None if channel_logits is None else np.array(channel_logits, dtype=float)
     for _ in range(config.epochs):
@@ -690,9 +641,8 @@ def predict(dataset: Dataset, params: TaggerParams, table: EmbeddingTable) -> Da
 
 def save_checkpoint(path, params: TaggerParams, tag_set: TagSet) -> None:
     """Self-describing dump: named float64 arrays plus a JSON metadata
-    entry (cell type and label order)."""
+    entry (label order)."""
     meta = json.dumps({
-        "cell": params.cell,
         "entity_types": list(tag_set.entity_types),
         "outside": tag_set.outside,
     })
@@ -707,8 +657,7 @@ def load_checkpoint(path) -> tuple[TaggerParams, TagSet]:
             arrays = [np.array(data[name], dtype=float) for name in TaggerParams._FIELDS]
         except KeyError as exc:
             raise ParseError(f"{path}: missing checkpoint entry {exc}") from None
-    tag_set = TagSet(tuple(meta["entity_types"]), meta["outside"])
-    params = TaggerParams(meta["cell"], *arrays)
-    if params.cell not in CELLS:
-        raise ParseError(f"{path}: unknown cell type {params.cell!r}")
-    return params, tag_set
+    # checkpoints from before the LSTM became the only cell name their cell
+    if meta.get("cell", "lstm") != "lstm":
+        raise ParseError(f"{path}: unknown cell type {meta['cell']!r}; the tagger is an LSTM")
+    return TaggerParams(*arrays), TagSet(tuple(meta["entity_types"]), meta["outside"])

@@ -1,13 +1,20 @@
 """``wsner train`` runs each method through ``noise.fit``: its checkpoint and
-channel equal those of the method's training function called directly."""
+channel equal those of the method's training function called directly;
+``wsner evaluate --model`` scores with the checkpoint's labels; importing the
+CLI leaves the HTTP client unloaded."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from wsner import cli, noise, tagger
-from wsner.corpus import Dataset, TagSet, merge, read_conll
+import wsner
+from wsner import cli, evaluation, noise, tagger
+from wsner.corpus import (Dataset, EntitySpan, LabeledSentence, TagSet, merge, read_conll,
+                          write_conll)
 
 from conftest import write_tiny_sweep
 
@@ -61,7 +68,7 @@ def test_train_equals_direct_method_call(corpus, tmp_path, method, extra):
     table = tagger.EmbeddingTable.load(corpus["embeddings"])
     want, want_channel = _reference(method, extra, clean, distant, table)
     got, tag_set = tagger.load_checkpoint(model)
-    assert tag_set == clean.tag_set and got.cell == want.cell
+    assert tag_set == clean.tag_set
     for (name, g), (_, w) in zip(got.arrays(), want.arrays()):
         assert g.tobytes() == w.tobytes(), name
     if method in ("confusion", "noise-channel"):
@@ -75,7 +82,8 @@ def test_train_equals_direct_method_call(corpus, tmp_path, method, extra):
     ({"noise_channel_data": "both"}, "noise_channel_data must be"),
     ({"em_iterations": 0}, "em_iterations must be >= 1"),
     ({"cleaner_epochs": 0}, "cleaner_epochs must be >= 1"),
-], ids=["unknown-key", "bad-value", "no-em-iterations", "no-cleaner-epochs"])
+    ({"cell": "lstm"}, "unknown config keys: ['cell']"),
+], ids=["unknown-key", "bad-value", "no-em-iterations", "no-cleaner-epochs", "cell-key"])
 def test_train_rejects_bad_config_naming_the_file(corpus, tmp_path, capsys, doc, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(doc), encoding="utf-8")
@@ -85,3 +93,41 @@ def test_train_rejects_bad_config_naming_the_file(corpus, tmp_path, capsys, doc,
     assert code == 1
     assert str(config_path) in err and message in err
     assert not (tmp_path / "m.npz").exists()
+
+
+def test_evaluate_model_reads_gold_with_the_checkpoint_labels(corpus, tmp_path, capsys):
+    # gold with a label outside the default tag set, evaluated without
+    # --entity-types: the checkpoint's labels must be the ones read
+    tag_set = TagSet(("PER", "MISC"))
+    gold = Dataset((
+        LabeledSentence(("w1", "w2", "w3"), (EntitySpan("PER", 0, 1), EntitySpan("MISC", 2, 3))),
+        LabeledSentence(("w4", "w1"), (EntitySpan("MISC", 0, 1),)),
+    ), tag_set)
+    gold_path, model = tmp_path / "gold.conll", tmp_path / "model.npz"
+    write_conll(gold, gold_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(CONFIG), encoding="utf-8")
+    assert cli.main(["train", "--clean", str(gold_path), "--embeddings", corpus["embeddings"],
+                     "--entity-types", "PER,MISC", "--config", str(config_path),
+                     "--model-out", str(model)]) == 0
+    capsys.readouterr()
+
+    code = cli.main(["evaluate", "--gold", str(gold_path), "--model", str(model),
+                     "--embeddings", corpus["embeddings"]])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    params, _ = tagger.load_checkpoint(model)
+    table = tagger.EmbeddingTable.load(corpus["embeddings"])
+    metrics = evaluation.span_prf(gold, tagger.predict(gold, params, table))
+    assert out == evaluation.format_report(metrics) + "\n"
+
+
+def test_importing_the_cli_does_not_load_requests():
+    # a fresh interpreter: this one may have loaded requests for other tests
+    src = os.path.dirname(os.path.dirname(wsner.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, wsner.cli; print('requests' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

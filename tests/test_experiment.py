@@ -1,22 +1,28 @@
 """Sweep promises: two runs of one config write byte-identical CSVs, a cell
 neither changes the shared context nor depends on the cells before it, the
-worker pool writes the same bytes as the in-process path, and an
-interrupted sweep resumes to the bytes of an uninterrupted one."""
+worker pool writes the same bytes as the in-process path, a worker that
+dies fails the sweep instead of hanging it, and an interrupted sweep resumes
+to the bytes of an uninterrupted one."""
 
 import concurrent.futures
 import csv
 import io
 import multiprocessing
 import os
+import pickle
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import wsner
 from wsner import cli, experiment
 from wsner.corpus import TagSet
 from wsner.errors import WsnerError
+from wsner.make_synth import write_synth_corpus
 
 from conftest import write_tiny_sweep
 
@@ -156,6 +162,42 @@ def test_dead_worker_fails_the_sweep_and_it_resumes(sweep, tmp_path, monkeypatch
     monkeypatch.undo()
     _workers(monkeypatch, 2)
     assert _run(config_path, tmp_path) == whole
+
+
+# A sweep script without an ``if __name__ == "__main__":`` guard: every
+# spawned worker runs it again when it imports the main module, and dies
+# there before it has read its context.
+_UNGUARDED_SWEEP = """\
+import sys
+from wsner import experiment
+experiment._cpu_count = lambda: 2
+experiment.run_experiment(experiment.load_config(sys.argv[1], {"out_dir": sys.argv[2]}))
+"""
+
+
+def test_workers_dying_at_start_up_fail_the_sweep(tmp_path):
+    config_path = write_synth_corpus(str(tmp_path / "corpus"), seed=0)["config"]
+    # the bundled corpus: its context outgrows a 64 KB pipe buffer
+    ctx = experiment._build_context(experiment.load_config(config_path))
+    assert len(pickle.dumps(ctx)) > 1 << 16
+    script = tmp_path / "sweep.py"
+    script.write_text(_UNGUARDED_SWEEP, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(wsner.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, str(script), config_path, str(tmp_path / "out")],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                            env=env, start_new_session=True)
+    try:
+        _, stderr = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the sweep hung after its workers died at start-up")
+    assert proc.returncode != 0
+    assert "WsnerError: a sweep worker process died before cell 300/baseline-clean/0" in stderr
+    # the workers' own runs of the script found the header and wrote none
+    runs = (tmp_path / "out" / "runs.csv").read_text(encoding="utf-8")
+    assert runs == ",".join(experiment._runs_columns(ctx.tag_set)) + "\n"
 
 
 @pytest.mark.parametrize("rows, torn", [(0, False), (5, False), (3, True)],

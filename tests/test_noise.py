@@ -212,12 +212,12 @@ def test_channel_gradient_matches_finite_differences():
     B = np.log(ConfusionMatrix.uniform_mix(ts.labels, 0.4).matrix)
 
     def loss_fn():
-        C = T._row_softmax(B)
+        C = T._softmax(B)
         loss, _, _, _ = T._item_loss_grads(params, X, item, C=C,
                                            want_channel_grad=True)
         return loss
 
-    C = T._row_softmax(B)
+    C = T._softmax(B)
     loss, grads, dC, _ = T._item_loss_grads(params, X, item, C=C,
                                             want_channel_grad=True)
     s = (dC * C).sum(axis=1, keepdims=True)

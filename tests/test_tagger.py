@@ -1,13 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from wsner.corpus import Dataset, EntitySpan, LabeledSentence, TagSet, io_to_spans
-from wsner import tagger
+from wsner import cli, tagger
 from wsner.errors import ParseError
 from wsner.tagger import (
-    CELLS,
     EmbeddingTable,
     TaggerConfig,
     TaggerParams,
@@ -17,7 +17,6 @@ from wsner.tagger import (
     _item_loss_grads,
     _lstm_backward,
     _lstm_forward,
-    _rnn_backward,
     _sentence_backward,
     _sentence_forward,
     _sgd_step,
@@ -104,9 +103,13 @@ def test_zero_params_give_uniform(tiny_table):
     ts = TagSet(("PER", "LOC"))
     params = init_params(np.random.default_rng(0), "lstm", 4, 3, 4, ts.size)
     zero = params.zeros_like()
-    zero.cell = params.cell
     probs = forward(["w0", "w1"], zero, tiny_table)
     assert np.abs(probs - 1.0 / ts.size).max() < 1e-15
+
+
+def test_init_params_refuses_any_cell_but_the_lstm():
+    with pytest.raises(ValueError, match="unknown cell 'gru'"):
+        init_params(np.random.default_rng(0), "gru", 4, 3, 4, 5)
 
 
 def test_rows_sum_to_one(tiny_table):
@@ -134,7 +137,7 @@ def test_hand_computed_tiny_forward():
     b_feat = np.array([0.01, -0.02])
     w_out = np.array([[0.5, -0.5], [0.25, 0.75]])
     b_out = np.array([0.1, -0.1])
-    params = TaggerParams("lstm", w_in_f, u.copy(), b_f, w_in_b, u.copy(), b_b,
+    params = TaggerParams(w_in_f, u.copy(), b_f, w_in_b, u.copy(), b_b,
                           w_feat, b_feat, w_out, b_out)
 
     def lstm_scalar(w_in, bias):
@@ -261,9 +264,11 @@ def _random_model(rng, cell="lstm"):
     return params, table, ts, sents
 
 
-@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+# The LSTM is the only cell; the "cell" parameter of the cell tests below
+# keeps their test ids from when a second cell existed.
+@pytest.mark.parametrize("cell", ["lstm"])
 def test_gradient_matches_finite_differences(cell):
-    rng = np.random.default_rng(0 if cell == "lstm" else 1)
+    rng = np.random.default_rng(0)
     for _ in range(8):
         params, table, ts, sents = _random_model(rng, cell)
         assert params.num_parameters <= 200
@@ -342,19 +347,18 @@ def _reference_sentence_backward(params, cache, dlogits):
     grads.w_feat += dfeats.T @ H
     grads.b_feat += dfeats.sum(axis=0)
     dH = dfeats @ params.w_feat
-    cell_bwd = _lstm_backward if params.cell == "lstm" else _rnn_backward
-    dw, du, db, dX_f = cell_bwd(params.w_in_f, params.u_f, cache_f, dH[:, :h])
+    dw, du, db, dX_f = _lstm_backward(params.w_in_f, params.u_f, cache_f, dH[:, :h])
     grads.w_in_f += dw
     grads.u_f += du
     grads.b_f += db
-    dw, du, db, dX_b = cell_bwd(params.w_in_b, params.u_b, cache_b, dH[::-1, h:])
+    dw, du, db, dX_b = _lstm_backward(params.w_in_b, params.u_b, cache_b, dH[::-1, h:])
     grads.w_in_b += dw
     grads.u_b += du
     grads.b_b += db
     return grads, dX_f + dX_b[::-1]
 
 
-@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("cell", ["lstm"])
 def test_sentence_backward_is_bitwise_zero_fill_reference(cell):
     rng = np.random.default_rng(40)
     for T in (1, 2, 9):
@@ -364,7 +368,6 @@ def test_sentence_backward_is_bitwise_zero_fill_reference(cell):
         dlogits = (probs - rng.dirichlet(np.ones(3), size=T)) / T
         grads, dX = _sentence_backward(params, cache, dlogits)
         ref, ref_dX = _reference_sentence_backward(params, cache, dlogits)
-        assert grads.cell == cell
         for (name, g), (_, r) in zip(grads.arrays(), ref.arrays()):
             assert g.shape == r.shape and g.tobytes() == r.tobytes(), (T, name)
         assert dX.tobytes() == ref_dX.tobytes()
@@ -477,7 +480,6 @@ def test_uniform_output_decodes_to_no_spans(tiny_table):
     ds = make_dataset([make_sentence(("w0", "w1"))])
     params = init_params(np.random.default_rng(0), "lstm", 4, 2, 3, 5)
     zero = params.zeros_like()
-    zero.cell = params.cell
     out = predict(ds, zero, tiny_table)
     assert out.sentences[0].spans == ()
 
@@ -493,7 +495,7 @@ def test_overfit_model_reproduces_gold():
 
 def test_predict_is_pure(tiny_table):
     ds = make_dataset([make_sentence(("w0", "w1", "zzz"))])
-    params = init_params(np.random.default_rng(8), "rnn", 4, 3, 4, 5)
+    params = init_params(np.random.default_rng(8), "lstm", 4, 3, 4, 5)
     a = predict(ds, params, tiny_table)
     b = predict(ds, params, tiny_table)
     assert a.sentences == b.sentences
@@ -507,7 +509,7 @@ def _per_sentence_probs(dataset, params, table):
 def _batch_test_model(cell, token_cap):
     """Sentences of lengths 1, many equal ones, one longer than the token
     cap, and OOV tokens throughout, in no particular length order."""
-    rng = np.random.default_rng(50 if cell == "lstm" else 51)
+    rng = np.random.default_rng(50)
     ts = TagSet(("PER", "LOC"))
     table = EmbeddingTable({f"w{i}": i for i in range(8)}, rng.normal(size=(8, 3)))
     params = init_params(rng, cell, 3, 4, 5, ts.size)
@@ -521,7 +523,7 @@ def _batch_test_model(cell, token_cap):
     return ts, table, params, make_dataset(sents, ts)
 
 
-@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("cell", ["lstm"])
 @pytest.mark.parametrize("caps", [None, (3, 12)])
 def test_batched_forward_matches_per_sentence(cell, caps, monkeypatch):
     if caps is not None:
@@ -582,9 +584,36 @@ def test_checkpoint_round_trip(tmp_path, tiny_table):
     save_checkpoint(path, params, ds.tag_set)
     loaded, tag_set = load_checkpoint(path)
     assert tag_set == ds.tag_set
-    assert loaded.cell == params.cell
     for (_, x), (_, y) in zip(params.arrays(), loaded.arrays()):
         assert np.array_equal(x, y)
     before = predict(ds, params, table)
     after = predict(ds, loaded, table)
     assert before.sentences == after.sentences
+
+
+def _checkpoint_naming_cell(path, cell: str) -> TaggerParams:
+    """A checkpoint as written before the LSTM became the only cell: its
+    metadata names the cell."""
+    params = init_params(np.random.default_rng(12), "lstm", 3, 2, 3, 3)
+    meta = json.dumps({"cell": cell, "entity_types": ["PER", "LOC"], "outside": "O"})
+    np.savez(path, __meta__=np.array(meta), **dict(params.arrays()))
+    return params
+
+
+def test_checkpoint_naming_the_lstm_still_loads(tmp_path):
+    path = tmp_path / "model.npz"
+    params = _checkpoint_naming_cell(path, "lstm")
+    loaded, tag_set = load_checkpoint(path)
+    assert tag_set == TagSet(("PER", "LOC"))
+    for (name, x), (_, y) in zip(params.arrays(), loaded.arrays()):
+        assert x.tobytes() == y.tobytes(), name
+
+
+def test_checkpoint_naming_another_cell_is_refused(tmp_path, capsys):
+    path = tmp_path / "model.npz"
+    _checkpoint_naming_cell(path, "tanh")
+    with pytest.raises(ParseError, match="unknown cell type 'tanh'") as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert cli.main(["inspect", "--model", str(path)]) == 1
+    assert f"error: {path}: unknown cell type 'tanh'" in capsys.readouterr().err
