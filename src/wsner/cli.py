@@ -26,14 +26,18 @@ def _tag_set(args) -> TagSet:
     return TagSet()
 
 
-def _parse_min_len(values) -> dict[str, int]:
-    out = {}
-    for item in values or []:
-        if "=" not in item:
-            raise WsnerError(f"--min-len expects SOURCE=N, got {item!r}")
-        source, _, n = item.partition("=")
-        out[source] = int(n)
-    return out
+def _min_len_item(text: str) -> tuple[str, int]:
+    """One ``--min-len SOURCE=N`` value; argparse reports a malformed one
+    as a usage error naming the option."""
+    source, _, n = text.partition("=")
+    try:
+        value = int(n)
+    except ValueError:  # also the empty N of a value without '='
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected SOURCE=N with an integer N >= 1, "
+                                         f"got {text!r}")
+    return source, value
 
 
 def _load_rules(spec: str | None) -> DateRuleSet | None:
@@ -50,7 +54,7 @@ def _build_gazetteer(args, tag_set: TagSet):
         entries.extend(read_entity_tsv(path, tag_set))
     return build_gazetteer(
         entries,
-        _parse_min_len(getattr(args, "min_len", None)),
+        dict(getattr(args, "min_len", None) or ()),
         default_min_len=getattr(args, "default_min_len", 1),
         lowercase=getattr(args, "lowercase", False),
         strip_marks=getattr(args, "strip_diacritics", False),
@@ -184,7 +188,7 @@ def cmd_inspect(args) -> int:
         for name, arr in params.arrays():
             print(f"  {name:8s} shape={arr.shape} "
                   f"min={arr.min():+.4f} max={arr.max():+.4f}")
-    elif args.confusion:
+    else:
         channel = noise.load_confusion(args.confusion)
         width = max(len(lab) for lab in channel.labels)
         header = " ".join(f"{lab:>8s}" for lab in channel.labels)
@@ -192,8 +196,6 @@ def cmd_inspect(args) -> int:
         for lab, row in zip(channel.labels, channel.matrix):
             cells = " ".join(f"{v:8.4f}" for v in row)
             print(f"{lab:{width}s} {cells}")
-    else:
-        raise WsnerError("pass --model or --confusion")
     return 0
 
 
@@ -256,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gazetteer", action="append", default=[])
     p.add_argument("--keywords", default=None,
                    help="keyword file, or 'default' for the bundled list")
-    p.add_argument("--min-len", action="append", dest="min_len",
+    p.add_argument("--min-len", action="append", dest="min_len", type=_min_len_item,
                    help="SOURCE=N minimum character length per source")
     p.add_argument("--default-min-len", type=int, default=1)
     p.add_argument("--lowercase", action="store_true")
@@ -276,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--gazetteer", action="append", default=[])
     p.add_argument("--keywords", default=None)
-    p.add_argument("--min-len", action="append", dest="min_len")
+    p.add_argument("--min-len", action="append", dest="min_len", type=_min_len_item)
     p.add_argument("--default-min-len", type=int, default=1)
     p.add_argument("--entity-types", default=None)
     p.add_argument("--model-out", required=True)
@@ -300,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quality)
 
     p = sub.add_parser("inspect", help="dump a model checkpoint or confusion matrix")
-    p.add_argument("--model", default=None)
-    p.add_argument("--confusion", default=None)
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--model", default=None)
+    what.add_argument("--confusion", default=None)
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser(

@@ -7,6 +7,7 @@ accepts BIO and IO files.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,11 +16,20 @@ from .errors import ParseError, SchemaError
 
 PROVENANCES = ("gold", "distant")
 
+# On str patterns ``\s`` matches exactly the characters ``str.isspace``
+# accepts (tests/test_corpus.py checks every code point), in one C call.
+_WHITESPACE = re.compile(r"\s")
+
+
+def has_whitespace(text: str) -> bool:
+    """True when any character of *text* is whitespace (``str.isspace``)."""
+    return _WHITESPACE.search(text) is not None
+
 
 def _check_token(surface: str) -> None:
     if not surface:
         raise SchemaError("token surface must be non-empty")
-    if any(ch.isspace() for ch in surface):
+    if has_whitespace(surface):
         raise SchemaError(f"token surface contains whitespace: {surface!r}")
 
 
@@ -88,8 +98,9 @@ class LabeledSentence:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         if not self.tokens:
             raise SchemaError("sentence must contain at least one token")
-        for tok in self.tokens:
-            _check_token(tok)
+        if not all(self.tokens) or has_whitespace("".join(self.tokens)):
+            for tok in self.tokens:  # name the offending token
+                _check_token(tok)
         spans = tuple(sorted(self.spans, key=lambda s: (s.start, s.end)))
         object.__setattr__(self, "spans", spans)
         last_end = 0
@@ -253,7 +264,7 @@ def read_conll(
                 raise ParseError(
                     f"{path}:{lineno}: expected 'token<TAB>tag', got {line!r}"
                 )
-            if any(ch.isspace() for ch in parts[0]):
+            if has_whitespace(parts[0]):
                 raise ParseError(
                     f"{path}:{lineno}: token contains whitespace: {parts[0]!r}"
                 )
@@ -280,11 +291,11 @@ def read_conll(
 
 def write_conll(dataset: Dataset, path) -> None:
     """Write a dataset in BIO encoding (the lossless serialization)."""
+    outside = dataset.tag_set.outside
     with open(path, "w", encoding="utf-8") as fh:
         for sent in dataset.sentences:
-            for token, tag in zip(sent.tokens, spans_to_bio(sent, dataset.tag_set.outside)):
-                fh.write(f"{token}\t{tag}\n")
-            fh.write("\n")
+            fh.write("".join([f"{token}\t{tag}\n" for token, tag
+                              in zip(sent.tokens, spans_to_bio(sent, outside))]) + "\n")
 
 
 def read_tokens(path, provenance: str = "distant") -> Dataset:
@@ -301,7 +312,7 @@ def read_tokens(path, provenance: str = "distant") -> Dataset:
                     tokens = []
                 continue
             token = line.split("\t")[0]
-            if not token or any(ch.isspace() for ch in token):
+            if not token or has_whitespace(token):
                 raise ParseError(f"{path}:{lineno}: bad token line {line!r}")
             tokens.append(token)
     if tokens:

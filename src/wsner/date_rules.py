@@ -8,10 +8,10 @@ of marked tokens become single DATE spans.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
-from .corpus import EntitySpan
+from .corpus import EntitySpan, has_whitespace
 from .errors import ParseError
 from .textnorm import canonical
 
@@ -29,6 +29,11 @@ class DateRuleSet:
     digit_rule_enabled: bool = True
     digit_pattern: str = DIGITS_ONLY
     date_label: str = "DATE"
+    digit_re: re.Pattern | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "digit_re", re.compile(self.digit_pattern)
+                           if self.digit_rule_enabled else None)
 
     @classmethod
     def from_keywords(cls, words, **kwargs) -> "DateRuleSet":
@@ -44,7 +49,7 @@ class DateRuleSet:
                 word = line.strip()
                 if not word or word.startswith("#"):
                     continue
-                if any(ch.isspace() for ch in word):
+                if has_whitespace(word):
                     raise ParseError(
                         f"{path}:{lineno}: keyword contains whitespace: {word!r}"
                     )
@@ -63,16 +68,14 @@ def annotate_dates(tokens, rules: DateRuleSet) -> list[EntitySpan]:
     """DATE spans for a token sequence under *rules*.
 
     Comparison is on the canonical form, so input casing and diacritics do
-    not matter. Returned spans are maximal runs (never adjacent).
+    not matter; ``canonical`` is memoised, so each token type is normalised
+    once. Returned spans are maximal runs (never adjacent).
     """
-    digit_re = re.compile(rules.digit_pattern) if rules.digit_rule_enabled else None
+    digit_re = rules.digit_re
     is_kw = [canonical(tok) in rules.keywords for tok in tokens]
-    marked = []
-    for i, tok in enumerate(tokens):
-        hit = is_kw[i] or (i > 0 and is_kw[i - 1])
-        if not hit and digit_re is not None and digit_re.fullmatch(tok):
-            hit = True
-        marked.append(hit)
+    follows_kw = [False] + is_kw[:-1]
+    marked = [kw or after or (digit_re is not None and digit_re.fullmatch(tok) is not None)
+              for kw, after, tok in zip(is_kw, follows_kw, tokens)]
 
     spans: list[EntitySpan] = []
     start = None

@@ -87,6 +87,9 @@ class ExperimentConfig:
         as_inf = [float("inf") if b is None else b for b in self.clean_budgets]
         if any(a >= b for a, b in zip(as_inf, as_inf[1:])):
             raise ValueError("budgets must be strictly increasing")
+        for source, n in self.min_len.items():
+            if n < 1:
+                raise ValueError(f"min_len for {source!r} must be >= 1")
 
     def validate_paths(self) -> None:
         required = [self.train_path, self.test_path, self.embeddings_path]

@@ -44,9 +44,9 @@ class _Node:
 class Gazetteer:
     """Immutable token-sequence trie; lookups are read-only and shareable.
 
-    ``lowercase`` and ``strip_diacritics`` control how both stored surfaces
-    and query tokens are normalized before comparison (both default off:
-    names are case-informative).
+    ``lowercase`` and ``strip_marks`` control how both stored surfaces and
+    query tokens are normalized before comparison (both default off: names
+    are case-informative).
     """
 
     def __init__(self, lowercase: bool = False, strip_marks: bool = False,
@@ -129,22 +129,21 @@ def match_sentence(tokens, gaz: Gazetteer) -> list[EntitySpan]:
     """Greedy left-to-right longest match; scanning resumes after each
     match. Equal-length type conflicts resolve by the gazetteer's priority
     order."""
-    norm = [gaz.normalize(t) for t in tokens]
+    norm = ([gaz.normalize(t) for t in tokens] if gaz.lowercase or gaz.strip_marks
+            else tokens)
+    roots = gaz._root.children
     spans: list[EntitySpan] = []
     i = 0
     n = len(norm)
     while i < n:
-        node = gaz._root
+        node = roots.get(norm[i])
         j = i
         best_end = None
-        best_labels = None
-        while j < n:
-            node = node.children.get(norm[j])
-            if node is None:
-                break
+        while node is not None:
             j += 1
             if node.labels:
                 best_end, best_labels = j, node.labels
+            node = node.children.get(norm[j]) if j < n else None
         if best_end is None:
             i += 1
             continue
@@ -167,7 +166,13 @@ def annotate_distant(
     date_rules: DateRuleSet | None = None,
 ) -> Dataset:
     """Re-annotate every sentence with gazetteer matches plus date-rule
-    spans; existing spans are ignored and provenance becomes ``distant``."""
+    spans; existing spans are ignored and provenance becomes ``distant``.
+
+    Token normalisation (``textnorm.canonical`` for the date keywords,
+    ``textnorm.strip_diacritics`` under ``strip_marks``) is memoised per
+    process in tables of at most ``textnorm.MEMO_SIZE`` strings, so each
+    token type is normalised once.
+    """
     date_label = date_rules.date_label if date_rules else "DATE"
     sentences = []
     for sent in dataset.sentences:
@@ -225,9 +230,13 @@ def read_entity_tsv(path, tag_set: TagSet | None = None) -> list[GazetteerEntry]
                 raise ParseError(
                     f"{path}:{lineno}: expected 'surface<TAB>type<TAB>source'"
                 )
+            surface = tuple(parts[0].split(" "))
+            if "" in surface:
+                raise ParseError(
+                    f"{path}:{lineno}: empty token in surface {parts[0]!r} "
+                    "(tokens are separated by single spaces)"
+                )
             if parts[1] not in known:
                 raise SchemaError(f"{path}:{lineno}: unknown type {parts[1]!r}")
-            entries.append(
-                GazetteerEntry(tuple(parts[0].split(" ")), parts[1], parts[2])
-            )
+            entries.append(GazetteerEntry(surface, parts[1], parts[2]))
     return entries

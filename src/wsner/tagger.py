@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -651,7 +652,13 @@ def save_checkpoint(path, params: TaggerParams, tag_set: TagSet) -> None:
 
 
 def load_checkpoint(path) -> tuple[TaggerParams, TagSet]:
-    with np.load(path, allow_pickle=False) as data:
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ParseError(f"{path}: not a checkpoint (.npz archive)")
+    with archive as data:
         try:
             meta = json.loads(str(data["__meta__"]))
             arrays = [np.array(data[name], dtype=float) for name in TaggerParams._FIELDS]

@@ -5,7 +5,8 @@ multi-minute benchmark smoke run. Nothing under perfbench/ is changed."""
 import importlib.util
 from pathlib import Path
 
-from wsner import experiment, noise, synth, tagger
+from wsner import date_rules, experiment, gazetteer, noise, synth, tagger
+from wsner.corpus import Dataset, LabeledSentence
 from wsner.tagger import TaggerConfig
 
 from conftest import write_tiny_sweep
@@ -57,3 +58,23 @@ def test_tracer_binds_every_sweep_cell(tmp_path):
     # the EM E-step is what the noise module's own _sentence_forward binding times
     assert values.get("noise.em_e_step.calls", 0) >= 1
     assert noise._sentence_forward is tagger._sentence_forward
+
+
+def test_tracer_sees_every_annotation_layer_once_per_sentence():
+    # annotate_distant must reach match_sentence and annotate_dates through
+    # their module bindings, once per sentence, or these spans read zero
+    gaz = gazetteer.build_gazetteer([gazetteer.GazetteerEntry(("Kano",), "LOC")])
+    rules = date_rules.default_date_rules()
+    data = Dataset(tuple(LabeledSentence(tokens) for tokens in (
+        ("Kano", "ọdún", "2018"), ("x",), ("ní", "Kano"), ("ọjọ́", "8", "Kano", "y"))))
+    tracer = _tracing_module().Tracer()
+    with tracer.patch():
+        out = gazetteer.annotate_distant(data, gaz, rules)
+    values = tracer.layer_values()
+    n = len(data.sentences)
+    assert values["gazetteer.match.calls"] == values["date_rules.annotate.calls"] == n
+    assert values["gazetteer.merge.calls"] == 1
+    assert values["gazetteer.match.tokens"] == values["date_rules.annotate.tokens"] == 10
+    assert values["gazetteer.merge.kept"] == sum(len(s.spans) for s in out.sentences) == 5
+    assert not hasattr(gazetteer.match_sentence, "__wrapped__")
+    assert gazetteer.annotate_dates is date_rules.annotate_dates

@@ -1,7 +1,9 @@
 """``wsner train`` runs each method through ``noise.fit``: its checkpoint and
 channel equal those of the method's training function called directly;
 ``wsner evaluate --model`` scores with the checkpoint's labels; importing the
-CLI leaves the HTTP client unloaded."""
+CLI leaves the HTTP client unloaded; ``annotate``, ``quality`` and
+``inspect`` exit 1 on bad input, naming the file and line, and 2 on bad
+usage."""
 
 import json
 import os
@@ -131,3 +133,85 @@ def test_importing_the_cli_does_not_load_requests():
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+# (subcommand, {file name: content}, extra arguments, text the error names)
+BAD_INPUT = {
+    "annotate-token-whitespace": (
+        "annotate", {"raw.txt": "Kano\n\nAdé Ojo\n"}, [], "raw.txt:3: bad token line"),
+    "annotate-tsv-row": (
+        "annotate", {"raw.txt": "Kano\n", "ents.tsv": "Kano\tLOC\twikidata\nonly\ttwo\n"},
+        ["--gazetteer", "ents.tsv"], "ents.tsv:2: expected 'surface<TAB>type<TAB>source'"),
+    "annotate-tsv-empty-token": (
+        "annotate", {"raw.txt": "Kano\n", "ents.tsv": "Adé  Ojo\tPER\tkb\n"},
+        ["--gazetteer", "ents.tsv"], "ents.tsv:1: empty token in surface 'Adé  Ojo'"),
+    "quality-malformed-conll": (
+        "quality", {"gold.conll": "Kano\tB-LOC\nbroken line here\n",
+                    "distant.conll": "Kano\tB-LOC\n"}, [], "gold.conll:2: expected"),
+    "quality-token-whitespace": (
+        "quality", {"gold.conll": "Kano\tB-LOC\n", "distant.conll": "Adé Ojo\tB-PER\n"},
+        [], "distant.conll:1: token contains whitespace"),
+    "inspect-confusion-entry": (
+        "inspect", {"c.txt": "# labels: O PER\n1 0\n0 x\n"}, ["--confusion", "c.txt"],
+        "c.txt:3: non-numeric matrix entry"),
+    "inspect-not-a-checkpoint": (
+        "inspect", {"m.npz": "not an archive\n"}, ["--model", "m.npz"],
+        "m.npz: not a checkpoint"),
+}
+
+
+def _base_args(command, tmp_path):
+    if command == "annotate":
+        return ["--corpus", str(tmp_path / "raw.txt"), "--out", str(tmp_path / "out.conll")]
+    if command == "quality":
+        return ["--gold", str(tmp_path / "gold.conll"),
+                "--distant", str(tmp_path / "distant.conll")]
+    return []
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT))
+def test_bad_input_exits_1_naming_file_and_line(tmp_path, capsys, case):
+    command, files, extra, message = BAD_INPUT[case]
+    for name, text in files.items():
+        _write(tmp_path / name, text)
+    extra = [str(tmp_path / a) if a in files else a for a in extra]
+    code = cli.main([command] + _base_args(command, tmp_path) + extra)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error: ") and f"{tmp_path}{os.sep}{message}" in err, err
+    assert "Traceback" not in err and out == ""
+    assert not (tmp_path / "out.conll").exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["annotate", "--corpus", "raw.txt"], "--out"),
+    (["annotate", "--corpus", "raw.txt", "--out", "o", "--min-len", "kb=x"], "--min-len"),
+    (["annotate", "--corpus", "raw.txt", "--out", "o", "--min-len", "kb=0"], "--min-len"),
+    (["annotate", "--corpus", "raw.txt", "--out", "o", "--min-len", "kb"], "--min-len"),
+    (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--min-len", "kb=-2"],
+     "--min-len"),
+    (["quality", "--gold", "g.conll"], "--distant"),
+    (["inspect"], "--model"),
+    (["inspect", "--model", "m.npz", "--confusion", "c.txt"], "--confusion"),
+], ids=["annotate-no-out", "min-len-not-int", "min-len-zero", "min-len-no-equals",
+        "train-min-len-negative", "quality-no-distant", "inspect-nothing", "inspect-both"])
+def test_bad_usage_exits_2_naming_the_option(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert option in err and "usage:" in err and "Traceback" not in err
+
+
+def test_min_len_reaches_the_gazetteer(tmp_path, capsys):
+    raw = _write(tmp_path / "raw.txt", "Ng\nAde\n")
+    ents = _write(tmp_path / "ents.tsv", "Ng\tPER\tkb\nAde\tPER\tkb\n")
+    out = tmp_path / "out.conll"
+    assert cli.main(["annotate", "--corpus", raw, "--gazetteer", ents, "--min-len", "kb=3",
+                     "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "Ng\tO\nAde\tB-PER\n\n"

@@ -1,3 +1,6 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from wsner.corpus import (
     LabeledSentence,
     TagSet,
     bio_to_spans,
+    has_whitespace,
     io_to_spans,
     merge,
     read_conll,
@@ -60,6 +64,18 @@ def test_sentence_rejects_overlap_and_bad_tokens():
         make_sentence(("a b",))
     with pytest.raises(SchemaError):
         make_sentence(("a",), (EntitySpan("PER", 0, 2),))
+
+
+def test_whitespace_check_agrees_with_isspace_on_every_code_point():
+    chars = [chr(cp) for cp in range(sys.maxunicode + 1)]
+    assert [ch for ch in chars if has_whitespace(ch)] == [ch for ch in chars if ch.isspace()]
+    assert has_whitespace("ab\u2028c") and not has_whitespace("ọjọ́")
+
+
+@pytest.mark.parametrize("bad", ["b c", "b\u00a0c", "b\u3000", "\tb", ""])
+def test_sentence_names_the_offending_token(bad):
+    with pytest.raises(SchemaError, match=re.escape(repr(bad)) if bad else "non-empty"):
+        make_sentence(("a", bad, "d e"))
 
 
 def test_sentence_sorts_spans():
@@ -201,6 +217,18 @@ def test_read_tokens_one_column(tmp_path):
     path.write_text("A\nB\n\nC\n", encoding="utf-8")
     ds = read_tokens(path)
     assert [s.tokens for s in ds.sentences] == [("A", "B"), ("C",)]
+
+
+@pytest.mark.parametrize("line", ["Adé Ojo", "Adé\u00a0Ojo", "\tO"])
+def test_token_with_whitespace_names_the_line(tmp_path, line):
+    path = tmp_path / "raw.txt"
+    path.write_text(f"A\n\nB\n{line}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"raw.txt:4: bad token line {re.escape(repr(line))}"):
+        read_tokens(path)
+    conll = tmp_path / "gold.conll"
+    conll.write_text(f"A\tO\n\nB\tO\n{line}\tB-PER\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="gold.conll:4: "):
+        read_conll(conll)
 
 
 def test_merge_requires_same_tag_set():

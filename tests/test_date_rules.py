@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -59,6 +61,14 @@ def test_keyword_file_loading(tmp_path):
     bad.write_text("two words\n", encoding="utf-8")
     with pytest.raises(ParseError, match=":1"):
         DateRuleSet.load(bad)
+
+
+def test_compiled_digit_rule_pickles_and_stays_out_of_equality():
+    rules = DateRuleSet.from_keywords(["odun"], digit_pattern=r"[0-9]{4}")
+    back = pickle.loads(pickle.dumps(rules))
+    assert back == rules and hash(back) == hash(rules)
+    assert annotate_dates(["odun", "x", "2018", "8"], back) == [EntitySpan("DATE", 0, 3)]
+    assert DateRuleSet.from_keywords(["odun"], digit_rule_enabled=False).digit_re is None
 
 
 def test_spans_are_maximal_runs():

@@ -258,6 +258,7 @@ def test_workers_get_their_share_of_blas_threads(monkeypatch):
     ("cleaner_hidden", 0, "cleaner_hidden must be >= 1"),
     ("cleaner_learning_rate", 0.0, "cleaner_learning_rate must be > 0"),
     ("alpha", -0.5, "alpha must be >= 0"),
+    ("min_len", {"kb": 0}, "min_len for 'kb' must be >= 1"),
 ])
 def test_bad_method_option_is_refused_naming_the_file(tmp_path, capsys, key, value, message):
     config_path = write_tiny_sweep(tmp_path / "corpus", **{key: value})["config"]

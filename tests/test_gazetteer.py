@@ -1,5 +1,10 @@
+import re
+import unicodedata
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsner.corpus import Dataset, EntitySpan, LabeledSentence, TagSet
 from wsner.date_rules import DateRuleSet
@@ -11,6 +16,7 @@ from wsner.gazetteer import (
     match_sentence,
     read_entity_tsv,
 )
+from wsner.textnorm import canonical, strip_diacritics
 
 from conftest import make_dataset, make_sentence
 
@@ -217,6 +223,75 @@ def test_annotate_distant_output_never_overlaps():
             assert a.end <= b.start
 
 
+def reference_annotation(tokens, entries, rules, lowercase, strip_marks, priority):
+    """``annotate_distant`` rebuilt on the uncached normalisers: brute-force
+    longest match, keyword/follower/digit marking, then the merge order."""
+    def norm(token):
+        if strip_marks:
+            token = strip_diacritics.__wrapped__(token)
+        return token.lower() if lowercase else token
+
+    surfaces = {}
+    for e in entries:
+        surfaces.setdefault(tuple(norm(t) for t in e.surface), set()).add(e.label)
+    names = brute_force_match([norm(t) for t in tokens], surfaces, priority)
+    is_kw = [canonical.__wrapped__(t) in rules.keywords for t in tokens]
+    marked = [is_kw[i] or (i > 0 and is_kw[i - 1])
+              or (rules.digit_rule_enabled and re.fullmatch(rules.digit_pattern, t) is not None)
+              for i, t in enumerate(tokens)]
+    dates, i = [], 0
+    while i < len(tokens):
+        if marked[i]:
+            j = i
+            while j < len(tokens) and marked[j]:
+                j += 1
+            dates.append(EntitySpan(rules.date_label, i, j))
+            i = j
+        else:
+            i += 1
+
+    def rank(span):
+        label = span.label
+        prio = (priority.index(label), "") if label in priority else (len(priority), label)
+        return (span.start, span.start - span.end, label == rules.date_label, prio)
+
+    kept, last_end = [], 0
+    for span in sorted(names + dates, key=rank):
+        if span.start >= last_end:
+            kept.append(span)
+            last_end = span.end
+    return tuple(kept)
+
+
+# words of the generated tokens: tone marks, under-dots, date keywords,
+# digits and mixed digit tokens
+_WORDS = ("ọdún", "odun", "ọjọ́", "oṣù", "Adé", "ade", "Ọlá", "Ìbàdàn", "Ibadan",
+          "Kàno", "ilé", "2018", "8", "8th", "ẹ̀ẹ̀kan")
+_FORMS = (lambda w: unicodedata.normalize("NFC", w), lambda w: unicodedata.normalize("NFD", w),
+          str.upper, str.lower, str.capitalize, lambda w: strip_diacritics.__wrapped__(w))
+_mixed_token = st.builds(lambda w, f: f(w), st.sampled_from(_WORDS), st.sampled_from(_FORMS))
+_ENTRIES = [entry(s, label) for s, label in (
+    ("Adé", "PER"), ("Ade Ọlá", "PER"), ("ỌLÁ", "ORG"), ("Ìbàdàn", "LOC"), ("ibadan", "LOC"),
+    ("Kàno ilé", "ORG"), ("Kàno", "LOC"), ("ọdún", "PER"), ("2018", "ORG"))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_mixed_token, min_size=1, max_size=12), min_size=1, max_size=4),
+       st.booleans(), st.booleans(), st.booleans())
+def test_annotate_distant_equals_uncached_reference(sentences, lowercase, strip_marks, digits):
+    gaz = build_gazetteer(_ENTRIES, lowercase=lowercase, strip_marks=strip_marks)
+    rules = DateRuleSet.from_keywords(["odun", "ojo", "osu"], digit_rule_enabled=digits)
+    want = [reference_annotation(s, _ENTRIES, rules, lowercase, strip_marks, gaz.priority)
+            for s in sentences]
+    data = make_dataset([make_sentence(s) for s in sentences])
+    canonical.cache_clear()
+    strip_diacritics.cache_clear()
+    for _ in range(2):  # cold memo, then warm
+        out = annotate_distant(data, gaz, rules)
+        assert [s.spans for s in out.sentences] == want
+        assert [s.tokens for s in out.sentences] == [tuple(s) for s in sentences]
+
+
 # ---------------------------------------------------------------------------
 # TSV
 
@@ -238,3 +313,7 @@ def test_entity_tsv_errors(tmp_path):
     path.write_text("Kano\tCITY\twikidata\n", encoding="utf-8")
     with pytest.raises(SchemaError):
         read_entity_tsv(path)
+    for surface in ("Adé  Ojo", " Adé", "Adé "):
+        path.write_text(f"Kano\tLOC\twikidata\n{surface}\tPER\tkb\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"bad.tsv:2: empty token in surface {surface!r}"):
+            read_entity_tsv(path)
