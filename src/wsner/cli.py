@@ -173,7 +173,7 @@ def cmd_quality(args) -> int:
     tag_set = _tag_set(args)
     gold = read_conll(args.gold, tag_set=tag_set)
     distant = read_conll(args.distant, tag_set=tag_set, provenance="distant")
-    metrics = evaluation.annotation_quality(gold, distant)
+    metrics = evaluation.span_prf(gold, distant)
     print(evaluation.format_report(metrics, title="Distant annotation quality"))
     return 0
 

@@ -8,6 +8,7 @@ accepts BIO and IO files.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,24 @@ _WHITESPACE = re.compile(r"\s")
 def has_whitespace(text: str) -> bool:
     """True when any character of *text* is whitespace (``str.isspace``)."""
     return _WHITESPACE.search(text) is not None
+
+
+@contextmanager
+def open_utf8(path):
+    """Open *path* for reading as UTF-8 text. A ``UnicodeDecodeError`` raised
+    in the body becomes a ``ParseError`` naming the first line that does not
+    decode, found by reading the file again as bytes."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                for lineno, line in enumerate(raw, 1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError:
+                        raise ParseError(f"{path}:{lineno}: not valid UTF-8") from None
+            raise
 
 
 def _check_token(surface: str) -> None:
@@ -251,7 +270,7 @@ def read_conll(
     tags: list[str] = []
     first_line = 0
 
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip():
@@ -303,7 +322,7 @@ def read_tokens(path, provenance: str = "distant") -> Dataset:
     between sentences. Lines with a tab also work (tags are ignored)."""
     sentences = []
     tokens: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip():

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .corpus import EntitySpan, has_whitespace
+from .corpus import EntitySpan, has_whitespace, open_utf8
 from .errors import ParseError
 from .textnorm import canonical
 
@@ -44,7 +44,7 @@ class DateRuleSet:
         """Read keywords from a UTF-8 file, one per line; ``#`` lines and
         blank lines are ignored."""
         words = []
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 word = line.strip()
                 if not word or word.startswith("#"):

@@ -77,12 +77,6 @@ def span_prf(gold: Dataset, pred: Dataset) -> RunMetrics:
     return RunMetrics(per_class, overall)
 
 
-def annotation_quality(gold: Dataset, distant: Dataset) -> RunMetrics:
-    """Score an automatic annotation against gold (same computation as
-    ``span_prf`` with the distant spans as predictions)."""
-    return span_prf(gold, distant)
-
-
 def token_accuracy(gold: Dataset, pred: Dataset) -> float:
     """Fraction of tokens whose IO label matches gold."""
     _check_aligned(gold, pred)

@@ -42,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from . import noise, tagger
-from .corpus import Dataset, TagSet, merge, read_conll, subsample_tokens
+from .corpus import Dataset, TagSet, merge, open_utf8, read_conll, subsample_tokens
 from .date_rules import DateRuleSet, default_date_rules
 from .errors import WsnerError
 from .evaluation import mean_and_se, metrics_columns, metrics_row, span_prf
@@ -150,7 +150,7 @@ def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
 
 
 def read_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -244,7 +244,7 @@ def run_cell(ctx: _Context, budget, method: str, repeat: int):
         method, clean_sub, ctx.distant, replace(config.tagger, seed=seed), ctx.table,
         config.options,
         lambda: distant_twin(clean_sub, ctx.distant, ctx.gazetteer, ctx.date_rules))
-    return span_prf(ctx.test, tagger.predict(ctx.test, result.params, result.table))
+    return span_prf(ctx.test, tagger.predict(ctx.test, result.params, ctx.table))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import Dataset, EntitySpan, LabeledSentence, TagSet
+from .corpus import Dataset, EntitySpan, LabeledSentence, TagSet, open_utf8
 from .date_rules import DateRuleSet, annotate_dates
 from .errors import AlignmentError, ParseError, SchemaError
 from .textnorm import strip_diacritics, visible_length
@@ -220,7 +220,7 @@ def read_entity_tsv(path, tag_set: TagSet | None = None) -> list[GazetteerEntry]
     tag_set = tag_set or TagSet()
     known = set(tag_set.entity_types)
     entries = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n").rstrip("\r")
             if not line:

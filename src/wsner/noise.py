@@ -2,10 +2,10 @@
 
 ``fit`` is the one training pipeline, shared by ``wsner train`` and the
 sweep. It runs one of ``METHODS`` with the settings in a ``MethodOptions``
-and returns a ``FitResult``: the tagger, the embedding table to tag with (a
-tuned copy under ``fine_tune_embeddings``, so the caller's table never
-changes), and the method's channel or cleaner. ``split_config`` builds the
-``TaggerConfig`` and ``MethodOptions`` of a flat config document.
+and returns a ``FitResult``: the tagger and the method's channel or
+cleaner. Embeddings are frozen, so the caller's table never changes and is
+the one to tag with. ``split_config`` builds the ``TaggerConfig`` and
+``MethodOptions`` of a flat config document.
 
 * baseline-clean and naive-mix — plain training on the clean sentences,
   or on clean and distant ones with distant labels taken as gold.
@@ -22,21 +22,19 @@ changes), and the method's channel or cleaner. ``split_config`` builds the
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from . import tagger
-from .corpus import Dataset, merge, spans_to_io
+from .corpus import Dataset, merge, open_utf8, spans_to_io
 from .errors import AlignmentError, EstimationError, NumericsError, ParseError, SchemaError
 from .tagger import (
     EmbeddingTable,
     TaggerConfig,
     TaggerParams,
-    TrainItem,
     _sentence_forward,
     _sgd_epoch,
     _train_core,
@@ -128,7 +126,7 @@ def save_confusion(channel: ConfusionMatrix, path) -> None:
 
 
 def load_confusion(path) -> ConfusionMatrix:
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("# labels:"):
             raise ParseError(f"{path}:1: expected '# labels: ...' header")
@@ -201,9 +199,7 @@ def train_confusion_method(
         raise SchemaError("channel labels do not match the dataset tag set")
     with np.errstate(divide="ignore"):
         logits = np.log(channel.matrix)
-    cache = not config.fine_tune_embeddings
-    items = make_items(clean, table, cache=cache)
-    items += make_items(distant, table, channel=True, cache=cache)
+    items = make_items(clean, table) + make_items(distant, table, channel=True)
     params, final_logits = _train_core(
         items, config, table, clean.tag_set.size,
         channel_logits=logits, train_channel=train_channel,
@@ -268,17 +264,12 @@ def em_noise_channel(
             raise SchemaError("channel labels do not match the dataset tag set")
         C = channel_init.matrix.copy()
 
-    cache = not config.fine_tune_embeddings
-    items = make_items(data, table, cache=cache)
+    items = make_items(data, table)
     noisy = np.concatenate([it.hard for it in items])
     bounds = np.cumsum([0] + [len(it.hard) for it in items])
 
     def e_step():
-        probs = np.vstack([
-            _sentence_forward(params, it.X if it.X is not None
-                              else table.embed_rows(it.rows))[0]
-            for it in items
-        ])
+        probs = np.vstack([_sentence_forward(params, it.X)[0] for it in items])
         liks = probs * C[:, noisy].T
         mass = liks.sum(axis=1)
         ll = float(np.log(mass).sum())
@@ -298,7 +289,7 @@ def em_noise_channel(
         if train_model:
             for it, start, end in zip(items, bounds[:-1], bounds[1:]):
                 it.soft = posteriors[start:end]
-            _sgd_epoch(params, items, config, table, rng)
+            _sgd_epoch(params, items, config, rng)
     posteriors, ll = e_step()
     lls.append(ll)
     state = NoiseChannelState(ConfusionMatrix(labels, C), posteriors, lls)
@@ -397,40 +388,33 @@ def train_cleaning_method(
         raise AlignmentError("pair_source must re-annotate the clean sentences")
 
     # phase 0/1: base tagger for features, then the cleaner on clean pairs
-    base_config = replace(config, fine_tune_embeddings=False)
-    base_items = make_items(clean, table)
-    base_params, _ = _train_core(base_items, base_config, table, L,
+    clean_items = make_items(clean, table)
+    base_params, _ = _train_core(clean_items, config, table, L,
                                  seed=np.random.SeedSequence([config.seed, 0]))
     feats = []
-    gold_idx = []
     noisy_idx = []
-    for g, d in zip(clean.sentences, pair_source.sentences):
-        if len(g.tokens) != len(d.tokens):
+    for item, d in zip(clean_items, pair_source.sentences):
+        if len(item.hard) != len(d.tokens):
             raise AlignmentError("pair_source token counts do not match clean")
-        feats.append(tagger.feature_vectors(g.tokens, base_params, table))
-        gold_idx.append(tagger.hard_targets(g, tag_set))
+        feats.append(tagger.feature_vectors(item.X, base_params))
         noisy_idx.append(tagger.hard_targets(d, tag_set))
     inputs = cleaner_inputs(np.vstack(feats), np.concatenate(noisy_idx), L)
     cleaner = train_cleaner(
-        inputs, np.concatenate(gold_idx), L,
+        inputs, np.concatenate([item.hard for item in clean_items]), L,
         np.random.default_rng(np.random.SeedSequence([config.seed, 1])),
         hidden_size=cleaner_hidden, learning_rate=cleaner_learning_rate,
         epochs=cleaner_epochs,
     )
 
-    # phase 2: cleaned soft targets for the distant sentences
-    cache = not config.fine_tune_embeddings
-    items = make_items(clean, table, cache=cache)
-    for sent in distant.sentences:
-        rows = table.row_indices(sent.tokens)
-        sent_feats = tagger.feature_vectors(sent.tokens, base_params, table)
-        noisy = tagger.hard_targets(sent, tag_set)
-        soft = cleaner.apply(cleaner_inputs(sent_feats, noisy, L))
-        items.append(TrainItem(rows, table.embed_rows(rows) if cache else None,
-                               soft=soft))
+    # phase 2: cleaned soft targets for the distant sentences; a soft target
+    # wins over the item's hard (distant) one
+    distant_items = make_items(distant, table)
+    for item in distant_items:
+        sent_feats = tagger.feature_vectors(item.X, base_params)
+        item.soft = cleaner.apply(cleaner_inputs(sent_feats, item.hard, L))
 
     # phase 3: final tagger on hard clean + soft cleaned-distant targets
-    params, _ = _train_core(items, config, table, L)
+    params, _ = _train_core(clean_items + distant_items, config, table, L)
     return params, cleaner
 
 
@@ -478,11 +462,10 @@ def split_config(doc: dict) -> tuple[TaggerConfig, MethodOptions, dict]:
 
 @dataclass(frozen=True)
 class FitResult:
-    """What ``fit`` trained: the tagger, the embedding table to tag with,
-    and the method's channel or cleaner when it has one."""
+    """What ``fit`` trained: the tagger, and the method's channel or
+    cleaner when it has one."""
 
     params: TaggerParams
-    table: EmbeddingTable
     channel: ConfusionMatrix | None = None
     cleaner: CleaningParams | None = None
 
@@ -497,8 +480,6 @@ def fit(method: str, clean: Dataset, distant: Dataset, config: TaggerConfig,
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if config.fine_tune_embeddings:
-        table = copy.deepcopy(table)
     channel = cleaner = None
     if method == "baseline-clean" or not distant.sentences:
         params = tagger.train(clean, config, table)
@@ -517,4 +498,4 @@ def fit(method: str, clean: Dataset, distant: Dataset, config: TaggerConfig,
             cleaner_hidden=options.cleaner_hidden,
             cleaner_learning_rate=options.cleaner_learning_rate,
             cleaner_epochs=options.cleaner_epochs)
-    return FitResult(params, table, channel, cleaner)
+    return FitResult(params, channel, cleaner)

@@ -1,7 +1,7 @@
 """Compact bidirectional recurrent tagger trained from scratch.
 
-Architecture: pretrained embedding lookup, a bidirectional LSTM, a linear
-feature layer, and a linear classifier producing per-token label
+Architecture: a frozen pretrained embedding lookup, a bidirectional LSTM,
+a linear feature layer, and a linear classifier producing per-token label
 distributions. Training is plain SGD with per-sentence updates; all
 randomness (parameter init, shuffling) flows from one seeded generator, so
 runs are bit-reproducible.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset, LabeledSentence, TagSet, io_to_spans, spans_to_io
+from .corpus import Dataset, LabeledSentence, TagSet, io_to_spans, open_utf8, spans_to_io
 from .errors import NumericsError, ParseError
 
 
@@ -31,8 +31,8 @@ class EmbeddingTable:
     """Token → vector lookup with a mean-vector fallback for unknowns.
 
     The unknown vector is the arithmetic mean of all rows, computed once at
-    construction; with frozen embeddings (the default) neither the matrix
-    nor the fallback changes during training.
+    construction. Embeddings are frozen: training never changes the matrix
+    or the fallback.
     """
 
     def __init__(self, vocab: dict[str, int], matrix):
@@ -52,7 +52,7 @@ class EmbeddingTable:
         """Read word-vector text format: first line ``|V| d``, then one
         ``token v1 ... vd`` per line (space-separated). Duplicate tokens
         keep the first occurrence."""
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             header = fh.readline()
             parts = header.split()
             if len(parts) != 2:
@@ -118,14 +118,6 @@ class EmbeddingTable:
     def embed(self, tokens) -> np.ndarray:
         return self.embed_rows(self.row_indices(tokens))
 
-    def apply_update(self, rows: np.ndarray, dX: np.ndarray, lr: float) -> None:
-        """SGD step on the looked-up rows (fine-tuning only)."""
-        for t, r in enumerate(rows):
-            if r >= 0:
-                self.matrix[r] -= lr * dX[t]
-            else:
-                self.unk -= lr * dX[t]
-
 
 # ---------------------------------------------------------------------------
 # parameters
@@ -138,7 +130,6 @@ class TaggerConfig:
     learning_rate: float = 0.01
     epochs: int = 10
     seed: int = 0
-    fine_tune_embeddings: bool = False
 
     def __post_init__(self):
         if self.hidden_size < 1:
@@ -297,9 +288,11 @@ def _lstm_forward(w, u, b, X):
 
 
 def _lstm_backward(w, u, cache, dHs):
-    """Weight, recurrent, bias and input gradients ``(dW, dU, db, dX)``
-    of one ``_lstm_forward`` pass from the gradients ``dHs`` of its hidden
-    states."""
+    """Weight, recurrent and bias gradients ``(dW, dU, db)`` of one
+    ``_lstm_forward`` pass from the gradients ``dHs`` of its hidden states.
+    ``w`` is not read: the embeddings are frozen, so no input gradient is
+    formed, and the arguments keep ``_lstm_forward``'s order
+    (``perfbench/tracing.py`` reads ``dHs`` by position)."""
     X, A, Cs, TC, Hs = cache
     T, h = Hs.shape
     I, F, G, O = A.reshape(T, 4, h).transpose(1, 0, 2)
@@ -325,7 +318,7 @@ def _lstm_backward(w, u, cache, dHs):
             dh += dHs[t - 1]
             dc *= F[t]
             dc += dh * OT[t - 1]
-    return dA.T @ X, dA[1:].T @ Hs[:-1], dA.sum(axis=0), dA @ w
+    return dA.T @ X, dA[1:].T @ Hs[:-1], dA.sum(axis=0)
 
 
 def _sentence_forward(params: TaggerParams, X: np.ndarray):
@@ -339,18 +332,17 @@ def _sentence_forward(params: TaggerParams, X: np.ndarray):
 
 
 def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray):
-    """Gradients of one sentence pass from its logit gradients: every
-    parameter's, as a fresh ``TaggerParams``, and the input rows' ``dX``."""
+    """Every parameter's gradient of one sentence pass from its logit
+    gradients, as a fresh ``TaggerParams``."""
     cache_f, cache_b, H, feats = cache
     h = params.hidden_size
     dfeats = dlogits @ params.w_out
     dH = dfeats @ params.w_feat
-    dw_f, du_f, db_f, dX_f = _lstm_backward(params.w_in_f, params.u_f, cache_f, dH[:, :h])
-    dw_b, du_b, db_b, dX_b = _lstm_backward(params.w_in_b, params.u_b, cache_b, dH[::-1, h:])
-    grads = TaggerParams(dw_f, du_f, db_f, dw_b, du_b, db_b,
-                         dfeats.T @ H, dfeats.sum(axis=0),
-                         dlogits.T @ feats, dlogits.sum(axis=0))
-    return grads, dX_f + dX_b[::-1]
+    dw_f, du_f, db_f = _lstm_backward(params.w_in_f, params.u_f, cache_f, dH[:, :h])
+    dw_b, du_b, db_b = _lstm_backward(params.w_in_b, params.u_b, cache_b, dH[::-1, h:])
+    return TaggerParams(dw_f, du_f, db_f, dw_b, du_b, db_b,
+                        dfeats.T @ H, dfeats.sum(axis=0),
+                        dlogits.T @ feats, dlogits.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +433,10 @@ def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
 
 @dataclass
 class TrainItem:
-    """One sentence prepared for training: embedding row indices, cached
-    embeddings (frozen mode), and hard or soft targets (soft ones win
-    when both are set)."""
+    """One sentence prepared for training: its embedded rows ``X`` (T, d)
+    and hard or soft targets (soft ones win when both are set)."""
 
-    rows: np.ndarray
-    X: np.ndarray | None
+    X: np.ndarray
     hard: np.ndarray | None = None
     soft: np.ndarray | None = None
     channel: bool = False
@@ -455,7 +445,7 @@ class TrainItem:
 def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None,
                      want_channel_grad: bool = False):
     """Mean cross-entropy over one sentence's tokens and its gradients
-    ``(loss, grads, dC, dX)``: against ``item.soft``, else through the
+    ``(loss, grads, dC)``: against ``item.soft``, else through the
     channel ``C`` for channel items, else against ``item.hard``. ``dC`` is
     the channel gradient when asked for, otherwise None."""
     probs, cache = _sentence_forward(params, X)
@@ -485,8 +475,7 @@ def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None,
         dlogits = probs.copy()
         dlogits[idx, y] -= 1.0
         dlogits /= T
-    grads, dX = _sentence_backward(params, cache, dlogits)
-    return loss, grads, dC, dX
+    return loss, _sentence_backward(params, cache, dlogits), dC
 
 
 def hard_targets(sentence: LabeledSentence, tag_set: TagSet) -> np.ndarray:
@@ -494,15 +483,11 @@ def hard_targets(sentence: LabeledSentence, tag_set: TagSet) -> np.ndarray:
     return np.array([tag_set.index(t) for t in tags], dtype=np.int64)
 
 
-def make_items(dataset: Dataset, table: EmbeddingTable, *, channel: bool = False,
-               cache: bool = True) -> list[TrainItem]:
-    items = []
-    for sent in dataset.sentences:
-        rows = table.row_indices(sent.tokens)
-        X = table.embed_rows(rows) if cache else None
-        items.append(TrainItem(rows, X, hard=hard_targets(sent, dataset.tag_set),
-                               channel=channel))
-    return items
+def make_items(dataset: Dataset, table: EmbeddingTable, *,
+               channel: bool = False) -> list[TrainItem]:
+    return [TrainItem(table.embed(sent.tokens), hard=hard_targets(sent, dataset.tag_set),
+                      channel=channel)
+            for sent in dataset.sentences]
 
 
 def _sgd_step(params: TaggerParams, grads: TaggerParams, lr: float) -> None:
@@ -514,7 +499,7 @@ def _sgd_step(params: TaggerParams, grads: TaggerParams, lr: float) -> None:
 
 
 def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfig,
-               table: EmbeddingTable, rng: np.random.Generator, B: np.ndarray | None = None,
+               rng: np.random.Generator, B: np.ndarray | None = None,
                train_channel: bool = False) -> None:
     """One pass of per-sentence SGD over *items* in an order drawn from
     *rng*; items flagged ``channel`` are scored through the row-softmax of
@@ -522,11 +507,10 @@ def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfi
     lr = config.learning_rate
     for k in rng.permutation(len(items)):
         item = items[int(k)]
-        X = item.X if item.X is not None else table.embed_rows(item.rows)
         use_channel = item.channel and B is not None
         C = _softmax(B) if use_channel else None
-        loss, grads, dC, dX = _item_loss_grads(
-            params, X, item, C=C,
+        loss, grads, dC = _item_loss_grads(
+            params, item.X, item, C=C,
             want_channel_grad=use_channel and train_channel,
         )
         if not np.isfinite(loss):
@@ -535,8 +519,6 @@ def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfi
         if dC is not None:
             s = (dC * C).sum(axis=1, keepdims=True)
             B -= lr * (C * (dC - s))
-        if config.fine_tune_embeddings:
-            table.apply_update(item.rows, dX, lr)
     params.check_finite()
 
 
@@ -553,7 +535,7 @@ def _train_core(items: list[TrainItem], config: TaggerConfig, table: EmbeddingTa
                          config.feature_size, label_count)
     B = None if channel_logits is None else np.array(channel_logits, dtype=float)
     for _ in range(config.epochs):
-        _sgd_epoch(params, items, config, table, rng, B, train_channel)
+        _sgd_epoch(params, items, config, rng, B, train_channel)
     return params, B
 
 
@@ -567,10 +549,10 @@ def forward(tokens, params: TaggerParams, table: EmbeddingTable) -> np.ndarray:
     return probs
 
 
-def feature_vectors(tokens, params: TaggerParams, table: EmbeddingTable) -> np.ndarray:
-    """Feature-layer outputs, shape (len(tokens), f); input to the label
-    cleaner."""
-    _, cache = _sentence_forward(params, table.embed(tokens))
+def feature_vectors(X: np.ndarray, params: TaggerParams) -> np.ndarray:
+    """Feature-layer outputs for the embedded rows ``X`` (T, d), shape
+    (T, f); input to the label cleaner."""
+    _, cache = _sentence_forward(params, X)
     return cache[3]
 
 
@@ -588,13 +570,12 @@ def loss_and_gradient(batch, params: TaggerParams, table: EmbeddingTable,
     grads = params.zeros_like()
     loss = 0.0
     for i, sent in enumerate(batch):
-        rows = table.row_indices(sent.tokens)
-        X = table.embed_rows(rows)
+        X = table.embed(sent.tokens)
         if soft_targets is None:
-            item = TrainItem(rows, X, hard=hard_targets(sent, tag_set))
+            item = TrainItem(X, hard=hard_targets(sent, tag_set))
         else:
-            item = TrainItem(rows, X, soft=np.asarray(soft_targets[i], dtype=float))
-        sent_loss, sent_grads, _, _ = _item_loss_grads(params, X, item)
+            item = TrainItem(X, soft=np.asarray(soft_targets[i], dtype=float))
+        sent_loss, sent_grads, _ = _item_loss_grads(params, X, item)
         # _item_loss_grads takes the mean over the sentence's own tokens
         weight = len(sent.tokens) / total_tokens
         loss += weight * sent_loss
@@ -609,7 +590,7 @@ def train(clean: Dataset, config: TaggerConfig, table: EmbeddingTable) -> Tagger
     """Plain supervised training on gold spans (IO label space)."""
     if not clean.sentences:
         raise ValueError("training dataset is empty")
-    items = make_items(clean, table, cache=not config.fine_tune_embeddings)
+    items = make_items(clean, table)
     params, _ = _train_core(items, config, table, clean.tag_set.size)
     return params
 

@@ -1,6 +1,7 @@
 """``wsner train`` runs each method through ``noise.fit``: its checkpoint and
 channel equal those of the method's training function called directly;
-``wsner evaluate --model`` scores with the checkpoint's labels; importing the
+``wsner evaluate --model`` scores with the checkpoint's labels; ``wsner
+quality`` prints the span scores of the distant annotation; importing the
 CLI leaves the HTTP client unloaded; ``annotate``, ``quality`` and
 ``inspect`` exit 1 on bad input, naming the file and line, and 2 on bad
 usage."""
@@ -85,7 +86,9 @@ def test_train_equals_direct_method_call(corpus, tmp_path, method, extra):
     ({"em_iterations": 0}, "em_iterations must be >= 1"),
     ({"cleaner_epochs": 0}, "cleaner_epochs must be >= 1"),
     ({"cell": "lstm"}, "unknown config keys: ['cell']"),
-], ids=["unknown-key", "bad-value", "no-em-iterations", "no-cleaner-epochs", "cell-key"])
+    ({"fine_tune_embeddings": True}, "unknown config keys: ['fine_tune_embeddings']"),
+], ids=["unknown-key", "bad-value", "no-em-iterations", "no-cleaner-epochs", "cell-key",
+        "fine-tune-key"])
 def test_train_rejects_bad_config_naming_the_file(corpus, tmp_path, capsys, doc, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(doc), encoding="utf-8")
@@ -124,6 +127,17 @@ def test_evaluate_model_reads_gold_with_the_checkpoint_labels(corpus, tmp_path, 
     assert out == evaluation.format_report(metrics) + "\n"
 
 
+def test_quality_prints_span_scores_of_the_distant_annotation(corpus, capsys):
+    code = cli.main(["quality", "--gold", corpus["test"], "--distant", corpus["distant_test"]])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    gold = read_conll(corpus["test"], tag_set=TagSet())
+    distant = read_conll(corpus["distant_test"], tag_set=TagSet(), provenance="distant")
+    metrics = evaluation.span_prf(gold, distant)
+    assert 0.0 < metrics.overall.f1 < 1.0
+    assert out == evaluation.format_report(metrics, title="Distant annotation quality") + "\n"
+
+
 def test_importing_the_cli_does_not_load_requests():
     # a fresh interpreter: this one may have loaded requests for other tests
     src = os.path.dirname(os.path.dirname(wsner.__file__))
@@ -136,14 +150,21 @@ def test_importing_the_cli_does_not_load_requests():
 
 
 def _write(path, text):
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     return str(path)
 
 
-# (subcommand, {file name: content}, extra arguments, text the error names)
+# (subcommand, {file name: content}, extra arguments, text the error names);
+# annotate reads its first file as the corpus
 BAD_INPUT = {
     "annotate-token-whitespace": (
         "annotate", {"raw.txt": "Kano\n\nAdé Ojo\n"}, [], "raw.txt:3: bad token line"),
+    "annotate-not-utf8": (
+        "annotate", {"latin.txt": "Kano\nAdé\n".encode("latin-1")}, [],
+        "latin.txt:2: not valid UTF-8"),
     "annotate-tsv-row": (
         "annotate", {"raw.txt": "Kano\n", "ents.tsv": "Kano\tLOC\twikidata\nonly\ttwo\n"},
         ["--gazetteer", "ents.tsv"], "ents.tsv:2: expected 'surface<TAB>type<TAB>source'"),
@@ -165,9 +186,10 @@ BAD_INPUT = {
 }
 
 
-def _base_args(command, tmp_path):
+def _base_args(command, tmp_path, files):
     if command == "annotate":
-        return ["--corpus", str(tmp_path / "raw.txt"), "--out", str(tmp_path / "out.conll")]
+        return ["--corpus", str(tmp_path / next(iter(files))),
+                "--out", str(tmp_path / "out.conll")]
     if command == "quality":
         return ["--gold", str(tmp_path / "gold.conll"),
                 "--distant", str(tmp_path / "distant.conll")]
@@ -180,7 +202,7 @@ def test_bad_input_exits_1_naming_file_and_line(tmp_path, capsys, case):
     for name, text in files.items():
         _write(tmp_path / name, text)
     extra = [str(tmp_path / a) if a in files else a for a in extra]
-    code = cli.main([command] + _base_args(command, tmp_path) + extra)
+    code = cli.main([command] + _base_args(command, tmp_path, files) + extra)
     out, err = capsys.readouterr()
     assert code == 1
     assert err.startswith("error: ") and f"{tmp_path}{os.sep}{message}" in err, err

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsner import date_rules, experiment, gazetteer, noise, tagger
 from wsner.corpus import (
     Dataset,
     EntitySpan,
@@ -229,6 +230,27 @@ def test_token_with_whitespace_names_the_line(tmp_path, line):
     conll.write_text(f"A\tO\n\nB\tO\n{line}\tB-PER\n", encoding="utf-8")
     with pytest.raises(ParseError, match="gold.conll:4: "):
         read_conll(conll)
+
+
+# (reader, file bytes with a valid first line and byte 0xff on line 2)
+UTF8_READERS = {
+    "read_conll": (read_conll, b"Kano\tB-LOC\nAd\xff\tO\n"),
+    "read_tokens": (read_tokens, b"Kano\nAd\xff\n"),
+    "read_entity_tsv": (gazetteer.read_entity_tsv, b"Kano\tLOC\tkb\nAd\xff\tPER\tkb\n"),
+    "DateRuleSet.load": (date_rules.DateRuleSet.load, b"osu\n\xff\n"),
+    "EmbeddingTable.load": (tagger.EmbeddingTable.load, b"2 2\n\xff 1 2\nb 3 4\n"),
+    "load_confusion": (noise.load_confusion, b"# labels: O PER\n1 \xff\n0 1\n"),
+    "read_json": (experiment.read_json, b'{"repeats": 1,\n"out_dir": "\xff"}\n'),
+}
+
+
+@pytest.mark.parametrize("name", list(UTF8_READERS))
+def test_reader_names_the_first_line_that_is_not_utf8(tmp_path, name):
+    reader, data = UTF8_READERS[name]
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: not valid UTF-8")):
+        reader(path)
 
 
 def test_merge_requires_same_tag_set():

@@ -9,7 +9,6 @@ from wsner.corpus import Dataset, EntitySpan, TagSet
 from wsner.errors import AlignmentError
 from wsner.evaluation import (
     PRF,
-    annotation_quality,
     format_report,
     mean_and_se,
     metrics_row,
@@ -77,11 +76,6 @@ def test_zero_denominator_conventions():
     gold, pred = _pair((), ())
     m = span_prf(gold, pred)
     assert (m.overall.precision, m.overall.recall, m.overall.f1) == (0.0, 0.0, 0.0)
-
-
-def test_annotation_quality_matches_span_prf():
-    gold, pred = _pair((EntitySpan("PER", 0, 2),), (EntitySpan("PER", 0, 2),))
-    assert annotation_quality(gold, pred) == span_prf(gold, pred)
 
 
 def test_token_accuracy():

@@ -42,10 +42,9 @@ def test_two_runs_write_identical_csvs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_fine_tuned_cell_leaves_context_table_unchanged(tmp_path):
-    config_path = write_tiny_sweep(tmp_path / "corpus", fine_tune_embeddings=True)["config"]
+def test_cells_leave_context_table_unchanged(tmp_path):
+    config_path = write_tiny_sweep(tmp_path / "corpus")["config"]
     config = experiment.load_config(config_path)
-    assert config.tagger.fine_tune_embeddings
 
     fresh_ctx = experiment._build_context(config)
     matrix, unk = fresh_ctx.table.matrix.copy(), fresh_ctx.table.unk.copy()

@@ -206,20 +206,19 @@ def test_channel_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     params = T.init_params(rng, "lstm", task.table.dimension, 2, 3, ts.size)
     sent = task.distant.sentences[0]
-    item = T.TrainItem(task.table.row_indices(sent.tokens), None,
-                       hard=T.hard_targets(sent, ts), channel=True)
-    X = task.table.embed_rows(item.rows)
+    X = task.table.embed(sent.tokens)
+    item = T.TrainItem(X, hard=T.hard_targets(sent, ts), channel=True)
     B = np.log(ConfusionMatrix.uniform_mix(ts.labels, 0.4).matrix)
 
     def loss_fn():
         C = T._softmax(B)
-        loss, _, _, _ = T._item_loss_grads(params, X, item, C=C,
-                                           want_channel_grad=True)
+        loss, _, _ = T._item_loss_grads(params, X, item, C=C,
+                                        want_channel_grad=True)
         return loss
 
     C = T._softmax(B)
-    loss, grads, dC, _ = T._item_loss_grads(params, X, item, C=C,
-                                            want_channel_grad=True)
+    loss, grads, dC = T._item_loss_grads(params, X, item, C=C,
+                                         want_channel_grad=True)
     s = (dC * C).sum(axis=1, keepdims=True)
     dB = C * (dC - s)
     arrays = [arr for _, arr in params.arrays()] + [B]
