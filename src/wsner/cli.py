@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import evaluation, experiment, noise, tagger
-from .corpus import Dataset, TagSet, read_conll, read_tokens, write_conll
+from .corpus import Dataset, TagSet, read_conll, read_json, read_tokens, write_conll
 from .date_rules import DateRuleSet, default_date_rules
 from .errors import WsnerError
 from .gazetteer import annotate_distant, build_gazetteer, distant_twin, read_entity_tsv
@@ -66,7 +66,7 @@ def _train_config(path: str | None,
                   seed: int | None) -> tuple[tagger.TaggerConfig, noise.MethodOptions]:
     """Tagger config and method options from a flat JSON file; CLI seed
     wins over the file."""
-    doc = experiment.read_json(path) if path else {}
+    doc = read_json(path) if path else {}
     if seed is not None:
         doc["seed"] = seed
     try:
@@ -312,10 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the clean-size × method × seed sweep into OUT_DIR/runs.csv and "
                     "OUT_DIR/aggregate.csv. Pending cells run in spawned worker processes, "
                     "one per CPU this process may use and at most one per pending cell; "
-                    "with one worker they run in this process. Only this process writes "
-                    "runs.csv: one row per cell in (budget, method, repeat) order, each "
-                    "flushed as it is written, so an interrupted sweep resumes where it "
-                    "stopped. Workers start with the BLAS thread variables "
+                    "with one worker they run in this process. Workers start the most "
+                    "expensive cells first (cleaning, noise-channel, confusion and "
+                    "naive-mix, baseline-clean, distant-only; larger budgets first). Only "
+                    "this process writes runs.csv: one row per cell in (budget, method, "
+                    "repeat) order, each flushed as it is written, so an interrupted sweep "
+                    "resumes where it stopped. A finished row waits until the rows before "
+                    "it are written; rows still held at an interrupt are lost and their "
+                    "cells run again on resume. Workers start with the BLAS thread variables "
                     "(OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, ...) set to their share "
                     "of the CPUs, unless one of them is already set.")
     p.add_argument("--config", required=True)

@@ -7,6 +7,7 @@ accepts BIO and IO files.
 
 from __future__ import annotations
 
+import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -43,6 +44,16 @@ def open_utf8(path):
                     except UnicodeDecodeError:
                         raise ParseError(f"{path}:{lineno}: not valid UTF-8") from None
             raise
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file *path*; a file that does not
+    parse raises ``ParseError`` naming the file and line."""
+    with open_utf8(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
 
 
 def _check_token(surface: str) -> None:

@@ -13,16 +13,22 @@ Pending cells run in a pool of worker processes started with ``spawn``,
 one per CPU the process may use (``os.sched_getaffinity``), but never
 more than there are pending cells; with one worker the cells run in this
 process. The shared context is built once and pickled to a temporary
-file that each worker reads once when it starts.
-Cells are submitted in canonical (budget, method, repeat) order and this
-process alone writes ``runs.csv``: each row in that order as its result
-arrives, flushed at once, so the rows are the same bytes whichever path
-ran them and an interrupted sweep leaves a canonical prefix. A worker that
-dies ends the sweep with a ``WsnerError``; the rows written stay. Every
-worker loads its own BLAS, which would start a thread per CPU, so the
-workers are started with the BLAS thread variables (``OMP_NUM_THREADS``,
-``OPENBLAS_NUM_THREADS``, ...) set to their share of the CPUs, at least
-one; when one of those variables is already set, it is left as it is.
+file that each worker reads once when it starts. The pool starts the
+cells most expensive first: cleaning, then noise-channel, then
+confusion and naive-mix, then baseline-clean, then distant-only, the
+larger budget first within a method, so the longest cells do not start
+last and leave the other workers idle. This process alone writes
+``runs.csv``, in canonical (budget, method, repeat) order: a finished row
+waits until every row before it is written, then is flushed at once, so
+the rows are the same bytes whichever path ran them and an interrupted
+sweep leaves a canonical prefix. Rows held back at an interrupt are lost,
+and their cells run again on resume. A worker that dies ends the sweep
+with a ``WsnerError`` naming the first cell without a row; the rows
+written stay. Every worker loads its own BLAS, which would start a thread
+per CPU, so the workers are started with the BLAS thread variables
+(``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``, ...) set to their share of
+the CPUs, at least one; when one of those variables is already set, it is
+left as it is.
 
 The runner is resumable: rows already present in the per-run CSV are
 detected by (setting, method, repeat) and skipped; a torn last line, left
@@ -34,7 +40,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import pickle
 import tempfile
@@ -42,7 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from . import noise, tagger
-from .corpus import Dataset, TagSet, merge, open_utf8, read_conll, subsample_tokens
+from .corpus import Dataset, TagSet, merge, read_conll, read_json, subsample_tokens
 from .date_rules import DateRuleSet, default_date_rules
 from .errors import WsnerError
 from .evaluation import mean_and_se, metrics_columns, metrics_row, span_prf
@@ -147,14 +152,6 @@ def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     if doc:
         raise WsnerError(f"unknown config keys: {sorted(doc)}")
     return ExperimentConfig(**kwargs)
-
-
-def read_json(path) -> dict:
-    with open_utf8(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise WsnerError(f"{path}: invalid JSON: {exc}") from None
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -344,9 +341,25 @@ def _blas_threads(threads: int):
             os.environ.pop(var, None)
 
 
+# Submission rank of each method in a worker pool, most expensive first, as
+# measured on full-budget cells of the bundled synthetic config.
+_COST_RANK = {"cleaning": 0, "noise-channel": 1, "confusion": 2, "naive-mix": 2,
+              "baseline-clean": 3, "distant-only": 4}
+
+
+def _longest_first(cells: list[tuple]) -> list[tuple]:
+    """*cells* in the order a worker pool starts them: by method cost rank,
+    then the larger budget first (unlimited above all); a stable sort, so
+    ties keep the order of *cells*."""
+    return sorted(cells, key=lambda cell: (_COST_RANK[cell[1]],
+                                           -(float("inf") if cell[0] is None else cell[0])))
+
+
 def _run_cells(ctx: _Context, cells: list[tuple], write) -> None:
     """``write(row)`` for every cell, in the order of *cells*, each as soon
-    as it and the cells before it are done."""
+    as it and the cells before it are done. A worker pool starts the cells
+    most expensive first (``_longest_first``) and holds a finished row
+    until the rows before it are written."""
     cpus = _cpu_count()
     workers = min(cpus, len(cells))
     if workers <= 1:
@@ -371,8 +384,9 @@ def _run_cells(ctx: _Context, cells: list[tuple], write) -> None:
                                    initializer=_init_worker, initargs=(ctx_path,))
         written = 0
         try:
-            for row in pool.map(_worker_row, cells):
-                write(row)
+            futures = {cell: pool.submit(_worker_row, cell) for cell in _longest_first(cells)}
+            for cell in cells:
+                write(futures[cell].result())
                 written += 1
         except BrokenProcessPool as exc:
             budget, method, repeat = cells[written]

@@ -8,12 +8,12 @@ responses through ``FixtureTransport`` instead of touching the network.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
 import requests
 
+from .corpus import read_json
 from .errors import ResponseDecodeError, SchemaError, TransportError
 from .gazetteer import GazetteerEntry
 
@@ -127,7 +127,8 @@ class HttpTransport:
 
 
 class FixtureTransport:
-    """Replays recorded response pages in order; raises past the end."""
+    """Replays recorded response pages in order; raises past the end.
+    ``from_files`` reads each page with ``corpus.read_json``."""
 
     def __init__(self, pages):
         self._pages = list(pages)
@@ -135,11 +136,7 @@ class FixtureTransport:
 
     @classmethod
     def from_files(cls, paths) -> "FixtureTransport":
-        pages = []
-        for p in paths:
-            with open(p, encoding="utf-8") as fh:
-                pages.append(json.load(fh))
-        return cls(pages)
+        return cls([read_json(p) for p in paths])
 
     def get(self, url: str, params: dict) -> dict:
         self.requests.append({"url": url, "params": dict(params)})

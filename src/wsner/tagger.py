@@ -12,6 +12,7 @@ central finite differences in the test suite).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import zipfile
@@ -250,6 +251,18 @@ def _activate_gates(a):
     a += _GATE_SHIFT
 
 
+@functools.lru_cache(maxsize=8)
+def _gate_affine(h: int):
+    """``_GATE_SCALE`` and ``_GATE_SHIFT`` repeated over ``h`` units: flat
+    (4h,) read-only vectors that act on one timestep's preactivations.
+    Cached per hidden size, since a process trains one or two of them."""
+    scale = np.repeat(_GATE_SCALE.ravel(), h)
+    shift = np.repeat(_GATE_SHIFT.ravel(), h)
+    scale.flags.writeable = False
+    shift.flags.writeable = False
+    return scale, shift
+
+
 def _lstm_forward(w, u, b, X):
     """LSTM over the rows of ``X`` (T, d), starting from zero state.
 
@@ -262,28 +275,41 @@ def _lstm_forward(w, u, b, X):
     ``(X, A, Cs, TC, Hs)``: ``A`` (T, 4h) holds the gate activations
     [I, F, G, O] in the same order, ``Cs`` the cell states and ``TC``
     their tanh.
+
+    The input products of all steps are formed before the loop, and the
+    loop writes each step's results in place: the gates into ``A``, the
+    states into ``Cs``, ``TC`` and ``Hs``, the recurrent product into one
+    (4h,) buffer and ``i * g`` into one (h,) buffer, both allocated once
+    per call. It iterates over per-gate views of ``A`` made once per call,
+    so a step allocates no array data.
     """
     T = X.shape[0]
     h = u.shape[1]
     A = X @ w.T
     A += b
-    gates = A.reshape(T, 4, h)
+    I, F, G, O = A.reshape(T, 4, h).transpose(1, 0, 2)
+    scale, shift = _gate_affine(h)
     Cs = np.empty((T, h))
     TC = np.empty((T, h))
     Hs = np.empty((T, h))
+    rec = np.empty(4 * h)
+    ig = np.empty(h)
     c_prev = np.zeros(h)
-    for t in range(T):
-        if t:
-            A[t] += u @ h_prev
-        a = gates[t]
-        _activate_gates(a)
-        i, f, g, o = a
-        c, tc, h_prev = Cs[t], TC[t], Hs[t]
+    h_prev = None
+    for a, i, f, g, o, c, tc, hs in zip(A, I, F, G, O, Cs, TC, Hs):
+        if h_prev is not None:
+            u.dot(h_prev, out=rec)
+            a += rec
+        a *= scale
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
         np.multiply(f, c_prev, out=c)
-        c += i * g
+        np.multiply(i, g, out=ig)
+        c += ig
         np.tanh(c, out=tc)
-        np.multiply(o, tc, out=h_prev)
-        c_prev = c
+        np.multiply(o, tc, out=hs)
+        c_prev, h_prev = c, hs
     return Hs, (X, A, Cs, TC, Hs)
 
 
@@ -292,32 +318,57 @@ def _lstm_backward(w, u, cache, dHs):
     ``_lstm_forward`` pass from the gradients ``dHs`` of its hidden states.
     ``w`` is not read: the embeddings are frozen, so no input gradient is
     formed, and the arguments keep ``_lstm_forward``'s order
-    (``perfbench/tracing.py`` reads ``dHs`` by position)."""
+    (``perfbench/tracing.py`` reads ``dHs`` by position).
+
+    The preactivation gradients ``dA`` (T, 4h) are the only (T, 4h) array
+    made. Before the loop each gate block of ``dA`` is filled in place with
+    what that gate's gradient needs besides ``dc`` (the i, f and g blocks)
+    or ``dh`` (the o block); the loop multiplies them in place, step by
+    step, and forms ``dh`` and the ``dc`` increment in two (h,) buffers
+    allocated once per call.
+    """
     X, A, Cs, TC, Hs = cache
     T, h = Hs.shape
-    I, F, G, O = A.reshape(T, 4, h).transpose(1, 0, 2)
-    C_prev = np.zeros((T, h))
-    C_prev[1:] = Cs[:-1]
-    # Per gate, dA[t] = dc * DC[t] + dh * DO[t]: the activation derivative
-    # (a(1 - a) for sigmoid, 1 - g^2 for tanh) times what the gate multiplies
-    # in c = f*c_prev + i*g or h = o*tanh(c). Only the o block needs dh, so
-    # DC's o block is zero and DO holds the o block alone.
-    DC = np.stack([G * I * (1.0 - I), C_prev * F * (1.0 - F),
-                   I * (1.0 - G * G), np.zeros((T, h))], axis=1)
-    DO = TC * O * (1.0 - O)
-    OT = O * (1.0 - TC * TC)
+    gates = A.reshape(T, 4, h)
+    I, F, G, O = gates.transpose(1, 0, 2)
     dA = np.empty((T, 4 * h))
-    dA_gates = dA.reshape(T, 4, h)
+    dgates = dA.reshape(T, 4, h)
+    DI, DF, DG, DO = dgates.transpose(1, 0, 2)
+    # Per gate, dA[t] = dc * D[t] (i, f, g) or dh * D[t] (o), where D is the
+    # activation derivative (a(1 - a) for sigmoid, 1 - g^2 for tanh) times
+    # what the gate multiplies in c = f*c_prev + i*g or h = o*tanh(c).
+    np.multiply(G, I, out=DI)
+    DF[0] = 0.0
+    np.multiply(Cs[:-1], F[1:], out=DF[1:])
+    np.multiply(G, G, out=DG)
+    np.subtract(1.0, DG, out=DG)
+    DG *= I
+    np.multiply(TC, O, out=DO)
+    # times 1 - a on the sigmoid blocks; times 1, which is exact, on g
+    sigmoid_slope = np.subtract(1.0, gates)
+    sigmoid_slope[:, 2] = 1.0
+    dgates *= sigmoid_slope
+    OT = TC * TC
+    np.subtract(1.0, OT, out=OT)
+    OT *= O
+    DC = dgates[:, :3]
     dh = dHs[T - 1]
     dc = dh * OT[T - 1]
-    for t in range(T - 1, -1, -1):
-        np.multiply(DC[t], dc, out=dA_gates[t])
-        np.multiply(dh, DO[t], out=dA_gates[t, 3])
-        if t:
-            dh = dA[t] @ u
-            dh += dHs[t - 1]
-            dc *= F[t]
-            dc += dh * OT[t - 1]
+    rec = np.empty(h)
+    carry = np.empty(h)
+    # steps T-1 down to 1, each forming the dh and dc of the step before it
+    steps = zip(DC[:0:-1], DO[:0:-1], dA[:0:-1], F[:0:-1], dHs[-2::-1], OT[-2::-1])
+    for dc_gates, do_gate, da, f, dhs_prev, ot_prev in steps:
+        dc_gates *= dc
+        do_gate *= dh
+        da.dot(u, out=rec)
+        rec += dhs_prev
+        dh = rec
+        dc *= f
+        np.multiply(dh, ot_prev, out=carry)
+        dc += carry
+    DC[0] *= dc
+    DO[0] *= dh
     return dA.T @ X, dA[1:].T @ Hs[:-1], dA.sum(axis=0)
 
 

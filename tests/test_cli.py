@@ -2,9 +2,9 @@
 channel equal those of the method's training function called directly;
 ``wsner evaluate --model`` scores with the checkpoint's labels; ``wsner
 quality`` prints the span scores of the distant annotation; importing the
-CLI leaves the HTTP client unloaded; ``annotate``, ``quality`` and
-``inspect`` exit 1 on bad input, naming the file and line, and 2 on bad
-usage."""
+CLI leaves the HTTP client unloaded; every subcommand but ``train`` (whose
+bad configs have a test of their own) exits 1 on bad input, naming the
+file and line, and 2 on bad usage, naming the option."""
 
 import json
 import os
@@ -183,6 +183,38 @@ BAD_INPUT = {
     "inspect-not-a-checkpoint": (
         "inspect", {"m.npz": "not an archive\n"}, ["--model", "m.npz"],
         "m.npz: not a checkpoint"),
+    "ingest-truncated-page": (
+        "ingest", {"page.json": '{"results": {"bindings": [\n'}, ["--fixture", "page.json"],
+        "page.json:2: invalid JSON"),
+    "ingest-page-not-utf8": (
+        "ingest", {"page.json": '{"results":\n {"bindings": ["Adé"]}}\n'.encode("latin-1")},
+        ["--fixture", "page.json"], "page.json:2: not valid UTF-8"),
+    "evaluate-malformed-pred": (
+        "evaluate", {"gold.conll": "Kano\tB-LOC\n", "pred.conll": "Kano\tB-LOC\nKano\n"},
+        ["--pred", "pred.conll"], "pred.conll:2: expected 'token<TAB>tag'"),
+    "evaluate-not-a-checkpoint": (
+        "evaluate", {"gold.conll": "Kano\tB-LOC\n", "m.npz": "not an archive\n",
+                     "e.txt": "1 1\nKano 0.5\n"},
+        ["--model", "m.npz", "--embeddings", "e.txt"], "m.npz: not a checkpoint"),
+    "experiment-invalid-json": (
+        "experiment", {"sweep.json": '{"repeats": 1,\n "methods": [\n'}, [],
+        "sweep.json:3: invalid JSON"),
+    "experiment-config-not-utf8": (
+        "experiment", {"sweep.json": '{\n"out_dir": "Adé"}\n'.encode("latin-1")}, [],
+        "sweep.json:2: not valid UTF-8"),
+    "experiment-malformed-train": (
+        "experiment", {"sweep.json": json.dumps({"train": "train.conll", "test": "test.conll",
+                                                 "embeddings": "e.txt", "out_dir": "out"}),
+                       "train.conll": "Kano\tB-LOC\n\nbroken line\n",
+                       "test.conll": "Kano\tB-LOC\n", "e.txt": "1 1\nKano 0.5\n"},
+        [], "train.conll:3: expected 'token<TAB>tag'"),
+    "experiment-missing-file": (
+        "experiment", {"sweep.json": json.dumps({"train": "absent.conll", "test": "test.conll",
+                                                 "embeddings": "e.txt", "out_dir": "out"}),
+                       "test.conll": "Kano\tB-LOC\n", "e.txt": "1 1\nKano 0.5\n"},
+        [], "absent.conll"),
+    "synth-out-dir-is-a-file": (
+        "synth", {"taken": "a file\n"}, ["--out-dir", "taken"], "taken"),
 }
 
 
@@ -193,6 +225,12 @@ def _base_args(command, tmp_path, files):
     if command == "quality":
         return ["--gold", str(tmp_path / "gold.conll"),
                 "--distant", str(tmp_path / "distant.conll")]
+    if command == "ingest":
+        return ["--class", "person", "--lang", "yo", "--out", str(tmp_path / "out.tsv")]
+    if command == "evaluate":
+        return ["--gold", str(tmp_path / "gold.conll")]
+    if command == "experiment":
+        return ["--config", str(tmp_path / "sweep.json")]
     return []
 
 
@@ -207,7 +245,7 @@ def test_bad_input_exits_1_naming_file_and_line(tmp_path, capsys, case):
     assert code == 1
     assert err.startswith("error: ") and f"{tmp_path}{os.sep}{message}" in err, err
     assert "Traceback" not in err and out == ""
-    assert not (tmp_path / "out.conll").exists()
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("out")]
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -220,8 +258,20 @@ def test_bad_input_exits_1_naming_file_and_line(tmp_path, capsys, case):
     (["quality", "--gold", "g.conll"], "--distant"),
     (["inspect"], "--model"),
     (["inspect", "--model", "m.npz", "--confusion", "c.txt"], "--confusion"),
+    (["ingest", "--class", "person", "--lang", "yo"], "--out"),
+    (["ingest", "--class", "planet", "--lang", "yo", "--out", "o"], "--class"),
+    (["evaluate", "--pred", "p.conll"], "--gold"),
+    (["evaluate", "--gold", "g.conll", "--pred", "p.conll", "--csv"], "--csv"),
+    (["experiment"], "--config"),
+    (["experiment", "--config", "c.json", "--repeats", "two"], "--repeats"),
+    (["experiment", "--config", "c.json", "--base-seed", "1.5"], "--base-seed"),
+    (["synth"], "--out-dir"),
+    (["synth", "--out-dir", "d", "--seed", "x"], "--seed"),
 ], ids=["annotate-no-out", "min-len-not-int", "min-len-zero", "min-len-no-equals",
-        "train-min-len-negative", "quality-no-distant", "inspect-nothing", "inspect-both"])
+        "train-min-len-negative", "quality-no-distant", "inspect-nothing", "inspect-both",
+        "ingest-no-out", "ingest-bad-class", "evaluate-no-gold", "evaluate-csv-no-path",
+        "experiment-no-config", "experiment-repeats-not-int", "experiment-seed-not-int",
+        "synth-no-out-dir", "synth-seed-not-int"])
 def test_bad_usage_exits_2_naming_the_option(capsys, argv, option):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsner import date_rules, experiment, gazetteer, noise, tagger
+from wsner import date_rules, gazetteer, noise, tagger
 from wsner.corpus import (
     Dataset,
     EntitySpan,
@@ -17,6 +17,7 @@ from wsner.corpus import (
     io_to_spans,
     merge,
     read_conll,
+    read_json,
     read_tokens,
     spans_to_bio,
     spans_to_io,
@@ -240,7 +241,7 @@ UTF8_READERS = {
     "DateRuleSet.load": (date_rules.DateRuleSet.load, b"osu\n\xff\n"),
     "EmbeddingTable.load": (tagger.EmbeddingTable.load, b"2 2\n\xff 1 2\nb 3 4\n"),
     "load_confusion": (noise.load_confusion, b"# labels: O PER\n1 \xff\n0 1\n"),
-    "read_json": (experiment.read_json, b'{"repeats": 1,\n"out_dir": "\xff"}\n'),
+    "read_json": (read_json, b'{"repeats": 1,\n"out_dir": "\xff"}\n'),
 }
 
 

@@ -1,8 +1,9 @@
 """Sweep promises: two runs of one config write byte-identical CSVs, a cell
 neither changes the shared context nor depends on the cells before it, the
-worker pool writes the same bytes as the in-process path, a worker that
-dies fails the sweep instead of hanging it, and an interrupted sweep resumes
-to the bytes of an uninterrupted one."""
+worker pool starts the most expensive cells first yet writes the same bytes
+as the in-process path, a worker that dies fails the sweep instead of
+hanging it, and an interrupted sweep resumes to the bytes of an
+uninterrupted one."""
 
 import concurrent.futures
 import csv
@@ -13,6 +14,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -67,6 +69,27 @@ def _exit_in_cleaning_cell(cell):
     """A worker row function whose process dies on the first cleaning cell."""
     if cell[1] == "cleaning":
         os._exit(3)
+    return experiment._worker_row(cell)
+
+
+def _exit_in_last_submitted_cell(cell):
+    """A worker row function whose process dies on the cell a pool starts
+    last, after the other cells of the tiny sweep have been started."""
+    if cell == (40, "distant-only", 0):
+        os._exit(3)
+    return experiment._worker_row(cell)
+
+
+def _cell_row_of(cell):
+    """A worker row function whose row is its cell."""
+    return cell
+
+
+def _sleep_in_first_cell(cell):
+    """A worker row function that finishes the canonically first cell of
+    the tiny sweep last."""
+    if cell == (40, "baseline-clean", 0):
+        time.sleep(3)
     return experiment._worker_row(cell)
 
 
@@ -156,6 +179,73 @@ def test_dead_worker_fails_the_sweep_and_it_resumes(sweep, tmp_path, monkeypatch
     # a canonical prefix that ends before the cell that killed its worker
     assert written == CANONICAL[:len(written)]
     assert len(written) <= CANONICAL.index(("40", "cleaning", "0"))
+    assert "cell {}/{}/0 ".format(*CANONICAL[len(written)][:2]) in stderr
+
+    monkeypatch.undo()
+    _workers(monkeypatch, 2)
+    assert _run(config_path, tmp_path) == whole
+
+
+def test_pool_starts_cells_most_expensive_first():
+    cells = [(budget, method, repeat) for budget in (300, 1000, None)
+             for method in experiment.METHODS for repeat in range(2)]
+    order = experiment._longest_first(cells)
+    assert sorted(order, key=cells.index) == cells
+    assert order[:2] == [(None, "cleaning", 0), (None, "cleaning", 1)]
+    assert order[-2:] == [(300, "distant-only", 0), (300, "distant-only", 1)]
+    assert [(b, m) for b, m, r in order if r == 0] == [
+        (None, "cleaning"), (1000, "cleaning"), (300, "cleaning"),
+        (None, "noise-channel"), (1000, "noise-channel"), (300, "noise-channel"),
+        # confusion and naive-mix tie, and keep their canonical order
+        (None, "naive-mix"), (None, "confusion"), (1000, "naive-mix"), (1000, "confusion"),
+        (300, "naive-mix"), (300, "confusion"),
+        (None, "baseline-clean"), (1000, "baseline-clean"), (300, "baseline-clean"),
+        (None, "distant-only"), (1000, "distant-only"), (300, "distant-only"),
+    ]
+
+
+def test_pool_submits_longest_first_and_writes_canonical_order(monkeypatch):
+    _workers(monkeypatch, 2)
+    submitted = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, cell):
+            submitted.append(cell)
+            return super().submit(fn, cell)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(experiment, "_worker_row", _cell_row_of)
+    cells = [(budget, method, 0) for budget in (40, None) for method in experiment.METHODS]
+    rows = []
+    experiment._run_cells(None, cells, rows.append)
+    assert submitted == experiment._longest_first(cells)
+    assert submitted[0] == (None, "cleaning", 0) and submitted[-1] == (40, "distant-only", 0)
+    assert rows == cells
+
+
+def test_first_cell_finishing_last_still_writes_canonical_bytes(sweep, tmp_path, monkeypatch):
+    config_path, whole = sweep
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(experiment, "_worker_row", _sleep_in_first_cell)
+    with _deadline(120):
+        assert _run(config_path, tmp_path) == whole
+
+
+def test_worker_dying_on_a_late_cell_leaves_a_canonical_prefix(sweep, tmp_path, monkeypatch,
+                                                               capsys):
+    config_path, whole = sweep
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(experiment, "_worker_row", _exit_in_last_submitted_cell)
+    with _deadline(120):
+        code = cli.main(["experiment", "--config", config_path, "--out-dir", str(tmp_path)])
+    stderr = capsys.readouterr().err
+    assert code == 1 and "worker process died" in stderr
+    assert multiprocessing.active_children() == []
+    written = _keys((tmp_path / "runs.csv").read_bytes())
+    # the cells started before it may have finished in any order, but only
+    # a canonical prefix that ends before the dead cell is written
+    assert written == CANONICAL[:len(written)]
+    assert len(written) <= CANONICAL.index(("40", "distant-only", "0"))
     assert "cell {}/{}/0 ".format(*CANONICAL[len(written)][:2]) in stderr
 
     monkeypatch.undo()

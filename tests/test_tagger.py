@@ -227,6 +227,92 @@ def test_saturated_gates_stay_finite_without_float_errors():
     assert all(np.isfinite(g).all() for g in grads)
 
 
+# The LSTM kernels as they were before their time loops were rewritten to
+# reuse buffers and per-gate views; the rewrite must give the same bits.
+_FROZEN_SCALE = np.array([[0.5], [0.5], [1.0], [0.5]])
+_FROZEN_SHIFT = np.array([[0.5], [0.5], [0.0], [0.5]])
+
+
+def _frozen_lstm_forward(w, u, b, X):
+    T = X.shape[0]
+    h = u.shape[1]
+    A = X @ w.T
+    A += b
+    gates = A.reshape(T, 4, h)
+    Cs = np.empty((T, h))
+    TC = np.empty((T, h))
+    Hs = np.empty((T, h))
+    c_prev = np.zeros(h)
+    for t in range(T):
+        if t:
+            A[t] += u @ h_prev
+        a = gates[t]
+        a *= _FROZEN_SCALE
+        np.tanh(a, out=a)
+        a *= _FROZEN_SCALE
+        a += _FROZEN_SHIFT
+        i, f, g, o = a
+        c, tc, h_prev = Cs[t], TC[t], Hs[t]
+        np.multiply(f, c_prev, out=c)
+        c += i * g
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h_prev)
+        c_prev = c
+    return Hs, (X, A, Cs, TC, Hs)
+
+
+def _frozen_lstm_backward(w, u, cache, dHs):
+    X, A, Cs, TC, Hs = cache
+    T, h = Hs.shape
+    I, F, G, O = A.reshape(T, 4, h).transpose(1, 0, 2)
+    C_prev = np.zeros((T, h))
+    C_prev[1:] = Cs[:-1]
+    DC = np.stack([G * I * (1.0 - I), C_prev * F * (1.0 - F),
+                   I * (1.0 - G * G), np.zeros((T, h))], axis=1)
+    DO = TC * O * (1.0 - O)
+    OT = O * (1.0 - TC * TC)
+    dA = np.empty((T, 4 * h))
+    dA_gates = dA.reshape(T, 4, h)
+    dh = dHs[T - 1]
+    dc = dh * OT[T - 1]
+    for t in range(T - 1, -1, -1):
+        np.multiply(DC[t], dc, out=dA_gates[t])
+        np.multiply(dh, DO[t], out=dA_gates[t, 3])
+        if t:
+            dh = dA[t] @ u
+            dh += dHs[t - 1]
+            dc *= F[t]
+            dc += dh * OT[t - 1]
+    return dA.T @ X, dA[1:].T @ Hs[:-1], dA.sum(axis=0)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_lstm_kernels_are_bitwise_the_frozen_kernels():
+    rng = np.random.default_rng(50)
+    shapes = [(1, 1, 1), (1, 4, 3), (9, 2, 1), (2, 1, 5), (20, 300, 300), (1, 300, 300)]
+    shapes += [tuple(int(n) for n in rng.integers(1, 25, size=3)) for _ in range(30)]
+    for T, d, h in shapes:
+        for scale in (0.1, 1.0, 10.0):
+            w, u = scale * rng.normal(size=(4 * h, d)), scale * rng.normal(size=(4 * h, h))
+            b, X = scale * rng.normal(size=4 * h), scale * rng.normal(size=(T, d))
+            Hs, cache = _lstm_forward(w, u, b, X)
+            want_Hs, want_cache = _frozen_lstm_forward(w, u, b, X)
+            assert _same_bits(Hs, want_Hs), (T, d, h, scale)
+            assert all(_same_bits(*pair) for pair in zip(cache, want_cache)), (T, d, h, scale)
+            # contiguous and reversed (as _sentence_backward passes them) gradients
+            dH = scale * rng.normal(size=(T, 2 * h))
+            for dHs in (dH[:, :h], dH[::-1, h:]):
+                before = dHs.copy()
+                grads = _lstm_backward(w, u, cache, dHs)
+                want = _frozen_lstm_backward(w, u, want_cache, dHs)
+                assert len(grads) == 3
+                assert all(_same_bits(*pair) for pair in zip(grads, want)), (T, d, h, scale)
+                assert _same_bits(dHs, before)
+
+
 def test_vocab_permutation_invariance(tiny_table):
     params = init_params(np.random.default_rng(2), "lstm", 4, 3, 4, 5)
     rng = np.random.default_rng(3)
