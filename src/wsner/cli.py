@@ -142,13 +142,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if not (args.pred or args.model and args.embeddings):
+        args.usage_error("pass either --pred or both --model and --embeddings")
     if args.pred:
         tag_set = _tag_set(args)
         gold = read_conll(args.gold, tag_set=tag_set)
         pred = read_conll(args.pred, tag_set=tag_set)
     else:
-        if not (args.model and args.embeddings):
-            raise WsnerError("pass either --pred or both --model and --embeddings")
         params, tag_set = tagger.load_checkpoint(args.model)
         gold = read_conll(args.gold, tag_set=tag_set)
         table = tagger.EmbeddingTable.load(args.embeddings)
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entity-types", default=None,
                    help="comma-separated; with --model the checkpoint's labels are used")
     p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, usage_error=p.error)
 
     p = sub.add_parser("quality", help="score a distant annotation against gold")
     p.add_argument("--gold", required=True)

@@ -263,18 +263,14 @@ def _detect_scheme(all_tags: list[str]) -> str:
 
 def read_conll(
     path,
-    scheme: str = "auto",
     tag_set: TagSet | None = None,
     provenance: str = "gold",
 ) -> Dataset:
     """Read a two-column UTF-8 CoNLL file: ``token<TAB>tag``, blank line
     between sentences, final newline optional.
 
-    ``scheme`` is ``bio``, ``io``, or ``auto`` (detects B-/I- prefixes and
-    otherwise treats tags as IO).
+    Tags are read as BIO when any has a B- or I- prefix, otherwise as IO.
     """
-    if scheme not in ("bio", "io", "auto"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     tag_set = tag_set or TagSet()
     sentences_raw: list[tuple[list[str], list[str], int]] = []
     tokens: list[str] = []
@@ -305,8 +301,7 @@ def read_conll(
     if tokens:
         sentences_raw.append((tokens, tags, first_line))
 
-    if scheme == "auto":
-        scheme = _detect_scheme([t for _, ts, _ in sentences_raw for t in ts])
+    scheme = _detect_scheme([t for _, ts, _ in sentences_raw for t in ts])
     decode = bio_to_spans if scheme == "bio" else io_to_spans
 
     sentences = []
@@ -328,9 +323,10 @@ def write_conll(dataset: Dataset, path) -> None:
                               in zip(sent.tokens, spans_to_bio(sent, outside))]) + "\n")
 
 
-def read_tokens(path, provenance: str = "distant") -> Dataset:
+def read_tokens(path) -> Dataset:
     """Read an unlabeled pre-tokenized file: one token per line, blank line
-    between sentences. Lines with a tab also work (tags are ignored)."""
+    between sentences. Lines with a tab also work (tags are ignored).
+    Sentences have provenance ``distant``."""
     sentences = []
     tokens: list[str] = []
     with open_utf8(path) as fh:
@@ -338,7 +334,7 @@ def read_tokens(path, provenance: str = "distant") -> Dataset:
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip():
                 if tokens:
-                    sentences.append(LabeledSentence(tuple(tokens), (), provenance))
+                    sentences.append(LabeledSentence(tuple(tokens), (), "distant"))
                     tokens = []
                 continue
             token = line.split("\t")[0]
@@ -346,7 +342,7 @@ def read_tokens(path, provenance: str = "distant") -> Dataset:
                 raise ParseError(f"{path}:{lineno}: bad token line {line!r}")
             tokens.append(token)
     if tokens:
-        sentences.append(LabeledSentence(tuple(tokens), (), provenance))
+        sentences.append(LabeledSentence(tuple(tokens), (), "distant"))
     return Dataset(tuple(sentences))
 
 

@@ -47,7 +47,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from . import noise, tagger
-from .corpus import Dataset, TagSet, merge, read_conll, read_json, subsample_tokens
+from .corpus import (Dataset, TagSet, merge, read_conll, read_json, read_tokens,
+                     subsample_tokens)
 from .date_rules import DateRuleSet, default_date_rules
 from .errors import WsnerError
 from .evaluation import mean_and_se, metrics_columns, metrics_row, span_prf
@@ -206,7 +207,6 @@ def _build_context(config: ExperimentConfig) -> _Context:
     elif gaz is not None:
         distant = annotate_distant(train, gaz, rules)
         if config.extra_corpus_path:
-            from .corpus import read_tokens
             extra = read_tokens(config.extra_corpus_path)
             extra = Dataset(extra.sentences, tag_set)
             distant = merge(distant, annotate_distant(extra, gaz, rules))

@@ -8,7 +8,7 @@ knowledge-base exports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Dataset, EntitySpan, LabeledSentence, TagSet, open_utf8
 from .date_rules import DateRuleSet, annotate_dates
@@ -49,12 +49,10 @@ class Gazetteer:
     are case-informative).
     """
 
-    def __init__(self, lowercase: bool = False, strip_marks: bool = False,
-                 priority: tuple[str, ...] = DEFAULT_PRIORITY):
+    def __init__(self, lowercase: bool = False, strip_marks: bool = False):
         self._root = _Node()
         self.lowercase = lowercase
         self.strip_marks = strip_marks
-        self.priority = tuple(priority)
         self._size = 0
 
     def normalize(self, token: str) -> str:
@@ -77,11 +75,11 @@ class Gazetteer:
         return self._size
 
     def rank(self, label: str) -> tuple[int, str]:
-        """Priority rank for equal-length conflicts; unlisted types sort
-        after listed ones, alphabetically, for determinism."""
-        if label in self.priority:
-            return (self.priority.index(label), "")
-        return (len(self.priority), label)
+        """Rank in ``DEFAULT_PRIORITY`` for equal-length conflicts; unlisted
+        types sort after listed ones, alphabetically, for determinism."""
+        if label in DEFAULT_PRIORITY:
+            return (DEFAULT_PRIORITY.index(label), "")
+        return (len(DEFAULT_PRIORITY), label)
 
 
 def build_gazetteer(
@@ -91,16 +89,12 @@ def build_gazetteer(
     default_min_len: int = 1,
     lowercase: bool = False,
     strip_marks: bool = False,
-    priority: tuple[str, ...] = DEFAULT_PRIORITY,
     tag_set: TagSet | None = None,
-    stoplist=(),
 ) -> Gazetteer:
     """Build a trie from *entries*, applying per-source minimum lengths.
 
     Length is the character count of the joined surface form, spaces and
     combining marks excluded. Duplicate (surface, type) pairs collapse.
-    ``stoplist`` drops surfaces (compared in normalized joined form); it
-    ships empty.
     """
     min_len = dict(min_len or {})
     for source, n in min_len.items():
@@ -108,18 +102,12 @@ def build_gazetteer(
             raise ValueError(f"min_len for {source!r} must be >= 1")
     tag_set = tag_set or TagSet()
     known = set(tag_set.entity_types)
-    gaz = Gazetteer(lowercase=lowercase, strip_marks=strip_marks, priority=priority)
-    stop = {" ".join(gaz.normalize(t) for t in s.split(" ")) if isinstance(s, str)
-            else " ".join(gaz.normalize(t) for t in s)
-            for s in stoplist}
+    gaz = Gazetteer(lowercase=lowercase, strip_marks=strip_marks)
     for entry in entries:
         if entry.label not in known:
             raise SchemaError(f"gazetteer entry type {entry.label!r} not in tag set")
         limit = min_len.get(entry.source, default_min_len)
         if sum(visible_length(t) for t in entry.surface) < limit:
-            continue
-        normalized = tuple(gaz.normalize(t) for t in entry.surface)
-        if " ".join(normalized) in stop:
             continue
         gaz._insert(entry.surface, entry.label)
     return gaz
@@ -127,8 +115,7 @@ def build_gazetteer(
 
 def match_sentence(tokens, gaz: Gazetteer) -> list[EntitySpan]:
     """Greedy left-to-right longest match; scanning resumes after each
-    match. Equal-length type conflicts resolve by the gazetteer's priority
-    order."""
+    match. Equal-length type conflicts resolve by ``DEFAULT_PRIORITY``."""
     norm = ([gaz.normalize(t) for t in tokens] if gaz.lowercase or gaz.strip_marks
             else tokens)
     roots = gaz._root.children
@@ -153,11 +140,11 @@ def match_sentence(tokens, gaz: Gazetteer) -> list[EntitySpan]:
     return spans
 
 
-def _merge_rank(span: EntitySpan, gaz: Gazetteer, date_label: str):
+def _merge_rank(span: EntitySpan, gaz: Gazetteer):
     # Earlier start wins; ties go to the longer span, then to the priority
     # order with DATE last.
     return (span.start, -(span.end - span.start),
-            span.label == date_label, gaz.rank(span.label))
+            span.label == DateRuleSet.date_label, gaz.rank(span.label))
 
 
 def annotate_distant(
@@ -173,13 +160,12 @@ def annotate_distant(
     process in tables of at most ``textnorm.MEMO_SIZE`` strings, so each
     token type is normalised once.
     """
-    date_label = date_rules.date_label if date_rules else "DATE"
     sentences = []
     for sent in dataset.sentences:
         candidates = match_sentence(sent.tokens, gaz)
         if date_rules is not None:
             candidates += annotate_dates(sent.tokens, date_rules)
-        candidates.sort(key=lambda s: _merge_rank(s, gaz, date_label))
+        candidates.sort(key=lambda s: _merge_rank(s, gaz))
         kept: list[EntitySpan] = []
         last_end = 0
         for span in candidates:

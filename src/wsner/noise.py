@@ -109,13 +109,6 @@ def estimate_confusion(pairs, labels, alpha: float = 0.0) -> ConfusionMatrix:
     return ConfusionMatrix(labels, matrix)
 
 
-def noisy_forward(clean_dist, channel: ConfusionMatrix) -> np.ndarray:
-    """Push a clean-label distribution through the channel:
-    ``out[y] = sum_t clean[t] * C[t, y]``. Accepts a single distribution or
-    a stack of them."""
-    return np.asarray(clean_dist, dtype=float) @ channel.matrix
-
-
 def save_confusion(channel: ConfusionMatrix, path) -> None:
     """Text serialization: a header naming the label order, then one row of
     decimal floats per clean label."""
@@ -178,7 +171,6 @@ def train_confusion_method(
     *,
     alpha: float = 1.0,
     channel: ConfusionMatrix | None = None,
-    train_channel: bool = True,
 ) -> tuple[TaggerParams, ConfusionMatrix | None]:
     """Cross-entropy on clean sentences plus channel-composed cross-entropy
     on distant ones.
@@ -200,10 +192,8 @@ def train_confusion_method(
     with np.errstate(divide="ignore"):
         logits = np.log(channel.matrix)
     items = make_items(clean, table) + make_items(distant, table, channel=True)
-    params, final_logits = _train_core(
-        items, config, table, clean.tag_set.size,
-        channel_logits=logits, train_channel=train_channel,
-    )
+    params, final_logits = _train_core(items, config, table, clean.tag_set.size,
+                                       channel_logits=logits)
     return params, ConfusionMatrix(labels, tagger._softmax(final_logits))
 
 
@@ -233,7 +223,6 @@ def em_noise_channel(
     em_iterations: int,
     *,
     channel_init: ConfusionMatrix | None = None,
-    train_channel: bool = True,
     train_model: bool = True,
 ) -> tuple[TaggerParams, NoiseChannelState]:
     """Alternate posterior inference with channel and model updates,
@@ -281,11 +270,10 @@ def em_noise_channel(
     for _ in range(em_iterations):
         posteriors, ll = e_step()
         lls.append(ll)
-        if train_channel:
-            counts = np.zeros((L, L))
-            np.add.at(counts.T, noisy, posteriors)
-            mass = counts.sum(axis=1, keepdims=True)
-            C = np.where(mass > 0, counts / np.where(mass > 0, mass, 1.0), C)
+        counts = np.zeros((L, L))
+        np.add.at(counts.T, noisy, posteriors)
+        mass = counts.sum(axis=1, keepdims=True)
+        C = np.where(mass > 0, counts / np.where(mass > 0, mass, 1.0), C)
         if train_model:
             for it, start, end in zip(items, bounds[:-1], bounds[1:]):
                 it.soft = posteriors[start:end]

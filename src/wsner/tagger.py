@@ -235,29 +235,18 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 # Per-gate scale for the fused nonlinearity, gate order [i, f, g, o]:
 # sigmoid(x) = s*tanh(s*x) + s with s = 1/2, and tanh(x) = 1*tanh(1*x) + 0.
-_GATE_SCALE = np.array([[0.5], [0.5], [1.0], [0.5]])
-_GATE_SHIFT = np.array([[0.5], [0.5], [0.0], [0.5]])
-_GATE_SCALE.flags.writeable = False
-_GATE_SHIFT.flags.writeable = False
-
-
-def _activate_gates(a):
-    """Gate activations in place on ``(..., 4, h)`` preactivation blocks
-    in the order [i, f, g, o]: sigmoid on i, f and o, tanh on g, all
-    through one ``tanh`` call."""
-    a *= _GATE_SCALE
-    np.tanh(a, out=a)
-    a *= _GATE_SCALE
-    a += _GATE_SHIFT
+_GATE_SCALE = (0.5, 0.5, 1.0, 0.5)
+_GATE_SHIFT = (0.5, 0.5, 0.0, 0.5)
 
 
 @functools.lru_cache(maxsize=8)
 def _gate_affine(h: int):
     """``_GATE_SCALE`` and ``_GATE_SHIFT`` repeated over ``h`` units: flat
-    (4h,) read-only vectors that act on one timestep's preactivations.
-    Cached per hidden size, since a process trains one or two of them."""
-    scale = np.repeat(_GATE_SCALE.ravel(), h)
-    shift = np.repeat(_GATE_SHIFT.ravel(), h)
+    (4h,) read-only vectors that act on ``(..., 4h)`` preactivations, one
+    timestep's or a batch's. Cached per hidden size, since a process
+    trains one or two of them."""
+    scale = np.repeat(_GATE_SCALE, h)
+    shift = np.repeat(_GATE_SHIFT, h)
     scale.flags.writeable = False
     shift.flags.writeable = False
     return scale, shift
@@ -430,14 +419,17 @@ def _batch_direction(w, u, b, w_half, table: EmbeddingTable,
     step ``t`` reads embedding rows ``rows[t, :n]`` and adds its states
     times ``w_half`` into ``feats[pos[t, :n]]``, for ``n = active[t]``."""
     h = u.shape[1]
+    scale, shift = _gate_affine(h)
     for t, n in enumerate(active):
         a = table.embed_rows(rows[t, :n]) @ w.T
         a += b
         if t:
             a += h_prev[:n] @ u.T
-        gates = a.reshape(n, 4, h)
-        _activate_gates(gates)
-        i, f, g, o = gates.transpose(1, 0, 2)
+        a *= scale
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        i, f, g, o = a.reshape(n, 4, h).transpose(1, 0, 2)
         c = i * g
         if t:
             c += f * c_prev[:n]
@@ -550,20 +542,17 @@ def _sgd_step(params: TaggerParams, grads: TaggerParams, lr: float) -> None:
 
 
 def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfig,
-               rng: np.random.Generator, B: np.ndarray | None = None,
-               train_channel: bool = False) -> None:
+               rng: np.random.Generator, B: np.ndarray | None = None) -> None:
     """One pass of per-sentence SGD over *items* in an order drawn from
     *rng*; items flagged ``channel`` are scored through the row-softmax of
-    the channel logits ``B``, which train in place with ``train_channel``."""
+    the channel logits ``B``, which train in place."""
     lr = config.learning_rate
     for k in rng.permutation(len(items)):
         item = items[int(k)]
         use_channel = item.channel and B is not None
         C = _softmax(B) if use_channel else None
-        loss, grads, dC = _item_loss_grads(
-            params, item.X, item, C=C,
-            want_channel_grad=use_channel and train_channel,
-        )
+        loss, grads, dC = _item_loss_grads(params, item.X, item, C=C,
+                                           want_channel_grad=use_channel)
         if not np.isfinite(loss):
             raise NumericsError("non-finite training loss")
         _sgd_step(params, grads, lr)
@@ -575,18 +564,18 @@ def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfi
 
 def _train_core(items: list[TrainItem], config: TaggerConfig, table: EmbeddingTable,
                 label_count: int, *, channel_logits: np.ndarray | None = None,
-                train_channel: bool = False, seed=None):
+                seed=None):
     """Seeded SGD, ``config.epochs`` passes of ``_sgd_epoch``.
 
-    Returns the trained parameters and the (possibly updated) channel
-    logits.
+    Returns the trained parameters and the trained channel logits (None
+    without ``channel_logits``).
     """
     rng = np.random.default_rng(config.seed if seed is None else seed)
     params = init_params(rng, "lstm", table.dimension, config.hidden_size,
                          config.feature_size, label_count)
     B = None if channel_logits is None else np.array(channel_logits, dtype=float)
     for _ in range(config.epochs):
-        _sgd_epoch(params, items, config, rng, B, train_channel)
+        _sgd_epoch(params, items, config, rng, B)
     return params, B
 
 

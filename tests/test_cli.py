@@ -262,6 +262,7 @@ def test_bad_input_exits_1_naming_file_and_line(tmp_path, capsys, case):
     (["ingest", "--class", "planet", "--lang", "yo", "--out", "o"], "--class"),
     (["evaluate", "--pred", "p.conll"], "--gold"),
     (["evaluate", "--gold", "g.conll", "--pred", "p.conll", "--csv"], "--csv"),
+    (["evaluate", "--gold", "g.conll"], "--pred"),
     (["experiment"], "--config"),
     (["experiment", "--config", "c.json", "--repeats", "two"], "--repeats"),
     (["experiment", "--config", "c.json", "--base-seed", "1.5"], "--base-seed"),
@@ -270,6 +271,7 @@ def test_bad_input_exits_1_naming_file_and_line(tmp_path, capsys, case):
 ], ids=["annotate-no-out", "min-len-not-int", "min-len-zero", "min-len-no-equals",
         "train-min-len-negative", "quality-no-distant", "inspect-nothing", "inspect-both",
         "ingest-no-out", "ingest-bad-class", "evaluate-no-gold", "evaluate-csv-no-path",
+        "evaluate-no-pred-or-model",
         "experiment-no-config", "experiment-repeats-not-int", "experiment-seed-not-int",
         "synth-no-out-dir", "synth-seed-not-int"])
 def test_bad_usage_exits_2_naming_the_option(capsys, argv, option):

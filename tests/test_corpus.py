@@ -175,13 +175,6 @@ def test_read_conll_empty_file(tmp_path):
     assert len(read_conll(path).sentences) == 0
 
 
-def test_read_conll_io_scheme_merges(tmp_path):
-    path = tmp_path / "io.conll"
-    path.write_text("Abuja\tLOC\nNigeria\tLOC\n", encoding="utf-8")
-    ds = read_conll(path, scheme="io")
-    assert ds.sentences[0].spans == (EntitySpan("LOC", 0, 2),)
-
-
 def test_read_conll_auto_detects_bio_and_io(tmp_path):
     bio = tmp_path / "b.conll"
     bio.write_text("Abuja\tB-LOC\nNigeria\tI-LOC\n", encoding="utf-8")

@@ -41,13 +41,8 @@ def test_digit_rule_alone():
     assert annotate_dates(["8th"], rules) == []
 
 
-def test_digit_rule_can_be_disabled():
-    rules = DateRuleSet.from_keywords(["odun"], digit_rule_enabled=False)
-    assert annotate_dates(["2018"], rules) == []
-
-
 def test_follows_keyword_is_distance_one_only():
-    rules = DateRuleSet.from_keywords(["odun"], digit_rule_enabled=False)
+    rules = DateRuleSet.from_keywords(["odun"])
     spans = annotate_dates(["odun", "yi", "gan"], rules)
     assert spans == [EntitySpan("DATE", 0, 2)]
 
@@ -64,11 +59,12 @@ def test_keyword_file_loading(tmp_path):
 
 
 def test_compiled_digit_rule_pickles_and_stays_out_of_equality():
-    rules = DateRuleSet.from_keywords(["odun"], digit_pattern=r"[0-9]{4}")
+    rules = default_date_rules()
     back = pickle.loads(pickle.dumps(rules))
     assert back == rules and hash(back) == hash(rules)
-    assert annotate_dates(["odun", "x", "2018", "8"], back) == [EntitySpan("DATE", 0, 3)]
-    assert DateRuleSet.from_keywords(["odun"], digit_rule_enabled=False).digit_re is None
+    assert back.date_label == "DATE"
+    tokens = ["ọdún", "x", "2018", "ni", "8th"]
+    assert annotate_dates(tokens, back) == [EntitySpan("DATE", 0, 3)]
 
 
 def test_spans_are_maximal_runs():

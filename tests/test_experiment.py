@@ -1,5 +1,6 @@
 """Sweep promises: two runs of one config write byte-identical CSVs, a cell
-neither changes the shared context nor depends on the cells before it, the
+neither changes the shared context nor depends on the cells before it, a
+sweep configured with entity lists annotates its own distant data, the
 worker pool starts the most expensive cells first yet writes the same bytes
 as the in-process path, a worker that dies fails the sweep instead of
 hanging it, and an interrupted sweep resumes to the bytes of an
@@ -22,8 +23,11 @@ import pytest
 
 import wsner
 from wsner import cli, experiment
-from wsner.corpus import TagSet
+from wsner.corpus import EntitySpan, TagSet, merge, read_conll, read_tokens
+from wsner.date_rules import DateRuleSet
 from wsner.errors import WsnerError
+from wsner.evaluation import metrics_columns, metrics_row, span_prf
+from wsner.gazetteer import annotate_distant, build_gazetteer, read_entity_tsv
 from wsner.make_synth import write_synth_corpus
 
 from conftest import write_tiny_sweep
@@ -59,6 +63,42 @@ def test_cells_leave_context_table_unchanged(tmp_path):
         experiment.run_cell(ctx, None, method, 1)
     assert experiment.run_cell(ctx, 40, "baseline-clean", 0) == fresh
     assert np.array_equal(ctx.table.matrix, matrix)
+
+
+def test_sweep_from_entity_lists_annotates_train_extra_and_test(tmp_path):
+    # no distant files: the entity lists and date keywords annotate the
+    # train split plus the extra corpus for training, and the test split
+    # for the distant-only row
+    paths = write_tiny_sweep(tmp_path / "corpus")
+    train, test = read_conll(paths["train"]), read_conll(paths["test"])
+    ents = tmp_path / "ents.tsv"
+    ents.write_text("".join(f"{' '.join(s.tokens[sp.start:sp.end])}\t{sp.label}\tkb\n"
+                            for s in train.sentences + test.sentences for sp in s.spans
+                            if sp.label != "DATE"), encoding="utf-8")
+    keywords = tmp_path / "keywords.txt"
+    keywords.write_text("date59\ndate50\n", encoding="utf-8")
+    extra = tmp_path / "extra.txt"
+    extra.write_text("per54\nper23\ndate59\no7\n2018\n\nloc31\no7\n", encoding="utf-8")
+    config = experiment.load_config(paths["config"], {
+        "distant": None, "distant_test": None, "gazetteers": [str(ents)],
+        "keywords": str(keywords), "extra_corpus": str(extra),
+        "clean_budgets": ["unlimited"], "methods": ["distant-only"],
+        "out_dir": str(tmp_path / "runs")})
+    gaz = build_gazetteer(read_entity_tsv(ents))
+    rules = DateRuleSet.load(keywords)
+
+    distant = experiment._build_context(config).distant
+    assert distant == merge(annotate_distant(train, gaz, rules),
+                            annotate_distant(read_tokens(extra), gaz, rules))
+    assert len(distant.sentences) == len(train.sentences) + 2
+    assert distant.sentences[-2].spans == (EntitySpan("PER", 0, 2), EntitySpan("DATE", 2, 5))
+
+    runs_path, _ = experiment.run_experiment(config)
+    with open(runs_path, encoding="utf-8", newline="") as fh:
+        row, = csv.DictReader(fh)
+    want = span_prf(test, annotate_distant(test, gaz, rules))
+    assert want.overall.f1 > 0
+    assert {k: row[k] for k in metrics_columns(TagSet())} == metrics_row(want, TagSet())
 
 
 # ---------------------------------------------------------------------------

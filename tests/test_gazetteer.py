@@ -1,4 +1,3 @@
-import re
 import unicodedata
 
 import numpy as np
@@ -7,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsner.corpus import Dataset, EntitySpan, LabeledSentence, TagSet
-from wsner.date_rules import DateRuleSet
+from wsner.date_rules import DIGITS_ONLY, DateRuleSet
 from wsner.errors import ParseError, SchemaError
 from wsner.gazetteer import (
+    DEFAULT_PRIORITY,
     GazetteerEntry,
     annotate_distant,
     build_gazetteer,
@@ -74,11 +74,6 @@ def test_duplicates_collapse():
     assert len(gaz) == 1
 
 
-def test_stoplist_drops_surfaces():
-    gaz = build_gazetteer([entry("May", "PER")], stoplist=("May",))
-    assert match_sentence(["May"], gaz) == []
-
-
 def test_normalization_flags():
     gaz = build_gazetteer([entry("Adé", "PER")], lowercase=True, strip_marks=True)
     assert match_sentence(["ADE"], gaz) == [EntitySpan("PER", 0, 1)]
@@ -103,16 +98,15 @@ def test_scan_resumes_after_match():
 def test_equal_length_conflict_uses_priority():
     gaz = build_gazetteer([entry("Washington", "LOC"), entry("Washington", "PER")])
     assert match_sentence(["Washington"], gaz) == [EntitySpan("PER", 0, 1)]
-    gaz = build_gazetteer([entry("Washington", "LOC"), entry("Washington", "PER")],
-                          priority=("LOC", "PER"))
-    assert match_sentence(["Washington"], gaz) == [EntitySpan("LOC", 0, 1)]
 
 
-def brute_force_match(tokens, surfaces, priority):
+def _rank(label):
+    priority = DEFAULT_PRIORITY
+    return (priority.index(label), "") if label in priority else (len(priority), label)
+
+
+def brute_force_match(tokens, surfaces):
     """Window-enumeration oracle for the same greedy longest-match rule."""
-    def rank(label):
-        return (priority.index(label), "") if label in priority else (len(priority), label)
-
     n = len(tokens)
     spans = []
     i = 0
@@ -121,7 +115,7 @@ def brute_force_match(tokens, surfaces, priority):
         for j in range(n, i, -1):
             labels = surfaces.get(tuple(tokens[i:j]))
             if labels:
-                hit = (j, min(labels, key=rank))
+                hit = (j, min(labels, key=_rank))
                 break
         if hit is None:
             i += 1
@@ -151,8 +145,7 @@ def test_match_equals_brute_force_oracle():
     for _ in range(300):
         n = int(rng.integers(1, 21))
         tokens = [f"v{int(rng.integers(50))}" for _ in range(n)]
-        assert match_sentence(tokens, gaz) == brute_force_match(
-            tokens, surfaces, gaz.priority)
+        assert match_sentence(tokens, gaz) == brute_force_match(tokens, surfaces)
 
 
 def test_adding_entries_never_decreases_matched_tokens():
@@ -186,7 +179,7 @@ def test_annotate_distant_merges_gazetteer_and_dates():
 def test_annotate_distant_tie_prefers_non_date():
     # "May" is both a PER entry and a date keyword at the same position
     gaz = build_gazetteer([entry("May", "PER")])
-    rules = DateRuleSet.from_keywords(["may"], digit_rule_enabled=False)
+    rules = DateRuleSet.from_keywords(["may"])
     ds = make_dataset([make_sentence(("May",))])
     out = annotate_distant(ds, gaz, rules)
     assert out.sentences[0].spans == (EntitySpan("PER", 0, 1),)
@@ -194,7 +187,7 @@ def test_annotate_distant_tie_prefers_non_date():
 
 def test_annotate_distant_earlier_start_wins():
     gaz = build_gazetteer([entry("b c", "PER")])
-    rules = DateRuleSet.from_keywords(["a"], digit_rule_enabled=False)
+    rules = DateRuleSet.from_keywords(["a"])
     # date span (0,2) starts earlier than the PER span (1,3)
     ds = make_dataset([make_sentence(("a", "b", "c"))])
     out = annotate_distant(ds, gaz, rules)
@@ -203,7 +196,7 @@ def test_annotate_distant_earlier_start_wins():
 
 def test_annotate_distant_longer_wins_on_same_start():
     gaz = build_gazetteer([entry("odun meji", "PER")])
-    rules = DateRuleSet.from_keywords(["odun"], digit_rule_enabled=False)
+    rules = DateRuleSet.from_keywords(["odun"])
     ds = make_dataset([make_sentence(("odun", "meji", "x"))])
     out = annotate_distant(ds, gaz, rules)
     # both candidates start at 0 and have length 2; PER beats DATE
@@ -223,7 +216,7 @@ def test_annotate_distant_output_never_overlaps():
             assert a.end <= b.start
 
 
-def reference_annotation(tokens, entries, rules, lowercase, strip_marks, priority):
+def reference_annotation(tokens, entries, rules, lowercase, strip_marks):
     """``annotate_distant`` rebuilt on the uncached normalisers: brute-force
     longest match, keyword/follower/digit marking, then the merge order."""
     def norm(token):
@@ -234,10 +227,10 @@ def reference_annotation(tokens, entries, rules, lowercase, strip_marks, priorit
     surfaces = {}
     for e in entries:
         surfaces.setdefault(tuple(norm(t) for t in e.surface), set()).add(e.label)
-    names = brute_force_match([norm(t) for t in tokens], surfaces, priority)
+    names = brute_force_match([norm(t) for t in tokens], surfaces)
     is_kw = [canonical.__wrapped__(t) in rules.keywords for t in tokens]
     marked = [is_kw[i] or (i > 0 and is_kw[i - 1])
-              or (rules.digit_rule_enabled and re.fullmatch(rules.digit_pattern, t) is not None)
+              or DIGITS_ONLY.fullmatch(t) is not None
               for i, t in enumerate(tokens)]
     dates, i = [], 0
     while i < len(tokens):
@@ -251,9 +244,8 @@ def reference_annotation(tokens, entries, rules, lowercase, strip_marks, priorit
             i += 1
 
     def rank(span):
-        label = span.label
-        prio = (priority.index(label), "") if label in priority else (len(priority), label)
-        return (span.start, span.start - span.end, label == rules.date_label, prio)
+        return (span.start, span.start - span.end, span.label == rules.date_label,
+                _rank(span.label))
 
     kept, last_end = [], 0
     for span in sorted(names + dates, key=rank):
@@ -277,11 +269,11 @@ _ENTRIES = [entry(s, label) for s, label in (
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.lists(_mixed_token, min_size=1, max_size=12), min_size=1, max_size=4),
-       st.booleans(), st.booleans(), st.booleans())
-def test_annotate_distant_equals_uncached_reference(sentences, lowercase, strip_marks, digits):
+       st.booleans(), st.booleans())
+def test_annotate_distant_equals_uncached_reference(sentences, lowercase, strip_marks):
     gaz = build_gazetteer(_ENTRIES, lowercase=lowercase, strip_marks=strip_marks)
-    rules = DateRuleSet.from_keywords(["odun", "ojo", "osu"], digit_rule_enabled=digits)
-    want = [reference_annotation(s, _ENTRIES, rules, lowercase, strip_marks, gaz.priority)
+    rules = DateRuleSet.from_keywords(["odun", "ojo", "osu"])
+    want = [reference_annotation(s, _ENTRIES, rules, lowercase, strip_marks)
             for s in sentences]
     data = make_dataset([make_sentence(s) for s in sentences])
     canonical.cache_clear()

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wsner.corpus import Dataset, TagSet, merge
 from wsner.errors import EstimationError, ParseError, SchemaError
@@ -13,7 +11,6 @@ from wsner.noise import (
     em_noise_channel,
     estimate_confusion,
     load_confusion,
-    noisy_forward,
     save_confusion,
     token_pairs,
     train_cleaner,
@@ -100,42 +97,6 @@ def test_serialization_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# noisy_forward
-
-
-def test_noisy_forward_identity():
-    dist = np.array([0.2, 0.3, 0.1, 0.25, 0.15])
-    cm = ConfusionMatrix.identity(LABELS)
-    assert np.array_equal(noisy_forward(dist, cm), dist)
-
-
-def test_noisy_forward_one_hot_selects_row():
-    cm = ConfusionMatrix(LABELS, synth.RECOVERY_CHANNEL)
-    onehot = np.zeros(5)
-    onehot[2] = 1.0
-    assert np.allclose(noisy_forward(onehot, cm), cm.matrix[2])
-
-
-def test_noisy_forward_uniform_gives_column_means():
-    cm = ConfusionMatrix(LABELS, synth.RECOVERY_CHANNEL)
-    out = noisy_forward(np.full(5, 0.2), cm)
-    assert np.allclose(out, cm.matrix.mean(axis=0))
-
-
-@settings(max_examples=100)
-@given(st.integers(0, 2**32 - 1))
-def test_noisy_forward_maps_simplex_to_simplex(seed):
-    rng = np.random.default_rng(seed)
-    dist = rng.random(5)
-    dist /= dist.sum()
-    rows = rng.random((5, 5)) + 1e-3
-    rows /= rows.sum(axis=1, keepdims=True)
-    out = noisy_forward(dist, ConfusionMatrix(LABELS, rows))
-    assert out.min() >= 0
-    assert abs(out.sum() - 1.0) < 1e-9
-
-
-# ---------------------------------------------------------------------------
 # channel-composed training
 
 
@@ -173,15 +134,16 @@ def test_empty_distant_reduces_to_plain_training():
     assert _params_equal(p1, p2)
 
 
-def test_identity_frozen_channel_equals_naive_mix():
+def test_identity_channel_equals_naive_mix():
+    # the identity is a fixed point of the channel update, so it stays put
     task = _small_task()
     cfg = _config()
     ident = ConfusionMatrix.identity(task.clean.tag_set.labels)
-    p1, _ = train_confusion_method(task.clean, task.distant, None, cfg,
-                                   task.table, channel=ident,
-                                   train_channel=False)
+    p1, channel = train_confusion_method(task.clean, task.distant, None, cfg,
+                                         task.table, channel=ident)
     p2 = train(merge(task.clean, task.distant), cfg, task.table)
     assert _params_equal(p1, p2)
+    assert np.array_equal(channel.matrix, ident.matrix)
 
 
 def test_trained_channel_stays_row_stochastic():
@@ -231,14 +193,16 @@ def test_channel_gradient_matches_finite_differences():
 # EM noise channel
 
 
-def test_em_identity_frozen_one_iteration_is_supervised():
+def test_em_identity_channel_one_iteration_is_supervised():
+    # the identity is a fixed point of the channel update, so it stays put
     task = _small_task()
     cfg = _config(epochs=1)
     ident = ConfusionMatrix.identity(task.clean.tag_set.labels)
     p_em, state = em_noise_channel(task.distant, cfg, task.table, 1,
-                                   channel_init=ident, train_channel=False)
+                                   channel_init=ident)
     p_plain = train(task.distant, cfg, task.table)
     assert _params_equal(p_em, p_plain)
+    assert np.array_equal(state.channel.matrix, ident.matrix)
     # identity channel makes the posterior exactly one-hot at the noisy label
     assert set(np.unique(state.posteriors)) == {0.0, 1.0}
 
