@@ -18,6 +18,13 @@ from .errors import WsnerError
 from .gazetteer import annotate_distant, build_gazetteer, distant_twin, read_entity_tsv
 
 ENDPOINT_ENV = "WSNER_ENDPOINT"
+EMBEDDINGS_CACHE = (
+    "The parsed embeddings are cached beside their text file as "
+    f"FILE{tagger.CACHE_SUFFIX}, keyed by the sha256 of the file's bytes, so a later run "
+    "on the same bytes skips the parse; where that directory cannot be written, the cache "
+    "is skipped.")
+EMBEDDINGS_HELP = ("word vectors in text format: a '|V| d' line, then 'token v1 ... vd' "
+                   "rows (fastText .vec files load as they are). " + EMBEDDINGS_CACHE)
 
 
 def _tag_set(args) -> TagSet:
@@ -275,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flat JSON config with any of the keys "
                         + ", ".join(noise.TAGGER_KEYS + noise.OPTION_KEYS))
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--embeddings", required=True)
+    p.add_argument("--embeddings", required=True, help=EMBEDDINGS_HELP)
     p.add_argument("--gazetteer", action="append", default=[])
     p.add_argument("--keywords", default=None)
     p.add_argument("--min-len", action="append", dest="min_len", type=_min_len_item)
@@ -289,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", default=None)
     p.add_argument("--model", default=None)
-    p.add_argument("--embeddings", default=None)
+    p.add_argument("--embeddings", default=None, help=EMBEDDINGS_HELP)
     p.add_argument("--entity-types", default=None,
                    help="comma-separated; with --model the checkpoint's labels are used")
     p.add_argument("--csv", default=None)
@@ -321,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "it are written; rows still held at an interrupt are lost and their "
                     "cells run again on resume. Workers start with the BLAS thread variables "
                     "(OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, ...) set to their share "
-                    "of the CPUs, unless one of them is already set.")
+                    "of the CPUs, unless one of them is already set. " + EMBEDDINGS_CACHE)
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--repeats", type=int, default=None)

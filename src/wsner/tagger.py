@@ -12,9 +12,12 @@ central finite differences in the test suite).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import os
+import stat
 import zipfile
 from dataclasses import dataclass
 
@@ -26,6 +29,99 @@ from .errors import NumericsError, ParseError
 
 # ---------------------------------------------------------------------------
 # embeddings
+
+# The binary cache ``EmbeddingTable.load`` keeps beside a text file. Bump the
+# version whenever the parse or the cache layout changes what a cache holds.
+CACHE_SUFFIX = ".wsner.npz"
+_CACHE_VERSION = 1
+_HASH_CHUNK = 1 << 20
+
+
+def _parse_vectors(path) -> tuple[dict[str, int], np.ndarray]:
+    """Vocabulary and matrix of a word-vector text file (the format is
+    described at ``EmbeddingTable.load``)."""
+    with open_utf8(path) as fh:
+        header = fh.readline()
+        parts = header.split()
+        if len(parts) != 2:
+            raise ParseError(f"{path}:1: expected header '|V| d'")
+        try:
+            count, dim = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"{path}:1: expected header '|V| d'") from None
+        if count < 1 or dim < 1:
+            raise ParseError(f"{path}:1: vector count and dimension must be >= 1")
+        # a row holds at least a space and a digit per value
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and count * dim * 2 > st.st_size:
+            raise ParseError(f"{path}:1: header announces {count} vectors of dimension "
+                             f"{dim}, more than the file's {st.st_size} bytes can hold")
+        try:
+            matrix = np.empty((count, dim), dtype=float)
+        except (MemoryError, ValueError):
+            raise ParseError(f"{path}:1: header announces {count} vectors of dimension "
+                             f"{dim}, more than can be allocated") from None
+        vocab: dict[str, int] = {}
+        row = 0
+        for lineno, line in enumerate(fh, 2):
+            fields = line.rstrip("\n").split(" ")
+            if len(fields) == 1 and not fields[0]:
+                continue
+            if not fields[-1]:
+                fields.pop()  # the trailing space of a fastText row
+            if row >= count:
+                raise ParseError(f"{path}:{lineno}: more rows than the header announced")
+            if len(fields) != dim + 1:
+                raise ParseError(
+                    f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields)}"
+                )
+            try:
+                matrix[row] = [float(v) for v in fields[1:]]
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric vector value") from None
+            vocab.setdefault(fields[0], row)
+            row += 1
+    if row != count:
+        raise ParseError(f"{path}: header announced {count} rows, found {row}")
+    return vocab, matrix
+
+
+def _sha256(path) -> str:
+    # imported here: hashlib loads OpenSSL, about 4 MB resident, which every
+    # spawned sweep worker (they never load embeddings) would carry too
+    import hashlib
+
+    h = hashlib.sha256()
+    buf = memoryview(bytearray(_HASH_CHUNK))
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(buf[:n])
+    return h.hexdigest()
+
+
+def _file_version(st: os.stat_result) -> tuple[int, int, int]:
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _write_cache(cache: str, table: "EmbeddingTable", digest: str) -> None:
+    """Store *table* as the cache of text with sha256 *digest*. It is
+    written to a temporary file in the cache's directory, created with the
+    umask's permissions, and renamed into place, so a reader sees the old
+    cache or the whole new one. A cache that cannot be written is skipped."""
+    tmp = f"{cache}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    tokens = "\n".join(table.vocab).encode("utf-8")
+    rows = np.fromiter(table.vocab.values(), dtype=np.int64, count=len(table.vocab))
+    try:
+        with open(tmp, "xb") as fh:
+            np.savez(fh, version=np.int64(_CACHE_VERSION), sha256=np.str_(digest),
+                     matrix=table.matrix, tokens=np.frombuffer(tokens, dtype=np.uint8),
+                     rows=rows)
+        os.replace(tmp, cache)
+    except OSError:
+        pass
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 class EmbeddingTable:
@@ -51,41 +147,54 @@ class EmbeddingTable:
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
         """Read word-vector text format: first line ``|V| d``, then one
-        ``token v1 ... vd`` per line (space-separated). Duplicate tokens
-        keep the first occurrence."""
-        with open_utf8(path) as fh:
-            header = fh.readline()
-            parts = header.split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}:1: expected header '|V| d'")
-            try:
-                count, dim = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"{path}:1: expected header '|V| d'") from None
-            if count < 1 or dim < 1:
-                raise ParseError(f"{path}:1: vector count and dimension must be >= 1")
-            matrix = np.empty((count, dim), dtype=float)
-            vocab: dict[str, int] = {}
-            row = 0
-            for lineno, line in enumerate(fh, 2):
-                fields = line.rstrip("\n").split(" ")
-                if len(fields) == 1 and not fields[0]:
-                    continue
-                if row >= count:
-                    raise ParseError(f"{path}:{lineno}: more rows than the header announced")
-                if len(fields) != dim + 1:
-                    raise ParseError(
-                        f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields)}"
-                    )
-                try:
-                    matrix[row] = [float(v) for v in fields[1:]]
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: non-numeric vector value") from None
-                vocab.setdefault(fields[0], row)
-                row += 1
-        if row != count:
-            raise ParseError(f"{path}: header announced {count} rows, found {row}")
-        return cls(vocab, matrix)
+        ``token v1 ... vd`` per line, fields separated by single spaces. A
+        row may end in one space, as the rows of fastText's ``.vec`` files
+        do. Duplicate tokens keep the first occurrence.
+
+        The parsed table is cached beside a regular file, as
+        ``PATH.wsner.npz``: the matrix, the vocabulary in row order, the
+        sha256 of the text bytes and a format version. A later load hashes
+        the text and, when hash and version match the cache's, builds the
+        table from the cache instead of parsing. The cache is keyed by
+        content, never by size or modification time. A cache that is
+        missing, unreadable, corrupt, stale or of another version is
+        ignored, and the text is parsed and the cache rewritten; where it
+        cannot be written, say in a read-only directory, loading goes on
+        without it. Either way the table is the one the text parses to,
+        bit for bit."""
+        before = os.stat(path)
+        if not stat.S_ISREG(before.st_mode):
+            return cls(*_parse_vectors(path))
+        digest = _sha256(path)
+        cache = f"{os.fspath(path)}{CACHE_SUFFIX}"
+        table = cls._from_cache(cache, digest)
+        if table is None:
+            table = cls(*_parse_vectors(path))
+            # a file changed after it was hashed would key the cache by
+            # bytes other than the ones parsed
+            if _file_version(os.stat(path)) == _file_version(before):
+                _write_cache(cache, table, digest)
+        return table
+
+    @classmethod
+    def _from_cache(cls, cache: str, digest: str) -> "EmbeddingTable | None":
+        """The table stored in *cache* for text with sha256 *digest* by
+        this format version; None when there is no such cache."""
+        try:
+            # the file is opened here: np.load leaves it open when the
+            # archive turns out to be corrupt
+            with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+                if int(npz["version"]) != _CACHE_VERSION or str(npz["sha256"]) != digest:
+                    return None
+                tokens = npz["tokens"].tobytes().decode("utf-8").split("\n")
+                vocab = dict(zip(tokens, npz["rows"].tolist(), strict=True))
+                return cls(vocab, npz["matrix"])
+        # what np.load and the checks raise on a missing, truncated or
+        # garbled file, or on an .npy file (no context manager) where an
+        # archive should be
+        except (OSError, EOFError, zipfile.BadZipFile, KeyError, ValueError,
+                AttributeError, TypeError):
+            return None
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

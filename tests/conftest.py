@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wsner.corpus import Dataset, EntitySpan, LabeledSentence, TagSet
+from wsner import tagger
 from wsner.make_synth import write_synth_corpus
 from wsner.tagger import EmbeddingTable
 
@@ -31,6 +32,20 @@ def tiny_table():
     rng = np.random.default_rng(99)
     vocab = {f"w{i}": i for i in range(10)}
     return EmbeddingTable(vocab, rng.normal(size=(10, 4)))
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The paths whose embeddings text is parsed while the test runs."""
+    calls = []
+    parse = tagger._parse_vectors
+
+    def spy(path):
+        calls.append(str(path))
+        return parse(path)
+
+    monkeypatch.setattr(tagger, "_parse_vectors", spy)
+    return calls
 
 
 def random_sentences(rng, n_sentences, tag_set, vocab_size=50, max_len=12):

@@ -1,13 +1,16 @@
 """``wsner train`` runs each method through ``noise.fit``: its checkpoint and
 channel equal those of the method's training function called directly;
-``wsner evaluate --model`` scores with the checkpoint's labels; ``wsner
-quality`` prints the span scores of the distant annotation; importing the
-CLI leaves the HTTP client unloaded; every subcommand but ``train`` (whose
-bad configs have a test of their own) exits 1 on bad input, naming the
-file and line, and 2 on bad usage, naming the option."""
+two ``wsner train`` runs on one embeddings file write the same checkpoint,
+the second reading the file's cache instead of parsing it; ``wsner
+evaluate --model`` scores with the checkpoint's labels; ``wsner quality``
+prints the span scores of the distant annotation; importing the CLI leaves
+the HTTP client unloaded; every subcommand exits 1 on bad input, naming the
+file and line (bad ``train`` configs have a test of their own), and 2 on
+bad usage, naming the option."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -78,6 +81,24 @@ def test_train_equals_direct_method_call(corpus, tmp_path, method, extra):
         assert np.array_equal(noise.load_confusion(confusion).matrix, want_channel.matrix)
     else:
         assert not confusion.exists()
+
+
+def test_second_train_run_reads_the_embeddings_cache_and_saves_the_same_model(
+        corpus, tmp_path, parse_calls):
+    embeddings = tmp_path / "vectors.txt"
+    shutil.copyfile(corpus["embeddings"], embeddings)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(CONFIG), encoding="utf-8")
+    models = []
+    for run in ("cold", "warm"):
+        model = tmp_path / f"{run}.npz"
+        assert cli.main(["train", "--clean", corpus["train"], "--distant", corpus["distant"],
+                         "--embeddings", str(embeddings), "--method", "confusion",
+                         "--config", str(config_path), "--seed", str(SEED),
+                         "--model-out", str(model)]) == 0
+        models.append(model.read_bytes())
+        assert parse_calls == [str(embeddings)]
+    assert models[0] == models[1]
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -213,6 +234,10 @@ BAD_INPUT = {
                                                  "embeddings": "e.txt", "out_dir": "out"}),
                        "test.conll": "Kano\tB-LOC\n", "e.txt": "1 1\nKano 0.5\n"},
         [], "absent.conll"),
+    "train-header-beyond-file": (
+        "train", {"clean.conll": "Kano\tB-LOC\n",
+                  "e.txt": "1000000000 300\nKano" + " 0.5" * 300 + "\n"}, [],
+        "e.txt:1: header announces 1000000000 vectors of dimension 300"),
     "synth-out-dir-is-a-file": (
         "synth", {"taken": "a file\n"}, ["--out-dir", "taken"], "taken"),
 }
@@ -231,6 +256,9 @@ def _base_args(command, tmp_path, files):
         return ["--gold", str(tmp_path / "gold.conll")]
     if command == "experiment":
         return ["--config", str(tmp_path / "sweep.json")]
+    if command == "train":
+        return ["--clean", str(tmp_path / "clean.conll"), "--embeddings", str(tmp_path / "e.txt"),
+                "--model-out", str(tmp_path / "out.npz")]
     return []
 
 

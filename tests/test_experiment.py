@@ -1,4 +1,5 @@
-"""Sweep promises: two runs of one config write byte-identical CSVs, a cell
+"""Sweep promises: two runs of one config write byte-identical CSVs (the
+first parses the embeddings, the second reads their cache), a cell
 neither changes the shared context nor depends on the cells before it, a
 sweep configured with entity lists annotates its own distant data, the
 worker pool starts the most expensive cells first yet writes the same bytes
@@ -33,8 +34,9 @@ from wsner.make_synth import write_synth_corpus
 from conftest import write_tiny_sweep
 
 
-def test_two_runs_write_identical_csvs(tmp_path):
-    config_path = write_tiny_sweep(tmp_path / "corpus")["config"]
+def test_two_runs_write_identical_csvs(tmp_path, parse_calls):
+    paths = write_tiny_sweep(tmp_path / "corpus")
+    config_path = paths["config"]
     outputs = []
     for name in ("a", "b"):
         config = experiment.load_config(config_path, {"out_dir": str(tmp_path / name)})
@@ -45,6 +47,7 @@ def test_two_runs_write_identical_csvs(tmp_path):
         assert all(row["status"] == "ok" for row in rows)
         with open(runs_path, "rb") as runs, open(agg_path, "rb") as agg:
             outputs.append((runs.read(), agg.read()))
+        assert parse_calls == [paths["embeddings"]]
     assert outputs[0] == outputs[1]
 
 

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import tempfile
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsner.corpus import Dataset, EntitySpan, LabeledSentence, TagSet, io_to_spans
 from wsner import cli, tagger
@@ -86,6 +92,47 @@ def test_load_embeddings_errors(tmp_path):
     with pytest.raises(ParseError, match="header announced"):
         EmbeddingTable.load(short)
 
+    # a header no file of this size can hold is refused before allocating
+    huge = tmp_path / "g.txt"
+    huge.write_text("2000 300\nfoo" + " 0.5" * 300 + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"g\.txt:1: header announces 2000 vectors of "
+                                         r"dimension 300, more than the file's 1213 bytes"):
+        EmbeddingTable.load(huge)
+
+    # a text that fails to parse leaves no cache behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "h.txt", "r.txt", "s.txt"]
+
+
+def test_header_beyond_memory_is_a_parse_error(tmp_path, monkeypatch):
+    path = tmp_path / "vec.txt"
+    path.write_text("2 1\na 1.0\nb 2.0\n", encoding="utf-8")
+
+    def no_memory(shape, dtype=float):
+        raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+    monkeypatch.setattr(tagger.np, "empty", no_memory)
+    with pytest.raises(ParseError, match=r"vec\.txt:1: header announces 2 vectors"):
+        EmbeddingTable.load(path)
+
+
+def test_load_fasttext_vec_file(tmp_path):
+    # fastText writes a space after every value, the last one included
+    path = tmp_path / "cc.yo.vec"
+    path.write_text("3 2\nọmọ 0.5 -1.0 \nAdéwálé 2.0 0.25 \nẹ̀kọ́ 1 1 \n", encoding="utf-8")
+    table = EmbeddingTable.load(path)
+    assert list(table.vocab.items()) == [("ọmọ", 0), ("Adéwálé", 1), ("ẹ̀kọ́", 2)]
+    assert table.matrix.tolist() == [[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]]
+
+
+@pytest.mark.parametrize("row, fields", [
+    ("ẹ̀kọ́ 1 \n", 2), ("ẹ̀kọ́ 1 1 1 \n", 4), ("ẹ̀kọ́ 1 1  \n", 4), ("ẹ̀kọ́ 1  1\n", 4),
+], ids=["missing-value", "extra-value", "two-trailing-spaces", "double-space"])
+def test_fasttext_row_of_another_width_fails_naming_the_line(tmp_path, row, fields):
+    path = tmp_path / "cc.yo.vec"
+    path.write_text("2 2\nọmọ 0.5 -1.0 \n" + row, encoding="utf-8")
+    with pytest.raises(ParseError, match=f"cc\\.yo\\.vec:3: expected 3 fields, got {fields}"):
+        EmbeddingTable.load(path)
+
 
 def test_duplicate_tokens_keep_first(tmp_path):
     path = tmp_path / "vec.txt"
@@ -93,6 +140,180 @@ def test_duplicate_tokens_keep_first(tmp_path):
     table = EmbeddingTable.load(path)
     assert len(table) == 2  # both rows kept
     assert table.embed(["foo"])[0, 0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# embeddings cache
+
+YO_VECTORS = "3 2\nọmọ 0.5 -1.0\nadé 2.0 0.25\nọmọ 1.0 1.0\n"
+
+
+def yo_table():
+    return EmbeddingTable({"ọmọ": 0, "adé": 1}, [[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]])
+
+
+def assert_same_table(got, want):
+    assert got.matrix.shape == want.matrix.shape
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert list(got.vocab.items()) == list(want.vocab.items())
+    assert got.unk.tobytes() == want.unk.tobytes()
+
+
+def _cache(path):
+    return f"{path}{tagger.CACHE_SUFFIX}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_warm_load_equals_cold_load_and_the_parse(data):
+    dim = data.draw(st.integers(1, 4), label="dim")
+    rows = data.draw(st.lists(st.tuples(
+        st.text(st.sampled_from("aAọẹṣéè\u0301-"), max_size=2),  # repeats; empty tokens too
+        st.lists(st.floats(-1e300, 1e300), min_size=dim, max_size=dim),
+        st.booleans(),  # a blank line before the row
+        st.booleans(),  # fastText's trailing space
+    ), min_size=1, max_size=8), label="rows")
+    lines = [f"{len(rows)} {dim}"]
+    for token, values, blank, trailing in rows:
+        lines += [""] * blank + [" ".join([token] + [repr(v) for v in values]) + " " * trailing]
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "vec.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        parsed = EmbeddingTable(*tagger._parse_vectors(path))
+        cold = EmbeddingTable.load(path)
+        assert os.path.isfile(_cache(path))
+        with mock.patch.object(tagger, "_parse_vectors", side_effect=AssertionError("parsed")):
+            warm = EmbeddingTable.load(path)
+    assert_same_table(cold, parsed)
+    assert_same_table(warm, cold)
+    assert list(warm.vocab) == list(dict.fromkeys(token for token, *_ in rows))
+
+
+def test_cache_is_written_with_umask_permissions(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text(YO_VECTORS, encoding="utf-8")
+    umask = os.umask(0o022)
+    try:
+        EmbeddingTable.load(path)
+    finally:
+        os.umask(umask)
+    assert os.stat(_cache(path)).st_mode & 0o777 == 0o644
+
+
+def test_cache_is_keyed_by_content_not_size_or_mtime(tmp_path, parse_calls):
+    path = tmp_path / "vec.txt"
+    path.write_text(YO_VECTORS, encoding="utf-8")
+    EmbeddingTable.load(path)
+    before = path.stat()
+    path.write_text(YO_VECTORS.replace("0.25", "0.75"), encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+    table = EmbeddingTable.load(path)
+    assert table.matrix[1].tolist() == [2.0, 0.75]
+    assert len(parse_calls) == 2
+    # the stale cache was replaced
+    assert_same_table(EmbeddingTable.load(path), table)
+    assert len(parse_calls) == 2
+
+
+def test_file_edited_during_a_load_is_not_cached(tmp_path, monkeypatch):
+    path = tmp_path / "vec.txt"
+    path.write_text(YO_VECTORS, encoding="utf-8")
+    parse = tagger._parse_vectors
+
+    def edit_then_parse(p):
+        # after the load hashed the first text
+        path.write_text(YO_VECTORS.replace("0.25", "0.75"), encoding="utf-8")
+        st = path.stat()
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        return parse(p)
+
+    monkeypatch.setattr(tagger, "_parse_vectors", edit_then_parse)
+    assert EmbeddingTable.load(path).matrix[1].tolist() == [2.0, 0.75]
+    assert [p.name for p in tmp_path.iterdir()] == ["vec.txt"]
+
+
+def _truncate(cache):
+    with open(cache, "rb") as fh:
+        data = fh.read()
+    with open(cache, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+
+
+def _garble(cache):
+    with open(cache, "wb") as fh:
+        fh.write(b"not an archive\n")
+
+
+def _other_version(cache):
+    with np.load(cache) as npz:
+        arrays = dict(npz)
+    arrays["version"] = np.int64(tagger._CACHE_VERSION + 1)
+    with open(cache, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _unpaired_rows(cache):
+    with np.load(cache) as npz:
+        arrays = dict(npz)
+    arrays["rows"] = arrays["rows"][:-1]
+    with open(cache, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _plain_array(cache):
+    with open(cache, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+@pytest.mark.parametrize("spoil", [_truncate, _garble, _other_version, _unpaired_rows,
+                                   _plain_array, os.remove],
+                         ids=["truncated", "garbage", "other-version", "unpaired-rows",
+                              "npy-not-npz", "missing"])
+def test_bad_cache_is_reparsed_and_replaced(tmp_path, parse_calls, spoil):
+    path = tmp_path / "vec.txt"
+    path.write_text(YO_VECTORS, encoding="utf-8")
+    EmbeddingTable.load(path)
+    spoil(_cache(path))
+    assert_same_table(EmbeddingTable.load(path), yo_table())
+    assert len(parse_calls) == 2
+    assert_same_table(EmbeddingTable.load(path), yo_table())
+    assert len(parse_calls) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vec.txt", "vec.txt.wsner.npz"]
+
+
+@pytest.mark.parametrize("owner, name", [(np, "savez"), (os, "replace")],
+                         ids=["write", "rename"])
+def test_failed_cache_write_still_loads_the_table(tmp_path, monkeypatch, owner, name):
+    # monkeypatched, since root writes to read-only directories anyway
+    def no_space(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    path = tmp_path / "vec.txt"
+    path.write_text(YO_VECTORS, encoding="utf-8")
+    monkeypatch.setattr(owner, name, no_space)
+    assert_same_table(EmbeddingTable.load(path), yo_table())
+    assert [p.name for p in tmp_path.iterdir()] == ["vec.txt"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_pipe_is_parsed_and_not_cached(tmp_path):
+    path = tmp_path / "vec.fifo"
+    os.mkfifo(path)
+    loaded = []
+    threads = [threading.Thread(target=path.write_text, args=(YO_VECTORS,),
+                                kwargs={"encoding": "utf-8"}, daemon=True),
+               threading.Thread(target=lambda: loaded.append(EmbeddingTable.load(path)),
+                                daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert_same_table(loaded[0], yo_table())
+    assert [p.name for p in tmp_path.iterdir()] == ["vec.fifo"]
 
 
 # ---------------------------------------------------------------------------
