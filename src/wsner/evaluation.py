@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .corpus import Dataset, spans_to_io
+from .corpus import Dataset
 from .errors import AlignmentError
 
 
@@ -75,18 +75,6 @@ def span_prf(gold: Dataset, pred: Dataset) -> RunMetrics:
         sum(tp.values()), sum(n_pred.values()), sum(n_gold.values())
     )
     return RunMetrics(per_class, overall)
-
-
-def token_accuracy(gold: Dataset, pred: Dataset) -> float:
-    """Fraction of tokens whose IO label matches gold."""
-    _check_aligned(gold, pred)
-    correct = 0
-    total = 0
-    for g, p in zip(gold.sentences, pred.sentences):
-        for a, b in zip(spans_to_io(g), spans_to_io(p)):
-            correct += a == b
-            total += 1
-    return correct / total if total else 0.0
 
 
 def mean_and_se(values: list[float]) -> tuple[float, float]:

@@ -19,6 +19,11 @@ from .gazetteer import GazetteerEntry
 
 WIKIDATA_ENDPOINT = "https://query.wikidata.org/sparql"
 
+# HttpTransport: seconds between the starts of two requests, and retries
+# after the first attempt
+MIN_INTERVAL = 1.0
+MAX_RETRIES = 5
+
 # instance-of constraints per entity class; organizations and locations
 # need the subclass closure (flat instance-of misses most of them).
 _CLASS_PATTERNS = {
@@ -66,21 +71,13 @@ class FetchResult:
     entries: tuple[GazetteerEntry, ...]
     truncated: bool
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
 
 class HttpTransport:
     """GET with ``Accept: application/sparql-results+json``, one request
-    per second at most, exponential backoff on 429/5xx (max 5 retries)."""
+    per ``MIN_INTERVAL`` seconds at most, exponential backoff on 429/5xx
+    (at most ``MAX_RETRIES`` retries)."""
 
-    def __init__(self, min_interval: float = 1.0, max_retries: int = 5,
-                 sleep=time.sleep, clock=time.monotonic, session=None):
-        self.min_interval = min_interval
-        self.max_retries = max_retries
+    def __init__(self, sleep=time.sleep, clock=time.monotonic, session=None):
         self._sleep = sleep
         self._clock = clock
         self._session = session or requests.Session()
@@ -90,7 +87,7 @@ class HttpTransport:
         attempts = 0
         while True:
             if self._last_request is not None:
-                wait = self.min_interval - (self._clock() - self._last_request)
+                wait = MIN_INTERVAL - (self._clock() - self._last_request)
                 if wait > 0:
                     self._sleep(wait)
             self._last_request = self._clock()
@@ -118,7 +115,7 @@ class HttpTransport:
                 )
             if status is not None:
                 error = f"HTTP {status}"
-            if attempts > self.max_retries:
+            if attempts > MAX_RETRIES:
                 raise TransportError(
                     f"{error} from {url} after {attempts} attempts",
                     attempts=attempts,
@@ -132,14 +129,12 @@ class FixtureTransport:
 
     def __init__(self, pages):
         self._pages = list(pages)
-        self.requests: list[dict] = []
 
     @classmethod
     def from_files(cls, paths) -> "FixtureTransport":
         return cls([read_json(p) for p in paths])
 
     def get(self, url: str, params: dict) -> dict:
-        self.requests.append({"url": url, "params": dict(params)})
         if not self._pages:
             raise TransportError("fixture exhausted", attempts=1)
         return self._pages.pop(0)

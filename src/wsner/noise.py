@@ -44,6 +44,40 @@ from .tagger import (
 ROW_SUM_TOL = 1e-9
 
 
+# ---------------------------------------------------------------------------
+# methods and their settings
+
+
+METHODS = ("baseline-clean", "naive-mix", "confusion", "noise-channel", "cleaning")
+
+
+@dataclass(frozen=True)
+class MethodOptions:
+    """Settings of the noise methods; each method reads only its own."""
+
+    alpha: float = 1.0  # confusion: add-alpha smoothing of the counted channel
+    em_iterations: int = 10  # noise-channel
+    noise_channel_data: str = "mix"  # noise-channel: "mix" or "distant-only"
+    cleaner_hidden: int = 32  # cleaning
+    cleaner_epochs: int = 50  # cleaning
+    cleaner_learning_rate: float = 0.1  # cleaning
+
+    def __post_init__(self):
+        if self.noise_channel_data not in ("mix", "distant-only"):
+            raise ValueError("noise_channel_data must be 'mix' or 'distant-only'")
+        for name in ("em_iterations", "cleaner_epochs", "cleaner_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.cleaner_learning_rate > 0:
+            raise ValueError("cleaner_learning_rate must be > 0")
+        if not self.alpha >= 0:
+            raise ValueError("alpha must be >= 0")
+
+
+# ---------------------------------------------------------------------------
+# channels
+
+
 @dataclass(frozen=True)
 class ConfusionMatrix:
     """Row-stochastic matrix: ``matrix[t, y]`` is the probability that
@@ -63,19 +97,6 @@ class ConfusionMatrix:
             raise ValueError("matrix entries must be non-negative")
         if np.abs(m.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
             raise ValueError("matrix rows must sum to 1")
-
-    @classmethod
-    def identity(cls, labels) -> "ConfusionMatrix":
-        return cls(tuple(labels), np.eye(len(tuple(labels))))
-
-    @classmethod
-    def uniform_mix(cls, labels, rho: float) -> "ConfusionMatrix":
-        """Identity blended with the uniform channel: (1-rho) I + rho/L."""
-        labels = tuple(labels)
-        L = len(labels)
-        if not 0.0 <= rho <= 1.0:
-            raise ValueError("rho must be in [0, 1]")
-        return cls(labels, (1.0 - rho) * np.eye(L) + rho / L)
 
 
 def estimate_confusion(pairs, labels, alpha: float = 0.0) -> ConfusionMatrix:
@@ -165,30 +186,20 @@ def token_pairs(gold: Dataset, noisy: Dataset) -> list[tuple[str, str]]:
 def train_confusion_method(
     clean: Dataset,
     distant: Dataset,
-    pair_source: Dataset | None,
+    pair_source: Dataset,
     config: TaggerConfig,
     table: EmbeddingTable,
-    *,
-    alpha: float = 1.0,
-    channel: ConfusionMatrix | None = None,
-) -> tuple[TaggerParams, ConfusionMatrix | None]:
+    options: MethodOptions = MethodOptions(),
+) -> tuple[TaggerParams, ConfusionMatrix]:
     """Cross-entropy on clean sentences plus channel-composed cross-entropy
     on distant ones.
 
     The channel initializes from counting (gold, distant) tag pairs over
     ``pair_source`` (the clean sentences re-annotated distantly) with
-    add-``alpha`` smoothing, unless an explicit ``channel`` is given. With
-    an empty distant set this is exactly plain training on the clean data.
+    add-``options.alpha`` smoothing.
     """
-    if not distant.sentences:
-        return tagger.train(clean, config, table), None
     labels = clean.tag_set.labels
-    if channel is None:
-        if pair_source is None:
-            raise ValueError("pair_source is required when no channel is given")
-        channel = estimate_confusion(token_pairs(clean, pair_source), labels, alpha)
-    elif tuple(channel.labels) != tuple(labels):
-        raise SchemaError("channel labels do not match the dataset tag set")
+    channel = estimate_confusion(token_pairs(clean, pair_source), labels, options.alpha)
     with np.errstate(divide="ignore"):
         logits = np.log(channel.matrix)
     items = make_items(clean, table) + make_items(distant, table, channel=True)
@@ -208,8 +219,9 @@ EM_CHANNEL_ANCHOR = 0.5
 
 @dataclass
 class NoiseChannelState:
-    """Channel, per-token posterior over clean labels, and the observed-data
-    log-likelihood trace (one value per EM iteration plus a final one)."""
+    """Channel after the last M-step, the per-token posteriors over clean
+    labels of the last E-step, and the observed-data log-likelihood of
+    every E-step (one value per EM iteration)."""
 
     channel: ConfusionMatrix
     posteriors: np.ndarray
@@ -238,8 +250,6 @@ def em_noise_channel(
     """
     if not data.sentences:
         raise ValueError("dataset is empty")
-    if em_iterations < 1:
-        raise ValueError("em_iterations must be >= 1")
     tag_set = data.tag_set
     L = tag_set.size
     labels = tag_set.labels
@@ -247,7 +257,7 @@ def em_noise_channel(
     params = tagger.init_params(rng, "lstm", table.dimension,
                                 config.hidden_size, config.feature_size, L)
     if channel_init is None:
-        C = ConfusionMatrix.uniform_mix(labels, EM_CHANNEL_ANCHOR).matrix.copy()
+        C = (1.0 - EM_CHANNEL_ANCHOR) * np.eye(L) + EM_CHANNEL_ANCHOR / L
     else:
         if tuple(channel_init.labels) != tuple(labels):
             raise SchemaError("channel labels do not match the dataset tag set")
@@ -257,18 +267,15 @@ def em_noise_channel(
     noisy = np.concatenate([it.hard for it in items])
     bounds = np.cumsum([0] + [len(it.hard) for it in items])
 
-    def e_step():
+    lls: list[float] = []
+    for _ in range(em_iterations):
         probs = np.vstack([_sentence_forward(params, it.X)[0] for it in items])
         liks = probs * C[:, noisy].T
         mass = liks.sum(axis=1)
         ll = float(np.log(mass).sum())
         if not math.isfinite(ll):
             raise NumericsError("non-finite log-likelihood in E-step")
-        return liks / mass[:, None], ll
-
-    lls: list[float] = []
-    for _ in range(em_iterations):
-        posteriors, ll = e_step()
+        posteriors = liks / mass[:, None]
         lls.append(ll)
         counts = np.zeros((L, L))
         np.add.at(counts.T, noisy, posteriors)
@@ -278,8 +285,6 @@ def em_noise_channel(
             for it, start, end in zip(items, bounds[:-1], bounds[1:]):
                 it.soft = posteriors[start:end]
             _sgd_epoch(params, items, config, rng)
-    posteriors, ll = e_step()
-    lls.append(ll)
     state = NoiseChannelState(ConfusionMatrix(labels, C), posteriors, lls)
     return params, state
 
@@ -306,8 +311,8 @@ class CleaningParams:
 
 
 def train_cleaner(inputs: np.ndarray, targets: np.ndarray, label_count: int,
-                  rng: np.random.Generator, *, hidden_size: int = 32,
-                  learning_rate: float = 0.1, epochs: int = 50) -> CleaningParams:
+                  rng: np.random.Generator, *, hidden_size: int,
+                  learning_rate: float, epochs: int) -> CleaningParams:
     """Fit the cleaner with per-example SGD on cross-entropy."""
     n, dim = inputs.shape
     if n == 0:
@@ -351,25 +356,16 @@ def cleaner_inputs(feats: np.ndarray, noisy_indices: np.ndarray, L: int) -> np.n
 def train_cleaning_method(
     clean: Dataset,
     distant: Dataset,
-    pair_source: Dataset | None,
+    pair_source: Dataset,
     config: TaggerConfig,
     table: EmbeddingTable,
-    *,
-    cleaner_hidden: int = 32,
-    cleaner_learning_rate: float = 0.1,
-    cleaner_epochs: int = 50,
-) -> tuple[TaggerParams, CleaningParams | None]:
+    options: MethodOptions,
+) -> tuple[TaggerParams, CleaningParams]:
     """Three phases: fit a base tagger on the clean data for features,
     train the cleaner on (distant tag, gold tag) pairs from the clean
     subset, then train the final tagger on clean hard targets plus cleaned
     soft targets for the distant sentences.
-
-    With an empty distant set this is exactly plain training on clean data.
     """
-    if not distant.sentences:
-        return tagger.train(clean, config, table), None
-    if pair_source is None:
-        raise ValueError("pair_source is required to train the cleaner")
     tag_set = clean.tag_set
     L = tag_set.size
     if len(pair_source.sentences) != len(clean.sentences):
@@ -390,8 +386,8 @@ def train_cleaning_method(
     cleaner = train_cleaner(
         inputs, np.concatenate([item.hard for item in clean_items]), L,
         np.random.default_rng(np.random.SeedSequence([config.seed, 1])),
-        hidden_size=cleaner_hidden, learning_rate=cleaner_learning_rate,
-        epochs=cleaner_epochs,
+        hidden_size=options.cleaner_hidden, learning_rate=options.cleaner_learning_rate,
+        epochs=options.cleaner_epochs,
     )
 
     # phase 2: cleaned soft targets for the distant sentences; a soft target
@@ -408,32 +404,6 @@ def train_cleaning_method(
 
 # ---------------------------------------------------------------------------
 # the one training pipeline
-
-
-METHODS = ("baseline-clean", "naive-mix", "confusion", "noise-channel", "cleaning")
-
-
-@dataclass(frozen=True)
-class MethodOptions:
-    """Settings of the noise methods; each method reads only its own."""
-
-    alpha: float = 1.0  # confusion: add-alpha smoothing of the counted channel
-    em_iterations: int = 10  # noise-channel
-    noise_channel_data: str = "mix"  # noise-channel: "mix" or "distant-only"
-    cleaner_hidden: int = 32  # cleaning
-    cleaner_epochs: int = 50  # cleaning
-    cleaner_learning_rate: float = 0.1  # cleaning
-
-    def __post_init__(self):
-        if self.noise_channel_data not in ("mix", "distant-only"):
-            raise ValueError("noise_channel_data must be 'mix' or 'distant-only'")
-        for name in ("em_iterations", "cleaner_epochs", "cleaner_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not self.cleaner_learning_rate > 0:
-            raise ValueError("cleaner_learning_rate must be > 0")
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be >= 0")
 
 
 TAGGER_KEYS = tuple(f.name for f in fields(TaggerConfig))
@@ -465,6 +435,8 @@ def fit(method: str, clean: Dataset, distant: Dataset, config: TaggerConfig,
 
     ``pair_source()`` returns the distant annotation of the clean sentences,
     for clean/distant label pairs; only confusion and cleaning call it.
+    With no distant sentences every method is plain training on the clean
+    ones.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -475,15 +447,12 @@ def fit(method: str, clean: Dataset, distant: Dataset, config: TaggerConfig,
         params = tagger.train(merge(clean, distant), config, table)
     elif method == "confusion":
         params, channel = train_confusion_method(clean, distant, pair_source(), config,
-                                                 table, alpha=options.alpha)
+                                                 table, options)
     elif method == "noise-channel":
         data = merge(clean, distant) if options.noise_channel_data == "mix" else distant
         params, state = em_noise_channel(data, config, table, options.em_iterations)
         channel = state.channel
     else:
-        params, cleaner = train_cleaning_method(
-            clean, distant, pair_source(), config, table,
-            cleaner_hidden=options.cleaner_hidden,
-            cleaner_learning_rate=options.cleaner_learning_rate,
-            cleaner_epochs=options.cleaner_epochs)
+        params, cleaner = train_cleaning_method(clean, distant, pair_source(), config,
+                                                table, options)
     return FitResult(params, channel, cleaner)

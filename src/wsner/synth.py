@@ -3,27 +3,15 @@
 Words carry a class identity; their embeddings sit near a class centroid
 with per-word jitter, so a model can both generalize across words and
 memorize individual ones. Noisy twins of gold datasets are produced by
-uniform label flips or by an input-dependent rotation, which gives
-benchmarks with a known ground-truth noise process.
+uniform label flips, so the noise process is known exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Dataset, LabeledSentence, TagSet, io_to_spans, spans_to_io
 from .tagger import EmbeddingTable
-
-
-@dataclass(frozen=True)
-class SynthTask:
-    clean: Dataset
-    distant: Dataset
-    pair_source: Dataset
-    test: Dataset
-    table: EmbeddingTable
 
 
 def _make_vocabulary(rng, tag_set: TagSet, entity_words: int, outside_words: int,
@@ -110,76 +98,3 @@ def uniform_flip(dataset: Dataset, noise_rate: float, seed) -> Dataset:
         noisy = np.where(flips, (idx + offsets) % L, idx)
         out.append(_from_indices(sent, noisy, dataset.tag_set))
     return Dataset(tuple(out), dataset.tag_set)
-
-
-# ---------------------------------------------------------------------------
-# benchmark tasks
-
-
-def make_noise_benchmark(seed: int, *, clean_tokens: int = 200,
-                         noisy_tokens: int = 5000, test_tokens: int = 2000,
-                         noise_rate: float = 0.3, entity_words: int = 220,
-                         outside_words: int = 260, dim: int = 12,
-                         centroid_scale: float = 1.0, jitter: float = 1.0,
-                         entity_rate: float = 0.55) -> SynthTask:
-    """Scarce clean data plus a large uniformly-noised pool over the same
-    vocabulary; the test split shares the vocabulary but not the sentences."""
-    rng = np.random.default_rng([seed, 0])
-    tag_set = TagSet()
-    words, table, _ = _make_vocabulary(rng, tag_set, entity_words, outside_words,
-                                       dim, centroid_scale, jitter)
-    clean = Dataset(tuple(_make_sentences(rng, words, tag_set, clean_tokens,
-                                          5, 10, entity_rate)), tag_set)
-    pool = Dataset(tuple(_make_sentences(rng, words, tag_set, noisy_tokens,
-                                         5, 10, entity_rate)), tag_set)
-    test = Dataset(tuple(_make_sentences(rng, words, tag_set, test_tokens,
-                                         5, 10, entity_rate)), tag_set)
-    distant = uniform_flip(pool, noise_rate, [seed, 1])
-    pair_source = uniform_flip(clean, noise_rate, [seed, 2])
-    return SynthTask(clean, distant, pair_source, test, table)
-
-
-# A fixed row-stochastic channel over the default five IO labels.
-RECOVERY_CHANNEL = np.array([
-    [0.70, 0.15, 0.05, 0.05, 0.05],
-    [0.10, 0.70, 0.10, 0.05, 0.05],
-    [0.05, 0.05, 0.75, 0.10, 0.05],
-    [0.05, 0.10, 0.05, 0.70, 0.10],
-    [0.10, 0.05, 0.05, 0.10, 0.70],
-])
-
-
-def make_feature_noise_task(seed: int, *, clean_tokens: int = 400,
-                            noisy_tokens: int = 4000, test_tokens: int = 1500,
-                            entity_words: int = 80, outside_words: int = 120,
-                            dim: int = 12, centroid_scale: float = 1.2,
-                            jitter: float = 0.5, entity_rate: float = 0.5,
-                            marker_words: float = 0.5) -> SynthTask:
-    """Noise that depends on the input: marked words (marker set in the
-    embedding) get their labels rotated to the next entity type; unmarked
-    words keep clean labels. A global channel cannot express this."""
-    rng = np.random.default_rng([seed, 0])
-    tag_set = TagSet()
-    words, table, marked = _make_vocabulary(
-        rng, tag_set, entity_words, outside_words, dim, centroid_scale,
-        jitter, marker_words=marker_words)
-    clean = Dataset(tuple(_make_sentences(rng, words, tag_set, clean_tokens,
-                                          5, 10, entity_rate)), tag_set)
-    pool = Dataset(tuple(_make_sentences(rng, words, tag_set, noisy_tokens,
-                                         5, 10, entity_rate)), tag_set)
-    test = Dataset(tuple(_make_sentences(rng, words, tag_set, test_tokens,
-                                         5, 10, entity_rate)), tag_set)
-
-    def corrupt(ds: Dataset) -> Dataset:
-        n_types = len(tag_set.entity_types)
-        out = []
-        for sent in ds.sentences:
-            idx = _label_indices(sent, tag_set)
-            noisy = [
-                1 + (t % n_types) if (tok in marked and t > 0) else t
-                for tok, t in zip(sent.tokens, idx)
-            ]
-            out.append(_from_indices(sent, noisy, tag_set))
-        return Dataset(tuple(out), tag_set)
-
-    return SynthTask(clean, corrupt(pool), corrupt(clean), test, table)

@@ -79,6 +79,8 @@ def _parse_vectors(path) -> tuple[dict[str, int], np.ndarray]:
                 matrix[row] = [float(v) for v in fields[1:]]
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric vector value") from None
+            if not np.isfinite(matrix[row]).all():
+                raise ParseError(f"{path}:{lineno}: non-finite vector value")
             vocab.setdefault(fields[0], row)
             row += 1
     if row != count:
@@ -129,12 +131,12 @@ class EmbeddingTable:
 
     The unknown vector is the arithmetic mean of all rows, computed once at
     construction. Embeddings are frozen: training never changes the matrix
-    or the fallback.
+    or the fallback, so a float64 matrix is kept as given, not copied.
     """
 
     def __init__(self, vocab: dict[str, int], matrix):
         self.vocab = dict(vocab)
-        self.matrix = np.array(matrix, dtype=float)
+        self.matrix = np.asarray(matrix, dtype=float)
         if self.matrix.ndim != 2 or self.matrix.shape[0] < 1:
             raise ValueError("embedding matrix must be 2-D with at least one row")
         if not np.isfinite(self.matrix).all():
@@ -273,12 +275,6 @@ class TaggerParams:
 
     def arrays(self):
         return [(name, getattr(self, name)) for name in self._FIELDS]
-
-    def copy(self) -> "TaggerParams":
-        return TaggerParams(*(getattr(self, n).copy() for n in self._FIELDS))
-
-    def zeros_like(self) -> "TaggerParams":
-        return TaggerParams(*(np.zeros_like(getattr(self, n)) for n in self._FIELDS))
 
     @property
     def hidden_size(self) -> int:
@@ -580,7 +576,7 @@ def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
 
 
 # ---------------------------------------------------------------------------
-# per-sentence loss: the one loss behind SGD, EM and loss_and_gradient
+# per-sentence loss: the one loss behind SGD for every method
 
 
 @dataclass
@@ -594,12 +590,12 @@ class TrainItem:
     channel: bool = False
 
 
-def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None,
-                     want_channel_grad: bool = False):
+def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None):
     """Mean cross-entropy over one sentence's tokens and its gradients
     ``(loss, grads, dC)``: against ``item.soft``, else through the
     channel ``C`` for channel items, else against ``item.hard``. ``dC`` is
-    the channel gradient when asked for, otherwise None."""
+    the gradient with respect to ``C`` when the channel scored the item,
+    otherwise None."""
     probs, cache = _sentence_forward(params, X)
     T = X.shape[0]
     dC = None
@@ -616,10 +612,9 @@ def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None,
         q = pc.sum(axis=1)
         loss = -np.log(q).sum() / T
         dlogits = (probs - pc / q[:, None]) / T
-        if want_channel_grad:
-            dC = np.zeros_like(C)
-            dq = -1.0 / (q * T)
-            np.add.at(dC.T, y, probs * dq[:, None])
+        dC = np.zeros_like(C)
+        dq = -1.0 / (q * T)
+        np.add.at(dC.T, y, probs * dq[:, None])
     else:
         y = item.hard
         idx = np.arange(T)
@@ -658,10 +653,8 @@ def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfi
     lr = config.learning_rate
     for k in rng.permutation(len(items)):
         item = items[int(k)]
-        use_channel = item.channel and B is not None
-        C = _softmax(B) if use_channel else None
-        loss, grads, dC = _item_loss_grads(params, item.X, item, C=C,
-                                           want_channel_grad=use_channel)
+        C = _softmax(B) if item.channel and B is not None else None
+        loss, grads, dC = _item_loss_grads(params, item.X, item, C=C)
         if not np.isfinite(loss):
             raise NumericsError("non-finite training loss")
         _sgd_step(params, grads, lr)
@@ -692,47 +685,11 @@ def _train_core(items: list[TrainItem], config: TaggerConfig, table: EmbeddingTa
 # public operations
 
 
-def forward(tokens, params: TaggerParams, table: EmbeddingTable) -> np.ndarray:
-    """Per-token label distributions, shape (len(tokens), L); rows sum to 1."""
-    (_, probs), = _forward_batched(params, table, [tokens])
-    return probs
-
-
 def feature_vectors(X: np.ndarray, params: TaggerParams) -> np.ndarray:
     """Feature-layer outputs for the embedded rows ``X`` (T, d), shape
     (T, f); input to the label cleaner."""
     _, cache = _sentence_forward(params, X)
     return cache[3]
-
-
-def loss_and_gradient(batch, params: TaggerParams, table: EmbeddingTable,
-                      tag_set: TagSet, soft_targets=None):
-    """Mean per-token cross-entropy over the batch and its exact gradient.
-
-    With ``soft_targets`` (one (T, L) distribution matrix per sentence) the
-    loss is cross-entropy against those distributions; otherwise hard
-    targets come from each sentence's spans.
-    """
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    total_tokens = sum(len(s.tokens) for s in batch)
-    grads = params.zeros_like()
-    loss = 0.0
-    for i, sent in enumerate(batch):
-        X = table.embed(sent.tokens)
-        if soft_targets is None:
-            item = TrainItem(X, hard=hard_targets(sent, tag_set))
-        else:
-            item = TrainItem(X, soft=np.asarray(soft_targets[i], dtype=float))
-        sent_loss, sent_grads, _ = _item_loss_grads(params, X, item)
-        # _item_loss_grads takes the mean over the sentence's own tokens
-        weight = len(sent.tokens) / total_tokens
-        loss += weight * sent_loss
-        for (_, acc), (_, g) in zip(grads.arrays(), sent_grads.arrays()):
-            acc += weight * g
-    if not np.isfinite(loss):
-        raise NumericsError("non-finite loss")
-    return loss, grads
 
 
 def train(clean: Dataset, config: TaggerConfig, table: EmbeddingTable) -> TaggerParams:

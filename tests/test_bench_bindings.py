@@ -5,11 +5,12 @@ multi-minute benchmark smoke run. Nothing under perfbench/ is changed."""
 import importlib.util
 from pathlib import Path
 
-from wsner import date_rules, experiment, gazetteer, noise, synth, tagger
+from wsner import date_rules, experiment, gazetteer, noise, tagger
 from wsner.corpus import Dataset, LabeledSentence
 from wsner.tagger import TaggerConfig
 
 from conftest import write_tiny_sweep
+from support import make_noise_benchmark
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -22,7 +23,7 @@ def _tracing_module():
 
 
 def test_tracer_binds_every_traced_layer():
-    task = synth.make_noise_benchmark(0, clean_tokens=30, noisy_tokens=40, test_tokens=20,
+    task = make_noise_benchmark(0, clean_tokens=30, noisy_tokens=40, test_tokens=20,
                                       entity_words=6, outside_words=6)
     config = TaggerConfig(hidden_size=3, feature_size=3, epochs=1, seed=0)
     tracer = _tracing_module().Tracer()
@@ -31,7 +32,7 @@ def test_tracer_binds_every_traced_layer():
         tagger.predict(task.test, params, task.table)
         noise.em_noise_channel(task.distant, config, task.table, 1)
         noise.train_cleaning_method(task.clean, task.distant, task.pair_source, config,
-                                    task.table, cleaner_epochs=1)
+                                    task.table, noise.MethodOptions(cleaner_epochs=1))
     assert tracer.check_bindings() == []
     values = tracer.layer_values()
     for span in ("tagger.lstm_forward", "tagger.lstm_backward", "tagger.head_forward",

@@ -45,14 +45,14 @@ def _reference(method, extra, clean, distant, table):
     if method == "naive-mix":
         return tagger.train(merge(clean, distant), config, table), None
     if method == "confusion":
-        return noise.train_confusion_method(clean, distant, pairs, config, table, alpha=1.0)
+        return noise.train_confusion_method(clean, distant, pairs, config, table,
+                                            noise.MethodOptions())
     if method == "noise-channel":
         data = distant if extra.get("noise_channel_data") == "distant-only" else merge(clean, distant)
         params, state = noise.em_noise_channel(data, config, table, 1)
         return params, state.channel
     params, _ = noise.train_cleaning_method(clean, distant, pairs, config, table,
-                                            cleaner_hidden=32, cleaner_learning_rate=0.1,
-                                            cleaner_epochs=2)
+                                            noise.MethodOptions(cleaner_epochs=2))
     return params, None
 
 
@@ -238,6 +238,15 @@ BAD_INPUT = {
         "train", {"clean.conll": "Kano\tB-LOC\n",
                   "e.txt": "1000000000 300\nKano" + " 0.5" * 300 + "\n"}, [],
         "e.txt:1: header announces 1000000000 vectors of dimension 300"),
+    "train-non-finite-vector": (
+        "train", {"clean.conll": "Kano\tB-LOC\n", "e.txt": "2 2\nKano 1.0 0.5\nAdé nan 1.0\n"},
+        [], "e.txt:3: non-finite vector value"),
+    "experiment-non-finite-vector": (
+        "experiment", {"sweep.json": json.dumps({"train": "train.conll", "test": "test.conll",
+                                                 "embeddings": "e.txt", "out_dir": "out"}),
+                       "train.conll": "Kano\tB-LOC\n", "test.conll": "Kano\tB-LOC\n",
+                       "e.txt": "1 2\nKano -inf 0.5\n"},
+        [], "e.txt:2: non-finite vector value"),
     "synth-out-dir-is-a-file": (
         "synth", {"taken": "a file\n"}, ["--out-dir", "taken"], "taken"),
 }

@@ -1,22 +1,13 @@
-"""Every module-level function and class of ``wsner`` has a caller outside
-the test suite: ``src/wsner`` or ``perfbench`` names it somewhere other
-than in its own definition."""
+"""Every module-level function and class of ``wsner``, and every method of
+such a class other than a dunder, has a caller outside the test suite:
+``src/wsner`` or ``perfbench`` names it somewhere other than in its own
+definition. Code that only tests call belongs in ``tests/support.py``."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "wsner"
-
-# Kept for the tests: references and oracles they compare against, and the
-# synthetic tasks they train on.
-TEST_SUPPORT = {
-    ("tagger", "forward"),
-    ("tagger", "loss_and_gradient"),
-    ("evaluation", "token_accuracy"),
-    ("synth", "make_noise_benchmark"),
-    ("synth", "make_feature_noise_task"),
-}
 
 
 def _referenced(node) -> set[str]:
@@ -31,20 +22,37 @@ def _referenced(node) -> set[str]:
     return names
 
 
+def _is_function(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+
+
 def _unreferenced():
     defined = set()
     used = set()
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        ours = path.parent == PACKAGE
         for stmt in tree.body:
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = stmt.name
-                if path.parent == PACKAGE:
-                    defined.add((path.stem, own))
-            used |= _referenced(stmt) - {own}
-    return {(module, name) for module, name in defined if name not in used}
+            if _is_function(stmt):
+                if ours:
+                    defined.add((path.stem, stmt.name))
+                used |= _referenced(stmt) - {stmt.name}
+            elif isinstance(stmt, ast.ClassDef):
+                if ours:
+                    defined.add((path.stem, stmt.name))
+                for member in stmt.body:
+                    if _is_function(member) and not member.name.startswith("__"):
+                        if ours:
+                            defined.add((path.stem, f"{stmt.name}.{member.name}"))
+                        used |= _referenced(member) - {member.name}
+                    else:
+                        used |= _referenced(member)
+                used |= set().union(*map(_referenced, stmt.bases + stmt.decorator_list))
+            else:
+                used |= _referenced(stmt)
+    return {(module, name) for module, name in defined
+            if name.rpartition(".")[2] not in used}
 
 
 def test_every_module_level_definition_has_a_non_test_caller():
-    assert _unreferenced() == TEST_SUPPORT
+    assert _unreferenced() == set()

@@ -13,10 +13,10 @@ from wsner.evaluation import (
     mean_and_se,
     metrics_row,
     span_prf,
-    token_accuracy,
 )
 
 from conftest import make_dataset, make_sentence, random_sentences
+from support import token_accuracy
 
 
 def _pair(gold_spans, pred_spans, n_tokens=8):

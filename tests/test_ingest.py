@@ -62,23 +62,23 @@ def test_sparql_text_carries_paging_and_language():
 
 def test_empty_result_rows():
     result = fetch_entities(query(), FixtureTransport([page([])]))
-    assert list(result) == []
+    assert result.entries == ()
     assert not result.truncated
 
 
 def test_direct_mapping_and_sorting():
     result = fetch_entities(query(), FixtureTransport([page(["Lagos", "Kano"])]))
-    assert [e.surface for e in result] == [("Kano",), ("Lagos",)]
-    assert all(e.label == "LOC" and e.source == "wikidata" for e in result)
+    assert [e.surface for e in result.entries] == [("Kano",), ("Lagos",)]
+    assert all(e.label == "LOC" and e.source == "wikidata" for e in result.entries)
 
 
 def test_pagination_and_dedup():
     first = page([f"Town {i:03d}" for i in range(5)] + ["Kano"])
     second = page(["Kano", "Abuja"])  # overlap deduplicates
     result = fetch_entities(query(page_size=6), FixtureTransport([first, second]))
-    assert len(result) == 7
+    assert len(result.entries) == 7
     assert not result.truncated
-    labels = [" ".join(e.surface) for e in result]
+    labels = [" ".join(e.surface) for e in result.entries]
     assert labels == sorted(labels)
 
 
@@ -87,7 +87,7 @@ def test_truncation_flag():
              page([f"Name {i:03d}" for i in range(60, 120)])]
     result = fetch_entities(query(page_size=60, max_results=100),
                             FixtureTransport(pages))
-    assert len(result) == 100
+    assert len(result.entries) == 100
     assert result.truncated
 
 
@@ -109,8 +109,8 @@ def test_fixture_replay_contract_person_yo(tmp_path):
     transport = FixtureTransport.from_files(paths)
     result = fetch_entities(
         EntityQuery("person", "yo", page_size=60, max_results=100), transport)
-    assert len(result) == 100
-    assert all(e.label == "PER" and e.surface for e in result)
+    assert len(result.entries) == 100
+    assert all(e.label == "PER" and e.surface for e in result.entries)
     # deterministic replay: identical TSV bytes
     out1 = tmp_path / "a.tsv"
     out2 = tmp_path / "b.tsv"
@@ -162,8 +162,7 @@ class FakeSession:
 def _transport(responses):
     sleeps = []
     clock = iter(range(1000))
-    t = HttpTransport(min_interval=1.0, max_retries=5,
-                      sleep=sleeps.append, clock=lambda: next(clock),
+    t = HttpTransport(sleep=sleeps.append, clock=lambda: next(clock),
                       session=FakeSession(responses))
     return t, sleeps
 
@@ -205,7 +204,7 @@ def test_rate_limit_sleeps_between_requests():
     assert not sleeps  # fake clock advances 1s per call, no wait needed
     fast_clock = iter([0.0, 0.1, 0.2, 0.3])
     sleeps2 = []
-    t2 = HttpTransport(min_interval=1.0, sleep=sleeps2.append,
+    t2 = HttpTransport(sleep=sleeps2.append,
                        clock=lambda: next(fast_clock),
                        session=FakeSession([FakeResponse(200, body=page([])),
                                             FakeResponse(200, body=page([]))]))

@@ -4,12 +4,12 @@ import pytest
 from wsner.corpus import Dataset, TagSet, merge
 from wsner.errors import EstimationError, ParseError, SchemaError
 from wsner.noise import (
-    CleaningParams,
     ConfusionMatrix,
-    NoiseChannelState,
+    MethodOptions,
     cleaner_inputs,
     em_noise_channel,
     estimate_confusion,
+    fit,
     load_confusion,
     save_confusion,
     token_pairs,
@@ -17,10 +17,15 @@ from wsner.noise import (
     train_cleaning_method,
     train_confusion_method,
 )
-from wsner.tagger import TaggerConfig, train
-from wsner import synth
+from wsner.tagger import TaggerConfig, predict, train
 
 from gradcheck import finite_difference, max_relative_error
+from support import (
+    RECOVERY_CHANNEL,
+    make_feature_noise_task,
+    make_noise_benchmark,
+    token_accuracy,
+)
 
 LABELS = ("O", "PER", "ORG", "LOC", "DATE")
 
@@ -65,7 +70,7 @@ def test_unknown_label_in_pair():
 
 def test_channel_recovery_from_samples():
     rng = np.random.default_rng(0)
-    true = synth.RECOVERY_CHANNEL
+    true = RECOVERY_CHANNEL
     clean = rng.integers(0, 5, size=10000)
     cum = true.cumsum(axis=1)
     noisy = np.array([np.searchsorted(cum[t], rng.random(), side="right")
@@ -101,7 +106,7 @@ def test_serialization_round_trip(tmp_path):
 
 
 def _small_task(seed=0):
-    return synth.make_noise_benchmark(
+    return make_noise_benchmark(
         seed, clean_tokens=60, noisy_tokens=200, test_tokens=60,
         entity_words=12, outside_words=12)
 
@@ -124,26 +129,35 @@ def test_token_pairs_alignment():
         token_pairs(task.clean, task.distant)
 
 
-def test_empty_distant_reduces_to_plain_training():
+def _fit_without_distant(method):
+    """``fit`` with an empty distant set, which must never need pairs."""
     task = _small_task()
     cfg = _config()
     empty = Dataset((), task.clean.tag_set)
-    p1, ch = train_confusion_method(task.clean, empty, None, cfg, task.table)
-    p2 = train(task.clean, cfg, task.table)
-    assert ch is None
-    assert _params_equal(p1, p2)
+
+    def no_pairs():
+        raise AssertionError("pair_source called without distant sentences")
+
+    result = fit(method, task.clean, empty, cfg, task.table, MethodOptions(), no_pairs)
+    return result, train(task.clean, cfg, task.table)
+
+
+def test_empty_distant_reduces_to_plain_training():
+    result, plain = _fit_without_distant("confusion")
+    assert result.channel is None and result.cleaner is None
+    assert _params_equal(result.params, plain)
 
 
 def test_identity_channel_equals_naive_mix():
-    # the identity is a fixed point of the channel update, so it stays put
+    # unsmoothed counts of a set paired with itself give the identity,
+    # which is a fixed point of the channel update, so it stays put
     task = _small_task()
     cfg = _config()
-    ident = ConfusionMatrix.identity(task.clean.tag_set.labels)
-    p1, channel = train_confusion_method(task.clean, task.distant, None, cfg,
-                                         task.table, channel=ident)
+    p1, channel = train_confusion_method(task.clean, task.distant, task.clean, cfg,
+                                         task.table, MethodOptions(alpha=0.0))
     p2 = train(merge(task.clean, task.distant), cfg, task.table)
     assert _params_equal(p1, p2)
-    assert np.array_equal(channel.matrix, ident.matrix)
+    assert np.array_equal(channel.matrix, np.eye(task.clean.tag_set.size))
 
 
 def test_trained_channel_stays_row_stochastic():
@@ -170,17 +184,13 @@ def test_channel_gradient_matches_finite_differences():
     sent = task.distant.sentences[0]
     X = task.table.embed(sent.tokens)
     item = T.TrainItem(X, hard=T.hard_targets(sent, ts), channel=True)
-    B = np.log(ConfusionMatrix.uniform_mix(ts.labels, 0.4).matrix)
+    B = np.log(0.6 * np.eye(ts.size) + 0.4 / ts.size)
 
     def loss_fn():
-        C = T._softmax(B)
-        loss, _, _ = T._item_loss_grads(params, X, item, C=C,
-                                        want_channel_grad=True)
-        return loss
+        return T._item_loss_grads(params, X, item, C=T._softmax(B))[0]
 
     C = T._softmax(B)
-    loss, grads, dC = T._item_loss_grads(params, X, item, C=C,
-                                         want_channel_grad=True)
+    loss, grads, dC = T._item_loss_grads(params, X, item, C=C)
     s = (dC * C).sum(axis=1, keepdims=True)
     dB = C * (dC - s)
     arrays = [arr for _, arr in params.arrays()] + [B]
@@ -197,7 +207,8 @@ def test_em_identity_channel_one_iteration_is_supervised():
     # the identity is a fixed point of the channel update, so it stays put
     task = _small_task()
     cfg = _config(epochs=1)
-    ident = ConfusionMatrix.identity(task.clean.tag_set.labels)
+    labels = task.clean.tag_set.labels
+    ident = ConfusionMatrix(labels, np.eye(len(labels)))
     p_em, state = em_noise_channel(task.distant, cfg, task.table, 1,
                                    channel_init=ident)
     p_plain = train(task.distant, cfg, task.table)
@@ -210,7 +221,7 @@ def test_em_identity_channel_one_iteration_is_supervised():
 def test_em_log_likelihood_monotone_with_frozen_model():
     task = _small_task()
     cfg = _config(epochs=1)
-    _, state = em_noise_channel(task.distant, cfg, task.table, 8,
+    _, state = em_noise_channel(task.distant, cfg, task.table, 9,
                                 train_model=False)
     lls = np.array(state.log_likelihoods)
     assert (np.diff(lls) >= -1e-8).all()
@@ -222,7 +233,7 @@ def test_em_posteriors_are_distributions():
     _, state = em_noise_channel(task.distant, cfg, task.table, 2)
     assert np.abs(state.posteriors.sum(axis=1) - 1.0).max() < 1e-9
     assert state.posteriors.min() >= 0
-    assert len(state.log_likelihoods) == 3  # one per iteration plus final
+    assert len(state.log_likelihoods) == 2  # one per iteration
 
 
 def test_em_requires_data():
@@ -253,21 +264,19 @@ def test_cleaner_learns_identity_on_clean_pairs():
 
 
 def test_cleaning_method_empty_distant_reduces_to_plain_training():
-    task = _small_task()
-    cfg = _config()
-    empty = Dataset((), task.clean.tag_set)
-    p1, cleaner = train_cleaning_method(task.clean, empty, None, cfg, task.table)
-    assert cleaner is None
-    assert _params_equal(p1, train(task.clean, cfg, task.table))
+    result, plain = _fit_without_distant("cleaning")
+    assert result.channel is None and result.cleaner is None
+    assert _params_equal(result.params, plain)
 
 
 def test_cleaning_method_runs_and_is_deterministic():
     task = _small_task()
     cfg = _config(epochs=2)
+    options = MethodOptions(cleaner_epochs=10)
     p1, c1 = train_cleaning_method(task.clean, task.distant, task.pair_source,
-                                   cfg, task.table, cleaner_epochs=10)
+                                   cfg, task.table, options)
     p2, c2 = train_cleaning_method(task.clean, task.distant, task.pair_source,
-                                   cfg, task.table, cleaner_epochs=10)
+                                   cfg, task.table, options)
     assert _params_equal(p1, p2)
     assert np.array_equal(c1.w1, c2.w1)
 
@@ -275,18 +284,15 @@ def test_cleaning_method_runs_and_is_deterministic():
 def test_feature_dependent_noise_favors_cleaning_over_confusion():
     # marked words get rotated labels; only a feature-aware cleaner can
     # undo that, a global channel cannot
-    from wsner.evaluation import token_accuracy
-    from wsner.tagger import predict
-
     clean_acc = []
     conf_acc = []
     for seed in range(3):
-        task = synth.make_feature_noise_task(seed)
+        task = make_feature_noise_task(seed)
         cfg = TaggerConfig(hidden_size=12, feature_size=12,
                            learning_rate=0.05, epochs=5, seed=seed)
         p_clean, _ = train_cleaning_method(
             task.clean, task.distant, task.pair_source, cfg, task.table,
-            cleaner_hidden=24, cleaner_epochs=30)
+            MethodOptions(cleaner_hidden=24, cleaner_epochs=30))
         p_conf, _ = train_confusion_method(
             task.clean, task.distant, task.pair_source, cfg, task.table)
         clean_acc.append(token_accuracy(task.test, predict(task.test, p_clean, task.table)))

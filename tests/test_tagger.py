@@ -3,6 +3,7 @@ import math
 import os
 import tempfile
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,10 +27,10 @@ from wsner.tagger import (
     _sentence_backward,
     _sentence_forward,
     _sgd_step,
-    forward,
+    hard_targets,
     init_params,
     load_checkpoint,
-    loss_and_gradient,
+    make_items,
     predict,
     save_checkpoint,
     train,
@@ -37,6 +38,7 @@ from wsner.tagger import (
 
 from conftest import make_dataset, make_sentence
 from gradcheck import finite_difference, max_relative_error
+from support import forward, token_accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +103,15 @@ def test_load_embeddings_errors(tmp_path):
 
     # a text that fails to parse leaves no cache behind
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "h.txt", "r.txt", "s.txt"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_non_finite_vector_value_is_a_parse_error(tmp_path, value):
+    path = tmp_path / "vec.txt"
+    path.write_text(f"3 2\na 1.0 2.0\n\nb 0.5 {value}\nc 1.0 1.0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"vec\.txt:4: non-finite vector value"):
+        EmbeddingTable.load(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["vec.txt"]
 
 
 def test_header_beyond_memory_is_a_parse_error(tmp_path, monkeypatch):
@@ -298,6 +309,27 @@ def test_failed_cache_write_still_loads_the_table(tmp_path, monkeypatch, owner, 
     assert [p.name for p in tmp_path.iterdir()] == ["vec.txt"]
 
 
+def test_cached_load_peaks_below_one_and_a_half_matrices(tmp_path, parse_calls):
+    # the table keeps the array the cache is read into, rather than a copy
+    rows, dim = 3000, 300
+    values = np.random.default_rng(6).integers(-99, 100, size=(rows, dim)) / 100
+    path = tmp_path / "vec.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{rows} {dim}\n")
+        for i, row in enumerate(values):
+            fh.write(f"w{i} " + " ".join(map(str, row.tolist())) + "\n")
+    EmbeddingTable.load(path)
+    tracemalloc.start()
+    try:
+        table = EmbeddingTable.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parse_calls == [str(path)]
+    assert np.array_equal(table.matrix, values)
+    assert peak < 1.5 * table.matrix.nbytes, peak / table.matrix.nbytes
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_a_pipe_is_parsed_and_not_cached(tmp_path):
     path = tmp_path / "vec.fifo"
@@ -320,10 +352,18 @@ def test_a_pipe_is_parsed_and_not_cached(tmp_path):
 # forward
 
 
+def _zeros_like(params: TaggerParams) -> TaggerParams:
+    return TaggerParams(*(np.zeros_like(arr) for _, arr in params.arrays()))
+
+
+def _copy(params: TaggerParams) -> TaggerParams:
+    return TaggerParams(*(arr.copy() for _, arr in params.arrays()))
+
+
 def test_zero_params_give_uniform(tiny_table):
     ts = TagSet(("PER", "LOC"))
     params = init_params(np.random.default_rng(0), "lstm", 4, 3, 4, ts.size)
-    zero = params.zeros_like()
+    zero = _zeros_like(params)
     probs = forward(["w0", "w1"], zero, tiny_table)
     assert np.abs(probs - 1.0 / ts.size).max() < 1e-15
 
@@ -573,18 +613,23 @@ def _random_model(rng, cell="lstm"):
 
 # The LSTM is the only cell; the "cell" parameter of the cell tests below
 # keeps their test ids from when a second cell existed.
+def _assert_item_gradient(params, item, C=None):
+    """``_item_loss_grads``' parameter gradients against finite differences."""
+    _, grads, _ = _item_loss_grads(params, item.X, item, C)
+    arrays = [arr for _, arr in params.arrays()]
+    numeric = finite_difference(lambda: _item_loss_grads(params, item.X, item, C)[0], arrays)
+    assert max_relative_error([arr for _, arr in grads.arrays()], numeric) < 1e-4
+
+
 @pytest.mark.parametrize("cell", ["lstm"])
 def test_gradient_matches_finite_differences(cell):
     rng = np.random.default_rng(0)
     for _ in range(8):
         params, table, ts, sents = _random_model(rng, cell)
         assert params.num_parameters <= 200
-        _, grads = loss_and_gradient(sents, params, table, ts)
-        arrays = [arr for _, arr in params.arrays()]
-        numeric = finite_difference(
-            lambda: loss_and_gradient(sents, params, table, ts)[0], arrays)
-        analytic = [arr for _, arr in grads.arrays()]
-        assert max_relative_error(analytic, numeric) < 1e-4
+        for sent in sents:
+            _assert_item_gradient(params, TrainItem(table.embed(sent.tokens),
+                                                    hard=hard_targets(sent, ts)))
 
 
 @pytest.mark.parametrize("T", [1, 12])
@@ -596,58 +641,36 @@ def test_lstm_gradient_at_sequence_ends(T):
     params.b_f[:] = rng.normal(size=8)
     params.b_b[:] = rng.normal(size=8)
     X = rng.normal(size=(T, 3))
-    item = TrainItem(X, hard=rng.integers(0, 3, size=T))
-    _, grads, _ = _item_loss_grads(params, X, item)
-    arrays = [arr for _, arr in params.arrays()]
-    numeric = finite_difference(lambda: _item_loss_grads(params, X, item)[0], arrays)
-    analytic = [arr for _, arr in grads.arrays()]
-    assert max_relative_error(analytic, numeric) < 1e-4
+    _assert_item_gradient(params, TrainItem(X, hard=rng.integers(0, 3, size=T)))
 
 
 def test_soft_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     params, table, ts, sents = _random_model(rng)
-    soft = []
     for s in sents:
         w = rng.random((len(s.tokens), ts.size))
-        soft.append(w / w.sum(axis=1, keepdims=True))
-    _, grads = loss_and_gradient(sents, params, table, ts, soft_targets=soft)
-    arrays = [arr for _, arr in params.arrays()]
-    numeric = finite_difference(
-        lambda: loss_and_gradient(sents, params, table, ts, soft_targets=soft)[0],
-        arrays)
-    assert max_relative_error([a for _, a in grads.arrays()], numeric) < 1e-4
+        _assert_item_gradient(params, TrainItem(table.embed(s.tokens),
+                                                soft=w / w.sum(axis=1, keepdims=True)))
 
 
 def test_perfect_soft_target_gives_zero_gradient(tiny_table):
     ts = TagSet(("PER", "LOC"))
     params = init_params(np.random.default_rng(4), "lstm", 4, 2, 3, ts.size)
-    sent = make_sentence(("w0", "w1"))
-    probs = forward(sent.tokens, params, tiny_table)
-    loss, grads = loss_and_gradient([sent], params, tiny_table, ts,
-                                    soft_targets=[probs])
+    X = tiny_table.embed(["w0", "w1"])
+    probs, _ = _sentence_forward(params, X)
+    loss, grads, _ = _item_loss_grads(params, X, TrainItem(X, soft=probs))
     # cross-entropy of a distribution with itself is its entropy
-    entropy = float(-(probs * np.log(probs)).sum() / len(sent.tokens))
+    entropy = float(-(probs * np.log(probs)).sum() / len(X))
     assert loss == pytest.approx(entropy, abs=1e-12)
     for _, g in grads.arrays():
         assert np.abs(g).max() < 1e-12
-
-
-def test_duplicating_batch_keeps_mean_loss(tiny_table):
-    ts = TagSet(("PER", "LOC"))
-    params = init_params(np.random.default_rng(5), "lstm", 4, 2, 3, ts.size)
-    sents = [make_sentence(("w0", "w1"), (EntitySpan("PER", 0, 1),)),
-             make_sentence(("w2",))]
-    loss_once, _ = loss_and_gradient(sents, params, tiny_table, ts)
-    loss_twice, _ = loss_and_gradient(sents + sents, params, tiny_table, ts)
-    assert loss_twice == pytest.approx(loss_once, rel=1e-12)
 
 
 def _reference_sentence_backward(params, cache, dlogits):
     """Gradients accumulated into zero-filled arrays, one ``+=`` each."""
     cache_f, cache_b, H, feats = cache
     h = params.hidden_size
-    grads = params.zeros_like()
+    grads = _zeros_like(params)
     grads.w_out += dlogits.T @ feats
     grads.b_out += dlogits.sum(axis=0)
     dfeats = dlogits @ params.w_out
@@ -682,10 +705,10 @@ def test_sentence_backward_is_bitwise_zero_fill_reference(cell):
 def test_sgd_step_is_bitwise_scaled_subtraction():
     rng = np.random.default_rng(41)
     params = init_params(rng, "lstm", 3, 4, 5, 3)
-    grads = params.copy()
+    grads = _copy(params)
     for _, g in grads.arrays():
         g[...] = rng.normal(size=g.shape)
-    expected = params.copy()
+    expected = _copy(params)
     for (_, arr), (_, g) in zip(expected.arrays(), grads.arrays()):
         arr -= 0.037 * g
     _sgd_step(params, grads, 0.037)
@@ -714,8 +737,14 @@ def _toy_corpus():
 
 
 def _token_accuracy_on(ds, params, table):
-    from wsner.evaluation import token_accuracy
     return token_accuracy(ds, predict(ds, params, table))
+
+
+def _mean_token_loss(ds, params, table):
+    """Hard-target cross-entropy averaged over every token of *ds*."""
+    items = make_items(ds, table)
+    total = sum(_item_loss_grads(params, it.X, it)[0] * len(it.X) for it in items)
+    return total / ds.num_tokens
 
 
 def test_overfits_toy_corpus_within_200_epochs():
@@ -752,8 +781,7 @@ def test_epoch_losses_non_increasing_at_small_lr():
         config = TaggerConfig(hidden_size=6, feature_size=6, learning_rate=0.01,
                               epochs=epochs, seed=2)
         params = train(ds, config, table)
-        loss, _ = loss_and_gradient(list(ds.sentences), params, table, ds.tag_set)
-        losses.append(loss)
+        losses.append(_mean_token_loss(ds, params, table))
     increases = sum(1 for a, b in zip(losses, losses[1:]) if b > a + 1e-9)
     assert increases <= max(1, int(0.05 * len(losses)))
 
@@ -776,7 +804,7 @@ def test_frozen_embeddings_are_bit_identical():
 def test_uniform_output_decodes_to_no_spans(tiny_table):
     ds = make_dataset([make_sentence(("w0", "w1"))])
     params = init_params(np.random.default_rng(0), "lstm", 4, 2, 3, 5)
-    zero = params.zeros_like()
+    zero = _zeros_like(params)
     out = predict(ds, zero, tiny_table)
     assert out.sentences[0].spans == ()
 
