@@ -130,6 +130,11 @@ def cmd_train(args) -> int:
     clean = read_conll(args.clean, tag_set=tag_set)
     distant = (read_conll(args.distant, tag_set=tag_set, provenance="distant")
                if args.distant else Dataset((), tag_set))
+    # only naive-mix, confusion and noise-channel can learn from distant
+    # sentences alone
+    if not clean.sentences and (not distant.sentences
+                                or args.method in ("baseline-clean", "cleaning")):
+        raise WsnerError(f"{args.clean}: no sentences; {args.method} needs clean sentences")
     table = tagger.EmbeddingTable.load(args.embeddings)
     config, options = _train_config(args.config, args.seed)
 
@@ -159,6 +164,9 @@ def cmd_evaluate(args) -> int:
         params, tag_set = tagger.load_checkpoint(args.model)
         gold = read_conll(args.gold, tag_set=tag_set)
         table = tagger.EmbeddingTable.load(args.embeddings)
+        if table.dimension != params.embed_dim:
+            raise WsnerError(f"{args.embeddings}: vectors of dimension {table.dimension}, "
+                             f"but {args.model} embeds in {params.embed_dim}")
         pred = tagger.predict(gold, params, table)
     metrics = evaluation.span_prf(gold, pred)
     print(evaluation.format_report(metrics))

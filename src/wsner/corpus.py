@@ -2,7 +2,10 @@
 
 Spans are the canonical annotation; per-token BIO/IO tag sequences are
 serializations of them. The writer always emits BIO (lossless); the reader
-accepts BIO and IO files.
+accepts BIO and IO files. The model's per-token label indices are a third
+serialization: ``TagSet.encode`` and ``TagSet.decode`` convert between
+spans and indices, and ``check_aligned`` checks that two annotations cover
+the same sentences, so no other module needs to know the IO label order.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, SchemaError
+from .errors import AlignmentError, ParseError, SchemaError
 
 PROVENANCES = ("gold", "distant")
 
@@ -97,6 +100,25 @@ class TagSet:
         except ValueError:
             raise SchemaError(f"unknown label {label!r}") from None
 
+    def encode(self, sentence: LabeledSentence) -> np.ndarray:
+        """The IO label index of every token of *sentence*, as int64."""
+        return np.array([self.index(t) for t in spans_to_io(sentence, self.outside)],
+                        dtype=np.int64)
+
+    def decode(self, indices) -> tuple[EntitySpan, ...]:
+        """The spans of a sequence of IO label indices: each run of one
+        entity label is one span."""
+        labels = self.labels
+        indices = np.asarray(indices).tolist()
+        spans = []
+        start = 0
+        for i in range(1, len(indices) + 1):
+            if i == len(indices) or indices[i] != indices[start]:
+                if indices[start]:
+                    spans.append(EntitySpan(labels[indices[start]], start, i))
+                start = i
+        return tuple(spans)
+
 
 @dataclass(frozen=True)
 class EntitySpan:
@@ -172,6 +194,20 @@ class Dataset:
     @property
     def num_tokens(self) -> int:
         return sum(len(s) for s in self.sentences)
+
+
+def check_aligned(a: Dataset, b: Dataset) -> None:
+    """Raise ``AlignmentError`` unless *a* and *b* annotate sentences of the
+    same token counts, in the same order."""
+    if len(a.sentences) != len(b.sentences):
+        raise AlignmentError(
+            f"sentence count mismatch: {len(a.sentences)} vs {len(b.sentences)}"
+        )
+    for i, (x, y) in enumerate(zip(a.sentences, b.sentences)):
+        if len(x.tokens) != len(y.tokens):
+            raise AlignmentError(
+                f"sentence {i}: token count mismatch ({len(x.tokens)} vs {len(y.tokens)})"
+            )
 
 
 def merge(a: Dataset, b: Dataset) -> Dataset:

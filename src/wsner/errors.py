@@ -32,14 +32,7 @@ class NumericsError(WsnerError):
 class TransportError(WsnerError):
     """An HTTP request failed after retries."""
 
-    def __init__(self, message: str, attempts: int = 1):
-        super().__init__(message)
-        self.attempts = attempts
-
 
 class ResponseDecodeError(WsnerError):
-    """A response body did not match the expected shape."""
-
-    def __init__(self, message: str, snippet: str = ""):
-        super().__init__(message)
-        self.snippet = snippet
+    """A response body did not match the expected shape; the message quotes
+    the start of the offending part."""

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .corpus import Dataset
-from .errors import AlignmentError
+from .corpus import Dataset, check_aligned
 
 
 @dataclass(frozen=True)
@@ -38,23 +37,9 @@ class RunMetrics:
     overall: PRF
 
 
-def _check_aligned(gold: Dataset, pred: Dataset) -> None:
-    if len(gold.sentences) != len(pred.sentences):
-        raise AlignmentError(
-            f"sentence count mismatch: gold={len(gold.sentences)} "
-            f"pred={len(pred.sentences)}"
-        )
-    for i, (g, p) in enumerate(zip(gold.sentences, pred.sentences)):
-        if len(g.tokens) != len(p.tokens):
-            raise AlignmentError(
-                f"sentence {i}: token count mismatch "
-                f"(gold={len(g.tokens)}, pred={len(p.tokens)})"
-            )
-
-
 def span_prf(gold: Dataset, pred: Dataset) -> RunMetrics:
     """Micro-averaged exact-match span scores, overall and per class."""
-    _check_aligned(gold, pred)
+    check_aligned(gold, pred)
     classes = gold.tag_set.entity_types
     tp = {c: 0 for c in classes}
     n_pred = {c: 0 for c in classes}

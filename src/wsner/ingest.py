@@ -107,19 +107,14 @@ class HttpTransport:
                     return response.json()
                 except ValueError:
                     raise ResponseDecodeError(
-                        "response is not JSON", snippet=response.text[:200]
+                        f"response is not JSON: {response.text[:200]!r}"
                     ) from None
             if status is not None and 400 <= status < 500 and status != 429:
-                raise TransportError(
-                    f"HTTP {status} from {url}", attempts=attempts
-                )
+                raise TransportError(f"HTTP {status} from {url}")
             if status is not None:
                 error = f"HTTP {status}"
             if attempts > MAX_RETRIES:
-                raise TransportError(
-                    f"{error} from {url} after {attempts} attempts",
-                    attempts=attempts,
-                )
+                raise TransportError(f"{error} from {url} after {attempts} attempts")
             self._sleep(2.0 ** (attempts - 1))
 
 
@@ -136,7 +131,7 @@ class FixtureTransport:
 
     def get(self, url: str, params: dict) -> dict:
         if not self._pages:
-            raise TransportError("fixture exhausted", attempts=1)
+            raise TransportError("fixture exhausted")
         return self._pages.pop(0)
 
 
@@ -144,21 +139,17 @@ def _parse_labels(body: dict) -> list[str]:
     try:
         bindings = body["results"]["bindings"]
     except (KeyError, TypeError):
-        raise ResponseDecodeError(
-            "missing results.bindings", snippet=repr(body)[:200]
-        ) from None
+        raise ResponseDecodeError(f"missing results.bindings: {repr(body)[:200]}") from None
     labels = []
     for binding in bindings:
         try:
             value = binding["label"]["value"]
         except (KeyError, TypeError):
             raise ResponseDecodeError(
-                "binding without label.value", snippet=repr(binding)[:200]
+                f"binding without label.value: {repr(binding)[:200]}"
             ) from None
         if not isinstance(value, str):
-            raise ResponseDecodeError(
-                "label.value is not a string", snippet=repr(binding)[:200]
-            )
+            raise ResponseDecodeError(f"label.value is not a string: {repr(binding)[:200]}")
         labels.append(value)
     return labels
 

@@ -2,8 +2,8 @@
 
 ``fit`` is the one training pipeline, shared by ``wsner train`` and the
 sweep. It runs one of ``METHODS`` with the settings in a ``MethodOptions``
-and returns a ``FitResult``: the tagger and the method's channel or
-cleaner. Embeddings are frozen, so the caller's table never changes and is
+and returns a ``FitResult``: the tagger and the method's channel, if it
+has one. Embeddings are frozen, so the caller's table never changes and is
 the one to tag with. ``split_config`` builds the ``TaggerConfig`` and
 ``MethodOptions`` of a flat config document.
 
@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from . import tagger
-from .corpus import Dataset, merge, open_utf8, spans_to_io
-from .errors import AlignmentError, EstimationError, NumericsError, ParseError, SchemaError
+from .corpus import Dataset, check_aligned, merge, open_utf8
+from .errors import EstimationError, NumericsError, ParseError, SchemaError
 from .tagger import (
     EmbeddingTable,
     TaggerConfig,
@@ -99,8 +99,10 @@ class ConfusionMatrix:
             raise ValueError("matrix rows must sum to 1")
 
 
-def estimate_confusion(pairs, labels, alpha: float = 0.0) -> ConfusionMatrix:
-    """Counting estimate with add-alpha smoothing:
+def estimate_confusion(clean: np.ndarray, noisy: np.ndarray, labels,
+                       alpha: float = 0.0) -> ConfusionMatrix:
+    """Counting estimate over the aligned label-index arrays *clean* and
+    *noisy* (indices into *labels*), with add-alpha smoothing:
     ``C[t, y] = (count(t→y) + alpha) / (count(t→·) + alpha·L)``.
 
     Unsmoothed rows without observations default to the identity row; no
@@ -109,17 +111,10 @@ def estimate_confusion(pairs, labels, alpha: float = 0.0) -> ConfusionMatrix:
     labels = tuple(labels)
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    index = {lab: i for i, lab in enumerate(labels)}
     L = len(labels)
     counts = np.zeros((L, L))
-    n = 0
-    for clean_label, noisy_label in pairs:
-        try:
-            counts[index[clean_label], index[noisy_label]] += 1.0
-        except KeyError as exc:
-            raise SchemaError(f"unknown label {exc} in pair") from None
-        n += 1
-    if n == 0 and alpha == 0.0:
+    np.add.at(counts, (clean, noisy), 1.0)
+    if len(clean) == 0 and alpha == 0.0:
         raise EstimationError("no pairs and no smoothing: channel is undefined")
     row_sums = counts.sum(axis=1, keepdims=True)
     denom = row_sums + alpha * L
@@ -163,20 +158,16 @@ def load_confusion(path) -> ConfusionMatrix:
 # clean/noisy pairing
 
 
-def token_pairs(gold: Dataset, noisy: Dataset) -> list[tuple[str, str]]:
-    """Aligned (gold IO tag, noisy IO tag) pairs over two annotations of
-    the same sentences."""
-    if len(gold.sentences) != len(noisy.sentences):
-        raise AlignmentError(
-            f"sentence count mismatch: {len(gold.sentences)} vs {len(noisy.sentences)}"
-        )
-    pairs = []
-    for i, (g, d) in enumerate(zip(gold.sentences, noisy.sentences)):
-        if len(g.tokens) != len(d.tokens):
-            raise AlignmentError(f"sentence {i}: token count mismatch")
-        pairs.extend(zip(spans_to_io(g, gold.tag_set.outside),
-                         spans_to_io(d, gold.tag_set.outside)))
-    return pairs
+def _label_pairs(clean_items, clean: Dataset,
+                 pair_source: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The gold and the noisy label index of every clean token: gold from
+    the items of the clean sentences, noisy from *pair_source*, their
+    distant annotation, encoded in the clean tag set (a label outside it
+    is a ``SchemaError``)."""
+    check_aligned(clean, pair_source)
+    none = np.zeros(0, dtype=np.int64)  # no clean sentences give no pairs
+    return (np.concatenate([none, *(item.hard for item in clean_items)]),
+            np.concatenate([none, *map(clean.tag_set.encode, pair_source.sentences)]))
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +190,12 @@ def train_confusion_method(
     add-``options.alpha`` smoothing.
     """
     labels = clean.tag_set.labels
-    channel = estimate_confusion(token_pairs(clean, pair_source), labels, options.alpha)
+    clean_items = make_items(clean, table)
+    channel = estimate_confusion(*_label_pairs(clean_items, clean, pair_source), labels,
+                                 options.alpha)
     with np.errstate(divide="ignore"):
         logits = np.log(channel.matrix)
-    items = make_items(clean, table) + make_items(distant, table, channel=True)
+    items = clean_items + make_items(distant, table, channel=True)
     params, final_logits = _train_core(items, config, table, clean.tag_set.size,
                                        channel_logits=logits)
     return params, ConfusionMatrix(labels, tagger._softmax(final_logits))
@@ -342,15 +335,9 @@ def train_cleaner(inputs: np.ndarray, targets: np.ndarray, label_count: int,
     return CleaningParams(w1, b1, w2, b2)
 
 
-def _onehot(indices: np.ndarray, L: int) -> np.ndarray:
-    out = np.zeros((len(indices), L))
-    out[np.arange(len(indices)), indices] = 1.0
-    return out
-
-
 def cleaner_inputs(feats: np.ndarray, noisy_indices: np.ndarray, L: int) -> np.ndarray:
     """Stack noisy one-hots before the tagger feature vectors."""
-    return np.concatenate([_onehot(noisy_indices, L), feats], axis=1)
+    return np.concatenate([np.eye(L)[noisy_indices], feats], axis=1)
 
 
 def train_cleaning_method(
@@ -366,25 +353,16 @@ def train_cleaning_method(
     subset, then train the final tagger on clean hard targets plus cleaned
     soft targets for the distant sentences.
     """
-    tag_set = clean.tag_set
-    L = tag_set.size
-    if len(pair_source.sentences) != len(clean.sentences):
-        raise AlignmentError("pair_source must re-annotate the clean sentences")
+    L = clean.tag_set.size
+    clean_items = make_items(clean, table)
+    gold, noisy = _label_pairs(clean_items, clean, pair_source)
 
     # phase 0/1: base tagger for features, then the cleaner on clean pairs
-    clean_items = make_items(clean, table)
     base_params, _ = _train_core(clean_items, config, table, L,
                                  seed=np.random.SeedSequence([config.seed, 0]))
-    feats = []
-    noisy_idx = []
-    for item, d in zip(clean_items, pair_source.sentences):
-        if len(item.hard) != len(d.tokens):
-            raise AlignmentError("pair_source token counts do not match clean")
-        feats.append(tagger.feature_vectors(item.X, base_params))
-        noisy_idx.append(tagger.hard_targets(d, tag_set))
-    inputs = cleaner_inputs(np.vstack(feats), np.concatenate(noisy_idx), L)
+    feats = np.vstack([tagger.feature_vectors(item.X, base_params) for item in clean_items])
     cleaner = train_cleaner(
-        inputs, np.concatenate([item.hard for item in clean_items]), L,
+        cleaner_inputs(feats, noisy, L), gold, L,
         np.random.default_rng(np.random.SeedSequence([config.seed, 1])),
         hidden_size=options.cleaner_hidden, learning_rate=options.cleaner_learning_rate,
         epochs=options.cleaner_epochs,
@@ -420,12 +398,11 @@ def split_config(doc: dict) -> tuple[TaggerConfig, MethodOptions, dict]:
 
 @dataclass(frozen=True)
 class FitResult:
-    """What ``fit`` trained: the tagger, and the method's channel or
-    cleaner when it has one."""
+    """What ``fit`` trained: the tagger, and the method's channel when it
+    has one."""
 
     params: TaggerParams
     channel: ConfusionMatrix | None = None
-    cleaner: CleaningParams | None = None
 
 
 def fit(method: str, clean: Dataset, distant: Dataset, config: TaggerConfig,
@@ -440,7 +417,7 @@ def fit(method: str, clean: Dataset, distant: Dataset, config: TaggerConfig,
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    channel = cleaner = None
+    channel = None
     if method == "baseline-clean" or not distant.sentences:
         params = tagger.train(clean, config, table)
     elif method == "naive-mix":
@@ -453,6 +430,6 @@ def fit(method: str, clean: Dataset, distant: Dataset, config: TaggerConfig,
         params, state = em_noise_channel(data, config, table, options.em_iterations)
         channel = state.channel
     else:
-        params, cleaner = train_cleaning_method(clean, distant, pair_source(), config,
-                                                table, options)
-    return FitResult(params, channel, cleaner)
+        params, _ = train_cleaning_method(clean, distant, pair_source(), config,
+                                          table, options)
+    return FitResult(params, channel)

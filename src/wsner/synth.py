@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Dataset, LabeledSentence, TagSet, io_to_spans, spans_to_io
+from .corpus import Dataset, LabeledSentence, TagSet
 from .tagger import EmbeddingTable
 
 
@@ -27,7 +27,7 @@ def _make_vocabulary(rng, tag_set: TagSet, entity_words: int, outside_words: int
     marked: set[str] = set()
     vocab: dict[str, int] = {}
     vectors = []
-    labels = (tag_set.outside,) + tag_set.entity_types
+    labels = tag_set.labels
     counts = {lab: entity_words for lab in tag_set.entity_types}
     counts[tag_set.outside] = outside_words
     for lab in labels:
@@ -54,35 +54,20 @@ def _make_sentences(rng, words_by_label, tag_set: TagSet, total_tokens: int,
                     provenance: str = "gold") -> list[LabeledSentence]:
     sentences = []
     produced = 0
-    entity_types = tag_set.entity_types
+    labels = tag_set.labels
+    n_types = len(tag_set.entity_types)
     while produced < total_tokens:
         n = int(rng.integers(min_len, max_len + 1))
         tokens = []
-        tags = []
+        indices = []
         for _ in range(n):
-            if rng.random() < entity_rate:
-                lab = entity_types[int(rng.integers(len(entity_types)))]
-            else:
-                lab = tag_set.outside
-            words = words_by_label[lab]
+            k = 1 + int(rng.integers(n_types)) if rng.random() < entity_rate else 0
+            words = words_by_label[labels[k]]
             tokens.append(words[int(rng.integers(len(words)))])
-            tags.append(lab)
-        spans = io_to_spans(tags, tag_set)
-        sentences.append(LabeledSentence(tuple(tokens), tuple(spans), provenance))
+            indices.append(k)
+        sentences.append(LabeledSentence(tuple(tokens), tag_set.decode(indices), provenance))
         produced += n
     return sentences
-
-
-def _label_indices(sentence: LabeledSentence, tag_set: TagSet) -> list[int]:
-    return [tag_set.index(t) for t in spans_to_io(sentence, tag_set.outside)]
-
-
-def _from_indices(sentence: LabeledSentence, indices, tag_set: TagSet,
-                  provenance: str = "distant") -> LabeledSentence:
-    labels = tag_set.labels
-    tags = [labels[i] for i in indices]
-    return LabeledSentence(sentence.tokens, tuple(io_to_spans(tags, tag_set)),
-                           provenance)
 
 
 def uniform_flip(dataset: Dataset, noise_rate: float, seed) -> Dataset:
@@ -92,9 +77,9 @@ def uniform_flip(dataset: Dataset, noise_rate: float, seed) -> Dataset:
     L = dataset.tag_set.size
     out = []
     for sent in dataset.sentences:
-        idx = np.array(_label_indices(sent, dataset.tag_set))
+        idx = dataset.tag_set.encode(sent)
         flips = rng.random(len(idx)) < noise_rate
         offsets = rng.integers(1, L, size=len(idx))
         noisy = np.where(flips, (idx + offsets) % L, idx)
-        out.append(_from_indices(sent, noisy, dataset.tag_set))
+        out.append(LabeledSentence(sent.tokens, dataset.tag_set.decode(noisy), "distant"))
     return Dataset(tuple(out), dataset.tag_set)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset, LabeledSentence, TagSet, io_to_spans, open_utf8, spans_to_io
+from .corpus import Dataset, LabeledSentence, TagSet, open_utf8
 from .errors import NumericsError, ParseError
 
 
@@ -625,14 +625,9 @@ def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None):
     return loss, _sentence_backward(params, cache, dlogits), dC
 
 
-def hard_targets(sentence: LabeledSentence, tag_set: TagSet) -> np.ndarray:
-    tags = spans_to_io(sentence, tag_set.outside)
-    return np.array([tag_set.index(t) for t in tags], dtype=np.int64)
-
-
 def make_items(dataset: Dataset, table: EmbeddingTable, *,
                channel: bool = False) -> list[TrainItem]:
-    return [TrainItem(table.embed(sent.tokens), hard=hard_targets(sent, dataset.tag_set),
+    return [TrainItem(table.embed(sent.tokens), hard=dataset.tag_set.encode(sent),
                       channel=channel)
             for sent in dataset.sentences]
 
@@ -713,13 +708,12 @@ def predict(dataset: Dataset, params: TaggerParams, table: EmbeddingTable) -> Da
     since matrix products of another shape sum in another order, and the
     output keeps the input order.
     """
-    labels = dataset.tag_set.labels
+    decode = dataset.tag_set.decode
     sentences = list(dataset.sentences)
     for i, probs in _forward_batched(params, table, [s.tokens for s in sentences]):
         sent = sentences[i]
-        tags = [labels[int(k)] for k in probs.argmax(axis=1)]
-        spans = io_to_spans(tags, dataset.tag_set)
-        sentences[i] = LabeledSentence(sent.tokens, tuple(spans), sent.provenance)
+        sentences[i] = LabeledSentence(sent.tokens, decode(probs.argmax(axis=1)),
+                                       sent.provenance)
     return Dataset(tuple(sentences), dataset.tag_set)
 
 

@@ -8,15 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wsner.corpus import Dataset, TagSet, spans_to_io
-from wsner.evaluation import _check_aligned
-from wsner.synth import (
-    _from_indices,
-    _label_indices,
-    _make_sentences,
-    _make_vocabulary,
-    uniform_flip,
-)
+from wsner.corpus import Dataset, LabeledSentence, TagSet, check_aligned
+from wsner.synth import _make_sentences, _make_vocabulary, uniform_flip
 from wsner.tagger import EmbeddingTable, TaggerParams, _forward_batched
 
 
@@ -29,13 +22,11 @@ def forward(tokens, params: TaggerParams, table: EmbeddingTable) -> np.ndarray:
 
 def token_accuracy(gold: Dataset, pred: Dataset) -> float:
     """Fraction of tokens whose IO label matches gold."""
-    _check_aligned(gold, pred)
-    correct = 0
-    total = 0
-    for g, p in zip(gold.sentences, pred.sentences):
-        for a, b in zip(spans_to_io(g), spans_to_io(p)):
-            correct += a == b
-            total += 1
+    check_aligned(gold, pred)
+    encode = gold.tag_set.encode
+    correct = sum(int((encode(g) == encode(p)).sum())
+                  for g, p in zip(gold.sentences, pred.sentences))
+    total = gold.num_tokens
     return correct / total if total else 0.0
 
 
@@ -104,12 +95,11 @@ def make_feature_noise_task(seed: int, *, clean_tokens: int = 400,
         n_types = len(tag_set.entity_types)
         out = []
         for sent in ds.sentences:
-            idx = _label_indices(sent, tag_set)
             noisy = [
                 1 + (t % n_types) if (tok in marked and t > 0) else t
-                for tok, t in zip(sent.tokens, idx)
+                for tok, t in zip(sent.tokens, tag_set.encode(sent).tolist())
             ]
-            out.append(_from_indices(sent, noisy, tag_set))
+            out.append(LabeledSentence(sent.tokens, tag_set.decode(noisy), "distant"))
         return Dataset(tuple(out), tag_set)
 
     return SynthTask(clean, corrupt(pool), corrupt(clean), test, table)

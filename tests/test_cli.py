@@ -2,12 +2,15 @@
 channel equal those of the method's training function called directly;
 two ``wsner train`` runs on one embeddings file write the same checkpoint,
 the second reading the file's cache instead of parsing it; ``wsner
-evaluate --model`` scores with the checkpoint's labels; ``wsner quality``
-prints the span scores of the distant annotation; importing the CLI leaves
-the HTTP client unloaded; every subcommand exits 1 on bad input, naming the
-file and line (bad ``train`` configs have a test of their own), and 2 on
-bad usage, naming the option."""
+evaluate --model`` scores with the checkpoint's labels; ``wsner train``
+with an empty ``--clean`` file still runs the methods that learn from
+distant sentences alone; ``wsner quality`` prints the span scores of the
+distant annotation; importing the CLI leaves the HTTP client unloaded;
+every subcommand exits 1 on bad input, naming the file and line (bad
+``train`` configs have a test of their own), and 2 on bad usage, naming
+the option."""
 
+import io
 import json
 import os
 import shutil
@@ -170,6 +173,14 @@ def test_importing_the_cli_does_not_load_requests():
     assert proc.stdout == "False\n"
 
 
+def _checkpoint(embed_dim):
+    """The bytes of a tiny checkpoint that embeds in *embed_dim* dimensions."""
+    params = tagger.init_params(np.random.default_rng(0), "lstm", embed_dim, 2, 2, 5)
+    buf = io.BytesIO()
+    tagger.save_checkpoint(buf, params, TagSet())
+    return buf.getvalue()
+
+
 def _write(path, text):
     if isinstance(text, bytes):
         path.write_bytes(text)
@@ -217,6 +228,11 @@ BAD_INPUT = {
         "evaluate", {"gold.conll": "Kano\tB-LOC\n", "m.npz": "not an archive\n",
                      "e.txt": "1 1\nKano 0.5\n"},
         ["--model", "m.npz", "--embeddings", "e.txt"], "m.npz: not a checkpoint"),
+    "evaluate-embedding-size": (
+        "evaluate", {"gold.conll": "Kano\tB-LOC\n", "m.npz": _checkpoint(12),
+                     "e.txt": "1 3\nKano 0.5 0.5 0.5\n"},
+        ["--model", "m.npz", "--embeddings", "e.txt"],
+        "e.txt: vectors of dimension 3, but "),
     "experiment-invalid-json": (
         "experiment", {"sweep.json": '{"repeats": 1,\n "methods": [\n'}, [],
         "sweep.json:3: invalid JSON"),
@@ -238,6 +254,13 @@ BAD_INPUT = {
         "train", {"clean.conll": "Kano\tB-LOC\n",
                   "e.txt": "1000000000 300\nKano" + " 0.5" * 300 + "\n"}, [],
         "e.txt:1: header announces 1000000000 vectors of dimension 300"),
+    "train-empty-clean": (
+        "train", {"clean.conll": "", "e.txt": "1 1\nKano 0.5\n"}, [],
+        "clean.conll: no sentences; baseline-clean needs clean sentences"),
+    "train-empty-clean-cleaning": (
+        "train", {"clean.conll": "", "distant.conll": "Kano\tB-LOC\n", "e.txt": "1 1\nKano 0.5\n"},
+        ["--distant", "distant.conll", "--method", "cleaning"],
+        "clean.conll: no sentences; cleaning needs clean sentences"),
     "train-non-finite-vector": (
         "train", {"clean.conll": "Kano\tB-LOC\n", "e.txt": "2 2\nKano 1.0 0.5\nAdé nan 1.0\n"},
         [], "e.txt:3: non-finite vector value"),
@@ -283,6 +306,17 @@ def test_bad_input_exits_1_naming_file_and_line(tmp_path, capsys, case):
     assert err.startswith("error: ") and f"{tmp_path}{os.sep}{message}" in err, err
     assert "Traceback" not in err and out == ""
     assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("out")]
+
+
+@pytest.mark.parametrize("method", ["naive-mix", "confusion", "noise-channel"])
+def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_path, method):
+    clean, model = _write(tmp_path / "clean.conll", ""), tmp_path / "model.npz"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(CONFIG), encoding="utf-8")
+    assert cli.main(["train", "--clean", clean, "--distant", corpus["distant"],
+                     "--embeddings", corpus["embeddings"], "--method", method,
+                     "--config", str(config_path), "--model-out", str(model)]) == 0
+    tagger.load_checkpoint(model)[0].check_finite()
 
 
 @pytest.mark.parametrize("argv, option", [

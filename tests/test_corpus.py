@@ -149,6 +149,17 @@ def test_spans_to_io():
 
 
 @settings(max_examples=200)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=30))
+def test_label_index_codec_agrees_with_io_tags(indices):
+    ts = TagSet()
+    spans = ts.decode(np.array(indices))
+    assert list(spans) == io_to_spans([ts.labels[k] for k in indices], ts)
+    sent = LabeledSentence(tuple(f"w{i}" for i in range(len(indices))), spans)
+    encoded = ts.encode(sent)
+    assert encoded.dtype == np.int64 and encoded.tolist() == indices
+
+
+@settings(max_examples=200)
 @given(st.integers(0, 2**32 - 1))
 def test_bio_round_trip_property(seed):
     rng = np.random.default_rng(seed)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wsner.corpus import Dataset, TagSet, merge
-from wsner.errors import EstimationError, ParseError, SchemaError
+from wsner.corpus import Dataset, EntitySpan, LabeledSentence, TagSet, check_aligned, merge
+from wsner.errors import AlignmentError, EstimationError, ParseError, SchemaError
 from wsner.noise import (
     ConfusionMatrix,
     MethodOptions,
@@ -12,7 +12,6 @@ from wsner.noise import (
     fit,
     load_confusion,
     save_confusion,
-    token_pairs,
     train_cleaner,
     train_cleaning_method,
     train_confusion_method,
@@ -28,6 +27,8 @@ from support import (
 )
 
 LABELS = ("O", "PER", "ORG", "LOC", "DATE")
+O, PER, ORG, LOC = 0, 1, 2, 3
+NONE = np.zeros(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -35,37 +36,44 @@ LABELS = ("O", "PER", "ORG", "LOC", "DATE")
 
 
 def test_identity_when_clean_equals_noisy():
-    pairs = [("PER", "PER"), ("O", "O"), ("LOC", "LOC")] * 5
-    cm = estimate_confusion(pairs, LABELS, alpha=0.0)
+    labels = np.array([PER, O, LOC] * 5)
+    cm = estimate_confusion(labels, labels, LABELS, alpha=0.0)
     assert np.array_equal(cm.matrix, np.eye(5))
 
 
 def test_direct_counting():
-    pairs = [("O", "O"), ("O", "LOC"), ("PER", "PER")]
-    cm = estimate_confusion(pairs, LABELS, alpha=0.0)
-    assert cm.matrix[LABELS.index("O")][LABELS.index("O")] == 0.5
-    assert cm.matrix[LABELS.index("O")][LABELS.index("LOC")] == 0.5
-    assert cm.matrix[LABELS.index("PER")][LABELS.index("PER")] == 1.0
+    cm = estimate_confusion(np.array([O, O, PER]), np.array([O, LOC, PER]), LABELS, alpha=0.0)
+    assert cm.matrix[O][O] == 0.5
+    assert cm.matrix[O][LOC] == 0.5
+    assert cm.matrix[PER][PER] == 1.0
     # unobserved rows default to identity
-    assert cm.matrix[LABELS.index("ORG")][LABELS.index("ORG")] == 1.0
+    assert cm.matrix[ORG][ORG] == 1.0
 
 
 def test_smoothing():
-    cm = estimate_confusion([("O", "O")], LABELS, alpha=1.0)
-    assert cm.matrix[LABELS.index("O")][0] == pytest.approx(2 / 6)
-    assert cm.matrix[LABELS.index("PER")][1] == pytest.approx(1 / 5)
+    cm = estimate_confusion(np.array([O]), np.array([O]), LABELS, alpha=1.0)
+    assert cm.matrix[O][0] == pytest.approx(2 / 6)
+    assert cm.matrix[PER][1] == pytest.approx(1 / 5)
 
 
 def test_empty_pairs_require_smoothing():
     with pytest.raises(EstimationError):
-        estimate_confusion([], LABELS, alpha=0.0)
-    cm = estimate_confusion([], LABELS, alpha=1.0)
+        estimate_confusion(NONE, NONE, LABELS, alpha=0.0)
+    cm = estimate_confusion(NONE, NONE, LABELS, alpha=1.0)
     assert np.allclose(cm.matrix, 1 / 5)
 
 
 def test_unknown_label_in_pair():
-    with pytest.raises(SchemaError):
-        estimate_confusion([("XYZ", "O")], LABELS)
+    # the pair source carries a type that the clean tag set lacks
+    task = _small_task()
+    wide = TagSet(task.clean.tag_set.entity_types + ("MISC",))
+    first = task.pair_source.sentences[0]
+    misc = LabeledSentence(first.tokens, (EntitySpan("MISC", 0, 1),), "distant")
+    pair_source = Dataset((misc,) + task.pair_source.sentences[1:], wide)
+    for method in (train_confusion_method, train_cleaning_method):
+        with pytest.raises(SchemaError, match="MISC"):
+            method(task.clean, task.distant, pair_source, _config(), task.table,
+                   MethodOptions())
 
 
 def test_channel_recovery_from_samples():
@@ -75,8 +83,7 @@ def test_channel_recovery_from_samples():
     cum = true.cumsum(axis=1)
     noisy = np.array([np.searchsorted(cum[t], rng.random(), side="right")
                       for t in clean])
-    pairs = [(LABELS[a], LABELS[min(b, 4)]) for a, b in zip(clean, noisy)]
-    cm = estimate_confusion(pairs, LABELS, alpha=0.0)
+    cm = estimate_confusion(clean, np.minimum(noisy, 4), LABELS, alpha=0.0)
     row_err = np.abs(cm.matrix - true).sum(axis=1)
     assert row_err.max() < 0.05
 
@@ -89,7 +96,7 @@ def test_matrix_validation():
 
 
 def test_serialization_round_trip(tmp_path):
-    cm = estimate_confusion([("O", "PER"), ("O", "O")], LABELS, alpha=0.5)
+    cm = estimate_confusion(np.array([O, O]), np.array([PER, O]), LABELS, alpha=0.5)
     path = tmp_path / "cm.txt"
     save_confusion(cm, path)
     back = load_confusion(path)
@@ -121,12 +128,15 @@ def _params_equal(a, b):
     return all(np.array_equal(x, y) for (_, x), (_, y) in zip(a.arrays(), b.arrays()))
 
 
-def test_token_pairs_alignment():
+def test_check_aligned_refuses_a_pair_source_of_other_sentences():
     task = _small_task()
-    pairs = token_pairs(task.clean, task.pair_source)
-    assert len(pairs) == task.clean.num_tokens
-    with pytest.raises(Exception):
-        token_pairs(task.clean, task.distant)
+    check_aligned(task.clean, task.pair_source)
+    with pytest.raises(AlignmentError):
+        check_aligned(task.clean, task.distant)
+    for method in (train_confusion_method, train_cleaning_method):
+        with pytest.raises(AlignmentError):
+            method(task.clean, task.distant, task.distant, _config(), task.table,
+                   MethodOptions())
 
 
 def _fit_without_distant(method):
@@ -144,7 +154,7 @@ def _fit_without_distant(method):
 
 def test_empty_distant_reduces_to_plain_training():
     result, plain = _fit_without_distant("confusion")
-    assert result.channel is None and result.cleaner is None
+    assert result.channel is None
     assert _params_equal(result.params, plain)
 
 
@@ -183,7 +193,7 @@ def test_channel_gradient_matches_finite_differences():
     params = T.init_params(rng, "lstm", task.table.dimension, 2, 3, ts.size)
     sent = task.distant.sentences[0]
     X = task.table.embed(sent.tokens)
-    item = T.TrainItem(X, hard=T.hard_targets(sent, ts), channel=True)
+    item = T.TrainItem(X, hard=ts.encode(sent), channel=True)
     B = np.log(0.6 * np.eye(ts.size) + 0.4 / ts.size)
 
     def loss_fn():
@@ -265,7 +275,7 @@ def test_cleaner_learns_identity_on_clean_pairs():
 
 def test_cleaning_method_empty_distant_reduces_to_plain_training():
     result, plain = _fit_without_distant("cleaning")
-    assert result.channel is None and result.cleaner is None
+    assert result.channel is None
     assert _params_equal(result.params, plain)
 
 

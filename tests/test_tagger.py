@@ -27,7 +27,6 @@ from wsner.tagger import (
     _sentence_backward,
     _sentence_forward,
     _sgd_step,
-    hard_targets,
     init_params,
     load_checkpoint,
     make_items,
@@ -629,7 +628,7 @@ def test_gradient_matches_finite_differences(cell):
         assert params.num_parameters <= 200
         for sent in sents:
             _assert_item_gradient(params, TrainItem(table.embed(sent.tokens),
-                                                    hard=hard_targets(sent, ts)))
+                                                    hard=ts.encode(sent)))
 
 
 @pytest.mark.parametrize("T", [1, 12])
