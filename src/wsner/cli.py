@@ -12,10 +12,11 @@ import os
 import sys
 
 from . import evaluation, experiment, noise, tagger
-from .corpus import Dataset, TagSet, read_conll, read_json, read_tokens, write_conll
+from .corpus import (Dataset, TagSet, check_aligned, read_conll, read_json, read_tokens,
+                     write_conll)
 from .date_rules import DateRuleSet, default_date_rules
-from .errors import WsnerError
-from .gazetteer import annotate_distant, build_gazetteer, distant_twin, read_entity_tsv
+from .errors import AlignmentError, WsnerError
+from .gazetteer import Gazetteer, annotate_distant, distant_twin, load_gazetteer
 
 ENDPOINT_ENV = "WSNER_ENDPOINT"
 EMBEDDINGS_CACHE = (
@@ -28,7 +29,7 @@ EMBEDDINGS_HELP = ("word vectors in text format: a '|V| d' line, then 'token v1 
 
 
 def _tag_set(args) -> TagSet:
-    if getattr(args, "entity_types", None):
+    if args.entity_types:
         return TagSet(tuple(args.entity_types.split(",")))
     return TagSet()
 
@@ -47,26 +48,28 @@ def _min_len_item(text: str) -> tuple[str, int]:
     return source, value
 
 
-def _load_rules(spec: str | None) -> DateRuleSet | None:
-    if spec is None:
-        return None
-    if spec == "default":
-        return default_date_rules()
-    return DateRuleSet.load(spec)
+def _annotator(args, tag_set: TagSet) -> tuple[Gazetteer, DateRuleSet | None]:
+    """The gazetteer and date rules set by the flags of ``_add_annotator_args``."""
+    gaz = load_gazetteer(args.gazetteer, dict(args.min_len or ()), tag_set=tag_set,
+                         default_min_len=args.default_min_len, lowercase=args.lowercase,
+                         strip_marks=args.strip_diacritics)
+    if args.keywords is None:
+        return gaz, None
+    if args.keywords == "default":
+        return gaz, default_date_rules()
+    return gaz, DateRuleSet.load(args.keywords)
 
 
-def _build_gazetteer(args, tag_set: TagSet):
-    entries = []
-    for path in args.gazetteer or []:
-        entries.extend(read_entity_tsv(path, tag_set))
-    return build_gazetteer(
-        entries,
-        dict(getattr(args, "min_len", None) or ()),
-        default_min_len=getattr(args, "default_min_len", 1),
-        lowercase=getattr(args, "lowercase", False),
-        strip_marks=getattr(args, "strip_diacritics", False),
-        tag_set=tag_set,
-    )
+def _read_aligned(gold_path, other_path, tag_set: TagSet) -> tuple[Dataset, Dataset]:
+    """The gold annotation at *gold_path* and another annotation of the same
+    sentences at *other_path*; an ``AlignmentError`` names both files."""
+    gold = read_conll(gold_path, tag_set=tag_set)
+    other = read_conll(other_path, tag_set=tag_set)
+    try:
+        check_aligned(gold, other)
+    except AlignmentError as exc:
+        raise AlignmentError(f"{gold_path} vs {other_path}: {exc}") from None
+    return gold, other
 
 
 def _train_config(path: str | None,
@@ -115,8 +118,7 @@ def cmd_annotate(args) -> int:
     tag_set = _tag_set(args)
     corpus = read_tokens(args.corpus)
     corpus = Dataset(corpus.sentences, tag_set)
-    gaz = _build_gazetteer(args, tag_set)
-    rules = _load_rules(args.keywords)
+    gaz, rules = _annotator(args, tag_set)
     annotated = annotate_distant(corpus, gaz, rules)
     write_conll(annotated, args.out)
     n_spans = sum(len(s.spans) for s in annotated.sentences)
@@ -139,9 +141,7 @@ def cmd_train(args) -> int:
     config, options = _train_config(args.config, args.seed)
 
     def pair_source() -> Dataset:
-        gaz = rules = None
-        if args.gazetteer:
-            gaz, rules = _build_gazetteer(args, tag_set), _load_rules(args.keywords)
+        gaz, rules = _annotator(args, tag_set) if args.gazetteer else (None, None)
         return distant_twin(clean, distant, gaz, rules)
 
     result = noise.fit(args.method, clean, distant, config, table, options, pair_source)
@@ -158,8 +158,7 @@ def cmd_evaluate(args) -> int:
         args.usage_error("pass either --pred or both --model and --embeddings")
     if args.pred:
         tag_set = _tag_set(args)
-        gold = read_conll(args.gold, tag_set=tag_set)
-        pred = read_conll(args.pred, tag_set=tag_set)
+        gold, pred = _read_aligned(args.gold, args.pred, tag_set)
     else:
         params, tag_set = tagger.load_checkpoint(args.model)
         gold = read_conll(args.gold, tag_set=tag_set)
@@ -185,9 +184,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_quality(args) -> int:
-    tag_set = _tag_set(args)
-    gold = read_conll(args.gold, tag_set=tag_set)
-    distant = read_conll(args.distant, tag_set=tag_set, provenance="distant")
+    gold, distant = _read_aligned(args.gold, args.distant, _tag_set(args))
     metrics = evaluation.span_prf(gold, distant)
     print(evaluation.format_report(metrics, title="Distant annotation quality"))
     return 0
@@ -246,6 +243,22 @@ def cmd_synth(args) -> int:
 # parser
 
 
+def _add_annotator_args(parser: argparse.ArgumentParser, description: str) -> None:
+    """The distant annotator's flags, read by ``_annotator``."""
+    group = parser.add_argument_group("distant annotator", description)
+    group.add_argument("--gazetteer", action="append", default=[],
+                       help="entity-list TSV 'surface<TAB>type<TAB>source'; repeatable")
+    group.add_argument("--keywords", default=None,
+                       help="date keyword file, or 'default' for the bundled list")
+    group.add_argument("--min-len", action="append", dest="min_len", type=_min_len_item,
+                       help="SOURCE=N minimum character length per source")
+    group.add_argument("--default-min-len", type=int, default=1)
+    group.add_argument("--lowercase", action="store_true",
+                       help="match entity lists case-insensitively")
+    group.add_argument("--strip-diacritics", action="store_true",
+                       help="match entity lists with combining marks removed")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wsner",
@@ -270,14 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("annotate", help="distant annotation via entity lists and date rules")
     p.add_argument("--corpus", required=True,
                    help="pre-tokenized file, one token per line")
-    p.add_argument("--gazetteer", action="append", default=[])
-    p.add_argument("--keywords", default=None,
-                   help="keyword file, or 'default' for the bundled list")
-    p.add_argument("--min-len", action="append", dest="min_len", type=_min_len_item,
-                   help="SOURCE=N minimum character length per source")
-    p.add_argument("--default-min-len", type=int, default=1)
-    p.add_argument("--lowercase", action="store_true")
-    p.add_argument("--strip-diacritics", action="store_true")
+    _add_annotator_args(p, "How the corpus is annotated.")
     p.add_argument("--entity-types", default=None, help="comma-separated")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_annotate)
@@ -291,10 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
                         + ", ".join(noise.TAGGER_KEYS + noise.OPTION_KEYS))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--embeddings", required=True, help=EMBEDDINGS_HELP)
-    p.add_argument("--gazetteer", action="append", default=[])
-    p.add_argument("--keywords", default=None)
-    p.add_argument("--min-len", action="append", dest="min_len", type=_min_len_item)
-    p.add_argument("--default-min-len", type=int, default=1)
+    _add_annotator_args(p, "With --gazetteer, confusion and cleaning pair each clean "
+                           "sentence with this annotator's labels, not its twin in "
+                           "--distant; pass the flags --distant was annotated with.")
     p.add_argument("--entity-types", default=None)
     p.add_argument("--model-out", required=True)
     p.add_argument("--confusion-out", default=None)

@@ -102,8 +102,10 @@ class TagSet:
 
     def encode(self, sentence: LabeledSentence) -> np.ndarray:
         """The IO label index of every token of *sentence*, as int64."""
-        return np.array([self.index(t) for t in spans_to_io(sentence, self.outside)],
-                        dtype=np.int64)
+        indices = np.zeros(len(sentence.tokens), dtype=np.int64)
+        for span in sentence.spans:
+            indices[span.start:span.end] = self.index(span.label)
+        return indices
 
     def decode(self, indices) -> tuple[EntitySpan, ...]:
         """The spans of a sequence of IO label indices: each run of one
@@ -224,15 +226,6 @@ def spans_to_bio(sentence: LabeledSentence, outside: str = "O") -> list[str]:
         tags[span.start] = f"B-{span.label}"
         for i in range(span.start + 1, span.end):
             tags[i] = f"I-{span.label}"
-    return tags
-
-
-def spans_to_io(sentence: LabeledSentence, outside: str = "O") -> list[str]:
-    """Prefix-free tag sequence; adjacent same-type spans become one run."""
-    tags = [outside] * len(sentence.tokens)
-    for span in sentence.spans:
-        for i in range(span.start, span.end):
-            tags[i] = span.label
     return tags
 
 

@@ -54,9 +54,8 @@ class DateRuleSet:
 
 def default_date_rules() -> DateRuleSet:
     """The bundled Yorùbá rule set (11 keywords)."""
-    text = resources.files("wsner.data").joinpath(DEFAULT_KEYWORD_RESOURCE).read_text("utf-8")
-    words = [w.strip() for w in text.splitlines() if w.strip() and not w.startswith("#")]
-    return DateRuleSet.from_keywords(words)
+    with resources.as_file(resources.files("wsner.data") / DEFAULT_KEYWORD_RESOURCE) as path:
+        return DateRuleSet.load(path)
 
 
 def annotate_dates(tokens, rules: DateRuleSet) -> list[EntitySpan]:

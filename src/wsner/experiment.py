@@ -44,7 +44,7 @@ import os
 import pickle
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import noise, tagger
 from .corpus import (Dataset, TagSet, merge, read_conll, read_json, read_tokens,
@@ -52,7 +52,7 @@ from .corpus import (Dataset, TagSet, merge, read_conll, read_json, read_tokens,
 from .date_rules import DateRuleSet, default_date_rules
 from .errors import WsnerError
 from .evaluation import mean_and_se, metrics_columns, metrics_row, span_prf
-from .gazetteer import annotate_distant, build_gazetteer, distant_twin, read_entity_tsv
+from .gazetteer import annotate_distant, distant_twin, load_gazetteer
 from .tagger import EmbeddingTable, TaggerConfig
 
 METHODS = noise.METHODS + ("distant-only",)
@@ -60,21 +60,32 @@ METHODS = noise.METHODS + ("distant-only",)
 UNLIMITED = "unlimited"
 
 
+# the fields of ExperimentConfig that name one input file each
+_INPUTS = ("train", "test", "embeddings", "distant", "distant_test", "extra_corpus",
+           "keywords")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    train_path: str
-    test_path: str
-    embeddings_path: str
+    """One sweep. The fields are the keys of the flat JSON config, besides
+    ``tagger`` and ``options``, which ``noise.split_config`` fills from the
+    tagger and method keys (a ``seed`` key is overridden by the per-repeat
+    seed ``base_seed + repeat``). A budget is a token count, or ``None`` or
+    ``"unlimited"`` for the full train split."""
+
+    train: str
+    test: str
+    embeddings: str
     out_dir: str
-    clean_budgets: tuple = (1000, 2000, 4000, None)  # None = full dataset
+    clean_budgets: tuple = (1000, 2000, 4000, None)
     methods: tuple = METHODS
     repeats: int = 20
     base_seed: int = 0
-    distant_path: str | None = None
-    distant_test_path: str | None = None
-    extra_corpus_path: str | None = None
-    gazetteer_paths: tuple = ()
-    keywords_path: str | None = None
+    distant: str | None = None
+    distant_test: str | None = None
+    extra_corpus: str | None = None
+    gazetteers: tuple = ()
+    keywords: str | None = None
     entity_types: tuple = ("PER", "ORG", "LOC", "DATE")
     min_len: dict = field(default_factory=dict)
     default_min_len: int = 1
@@ -82,15 +93,20 @@ class ExperimentConfig:
     options: noise.MethodOptions = field(default_factory=noise.MethodOptions)
 
     def __post_init__(self):
+        budgets = tuple(None if b in (None, UNLIMITED) else int(b) for b in self.clean_budgets)
+        for name, value in (("clean_budgets", budgets), ("methods", tuple(self.methods)),
+                            ("gazetteers", tuple(self.gazetteers)),
+                            ("entity_types", tuple(self.entity_types)),
+                            ("min_len", {k: int(v) for k, v in self.min_len.items()})):
+            object.__setattr__(self, name, value)
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        numeric = [b for b in self.clean_budgets if b is not None]
-        if any(b < 1 for b in numeric):
+        as_inf = [float("inf") if b is None else b for b in budgets]
+        if any(b < 1 for b in as_inf):
             raise ValueError("budgets must be positive")
-        as_inf = [float("inf") if b is None else b for b in self.clean_budgets]
         if any(a >= b for a, b in zip(as_inf, as_inf[1:])):
             raise ValueError("budgets must be strictly increasing")
         for source, n in self.min_len.items():
@@ -98,61 +114,29 @@ class ExperimentConfig:
                 raise ValueError(f"min_len for {source!r} must be >= 1")
 
     def validate_paths(self) -> None:
-        required = [self.train_path, self.test_path, self.embeddings_path]
-        optional = [self.distant_path, self.distant_test_path,
-                    self.extra_corpus_path, self.keywords_path]
-        for p in required + [p for p in optional if p] + list(self.gazetteer_paths):
-            if not os.path.exists(p):
+        for p in [getattr(self, key) for key in _INPUTS] + list(self.gazetteers):
+            if p and not os.path.exists(p):
                 raise WsnerError(f"configured file does not exist: {p}")
 
 
-_PATH_KEYS = {"train": "train_path", "test": "test_path",
-              "embeddings": "embeddings_path", "distant": "distant_path",
-              "distant_test": "distant_test_path",
-              "extra_corpus": "extra_corpus_path", "keywords": "keywords_path"}
-_PLAIN_KEYS = ("out_dir", "repeats", "base_seed", "default_min_len")
-
-
-def _parse_budget(value):
-    if value == UNLIMITED or value is None:
-        return None
-    return int(value)
+_KEYS = {f.name for f in fields(ExperimentConfig)} - {"tagger", "options"}
 
 
 def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     """Build a config from a flat JSON document; relative paths resolve
     against the document's directory."""
-    doc = dict(doc)
 
     def resolve(p):
-        if p is None:
-            return None
-        return p if os.path.isabs(p) else os.path.join(base_dir, p)
+        return p if p is None or os.path.isabs(p) else os.path.join(base_dir, p)
 
-    kwargs = {}
-    for key, attr in _PATH_KEYS.items():
-        if key in doc:
-            kwargs[attr] = resolve(doc.pop(key))
-    if "gazetteers" in doc:
-        kwargs["gazetteer_paths"] = tuple(resolve(p) for p in doc.pop("gazetteers"))
-    for key in _PLAIN_KEYS:
-        if key in doc:
-            kwargs[key] = doc.pop(key)
-    if "out_dir" in kwargs:
-        kwargs["out_dir"] = resolve(kwargs["out_dir"])
-    if "clean_budgets" in doc:
-        kwargs["clean_budgets"] = tuple(_parse_budget(b) for b in doc.pop("clean_budgets"))
-    if "methods" in doc:
-        kwargs["methods"] = tuple(doc.pop("methods"))
-    if "entity_types" in doc:
-        kwargs["entity_types"] = tuple(doc.pop("entity_types"))
-    if "min_len" in doc:
-        kwargs["min_len"] = {k: int(v) for k, v in doc.pop("min_len").items()}
-    doc.pop("seed", None)  # per-repeat seeds override any fixed seed
-    kwargs["tagger"], kwargs["options"], doc = noise.split_config(doc)
-    if doc:
-        raise WsnerError(f"unknown config keys: {sorted(doc)}")
-    return ExperimentConfig(**kwargs)
+    doc = {key: [resolve(p) for p in value] if key == "gazetteers"
+           else resolve(value) if key in _INPUTS or key == "out_dir" else value
+           for key, value in doc.items()}
+    tagger_config, options, rest = noise.split_config(doc)
+    unknown = rest.keys() - _KEYS
+    if unknown:
+        raise WsnerError(f"unknown config keys: {sorted(unknown)}")
+    return ExperimentConfig(**rest, tagger=tagger_config, options=options)
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -184,39 +168,32 @@ class _Context:
 
 def _build_context(config: ExperimentConfig) -> _Context:
     config.validate_paths()
-    tag_set = TagSet(tuple(config.entity_types))
-    train = read_conll(config.train_path, tag_set=tag_set)
-    test = read_conll(config.test_path, tag_set=tag_set)
-    table = EmbeddingTable.load(config.embeddings_path)
+    tag_set = TagSet(config.entity_types)
+    train = read_conll(config.train, tag_set=tag_set)
+    test = read_conll(config.test, tag_set=tag_set)
+    table = EmbeddingTable.load(config.embeddings)
 
     gaz = None
     rules = None
-    if config.gazetteer_paths:
-        entries = []
-        for p in config.gazetteer_paths:
-            entries.extend(read_entity_tsv(p, tag_set))
-        gaz = build_gazetteer(entries, config.min_len,
-                              default_min_len=config.default_min_len,
-                              tag_set=tag_set)
-        rules = (DateRuleSet.load(config.keywords_path) if config.keywords_path
-                 else default_date_rules())
+    if config.gazetteers:
+        gaz = load_gazetteer(config.gazetteers, config.min_len, tag_set=tag_set,
+                             default_min_len=config.default_min_len)
+        rules = DateRuleSet.load(config.keywords) if config.keywords else default_date_rules()
 
-    if config.distant_path:
-        distant = read_conll(config.distant_path, tag_set=tag_set,
-                             provenance="distant")
+    if config.distant:
+        distant = read_conll(config.distant, tag_set=tag_set, provenance="distant")
     elif gaz is not None:
         distant = annotate_distant(train, gaz, rules)
-        if config.extra_corpus_path:
-            extra = read_tokens(config.extra_corpus_path)
+        if config.extra_corpus:
+            extra = read_tokens(config.extra_corpus)
             extra = Dataset(extra.sentences, tag_set)
             distant = merge(distant, annotate_distant(extra, gaz, rules))
     else:
         distant = Dataset((), tag_set)
 
     distant_test = None
-    if config.distant_test_path:
-        distant_test = read_conll(config.distant_test_path, tag_set=tag_set,
-                                  provenance="distant")
+    if config.distant_test:
+        distant_test = read_conll(config.distant_test, tag_set=tag_set, provenance="distant")
     elif gaz is not None:
         distant_test = annotate_distant(test, gaz, rules)
 

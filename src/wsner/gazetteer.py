@@ -113,6 +113,15 @@ def build_gazetteer(
     return gaz
 
 
+def load_gazetteer(paths, min_len: dict[str, int] | None = None, *,
+                   tag_set: TagSet | None = None, **options) -> Gazetteer:
+    """``build_gazetteer`` over the entries of the entity-list TSVs at
+    *paths*, read in order; *options* are ``build_gazetteer``'s
+    (``default_min_len``, ``lowercase``, ``strip_marks``)."""
+    entries = [entry for path in paths for entry in read_entity_tsv(path, tag_set)]
+    return build_gazetteer(entries, min_len, tag_set=tag_set, **options)
+
+
 def match_sentence(tokens, gaz: Gazetteer) -> list[EntitySpan]:
     """Greedy left-to-right longest match; scanning resumes after each
     match. Equal-length type conflicts resolve by ``DEFAULT_PRIORITY``."""

@@ -407,12 +407,11 @@ def _lstm_forward(w, u, b, X):
     return Hs, (X, A, Cs, TC, Hs)
 
 
-def _lstm_backward(w, u, cache, dHs):
+def _lstm_backward(u, cache, dHs):
     """Weight, recurrent and bias gradients ``(dW, dU, db)`` of one
     ``_lstm_forward`` pass from the gradients ``dHs`` of its hidden states.
-    ``w`` is not read: the embeddings are frozen, so no input gradient is
-    formed, and the arguments keep ``_lstm_forward``'s order
-    (``perfbench/tracing.py`` reads ``dHs`` by position).
+    The embeddings are frozen, so no input gradient is formed and the input
+    weights are not needed.
 
     The preactivation gradients ``dA`` (T, 4h) are the only (T, 4h) array
     made. Before the loop each gate block of ``dA`` is filled in place with
@@ -483,8 +482,9 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray):
     h = params.hidden_size
     dfeats = dlogits @ params.w_out
     dH = dfeats @ params.w_feat
-    dw_f, du_f, db_f = _lstm_backward(params.w_in_f, params.u_f, cache_f, dH[:, :h])
-    dw_b, du_b, db_b = _lstm_backward(params.w_in_b, params.u_b, cache_b, dH[::-1, h:])
+    # dHs by keyword: perfbench/tracing.py counts its tokens by that name
+    dw_f, du_f, db_f = _lstm_backward(params.u_f, cache_f, dHs=dH[:, :h])
+    dw_b, du_b, db_b = _lstm_backward(params.u_b, cache_b, dHs=dH[::-1, h:])
     return TaggerParams(dw_f, du_f, db_f, dw_b, du_b, db_b,
                         dfeats.T @ H, dfeats.sum(axis=0),
                         dlogits.T @ feats, dlogits.sum(axis=0))

@@ -5,10 +5,12 @@ the second reading the file's cache instead of parsing it; ``wsner
 evaluate --model`` scores with the checkpoint's labels; ``wsner train``
 with an empty ``--clean`` file still runs the methods that learn from
 distant sentences alone; ``wsner quality`` prints the span scores of the
-distant annotation; importing the CLI leaves the HTTP client unloaded;
-every subcommand exits 1 on bad input, naming the file and line (bad
-``train`` configs have a test of their own), and 2 on bad usage, naming
-the option."""
+distant annotation; ``wsner train --gazetteer`` pairs the clean
+sentences with what ``wsner annotate`` writes for them under the same
+annotator flags; importing the CLI leaves the HTTP client unloaded; every
+subcommand exits 1 on bad input, naming the file and line (bad ``train``
+configs and misaligned ``quality`` and ``evaluate`` inputs have tests of
+their own), and 2 on bad usage, naming the option."""
 
 import io
 import json
@@ -24,6 +26,7 @@ import wsner
 from wsner import cli, evaluation, noise, tagger
 from wsner.corpus import (Dataset, EntitySpan, LabeledSentence, TagSet, merge, read_conll,
                           write_conll)
+from wsner.errors import WsnerError
 
 from conftest import write_tiny_sweep
 
@@ -160,6 +163,53 @@ def test_quality_prints_span_scores_of_the_distant_annotation(corpus, capsys):
     metrics = evaluation.span_prf(gold, distant)
     assert 0.0 < metrics.overall.f1 < 1.0
     assert out == evaluation.format_report(metrics, title="Distant annotation quality") + "\n"
+
+
+@pytest.mark.parametrize("flags", [["--lowercase"], ["--strip-diacritics"],
+                                   ["--lowercase", "--strip-diacritics"]])
+def test_train_pairs_clean_sentences_with_what_annotate_writes(corpus, tmp_path, monkeypatch,
+                                                              flags):
+    clean = _write(tmp_path / "clean.conll",
+                   "ADE\tB-PER\nlọ\tO\nsí\tO\nÈkó\tB-LOC\n\nàdé\tB-PER\nọdún\tO\n2018\tB-DATE\n")
+    ents = _write(tmp_path / "ents.tsv", "Ade\tPER\tkb\nEko\tLOC\tkb\n")
+    annotator = ["--gazetteer", ents, "--keywords", "default"]
+    annotated = {}
+    for name, extra in (("plain", []), ("flagged", flags)):
+        out = tmp_path / f"{name}.conll"
+        # annotate reads the tokens of the clean file and ignores its tags
+        assert cli.main(["annotate", "--corpus", clean, "--out", str(out),
+                         *annotator, *extra]) == 0
+        annotated[name] = read_conll(out, provenance="distant")
+    assert annotated["flagged"] != annotated["plain"]
+
+    pairs = []
+
+    def fit(method, clean, distant, config, table, options, pair_source):
+        pairs.append(pair_source())
+        raise WsnerError("stopped after pairing")
+
+    monkeypatch.setattr(noise, "fit", fit)
+    # the distant file is the unflagged annotation, so only the flags can
+    # make the pairs equal the flagged one
+    assert cli.main(["train", "--clean", clean, "--distant", str(tmp_path / "plain.conll"),
+                     "--embeddings", corpus["embeddings"], "--method", "confusion",
+                     "--model-out", str(tmp_path / "m.npz"), *annotator, *flags]) == 1
+    assert pairs == [annotated["flagged"]]
+
+
+@pytest.mark.parametrize("command, other", [("quality", "--distant"), ("evaluate", "--pred")])
+@pytest.mark.parametrize("other_text, message", [
+    ("Kano\tB-LOC\n", "sentence count mismatch: 2 vs 1"),
+    ("Kano\tB-LOC\n\nAdé\tO\nOjo\tB-PER\n", "sentence 1: token count mismatch (1 vs 2)"),
+], ids=["sentences", "tokens"])
+def test_misaligned_inputs_exit_1_naming_both_files(tmp_path, capsys, command, other,
+                                                    other_text, message):
+    gold = _write(tmp_path / "gold.conll", "Kano\tB-LOC\n\nAdé\tB-PER\n")
+    pred = _write(tmp_path / "other.conll", other_text)
+    code = cli.main([command, "--gold", gold, other, pred])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"error: {gold} vs {pred}: {message}\n"
 
 
 def test_importing_the_cli_does_not_load_requests():

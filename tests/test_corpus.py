@@ -20,7 +20,6 @@ from wsner.corpus import (
     read_json,
     read_tokens,
     spans_to_bio,
-    spans_to_io,
     subsample_tokens,
     write_conll,
 )
@@ -143,9 +142,9 @@ def test_io_to_spans_merges_adjacent():
     ]
 
 
-def test_spans_to_io():
+def test_encode_labels_each_token_of_a_span():
     s = make_sentence(("a", "b", "c"), (EntitySpan("PER", 0, 2),))
-    assert spans_to_io(s) == ["PER", "PER", "O"]
+    assert TagSet().encode(s).tolist() == [1, 1, 0]
 
 
 @settings(max_examples=200)

@@ -1,7 +1,10 @@
 """Every module-level function and class of ``wsner``, and every method of
 such a class other than a dunder, has a caller outside the test suite:
 ``src/wsner`` or ``perfbench`` names it somewhere other than in its own
-definition. Code that only tests call belongs in ``tests/support.py``."""
+definition. Code that only tests call belongs in ``tests/support.py``.
+Every parameter of a module-level function of ``wsner`` is read by its
+body (methods, which may have to match another class's signature, are
+not checked)."""
 
 import ast
 from pathlib import Path
@@ -56,3 +59,22 @@ def _unreferenced():
 
 def test_every_module_level_definition_has_a_non_test_caller():
     assert _unreferenced() == set()
+
+
+def _unread_parameters():
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not _is_function(stmt):
+                continue
+            args = stmt.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {sub.id for body in stmt.body for sub in ast.walk(body)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread |= {(path.stem, stmt.name, a.arg) for a in params if a.arg not in read}
+    return unread
+
+
+def test_every_parameter_of_a_module_level_function_is_read():
+    assert _unread_parameters() == set()

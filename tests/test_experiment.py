@@ -1,15 +1,17 @@
-"""Sweep promises: two runs of one config write byte-identical CSVs (the
-first parses the embeddings, the second reads their cache), a cell
-neither changes the shared context nor depends on the cells before it, a
-sweep configured with entity lists annotates its own distant data, the
-worker pool starts the most expensive cells first yet writes the same bytes
-as the in-process path, a worker that dies fails the sweep instead of
-hanging it, and an interrupted sweep resumes to the bytes of an
-uninterrupted one."""
+"""Sweep promises: the config's keys are ``ExperimentConfig``'s fields,
+relative paths resolve against the config's directory, two runs of one
+config write byte-identical CSVs (the first parses the embeddings, the
+second reads their cache), a cell neither changes the shared context nor
+depends on the cells before it, a sweep configured with entity lists
+annotates its own distant data, the worker pool starts the most expensive
+cells first yet writes the same bytes as the in-process path, a worker
+that dies fails the sweep instead of hanging it, and an interrupted sweep
+resumes to the bytes of an uninterrupted one."""
 
 import concurrent.futures
 import csv
 import io
+import json
 import multiprocessing
 import os
 import pickle
@@ -23,7 +25,7 @@ import numpy as np
 import pytest
 
 import wsner
-from wsner import cli, experiment
+from wsner import cli, experiment, noise, tagger
 from wsner.corpus import EntitySpan, TagSet, merge, read_conll, read_tokens
 from wsner.date_rules import DateRuleSet
 from wsner.errors import WsnerError
@@ -402,3 +404,31 @@ def test_bad_method_option_is_refused_naming_the_file(tmp_path, capsys, key, val
     stderr = capsys.readouterr().err
     assert code == 1 and config_path in stderr and message in stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_config_keys_are_the_fields_and_relative_paths_resolve_against_the_file(tmp_path):
+    absolute = os.path.abspath(os.sep)
+    doc = {"train": "tr.conll", "test": os.path.join(absolute, "te.conll"),
+           "embeddings": "e.txt", "out_dir": "runs", "distant": "d.conll",
+           "distant_test": None, "extra_corpus": "x.txt",
+           "gazetteers": ["g.tsv", os.path.join(absolute, "h.tsv")], "keywords": "k.txt",
+           "clean_budgets": [300, "unlimited"], "methods": ["naive-mix"], "repeats": 2,
+           "base_seed": 5, "entity_types": ["PER"], "min_len": {"kb": 3},
+           "default_min_len": 2, "hidden_size": 8, "alpha": 0.5, "seed": 9}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    here = str(tmp_path)
+    assert experiment.load_config(path) == experiment.ExperimentConfig(
+        train=os.path.join(here, "tr.conll"), test=doc["test"],
+        embeddings=os.path.join(here, "e.txt"), out_dir=os.path.join(here, "runs"),
+        distant=os.path.join(here, "d.conll"), extra_corpus=os.path.join(here, "x.txt"),
+        gazetteers=(os.path.join(here, "g.tsv"), doc["gazetteers"][1]),
+        keywords=os.path.join(here, "k.txt"), clean_budgets=(300, None),
+        methods=("naive-mix",), repeats=2, base_seed=5, entity_types=("PER",),
+        min_len={"kb": 3}, default_min_len=2,
+        tagger=tagger.TaggerConfig(hidden_size=8, seed=9),
+        options=noise.MethodOptions(alpha=0.5))
+    for key in ("train_path", "gazetteer_paths", "tagger", "options"):
+        with pytest.raises(WsnerError) as err:
+            experiment.load_config(path, {key: "x"})
+        assert str(err.value) == f"{path}: unknown config keys: ['{key}']"

@@ -6,7 +6,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wsner"
-TAG_CONVERSIONS = {"spans_to_io", "io_to_spans", "bio_to_spans"}
+TAG_CONVERSIONS = {"io_to_spans", "bio_to_spans"}
 
 
 def _conversions_used(path) -> set[str]:

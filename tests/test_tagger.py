@@ -478,7 +478,7 @@ def test_saturated_gates_stay_finite_without_float_errors():
     X = rng.normal(size=(T, d))
     with np.errstate(all="raise"):
         Hs, cache = _lstm_forward(w, u, b, X)
-        grads = _lstm_backward(w, u, cache, rng.normal(size=(T, h)))
+        grads = _lstm_backward(u, cache, rng.normal(size=(T, h)))
     gates = cache[1]
     assert np.isfinite(gates).all() and np.isfinite(Hs).all()
     sigmoid_gates = np.delete(gates.reshape(T, 4, h), 2, axis=1)
@@ -566,7 +566,7 @@ def test_lstm_kernels_are_bitwise_the_frozen_kernels():
             dH = scale * rng.normal(size=(T, 2 * h))
             for dHs in (dH[:, :h], dH[::-1, h:]):
                 before = dHs.copy()
-                grads = _lstm_backward(w, u, cache, dHs)
+                grads = _lstm_backward(u, cache, dHs)
                 want = _frozen_lstm_backward(w, u, want_cache, dHs)
                 assert len(grads) == 3
                 assert all(_same_bits(*pair) for pair in zip(grads, want)), (T, d, h, scale)
@@ -676,11 +676,11 @@ def _reference_sentence_backward(params, cache, dlogits):
     grads.w_feat += dfeats.T @ H
     grads.b_feat += dfeats.sum(axis=0)
     dH = dfeats @ params.w_feat
-    dw, du, db = _lstm_backward(params.w_in_f, params.u_f, cache_f, dH[:, :h])
+    dw, du, db = _lstm_backward(params.u_f, cache_f, dH[:, :h])
     grads.w_in_f += dw
     grads.u_f += du
     grads.b_f += db
-    dw, du, db = _lstm_backward(params.w_in_b, params.u_b, cache_b, dH[::-1, h:])
+    dw, du, db = _lstm_backward(params.u_b, cache_b, dH[::-1, h:])
     grads.w_in_b += dw
     grads.u_b += du
     grads.b_b += db
