@@ -16,7 +16,8 @@ from .corpus import (Dataset, TagSet, check_aligned, read_conll, read_json, read
                      write_conll)
 from .date_rules import DateRuleSet, default_date_rules
 from .errors import AlignmentError, WsnerError
-from .gazetteer import Gazetteer, annotate_distant, distant_twin, load_gazetteer
+from .gazetteer import (Gazetteer, annotate_distant, build_gazetteer, distant_twin,
+                        read_entity_tsv)
 
 ENDPOINT_ENV = "WSNER_ENDPOINT"
 EMBEDDINGS_CACHE = (
@@ -50,9 +51,10 @@ def _min_len_item(text: str) -> tuple[str, int]:
 
 def _annotator(args, tag_set: TagSet) -> tuple[Gazetteer, DateRuleSet | None]:
     """The gazetteer and date rules set by the flags of ``_add_annotator_args``."""
-    gaz = load_gazetteer(args.gazetteer, dict(args.min_len or ()), tag_set=tag_set,
-                         default_min_len=args.default_min_len, lowercase=args.lowercase,
-                         strip_marks=args.strip_diacritics)
+    entries = [entry for path in args.gazetteer for entry in read_entity_tsv(path, tag_set)]
+    gaz = build_gazetteer(entries, dict(args.min_len or ()), tag_set=tag_set,
+                          default_min_len=args.default_min_len, lowercase=args.lowercase,
+                          strip_marks=args.strip_diacritics)
     if args.keywords is None:
         return gaz, None
     if args.keywords == "default":
@@ -128,6 +130,13 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    stray = [action.option_strings[0] for action in args.annotator_options
+             if not args.gazetteer and getattr(args, action.dest) != action.default]
+    if stray:
+        args.usage_error(f"{', '.join(stray)} only act with --gazetteer")
+    if args.confusion_out and args.method not in ("confusion", "noise-channel"):
+        args.usage_error(f"--confusion-out: {args.method} learns no channel; "
+                         "use it with --method confusion or noise-channel")
     tag_set = _tag_set(args)
     clean = read_conll(args.clean, tag_set=tag_set)
     distant = (read_conll(args.distant, tag_set=tag_set, provenance="distant")
@@ -137,17 +146,23 @@ def cmd_train(args) -> int:
     if not clean.sentences and (not distant.sentences
                                 or args.method in ("baseline-clean", "cleaning")):
         raise WsnerError(f"{args.clean}: no sentences; {args.method} needs clean sentences")
+    # without distant sentences fit trains on the clean ones alone
+    if args.confusion_out and not distant.sentences:
+        source = f"{args.distant}: no sentences" if args.distant else "no --distant"
+        raise WsnerError(f"{source}; {args.method} learns the channel for --confusion-out "
+                         "from distant sentences")
     table = tagger.EmbeddingTable.load(args.embeddings)
     config, options = _train_config(args.config, args.seed)
 
     def pair_source() -> Dataset:
-        gaz, rules = _annotator(args, tag_set) if args.gazetteer else (None, None)
-        return distant_twin(clean, distant, gaz, rules)
+        if args.gazetteer:
+            return annotate_distant(clean, *_annotator(args, tag_set))
+        return distant_twin(clean, distant)
 
     result = noise.fit(args.method, clean, distant, config, table, options, pair_source)
     tagger.save_checkpoint(args.model_out, result.params, tag_set)
     print(f"saved model to {args.model_out}")
-    if result.channel is not None and args.confusion_out:
+    if args.confusion_out:
         noise.save_confusion(result.channel, args.confusion_out)
         print(f"saved confusion matrix to {args.confusion_out}")
     return 0
@@ -243,20 +258,24 @@ def cmd_synth(args) -> int:
 # parser
 
 
-def _add_annotator_args(parser: argparse.ArgumentParser, description: str) -> None:
-    """The distant annotator's flags, read by ``_annotator``."""
+def _add_annotator_args(parser: argparse.ArgumentParser,
+                        description: str) -> list[argparse.Action]:
+    """The distant annotator's flags, read by ``_annotator``; returns the
+    actions of the flags besides ``--gazetteer``, which act only with it."""
     group = parser.add_argument_group("distant annotator", description)
     group.add_argument("--gazetteer", action="append", default=[],
                        help="entity-list TSV 'surface<TAB>type<TAB>source'; repeatable")
-    group.add_argument("--keywords", default=None,
-                       help="date keyword file, or 'default' for the bundled list")
-    group.add_argument("--min-len", action="append", dest="min_len", type=_min_len_item,
-                       help="SOURCE=N minimum character length per source")
-    group.add_argument("--default-min-len", type=int, default=1)
-    group.add_argument("--lowercase", action="store_true",
-                       help="match entity lists case-insensitively")
-    group.add_argument("--strip-diacritics", action="store_true",
-                       help="match entity lists with combining marks removed")
+    return [
+        group.add_argument("--keywords", default=None,
+                           help="date keyword file, or 'default' for the bundled list"),
+        group.add_argument("--min-len", action="append", dest="min_len", type=_min_len_item,
+                           help="SOURCE=N minimum character length per source"),
+        group.add_argument("--default-min-len", type=int, default=1),
+        group.add_argument("--lowercase", action="store_true",
+                           help="match entity lists case-insensitively"),
+        group.add_argument("--strip-diacritics", action="store_true",
+                           help="match entity lists with combining marks removed"),
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,13 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
                         + ", ".join(noise.TAGGER_KEYS + noise.OPTION_KEYS))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--embeddings", required=True, help=EMBEDDINGS_HELP)
-    _add_annotator_args(p, "With --gazetteer, confusion and cleaning pair each clean "
-                           "sentence with this annotator's labels, not its twin in "
-                           "--distant; pass the flags --distant was annotated with.")
+    annotator_options = _add_annotator_args(
+        p, "With --gazetteer, confusion and cleaning pair each clean sentence with this "
+           "annotator's labels, not its twin in --distant; pass the flags --distant was "
+           "annotated with. The other flags act only with --gazetteer.")
     p.add_argument("--entity-types", default=None)
     p.add_argument("--model-out", required=True)
-    p.add_argument("--confusion-out", default=None)
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--confusion-out", default=None,
+                   help="write the learned channel; confusion and noise-channel only")
+    p.set_defaults(func=cmd_train, usage_error=p.error, annotator_options=annotator_options)
 
     p = sub.add_parser("evaluate", help="span P/R/F1 of predictions against gold")
     p.add_argument("--gold", required=True)
@@ -330,18 +351,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "experiment", help="run the clean-size × method × seed sweep",
         description="Run the clean-size × method × seed sweep into OUT_DIR/runs.csv and "
-                    "OUT_DIR/aggregate.csv. Pending cells run in spawned worker processes, "
-                    "one per CPU this process may use and at most one per pending cell; "
-                    "with one worker they run in this process. Workers start the most "
-                    "expensive cells first (cleaning, noise-channel, confusion and "
-                    "naive-mix, baseline-clean, distant-only; larger budgets first). Only "
-                    "this process writes runs.csv: one row per cell in (budget, method, "
-                    "repeat) order, each flushed as it is written, so an interrupted sweep "
-                    "resumes where it stopped. A finished row waits until the rows before "
-                    "it are written; rows still held at an interrupt are lost and their "
-                    "cells run again on resume. Workers start with the BLAS thread variables "
-                    "(OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, ...) set to their share "
-                    "of the CPUs, unless one of them is already set. " + EMBEDDINGS_CACHE)
+                    "OUT_DIR/aggregate.csv. The config's distant and distant_test files "
+                    "come from 'wsner annotate'; confusion and cleaning pair each train "
+                    "sentence with its first token-identical sentence in the distant file. "
+                    "Pending cells run in spawned worker processes, one per CPU this process "
+                    "may use and at most one per pending cell; with one worker they run in "
+                    "this process. Workers start the most expensive cells first (cleaning, "
+                    "noise-channel, confusion and naive-mix, baseline-clean, distant-only; "
+                    "larger budgets first). Only this process writes runs.csv: one row per "
+                    "cell in (budget, method, repeat) order, each flushed as it is written, "
+                    "so an interrupted sweep resumes where it stopped. A finished row waits "
+                    "until the rows before it are written; rows still held at an interrupt "
+                    "are lost and their cells run again on resume. Workers start with the "
+                    "BLAS thread variables (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, ...) set "
+                    "to their share of the CPUs, unless one of them is already set. "
+                    + EMBEDDINGS_CACHE)
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--repeats", type=int, default=None)

@@ -47,12 +47,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 from . import noise, tagger
-from .corpus import (Dataset, TagSet, merge, read_conll, read_json, read_tokens,
-                     subsample_tokens)
-from .date_rules import DateRuleSet, default_date_rules
+from .corpus import Dataset, TagSet, read_conll, read_json, subsample_tokens
 from .errors import WsnerError
 from .evaluation import mean_and_se, metrics_columns, metrics_row, span_prf
-from .gazetteer import annotate_distant, distant_twin, load_gazetteer
+from .gazetteer import distant_twin
 from .tagger import EmbeddingTable, TaggerConfig
 
 METHODS = noise.METHODS + ("distant-only",)
@@ -61,8 +59,7 @@ UNLIMITED = "unlimited"
 
 
 # the fields of ExperimentConfig that name one input file each
-_INPUTS = ("train", "test", "embeddings", "distant", "distant_test", "extra_corpus",
-           "keywords")
+_INPUTS = ("train", "test", "embeddings", "distant", "distant_test")
 
 
 @dataclass(frozen=True)
@@ -71,7 +68,13 @@ class ExperimentConfig:
     ``tagger`` and ``options``, which ``noise.split_config`` fills from the
     tagger and method keys (a ``seed`` key is overridden by the per-repeat
     seed ``base_seed + repeat``). A budget is a token count, or ``None`` or
-    ``"unlimited"`` for the full train split."""
+    ``"unlimited"`` for the full train split.
+
+    ``distant`` and ``distant_test`` are files written by ``wsner annotate``:
+    the distant training data, where confusion and cleaning look up each
+    clean sentence's distant twin, and the annotation of the test split that
+    ``distant-only`` scores. Without ``distant`` every method trains on the
+    clean sentences alone."""
 
     train: str
     test: str
@@ -83,21 +86,14 @@ class ExperimentConfig:
     base_seed: int = 0
     distant: str | None = None
     distant_test: str | None = None
-    extra_corpus: str | None = None
-    gazetteers: tuple = ()
-    keywords: str | None = None
     entity_types: tuple = ("PER", "ORG", "LOC", "DATE")
-    min_len: dict = field(default_factory=dict)
-    default_min_len: int = 1
     tagger: TaggerConfig = field(default_factory=TaggerConfig)
     options: noise.MethodOptions = field(default_factory=noise.MethodOptions)
 
     def __post_init__(self):
         budgets = tuple(None if b in (None, UNLIMITED) else int(b) for b in self.clean_budgets)
         for name, value in (("clean_budgets", budgets), ("methods", tuple(self.methods)),
-                            ("gazetteers", tuple(self.gazetteers)),
-                            ("entity_types", tuple(self.entity_types)),
-                            ("min_len", {k: int(v) for k, v in self.min_len.items()})):
+                            ("entity_types", tuple(self.entity_types))):
             object.__setattr__(self, name, value)
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
@@ -109,12 +105,9 @@ class ExperimentConfig:
             raise ValueError("budgets must be positive")
         if any(a >= b for a, b in zip(as_inf, as_inf[1:])):
             raise ValueError("budgets must be strictly increasing")
-        for source, n in self.min_len.items():
-            if n < 1:
-                raise ValueError(f"min_len for {source!r} must be >= 1")
 
     def validate_paths(self) -> None:
-        for p in [getattr(self, key) for key in _INPUTS] + list(self.gazetteers):
+        for p in (getattr(self, key) for key in _INPUTS):
             if p and not os.path.exists(p):
                 raise WsnerError(f"configured file does not exist: {p}")
 
@@ -129,8 +122,7 @@ def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     def resolve(p):
         return p if p is None or os.path.isabs(p) else os.path.join(base_dir, p)
 
-    doc = {key: [resolve(p) for p in value] if key == "gazetteers"
-           else resolve(value) if key in _INPUTS or key == "out_dir" else value
+    doc = {key: resolve(value) if key in _INPUTS or key == "out_dir" else value
            for key, value in doc.items()}
     tagger_config, options, rest = noise.split_config(doc)
     unknown = rest.keys() - _KEYS
@@ -162,8 +154,6 @@ class _Context:
     distant: Dataset
     distant_test: Dataset | None
     table: EmbeddingTable
-    gazetteer: object | None
-    date_rules: DateRuleSet | None
 
 
 def _build_context(config: ExperimentConfig) -> _Context:
@@ -171,34 +161,15 @@ def _build_context(config: ExperimentConfig) -> _Context:
     tag_set = TagSet(config.entity_types)
     train = read_conll(config.train, tag_set=tag_set)
     test = read_conll(config.test, tag_set=tag_set)
+    for path, split in ((config.train, train), (config.test, test)):
+        if not split.sentences:  # every cell would train or score on nothing
+            raise WsnerError(f"{path}: no sentences")
     table = EmbeddingTable.load(config.embeddings)
-
-    gaz = None
-    rules = None
-    if config.gazetteers:
-        gaz = load_gazetteer(config.gazetteers, config.min_len, tag_set=tag_set,
-                             default_min_len=config.default_min_len)
-        rules = DateRuleSet.load(config.keywords) if config.keywords else default_date_rules()
-
-    if config.distant:
-        distant = read_conll(config.distant, tag_set=tag_set, provenance="distant")
-    elif gaz is not None:
-        distant = annotate_distant(train, gaz, rules)
-        if config.extra_corpus:
-            extra = read_tokens(config.extra_corpus)
-            extra = Dataset(extra.sentences, tag_set)
-            distant = merge(distant, annotate_distant(extra, gaz, rules))
-    else:
-        distant = Dataset((), tag_set)
-
-    distant_test = None
-    if config.distant_test:
-        distant_test = read_conll(config.distant_test, tag_set=tag_set, provenance="distant")
-    elif gaz is not None:
-        distant_test = annotate_distant(test, gaz, rules)
-
-    return _Context(config, tag_set, train, test, distant, distant_test,
-                    table, gaz, rules)
+    distant = (read_conll(config.distant, tag_set=tag_set, provenance="distant")
+               if config.distant else Dataset((), tag_set))
+    distant_test = (read_conll(config.distant_test, tag_set=tag_set, provenance="distant")
+                    if config.distant_test else None)
+    return _Context(config, tag_set, train, test, distant, distant_test, table)
 
 
 def run_cell(ctx: _Context, budget, method: str, repeat: int):
@@ -206,9 +177,7 @@ def run_cell(ctx: _Context, budget, method: str, repeat: int):
     config = ctx.config
     if method == "distant-only":
         if ctx.distant_test is None:
-            raise WsnerError(
-                "distant-only needs a distant_test file or gazetteer paths"
-            )
+            raise WsnerError("distant-only needs a distant_test file")
         return span_prf(ctx.test, ctx.distant_test)
 
     seed = config.base_seed + repeat
@@ -216,8 +185,7 @@ def run_cell(ctx: _Context, budget, method: str, repeat: int):
     clean_sub = subsample_tokens(ctx.train, effective, seed)
     result = noise.fit(
         method, clean_sub, ctx.distant, replace(config.tagger, seed=seed), ctx.table,
-        config.options,
-        lambda: distant_twin(clean_sub, ctx.distant, ctx.gazetteer, ctx.date_rules))
+        config.options, lambda: distant_twin(clean_sub, ctx.distant))
     return span_prf(ctx.test, tagger.predict(ctx.test, result.params, ctx.table))
 
 
@@ -267,7 +235,7 @@ def _cell_row(ctx: _Context, budget, method: str, repeat: int) -> dict[str, str]
            "seed": str(ctx.config.base_seed + repeat)}
     try:
         metrics = run_cell(ctx, budget, method, repeat)
-    except (WsnerError, ValueError) as exc:
+    except WsnerError as exc:
         row["status"] = f"error: {type(exc).__name__}: {exc}"
         row.update({c: "" for c in metrics_columns(ctx.tag_set)})
     else:

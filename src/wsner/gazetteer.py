@@ -113,15 +113,6 @@ def build_gazetteer(
     return gaz
 
 
-def load_gazetteer(paths, min_len: dict[str, int] | None = None, *,
-                   tag_set: TagSet | None = None, **options) -> Gazetteer:
-    """``build_gazetteer`` over the entries of the entity-list TSVs at
-    *paths*, read in order; *options* are ``build_gazetteer``'s
-    (``default_min_len``, ``lowercase``, ``strip_marks``)."""
-    entries = [entry for path in paths for entry in read_entity_tsv(path, tag_set)]
-    return build_gazetteer(entries, min_len, tag_set=tag_set, **options)
-
-
 def match_sentence(tokens, gaz: Gazetteer) -> list[EntitySpan]:
     """Greedy left-to-right longest match; scanning resumes after each
     match. Equal-length type conflicts resolve by ``DEFAULT_PRIORITY``."""
@@ -185,13 +176,10 @@ def annotate_distant(
     return Dataset(tuple(sentences), dataset.tag_set)
 
 
-def distant_twin(clean: Dataset, distant: Dataset, gaz: Gazetteer | None,
-                 date_rules: DateRuleSet | None = None) -> Dataset:
+def distant_twin(clean: Dataset, distant: Dataset) -> Dataset:
     """Distant annotation of the clean sentences, for clean/distant label
-    pairs: re-annotated when a gazetteer is given, otherwise each clean
-    sentence's first token-identical sentence in *distant*."""
-    if gaz is not None:
-        return annotate_distant(clean, gaz, date_rules)
+    pairs: each clean sentence's first token-identical sentence in
+    *distant*."""
     index: dict[tuple[str, ...], LabeledSentence] = {}
     for sent in distant.sentences:
         index.setdefault(sent.tokens, sent)
@@ -202,8 +190,8 @@ def distant_twin(clean: Dataset, distant: Dataset, gaz: Gazetteer | None,
             raise AlignmentError(
                 "cannot pair clean sentences with distant annotations: a clean "
                 "sentence has no token-identical sentence in the distant data; "
-                "configure entity lists or include the clean sentences in the "
-                "distant data"
+                "annotate the clean sentences into the distant file with wsner "
+                "annotate, or let wsner train --gazetteer re-annotate them"
             )
         sentences.append(match)
     return Dataset(tuple(sentences), clean.tag_set)

@@ -733,19 +733,36 @@ def save_checkpoint(path, params: TaggerParams, tag_set: TagSet) -> None:
 
 
 def load_checkpoint(path) -> tuple[TaggerParams, TagSet]:
+    """The parameters and tag set saved by ``save_checkpoint``; a ``ParseError``
+    for a file that is no checkpoint, lacks an entry or has a wrong shape."""
     try:
-        archive = np.load(path, allow_pickle=False)
+        # the file is opened here: np.load leaves it open when the archive
+        # turns out to be corrupt
+        with open(path, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ParseError(f"{path}: not a checkpoint (.npz archive)")
+            with archive as data:
+                meta = json.loads(str(data["__meta__"]))
+                tag_set = TagSet(tuple(meta["entity_types"]), meta["outside"])
+                arrays = [np.array(data[name], dtype=float) for name in TaggerParams._FIELDS]
     except (ValueError, EOFError, zipfile.BadZipFile):
-        archive = None
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ParseError(f"{path}: not a checkpoint (.npz archive)")
-    with archive as data:
-        try:
-            meta = json.loads(str(data["__meta__"]))
-            arrays = [np.array(data[name], dtype=float) for name in TaggerParams._FIELDS]
-        except KeyError as exc:
-            raise ParseError(f"{path}: missing checkpoint entry {exc}") from None
+        raise ParseError(f"{path}: not a checkpoint (.npz archive)") from None
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing checkpoint entry {exc}") from None
     # checkpoints from before the LSTM became the only cell name their cell
     if meta.get("cell", "lstm") != "lstm":
         raise ParseError(f"{path}: unknown cell type {meta['cell']!r}; the tagger is an LSTM")
-    return TaggerParams(*arrays), TagSet(tuple(meta["entity_types"]), meta["outside"])
+    params = TaggerParams(*arrays)
+    # the matrices that give the sizes every other shape must agree with
+    for name in ("w_in_f", "u_f", "w_feat"):
+        if getattr(params, name).ndim != 2:
+            raise ParseError(f"{path}: parameter {name} is not a matrix")
+    d, h, f, labels = params.embed_dim, params.hidden_size, params.feature_size, tag_set.size
+    expected = ((4 * h, d), (4 * h, h), (4 * h,), (4 * h, d), (4 * h, h), (4 * h,),
+                (f, 2 * h), (f,), (labels, f), (labels,))
+    for (name, arr), shape in zip(params.arrays(), expected):
+        if arr.shape != shape:
+            raise ParseError(f"{path}: parameter {name} has shape {arr.shape}, "
+                             f"expected {shape}")
+    return params, tag_set

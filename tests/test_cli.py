@@ -7,11 +7,15 @@ with an empty ``--clean`` file still runs the methods that learn from
 distant sentences alone; ``wsner quality`` prints the span scores of the
 distant annotation; ``wsner train --gazetteer`` pairs the clean
 sentences with what ``wsner annotate`` writes for them under the same
-annotator flags; importing the CLI leaves the HTTP client unloaded; every
-subcommand exits 1 on bad input, naming the file and line (bad ``train``
-configs and misaligned ``quality`` and ``evaluate`` inputs have tests of
+annotator flags, which are refused without ``--gazetteer``;
+``--confusion-out`` is refused for a method without a channel and, before
+training, without distant sentences; importing the CLI leaves the HTTP
+client unloaded; every subcommand exits 1 on bad input, naming the file
+and line (bad ``train`` configs, misaligned ``quality`` and ``evaluate``
+inputs and ``--confusion-out`` without distant sentences have tests of
 their own), and 2 on bad usage, naming the option."""
 
+import dataclasses
 import io
 import json
 import os
@@ -69,10 +73,12 @@ def test_train_equals_direct_method_call(corpus, tmp_path, method, extra):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({**CONFIG, **extra}), encoding="utf-8")
     model, confusion = tmp_path / "model.npz", tmp_path / "confusion.txt"
+    channel = method in ("confusion", "noise-channel")
     code = cli.main(["train", "--clean", corpus["train"], "--distant", corpus["distant"],
                      "--embeddings", corpus["embeddings"], "--method", method,
                      "--config", str(config_path), "--seed", str(SEED),
-                     "--model-out", str(model), "--confusion-out", str(confusion)])
+                     "--model-out", str(model)]
+                    + (["--confusion-out", str(confusion)] if channel else []))
     assert code == 0
 
     clean = read_conll(corpus["train"], tag_set=TagSet())
@@ -83,10 +89,8 @@ def test_train_equals_direct_method_call(corpus, tmp_path, method, extra):
     assert tag_set == clean.tag_set
     for (name, g), (_, w) in zip(got.arrays(), want.arrays()):
         assert g.tobytes() == w.tobytes(), name
-    if method in ("confusion", "noise-channel"):
+    if channel:
         assert np.array_equal(noise.load_confusion(confusion).matrix, want_channel.matrix)
-    else:
-        assert not confusion.exists()
 
 
 def test_second_train_run_reads_the_embeddings_cache_and_saves_the_same_model(
@@ -223,9 +227,12 @@ def test_importing_the_cli_does_not_load_requests():
     assert proc.stdout == "False\n"
 
 
-def _checkpoint(embed_dim):
-    """The bytes of a tiny checkpoint that embeds in *embed_dim* dimensions."""
-    params = tagger.init_params(np.random.default_rng(0), "lstm", embed_dim, 2, 2, 5)
+def _checkpoint(embed_dim, **arrays):
+    """The bytes of a tiny checkpoint that embeds in *embed_dim* dimensions
+    (hidden size 2, 2 features, 5 labels), with *arrays* in place of its
+    parameters of those names."""
+    params = dataclasses.replace(
+        tagger.init_params(np.random.default_rng(0), "lstm", embed_dim, 2, 2, 5), **arrays)
     buf = io.BytesIO()
     tagger.save_checkpoint(buf, params, TagSet())
     return buf.getvalue()
@@ -283,6 +290,14 @@ BAD_INPUT = {
                      "e.txt": "1 3\nKano 0.5 0.5 0.5\n"},
         ["--model", "m.npz", "--embeddings", "e.txt"],
         "e.txt: vectors of dimension 3, but "),
+    "evaluate-checkpoint-shape": (
+        "evaluate", {"gold.conll": "Kano\tB-LOC\n", "e.txt": "1 1\nKano 0.5\n",
+                     "m.npz": _checkpoint(1, w_out=np.ones((5, 8)))},
+        ["--model", "m.npz", "--embeddings", "e.txt"],
+        "m.npz: parameter w_out has shape (5, 8), expected (5, 2)"),
+    "inspect-checkpoint-shape": (
+        "inspect", {"m.npz": _checkpoint(3, u_b=np.ones((8, 3)))}, ["--model", "m.npz"],
+        "m.npz: parameter u_b has shape (8, 3), expected (8, 2)"),
     "experiment-invalid-json": (
         "experiment", {"sweep.json": '{"repeats": 1,\n "methods": [\n'}, [],
         "sweep.json:3: invalid JSON"),
@@ -295,6 +310,18 @@ BAD_INPUT = {
                        "train.conll": "Kano\tB-LOC\n\nbroken line\n",
                        "test.conll": "Kano\tB-LOC\n", "e.txt": "1 1\nKano 0.5\n"},
         [], "train.conll:3: expected 'token<TAB>tag'"),
+    "experiment-empty-train": (
+        "experiment", {"sweep.json": json.dumps({"train": "train.conll", "test": "test.conll",
+                                                 "embeddings": "e.txt", "out_dir": "out"}),
+                       "train.conll": "\n", "test.conll": "Kano\tB-LOC\n",
+                       "e.txt": "1 1\nKano 0.5\n"},
+        [], "train.conll: no sentences"),
+    "experiment-empty-test": (
+        "experiment", {"sweep.json": json.dumps({"train": "train.conll", "test": "test.conll",
+                                                 "embeddings": "e.txt", "out_dir": "out"}),
+                       "train.conll": "Kano\tB-LOC\n", "test.conll": "",
+                       "e.txt": "1 1\nKano 0.5\n"},
+        [], "test.conll: no sentences"),
     "experiment-missing-file": (
         "experiment", {"sweep.json": json.dumps({"train": "absent.conll", "test": "test.conll",
                                                  "embeddings": "e.txt", "out_dir": "out"}),
@@ -376,6 +403,15 @@ def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_p
     (["annotate", "--corpus", "raw.txt", "--out", "o", "--min-len", "kb"], "--min-len"),
     (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--min-len", "kb=-2"],
      "--min-len"),
+    (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--keywords", "default",
+      "--lowercase"], "--keywords, --lowercase only act with --gazetteer"),
+    (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--min-len", "kb=3",
+      "--default-min-len", "2", "--strip-diacritics"],
+     "--min-len, --default-min-len, --strip-diacritics only act with --gazetteer"),
+    (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m",
+      "--confusion-out", "c.txt"], "--confusion-out: baseline-clean learns no channel"),
+    (["train", "--clean", "c", "--distant", "d", "--embeddings", "e", "--model-out", "m",
+      "--method", "cleaning", "--confusion-out", "c.txt"], "--confusion-out: cleaning learns"),
     (["quality", "--gold", "g.conll"], "--distant"),
     (["inspect"], "--model"),
     (["inspect", "--model", "m.npz", "--confusion", "c.txt"], "--confusion"),
@@ -390,7 +426,9 @@ def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_p
     (["synth"], "--out-dir"),
     (["synth", "--out-dir", "d", "--seed", "x"], "--seed"),
 ], ids=["annotate-no-out", "min-len-not-int", "min-len-zero", "min-len-no-equals",
-        "train-min-len-negative", "quality-no-distant", "inspect-nothing", "inspect-both",
+        "train-min-len-negative", "train-keywords-without-gazetteer",
+        "train-min-lens-without-gazetteer", "train-confusion-out-baseline-clean",
+        "train-confusion-out-cleaning", "quality-no-distant", "inspect-nothing", "inspect-both",
         "ingest-no-out", "ingest-bad-class", "evaluate-no-gold", "evaluate-csv-no-path",
         "evaluate-no-pred-or-model",
         "experiment-no-config", "experiment-repeats-not-int", "experiment-seed-not-int",
@@ -401,6 +439,27 @@ def test_bad_usage_exits_2_naming_the_option(capsys, argv, option):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert option in err and "usage:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("with_distant", [False, True], ids=["no-distant", "empty-distant"])
+@pytest.mark.parametrize("method", ["confusion", "noise-channel"])
+def test_confusion_out_without_distant_sentences_exits_1_before_training(
+        corpus, tmp_path, capsys, monkeypatch, method, with_distant):
+    monkeypatch.setattr(noise, "fit", None)  # training would raise a TypeError
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["train", "--clean", corpus["train"], "--embeddings", corpus["embeddings"],
+            "--method", method, "--model-out", str(out / "m.npz"),
+            "--confusion-out", str(out / "c.txt")]
+    reason = "no --distant"
+    if with_distant:
+        distant = _write(tmp_path / "distant.conll", "")
+        argv += ["--distant", distant]
+        reason = f"{distant}: no sentences"
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (f"error: {reason}; {method} learns the channel for "
+                                       "--confusion-out from distant sentences\n")
+    assert not list(out.iterdir())
 
 
 def test_min_len_reaches_the_gazetteer(tmp_path, capsys):

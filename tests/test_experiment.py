@@ -2,11 +2,12 @@
 relative paths resolve against the config's directory, two runs of one
 config write byte-identical CSVs (the first parses the embeddings, the
 second reads their cache), a cell neither changes the shared context nor
-depends on the cells before it, a sweep configured with entity lists
-annotates its own distant data, the worker pool starts the most expensive
-cells first yet writes the same bytes as the in-process path, a worker
-that dies fails the sweep instead of hanging it, and an interrupted sweep
-resumes to the bytes of an uninterrupted one."""
+depends on the cells before it, a sweep over the files ``wsner annotate``
+writes scores and pairs what annotation gives, a bug in a cell stops the
+sweep instead of writing an error row, the worker pool starts the most
+expensive cells first yet writes the same bytes as the in-process path, a
+worker that dies fails the sweep instead of hanging it, and an
+interrupted sweep resumes to the bytes of an uninterrupted one."""
 
 import concurrent.futures
 import csv
@@ -70,10 +71,10 @@ def test_cells_leave_context_table_unchanged(tmp_path):
     assert np.array_equal(ctx.table.matrix, matrix)
 
 
-def test_sweep_from_entity_lists_annotates_train_extra_and_test(tmp_path):
-    # no distant files: the entity lists and date keywords annotate the
-    # train split plus the extra corpus for training, and the test split
-    # for the distant-only row
+def test_sweep_reads_what_annotate_writes(tmp_path, monkeypatch):
+    # the distant data is the annotation of the train split followed by
+    # that of an extra corpus, and the distant test file the annotation of
+    # the test split, each written by wsner annotate
     paths = write_tiny_sweep(tmp_path / "corpus")
     train, test = read_conll(paths["train"]), read_conll(paths["test"])
     ents = tmp_path / "ents.tsv"
@@ -84,19 +85,25 @@ def test_sweep_from_entity_lists_annotates_train_extra_and_test(tmp_path):
     keywords.write_text("date59\ndate50\n", encoding="utf-8")
     extra = tmp_path / "extra.txt"
     extra.write_text("per54\nper23\ndate59\no7\n2018\n\nloc31\no7\n", encoding="utf-8")
+    annotator = ["--gazetteer", str(ents), "--keywords", str(keywords)]
+    for corpus, out in ((paths["train"], "train"), (extra, "extra"), (paths["test"], "test")):
+        assert cli.main(["annotate", "--corpus", str(corpus), "--out",
+                         str(tmp_path / f"{out}.conll"), *annotator]) == 0
+    distant = tmp_path / "distant.conll"
+    distant.write_bytes((tmp_path / "train.conll").read_bytes()
+                        + (tmp_path / "extra.conll").read_bytes())
     config = experiment.load_config(paths["config"], {
-        "distant": None, "distant_test": None, "gazetteers": [str(ents)],
-        "keywords": str(keywords), "extra_corpus": str(extra),
+        "distant": str(distant), "distant_test": str(tmp_path / "test.conll"),
         "clean_budgets": ["unlimited"], "methods": ["distant-only"],
         "out_dir": str(tmp_path / "runs")})
     gaz = build_gazetteer(read_entity_tsv(ents))
     rules = DateRuleSet.load(keywords)
 
-    distant = experiment._build_context(config).distant
-    assert distant == merge(annotate_distant(train, gaz, rules),
-                            annotate_distant(read_tokens(extra), gaz, rules))
-    assert len(distant.sentences) == len(train.sentences) + 2
-    assert distant.sentences[-2].spans == (EntitySpan("PER", 0, 2), EntitySpan("DATE", 2, 5))
+    ctx = experiment._build_context(config)
+    assert ctx.distant == merge(annotate_distant(train, gaz, rules),
+                                annotate_distant(read_tokens(extra), gaz, rules))
+    assert ctx.distant.sentences[-2].spans == (EntitySpan("PER", 0, 2),
+                                               EntitySpan("DATE", 2, 5))
 
     runs_path, _ = experiment.run_experiment(config)
     with open(runs_path, encoding="utf-8", newline="") as fh:
@@ -104,6 +111,40 @@ def test_sweep_from_entity_lists_annotates_train_extra_and_test(tmp_path):
     want = span_prf(test, annotate_distant(test, gaz, rules))
     assert want.overall.f1 > 0
     assert {k: row[k] for k in metrics_columns(TagSet())} == metrics_row(want, TagSet())
+
+    # confusion and cleaning cells pair each clean sentence with what
+    # annotation gives for it
+    pairs = []
+
+    def fit(method, clean, distant, config, table, options, pair_source):
+        pairs.append((clean, pair_source()))
+        raise WsnerError("stopped after pairing")
+
+    monkeypatch.setattr(noise, "fit", fit)
+    for budget in (40, None):
+        for method in ("confusion", "cleaning"):
+            for repeat in range(2):
+                with pytest.raises(WsnerError, match="stopped after pairing"):
+                    experiment.run_cell(ctx, budget, method, repeat)
+    assert len(pairs) == 8
+    for clean_sub, paired in pairs:
+        assert paired == annotate_distant(clean_sub, gaz, rules)
+
+
+def _buggy_cell(ctx, budget, method, repeat):
+    raise ValueError("a bug")
+
+
+def test_a_bug_in_a_cell_stops_the_sweep_instead_of_writing_an_error_row(tmp_path,
+                                                                        monkeypatch):
+    config = experiment.load_config(write_tiny_sweep(tmp_path / "corpus")["config"],
+                                    {"out_dir": str(tmp_path / "out")})
+    monkeypatch.setattr(experiment, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(experiment, "run_cell", _buggy_cell)
+    with pytest.raises(ValueError, match="a bug"):
+        experiment.run_experiment(config)
+    runs = (tmp_path / "out" / "runs.csv").read_text(encoding="utf-8")
+    assert runs == ",".join(experiment._runs_columns(TagSet())) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +433,6 @@ def test_workers_get_their_share_of_blas_threads(monkeypatch):
     ("cleaner_hidden", 0, "cleaner_hidden must be >= 1"),
     ("cleaner_learning_rate", 0.0, "cleaner_learning_rate must be > 0"),
     ("alpha", -0.5, "alpha must be >= 0"),
-    ("min_len", {"kb": 0}, "min_len for 'kb' must be >= 1"),
 ])
 def test_bad_method_option_is_refused_naming_the_file(tmp_path, capsys, key, value, message):
     config_path = write_tiny_sweep(tmp_path / "corpus", **{key: value})["config"]
@@ -410,25 +450,23 @@ def test_config_keys_are_the_fields_and_relative_paths_resolve_against_the_file(
     absolute = os.path.abspath(os.sep)
     doc = {"train": "tr.conll", "test": os.path.join(absolute, "te.conll"),
            "embeddings": "e.txt", "out_dir": "runs", "distant": "d.conll",
-           "distant_test": None, "extra_corpus": "x.txt",
-           "gazetteers": ["g.tsv", os.path.join(absolute, "h.tsv")], "keywords": "k.txt",
-           "clean_budgets": [300, "unlimited"], "methods": ["naive-mix"], "repeats": 2,
-           "base_seed": 5, "entity_types": ["PER"], "min_len": {"kb": 3},
-           "default_min_len": 2, "hidden_size": 8, "alpha": 0.5, "seed": 9}
+           "distant_test": None, "clean_budgets": [300, "unlimited"],
+           "methods": ["naive-mix"], "repeats": 2, "base_seed": 5, "entity_types": ["PER"],
+           "hidden_size": 8, "alpha": 0.5, "seed": 9}
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     here = str(tmp_path)
     assert experiment.load_config(path) == experiment.ExperimentConfig(
         train=os.path.join(here, "tr.conll"), test=doc["test"],
         embeddings=os.path.join(here, "e.txt"), out_dir=os.path.join(here, "runs"),
-        distant=os.path.join(here, "d.conll"), extra_corpus=os.path.join(here, "x.txt"),
-        gazetteers=(os.path.join(here, "g.tsv"), doc["gazetteers"][1]),
-        keywords=os.path.join(here, "k.txt"), clean_budgets=(300, None),
+        distant=os.path.join(here, "d.conll"), clean_budgets=(300, None),
         methods=("naive-mix",), repeats=2, base_seed=5, entity_types=("PER",),
-        min_len={"kb": 3}, default_min_len=2,
         tagger=tagger.TaggerConfig(hidden_size=8, seed=9),
         options=noise.MethodOptions(alpha=0.5))
-    for key in ("train_path", "gazetteer_paths", "tagger", "options"):
+    # old field names, the sub-configs, and the entity-list keys (distant
+    # files come from wsner annotate)
+    for key in ("train_path", "gazetteer_paths", "tagger", "options", "gazetteers",
+                "keywords", "extra_corpus", "min_len", "default_min_len"):
         with pytest.raises(WsnerError) as err:
             experiment.load_config(path, {key: "x"})
         assert str(err.value) == f"{path}: unknown config keys: ['{key}']"

@@ -1,9 +1,12 @@
+import dataclasses
+import gc
 import json
 import math
 import os
 import tempfile
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -941,3 +944,41 @@ def test_checkpoint_naming_another_cell_is_refused(tmp_path, capsys):
     assert str(err.value).startswith(f"{path}: ")
     assert cli.main(["inspect", "--model", str(path)]) == 1
     assert f"error: {path}: unknown cell type 'tanh'" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_is_refused_and_its_file_closed(tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, init_params(np.random.default_rng(12), "lstm", 3, 2, 3, 3),
+                    TagSet(("PER", "LOC")))
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match="not a checkpoint"):
+            load_checkpoint(path)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_checkpoint_without_its_labels_is_refused(tmp_path):
+    path = tmp_path / "model.npz"
+    params = init_params(np.random.default_rng(12), "lstm", 3, 2, 3, 3)
+    np.savez(path, __meta__=np.array(json.dumps({"outside": "O"})), **dict(params.arrays()))
+    with pytest.raises(ParseError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: missing checkpoint entry 'entity_types'"
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("u_f", np.ones(8), "parameter u_f is not a matrix"),
+    ("w_feat", np.ones((4, 4)), "parameter b_feat has shape (3,), expected (4,)"),
+    ("b_f", np.ones(12), "parameter b_f has shape (12,), expected (8,)"),
+])
+def test_checkpoint_of_inconsistent_shapes_is_refused(tmp_path, name, value, message):
+    # embedding 3, hidden 2 (gates 8), 3 features, 3 labels
+    params = init_params(np.random.default_rng(12), "lstm", 3, 2, 3, 3)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, dataclasses.replace(params, **{name: value}), TagSet(("PER", "LOC")))
+    with pytest.raises(ParseError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: {message}"
