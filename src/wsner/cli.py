@@ -35,18 +35,26 @@ def _tag_set(args) -> TagSet:
     return TagSet()
 
 
-def _min_len_item(text: str) -> tuple[str, int]:
-    """One ``--min-len SOURCE=N`` value; argparse reports a malformed one
-    as a usage error naming the option."""
-    source, _, n = text.partition("=")
+def _min_len(text: str) -> int:
+    """A ``--default-min-len`` value, an integer >= 1; argparse reports any
+    other as a usage error naming the option."""
     try:
-        value = int(n)
-    except ValueError:  # also the empty N of a value without '='
+        value = int(text)
+    except ValueError:  # also the empty N of a --min-len value without '='
         value = 0
     if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _min_len_item(text: str) -> tuple[str, int]:
+    """One ``--min-len SOURCE=N`` value, checked like ``--default-min-len``."""
+    source, _, n = text.partition("=")
+    try:
+        return source, _min_len(n)
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"expected SOURCE=N with an integer N >= 1, "
-                                         f"got {text!r}")
-    return source, value
+                                         f"got {text!r}") from None
 
 
 def _annotator(args, tag_set: TagSet) -> tuple[Gazetteer, DateRuleSet | None]:
@@ -270,7 +278,8 @@ def _add_annotator_args(parser: argparse.ArgumentParser,
                            help="date keyword file, or 'default' for the bundled list"),
         group.add_argument("--min-len", action="append", dest="min_len", type=_min_len_item,
                            help="SOURCE=N minimum character length per source"),
-        group.add_argument("--default-min-len", type=int, default=1),
+        group.add_argument("--default-min-len", type=_min_len, default=1,
+                           help="minimum character length of a source without --min-len"),
         group.add_argument("--lowercase", action="store_true",
                            help="match entity lists case-insensitively"),
         group.add_argument("--strip-diacritics", action="store_true",

@@ -51,7 +51,7 @@ from .corpus import Dataset, TagSet, read_conll, read_json, subsample_tokens
 from .errors import WsnerError
 from .evaluation import mean_and_se, metrics_columns, metrics_row, span_prf
 from .gazetteer import distant_twin
-from .tagger import EmbeddingTable, TaggerConfig
+from .tagger import EmbeddingTable, TaggerConfig, require_integers
 
 METHODS = noise.METHODS + ("distant-only",)
 
@@ -91,12 +91,14 @@ class ExperimentConfig:
     options: noise.MethodOptions = field(default_factory=noise.MethodOptions)
 
     def __post_init__(self):
+        if any(isinstance(b, (bool, float)) for b in self.clean_budgets):
+            raise ValueError("budgets must be integers")
         budgets = tuple(None if b in (None, UNLIMITED) else int(b) for b in self.clean_budgets)
         for name, value in (("clean_budgets", budgets), ("methods", tuple(self.methods)),
                             ("entity_types", tuple(self.entity_types))):
             object.__setattr__(self, name, value)
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        require_integers(self, ("repeats",), 1)
+        require_integers(self, ("base_seed",))
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")

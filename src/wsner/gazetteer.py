@@ -100,6 +100,8 @@ def build_gazetteer(
     for source, n in min_len.items():
         if n < 1:
             raise ValueError(f"min_len for {source!r} must be >= 1")
+    if default_min_len < 1:
+        raise ValueError("default_min_len must be >= 1")
     tag_set = tag_set or TagSet()
     known = set(tag_set.entity_types)
     gaz = Gazetteer(lowercase=lowercase, strip_marks=strip_marks)

@@ -40,8 +40,7 @@ SWEEP_CONFIG = {
 
 
 def write_synth_corpus(out_dir, seed: int = 0, *, train_tokens: int = 2000,
-                       test_tokens: int = 700, extra_tokens: int = 1200,
-                       noise_rate: float = 0.3) -> dict[str, str]:
+                       test_tokens: int = 700, extra_tokens: int = 1200) -> dict[str, str]:
     """Generate and write the corpus files; returns name → path."""
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng([seed, 0])
@@ -55,9 +54,9 @@ def write_synth_corpus(out_dir, seed: int = 0, *, train_tokens: int = 2000,
                                          5, 10, 0.5)), tag_set)
     extra = Dataset(tuple(_make_sentences(rng, words, tag_set, extra_tokens,
                                           5, 10, 0.5)), tag_set)
-    distant = merge(uniform_flip(train, noise_rate, [seed, 1]),
-                    uniform_flip(extra, noise_rate, [seed, 2]))
-    distant_test = uniform_flip(test, noise_rate, [seed, 3])
+    distant = merge(uniform_flip(train, 0.3, [seed, 1]),
+                    uniform_flip(extra, 0.3, [seed, 2]))
+    distant_test = uniform_flip(test, 0.3, [seed, 3])
 
     paths = {}
     for name, ds in (("train", train), ("test", test), ("distant", distant),

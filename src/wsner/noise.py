@@ -14,7 +14,8 @@ the one to tag with. ``split_config`` builds the ``TaggerConfig`` and
   channel-composed cross-entropy on distant ones; the channel itself stays
   trainable through a row-wise softmax.
 * noise-channel — treat every label as possibly noisy and alternate
-  posterior inference over clean labels with channel and model updates.
+  ``_em_step``, whose E-step is the channel posterior that confusion's
+  channel items train towards, with an epoch towards those posteriors.
 * cleaning — train a small network that maps (noisy label one-hot, tagger
   features) to a corrected label distribution, then train on the cleaned
   soft targets.
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import tagger
 from .corpus import Dataset, check_aligned, merge, open_utf8
-from .errors import EstimationError, NumericsError, ParseError, SchemaError
+from .errors import EstimationError, NumericsError, ParseError
 from .tagger import (
     EmbeddingTable,
     TaggerConfig,
@@ -38,7 +39,9 @@ from .tagger import (
     _sentence_forward,
     _sgd_epoch,
     _train_core,
+    channel_posterior,
     make_items,
+    require_integers,
 )
 
 ROW_SUM_TOL = 1e-9
@@ -63,11 +66,9 @@ class MethodOptions:
     cleaner_learning_rate: float = 0.1  # cleaning
 
     def __post_init__(self):
+        require_integers(self, ("em_iterations", "cleaner_epochs", "cleaner_hidden"), 1)
         if self.noise_channel_data not in ("mix", "distant-only"):
             raise ValueError("noise_channel_data must be 'mix' or 'distant-only'")
-        for name in ("em_iterations", "cleaner_epochs", "cleaner_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         if not self.cleaner_learning_rate > 0:
             raise ValueError("cleaner_learning_rate must be > 0")
         if not self.alpha >= 0:
@@ -205,81 +206,50 @@ def train_confusion_method(
 # method 2: EM-estimated noise channel over a single noisy pool
 
 
-# EM's default initial channel: the identity blended with this much of the
-# uniform channel
+# EM's initial channel: the identity blended with this much of the uniform
+# channel, so label identities stay pinned
 EM_CHANNEL_ANCHOR = 0.5
 
 
-@dataclass
-class NoiseChannelState:
-    """Channel after the last M-step, the per-token posteriors over clean
-    labels of the last E-step, and the observed-data log-likelihood of
-    every E-step (one value per EM iteration)."""
+def _em_step(params: TaggerParams, items, noisy: np.ndarray, C: np.ndarray):
+    """One EM step over *items*, whose stacked noisy label indices are
+    *noisy*: every token's ``channel_posterior`` under the model and ``C``
+    (E-step), the channel of the M-step (the row-normalized posterior mass
+    per observed label, a closed-form maximizer; a row without mass keeps
+    its value) and the E-step's observed-data log-likelihood."""
+    probs = np.vstack([_sentence_forward(params, it.X)[0] for it in items])
+    posteriors, q = channel_posterior(probs, C, noisy)
+    ll = float(np.log(q).sum())
+    if not math.isfinite(ll):
+        raise NumericsError("non-finite log-likelihood in E-step")
+    counts = np.zeros_like(C)
+    np.add.at(counts.T, noisy, posteriors)
+    mass = counts.sum(axis=1, keepdims=True)
+    return posteriors, np.where(mass > 0, counts / np.where(mass > 0, mass, 1.0), C), ll
 
-    channel: ConfusionMatrix
-    posteriors: np.ndarray
-    log_likelihoods: list[float]
 
-
-def em_noise_channel(
-    data: Dataset,
-    config: TaggerConfig,
-    table: EmbeddingTable,
-    em_iterations: int,
-    *,
-    channel_init: ConfusionMatrix | None = None,
-    train_model: bool = True,
-) -> tuple[TaggerParams, NoiseChannelState]:
-    """Alternate posterior inference with channel and model updates,
-    treating every label in *data* as possibly noisy.
-
-    E-step: ``posterior(t | x, y~) ∝ p_model(t | x) · C[t, y~]``. M-step:
-    the channel becomes the row-normalized posterior mass per observed
-    label (a closed-form maximizer), and the model takes one epoch of SGD
-    on the expected cross-entropy (generalized EM), whose soft targets are
-    the posteriors. Unless ``channel_init`` is given, the channel starts at
-    the identity blended with the uniform channel (``EM_CHANNEL_ANCHOR``),
-    so label identities stay pinned.
-    """
+def em_noise_channel(data: Dataset, config: TaggerConfig, table: EmbeddingTable,
+                     em_iterations: int) -> tuple[TaggerParams, ConfusionMatrix]:
+    """The tagger and channel of ``em_iterations`` rounds of ``_em_step``,
+    each followed by an epoch of SGD towards the step's posteriors as soft
+    targets (generalized EM), treating every label in *data* as noisy. The
+    channel starts at the identity blended with the uniform channel."""
     if not data.sentences:
         raise ValueError("dataset is empty")
-    tag_set = data.tag_set
-    L = tag_set.size
-    labels = tag_set.labels
+    L = data.tag_set.size
     rng = np.random.default_rng(config.seed)
     params = tagger.init_params(rng, "lstm", table.dimension,
                                 config.hidden_size, config.feature_size, L)
-    if channel_init is None:
-        C = (1.0 - EM_CHANNEL_ANCHOR) * np.eye(L) + EM_CHANNEL_ANCHOR / L
-    else:
-        if tuple(channel_init.labels) != tuple(labels):
-            raise SchemaError("channel labels do not match the dataset tag set")
-        C = channel_init.matrix.copy()
-
+    C = (1.0 - EM_CHANNEL_ANCHOR) * np.eye(L) + EM_CHANNEL_ANCHOR / L
     items = make_items(data, table)
     noisy = np.concatenate([it.hard for it in items])
-    bounds = np.cumsum([0] + [len(it.hard) for it in items])
-
-    lls: list[float] = []
+    splits = np.cumsum([len(it.hard) for it in items])[:-1]
     for _ in range(em_iterations):
-        probs = np.vstack([_sentence_forward(params, it.X)[0] for it in items])
-        liks = probs * C[:, noisy].T
-        mass = liks.sum(axis=1)
-        ll = float(np.log(mass).sum())
-        if not math.isfinite(ll):
-            raise NumericsError("non-finite log-likelihood in E-step")
-        posteriors = liks / mass[:, None]
-        lls.append(ll)
-        counts = np.zeros((L, L))
-        np.add.at(counts.T, noisy, posteriors)
-        mass = counts.sum(axis=1, keepdims=True)
-        C = np.where(mass > 0, counts / np.where(mass > 0, mass, 1.0), C)
-        if train_model:
-            for it, start, end in zip(items, bounds[:-1], bounds[1:]):
-                it.soft = posteriors[start:end]
-            _sgd_epoch(params, items, config, rng)
-    state = NoiseChannelState(ConfusionMatrix(labels, C), posteriors, lls)
-    return params, state
+        posteriors, C, _ = _em_step(params, items, noisy, C)
+        for it, soft in zip(items, np.split(posteriors, splits)):
+            it.soft = soft
+        _sgd_epoch(params, items, config, rng)
+    return params, ConfusionMatrix(data.tag_set.labels, C)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +397,7 @@ def fit(method: str, clean: Dataset, distant: Dataset, config: TaggerConfig,
                                                  table, options)
     elif method == "noise-channel":
         data = merge(clean, distant) if options.noise_channel_data == "mix" else distant
-        params, state = em_noise_channel(data, config, table, options.em_iterations)
-        channel = state.channel
+        params, channel = em_noise_channel(data, config, table, options.em_iterations)
     else:
         params, _ = train_cleaning_method(clean, distant, pair_source(), config,
                                           table, options)

@@ -50,8 +50,7 @@ def _make_vocabulary(rng, tag_set: TagSet, entity_words: int, outside_words: int
 
 
 def _make_sentences(rng, words_by_label, tag_set: TagSet, total_tokens: int,
-                    min_len: int, max_len: int, entity_rate: float,
-                    provenance: str = "gold") -> list[LabeledSentence]:
+                    min_len: int, max_len: int, entity_rate: float) -> list[LabeledSentence]:
     sentences = []
     produced = 0
     labels = tag_set.labels
@@ -65,7 +64,7 @@ def _make_sentences(rng, words_by_label, tag_set: TagSet, total_tokens: int,
             words = words_by_label[labels[k]]
             tokens.append(words[int(rng.integers(len(words)))])
             indices.append(k)
-        sentences.append(LabeledSentence(tuple(tokens), tag_set.decode(indices), provenance))
+        sentences.append(LabeledSentence(tuple(tokens), tag_set.decode(indices)))
         produced += n
     return sentences
 

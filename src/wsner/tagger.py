@@ -16,6 +16,7 @@ import contextlib
 import functools
 import json
 import math
+import numbers
 import os
 import stat
 import zipfile
@@ -235,6 +236,18 @@ class EmbeddingTable:
 # parameters
 
 
+def require_integers(config, names, minimum=None) -> None:
+    """Refuse a field among *names* of *config* that is not an integer (a
+    float such as 1.5 or 2.0, a bool or a string, as a JSON config may
+    give), or that is below *minimum*."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
+        if minimum is not None and value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}")
+
+
 @dataclass(frozen=True)
 class TaggerConfig:
     hidden_size: int = 300
@@ -244,14 +257,10 @@ class TaggerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden_size < 1:
-            raise ValueError("hidden_size must be >= 1")
-        if self.feature_size < 1:
-            raise ValueError("feature_size must be >= 1")
+        require_integers(self, ("hidden_size", "feature_size", "epochs"), 1)
+        require_integers(self, ("seed",))
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
 
 
 @dataclass
@@ -582,7 +591,9 @@ def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
 @dataclass
 class TrainItem:
     """One sentence prepared for training: its embedded rows ``X`` (T, d)
-    and hard or soft targets (soft ones win when both are set)."""
+    and label indices ``hard``. Its target, a distribution per token, is
+    ``soft`` (T, L) if set, else the channel posterior of ``hard`` for a
+    ``channel`` item, else the one-hot of ``hard``."""
 
     X: np.ndarray
     hard: np.ndarray | None = None
@@ -590,38 +601,41 @@ class TrainItem:
     channel: bool = False
 
 
+def channel_posterior(probs: np.ndarray, C: np.ndarray, y: np.ndarray):
+    """The posterior over clean labels of tokens observed with the noisy
+    labels ``y``, ``posterior[i, t] ∝ probs[i, t] · C[t, y[i]]``, and its
+    normalizer ``q[i]``, the probability the channel gives ``y[i]``."""
+    pc = probs * C[:, y].T
+    q = pc.sum(axis=1)
+    return pc / q[:, None], q
+
+
 def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None):
-    """Mean cross-entropy over one sentence's tokens and its gradients
-    ``(loss, grads, dC)``: against ``item.soft``, else through the
-    channel ``C`` for channel items, else against ``item.hard``. ``dC`` is
-    the gradient with respect to ``C`` when the channel scored the item,
-    otherwise None."""
+    """Mean loss over one sentence's tokens and its gradients
+    ``(loss, grads, dC)``; the logit gradient is ``(probs − w) / T`` for the
+    item's target ``w`` (see ``TrainItem``; an item is a channel item only
+    when ``C`` is given). A channel item's loss is ``−mean log q`` and
+    ``dC`` its gradient with respect to ``C``; any other item's loss is the
+    cross-entropy to ``w``, and ``dC`` is None."""
     probs, cache = _sentence_forward(params, X)
     T = X.shape[0]
     dC = None
+    # keep soft > channel > hard: perfbench/tracing.py names loss spans by it
     if item.soft is not None:
         w = item.soft
+    elif item.channel and C is not None:
+        w, q = channel_posterior(probs, C, item.hard)
+        loss = -np.log(q).sum() / T
+        dC = np.zeros_like(C)
+        dq = -1.0 / (q * T)
+        np.add.at(dC.T, item.hard, probs * dq[:, None])
+    else:
+        w = np.eye(probs.shape[1])[item.hard]
+    if dC is None:
         with np.errstate(divide="ignore"):
             lp = np.log(probs)
         loss = -np.where(w > 0.0, w * lp, 0.0).sum() / T
-        dlogits = (probs - w) / T
-    elif item.channel and C is not None:
-        y = item.hard
-        ct = C[:, y].T
-        pc = probs * ct
-        q = pc.sum(axis=1)
-        loss = -np.log(q).sum() / T
-        dlogits = (probs - pc / q[:, None]) / T
-        dC = np.zeros_like(C)
-        dq = -1.0 / (q * T)
-        np.add.at(dC.T, y, probs * dq[:, None])
-    else:
-        y = item.hard
-        idx = np.arange(T)
-        loss = -np.log(probs[idx, y]).sum() / T
-        dlogits = probs.copy()
-        dlogits[idx, y] -= 1.0
-        dlogits /= T
+    dlogits = (probs - w) / T
     return loss, _sentence_backward(params, cache, dlogits), dC
 
 

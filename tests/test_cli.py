@@ -59,8 +59,7 @@ def _reference(method, extra, clean, distant, table):
                                             noise.MethodOptions())
     if method == "noise-channel":
         data = distant if extra.get("noise_channel_data") == "distant-only" else merge(clean, distant)
-        params, state = noise.em_noise_channel(data, config, table, 1)
-        return params, state.channel
+        return noise.em_noise_channel(data, config, table, 1)
     params, _ = noise.train_cleaning_method(clean, distant, pairs, config, table,
                                             noise.MethodOptions(cleaner_epochs=2))
     return params, None
@@ -118,8 +117,13 @@ def test_second_train_run_reads_the_embeddings_cache_and_saves_the_same_model(
     ({"cleaner_epochs": 0}, "cleaner_epochs must be >= 1"),
     ({"cell": "lstm"}, "unknown config keys: ['cell']"),
     ({"fine_tune_embeddings": True}, "unknown config keys: ['fine_tune_embeddings']"),
+    *(({key: 4.5}, f"{key} must be an integer")
+      for key in ("hidden_size", "feature_size", "epochs", "seed", "em_iterations",
+                  "cleaner_hidden", "cleaner_epochs")),
 ], ids=["unknown-key", "bad-value", "no-em-iterations", "no-cleaner-epochs", "cell-key",
-        "fine-tune-key"])
+        "fine-tune-key", "fractional-hidden-size", "fractional-feature-size",
+        "fractional-epochs", "fractional-seed", "fractional-em-iterations",
+        "fractional-cleaner-hidden", "fractional-cleaner-epochs"])
 def test_train_rejects_bad_config_naming_the_file(corpus, tmp_path, capsys, doc, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(doc), encoding="utf-8")
@@ -403,6 +407,14 @@ def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_p
     (["annotate", "--corpus", "raw.txt", "--out", "o", "--min-len", "kb"], "--min-len"),
     (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--min-len", "kb=-2"],
      "--min-len"),
+    (["annotate", "--corpus", "raw.txt", "--out", "o", "--default-min-len", "0"],
+     "--default-min-len"),
+    (["annotate", "--corpus", "raw.txt", "--out", "o", "--default-min-len", "-5"],
+     "--default-min-len"),
+    (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--gazetteer", "g",
+      "--default-min-len", "0"], "--default-min-len"),
+    (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--gazetteer", "g",
+      "--default-min-len", "-5"], "--default-min-len"),
     (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--keywords", "default",
       "--lowercase"], "--keywords, --lowercase only act with --gazetteer"),
     (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--min-len", "kb=3",
@@ -426,7 +438,9 @@ def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_p
     (["synth"], "--out-dir"),
     (["synth", "--out-dir", "d", "--seed", "x"], "--seed"),
 ], ids=["annotate-no-out", "min-len-not-int", "min-len-zero", "min-len-no-equals",
-        "train-min-len-negative", "train-keywords-without-gazetteer",
+        "train-min-len-negative", "default-min-len-zero", "default-min-len-negative",
+        "train-default-min-len-zero", "train-default-min-len-negative",
+        "train-keywords-without-gazetteer",
         "train-min-lens-without-gazetteer", "train-confusion-out-baseline-clean",
         "train-confusion-out-cleaning", "quality-no-distant", "inspect-nothing", "inspect-both",
         "ingest-no-out", "ingest-bad-class", "evaluate-no-gold", "evaluate-csv-no-path",

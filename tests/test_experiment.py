@@ -433,6 +433,16 @@ def test_workers_get_their_share_of_blas_threads(monkeypatch):
     ("cleaner_hidden", 0, "cleaner_hidden must be >= 1"),
     ("cleaner_learning_rate", 0.0, "cleaner_learning_rate must be > 0"),
     ("alpha", -0.5, "alpha must be >= 0"),
+    ("em_iterations", 1.5, "em_iterations must be an integer"),
+    ("cleaner_epochs", 2.5, "cleaner_epochs must be an integer"),
+    ("cleaner_hidden", 24.5, "cleaner_hidden must be an integer"),
+    ("hidden_size", 4.5, "hidden_size must be an integer"),
+    ("feature_size", 4.5, "feature_size must be an integer"),
+    ("epochs", 1.5, "epochs must be an integer"),
+    ("seed", 1.5, "seed must be an integer"),
+    ("repeats", 1.5, "repeats must be an integer"),
+    ("base_seed", 7.5, "base_seed must be an integer"),
+    ("clean_budgets", [40.7, "unlimited"], "budgets must be integers"),
 ])
 def test_bad_method_option_is_refused_naming_the_file(tmp_path, capsys, key, value, message):
     config_path = write_tiny_sweep(tmp_path / "corpus", **{key: value})["config"]

@@ -37,6 +37,16 @@ def test_min_length_filter():
     assert match_sentence(["A"], gaz) == []
 
 
+@pytest.mark.parametrize("min_len, default_min_len, message", [
+    ({"wikidata": 0}, 1, "min_len for 'wikidata' must be >= 1"),
+    ({}, 0, "default_min_len must be >= 1"),
+    ({}, -3, "default_min_len must be >= 1"),
+])
+def test_min_length_below_one_is_refused(min_len, default_min_len, message):
+    with pytest.raises(ValueError, match=message):
+        build_gazetteer([entry("Ade", "PER")], min_len, default_min_len=default_min_len)
+
+
 def test_nigerian_names_min_three():
     gaz = build_gazetteer(
         [entry("Ade", "PER", "nigerian"), entry("Ad", "PER", "nigerian")],

@@ -4,8 +4,10 @@ import pytest
 from wsner.corpus import Dataset, EntitySpan, LabeledSentence, TagSet, check_aligned, merge
 from wsner.errors import AlignmentError, EstimationError, ParseError, SchemaError
 from wsner.noise import (
+    EM_CHANNEL_ANCHOR,
     ConfusionMatrix,
     MethodOptions,
+    _em_step,
     cleaner_inputs,
     em_noise_channel,
     estimate_confusion,
@@ -16,7 +18,7 @@ from wsner.noise import (
     train_cleaning_method,
     train_confusion_method,
 )
-from wsner.tagger import TaggerConfig, predict, train
+from wsner.tagger import TaggerConfig, init_params, make_items, predict, train
 
 from gradcheck import finite_difference, max_relative_error
 from support import (
@@ -213,37 +215,38 @@ def test_channel_gradient_matches_finite_differences():
 # EM noise channel
 
 
-def test_em_identity_channel_one_iteration_is_supervised():
-    # the identity is a fixed point of the channel update, so it stays put
-    task = _small_task()
-    cfg = _config(epochs=1)
-    labels = task.clean.tag_set.labels
-    ident = ConfusionMatrix(labels, np.eye(len(labels)))
-    p_em, state = em_noise_channel(task.distant, cfg, task.table, 1,
-                                   channel_init=ident)
-    p_plain = train(task.distant, cfg, task.table)
-    assert _params_equal(p_em, p_plain)
-    assert np.array_equal(state.channel.matrix, ident.matrix)
-    # identity channel makes the posterior exactly one-hot at the noisy label
-    assert set(np.unique(state.posteriors)) == {0.0, 1.0}
+def _em_inputs(task):
+    """An untrained tagger, the items of the distant sentences and their
+    stacked noisy label indices."""
+    items = make_items(task.distant, task.table)
+    params = init_params(np.random.default_rng(9), "lstm", task.table.dimension, 4, 4,
+                         task.distant.tag_set.size)
+    return params, items, np.concatenate([it.hard for it in items])
 
 
-def test_em_log_likelihood_monotone_with_frozen_model():
+def test_em_step_keeps_the_identity_channel_with_one_hot_posteriors():
+    # under the identity channel a token's only clean label is its noisy one
     task = _small_task()
-    cfg = _config(epochs=1)
-    _, state = em_noise_channel(task.distant, cfg, task.table, 9,
-                                train_model=False)
-    lls = np.array(state.log_likelihoods)
+    params, items, noisy = _em_inputs(task)
+    L = task.distant.tag_set.size
+    posteriors, channel, _ = _em_step(params, items, noisy, np.eye(L))
+    assert np.array_equal(posteriors, np.eye(L)[noisy])
+    assert np.array_equal(channel, np.eye(L))
+
+
+def test_em_steps_with_a_frozen_model_never_lower_the_likelihood():
+    task = _small_task()
+    params, items, noisy = _em_inputs(task)
+    L = task.distant.tag_set.size
+    channel = (1.0 - EM_CHANNEL_ANCHOR) * np.eye(L) + EM_CHANNEL_ANCHOR / L
+    lls = []
+    for _ in range(9):
+        posteriors, channel, ll = _em_step(params, items, noisy, channel)
+        assert np.abs(posteriors.sum(axis=1) - 1.0).max() < 1e-9
+        assert posteriors.min() >= 0
+        lls.append(ll)
     assert (np.diff(lls) >= -1e-8).all()
-
-
-def test_em_posteriors_are_distributions():
-    task = _small_task()
-    cfg = _config(epochs=1)
-    _, state = em_noise_channel(task.distant, cfg, task.table, 2)
-    assert np.abs(state.posteriors.sum(axis=1) - 1.0).max() < 1e-9
-    assert state.posteriors.min() >= 0
-    assert len(state.log_likelihoods) == 2  # one per iteration
+    assert lls[-1] > lls[0]
 
 
 def test_em_requires_data():

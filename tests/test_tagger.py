@@ -30,6 +30,7 @@ from wsner.tagger import (
     _sentence_backward,
     _sentence_forward,
     _sgd_step,
+    channel_posterior,
     init_params,
     load_checkpoint,
     make_items,
@@ -666,6 +667,27 @@ def test_perfect_soft_target_gives_zero_gradient(tiny_table):
     assert loss == pytest.approx(entropy, abs=1e-12)
     for _, g in grads.arrays():
         assert np.abs(g).max() < 1e-12
+
+
+def test_hard_and_channel_gradients_are_those_of_their_soft_targets():
+    # a hard item trains towards its one-hot target and a channel item
+    # towards its channel posterior, byte for byte in every parameter
+    # gradient
+    rng = np.random.default_rng(50)
+    for _ in range(200):
+        L, T = int(rng.integers(2, 6)), int(rng.integers(1, 30))
+        params = init_params(rng, "lstm", 12, 16, 8, L)
+        X = rng.normal(size=(T, 12))
+        y = rng.integers(0, L, size=T)
+        C = rng.dirichlet(np.ones(L), size=L)
+        probs, _ = _sentence_forward(params, X)
+        for item, C_arg, target in (
+                (TrainItem(X, hard=y), None, np.eye(L)[y]),
+                (TrainItem(X, hard=y, channel=True), C, channel_posterior(probs, C, y)[0])):
+            _, grads, _ = _item_loss_grads(params, X, item, C_arg)
+            _, want, _ = _item_loss_grads(params, X, TrainItem(X, soft=target))
+            for (name, g), (_, r) in zip(grads.arrays(), want.arrays()):
+                assert g.tobytes() == r.tobytes(), (item.channel, T, name)
 
 
 def _reference_sentence_backward(params, cache, dlogits):
