@@ -234,19 +234,29 @@ def test_em_step_keeps_the_identity_channel_with_one_hot_posteriors():
     assert np.array_equal(channel, np.eye(L))
 
 
-def test_em_steps_with_a_frozen_model_never_lower_the_likelihood():
+def test_em_log_likelihood_monotone_with_frozen_model():
     task = _small_task()
     params, items, noisy = _em_inputs(task)
     L = task.distant.tag_set.size
     channel = (1.0 - EM_CHANNEL_ANCHOR) * np.eye(L) + EM_CHANNEL_ANCHOR / L
     lls = []
     for _ in range(9):
-        posteriors, channel, ll = _em_step(params, items, noisy, channel)
-        assert np.abs(posteriors.sum(axis=1) - 1.0).max() < 1e-9
-        assert posteriors.min() >= 0
+        _, channel, ll = _em_step(params, items, noisy, channel)
         lls.append(ll)
     assert (np.diff(lls) >= -1e-8).all()
     assert lls[-1] > lls[0]
+
+
+def test_em_posteriors_are_distributions():
+    # the E-step of the tagger and channel that two EM rounds produce
+    task = _small_task()
+    params, channel = em_noise_channel(task.distant, _config(epochs=1), task.table, 2)
+    items = make_items(task.distant, task.table)
+    noisy = np.concatenate([it.hard for it in items])
+    posteriors, _, _ = _em_step(params, items, noisy, channel.matrix)
+    assert posteriors.shape == (len(noisy), task.distant.tag_set.size)
+    assert np.abs(posteriors.sum(axis=1) - 1.0).max() < 1e-9
+    assert posteriors.min() >= 0
 
 
 def test_em_requires_data():
