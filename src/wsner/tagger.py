@@ -503,16 +503,38 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray):
 # batched inference
 #
 # Inference-only forward over many sentences at once. Sentences are sorted
-# longest first, so at each timestep the sentences still running are a
-# prefix of the batch and no masking is needed. Each direction adds its
-# states, times its half of w_feat, straight into one flat (tokens, f)
-# feature buffer, so no (T, B, ...) state or input buffer is kept: a
-# process that tags with the paper-shape tagger reaches its peak memory here.
+# longest first, so the sentences still running at a timestep are a prefix
+# of the batch and no masking is needed: in time-major order, step t's
+# tokens are the one slice offs[t]:offs[t+1].
+#
+# Windows. The steps are cut into runs of consecutive steps with at most
+# max(_BATCH_SENTENCES, _WINDOW_FLOATS // 4h) tokens in total; a step has at
+# most _BATCH_SENTENCES tokens, so every step fits. Per window a direction
+# makes one embedding gather, one input product into a (tokens, 4h) gate
+# buffer, and one product of its hidden states with its half of w_feat,
+# added into the flat (tokens, f) features. Only the recurrent product and
+# the gate arithmetic run per step, in place on the step's slice, and the
+# step's hidden states overwrite its spent input gates. At paper shape a
+# product with the (4h, d) weights costs nearly as much for 4 rows as for
+# 32, since BLAS repacks the weights on every call.
+#
+# Memory. The buffers are allocated once per call and serve every batch,
+# both directions and every window, so a batch holds about _WINDOW_FLOATS
+# gate floats besides its features, never the (tokens, 4h) input projection
+# of the whole batch; a process that tags with the paper-shape tagger
+# reaches its peak memory here. The row cap follows from h so that the gate
+# buffer has that size at every shape: 64 rows at h=300, a whole batch at
+# h=16.
+#
+# The features add the forward states, then the backward ones, then b_feat,
+# in the order of the per-sentence pass.
 
 # A batch holds at most this many sentences and this many padded tokens
 # (sentences times the longest length); a longer sentence runs alone.
 _BATCH_SENTENCES = 32
 _BATCH_TOKENS = 1024
+# The gate buffer of a window holds about this many floats (600 KiB).
+_WINDOW_FLOATS = 64 * 1200
 
 
 def _inference_batches(lengths: np.ndarray):
@@ -527,50 +549,76 @@ def _inference_batches(lengths: np.ndarray):
         start += size
 
 
-def _batch_direction(w, u, b, w_half, table: EmbeddingTable,
-                     rows, pos, active, feats) -> None:
-    """One direction of the LSTM over a length-sorted batch:
-    step ``t`` reads embedding rows ``rows[t, :n]`` and adds its states
-    times ``w_half`` into ``feats[pos[t, :n]]``, for ``n = active[t]``."""
+def _batch_direction(w, u, b, w_half, table: EmbeddingTable, rows, pos, offs,
+                     bounds, buffers, feats) -> None:
+    """One direction of the LSTM over a length-sorted batch in time-major
+    order: step ``t`` reads embedding rows ``rows[offs[t]:offs[t + 1]]``
+    and adds its states times ``w_half`` into ``feats`` at ``pos`` of the
+    same slice. Windows are the step ranges ``bounds[k]:bounds[k + 1]``.
+    ``buffers`` are the gate buffer, with a row for each token of a window,
+    and the recurrent product, cell state and carried hidden state, with a
+    row for each sentence."""
     h = u.shape[1]
     scale, shift = _gate_affine(h)
-    for t, n in enumerate(active):
-        a = table.embed_rows(rows[t, :n]) @ w.T
-        a += b
-        if t:
-            a += h_prev[:n] @ u.T
-        a *= scale
-        np.tanh(a, out=a)
-        a *= scale
-        a += shift
-        i, f, g, o = a.reshape(n, 4, h).transpose(1, 0, 2)
-        c = i * g
-        if t:
-            c += f * c_prev[:n]
-        h_prev = o * np.tanh(c)
-        c_prev = c
-        feats[pos[t, :n]] += h_prev @ w_half.T
+    gates, rec, cell, carry = buffers
+    h_prev = None
+    for t0, t1 in zip(bounds, bounds[1:]):
+        lo, hi = offs[t0], offs[t1]
+        window = gates[:hi - lo]
+        np.matmul(table.embed_rows(rows[lo:hi]), w.T, out=window)
+        window += b
+        for t in range(t0, t1):
+            n = offs[t + 1] - offs[t]
+            a = window[offs[t] - lo:offs[t + 1] - lo]
+            c = cell[:n]
+            if t:
+                a += np.matmul(h_prev[:n], u.T, out=rec[:n])
+            a *= scale
+            np.tanh(a, out=a)
+            a *= scale
+            a += shift
+            i, f, g, o = a.reshape(n, 4, h).transpose(1, 0, 2)
+            # the step's gate blocks are free once read: i takes i * g and
+            # then the hidden state, g takes tanh(c)
+            i *= g
+            if t:
+                c *= f
+                c += i
+            else:
+                c[...] = i
+            h_prev = np.multiply(o, np.tanh(c, out=g), out=i)
+        feats[pos[lo:hi]] += window[:, :h] @ w_half.T
+        # the next window's input product overwrites the gate buffer
+        carry[:n] = h_prev
+        h_prev = carry[:n]
 
 
-def _batch_probs(params: TaggerParams, table: EmbeddingTable, batch_rows) -> np.ndarray:
+def _batch_probs(params: TaggerParams, table: EmbeddingTable, batch_rows,
+                 buffers) -> np.ndarray:
     """Label distributions of sentences given as row-index arrays sorted
-    longest first, as one ``(tokens, L)`` array in batch order."""
+    longest first, as one ``(tokens, L)`` array in batch order. ``buffers``
+    are ``_batch_direction``'s; a window has at most as many tokens as the
+    gate buffer has rows."""
     lengths = np.array([len(r) for r in batch_rows], dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
     flat = np.concatenate(batch_rows)
-    steps = np.arange(lengths[0])[:, None]
-    running = steps < lengths
-    active = running.sum(axis=1).tolist()
-    # time-major flat token positions; entries past a sentence's end are
-    # never read, so any valid index will do there
-    pos_f = np.where(running, starts + steps, 0)
-    pos_b = np.where(running, starts + lengths - 1 - steps, 0)
+    running = np.arange(lengths[0])[:, None] < lengths
+    # time-major (step, sentence) pairs and each token's flat position
+    step, sent = np.nonzero(running)
+    pos_f = starts[sent] + step
+    pos_b = starts[sent] + lengths[sent] - 1 - step
+    offs = np.concatenate(([0], np.cumsum(running.sum(axis=1))))
+    bounds = [0]
+    while bounds[-1] < len(offs) - 1:
+        end = np.searchsorted(offs, offs[bounds[-1]] + len(buffers[0]), side="right")
+        bounds.append(int(end) - 1)
+    offs = offs.tolist()
     h = params.hidden_size
     feats = np.zeros((len(flat), params.feature_size))
     _batch_direction(params.w_in_f, params.u_f, params.b_f, params.w_feat[:, :h],
-                     table, flat[pos_f], pos_f, active, feats)
+                     table, flat[pos_f], pos_f, offs, bounds, buffers, feats)
     _batch_direction(params.w_in_b, params.u_b, params.b_b, params.w_feat[:, h:],
-                     table, flat[pos_b], pos_b, active, feats)
+                     table, flat[pos_b], pos_b, offs, bounds, buffers, feats)
     feats += params.b_feat
     return _softmax(feats @ params.w_out.T + params.b_out)
 
@@ -579,8 +627,16 @@ def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
     """``(index, probs)`` for every token sequence in ``token_lists``, one
     batch at a time, so that only one batch's distributions are held."""
     lengths = np.array([len(tokens) for tokens in token_lists], dtype=np.int64)
+    h = params.hidden_size
+    # once per call, not per batch: gate buffers allocated and freed batch
+    # after batch fragment the heap and raise the process's peak memory
+    rows = min(max(_BATCH_SENTENCES, _WINDOW_FLOATS // (4 * h)), int(lengths.sum()))
+    width = min(_BATCH_SENTENCES, len(token_lists))
+    buffers = (np.empty((rows, 4 * h)), np.empty((width, 4 * h)),
+               np.empty((width, h)), np.empty((width, h)))
     for batch in _inference_batches(lengths):
-        probs = _batch_probs(params, table, [table.row_indices(token_lists[i]) for i in batch])
+        batch_rows = [table.row_indices(token_lists[i]) for i in batch]
+        probs = _batch_probs(params, table, batch_rows, buffers)
         yield from zip(batch.tolist(), np.split(probs, np.cumsum(lengths[batch])[:-1]))
 
 
@@ -718,9 +774,18 @@ def predict(dataset: Dataset, params: TaggerParams, table: EmbeddingTable) -> Da
     stable sort), then cut into batches of at most 32 sentences
     (``_BATCH_SENTENCES``) and 1024 padded tokens (``_BATCH_TOKENS``,
     sentences times the longest length); a longer sentence runs alone.
-    The distributions equal the per-sentence forward pass up to rounding,
-    since matrix products of another shape sum in another order, and the
-    output keeps the input order.
+    Each LSTM direction runs over a batch in windows of consecutive
+    timesteps with at most ``max(32, _WINDOW_FLOATS // 4h)`` tokens in
+    total: 64 at h=300, a whole batch at small h. A window makes one
+    embedding gather, one input product and one feature product; only the
+    recurrent product and the gates run per timestep. So a batch holds
+    about ``_WINDOW_FLOATS`` (76,800) gate floats besides its (tokens, f)
+    features, never the (tokens, 4h) input projection of the whole batch.
+    The features add the forward states, then the backward ones, then
+    ``b_feat``, as the per-sentence pass does. The distributions equal the
+    per-sentence forward pass up to rounding, since matrix products of
+    another shape sum in another order, and the output keeps the input
+    order.
     """
     decode = dataset.tag_set.decode
     sentences = list(dataset.sentences)

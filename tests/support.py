@@ -10,7 +10,7 @@ import numpy as np
 
 from wsner.corpus import Dataset, LabeledSentence, TagSet, check_aligned
 from wsner.synth import _make_sentences, _make_vocabulary, uniform_flip
-from wsner.tagger import EmbeddingTable, TaggerParams, _forward_batched
+from wsner.tagger import EmbeddingTable, TaggerParams, _forward_batched, init_params
 
 
 def forward(tokens, params: TaggerParams, table: EmbeddingTable) -> np.ndarray:
@@ -18,6 +18,15 @@ def forward(tokens, params: TaggerParams, table: EmbeddingTable) -> np.ndarray:
     batched inference path that ``tagger.predict`` uses."""
     (_, probs), = _forward_batched(params, table, [tokens])
     return probs
+
+
+def paper_shape_model(vocab: int = 500, seed: int = 0):
+    """A tagger of the paper's shape (d=300, h=300, f=128, 3 labels) with
+    seeded random weights, and a table of *vocab* random 300-d vectors
+    named ``w0``, ``w1``, ..."""
+    rng = np.random.default_rng(seed)
+    table = EmbeddingTable({f"w{i}": i for i in range(vocab)}, rng.normal(size=(vocab, 300)))
+    return init_params(rng, "lstm", 300, 300, 128, 3), table
 
 
 def token_accuracy(gold: Dataset, pred: Dataset) -> float:

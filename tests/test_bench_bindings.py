@@ -5,6 +5,8 @@ multi-minute benchmark smoke run. Nothing under perfbench/ is changed."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from wsner import date_rules, experiment, gazetteer, noise, tagger
 from wsner.corpus import Dataset, LabeledSentence
 from wsner.tagger import TaggerConfig
@@ -43,6 +45,23 @@ def test_tracer_binds_every_traced_layer():
     # patch() restores every binding it replaced
     assert not hasattr(tagger.predict, "__wrapped__")
     assert noise._sentence_forward is tagger._sentence_forward
+
+
+def test_traced_predict_records_no_sentence_pass():
+    # the batched path stays out of the per-sentence spans whose calls the
+    # binding check counts, 2 LSTM passes per head pass
+    task = make_noise_benchmark(0, clean_tokens=30, noisy_tokens=40, test_tokens=20,
+                                entity_words=6, outside_words=6)
+    params = tagger.init_params(np.random.default_rng(0), "lstm", task.table.dimension,
+                                3, 3, task.test.tag_set.size)
+    tracer = _tracing_module().Tracer()
+    with tracer.patch():
+        tagger.predict(task.test, params, task.table)
+    assert tracer.check_bindings() == []
+    values = tracer.layer_values()
+    assert values["tagger.predict.calls"] == 1
+    for span in ("tagger.lstm_forward", "tagger.head_forward"):
+        assert values.get(f"{span}.calls", 0) == 0, span
 
 
 def test_tracer_binds_every_sweep_cell(tmp_path):

@@ -3,6 +3,8 @@ import gc
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -41,7 +43,7 @@ from wsner.tagger import (
 
 from conftest import make_dataset, make_sentence
 from gradcheck import finite_difference, max_relative_error
-from support import forward, token_accuracy
+from support import forward, paper_shape_model, token_accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -873,18 +875,36 @@ def _batch_test_model(cell, token_cap):
 
 
 @pytest.mark.parametrize("cell", ["lstm"])
-@pytest.mark.parametrize("caps", [None, (3, 12)])
+# (sentences, tokens, window floats). With 5 window rows at h=4, the batch
+# of lengths (3, 2, 1) starts a window where the active count drops from 2
+# to 1, that of (5, 4) drops within one, and the sentences longer than the
+# token cap run in windows of 5 steps.
+@pytest.mark.parametrize("caps", [None, (3, 12, None), (3, 12, 5 * 16)])
 def test_batched_forward_matches_per_sentence(cell, caps, monkeypatch):
     if caps is not None:
         monkeypatch.setattr(tagger, "_BATCH_SENTENCES", caps[0])
         monkeypatch.setattr(tagger, "_BATCH_TOKENS", caps[1])
+        if caps[2] is not None:
+            monkeypatch.setattr(tagger, "_WINDOW_FLOATS", caps[2])
     ts, table, params, ds = _batch_test_model(cell, tagger._BATCH_TOKENS)
     lengths = np.array([len(s.tokens) for s in ds.sentences])
     batches = list(_inference_batches(lengths))
     assert len(batches) >= (6 if caps else 2)
 
     reference = _per_sentence_probs(ds, params, table)
+    gathers = []
+    embed_rows = EmbeddingTable.embed_rows
+    monkeypatch.setattr(EmbeddingTable, "embed_rows",
+                        lambda self, rows: gathers.append(len(rows)) or embed_rows(self, rows))
     pairs = list(_forward_batched(params, table, [s.tokens for s in ds.sentences]))
+    monkeypatch.setattr(EmbeddingTable, "embed_rows", embed_rows)
+    # one gather per window and direction, each within the window's rows
+    window_rows = max(tagger._BATCH_SENTENCES, tagger._WINDOW_FLOATS // (4 * params.hidden_size))
+    assert max(gathers) <= window_rows
+    if caps is not None and caps[2] is not None:
+        assert len(gathers) > 2 * len(batches)
+    else:
+        assert len(gathers) == 2 * len(batches)
     assert sorted(i for i, _ in pairs) == list(range(len(reference)))
     batched = dict(pairs)
     for i, want in enumerate(reference):
@@ -911,6 +931,59 @@ def test_inference_batches_sort_stably_within_caps(caps, monkeypatch):
     for batch in batches:
         assert len(batch) == 1 or (len(batch) <= caps[0]
                                    and len(batch) * lengths[batch].max() <= caps[1])
+
+
+def test_batched_forward_peaks_below_one_input_projection():
+    # one batch of 32 sentences of 32 tokens at paper shape: the windows
+    # keep the gate buffer far below the (tokens, 4h) input projection of
+    # the whole batch
+    params, table = paper_shape_model()
+    rng = np.random.default_rng(1)
+    sents = [[f"w{i}" if i >= 0 else "oov" for i in rng.integers(-1, len(table), size=32)]
+             for _ in range(32)]
+    assert len(list(_inference_batches(np.full(32, 32)))) == 1
+    list(_forward_batched(params, table, sents))
+    tracemalloc.start()
+    try:
+        pairs = list(_forward_batched(params, table, sents))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    projection = 32 * 32 * 4 * params.hidden_size * 8
+    assert sum(len(probs) for _, probs in pairs) == 1024
+    assert peak < projection, peak / projection
+
+
+_BATCHED_PROBS_HASH = """
+import hashlib
+import numpy as np
+from support import paper_shape_model
+from wsner.tagger import _forward_batched
+params, table = paper_shape_model()
+rng = np.random.default_rng(2)
+sents = [[f"w{i}" if i >= 0 else "oov" for i in rng.integers(-1, len(table), size=n)]
+         for n in rng.integers(1, 61, size=48)]
+digest = hashlib.sha256()
+for i, probs in _forward_batched(params, table, sents):
+    digest.update(repr(i).encode())
+    digest.update(probs.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_batched_probabilities_do_not_depend_on_blas_threads():
+    # the per-sentence pass at this shape does depend on them (the feature
+    # product of a sentence of 16 tokens or more); the batched one must not
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _BATCHED_PROBS_HASH], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout)
+    assert hashes[0] == hashes[1]
 
 
 def test_predict_empty_dataset(tiny_table):
