@@ -897,7 +897,6 @@ def test_batched_forward_matches_per_sentence(cell, caps, monkeypatch):
     monkeypatch.setattr(EmbeddingTable, "embed_rows",
                         lambda self, rows: gathers.append(len(rows)) or embed_rows(self, rows))
     pairs = list(_forward_batched(params, table, [s.tokens for s in ds.sentences]))
-    monkeypatch.setattr(EmbeddingTable, "embed_rows", embed_rows)
     # one gather per window and direction, each within the window's rows
     window_rows = max(tagger._BATCH_SENTENCES, tagger._WINDOW_FLOATS // (4 * params.hidden_size))
     assert max(gathers) <= window_rows
