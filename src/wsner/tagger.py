@@ -503,57 +503,55 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray):
 # batched inference
 #
 # Inference-only forward over many sentences at once. Sentences are sorted
-# longest first, so the sentences still running at a timestep are a prefix
-# of the batch and no masking is needed: in time-major order, step t's
-# tokens are the one slice offs[t]:offs[t+1].
+# longest first (a stable sort) and cut into batches of _BATCH_SENTENCES,
+# whatever their lengths. The sentences still running at a timestep are a
+# prefix of the batch, so no masking is needed: in time-major order, step
+# t's tokens are the one slice offs[t]:offs[t+1].
 #
 # Windows. The steps are cut into runs of consecutive steps with at most
 # max(_BATCH_SENTENCES, _WINDOW_FLOATS // 4h) tokens in total; a step has at
 # most _BATCH_SENTENCES tokens, so every step fits. Per window a direction
 # makes one embedding gather, one input product into a (tokens, 4h) gate
-# buffer, and one product of its hidden states with its half of w_feat,
-# added into the flat (tokens, f) features. Only the recurrent product and
-# the gate arithmetic run per step, in place on the step's slice, and the
-# step's hidden states overwrite its spent input gates. At paper shape a
-# product with the (4h, d) weights costs nearly as much for 4 rows as for
-# 32, since BLAS repacks the weights on every call.
+# buffer and one head product. Only the recurrent product and the gate
+# arithmetic run per step, in place on the step's slice, and the step's
+# hidden states overwrite its spent input gates. At paper shape BLAS
+# repacks the (4h, h) recurrent weights on every call, so that product
+# costs about 4.5 times more per row at 4 rows than at 64.
 #
-# Memory. The buffers are allocated once per call and serve every batch,
-# both directions and every window, so a batch holds about _WINDOW_FLOATS
-# gate floats besides its features, never the (tokens, 4h) input projection
-# of the whole batch; a process that tags with the paper-shape tagger
-# reaches its peak memory here. The row cap follows from h so that the gate
-# buffer has that size at every shape: 64 rows at h=300, a whole batch at
-# h=16.
+# Folded head. The feature and output layers are linear, so the logits are
+# H @ M.T + m0 with M = w_out @ w_feat (L, 2h) and m0 = w_out @ b_feat +
+# b_out, formed once per call. Each direction adds its states times its
+# half of M into the batch's (tokens, L) logits, and the softmax runs once
+# per batch. This equals the per-sentence pass up to rounding.
 #
-# The features add the forward states, then the backward ones, then b_feat,
-# in the order of the per-sentence pass.
+# Memory. The gate, recurrent-product and state buffers are allocated once
+# per call and serve every batch, direction and window. Besides them a
+# batch holds its (tokens, L) logits and distributions and a few integer
+# index arrays, never (tokens, f) features or the (tokens, 4h) input
+# projection of the whole batch; a process that tags with the paper-shape
+# tagger reaches its peak memory here. The row cap follows from h so that
+# the gate buffer has about _WINDOW_FLOATS floats at every shape: 64 rows
+# at h=300, a whole batch at h=16.
 
-# A batch holds at most this many sentences and this many padded tokens
-# (sentences times the longest length); a longer sentence runs alone.
-_BATCH_SENTENCES = 32
-_BATCH_TOKENS = 1024
+# A batch holds this many sentences (the last one fewer).
+_BATCH_SENTENCES = 64
 # The gate buffer of a window holds about this many floats (600 KiB).
 _WINDOW_FLOATS = 64 * 1200
 
 
 def _inference_batches(lengths: np.ndarray):
     """Input indices sorted by length, longest first (equal lengths keep
-    input order), cut into batches within the caps."""
+    input order), cut into batches of ``_BATCH_SENTENCES``."""
     order = np.argsort(-lengths, kind="stable")
-    start = 0
-    while start < len(order):
-        longest = int(lengths[order[start]])
-        size = max(1, min(_BATCH_SENTENCES, _BATCH_TOKENS // max(longest, 1)))
-        yield order[start:start + size]
-        start += size
+    for start in range(0, len(order), _BATCH_SENTENCES):
+        yield order[start:start + _BATCH_SENTENCES]
 
 
-def _batch_direction(w, u, b, w_half, table: EmbeddingTable, rows, pos, offs,
-                     bounds, buffers, feats) -> None:
+def _batch_direction(w, u, b, proj, table: EmbeddingTable, rows, pos, offs,
+                     bounds, buffers, out) -> None:
     """One direction of the LSTM over a length-sorted batch in time-major
     order: step ``t`` reads embedding rows ``rows[offs[t]:offs[t + 1]]``
-    and adds its states times ``w_half`` into ``feats`` at ``pos`` of the
+    and adds its states times ``proj.T`` into ``out`` at ``pos`` of the
     same slice. Windows are the step ranges ``bounds[k]:bounds[k + 1]``.
     ``buffers`` are the gate buffer, with a row for each token of a window,
     and the recurrent product, cell state and carried hidden state, with a
@@ -587,18 +585,20 @@ def _batch_direction(w, u, b, w_half, table: EmbeddingTable, rows, pos, offs,
             else:
                 c[...] = i
             h_prev = np.multiply(o, np.tanh(c, out=g), out=i)
-        feats[pos[lo:hi]] += window[:, :h] @ w_half.T
+        out[pos[lo:hi]] += window[:, :h] @ proj.T
         # the next window's input product overwrites the gate buffer
         carry[:n] = h_prev
         h_prev = carry[:n]
 
 
-def _batch_probs(params: TaggerParams, table: EmbeddingTable, batch_rows,
+def _batch_probs(directions, bias, table: EmbeddingTable, batch_rows,
                  buffers) -> np.ndarray:
     """Label distributions of sentences given as row-index arrays sorted
-    longest first, as one ``(tokens, L)`` array in batch order. ``buffers``
-    are ``_batch_direction``'s; a window has at most as many tokens as the
-    gate buffer has rows."""
+    longest first, as one ``(tokens, L)`` array in batch order.
+    ``directions`` holds the forward, then the backward weights ``(w, u,
+    b, proj)`` of ``_batch_direction``, ``bias`` the folded head's ``m0``;
+    ``buffers`` are ``_batch_direction``'s, and a window has at most as
+    many tokens as the gate buffer has rows."""
     lengths = np.array([len(r) for r in batch_rows], dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
     flat = np.concatenate(batch_rows)
@@ -613,14 +613,10 @@ def _batch_probs(params: TaggerParams, table: EmbeddingTable, batch_rows,
         end = np.searchsorted(offs, offs[bounds[-1]] + len(buffers[0]), side="right")
         bounds.append(int(end) - 1)
     offs = offs.tolist()
-    h = params.hidden_size
-    feats = np.zeros((len(flat), params.feature_size))
-    _batch_direction(params.w_in_f, params.u_f, params.b_f, params.w_feat[:, :h],
-                     table, flat[pos_f], pos_f, offs, bounds, buffers, feats)
-    _batch_direction(params.w_in_b, params.u_b, params.b_b, params.w_feat[:, h:],
-                     table, flat[pos_b], pos_b, offs, bounds, buffers, feats)
-    feats += params.b_feat
-    return _softmax(feats @ params.w_out.T + params.b_out)
+    logits = np.tile(bias, (len(flat), 1))
+    for weights, pos in zip(directions, (pos_f, pos_b)):
+        _batch_direction(*weights, table, flat[pos], pos, offs, bounds, buffers, logits)
+    return _softmax(logits)
 
 
 def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
@@ -628,6 +624,10 @@ def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
     batch at a time, so that only one batch's distributions are held."""
     lengths = np.array([len(tokens) for tokens in token_lists], dtype=np.int64)
     h = params.hidden_size
+    fold = params.w_out @ params.w_feat
+    directions = ((params.w_in_f, params.u_f, params.b_f, fold[:, :h]),
+                  (params.w_in_b, params.u_b, params.b_b, fold[:, h:]))
+    bias = params.w_out @ params.b_feat + params.b_out
     # once per call, not per batch: gate buffers allocated and freed batch
     # after batch fragment the heap and raise the process's peak memory
     rows = min(max(_BATCH_SENTENCES, _WINDOW_FLOATS // (4 * h)), int(lengths.sum()))
@@ -636,7 +636,7 @@ def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
                np.empty((width, h)), np.empty((width, h)))
     for batch in _inference_batches(lengths):
         batch_rows = [table.row_indices(token_lists[i]) for i in batch]
-        probs = _batch_probs(params, table, batch_rows, buffers)
+        probs = _batch_probs(directions, bias, table, batch_rows, buffers)
         yield from zip(batch.tolist(), np.split(probs, np.cumsum(lengths[batch])[:-1]))
 
 
@@ -771,21 +771,19 @@ def predict(dataset: Dataset, params: TaggerParams, table: EmbeddingTable) -> Da
     label index, so all-uniform output yields the outside label).
 
     Sentences are tagged in batches: sorted by length, longest first (a
-    stable sort), then cut into batches of at most 32 sentences
-    (``_BATCH_SENTENCES``) and 1024 padded tokens (``_BATCH_TOKENS``,
-    sentences times the longest length); a longer sentence runs alone.
-    Each LSTM direction runs over a batch in windows of consecutive
-    timesteps with at most ``max(32, _WINDOW_FLOATS // 4h)`` tokens in
-    total: 64 at h=300, a whole batch at small h. A window makes one
-    embedding gather, one input product and one feature product; only the
-    recurrent product and the gates run per timestep. So a batch holds
-    about ``_WINDOW_FLOATS`` (76,800) gate floats besides its (tokens, f)
-    features, never the (tokens, 4h) input projection of the whole batch.
-    The features add the forward states, then the backward ones, then
-    ``b_feat``, as the per-sentence pass does. The distributions equal the
-    per-sentence forward pass up to rounding, since matrix products of
-    another shape sum in another order, and the output keeps the input
-    order.
+    stable sort), then cut into batches of 64 sentences
+    (``_BATCH_SENTENCES``) whatever their lengths. Each LSTM direction
+    runs over a batch in windows of consecutive timesteps with at most
+    ``max(64, _WINDOW_FLOATS // 4h)`` tokens in total: 64 at h=300, a whole
+    batch at small h. A window makes one embedding gather, one input
+    product and one product of its states with the folded head
+    ``w_out @ w_feat``; only the recurrent product and the gates run per
+    timestep. So a batch holds about ``_WINDOW_FLOATS`` (76,800) gate
+    floats, a (64, 4h) recurrent product and its (tokens, L) logits, never
+    (tokens, f) features or the (tokens, 4h) input projection of the whole
+    batch. Since the head is linear, folding it changes only the rounding:
+    the distributions equal the per-sentence forward pass up to rounding,
+    and the output keeps the input order.
     """
     decode = dataset.tag_set.decode
     sentences = list(dataset.sentences)
