@@ -276,7 +276,9 @@ class CleaningParams:
 def train_cleaner(inputs: np.ndarray, targets: np.ndarray, label_count: int,
                   rng: np.random.Generator, *, hidden_size: int,
                   learning_rate: float, epochs: int) -> CleaningParams:
-    """Fit the cleaner with per-example SGD on cross-entropy."""
+    """Fit the cleaner with per-example SGD on cross-entropy. The weight
+    updates are formed in two buffers allocated once per call, so an
+    example's update allocates no weight-sized array."""
     n, dim = inputs.shape
     if n == 0:
         raise EstimationError("no pairs to train the cleaner on")
@@ -284,6 +286,8 @@ def train_cleaner(inputs: np.ndarray, targets: np.ndarray, label_count: int,
     b1 = np.zeros(hidden_size)
     w2 = rng.uniform(-1, 1, size=(label_count, hidden_size)) / math.sqrt(hidden_size)
     b2 = np.zeros(label_count)
+    g1 = np.empty_like(w1)
+    g2 = np.empty_like(w2)
     for _ in range(epochs):
         order = rng.permutation(n)
         for k in order:
@@ -295,9 +299,13 @@ def train_cleaner(inputs: np.ndarray, targets: np.ndarray, label_count: int,
             dlogits[targets[int(k)]] -= 1.0
             da = w2.T @ dlogits
             dpre = da * (1.0 - a ** 2)
-            w2 -= learning_rate * np.outer(dlogits, a)
+            np.multiply(dlogits[:, None], a, out=g2)
+            g2 *= learning_rate
+            w2 -= g2
             b2 -= learning_rate * dlogits
-            w1 -= learning_rate * np.outer(dpre, z)
+            np.multiply(dpre[:, None], z, out=g1)
+            g1 *= learning_rate
+            w1 -= g1
             b1 -= learning_rate * dpre
         for arr in (w1, b1, w2, b2):
             if not np.isfinite(arr).all():

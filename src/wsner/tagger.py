@@ -6,6 +6,13 @@ distributions. Training is plain SGD with per-sentence updates; all
 randomness (parameter init, shuffling) flows from one seeded generator, so
 runs are bit-reproducible.
 
+The backward pass writes every parameter gradient into a workspace, a
+``TaggerParams`` of gradient arrays that an SGD epoch allocates once and
+reuses for every step. At paper shape (d=h=300) a step's gradients are
+about 11.5 MB; allocating them afresh per sentence costs page faults and
+raises the process's peak memory, for values that are subtracted from the
+weights at once.
+
 Everything is float64 numpy; gradients are exact (they are checked against
 central finite differences in the test suite).
 """
@@ -416,11 +423,13 @@ def _lstm_forward(w, u, b, X):
     return Hs, (X, A, Cs, TC, Hs)
 
 
-def _lstm_backward(u, cache, dHs):
-    """Weight, recurrent and bias gradients ``(dW, dU, db)`` of one
-    ``_lstm_forward`` pass from the gradients ``dHs`` of its hidden states.
-    The embeddings are frozen, so no input gradient is formed and the input
-    weights are not needed.
+def _lstm_backward(u, cache, dHs, *, out):
+    """Weight, recurrent and bias gradients of one ``_lstm_forward`` pass
+    from the gradients ``dHs`` of its hidden states, written into the
+    arrays ``out = (dW, dU, db)`` (shapes (4h, d), (4h, h), (4h,)), which
+    are returned. Every element of them is overwritten; at T=1 ``dU`` is
+    the zero product over no steps. The embeddings are frozen, so no input
+    gradient is formed and the input weights are not needed.
 
     The preactivation gradients ``dA`` (T, 4h) are the only (T, 4h) array
     made. Before the loop each gate block of ``dA`` is filled in place with
@@ -471,7 +480,11 @@ def _lstm_backward(u, cache, dHs):
         dc += carry
     DC[0] *= dc
     DO[0] *= dh
-    return dA.T @ X, dA[1:].T @ Hs[:-1], dA.sum(axis=0)
+    dW, dU, db = out
+    np.matmul(dA.T, X, out=dW)
+    np.matmul(dA[1:].T, Hs[:-1], out=dU)
+    dA.sum(axis=0, out=db)
+    return out
 
 
 def _sentence_forward(params: TaggerParams, X: np.ndarray):
@@ -484,19 +497,29 @@ def _sentence_forward(params: TaggerParams, X: np.ndarray):
     return probs, (cache_f, cache_b, H, feats)
 
 
-def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray):
+def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray,
+                       grads: TaggerParams) -> TaggerParams:
     """Every parameter's gradient of one sentence pass from its logit
-    gradients, as a fresh ``TaggerParams``."""
+    gradients, written into the workspace ``grads`` (a ``TaggerParams`` of
+    the parameters' shapes), which is returned. Every element of every
+    field is overwritten, so the workspace may hold anything before, such
+    as a previous, longer sentence's gradients: one workspace serves every
+    step of an epoch, and no step allocates parameter-sized arrays."""
     cache_f, cache_b, H, feats = cache
     h = params.hidden_size
     dfeats = dlogits @ params.w_out
     dH = dfeats @ params.w_feat
-    # dHs by keyword: perfbench/tracing.py counts its tokens by that name
-    dw_f, du_f, db_f = _lstm_backward(params.u_f, cache_f, dHs=dH[:, :h])
-    dw_b, du_b, db_b = _lstm_backward(params.u_b, cache_b, dHs=dH[::-1, h:])
-    return TaggerParams(dw_f, du_f, db_f, dw_b, du_b, db_b,
-                        dfeats.T @ H, dfeats.sum(axis=0),
-                        dlogits.T @ feats, dlogits.sum(axis=0))
+    # dHs and out by keyword: perfbench/tracing.py counts the tokens of
+    # argument 3 or of the keyword dHs, so out must not take position 3
+    _lstm_backward(params.u_f, cache_f, dHs=dH[:, :h],
+                   out=(grads.w_in_f, grads.u_f, grads.b_f))
+    _lstm_backward(params.u_b, cache_b, dHs=dH[::-1, h:],
+                   out=(grads.w_in_b, grads.u_b, grads.b_b))
+    np.matmul(dfeats.T, H, out=grads.w_feat)
+    dfeats.sum(axis=0, out=grads.b_feat)
+    np.matmul(dlogits.T, feats, out=grads.w_out)
+    dlogits.sum(axis=0, out=grads.b_out)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -666,9 +689,13 @@ def channel_posterior(probs: np.ndarray, C: np.ndarray, y: np.ndarray):
     return pc / q[:, None], q
 
 
-def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None):
+def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None, *,
+                     grads: TaggerParams):
     """Mean loss over one sentence's tokens and its gradients
-    ``(loss, grads, dC)``; the logit gradient is ``(probs − w) / T`` for the
+    ``(loss, grads, dC)``, the parameter gradients written into the
+    workspace ``grads`` (see ``_sentence_backward``; ``C`` stays the fourth
+    parameter, which perfbench/tracing.py reads by position to name the
+    loss span). The logit gradient is ``(probs − w) / T`` for the
     item's target ``w`` (see ``TrainItem``; an item is a channel item only
     when ``C`` is given). A channel item's loss is ``−mean log q`` and
     ``dC`` its gradient with respect to ``C``; any other item's loss is the
@@ -692,7 +719,7 @@ def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None):
             lp = np.log(probs)
         loss = -np.where(w > 0.0, w * lp, 0.0).sum() / T
     dlogits = (probs - w) / T
-    return loss, _sentence_backward(params, cache, dlogits), dC
+    return loss, _sentence_backward(params, cache, dlogits, grads), dC
 
 
 def make_items(dataset: Dataset, table: EmbeddingTable, *,
@@ -714,12 +741,19 @@ def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfi
                rng: np.random.Generator, B: np.ndarray | None = None) -> None:
     """One pass of per-sentence SGD over *items* in an order drawn from
     *rng*; items flagged ``channel`` are scored through the row-softmax of
-    the channel logits ``B``, which train in place."""
+    the channel logits ``B``, which train in place.
+
+    Every step's gradients are written into one workspace allocated here,
+    uninitialised (``np.empty_like`` of each parameter), since the backward
+    pass overwrites all of it and ``_sgd_step`` then scales it in place.
+    Fresh gradients per step would cost, at paper shape, four (1200, 300)
+    arrays a sentence, allocated and freed again."""
     lr = config.learning_rate
+    grads = TaggerParams(*(np.empty_like(arr) for _, arr in params.arrays()))
     for k in rng.permutation(len(items)):
         item = items[int(k)]
         C = _softmax(B) if item.channel and B is not None else None
-        loss, grads, dC = _item_loss_grads(params, item.X, item, C=C)
+        loss, _, dC = _item_loss_grads(params, item.X, item, C=C, grads=grads)
         if not np.isfinite(loss):
             raise NumericsError("non-finite training loss")
         _sgd_step(params, grads, lr)
@@ -784,6 +818,13 @@ def predict(dataset: Dataset, params: TaggerParams, table: EmbeddingTable) -> Da
     batch. Since the head is linear, folding it changes only the rounding:
     the distributions equal the per-sentence forward pass up to rounding,
     and the output keeps the input order.
+
+    The rounding also depends on the batch: a window's products have as
+    many rows as the window has tokens, so a sentence's distributions may
+    differ in the last bits with the sentences that share its batch. The
+    same input always gives the same output, but tagging a subset of a
+    dataset need not give bit-equal distributions for the sentences it
+    shares with the whole, and in a near tie their argmax labels may differ.
     """
     decode = dataset.tag_set.decode
     sentences = list(dataset.sentences)

@@ -1,6 +1,6 @@
 """Helpers the tests share and nothing in ``wsner`` calls: a single-sentence
-forward pass, token accuracy, and synthetic tasks with a known noise
-process to train the noise methods on."""
+forward pass, a gradient workspace, token accuracy, and synthetic tasks
+with a known noise process to train the noise methods on."""
 
 from __future__ import annotations
 
@@ -18,6 +18,12 @@ def forward(tokens, params: TaggerParams, table: EmbeddingTable) -> np.ndarray:
     batched inference path that ``tagger.predict`` uses."""
     (_, probs), = _forward_batched(params, table, [tokens])
     return probs
+
+
+def nan_workspace(params: TaggerParams) -> TaggerParams:
+    """A gradient workspace for *params* filled with NaN, so that any
+    element the backward pass leaves unwritten shows in a comparison."""
+    return TaggerParams(*(np.full_like(arr, np.nan) for _, arr in params.arrays()))
 
 
 def paper_shape_model(vocab: int = 500, seed: int = 0):

@@ -47,6 +47,21 @@ def test_tracer_binds_every_traced_layer():
     assert noise._sentence_forward is tagger._sentence_forward
 
 
+def test_traced_training_counts_every_token_in_both_lstm_passes():
+    # the tracer reads dHs of _lstm_backward as argument 3 or by keyword:
+    # out passed at position 3 would be counted in place of dHs
+    task = make_noise_benchmark(0, clean_tokens=30, noisy_tokens=40, test_tokens=20,
+                                entity_words=6, outside_words=6)
+    config = TaggerConfig(hidden_size=3, feature_size=3, epochs=2, seed=0)
+    tracer = _tracing_module().Tracer()
+    with tracer.patch():
+        tagger.train(task.clean, config, task.table)
+    assert tracer.check_bindings() == []
+    values = tracer.layer_values()
+    expected = 2 * task.clean.num_tokens * config.epochs
+    assert values["tagger.lstm_backward.tokens"] == values["tagger.lstm_forward.tokens"] == expected
+
+
 def test_traced_predict_records_no_sentence_pass():
     # the batched path stays out of the per-sentence spans whose calls the
     # binding check counts, 2 LSTM passes per head pass

@@ -25,6 +25,7 @@ from support import (
     RECOVERY_CHANNEL,
     make_feature_noise_task,
     make_noise_benchmark,
+    nan_workspace,
     token_accuracy,
 )
 
@@ -197,12 +198,13 @@ def test_channel_gradient_matches_finite_differences():
     X = task.table.embed(sent.tokens)
     item = T.TrainItem(X, hard=ts.encode(sent), channel=True)
     B = np.log(0.6 * np.eye(ts.size) + 0.4 / ts.size)
+    workspace = nan_workspace(params)
 
     def loss_fn():
-        return T._item_loss_grads(params, X, item, C=T._softmax(B))[0]
+        return T._item_loss_grads(params, X, item, C=T._softmax(B), grads=workspace)[0]
 
     C = T._softmax(B)
-    loss, grads, dC = T._item_loss_grads(params, X, item, C=C)
+    loss, grads, dC = T._item_loss_grads(params, X, item, C=C, grads=nan_workspace(params))
     s = (dC * C).sum(axis=1, keepdims=True)
     dB = C * (dC - s)
     arrays = [arr for _, arr in params.arrays()] + [B]
@@ -284,6 +286,42 @@ def test_cleaner_learns_identity_on_clean_pairs():
     held_out = cleaner.apply(inputs[300:])
     agreement = (held_out.argmax(axis=1) == labels[300:]).mean()
     assert agreement >= 0.95
+
+
+def _reference_cleaner(inputs, targets, L, rng, hidden_size, learning_rate):
+    """One epoch of ``train_cleaner``'s SGD with a fresh outer product per
+    update, as ``learning_rate * np.outer(...)``."""
+    n, dim = inputs.shape
+    w1 = rng.uniform(-1, 1, size=(hidden_size, dim)) / np.sqrt(dim)
+    b1 = np.zeros(hidden_size)
+    w2 = rng.uniform(-1, 1, size=(L, hidden_size)) / np.sqrt(hidden_size)
+    b2 = np.zeros(L)
+    for k in rng.permutation(n):
+        z = inputs[k]
+        a = np.tanh(w1 @ z + b1)
+        logits = w2 @ a + b2
+        e = np.exp(logits - logits.max())
+        dlogits = e / e.sum()
+        dlogits[targets[k]] -= 1.0
+        dpre = (w2.T @ dlogits) * (1.0 - a ** 2)
+        w2 -= learning_rate * np.outer(dlogits, a)
+        b2 -= learning_rate * dlogits
+        w1 -= learning_rate * np.outer(dpre, z)
+        b1 -= learning_rate * dpre
+    return w1, b1, w2, b2
+
+
+def test_cleaner_is_bitwise_the_outer_product_loop():
+    rng = np.random.default_rng(12)
+    L = 4
+    labels = rng.integers(0, L, size=7)
+    inputs = cleaner_inputs(rng.normal(size=(7, 5)), labels, L)
+    cleaner = train_cleaner(inputs, labels, L, np.random.default_rng(3), hidden_size=6,
+                            learning_rate=0.3, epochs=1)
+    want = _reference_cleaner(inputs, labels, L, np.random.default_rng(3), 6, 0.3)
+    got = (cleaner.w1, cleaner.b1, cleaner.w2, cleaner.b2)
+    for name, g, w in zip(("w1", "b1", "w2", "b2"), got, want):
+        assert g.tobytes() == w.tobytes(), name
 
 
 def test_cleaning_method_empty_distant_reduces_to_plain_training():

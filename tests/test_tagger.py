@@ -43,7 +43,7 @@ from wsner.tagger import (
 
 from conftest import make_dataset, make_sentence
 from gradcheck import finite_difference, max_relative_error
-from support import forward, paper_shape_model, token_accuracy
+from support import forward, nan_workspace, paper_shape_model, token_accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +484,7 @@ def test_saturated_gates_stay_finite_without_float_errors():
     X = rng.normal(size=(T, d))
     with np.errstate(all="raise"):
         Hs, cache = _lstm_forward(w, u, b, X)
-        grads = _lstm_backward(u, cache, rng.normal(size=(T, h)))
+        grads = _lstm_backward(u, cache, rng.normal(size=(T, h)), out=_nan_out(w, u, b))
     gates = cache[1]
     assert np.isfinite(gates).all() and np.isfinite(Hs).all()
     sigmoid_gates = np.delete(gates.reshape(T, 4, h), 2, axis=1)
@@ -552,6 +552,11 @@ def _frozen_lstm_backward(w, u, cache, dHs):
     return dA.T @ X, dA[1:].T @ Hs[:-1], dA.sum(axis=0)
 
 
+def _nan_out(w, u, b):
+    """NaN-filled ``(dW, dU, db)`` for ``_lstm_backward(out=)``."""
+    return tuple(np.full_like(arr, np.nan) for arr in (w, u, b))
+
+
 def _same_bits(a, b):
     return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -572,7 +577,7 @@ def test_lstm_kernels_are_bitwise_the_frozen_kernels():
             dH = scale * rng.normal(size=(T, 2 * h))
             for dHs in (dH[:, :h], dH[::-1, h:]):
                 before = dHs.copy()
-                grads = _lstm_backward(u, cache, dHs)
+                grads = _lstm_backward(u, cache, dHs, out=_nan_out(w, u, b))
                 want = _frozen_lstm_backward(w, u, want_cache, dHs)
                 assert len(grads) == 3
                 assert all(_same_bits(*pair) for pair in zip(grads, want)), (T, d, h, scale)
@@ -620,9 +625,11 @@ def _random_model(rng, cell="lstm"):
 # keeps their test ids from when a second cell existed.
 def _assert_item_gradient(params, item, C=None):
     """``_item_loss_grads``' parameter gradients against finite differences."""
-    _, grads, _ = _item_loss_grads(params, item.X, item, C)
+    _, grads, _ = _item_loss_grads(params, item.X, item, C, grads=nan_workspace(params))
     arrays = [arr for _, arr in params.arrays()]
-    numeric = finite_difference(lambda: _item_loss_grads(params, item.X, item, C)[0], arrays)
+    workspace = nan_workspace(params)
+    numeric = finite_difference(
+        lambda: _item_loss_grads(params, item.X, item, C, grads=workspace)[0], arrays)
     assert max_relative_error([arr for _, arr in grads.arrays()], numeric) < 1e-4
 
 
@@ -663,7 +670,8 @@ def test_perfect_soft_target_gives_zero_gradient(tiny_table):
     params = init_params(np.random.default_rng(4), "lstm", 4, 2, 3, ts.size)
     X = tiny_table.embed(["w0", "w1"])
     probs, _ = _sentence_forward(params, X)
-    loss, grads, _ = _item_loss_grads(params, X, TrainItem(X, soft=probs))
+    loss, grads, _ = _item_loss_grads(params, X, TrainItem(X, soft=probs),
+                                      grads=nan_workspace(params))
     # cross-entropy of a distribution with itself is its entropy
     entropy = float(-(probs * np.log(probs)).sum() / len(X))
     assert loss == pytest.approx(entropy, abs=1e-12)
@@ -686,8 +694,9 @@ def test_hard_and_channel_gradients_are_those_of_their_soft_targets():
         for item, C_arg, target in (
                 (TrainItem(X, hard=y), None, np.eye(L)[y]),
                 (TrainItem(X, hard=y, channel=True), C, channel_posterior(probs, C, y)[0])):
-            _, grads, _ = _item_loss_grads(params, X, item, C_arg)
-            _, want, _ = _item_loss_grads(params, X, TrainItem(X, soft=target))
+            _, grads, _ = _item_loss_grads(params, X, item, C_arg, grads=nan_workspace(params))
+            _, want, _ = _item_loss_grads(params, X, TrainItem(X, soft=target),
+                                          grads=nan_workspace(params))
             for (name, g), (_, r) in zip(grads.arrays(), want.arrays()):
                 assert g.tobytes() == r.tobytes(), (item.channel, T, name)
 
@@ -703,11 +712,13 @@ def _reference_sentence_backward(params, cache, dlogits):
     grads.w_feat += dfeats.T @ H
     grads.b_feat += dfeats.sum(axis=0)
     dH = dfeats @ params.w_feat
-    dw, du, db = _lstm_backward(params.u_f, cache_f, dH[:, :h])
+    dw, du, db = _lstm_backward(params.u_f, cache_f, dH[:, :h],
+                                out=_nan_out(params.w_in_f, params.u_f, params.b_f))
     grads.w_in_f += dw
     grads.u_f += du
     grads.b_f += db
-    dw, du, db = _lstm_backward(params.u_b, cache_b, dH[::-1, h:])
+    dw, du, db = _lstm_backward(params.u_b, cache_b, dH[::-1, h:],
+                                out=_nan_out(params.w_in_b, params.u_b, params.b_b))
     grads.w_in_b += dw
     grads.u_b += du
     grads.b_b += db
@@ -716,16 +727,51 @@ def _reference_sentence_backward(params, cache, dlogits):
 
 @pytest.mark.parametrize("cell", ["lstm"])
 def test_sentence_backward_is_bitwise_zero_fill_reference(cell):
+    # a NaN-filled workspace shows any element left unwritten; at T=1 the
+    # recurrent gradients come from a product over no steps
     rng = np.random.default_rng(40)
     for T in (1, 2, 9):
         params = init_params(rng, cell, 3, 4, 5, 3)
         X = rng.normal(size=(T, 3))
         probs, cache = _sentence_forward(params, X)
         dlogits = (probs - rng.dirichlet(np.ones(3), size=T)) / T
-        grads = _sentence_backward(params, cache, dlogits)
+        workspace = nan_workspace(params)
+        grads = _sentence_backward(params, cache, dlogits, workspace)
+        assert grads is workspace
         ref = _reference_sentence_backward(params, cache, dlogits)
         for (name, g), (_, r) in zip(grads.arrays(), ref.arrays()):
             assert g.shape == r.shape and g.tobytes() == r.tobytes(), (T, name)
+    # one workspace for a 9-token and then a 1-token sentence, as an epoch
+    # reuses it: nothing of the longer sentence may leak into the shorter one
+    params = init_params(rng, cell, 3, 4, 5, 3)
+    workspace = nan_workspace(params)
+    for T in (9, 1):
+        X = rng.normal(size=(T, 3))
+        probs, cache = _sentence_forward(params, X)
+        dlogits = (probs - rng.dirichlet(np.ones(3), size=T)) / T
+        grads = _sentence_backward(params, cache, dlogits, workspace)
+        ref = _reference_sentence_backward(params, cache, dlogits)
+        for (name, g), (_, r) in zip(grads.arrays(), ref.arrays()):
+            assert g.tobytes() == r.tobytes(), (T, name)
+
+
+def test_item_loss_grads_allocates_no_parameter_sized_array():
+    # d=h=200: one (4h, d) gradient is 1.28 MB; a warm call into a reused
+    # workspace must peak below that, as every SGD step of an epoch does
+    rng = np.random.default_rng(42)
+    params = init_params(rng, "lstm", 200, 200, 16, 3)
+    X = rng.normal(size=(3, 200))
+    item = TrainItem(X, hard=np.array([0, 2, 1]))
+    workspace = nan_workspace(params)
+    _item_loss_grads(params, X, item, grads=workspace)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _item_loss_grads(params, X, item, grads=workspace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.w_in_f.nbytes, peak
 
 
 def test_sgd_step_is_bitwise_scaled_subtraction():
@@ -769,7 +815,9 @@ def _token_accuracy_on(ds, params, table):
 def _mean_token_loss(ds, params, table):
     """Hard-target cross-entropy averaged over every token of *ds*."""
     items = make_items(ds, table)
-    total = sum(_item_loss_grads(params, it.X, it)[0] * len(it.X) for it in items)
+    workspace = nan_workspace(params)
+    total = sum(_item_loss_grads(params, it.X, it, grads=workspace)[0] * len(it.X)
+                for it in items)
     return total / ds.num_tokens
 
 
