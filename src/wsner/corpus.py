@@ -14,6 +14,7 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -24,6 +25,9 @@ PROVENANCES = ("gold", "distant")
 # On str patterns ``\s`` matches exactly the characters ``str.isspace``
 # accepts (tests/test_corpus.py checks every code point), in one C call.
 _WHITESPACE = re.compile(r"\s")
+# Whitespace other than the line end: ``read_tokens`` splits text without
+# any in bulk, since each of its lines is then a token or blank.
+_NON_NEWLINE_SPACE = re.compile(r"[^\S\n]")
 
 
 def has_whitespace(text: str) -> bool:
@@ -355,21 +359,33 @@ def write_conll(dataset: Dataset, path) -> None:
 def read_tokens(path) -> Dataset:
     """Read an unlabeled pre-tokenized file: one token per line, blank line
     between sentences. Lines with a tab also work (tags are ignored).
-    Sentences have provenance ``distant``."""
+    Sentences have provenance ``distant``.
+
+    The file is read once. When its text holds no whitespace but ``\\n``
+    (after CRLF and lone CR line ends become ``\\n``), every line is a
+    token or empty: the text is split on ``\\n`` in one call and each run
+    of non-empty lines is a sentence. Any other text goes through the line
+    loop, which names the ``file:line`` of a bad token line."""
+    with open_utf8(path) as fh:
+        text = fh.read()
+    bulk = _NON_NEWLINE_SPACE.search(text) is None
+    lines = text.split("\n")
+    del text  # not held beside the sentences made from it
+    if bulk:
+        return Dataset(tuple(LabeledSentence(tuple(run), (), "distant")
+                             for nonblank, run in groupby(lines, bool) if nonblank))
     sentences = []
     tokens: list[str] = []
-    with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                if tokens:
-                    sentences.append(LabeledSentence(tuple(tokens), (), "distant"))
-                    tokens = []
-                continue
-            token = line.split("\t")[0]
-            if not token or has_whitespace(token):
-                raise ParseError(f"{path}:{lineno}: bad token line {line!r}")
-            tokens.append(token)
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            if tokens:
+                sentences.append(LabeledSentence(tuple(tokens), (), "distant"))
+                tokens = []
+            continue
+        token = line.split("\t")[0]
+        if not token or has_whitespace(token):
+            raise ParseError(f"{path}:{lineno}: bad token line {line!r}")
+        tokens.append(token)
     if tokens:
         sentences.append(LabeledSentence(tuple(tokens), (), "distant"))
     return Dataset(tuple(sentences))

@@ -1,13 +1,12 @@
 """Rule-based DATE annotation.
 
 A token is marked DATE when it is a date keyword, immediately follows a
-date keyword, or is made of decimal digits only; maximal runs of marked
-tokens become single DATE spans.
+date keyword, or is made of the ASCII digits 0-9 only; maximal runs of
+marked tokens become single DATE spans.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import ClassVar
@@ -17,9 +16,6 @@ from .errors import ParseError
 from .textnorm import canonical
 
 DEFAULT_KEYWORD_RESOURCE = "date_keywords_yo.txt"
-
-# Matches whole tokens like "8" or "2018" but not "8th" or "08:30".
-DIGITS_ONLY = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -59,25 +55,27 @@ def default_date_rules() -> DateRuleSet:
 
 
 def annotate_dates(tokens, rules: DateRuleSet) -> list[EntitySpan]:
-    """DATE spans for a token sequence under *rules*.
+    """DATE spans for a token sequence under *rules*, built in one pass.
 
     Comparison is on the canonical form, so input casing and diacritics do
     not matter; ``canonical`` is memoised, so each token type is normalised
-    once. Returned spans are maximal runs (never adjacent).
+    once. A token is all digits when ``isascii() and isdigit()``, which
+    holds exactly for the strings ``[0-9]+`` matches in full. Returned
+    spans are sorted maximal runs (never adjacent).
     """
-    is_kw = [canonical(tok) in rules.keywords for tok in tokens]
-    follows_kw = [False] + is_kw[:-1]
-    marked = [kw or after or DIGITS_ONLY.fullmatch(tok) is not None
-              for kw, after, tok in zip(is_kw, follows_kw, tokens)]
-
+    keywords = rules.keywords
     spans: list[EntitySpan] = []
     start = None
-    for i, flag in enumerate(marked):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
+    after_keyword = False
+    for i, tok in enumerate(tokens):
+        keyword = canonical(tok) in keywords
+        if keyword or after_keyword or (tok.isascii() and tok.isdigit()):
+            if start is None:
+                start = i
+        elif start is not None:
             spans.append(EntitySpan(rules.date_label, start, i))
             start = None
+        after_keyword = keyword
     if start is not None:
         spans.append(EntitySpan(rules.date_label, start, len(tokens)))
     return spans

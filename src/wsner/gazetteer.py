@@ -9,6 +9,7 @@ knowledge-base exports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .corpus import Dataset, EntitySpan, LabeledSentence, TagSet, open_utf8
 from .date_rules import DateRuleSet, annotate_dates
@@ -34,15 +35,22 @@ class GazetteerEntry:
 
 
 class _Node:
-    __slots__ = ("children", "labels")
+    """A trie node: the children by normalised token, the types of the
+    surface that ends here, and ``label``, the one of them that wins an
+    equal-length conflict (``None`` where no surface ends)."""
+
+    __slots__ = ("children", "labels", "label")
 
     def __init__(self):
         self.children: dict[str, _Node] = {}
         self.labels: set[str] = set()
+        self.label: str | None = None
 
 
 class Gazetteer:
     """Immutable token-sequence trie; lookups are read-only and shareable.
+    Each node's winning type is resolved by ``rank`` as it is inserted, so
+    a match reads it without comparing types.
 
     ``lowercase`` and ``strip_marks`` control how both stored surfaces and
     query tokens are normalized before comparison (both default off: names
@@ -69,6 +77,8 @@ class Gazetteer:
         if label not in node.labels:
             node.labels.add(label)
             self._size += 1
+            if node.label is None or self.rank(label) < self.rank(node.label):
+                node.label = label
 
     def __len__(self) -> int:
         """Number of stored (surface, type) pairs."""
@@ -117,28 +127,31 @@ def build_gazetteer(
 
 def match_sentence(tokens, gaz: Gazetteer) -> list[EntitySpan]:
     """Greedy left-to-right longest match; scanning resumes after each
-    match. Equal-length type conflicts resolve by ``DEFAULT_PRIORITY``."""
+    match. Equal-length type conflicts resolve by ``DEFAULT_PRIORITY``.
+
+    The trie is walked only from positions whose token starts a stored
+    surface (found for the whole sentence in one C pass) and that lie past
+    the last match; the spans come out sorted and non-overlapping."""
     norm = ([gaz.normalize(t) for t in tokens] if gaz.lowercase or gaz.strip_marks
             else tokens)
     roots = gaz._root.children
     spans: list[EntitySpan] = []
-    i = 0
     n = len(norm)
-    while i < n:
-        node = roots.get(norm[i])
+    resume = 0
+    for i in compress(range(n), map(roots.__contains__, norm)):
+        if i < resume:
+            continue
+        node = roots[norm[i]]
         j = i
         best_end = None
         while node is not None:
             j += 1
-            if node.labels:
-                best_end, best_labels = j, node.labels
+            if node.label is not None:
+                best_end, label = j, node.label
             node = node.children.get(norm[j]) if j < n else None
-        if best_end is None:
-            i += 1
-            continue
-        label = min(best_labels, key=gaz.rank)
-        spans.append(EntitySpan(label, i, best_end))
-        i = best_end
+        if best_end is not None:
+            spans.append(EntitySpan(label, i, best_end))
+            resume = best_end
     return spans
 
 
@@ -157,6 +170,10 @@ def annotate_distant(
     """Re-annotate every sentence with gazetteer matches plus date-rule
     spans; existing spans are ignored and provenance becomes ``distant``.
 
+    ``match_sentence`` and ``annotate_dates`` run once per sentence. Each
+    returns sorted, non-overlapping spans, so the candidates are sorted by
+    the merge order and overlaps dropped only when both found some.
+
     Token normalisation (``textnorm.canonical`` for the date keywords,
     ``textnorm.strip_diacritics`` under ``strip_marks``) is memoised per
     process in tables of at most ``textnorm.MEMO_SIZE`` strings, so each
@@ -164,16 +181,17 @@ def annotate_distant(
     """
     sentences = []
     for sent in dataset.sentences:
-        candidates = match_sentence(sent.tokens, gaz)
-        if date_rules is not None:
-            candidates += annotate_dates(sent.tokens, date_rules)
-        candidates.sort(key=lambda s: _merge_rank(s, gaz))
-        kept: list[EntitySpan] = []
-        last_end = 0
-        for span in candidates:
-            if span.start >= last_end:
-                kept.append(span)
-                last_end = span.end
+        names = match_sentence(sent.tokens, gaz)
+        dates = annotate_dates(sent.tokens, date_rules) if date_rules is not None else []
+        if names and dates:
+            kept = []
+            last_end = 0
+            for span in sorted(names + dates, key=lambda s: _merge_rank(s, gaz)):
+                if span.start >= last_end:
+                    kept.append(span)
+                    last_end = span.end
+        else:
+            kept = names or dates
         sentences.append(LabeledSentence(sent.tokens, tuple(kept), "distant"))
     return Dataset(tuple(sentences), dataset.tag_set)
 

@@ -432,11 +432,12 @@ def _lstm_backward(u, cache, dHs, *, out):
     gradient is formed and the input weights are not needed.
 
     The preactivation gradients ``dA`` (T, 4h) are the only (T, 4h) array
-    made. Before the loop each gate block of ``dA`` is filled in place with
-    what that gate's gradient needs besides ``dc`` (the i, f and g blocks)
-    or ``dh`` (the o block); the loop multiplies them in place, step by
-    step, and forms ``dh`` and the ``dc`` increment in two (h,) buffers
-    allocated once per call.
+    made; one (T, 2h) buffer holds the sigmoid slopes ``1 - a`` and then
+    the o gate's share of ``dc``. Before the loop each gate block of ``dA``
+    is filled in place with what that gate's gradient needs besides ``dc``
+    (the i, f and g blocks) or ``dh`` (the o block); the loop multiplies
+    them in place, step by step, and forms ``dh`` and the ``dc`` increment
+    in two (h,) buffers allocated once per call.
     """
     X, A, Cs, TC, Hs = cache
     T, h = Hs.shape
@@ -455,11 +456,15 @@ def _lstm_backward(u, cache, dHs, *, out):
     np.subtract(1.0, DG, out=DG)
     DG *= I
     np.multiply(TC, O, out=DO)
-    # times 1 - a on the sigmoid blocks; times 1, which is exact, on g
-    sigmoid_slope = np.subtract(1.0, gates)
-    sigmoid_slope[:, 2] = 1.0
-    dgates *= sigmoid_slope
-    OT = TC * TC
+    # times 1 - a on the sigmoid blocks (i and f together, then o) through
+    # one (T, 2h) buffer, whose second half then holds OT, the o gate's
+    # share of dc: o * (1 - tanh(c)^2)
+    slope = np.subtract(1.0, gates[:, :2])
+    dgates[:, :2] *= slope
+    slope_o, OT = slope.transpose(1, 0, 2)
+    np.subtract(1.0, O, out=slope_o)
+    DO *= slope_o
+    np.multiply(TC, TC, out=OT)
     np.subtract(1.0, OT, out=OT)
     OT *= O
     DC = dgates[:, :3]

@@ -1,14 +1,18 @@
 """Helpers the tests share and nothing in ``wsner`` calls: a single-sentence
-forward pass, a gradient workspace, token accuracy, and synthetic tasks
-with a known noise process to train the noise methods on."""
+forward pass, a gradient workspace, token accuracy, frozen references of
+the token reader and the digit rule, and synthetic tasks with a known
+noise process to train the noise methods on."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from wsner.corpus import Dataset, LabeledSentence, TagSet, check_aligned
+from wsner.corpus import (Dataset, LabeledSentence, TagSet, check_aligned, has_whitespace,
+                          open_utf8)
+from wsner.errors import ParseError
 from wsner.synth import _make_sentences, _make_vocabulary, uniform_flip
 from wsner.tagger import EmbeddingTable, TaggerParams, _forward_batched, init_params
 
@@ -33,6 +37,33 @@ def paper_shape_model(vocab: int = 500, seed: int = 0):
     rng = np.random.default_rng(seed)
     table = EmbeddingTable({f"w{i}": i for i in range(vocab)}, rng.normal(size=(vocab, 300)))
     return init_params(rng, "lstm", 300, 300, 128, 3), table
+
+
+# The date rules' digit rule as a pattern: whole tokens like "8" or "2018",
+# not "8th" or "08:30".
+DIGITS_ONLY = re.compile(r"[0-9]+")
+
+
+def line_loop_read_tokens(path) -> Dataset:
+    """``corpus.read_tokens`` as a loop over the lines of the open file,
+    frozen as the reference of its bulk split."""
+    sentences = []
+    tokens: list[str] = []
+    with open_utf8(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                if tokens:
+                    sentences.append(LabeledSentence(tuple(tokens), (), "distant"))
+                    tokens = []
+                continue
+            token = line.split("\t")[0]
+            if not token or has_whitespace(token):
+                raise ParseError(f"{path}:{lineno}: bad token line {line!r}")
+            tokens.append(token)
+    if tokens:
+        sentences.append(LabeledSentence(tuple(tokens), (), "distant"))
+    return Dataset(tuple(sentences))
 
 
 def token_accuracy(gold: Dataset, pred: Dataset) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wsner import date_rules, experiment, gazetteer, noise, tagger
+from wsner import corpus, date_rules, experiment, gazetteer, noise, tagger
 from wsner.corpus import Dataset, LabeledSentence
 from wsner.tagger import TaggerConfig
 
@@ -113,3 +113,28 @@ def test_tracer_sees_every_annotation_layer_once_per_sentence():
     assert values["gazetteer.merge.kept"] == sum(len(s.spans) for s in out.sentences) == 5
     assert not hasattr(gazetteer.match_sentence, "__wrapped__")
     assert gazetteer.annotate_dates is date_rules.annotate_dates
+
+
+def test_traced_annotation_of_a_read_corpus_sees_every_sentence_and_token(tmp_path):
+    # one token per line and no other whitespace: read_tokens splits the
+    # text in bulk, and the annotators still see each sentence once
+    rng = np.random.default_rng(5)
+    words = ("Kano", "Adé", "Ọlá", "ọdún", "ọjọ́", "2018", "8", "ilé", "owó", "ní")
+    sentences = [[words[int(k)] for k in rng.integers(len(words), size=int(rng.integers(1, 16)))]
+                 for _ in range(60)]
+    path = tmp_path / "corpus.tokens"
+    path.write_text("".join("\n".join(s) + "\n\n" for s in sentences), encoding="utf-8")
+    gaz = gazetteer.build_gazetteer([gazetteer.GazetteerEntry(("Kano",), "LOC"),
+                                     gazetteer.GazetteerEntry(("Adé", "Ọlá"), "PER"),
+                                     gazetteer.GazetteerEntry(("Ọlá",), "ORG")])
+    rules = date_rules.default_date_rules()
+    tracer = _tracing_module().Tracer()
+    with tracer.patch():
+        out = gazetteer.annotate_distant(corpus.read_tokens(path), gaz, rules)
+    values = tracer.layer_values()
+    tokens = sum(len(s) for s in sentences)
+    assert [list(s.tokens) for s in out.sentences] == sentences
+    assert values["corpus.read_tokens.tokens"] == tokens
+    assert values["gazetteer.match.calls"] == values["date_rules.annotate.calls"] == 60
+    assert values["gazetteer.match.tokens"] == values["date_rules.annotate.tokens"] == tokens
+    assert values["gazetteer.merge.kept"] == sum(len(s.spans) for s in out.sentences) > 0

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wsner import date_rules, gazetteer, noise, tagger
@@ -26,6 +26,7 @@ from wsner.corpus import (
 from wsner.errors import ParseError, SchemaError
 
 from conftest import make_dataset, make_sentence, random_sentences
+from support import line_loop_read_tokens
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,69 @@ def test_read_tokens_one_column(tmp_path):
     path.write_text("A\nB\n\nC\n", encoding="utf-8")
     ds = read_tokens(path)
     assert [s.tokens for s in ds.sentences] == [("A", "B"), ("C",)]
+
+
+def _read_both(path):
+    """``read_tokens`` and the frozen line loop on *path*: each side's
+    dataset, or its ``ParseError`` message."""
+    results = []
+    for reader in (read_tokens, line_loop_read_tokens):
+        try:
+            results.append(reader(path))
+        except ParseError as exc:
+            results.append(str(exc))
+    return results
+
+
+# file text, and whether the line loop raises on it
+READ_TOKENS_FILES = {
+    "crlf": ("A\r\nB\r\n\r\nC\r\n", False),
+    "lone-cr": ("A\rB\r\rC\r", False),
+    "crlf-and-cr-mixed": ("A\r\nB\r\r\nC\n\rD", False),
+    "tab-tagged": ("A\tB-PER\nB\tO\n\nC\tO\tx\n", False),
+    "tab-tagged-crlf": ("A\tO\r\n\r\nB\tO\r\n", False),
+    "spaces-only-separator": ("A\n   \nB\n \t \nC\n", False),
+    "nbsp-separator": ("A\n\u00a0\nB\n", False),
+    "nbsp-in-token": ("A\n\nAd\u00a0e\n", True),
+    "line-separator-in-token": ("A\nAd\u2028e\n", True),
+    "vertical-tab-in-token": ("A\nAd\x0be\n", True),
+    "file-separator-in-token": ("A\n\nAd\x1ce\n", True),
+    "space-in-token": ("A\nAd e\n", True),
+    "leading-tab": ("A\n\tO\n", True),
+    "trailing-space": ("A\nB \n", True),
+    "leading-and-trailing-blank-lines": ("\n\n\nA\nB\n\n\nC\n\n\n", False),
+    "no-final-newline": ("A\nB\n\nC", False),
+    "empty": ("", False),
+    "blank-lines-only": ("\n\n\n", False),
+    "bom": ("\ufeffA\nB\n\nC\n", False),
+    "bom-crlf": ("\ufeffA\r\n\r\nB", False),
+}
+
+
+@pytest.mark.parametrize("name", list(READ_TOKENS_FILES))
+def test_read_tokens_equals_the_line_loop(tmp_path, name):
+    text, fails = READ_TOKENS_FILES[name]
+    path = tmp_path / "raw.txt"
+    path.write_bytes(text.encode("utf-8"))
+    got, want = _read_both(path)
+    assert got == want
+    assert isinstance(want, str) == fails
+    if fails:
+        assert want.startswith(f"{path}:")
+
+
+_RAW_CHARS = st.sampled_from(["a", "ọ́", "K", "\n", "\n", "\n", "\r", "\r\n", "\t", " ",
+                              "\u00a0", "\u2028", "\x0b", "\x1c", "\ufeff"])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_RAW_CHARS, max_size=30).map("".join))
+def test_read_tokens_equals_the_line_loop_on_any_text(tmp_path, text):
+    path = tmp_path / "raw.txt"
+    path.write_bytes(text.encode("utf-8"))
+    got, want = _read_both(path)
+    assert got == want
 
 
 @pytest.mark.parametrize("line", ["Adé Ojo", "Adé\u00a0Ojo", "\tO"])

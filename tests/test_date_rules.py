@@ -1,4 +1,5 @@
 import pickle
+import sys
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,8 @@ from wsner.corpus import EntitySpan
 from wsner.date_rules import DateRuleSet, annotate_dates, default_date_rules
 from wsner.errors import ParseError
 from wsner.textnorm import canonical, strip_diacritics
+
+from support import DIGITS_ONLY
 
 
 def test_strip_diacritics_yoruba():
@@ -39,6 +42,23 @@ def test_digit_rule_alone():
     assert annotate_dates(["2018"], rules) == [EntitySpan("DATE", 0, 1)]
     # mixed tokens are not digits
     assert annotate_dates(["8th"], rules) == []
+
+
+MIXED_DIGIT_STRINGS = ["٣", "²", "１", "8th", "", "2018", "08:30", "0", "1٣", "12²", "٣٣", "-1"]
+
+
+def test_digit_rule_is_the_ascii_digit_pattern():
+    # isascii() and isdigit() is the rule annotate_dates applies
+    strings = [chr(cp) for cp in range(sys.maxunicode + 1)] + MIXED_DIGIT_STRINGS
+    assert ([s for s in strings if s.isascii() and s.isdigit()]
+            == [s for s in strings if DIGITS_ONLY.fullmatch(s)])
+    # and annotate_dates marks exactly those: every code point that is
+    # ASCII or numeric in any sense, and the mixed strings, as lone tokens
+    rules = DateRuleSet.from_keywords([])
+    candidates = [s for s in strings if s.isascii() or s.isnumeric()]
+    marked = [s for s in candidates if annotate_dates([s], rules)]
+    assert marked == [s for s in candidates if DIGITS_ONLY.fullmatch(s)]
+    assert marked[:10] == list("0123456789")
 
 
 def test_follows_keyword_is_distance_one_only():

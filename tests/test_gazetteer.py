@@ -1,3 +1,4 @@
+import itertools
 import unicodedata
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsner.corpus import Dataset, EntitySpan, LabeledSentence, TagSet
-from wsner.date_rules import DIGITS_ONLY, DateRuleSet
+from wsner.date_rules import DateRuleSet
 from wsner.errors import ParseError, SchemaError
 from wsner.gazetteer import (
     DEFAULT_PRIORITY,
@@ -19,6 +20,7 @@ from wsner.gazetteer import (
 from wsner.textnorm import canonical, strip_diacritics
 
 from conftest import make_dataset, make_sentence
+from support import DIGITS_ONLY
 
 
 def entry(surface, label, source="wikidata"):
@@ -108,6 +110,21 @@ def test_scan_resumes_after_match():
 def test_equal_length_conflict_uses_priority():
     gaz = build_gazetteer([entry("Washington", "LOC"), entry("Washington", "PER")])
     assert match_sentence(["Washington"], gaz) == [EntitySpan("PER", 0, 1)]
+
+
+def test_equal_length_label_resolution_ignores_insertion_order():
+    # DATE and MISC are not in DEFAULT_PRIORITY: they rank after it,
+    # alphabetically; a repeated pair is stored once
+    tag_set = TagSet(("PER", "LOC", "ORG", "DATE", "MISC"))
+    for k in range(1, len(tag_set.entity_types) + 1):
+        for labels in itertools.combinations(tag_set.entity_types, k):
+            want = [EntitySpan(min(labels, key=_rank), 1, 3), EntitySpan("PER", 3, 4)]
+            for order in itertools.permutations(labels):
+                entries = [entry("Ade Ola", label) for label in order + order[:1]]
+                gaz = build_gazetteer(entries + [entry("Ade", "ORG"), entry("Ola", "PER")],
+                                      tag_set=tag_set)
+                assert len(gaz) == k + 2, order
+                assert match_sentence(["x", "Ade", "Ola", "Ola"], gaz) == want, order
 
 
 def _rank(label):

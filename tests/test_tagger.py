@@ -774,6 +774,27 @@ def test_item_loss_grads_allocates_no_parameter_sized_array():
     assert peak < params.w_in_f.nbytes, peak
 
 
+def test_lstm_backward_holds_one_preactivation_gradient_array():
+    # T=200, h=300: dA is 1.92 MB and the (T, 2h) slope buffer 0.96 MB; the
+    # 256 KiB allow for numpy's fixed-size iterator buffers on strided views
+    rng = np.random.default_rng(43)
+    T, d, h = 200, 300, 300
+    w, u = 0.1 * rng.normal(size=(4 * h, d)), 0.1 * rng.normal(size=(4 * h, h))
+    _, cache = _lstm_forward(w, u, np.zeros(4 * h), rng.normal(size=(T, d)))
+    dHs = rng.normal(size=(T, h))
+    out = _nan_out(w, u, np.zeros(4 * h))
+    _lstm_backward(u, cache, dHs, out=out)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _lstm_backward(u, cache, dHs, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dA_bytes = T * 4 * h * 8
+    assert peak < 1.5 * dA_bytes + 256 * 1024, peak
+
+
 def test_sgd_step_is_bitwise_scaled_subtraction():
     rng = np.random.default_rng(41)
     params = init_params(rng, "lstm", 3, 4, 5, 3)
