@@ -6,10 +6,14 @@ accepts BIO and IO files. The model's per-token label indices are a third
 serialization: ``TagSet.encode`` and ``TagSet.decode`` convert between
 spans and indices, and ``check_aligned`` checks that two annotations cover
 the same sentences, so no other module needs to know the IO label order.
+The tag readers map tags to indices and call ``TagSet.decode`` too, the one
+loop that turns label runs into spans; a BIO column also passes its ``B-``
+positions, where a run breaks though its label goes on.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from contextlib import contextmanager
@@ -96,12 +100,22 @@ class TagSet:
     def size(self) -> int:
         return len(self.entity_types) + 1
 
+    @functools.cached_property
+    def _codes(self) -> dict[str, int]:
+        """Label → label index."""
+        return {label: k for k, label in enumerate(self.labels)}
+
+    @functools.cached_property
+    def _bio_codes(self) -> dict[str, int]:
+        """BIO tag → label index; the outside label wins over a tag it equals."""
+        codes = {f"{p}-{t}": k for k, t in enumerate(self.entity_types, 1) for p in "BI"}
+        codes[self.outside] = 0
+        return codes
+
     def index(self, label: str) -> int:
-        if label == self.outside:
-            return 0
         try:
-            return 1 + self.entity_types.index(label)
-        except ValueError:
+            return self._codes[label]
+        except KeyError:
             raise SchemaError(f"unknown label {label!r}") from None
 
     def encode(self, sentence: LabeledSentence) -> np.ndarray:
@@ -111,18 +125,24 @@ class TagSet:
             indices[span.start:span.end] = self.index(span.label)
         return indices
 
-    def decode(self, indices) -> tuple[EntitySpan, ...]:
-        """The spans of a sequence of IO label indices: each run of one
-        entity label is one span."""
+    def decode(self, indices, opens=()) -> tuple[EntitySpan, ...]:
+        """The spans of a list or ndarray of IO label indices: each run of
+        one entity label is one span. A run also breaks at every position
+        in *opens* (a set, or any container), the ``B-`` tags of a BIO
+        column, so that ``B-LOC B-LOC`` is two spans; a break inside a run
+        of the outside label makes no span."""
         labels = self.labels
-        indices = np.asarray(indices).tolist()
+        if isinstance(indices, np.ndarray):
+            indices = indices.tolist()
         spans = []
-        start = 0
-        for i in range(1, len(indices) + 1):
-            if i == len(indices) or indices[i] != indices[start]:
-                if indices[start]:
-                    spans.append(EntitySpan(labels[indices[start]], start, i))
-                start = i
+        start = current = 0
+        for i, k in enumerate(indices):
+            if k != current or i in opens:
+                if current:
+                    spans.append(EntitySpan(labels[current], start, i))
+                start, current = i, k
+        if current:
+            spans.append(EntitySpan(labels[current], start, len(indices)))
         return tuple(spans)
 
 
@@ -241,57 +261,30 @@ def bio_to_spans(tags: list[str], tag_set: TagSet | None = None) -> list[EntityS
     labels decodes cleanly.
     """
     tag_set = tag_set or TagSet()
-    known = set(tag_set.entity_types)
-    spans: list[EntitySpan] = []
-    start = None
-    current = None
-
-    def close(end: int) -> None:
-        nonlocal start, current
-        if current is not None:
-            spans.append(EntitySpan(current, start, end))
-        start = current = None
-
-    for i, tag in enumerate(tags):
-        if tag == tag_set.outside:
-            close(i)
-            continue
+    codes = tag_set._bio_codes
+    try:
+        indices = [codes[tag] for tag in tags]
+    except KeyError as exc:
+        tag = exc.args[0]
+        where = f"position {tags.index(tag)}"
         if len(tag) < 3 or tag[1] != "-" or tag[0] not in "BI":
-            raise SchemaError(f"position {i}: unknown tag {tag!r}")
-        prefix, label = tag[0], tag[2:]
-        if label not in known:
-            raise SchemaError(f"position {i}: unknown entity type {label!r}")
-        if prefix == "B" or current != label:
-            close(i)
-            start, current = i, label
-    close(len(tags))
-    return spans
+            raise SchemaError(f"{where}: unknown tag {tag!r}") from None
+        raise SchemaError(f"{where}: unknown entity type {tag[2:]!r}") from None
+    # an outside label that starts with B breaks only a run of itself
+    opens = {i for i, tag in enumerate(tags) if tag[0] == "B"}
+    return list(tag_set.decode(indices, opens))
 
 
 def io_to_spans(tags: list[str], tag_set: TagSet | None = None) -> list[EntitySpan]:
     """Decode IO tags to spans; adjacent same-type tags merge into one span."""
     tag_set = tag_set or TagSet()
-    known = set(tag_set.entity_types)
-    spans: list[EntitySpan] = []
-    start = None
-    current = None
-    for i, tag in enumerate(tags):
-        if tag != tag_set.outside and tag not in known:
-            raise SchemaError(f"position {i}: unknown tag {tag!r}")
-        if tag != current:
-            if current is not None and current != tag_set.outside:
-                spans.append(EntitySpan(current, start, i))
-            start, current = i, tag
-    if current is not None and current != tag_set.outside:
-        spans.append(EntitySpan(current, start, len(tags)))
-    return spans
-
-
-def _detect_scheme(all_tags: list[str]) -> str:
-    for tag in all_tags:
-        if tag.startswith("B-") or tag.startswith("I-"):
-            return "bio"
-    return "io"
+    codes = tag_set._codes
+    try:
+        indices = [codes[tag] for tag in tags]
+    except KeyError as exc:
+        tag = exc.args[0]
+        raise SchemaError(f"position {tags.index(tag)}: unknown tag {tag!r}") from None
+    return list(tag_set.decode(indices))
 
 
 def read_conll(
@@ -334,8 +327,8 @@ def read_conll(
     if tokens:
         sentences_raw.append((tokens, tags, first_line))
 
-    scheme = _detect_scheme([t for _, ts, _ in sentences_raw for t in ts])
-    decode = bio_to_spans if scheme == "bio" else io_to_spans
+    bio = any(t.startswith(("B-", "I-")) for _, ts, _ in sentences_raw for t in ts)
+    decode = bio_to_spans if bio else io_to_spans
 
     sentences = []
     for toks, ts, lineno in sentences_raw:

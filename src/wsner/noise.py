@@ -94,6 +94,8 @@ class ConfusionMatrix:
         L = len(self.labels)
         if m.shape != (L, L):
             raise ValueError(f"matrix shape {m.shape} does not match {L} labels")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         if (m < -1e-12).any():
             raise ValueError("matrix entries must be non-negative")
         if np.abs(m.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
@@ -276,9 +278,10 @@ class CleaningParams:
 def train_cleaner(inputs: np.ndarray, targets: np.ndarray, label_count: int,
                   rng: np.random.Generator, *, hidden_size: int,
                   learning_rate: float, epochs: int) -> CleaningParams:
-    """Fit the cleaner with per-example SGD on cross-entropy. The weight
-    updates are formed in two buffers allocated once per call, so an
-    example's update allocates no weight-sized array."""
+    """Fit the cleaner with per-example SGD on cross-entropy, every update
+    through ``tagger._sgd_step``, the one update rule. The weight gradients
+    are formed in two buffers allocated once per call, so an example's
+    update allocates no weight-sized array."""
     n, dim = inputs.shape
     if n == 0:
         raise EstimationError("no pairs to train the cleaner on")
@@ -289,27 +292,17 @@ def train_cleaner(inputs: np.ndarray, targets: np.ndarray, label_count: int,
     g1 = np.empty_like(w1)
     g2 = np.empty_like(w2)
     for _ in range(epochs):
-        order = rng.permutation(n)
-        for k in order:
+        for k in rng.permutation(n):
             z = inputs[int(k)]
             a = np.tanh(w1 @ z + b1)
-            logits = w2 @ a + b2
-            p = tagger._softmax(logits)
-            dlogits = p
+            dlogits = tagger._softmax(w2 @ a + b2)
             dlogits[targets[int(k)]] -= 1.0
-            da = w2.T @ dlogits
-            dpre = da * (1.0 - a ** 2)
+            dpre = (w2.T @ dlogits) * (1.0 - a ** 2)
             np.multiply(dlogits[:, None], a, out=g2)
-            g2 *= learning_rate
-            w2 -= g2
-            b2 -= learning_rate * dlogits
             np.multiply(dpre[:, None], z, out=g1)
-            g1 *= learning_rate
-            w1 -= g1
-            b1 -= learning_rate * dpre
-        for arr in (w1, b1, w2, b2):
-            if not np.isfinite(arr).all():
-                raise NumericsError("non-finite cleaner parameters")
+            tagger._sgd_step(((w2, g2), (b2, dlogits), (w1, g1), (b1, dpre)), learning_rate)
+        if not all(np.isfinite(arr).all() for arr in (w1, b1, w2, b2)):
+            raise NumericsError("non-finite cleaner parameters")
     return CleaningParams(w1, b1, w2, b2)
 
 

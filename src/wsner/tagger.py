@@ -20,6 +20,7 @@ central finite differences in the test suite).
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Dataset, LabeledSentence, TagSet, open_utf8
-from .errors import NumericsError, ParseError
+from .errors import NumericsError, ParseError, SchemaError
 
 
 # ---------------------------------------------------------------------------
@@ -49,12 +50,9 @@ def _parse_vectors(path) -> tuple[dict[str, int], np.ndarray]:
     """Vocabulary and matrix of a word-vector text file (the format is
     described at ``EmbeddingTable.load``)."""
     with open_utf8(path) as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise ParseError(f"{path}:1: expected header '|V| d'")
+        header = fh.readline()  # outside the try: a UnicodeDecodeError is a ValueError
         try:
-            count, dim = int(parts[0]), int(parts[1])
+            count, dim = map(int, header.split())
         except ValueError:
             raise ParseError(f"{path}:1: expected header '|V| d'") from None
         if count < 1 or dim < 1:
@@ -286,11 +284,8 @@ class TaggerParams:
     w_out: np.ndarray
     b_out: np.ndarray
 
-    _FIELDS = ("w_in_f", "u_f", "b_f", "w_in_b", "u_b", "b_b",
-               "w_feat", "b_feat", "w_out", "b_out")
-
     def arrays(self):
-        return [(name, getattr(self, name)) for name in self._FIELDS]
+        return [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)]
 
     @property
     def hidden_size(self) -> int:
@@ -318,30 +313,29 @@ class TaggerParams:
                 raise NumericsError(f"non-finite values in parameter {name}")
 
 
+def _param_shapes(d: int, h: int, f: int, labels: int) -> tuple[tuple[int, ...], ...]:
+    """The shape of every ``TaggerParams`` field, in field order, at
+    embedding size *d*, hidden size *h*, *f* features and *labels* labels;
+    the one table behind ``init_params`` and ``load_checkpoint``."""
+    return ((4 * h, d), (4 * h, h), (4 * h,), (4 * h, d), (4 * h, h), (4 * h,),
+            (f, 2 * h), (f,), (labels, f), (labels,))
+
+
 def init_params(rng: np.random.Generator, cell: str, embed_dim: int,
                 hidden_size: int, feature_size: int, label_count: int) -> TaggerParams:
-    """Uniform ±1/sqrt(fan-in) weights, zero biases; draw order is fixed.
+    """Uniform ±1/sqrt(fan-in) weights, zero biases, drawn in field order.
     *cell* must be ``"lstm"``, the only cell; callers still pass it."""
     if cell != "lstm":
         raise ValueError(f"unknown cell {cell!r}; the tagger is an LSTM")
-    gate = 4 * hidden_size
 
-    def u(shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
+    def draw(shape):
+        if len(shape) == 1:
+            return np.zeros(shape)
+        bound = 1.0 / math.sqrt(shape[1])
         return rng.uniform(-bound, bound, size=shape)
 
-    w_in_f = u((gate, embed_dim), embed_dim)
-    u_f = u((gate, hidden_size), hidden_size)
-    w_in_b = u((gate, embed_dim), embed_dim)
-    u_b = u((gate, hidden_size), hidden_size)
-    w_feat = u((feature_size, 2 * hidden_size), 2 * hidden_size)
-    w_out = u((label_count, feature_size), feature_size)
-    return TaggerParams(
-        w_in_f, u_f, np.zeros(gate),
-        w_in_b, u_b, np.zeros(gate),
-        w_feat, np.zeros(feature_size),
-        w_out, np.zeros(label_count),
-    )
+    return TaggerParams(*map(draw, _param_shapes(embed_dim, hidden_size, feature_size,
+                                                 label_count)))
 
 
 # ---------------------------------------------------------------------------
@@ -734,10 +728,12 @@ def make_items(dataset: Dataset, table: EmbeddingTable, *,
             for sent in dataset.sentences]
 
 
-def _sgd_step(params: TaggerParams, grads: TaggerParams, lr: float) -> None:
-    """``params -= lr * grads`` in place; scales ``grads`` in place too,
-    so the caller must not use them afterwards."""
-    for (_, arr), (_, g) in zip(params.arrays(), grads.arrays()):
+def _sgd_step(pairs, lr: float) -> None:
+    """``array -= lr * gradient`` for every ``(array, gradient)`` pair: the one
+    update rule of the tagger's parameters, the channel logits and the label
+    cleaner's weights. Each gradient is scaled in place first (bit-identical
+    to ``array -= lr * g``), so the caller must not use it afterwards."""
+    for arr, g in pairs:
         g *= lr
         arr -= g
 
@@ -746,7 +742,8 @@ def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfi
                rng: np.random.Generator, B: np.ndarray | None = None) -> None:
     """One pass of per-sentence SGD over *items* in an order drawn from
     *rng*; items flagged ``channel`` are scored through the row-softmax of
-    the channel logits ``B``, which train in place.
+    the channel logits ``B``, which train in place. Both update through
+    ``_sgd_step``, the one update rule.
 
     Every step's gradients are written into one workspace allocated here,
     uninitialised (``np.empty_like`` of each parameter), since the backward
@@ -755,16 +752,16 @@ def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfi
     arrays a sentence, allocated and freed again."""
     lr = config.learning_rate
     grads = TaggerParams(*(np.empty_like(arr) for _, arr in params.arrays()))
+    pairs = [(arr, g) for (_, arr), (_, g) in zip(params.arrays(), grads.arrays())]
     for k in rng.permutation(len(items)):
         item = items[int(k)]
         C = _softmax(B) if item.channel and B is not None else None
         loss, _, dC = _item_loss_grads(params, item.X, item, C=C, grads=grads)
         if not np.isfinite(loss):
             raise NumericsError("non-finite training loss")
-        _sgd_step(params, grads, lr)
-        if dC is not None:
-            s = (dC * C).sum(axis=1, keepdims=True)
-            B -= lr * (C * (dC - s))
+        # dC back through the row softmax C = softmax(B) is the gradient of B
+        _sgd_step(pairs if dC is None else
+                  pairs + [(B, C * (dC - (dC * C).sum(axis=1, keepdims=True)))], lr)
     params.check_finite()
 
 
@@ -857,7 +854,8 @@ def save_checkpoint(path, params: TaggerParams, tag_set: TagSet) -> None:
 
 def load_checkpoint(path) -> tuple[TaggerParams, TagSet]:
     """The parameters and tag set saved by ``save_checkpoint``; a ``ParseError``
-    for a file that is no checkpoint, lacks an entry or has a wrong shape."""
+    for a file that is no checkpoint, lacks an entry, has malformed metadata,
+    or has a parameter of a wrong shape or with a non-finite value."""
     try:
         # the file is opened here: np.load leaves it open when the archive
         # turns out to be corrupt
@@ -867,12 +865,22 @@ def load_checkpoint(path) -> tuple[TaggerParams, TagSet]:
                 raise ParseError(f"{path}: not a checkpoint (.npz archive)")
             with archive as data:
                 meta = json.loads(str(data["__meta__"]))
-                tag_set = TagSet(tuple(meta["entity_types"]), meta["outside"])
-                arrays = [np.array(data[name], dtype=float) for name in TaggerParams._FIELDS]
+                if not isinstance(meta, dict):
+                    raise ParseError(f"{path}: checkpoint metadata is not a JSON object")
+                types, outside = meta["entity_types"], meta["outside"]
+                if not (isinstance(types, list)
+                        and all(isinstance(t, str) for t in [outside, *types])):
+                    raise ParseError(f"{path}: checkpoint metadata needs a list of "
+                                     "entity_types strings and an outside string")
+                tag_set = TagSet(tuple(types), outside)
+                arrays = [np.array(data[f.name], dtype=float)
+                          for f in dataclasses.fields(TaggerParams)]
     except (ValueError, EOFError, zipfile.BadZipFile):
         raise ParseError(f"{path}: not a checkpoint (.npz archive)") from None
     except KeyError as exc:
         raise ParseError(f"{path}: missing checkpoint entry {exc}") from None
+    except SchemaError as exc:  # labels TagSet refuses, such as a repeated type
+        raise ParseError(f"{path}: {exc}") from None
     # checkpoints from before the LSTM became the only cell name their cell
     if meta.get("cell", "lstm") != "lstm":
         raise ParseError(f"{path}: unknown cell type {meta['cell']!r}; the tagger is an LSTM")
@@ -881,11 +889,15 @@ def load_checkpoint(path) -> tuple[TaggerParams, TagSet]:
     for name in ("w_in_f", "u_f", "w_feat"):
         if getattr(params, name).ndim != 2:
             raise ParseError(f"{path}: parameter {name} is not a matrix")
-    d, h, f, labels = params.embed_dim, params.hidden_size, params.feature_size, tag_set.size
-    expected = ((4 * h, d), (4 * h, h), (4 * h,), (4 * h, d), (4 * h, h), (4 * h,),
-                (f, 2 * h), (f,), (labels, f), (labels,))
+    expected = _param_shapes(params.embed_dim, params.hidden_size, params.feature_size,
+                             tag_set.size)
     for (name, arr), shape in zip(params.arrays(), expected):
         if arr.shape != shape:
             raise ParseError(f"{path}: parameter {name} has shape {arr.shape}, "
                              f"expected {shape}")
+    # a NaN weight would make every argmax label 0, the outside label
+    try:
+        params.check_finite()
+    except NumericsError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return params, tag_set

@@ -1,18 +1,20 @@
 """Helpers the tests share and nothing in ``wsner`` calls: a single-sentence
 forward pass, a gradient workspace, token accuracy, frozen references of
-the token reader and the digit rule, and synthetic tasks with a known
-noise process to train the noise methods on."""
+the token reader, the tag decoders, the parameter draw and the digit rule,
+and synthetic tasks with a known noise process to train the noise methods
+on."""
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from wsner.corpus import (Dataset, LabeledSentence, TagSet, check_aligned, has_whitespace,
-                          open_utf8)
-from wsner.errors import ParseError
+from wsner.corpus import (Dataset, EntitySpan, LabeledSentence, TagSet, check_aligned,
+                          has_whitespace, open_utf8)
+from wsner.errors import ParseError, SchemaError
 from wsner.synth import _make_sentences, _make_vocabulary, uniform_flip
 from wsner.tagger import EmbeddingTable, TaggerParams, _forward_batched, init_params
 
@@ -37,6 +39,30 @@ def paper_shape_model(vocab: int = 500, seed: int = 0):
     rng = np.random.default_rng(seed)
     table = EmbeddingTable({f"w{i}": i for i in range(vocab)}, rng.normal(size=(vocab, 300)))
     return init_params(rng, "lstm", 300, 300, 128, 3), table
+
+
+def frozen_init_params(rng, embed_dim: int, hidden_size: int, feature_size: int,
+                       label_count: int) -> TaggerParams:
+    """``tagger.init_params`` with every shape and fan-in written out, frozen
+    as the reference of its draws from the shape table."""
+    gate = 4 * hidden_size
+
+    def u(shape, fan_in):
+        bound = 1.0 / math.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
+    w_in_f = u((gate, embed_dim), embed_dim)
+    u_f = u((gate, hidden_size), hidden_size)
+    w_in_b = u((gate, embed_dim), embed_dim)
+    u_b = u((gate, hidden_size), hidden_size)
+    w_feat = u((feature_size, 2 * hidden_size), 2 * hidden_size)
+    w_out = u((label_count, feature_size), feature_size)
+    return TaggerParams(
+        w_in_f, u_f, np.zeros(gate),
+        w_in_b, u_b, np.zeros(gate),
+        w_feat, np.zeros(feature_size),
+        w_out, np.zeros(label_count),
+    )
 
 
 # The date rules' digit rule as a pattern: whole tokens like "8" or "2018",
@@ -64,6 +90,57 @@ def line_loop_read_tokens(path) -> Dataset:
     if tokens:
         sentences.append(LabeledSentence(tuple(tokens), (), "distant"))
     return Dataset(tuple(sentences))
+
+
+def frozen_bio_to_spans(tags: list[str], tag_set: TagSet | None = None) -> list[EntitySpan]:
+    """``corpus.bio_to_spans`` as a loop over the tags with its own span
+    bookkeeping, frozen as the reference of the decoder over label runs."""
+    tag_set = tag_set or TagSet()
+    known = set(tag_set.entity_types)
+    spans: list[EntitySpan] = []
+    start = None
+    current = None
+
+    def close(end: int) -> None:
+        nonlocal start, current
+        if current is not None:
+            spans.append(EntitySpan(current, start, end))
+        start = current = None
+
+    for i, tag in enumerate(tags):
+        if tag == tag_set.outside:
+            close(i)
+            continue
+        if len(tag) < 3 or tag[1] != "-" or tag[0] not in "BI":
+            raise SchemaError(f"position {i}: unknown tag {tag!r}")
+        prefix, label = tag[0], tag[2:]
+        if label not in known:
+            raise SchemaError(f"position {i}: unknown entity type {label!r}")
+        if prefix == "B" or current != label:
+            close(i)
+            start, current = i, label
+    close(len(tags))
+    return spans
+
+
+def frozen_io_to_spans(tags: list[str], tag_set: TagSet | None = None) -> list[EntitySpan]:
+    """``corpus.io_to_spans`` as a loop over the tags with its own span
+    bookkeeping, frozen as the reference of the decoder over label runs."""
+    tag_set = tag_set or TagSet()
+    known = set(tag_set.entity_types)
+    spans: list[EntitySpan] = []
+    start = None
+    current = None
+    for i, tag in enumerate(tags):
+        if tag != tag_set.outside and tag not in known:
+            raise SchemaError(f"position {i}: unknown tag {tag!r}")
+        if tag != current:
+            if current is not None and current != tag_set.outside:
+                spans.append(EntitySpan(current, start, i))
+            start, current = i, tag
+    if current is not None and current != tag_set.outside:
+        spans.append(EntitySpan(current, start, len(tags)))
+    return spans
 
 
 def token_accuracy(gold: Dataset, pred: Dataset) -> float:

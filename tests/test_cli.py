@@ -299,6 +299,14 @@ BAD_INPUT = {
                      "m.npz": _checkpoint(1, w_out=np.ones((5, 8)))},
         ["--model", "m.npz", "--embeddings", "e.txt"],
         "m.npz: parameter w_out has shape (5, 8), expected (5, 2)"),
+    "evaluate-checkpoint-nan": (
+        "evaluate", {"gold.conll": "Kano\tB-LOC\n", "e.txt": "1 1\nKano 0.5\n",
+                     "m.npz": _checkpoint(1, w_out=np.full((5, 2), np.nan))},
+        ["--model", "m.npz", "--embeddings", "e.txt"],
+        "m.npz: non-finite values in parameter w_out"),
+    "inspect-confusion-nan": (
+        "inspect", {"c.txt": "# labels: O PER\n1 0\nnan nan\n"}, ["--confusion", "c.txt"],
+        "c.txt: matrix entries must be finite"),
     "inspect-checkpoint-shape": (
         "inspect", {"m.npz": _checkpoint(3, u_b=np.ones((8, 3)))}, ["--model", "m.npz"],
         "m.npz: parameter u_b has shape (8, 3), expected (8, 2)"),

@@ -26,7 +26,7 @@ from wsner.corpus import (
 from wsner.errors import ParseError, SchemaError
 
 from conftest import make_dataset, make_sentence, random_sentences
-from support import line_loop_read_tokens
+from support import frozen_bio_to_spans, frozen_io_to_spans, line_loop_read_tokens
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +157,37 @@ def test_label_index_codec_agrees_with_io_tags(indices):
     sent = LabeledSentence(tuple(f"w{i}" for i in range(len(indices))), spans)
     encoded = ts.encode(sent)
     assert encoded.dtype == np.int64 and encoded.tolist() == indices
+
+
+# well-formed BIO and IO tags, the outside label, malformed prefixes
+# ("Q-PER", "BPER", "B-", "B", "-PER") and an unknown type ("B-XYZ", "XYZ")
+DECODER_TAGS = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC", "B-DATE", "I-DATE", "PER", "LOC",
+                "DATE", "B-XYZ", "I-XYZ", "XYZ", "Q-PER", "BPER", "B-", "B", "I", "-PER",
+                "B-O", "I-O", "o"]
+
+
+def _spans_or_error(decode, tags, tag_set):
+    try:
+        return decode(tags, tag_set)
+    except SchemaError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(DECODER_TAGS), max_size=25),
+       st.sampled_from([TagSet(), TagSet(("PER", "LOC"), "X"), TagSet(("PER", "LOC"), "B-PER"),
+                        TagSet(("LOC", "DATE"), "I-LOC")]))
+def test_tag_decoders_equal_the_frozen_loops(tags, tag_set):
+    # valid columns, dangling I-, type switches, adjacent B- tags, malformed
+    # prefixes and unknown types: the same spans or the same SchemaError
+    for tags_of in (tags, [t for t in tags if t in ("O", "B-PER", "I-PER", "B-LOC", "I-LOC")],
+                    [t for t in tags if "-" not in t]):
+        for decode, frozen in ((bio_to_spans, frozen_bio_to_spans),
+                               (io_to_spans, frozen_io_to_spans)):
+            want = _spans_or_error(frozen, tags_of, tag_set)
+            got = _spans_or_error(decode, tags_of, tag_set)
+            assert got == want, (decode.__name__, tags_of)
+            assert type(got) is type(want)
 
 
 @settings(max_examples=200)

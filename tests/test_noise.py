@@ -98,6 +98,16 @@ def test_matrix_validation():
         ConfusionMatrix(LABELS, np.eye(4))
 
 
+@pytest.mark.parametrize("row", ["nan nan", "inf 0", "0.5 nan"])
+def test_channel_with_a_non_finite_entry_is_refused(tmp_path, row):
+    # every comparison with NaN is false, so a NaN row passed the row-sum check
+    path = tmp_path / "c.txt"
+    path.write_text(f"# labels: O PER\n1 0\n{row}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_confusion(path)
+    assert str(err.value) == f"{path}: matrix entries must be finite"
+
+
 def test_serialization_round_trip(tmp_path):
     cm = estimate_confusion(np.array([O, O]), np.array([PER, O]), LABELS, alpha=0.5)
     path = tmp_path / "cm.txt"

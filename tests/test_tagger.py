@@ -43,7 +43,8 @@ from wsner.tagger import (
 
 from conftest import make_dataset, make_sentence
 from gradcheck import finite_difference, max_relative_error
-from support import forward, nan_workspace, paper_shape_model, token_accuracy
+from support import (forward, frozen_init_params, nan_workspace, paper_shape_model,
+                     token_accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +372,15 @@ def test_zero_params_give_uniform(tiny_table):
     zero = _zeros_like(params)
     probs = forward(["w0", "w1"], zero, tiny_table)
     assert np.abs(probs - 1.0 / ts.size).max() < 1e-15
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 3, 3), (12, 16, 16, 5), (300, 300, 128, 5)])
+def test_init_params_draws_as_the_frozen_explicit_draws(shape):
+    # the bundled runs.csv and every benchmark digest start from these bits
+    got = init_params(np.random.default_rng(17), "lstm", *shape)
+    want = frozen_init_params(np.random.default_rng(17), *shape)
+    for (name, g), (_, w) in zip(got.arrays(), want.arrays()):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
 
 
 def test_init_params_refuses_any_cell_but_the_lstm():
@@ -804,7 +814,7 @@ def test_sgd_step_is_bitwise_scaled_subtraction():
     expected = _copy(params)
     for (_, arr), (_, g) in zip(expected.arrays(), grads.arrays()):
         arr -= 0.037 * g
-    _sgd_step(params, grads, 0.037)
+    _sgd_step([(arr, g) for (_, arr), (_, g) in zip(params.arrays(), grads.arrays())], 0.037)
     for (name, got), (_, want) in zip(params.arrays(), expected.arrays()):
         assert got.tobytes() == want.tobytes(), name
 
@@ -1155,6 +1165,40 @@ def test_checkpoint_without_its_labels_is_refused(tmp_path):
     with pytest.raises(ParseError) as err:
         load_checkpoint(path)
     assert str(err.value) == f"{path}: missing checkpoint entry 'entity_types'"
+
+
+@pytest.mark.parametrize("meta, message", [
+    ([], "checkpoint metadata is not a JSON object"),
+    ({"entity_types": "PER", "outside": "O"},
+     "checkpoint metadata needs a list of entity_types strings and an outside string"),
+    ({"entity_types": ["PER", 1], "outside": "O"},
+     "checkpoint metadata needs a list of entity_types strings and an outside string"),
+    ({"entity_types": ["PER"], "outside": None},
+     "checkpoint metadata needs a list of entity_types strings and an outside string"),
+    ({"entity_types": ["PER", "PER"], "outside": "O"}, "entity types must be unique"),
+])
+def test_checkpoint_of_malformed_metadata_is_refused(tmp_path, capsys, meta, message):
+    # a JSON list has no keys; the string "PER" would give the labels P, E and R
+    path = tmp_path / "model.npz"
+    params = init_params(np.random.default_rng(12), "lstm", 3, 2, 3, 3)
+    np.savez(path, __meta__=np.array(json.dumps(meta)), **dict(params.arrays()))
+    with pytest.raises(ParseError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: {message}"
+    assert cli.main(["inspect", "--model", str(path)]) == 1
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_with_a_non_finite_weight_is_refused(tmp_path, value):
+    # a NaN row of w_out would make every token's argmax the outside label
+    params = init_params(np.random.default_rng(12), "lstm", 3, 2, 3, 3)
+    params.w_out[1, 2] = value
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, params, TagSet(("PER", "LOC")))
+    with pytest.raises(ParseError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: non-finite values in parameter w_out"
 
 
 @pytest.mark.parametrize("name, value, message", [
