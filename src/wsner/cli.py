@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import evaluation, experiment, noise, tagger
-from .corpus import (Dataset, TagSet, check_aligned, read_conll, read_json, read_tokens,
+from .corpus import (Dataset, TagSet, check_aligned, read_conll, read_config, read_tokens,
                      write_conll)
 from .date_rules import DateRuleSet, default_date_rules
 from .errors import AlignmentError, WsnerError
@@ -86,7 +86,7 @@ def _train_config(path: str | None,
                   seed: int | None) -> tuple[tagger.TaggerConfig, noise.MethodOptions]:
     """Tagger config and method options from a flat JSON file; CLI seed
     wins over the file."""
-    doc = read_json(path) if path else {}
+    doc = read_config(path) if path else {}
     if seed is not None:
         doc["seed"] = seed
     try:
@@ -371,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "cell in (budget, method, repeat) order, each flushed as it is written, "
                     "so an interrupted sweep resumes where it stopped. A finished row waits "
                     "until the rows before it are written; rows still held at an interrupt "
-                    "are lost and their cells run again on resume. Workers start with the "
-                    "BLAS thread variables (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, ...) set "
-                    "to their share of the CPUs, unless one of them is already set. "
+                    "are lost and their cells run again on resume. "
                     + EMBEDDINGS_CACHE)
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default=None)

@@ -67,6 +67,15 @@ def read_json(path):
             raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
 
 
+def read_config(path) -> dict:
+    """The JSON object in the config file *path* (see ``read_json``); a file
+    that holds another JSON value raises ``SchemaError`` naming it."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: config is not a JSON object")
+    return doc
+
+
 def _check_token(surface: str) -> None:
     if not surface:
         raise SchemaError("token surface must be non-empty")

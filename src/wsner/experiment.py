@@ -24,11 +24,7 @@ the rows are the same bytes whichever path ran them and an interrupted
 sweep leaves a canonical prefix. Rows held back at an interrupt are lost,
 and their cells run again on resume. A worker that dies ends the sweep
 with a ``WsnerError`` naming the first cell without a row; the rows
-written stay. Every worker loads its own BLAS, which would start a thread
-per CPU, so the workers are started with the BLAS thread variables
-(``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``, ...) set to their share of
-the CPUs, at least one; when one of those variables is already set, it is
-left as it is.
+written stay.
 
 The runner is resumable: rows already present in the per-run CSV are
 detected by (setting, method, repeat) and skipped; a torn last line, left
@@ -43,11 +39,10 @@ import io
 import os
 import pickle
 import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 from . import noise, tagger
-from .corpus import Dataset, TagSet, read_conll, read_json, subsample_tokens
+from .corpus import Dataset, TagSet, read_conll, read_config, subsample_tokens
 from .errors import WsnerError
 from .evaluation import mean_and_se, metrics_columns, metrics_row, span_prf
 from .gazetteer import distant_twin
@@ -102,6 +97,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError("methods must be unique")
         as_inf = [float("inf") if b is None else b for b in budgets]
         if any(b < 1 for b in as_inf):
             raise ValueError("budgets must be positive")
@@ -134,7 +131,7 @@ def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    doc = read_json(path)
+    doc = read_config(path)
     if overrides:
         doc.update(overrides)
     try:
@@ -268,26 +265,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# the variables that set the thread count of the BLAS libraries numpy may use
-_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-
-
-@contextmanager
-def _blas_threads(threads: int):
-    """Set every BLAS thread variable to *threads* in the environment that
-    processes started inside inherit, unless one of them is already set."""
-    if any(var in os.environ for var in _BLAS_THREAD_VARS):
-        yield
-        return
-    os.environ.update({var: str(threads) for var in _BLAS_THREAD_VARS})
-    try:
-        yield
-    finally:
-        for var in _BLAS_THREAD_VARS:
-            os.environ.pop(var, None)
-
-
 # Submission rank of each method in a worker pool, most expensive first, as
 # measured on full-budget cells of the bundled synthetic config.
 _COST_RANK = {"cleaning": 0, "noise-channel": 1, "confusion": 2, "naive-mix": 2,
@@ -307,8 +284,7 @@ def _run_cells(ctx: _Context, cells: list[tuple], write) -> None:
     as it and the cells before it are done. A worker pool starts the cells
     most expensive first (``_longest_first``) and holds a finished row
     until the rows before it are written."""
-    cpus = _cpu_count()
-    workers = min(cpus, len(cells))
+    workers = min(_cpu_count(), len(cells))
     if workers <= 1:
         for cell in cells:
             write(_cell_row(ctx, *cell))
@@ -319,7 +295,7 @@ def _run_cells(ctx: _Context, cells: list[tuple], write) -> None:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    with _blas_threads(max(1, cpus // workers)), tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         # Workers read the context from a file. Passed as initargs, it would
         # be written into each new worker's pipe while the pool holds the
         # pipe's read end, so a worker that died before reading it would

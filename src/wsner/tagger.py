@@ -15,11 +15,19 @@ weights at once.
 
 Everything is float64 numpy; gradients are exact (they are checked against
 central finite differences in the test suite).
+
+numpy's BLAS runs on one thread in every process that imports this module:
+the CLI, each sweep worker and any library caller (``_pin_blas_threads``,
+called at import). A threaded matrix product splits its sums by the thread
+count, so at paper shape one seed would otherwise give other bytes at
+another count: in a sweep worker than in the process that started it, or
+under another setting of the environment.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
 import functools
 import json
@@ -27,6 +35,7 @@ import math
 import numbers
 import os
 import stat
+import warnings
 import zipfile
 from dataclasses import dataclass
 
@@ -34,6 +43,30 @@ import numpy as np
 
 from .corpus import Dataset, LabeledSentence, TagSet, open_utf8
 from .errors import NumericsError, ParseError, SchemaError
+
+
+def _pin_blas_threads() -> None:
+    """Set numpy's BLAS to one thread (see the module docstring); where it
+    has no known thread-count setter, warn and change nothing."""
+    # A handle of a numpy extension also finds the symbols of the libraries
+    # it links: the OpenBLAS of numpy 2 wheels (64- or 32-bit integers), of
+    # numpy 1 wheels, or of the system.
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads"):
+        if hasattr(lib, name):
+            setter = getattr(lib, name)
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            return setter(1)
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # numpy before 1.25
+        blas = "unknown"
+    warnings.warn(f"numpy's BLAS ({blas}) has no known thread-count setter; results "
+                  "may depend on its thread count", RuntimeWarning, stacklevel=2)
+
+
+_pin_blas_threads()
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Helpers the tests share and nothing in ``wsner`` calls: a single-sentence
 forward pass, a gradient workspace, token accuracy, frozen references of
 the token reader, the tag decoders, the parameter draw and the digit rule,
-and synthetic tasks with a known noise process to train the noise methods
-on."""
+synthetic tasks with a known noise process to train the noise methods on,
+and a paper-shape gradient digest with the BLAS thread count it ran at."""
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +21,8 @@ from wsner.corpus import (Dataset, EntitySpan, LabeledSentence, TagSet, check_al
                           has_whitespace, open_utf8)
 from wsner.errors import ParseError, SchemaError
 from wsner.synth import _make_sentences, _make_vocabulary, uniform_flip
-from wsner.tagger import EmbeddingTable, TaggerParams, _forward_batched, init_params
+from wsner.tagger import (EmbeddingTable, TaggerParams, TrainItem, _forward_batched,
+                          _item_loss_grads, init_params)
 
 
 def forward(tokens, params: TaggerParams, table: EmbeddingTable) -> np.ndarray:
@@ -39,6 +45,50 @@ def paper_shape_model(vocab: int = 500, seed: int = 0):
     rng = np.random.default_rng(seed)
     table = EmbeddingTable({f"w{i}": i for i in range(vocab)}, rng.normal(size=(vocab, 300)))
     return init_params(rng, "lstm", 300, 300, 128, 3), table
+
+
+def paper_shape_grads_digest(tokens: int = 20) -> str:
+    """sha256 of the loss and every parameter gradient of one seeded
+    *tokens*-token sentence through the tagger of ``paper_shape_model``."""
+    params, table = paper_shape_model()
+    rng = np.random.default_rng(1)
+    X = table.embed([f"w{i}" for i in rng.integers(0, len(table), size=tokens)])
+    loss, grads, _ = _item_loss_grads(params, X, TrainItem(X, hard=rng.integers(0, 3, tokens)),
+                                      grads=nan_workspace(params))
+    digest = hashlib.sha256(np.float64(loss).tobytes())
+    for _, g in grads.arrays():
+        digest.update(g.tobytes())
+    return digest.hexdigest()
+
+
+def blas_thread_count() -> int:
+    """The thread count of the OpenBLAS numpy ships, as its getter reports it."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    getter = lib.scipy_openblas_get_num_threads64_
+    getter.argtypes, getter.restype = (), ctypes.c_int
+    return getter()
+
+
+def blas_report(cell) -> dict:
+    """A sweep worker's row function that reports, for any *cell*, its
+    process's BLAS thread count and ``paper_shape_grads_digest``."""
+    return {"threads": blas_thread_count(), "digest": paper_shape_grads_digest()}
+
+
+def run_python(code: str, threads: str | None, *args: str) -> str:
+    """The output of ``python -c code args`` with ``src`` and this directory
+    on its path and ``OPENBLAS_NUM_THREADS`` set to *threads*, or unset for
+    ``None``, so that the BLAS starts with that many threads."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(os.path.dirname(here), "src"),
+                                                      here]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def frozen_init_params(rng, embed_dim: int, hidden_size: int, feature_size: int,

@@ -359,6 +359,21 @@ BAD_INPUT = {
                        "train.conll": "Kano\tB-LOC\n", "test.conll": "Kano\tB-LOC\n",
                        "e.txt": "1 2\nKano -inf 0.5\n"},
         [], "e.txt:2: non-finite vector value"),
+    "experiment-config-a-list": (
+        "experiment", {"sweep.json": "[1, 2]\n"}, [], "sweep.json: config is not a JSON object"),
+    "experiment-config-a-string": (
+        "experiment", {"sweep.json": '"x"\n'}, ["--repeats", "2"],
+        "sweep.json: config is not a JSON object"),
+    "experiment-repeated-method": (
+        "experiment", {"sweep.json": json.dumps({"train": "train.conll", "test": "test.conll",
+                                                 "embeddings": "e.txt", "out_dir": "out"})},
+        ["--methods", "distant-only,distant-only"], "sweep.json: methods must be unique"),
+    "train-config-a-list": (
+        "train", {"clean.conll": "Kano\tB-LOC\n", "e.txt": "1 1\nKano 0.5\n", "c.json": "[1, 2]"},
+        ["--config", "c.json"], "c.json: config is not a JSON object"),
+    "train-config-a-string": (
+        "train", {"clean.conll": "Kano\tB-LOC\n", "e.txt": "1 1\nKano 0.5\n", "c.json": '"x"'},
+        ["--config", "c.json", "--seed", "3"], "c.json: config is not a JSON object"),
     "synth-out-dir-is-a-file": (
         "synth", {"taken": "a file\n"}, ["--out-dir", "taken"], "taken"),
 }

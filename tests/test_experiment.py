@@ -5,9 +5,10 @@ second reads their cache), a cell neither changes the shared context nor
 depends on the cells before it, a sweep over the files ``wsner annotate``
 writes scores and pairs what annotation gives, a bug in a cell stops the
 sweep instead of writing an error row, the worker pool starts the most
-expensive cells first yet writes the same bytes as the in-process path, a
-worker that dies fails the sweep instead of hanging it, and an
-interrupted sweep resumes to the bytes of an uninterrupted one."""
+expensive cells first yet writes the same bytes as the in-process path,
+its workers run BLAS on one thread as the sweep's process does, a worker
+that dies fails the sweep instead of hanging it, and an interrupted sweep
+resumes to the bytes of an uninterrupted one."""
 
 import concurrent.futures
 import csv
@@ -35,6 +36,7 @@ from wsner.gazetteer import annotate_distant, build_gazetteer, read_entity_tsv
 from wsner.make_synth import write_synth_corpus
 
 from conftest import write_tiny_sweep
+from support import run_python
 
 
 def test_two_runs_write_identical_csvs(tmp_path, parse_calls):
@@ -401,30 +403,27 @@ def test_resume_refuses_a_header_of_another_tag_set(sweep, tmp_path, torn):
     assert runs.read_text(encoding="utf-8") == text
 
 
-def _blas_env_row(cell):
-    """A worker row function that returns the BLAS thread variables its
-    process sees."""
-    return {var: os.environ.get(var) for var in experiment._BLAS_THREAD_VARS}
+_WORKER_BLAS = """
+import json
+import support
+from wsner import experiment
+experiment._cpu_count = lambda: 2
+experiment._worker_row = support.blas_report
+rows = [support.blas_report(None)]
+experiment._run_cells(None, [(None, "baseline-clean", 0), (None, "baseline-clean", 1)],
+                      rows.append)
+print(json.dumps(rows))
+"""
 
 
-def test_workers_get_their_share_of_blas_threads(monkeypatch):
-    for var in experiment._BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    _workers(monkeypatch, 4)
-    monkeypatch.setattr(experiment, "_worker_row", _blas_env_row)
-    cells = [(None, "baseline-clean", repeat) for repeat in range(2)]
-    rows = []
-    experiment._run_cells(None, cells, rows.append)
-    # 4 CPUs shared by 2 workers
-    assert rows == [dict.fromkeys(experiment._BLAS_THREAD_VARS, "2")] * 2
-    assert not any(var in os.environ for var in experiment._BLAS_THREAD_VARS)
-
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    rows = []
-    experiment._run_cells(None, cells, rows.append)
-    chosen = dict.fromkeys(experiment._BLAS_THREAD_VARS)
-    chosen["OPENBLAS_NUM_THREADS"] = "3"
-    assert rows == [chosen] * 2
+def test_workers_and_the_sweep_process_run_blas_on_one_thread():
+    # the sweep's own process, then two pool workers, each with the BLAS
+    # thread variable unset and set to 2
+    reports = [report for threads in (None, "2")
+               for report in json.loads(run_python(_WORKER_BLAS, threads))]
+    assert len(reports) == 6
+    assert {report["threads"] for report in reports} == {1}
+    assert len({report["digest"] for report in reports}) == 1
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -1,10 +1,9 @@
+import ctypes
 import dataclasses
 import gc
 import json
 import math
 import os
-import subprocess
-import sys
 import tempfile
 import threading
 import tracemalloc
@@ -43,8 +42,8 @@ from wsner.tagger import (
 
 from conftest import make_dataset, make_sentence
 from gradcheck import finite_difference, max_relative_error
-from support import (forward, frozen_init_params, nan_workspace, paper_shape_model,
-                     token_accuracy)
+from support import (blas_thread_count, forward, frozen_init_params, nan_workspace,
+                     paper_shape_model, run_python, token_accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -1074,19 +1073,65 @@ print(digest.hexdigest())
 """
 
 
+# OPENBLAS_NUM_THREADS unset, so the BLAS starts with a thread per CPU, and
+# set to one and two threads
+BLAS_SETTINGS = (None, "1", "2")
+
+
 def test_batched_probabilities_do_not_depend_on_blas_threads():
-    # the per-sentence pass at this shape does depend on them (the feature
-    # product of a sentence of 16 tokens or more); the batched one must not
-    here = os.path.dirname(os.path.abspath(__file__))
-    path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
-    hashes = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", _BATCHED_PROBS_HASH], capture_output=True,
-                              text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        hashes.append(proc.stdout)
-    assert hashes[0] == hashes[1]
+    hashes = {run_python(_BATCHED_PROBS_HASH, threads) for threads in BLAS_SETTINGS}
+    assert len(hashes) == 1
+
+
+def test_sentence_gradients_do_not_depend_on_blas_threads():
+    # at paper shape a sentence of 16 tokens or more makes products that a
+    # threaded BLAS splits by its thread count; wsner runs it on one thread
+    code = "import support; print(support.paper_shape_grads_digest(20))"
+    hashes = {run_python(code, threads) for threads in BLAS_SETTINGS}
+    assert len(hashes) == 1
+
+
+def test_trained_checkpoint_does_not_depend_on_blas_threads(tmp_path):
+    rng = np.random.default_rng(4)
+    words = [f"w{i}" for i in range(40)]
+    vectors = "".join(f"{w} " + " ".join(map(repr, rng.normal(size=300).tolist())) + "\n"
+                      for w in words)
+    (tmp_path / "e.txt").write_text(f"{len(words)} 300\n" + vectors, encoding="utf-8")
+    tags = ("O", "B-PER", "I-PER", "O", "B-LOC")
+    sentences = ["".join(f"{words[i]}\t{tags[i % 5]}\n" for i in rng.integers(0, 40, size=n))
+                 for n in (20, 24, 17, 30)]
+    (tmp_path / "clean.conll").write_text("\n".join(sentences), encoding="utf-8")
+    (tmp_path / "c.json").write_text(json.dumps({"hidden_size": 300, "feature_size": 128,
+                                                 "epochs": 1}), encoding="utf-8")
+    code = "import sys; from wsner.cli import main; sys.exit(main(sys.argv[1:]))"
+    digests = set()
+    for threads in BLAS_SETTINGS:
+        model = tmp_path / f"model-{threads}.npz"
+        run_python(code, threads, "train", "--clean", str(tmp_path / "clean.conll"),
+                   "--embeddings", str(tmp_path / "e.txt"), "--config", str(tmp_path / "c.json"),
+                   "--model-out", str(model))
+        params, _ = load_checkpoint(model)
+        digests.add(b"".join(arr.tobytes() for _, arr in params.arrays()))
+    assert len(digests) == 1
+
+
+def test_blas_without_a_known_setter_warns_and_is_left_alone(monkeypatch):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    setter = lib.scipy_openblas_set_num_threads64_
+    setter.argtypes, setter.restype = (ctypes.c_int,), None
+    setter(2)
+    try:
+        with monkeypatch.context() as patch:
+            # a library that has none of the setters
+            patch.setattr(ctypes, "CDLL", lambda path: object())
+            with pytest.warns(RuntimeWarning, match=rf"numpy's BLAS \({blas}\) has no known "
+                                                    "thread-count setter"):
+                tagger._pin_blas_threads()
+        assert blas_thread_count() == 2
+    finally:
+        setter(1)
+    assert blas_thread_count() == 1
 
 
 def test_predict_empty_dataset(tiny_table):
