@@ -12,8 +12,7 @@ import os
 import sys
 
 from . import evaluation, experiment, noise, tagger
-from .corpus import (Dataset, TagSet, check_aligned, read_conll, read_config, read_tokens,
-                     write_conll)
+from .corpus import Dataset, TagSet, check_aligned, read_conll, read_tokens, write_conll
 from .date_rules import DateRuleSet, default_date_rules
 from .errors import AlignmentError, WsnerError
 from .gazetteer import (Gazetteer, annotate_distant, build_gazetteer, distant_twin,
@@ -82,22 +81,6 @@ def _read_aligned(gold_path, other_path, tag_set: TagSet) -> tuple[Dataset, Data
     return gold, other
 
 
-def _train_config(path: str | None,
-                  seed: int | None) -> tuple[tagger.TaggerConfig, noise.MethodOptions]:
-    """Tagger config and method options from a flat JSON file; CLI seed
-    wins over the file."""
-    doc = read_config(path) if path else {}
-    if seed is not None:
-        doc["seed"] = seed
-    try:
-        config, options, unknown = noise.split_config(doc)
-    except (TypeError, ValueError) as exc:
-        raise WsnerError(f"{path}: bad config: {exc}") from None
-    if unknown:
-        raise WsnerError(f"{path}: unknown config keys: {sorted(unknown)}")
-    return config, options
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -145,6 +128,8 @@ def cmd_train(args) -> int:
     if args.confusion_out and args.method not in ("confusion", "noise-channel"):
         args.usage_error(f"--confusion-out: {args.method} learns no channel; "
                          "use it with --method confusion or noise-channel")
+    config, options = noise.load_settings(
+        args.config, None if args.seed is None else {"seed": args.seed})
     tag_set = _tag_set(args)
     clean = read_conll(args.clean, tag_set=tag_set)
     distant = (read_conll(args.distant, tag_set=tag_set, provenance="distant")
@@ -160,7 +145,6 @@ def cmd_train(args) -> int:
         raise WsnerError(f"{source}; {args.method} learns the channel for --confusion-out "
                          "from distant sentences")
     table = tagger.EmbeddingTable.load(args.embeddings)
-    config, options = _train_config(args.config, args.seed)
 
     def pair_source() -> Dataset:
         if args.gazetteer:

@@ -92,6 +92,8 @@ class TagSet:
     outside: str = "O"
 
     def __post_init__(self):
+        if isinstance(self.entity_types, str):
+            raise SchemaError("entity types must be a list, not a string")
         object.__setattr__(self, "entity_types", tuple(self.entity_types))
         if len(set(self.entity_types)) != len(self.entity_types):
             raise SchemaError("entity types must be unique")

@@ -42,7 +42,7 @@ import tempfile
 from dataclasses import dataclass, field, fields, replace
 
 from . import noise, tagger
-from .corpus import Dataset, TagSet, read_conll, read_config, subsample_tokens
+from .corpus import Dataset, TagSet, read_conll, subsample_tokens
 from .errors import WsnerError
 from .evaluation import mean_and_se, metrics_columns, metrics_row, span_prf
 from .gazetteer import distant_twin
@@ -60,7 +60,7 @@ _INPUTS = ("train", "test", "embeddings", "distant", "distant_test")
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep. The fields are the keys of the flat JSON config, besides
-    ``tagger`` and ``options``, which ``noise.split_config`` fills from the
+    ``tagger`` and ``options``, which ``noise.load_settings`` fills from the
     tagger and method keys (a ``seed`` key is overridden by the per-repeat
     seed ``base_seed + repeat``). A budget is a token count, or ``None`` or
     ``"unlimited"`` for the full train split.
@@ -86,6 +86,9 @@ class ExperimentConfig:
     options: noise.MethodOptions = field(default_factory=noise.MethodOptions)
 
     def __post_init__(self):
+        for name in ("clean_budgets", "methods", "entity_types"):
+            if isinstance(getattr(self, name), str):  # tuple() would split it into letters
+                raise ValueError(f"{name} must be a list, not a string")
         if any(isinstance(b, (bool, float)) for b in self.clean_budgets):
             raise ValueError("budgets must be integers")
         budgets = tuple(None if b in (None, UNLIMITED) else int(b) for b in self.clean_budgets)
@@ -114,30 +117,21 @@ class ExperimentConfig:
 _KEYS = {f.name for f in fields(ExperimentConfig)} - {"tagger", "options"}
 
 
-def config_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
-    """Build a config from a flat JSON document; relative paths resolve
-    against the document's directory."""
-
-    def resolve(p):
-        return p if p is None or os.path.isabs(p) else os.path.join(base_dir, p)
-
-    doc = {key: resolve(value) if key in _INPUTS or key == "out_dir" else value
-           for key, value in doc.items()}
-    tagger_config, options, rest = noise.split_config(doc)
-    unknown = rest.keys() - _KEYS
-    if unknown:
-        raise WsnerError(f"unknown config keys: {sorted(unknown)}")
-    return ExperimentConfig(**rest, tagger=tagger_config, options=options)
-
-
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    doc = read_config(path)
-    if overrides:
-        doc.update(overrides)
-    try:
-        return config_from_dict(doc, os.path.dirname(os.path.abspath(path)))
-    except (WsnerError, TypeError, ValueError) as exc:
-        raise WsnerError(f"{path}: {exc}") from None
+    """The sweep of the flat JSON config file *path* updated with
+    *overrides*, read by ``noise.load_settings``; relative paths resolve
+    against the file's directory."""
+    base_dir = os.path.dirname(os.path.abspath(path))
+
+    def build(tagger_config, options, doc):
+        for key in _INPUTS + ("out_dir",):
+            if doc.get(key) is not None:
+                if not isinstance(doc[key], str):
+                    raise ValueError(f"{key} must be a path string")
+                doc[key] = os.path.join(base_dir, doc[key])
+        return ExperimentConfig(**doc, tagger=tagger_config, options=options)
+
+    return noise.load_settings(path, overrides, _KEYS, build)
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +351,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[str, str]:
 def write_aggregate(runs_path, agg_path, tag_set: TagSet) -> None:
     """Mean and standard error per (setting, method) over the ok rows."""
     groups: dict[tuple[str, str], list[dict]] = {}
-    order: list[tuple[str, str]] = []
     with open(runs_path, encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
-            if row["status"] != "ok":
-                continue
-            key = (row["setting"], row["method"])
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
+            if row["status"] == "ok":
+                groups.setdefault((row["setting"], row["method"]), []).append(row)
     value_cols = metrics_columns(tag_set)
     out_cols = ["setting", "method", "n"]
     for col in value_cols:
@@ -374,8 +362,7 @@ def write_aggregate(runs_path, agg_path, tag_set: TagSet) -> None:
     with open(agg_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=out_cols, lineterminator="\n")
         writer.writeheader()
-        for key in order:
-            rows = groups[key]
+        for key, rows in groups.items():
             out = {"setting": key[0], "method": key[1], "n": str(len(rows))}
             for col in value_cols:
                 mean, se = mean_and_se([float(r[col]) for r in rows])

@@ -4,8 +4,9 @@
 sweep. It runs one of ``METHODS`` with the settings in a ``MethodOptions``
 and returns a ``FitResult``: the tagger and the method's channel, if it
 has one. Embeddings are frozen, so the caller's table never changes and is
-the one to tag with. ``split_config`` builds the ``TaggerConfig`` and
-``MethodOptions`` of a flat config document.
+the one to tag with. ``load_settings`` reads the ``TaggerConfig`` and
+``MethodOptions`` of a flat JSON config file, for ``wsner train`` and the
+sweep alike.
 
 * baseline-clean and naive-mix — plain training on the clean sentences,
   or on clean and distant ones with distant labels taken as gold.
@@ -30,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from . import tagger
-from .corpus import Dataset, check_aligned, merge, open_utf8
-from .errors import EstimationError, NumericsError, ParseError
+from .corpus import Dataset, check_aligned, merge, open_utf8, read_config
+from .errors import EstimationError, NumericsError, ParseError, WsnerError
 from .tagger import (
     EmbeddingTable,
     TaggerConfig,
@@ -69,10 +70,10 @@ class MethodOptions:
         require_integers(self, ("em_iterations", "cleaner_epochs", "cleaner_hidden"), 1)
         if self.noise_channel_data not in ("mix", "distant-only"):
             raise ValueError("noise_channel_data must be 'mix' or 'distant-only'")
-        if not self.cleaner_learning_rate > 0:
-            raise ValueError("cleaner_learning_rate must be > 0")
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be >= 0")
+        if not 0 < self.cleaner_learning_rate < math.inf:  # also refuses NaN
+            raise ValueError("cleaner_learning_rate must be > 0 and finite")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be >= 0 and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +360,26 @@ TAGGER_KEYS = tuple(f.name for f in fields(TaggerConfig))
 OPTION_KEYS = tuple(f.name for f in fields(MethodOptions))
 
 
-def split_config(doc: dict) -> tuple[TaggerConfig, MethodOptions, dict]:
-    """The ``TaggerConfig`` and ``MethodOptions`` set by the keys of a flat
-    config document, and the keys that belong to neither."""
-    rest = {k: v for k, v in doc.items() if k not in TAGGER_KEYS + OPTION_KEYS}
-    return (TaggerConfig(**{k: doc[k] for k in TAGGER_KEYS if k in doc}),
-            MethodOptions(**{k: doc[k] for k in OPTION_KEYS if k in doc}), rest)
+def load_settings(path, overrides: dict | None = None, keys=(), build=None):
+    """The settings of the flat JSON config file *path* (none without a
+    path) updated with *overrides*: the ``TaggerConfig`` and
+    ``MethodOptions`` of its tagger and method keys, or what
+    ``build(config, options, rest)`` makes of them and of *rest*, the
+    values of the other *keys* it holds. Any other key, and every value
+    refused with a ``TypeError`` or ``ValueError``, is a ``WsnerError``
+    that starts with ``PATH: ``."""
+    doc = {**(read_config(path) if path else {}), **(overrides or {})}
+    try:
+        unknown = doc.keys() - {*TAGGER_KEYS, *OPTION_KEYS, *keys}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        config = TaggerConfig(**{k: doc[k] for k in TAGGER_KEYS if k in doc})
+        options = MethodOptions(**{k: doc[k] for k in OPTION_KEYS if k in doc})
+        if build is None:
+            return config, options
+        return build(config, options, {k: doc[k] for k in keys if k in doc})
+    except (TypeError, ValueError) as exc:
+        raise WsnerError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -297,8 +297,8 @@ class TaggerConfig:
     def __post_init__(self):
         require_integers(self, ("hidden_size", "feature_size", "epochs"), 1)
         require_integers(self, ("seed",))
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # also refuses NaN
+            raise ValueError("learning_rate must be positive and finite")
 
 
 @dataclass

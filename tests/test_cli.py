@@ -11,9 +11,10 @@ annotator flags, which are refused without ``--gazetteer``;
 ``--confusion-out`` is refused for a method without a channel and, before
 training, without distant sentences; importing the CLI leaves the HTTP
 client unloaded; every subcommand exits 1 on bad input, naming the file
-and line (bad ``train`` configs, misaligned ``quality`` and ``evaluate``
-inputs and ``--confusion-out`` without distant sentences have tests of
-their own), and 2 on bad usage, naming the option."""
+and line (bad ``train`` configs, which ``wsner experiment`` refuses with
+the same line, misaligned ``quality`` and ``evaluate`` inputs and
+``--confusion-out`` without distant sentences have tests of their own),
+and 2 on bad usage, naming the option."""
 
 import dataclasses
 import io
@@ -120,19 +121,40 @@ def test_second_train_run_reads_the_embeddings_cache_and_saves_the_same_model(
     *(({key: 4.5}, f"{key} must be an integer")
       for key in ("hidden_size", "feature_size", "epochs", "seed", "em_iterations",
                   "cleaner_hidden", "cleaner_epochs")),
+    *(({key: value}, message)
+      for key, message in (("learning_rate", "learning_rate must be positive and finite"),
+                           ("cleaner_learning_rate",
+                            "cleaner_learning_rate must be > 0 and finite"),
+                           ("alpha", "alpha must be >= 0 and finite"))
+      for value in (float("nan"), float("inf"))),
 ], ids=["unknown-key", "bad-value", "no-em-iterations", "no-cleaner-epochs", "cell-key",
         "fine-tune-key", "fractional-hidden-size", "fractional-feature-size",
         "fractional-epochs", "fractional-seed", "fractional-em-iterations",
-        "fractional-cleaner-hidden", "fractional-cleaner-epochs"])
+        "fractional-cleaner-hidden", "fractional-cleaner-epochs", "nan-learning-rate",
+        "infinite-learning-rate", "nan-cleaner-learning-rate",
+        "infinite-cleaner-learning-rate", "nan-alpha", "infinite-alpha"])
 def test_train_rejects_bad_config_naming_the_file(corpus, tmp_path, capsys, doc, message):
+    # JSON's NaN and Infinity included; the sweep refuses the same settings
+    # with the same line
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(doc), encoding="utf-8")
     code = cli.main(["train", "--clean", corpus["train"], "--embeddings", corpus["embeddings"],
                      "--config", str(config_path), "--model-out", str(tmp_path / "m.npz")])
     err = capsys.readouterr().err
     assert code == 1
-    assert str(config_path) in err and message in err
+    assert err.startswith(f"error: {config_path}: ") and message in err
     assert not (tmp_path / "m.npz").exists()
+
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps({"train": corpus["train"], "test": corpus["test"],
+                                      "embeddings": corpus["embeddings"], **doc}),
+                          encoding="utf-8")
+    code = cli.main(["experiment", "--config", str(sweep_path),
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.replace(str(sweep_path), "FILE") == err.replace(
+        str(config_path), "FILE")
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_model_reads_gold_with_the_checkpoint_labels(corpus, tmp_path, capsys):
@@ -374,6 +396,10 @@ BAD_INPUT = {
     "train-config-a-string": (
         "train", {"clean.conll": "Kano\tB-LOC\n", "e.txt": "1 1\nKano 0.5\n", "c.json": '"x"'},
         ["--config", "c.json", "--seed", "3"], "c.json: config is not a JSON object"),
+    "train-config-before-embeddings": (
+        "train", {"clean.conll": "Kano\tB-LOC\n", "e.txt": "2 1\nKano 0.5\n",
+                  "c.json": '{"alpha": -1}'},
+        ["--config", "c.json"], "c.json: alpha must be >= 0"),
     "synth-out-dir-is-a-file": (
         "synth", {"taken": "a file\n"}, ["--out-dir", "taken"], "taken"),
 }

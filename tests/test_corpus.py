@@ -46,6 +46,8 @@ def test_tag_set_rejects_duplicates_and_outside_clash():
         TagSet(("PER", "PER"))
     with pytest.raises(SchemaError):
         TagSet(("PER", "O"))
+    with pytest.raises(SchemaError, match="entity types must be a list, not a string"):
+        TagSet("PER")  # not the labels P, E and R
     with pytest.raises(SchemaError):
         TagSet().index("XYZ")
 
