@@ -2,7 +2,8 @@
 forward pass, a gradient workspace, token accuracy, frozen references of
 the token reader, the tag decoders, the parameter draw and the digit rule,
 synthetic tasks with a known noise process to train the noise methods on,
-and a paper-shape gradient digest with the BLAS thread count it ran at."""
+a paper-shape gradient digest with the BLAS thread count it ran at, and
+the environment the tests' byte pins were taken in."""
 
 from __future__ import annotations
 
@@ -73,6 +74,21 @@ def blas_report(cell) -> dict:
     """A sweep worker's row function that reports, for any *cell*, its
     process's BLAS thread count and ``paper_shape_grads_digest``."""
     return {"threads": blas_thread_count(), "digest": paper_shape_grads_digest()}
+
+
+# The (python, numpy, BLAS) that the tests' byte pins were taken with;
+# another environment may round differently, so there a pin is skipped,
+# neither passed nor failed.
+PINNED_ENVIRONMENT = ("3.11", "2.4.6", "scipy-openblas")
+
+
+def environment() -> tuple[str, str, str]:
+    """This process's python minor version, numpy version and BLAS name."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # numpy before 1.25
+        blas = "unknown"
+    return f"{sys.version_info[0]}.{sys.version_info[1]}", np.__version__, blas
 
 
 def run_python(code: str, threads: str | None, *args: str) -> str:

@@ -38,26 +38,15 @@ from wsner.gazetteer import annotate_distant, build_gazetteer, read_entity_tsv
 from wsner.make_synth import write_synth_corpus
 
 from conftest import write_tiny_sweep
-from support import run_python
+from support import PINNED_ENVIRONMENT, environment, run_python
 
 
-# sha256 of the tiny sweep's runs.csv and aggregate.csv, and the (python,
-# numpy, BLAS) they were taken with; another environment may round
-# differently, so there the pin is skipped, neither passed nor failed.
-# Every trained cell of the tiny sweep scores 0.0 (its tagger tags every
-# token O), so these bytes pin scoring, the distant-only rows and the CSV
-# format, not training.
+# sha256 of the tiny sweep's runs.csv and aggregate.csv, taken in
+# support.PINNED_ENVIRONMENT. Every trained cell of the tiny sweep scores
+# 0.0 (its tagger tags every token O), so these bytes pin scoring, the
+# distant-only rows and the CSV format; test_noise.py pins training.
 TINY_SWEEP_SHA256 = ("a12931cd453f4c443a6df139a8f95500a975e00a880a649eb2a865557f05e52d",
                      "baad7599983622c405fd35cca54df21e924eb507b609a8caa6e806b32a4ec8a3")
-TINY_SWEEP_ENVIRONMENT = ("3.11", "2.4.6", "scipy-openblas")
-
-
-def _environment() -> tuple[str, str, str]:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except TypeError:  # numpy before 1.25
-        blas = "unknown"
-    return f"{sys.version_info[0]}.{sys.version_info[1]}", np.__version__, blas
 
 
 def test_two_runs_write_identical_csvs(tmp_path, parse_calls):
@@ -75,9 +64,9 @@ def test_two_runs_write_identical_csvs(tmp_path, parse_calls):
             outputs.append((runs.read(), agg.read()))
         assert parse_calls == [paths["embeddings"]]
     assert outputs[0] == outputs[1]
-    if _environment() != TINY_SWEEP_ENVIRONMENT:
-        pytest.skip(f"bytes pinned under python, numpy, BLAS {TINY_SWEEP_ENVIRONMENT}, "
-                    f"not {_environment()}")
+    if environment() != PINNED_ENVIRONMENT:
+        pytest.skip(f"bytes pinned under python, numpy, BLAS {PINNED_ENVIRONMENT}, "
+                    f"not {environment()}")
     assert tuple(hashlib.sha256(data).hexdigest() for data in outputs[0]) == TINY_SWEEP_SHA256
 
 

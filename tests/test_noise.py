@@ -1,10 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from wsner.corpus import Dataset, EntitySpan, LabeledSentence, TagSet, check_aligned, merge
+from wsner import experiment
+from wsner.corpus import (Dataset, EntitySpan, LabeledSentence, TagSet, check_aligned, merge,
+                          read_conll)
 from wsner.errors import AlignmentError, EstimationError, ParseError, SchemaError
+from wsner.gazetteer import distant_twin
 from wsner.noise import (
     EM_CHANNEL_ANCHOR,
+    METHODS,
     ConfusionMatrix,
     MethodOptions,
     _em_step,
@@ -18,11 +24,14 @@ from wsner.noise import (
     train_cleaning_method,
     train_confusion_method,
 )
-from wsner.tagger import TaggerConfig, init_params, make_items, predict, train
+from wsner.tagger import EmbeddingTable, TaggerConfig, init_params, make_items, predict, train
 
+from conftest import write_tiny_sweep
 from gradcheck import finite_difference, max_relative_error
 from support import (
+    PINNED_ENVIRONMENT,
     RECOVERY_CHANNEL,
+    environment,
     make_feature_noise_task,
     make_noise_benchmark,
     nan_workspace,
@@ -32,6 +41,43 @@ from support import (
 LABELS = ("O", "PER", "ORG", "LOC", "DATE")
 O, PER, ORG, LOC = 0, 1, 2, 3
 NONE = np.zeros(0, dtype=np.int64)
+
+
+# sha256 of every parameter array and the channel (when there is one) that
+# fit returns for each method on the tiny sweep's corpus and settings, taken
+# in support.PINNED_ENVIRONMENT. The tiny sweep's CSVs cannot see training,
+# since its trained cells all score 0; these bytes are training's own.
+FIT_SHA256 = {
+    "baseline-clean": "ebcc3a8a082de7f8f77b45583bf96c436ace3aa1df582de508d9cae505b01162",
+    "naive-mix": "f4a6537890ebde3c45eeb9539478f4f625658b44177130d72b293ef1994997a3",
+    "confusion": "6a656b30b540966d315f3d320c8436d338d68b9f529499dd284adf33eee7a35a",
+    "noise-channel": "9ac131b876c9d02ecfe46c52c0e8abfe778cd4f8a5e5e979c01f0d017afa44ec",
+    "cleaning": "b93908bb0b34408e6c3cdbf0fe27a82c8134e3d180a82e1007b58a023cf78c4c",
+}
+
+
+def test_fit_returns_the_pinned_bytes_for_every_method(tmp_path):
+    paths = write_tiny_sweep(tmp_path)
+    sweep = experiment.load_config(paths["config"])
+    tag_set = TagSet(sweep.entity_types)
+    clean = read_conll(paths["train"], tag_set=tag_set)
+    distant = read_conll(paths["distant"], tag_set=tag_set, provenance="distant")
+    table = EmbeddingTable.load(paths["embeddings"])
+    digests = {}
+    for method in METHODS:
+        result = fit(method, clean, distant, sweep.tagger, table, sweep.options,
+                     lambda: distant_twin(clean, distant))
+        params, channel = result.params, result.channel
+        digest = hashlib.sha256()
+        for _, arr in params.arrays():
+            digest.update(arr.tobytes())
+        if channel is not None:
+            digest.update(channel.matrix.tobytes())
+        digests[method] = digest.hexdigest()
+    if environment() != PINNED_ENVIRONMENT:
+        pytest.skip(f"bytes pinned under python, numpy, BLAS {PINNED_ENVIRONMENT}, "
+                    f"not {environment()}")
+    assert digests == FIT_SHA256
 
 
 # ---------------------------------------------------------------------------
