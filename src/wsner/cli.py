@@ -1,6 +1,11 @@
 """Command-line surface: ingest → annotate → train → evaluate, plus the
 experiment sweep.
 
+``wsner annotate`` is the one place that makes distant labels. ``wsner
+train`` and the sweep read them from its files: confusion and cleaning pair
+each clean sentence with its first token-identical sentence in the distant
+file, so the clean sentences must be annotated into that file too.
+
 Exit codes: 0 success, 1 data error (message names the file and line when
 known), 2 usage error (argparse).
 """
@@ -15,8 +20,7 @@ from . import evaluation, experiment, noise, tagger
 from .corpus import Dataset, TagSet, check_aligned, read_conll, read_tokens, write_conll
 from .date_rules import DateRuleSet, default_date_rules
 from .errors import AlignmentError, WsnerError
-from .gazetteer import (Gazetteer, annotate_distant, build_gazetteer, distant_twin,
-                        read_entity_tsv)
+from .gazetteer import Gazetteer, annotate_distant, build_gazetteer, read_entity_tsv
 
 ENDPOINT_ENV = "WSNER_ENDPOINT"
 EMBEDDINGS_CACHE = (
@@ -121,10 +125,6 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    stray = [action.option_strings[0] for action in args.annotator_options
-             if not args.gazetteer and getattr(args, action.dest) != action.default]
-    if stray:
-        args.usage_error(f"{', '.join(stray)} only act with --gazetteer")
     if args.confusion_out and args.method not in ("confusion", "noise-channel"):
         args.usage_error(f"--confusion-out: {args.method} learns no channel; "
                          "use it with --method confusion or noise-channel")
@@ -145,17 +145,14 @@ def cmd_train(args) -> int:
         raise WsnerError(f"{source}; {args.method} learns the channel for --confusion-out "
                          "from distant sentences")
     table = tagger.EmbeddingTable.load(args.embeddings)
-
-    def pair_source() -> Dataset:
-        if args.gazetteer:
-            return annotate_distant(clean, *_annotator(args, tag_set))
-        return distant_twin(clean, distant)
-
-    result = noise.fit(args.method, clean, distant, config, table, options, pair_source)
-    tagger.save_checkpoint(args.model_out, result.params, tag_set)
+    try:
+        params, channel = noise.fit(args.method, clean, distant, config, table, options)
+    except AlignmentError as exc:  # a clean sentence without a twin in --distant
+        raise AlignmentError(f"{args.clean} vs {args.distant}: {exc}") from None
+    tagger.save_checkpoint(args.model_out, params, tag_set)
     print(f"saved model to {args.model_out}")
     if args.confusion_out:
-        noise.save_confusion(result.channel, args.confusion_out)
+        noise.save_confusion(channel, args.confusion_out)
         print(f"saved confusion matrix to {args.confusion_out}")
     return 0
 
@@ -250,25 +247,21 @@ def cmd_synth(args) -> int:
 # parser
 
 
-def _add_annotator_args(parser: argparse.ArgumentParser,
-                        description: str) -> list[argparse.Action]:
-    """The distant annotator's flags, read by ``_annotator``; returns the
-    actions of the flags besides ``--gazetteer``, which act only with it."""
-    group = parser.add_argument_group("distant annotator", description)
+def _add_annotator_args(parser: argparse.ArgumentParser) -> None:
+    """The distant annotator's flags, read by ``_annotator``."""
+    group = parser.add_argument_group("distant annotator", "How the corpus is annotated.")
     group.add_argument("--gazetteer", action="append", default=[],
                        help="entity-list TSV 'surface<TAB>type<TAB>source'; repeatable")
-    return [
-        group.add_argument("--keywords", default=None,
-                           help="date keyword file, or 'default' for the bundled list"),
-        group.add_argument("--min-len", action="append", dest="min_len", type=_min_len_item,
-                           help="SOURCE=N minimum character length per source"),
-        group.add_argument("--default-min-len", type=_min_len, default=1,
-                           help="minimum character length of a source without --min-len"),
-        group.add_argument("--lowercase", action="store_true",
-                           help="match entity lists case-insensitively"),
-        group.add_argument("--strip-diacritics", action="store_true",
-                           help="match entity lists with combining marks removed"),
-    ]
+    group.add_argument("--keywords", default=None,
+                       help="date keyword file, or 'default' for the bundled list")
+    group.add_argument("--min-len", action="append", dest="min_len", type=_min_len_item,
+                       help="SOURCE=N minimum character length per source")
+    group.add_argument("--default-min-len", type=_min_len, default=1,
+                       help="minimum character length of a source without --min-len")
+    group.add_argument("--lowercase", action="store_true",
+                       help="match entity lists case-insensitively")
+    group.add_argument("--strip-diacritics", action="store_true",
+                       help="match entity lists with combining marks removed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,34 +288,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("annotate", help="distant annotation via entity lists and date rules")
     p.add_argument("--corpus", required=True,
                    help="pre-tokenized file, one token per line")
-    _add_annotator_args(p, "How the corpus is annotated.")
+    _add_annotator_args(p)
     p.add_argument("--entity-types", default=None, help="comma-separated")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("train", help="train a tagger, optionally with noise handling")
     p.add_argument("--clean", required=True)
-    p.add_argument("--distant", default=None)
+    p.add_argument("--distant", default=None,
+                   help="distant training data written by 'wsner annotate'; confusion and "
+                        "cleaning pair each clean sentence with its first token-identical "
+                        "sentence in this file")
     p.add_argument("--method", default="baseline-clean", choices=noise.METHODS)
     p.add_argument("--config", default=None,
                    help="flat JSON config with any of the keys "
                         + ", ".join(noise.TAGGER_KEYS + noise.OPTION_KEYS))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--embeddings", required=True, help=EMBEDDINGS_HELP)
-    annotator_options = _add_annotator_args(
-        p, "With --gazetteer, confusion and cleaning pair each clean sentence with this "
-           "annotator's labels, not its twin in --distant; pass the flags --distant was "
-           "annotated with. The other flags act only with --gazetteer.")
     p.add_argument("--entity-types", default=None)
     p.add_argument("--model-out", required=True)
     p.add_argument("--confusion-out", default=None,
                    help="write the learned channel; confusion and noise-channel only")
-    p.set_defaults(func=cmd_train, usage_error=p.error, annotator_options=annotator_options)
+    p.set_defaults(func=cmd_train, usage_error=p.error)
 
     p = sub.add_parser("evaluate", help="span P/R/F1 of predictions against gold")
     p.add_argument("--gold", required=True)
-    p.add_argument("--pred", default=None)
-    p.add_argument("--model", default=None)
+    scored = p.add_mutually_exclusive_group()
+    scored.add_argument("--pred", default=None)
+    scored.add_argument("--model", default=None)
     p.add_argument("--embeddings", default=None, help=EMBEDDINGS_HELP)
     p.add_argument("--entity-types", default=None,
                    help="comma-separated; with --model the checkpoint's labels are used")

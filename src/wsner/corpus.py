@@ -85,11 +85,10 @@ def _check_token(surface: str) -> None:
 
 @dataclass(frozen=True)
 class TagSet:
-    """Entity labels plus the outside label; the model's label space is
-    ``(outside,) + entity_types`` (IO encoding, outside first)."""
+    """Entity labels; the model's label space is ``("O",) + entity_types``
+    (IO encoding, the outside label ``O`` first)."""
 
     entity_types: tuple[str, ...] = ("PER", "ORG", "LOC", "DATE")
-    outside: str = "O"
 
     def __post_init__(self):
         if isinstance(self.entity_types, str):
@@ -97,15 +96,15 @@ class TagSet:
         object.__setattr__(self, "entity_types", tuple(self.entity_types))
         if len(set(self.entity_types)) != len(self.entity_types):
             raise SchemaError("entity types must be unique")
-        if self.outside in self.entity_types:
+        if "O" in self.entity_types:
             raise SchemaError("outside label cannot also be an entity type")
-        for t in self.entity_types + (self.outside,):
-            if not t:
-                raise SchemaError("labels must be non-empty")
+        for t in self.entity_types:
+            if not t or has_whitespace(t):
+                raise SchemaError(f"label is empty or contains whitespace: {t!r}")
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return (self.outside,) + self.entity_types
+        return ("O",) + self.entity_types
 
     @property
     def size(self) -> int:
@@ -118,10 +117,9 @@ class TagSet:
 
     @functools.cached_property
     def _bio_codes(self) -> dict[str, int]:
-        """BIO tag → label index; the outside label wins over a tag it equals."""
-        codes = {f"{p}-{t}": k for k, t in enumerate(self.entity_types, 1) for p in "BI"}
-        codes[self.outside] = 0
-        return codes
+        """BIO tag → label index."""
+        return {"O": 0, **{f"{p}-{t}": k for k, t in enumerate(self.entity_types, 1)
+                           for p in "BI"}}
 
     def index(self, label: str) -> int:
         try:
@@ -254,9 +252,9 @@ def merge(a: Dataset, b: Dataset) -> Dataset:
     return Dataset(a.sentences + b.sentences, a.tag_set)
 
 
-def spans_to_bio(sentence: LabeledSentence, outside: str = "O") -> list[str]:
+def spans_to_bio(sentence: LabeledSentence) -> list[str]:
     """Tag sequence with ``B-``/``I-`` prefixes; length equals token count."""
-    tags = [outside] * len(sentence.tokens)
+    tags = ["O"] * len(sentence.tokens)
     for span in sentence.spans:
         tags[span.start] = f"B-{span.label}"
         for i in range(span.start + 1, span.end):
@@ -281,7 +279,6 @@ def bio_to_spans(tags: list[str], tag_set: TagSet | None = None) -> list[EntityS
         if len(tag) < 3 or tag[1] != "-" or tag[0] not in "BI":
             raise SchemaError(f"{where}: unknown tag {tag!r}") from None
         raise SchemaError(f"{where}: unknown entity type {tag[2:]!r}") from None
-    # an outside label that starts with B breaks only a run of itself
     opens = {i for i, tag in enumerate(tags) if tag[0] == "B"}
     return list(tag_set.decode(indices, opens))
 
@@ -353,11 +350,10 @@ def read_conll(
 
 def write_conll(dataset: Dataset, path) -> None:
     """Write a dataset in BIO encoding (the lossless serialization)."""
-    outside = dataset.tag_set.outside
     with open(path, "w", encoding="utf-8") as fh:
         for sent in dataset.sentences:
             fh.write("".join([f"{token}\t{tag}\n" for token, tag
-                              in zip(sent.tokens, spans_to_bio(sent, outside))]) + "\n")
+                              in zip(sent.tokens, spans_to_bio(sent))]) + "\n")
 
 
 def read_tokens(path) -> Dataset:

@@ -45,7 +45,6 @@ from . import noise, tagger
 from .corpus import Dataset, TagSet, read_conll, subsample_tokens
 from .errors import WsnerError
 from .evaluation import mean_and_se, metrics_columns, metrics_row, span_prf
-from .gazetteer import distant_twin
 from .tagger import EmbeddingTable, TaggerConfig, require_integers
 
 METHODS = noise.METHODS + ("distant-only",)
@@ -176,10 +175,9 @@ def run_cell(ctx: _Context, budget, method: str, repeat: int):
     seed = config.base_seed + repeat
     effective = budget if budget is not None else ctx.train.num_tokens
     clean_sub = subsample_tokens(ctx.train, effective, seed)
-    result = noise.fit(
-        method, clean_sub, ctx.distant, replace(config.tagger, seed=seed), ctx.table,
-        config.options, lambda: distant_twin(clean_sub, ctx.distant))
-    return span_prf(ctx.test, tagger.predict(ctx.test, result.params, ctx.table))
+    params, _ = noise.fit(method, clean_sub, ctx.distant, replace(config.tagger, seed=seed),
+                          ctx.table, config.options)
+    return span_prf(ctx.test, tagger.predict(ctx.test, params, ctx.table))
 
 
 # ---------------------------------------------------------------------------

@@ -210,8 +210,7 @@ def distant_twin(clean: Dataset, distant: Dataset) -> Dataset:
             raise AlignmentError(
                 "cannot pair clean sentences with distant annotations: a clean "
                 "sentence has no token-identical sentence in the distant data; "
-                "annotate the clean sentences into the distant file with wsner "
-                "annotate, or let wsner train --gazetteer re-annotate them"
+                "annotate the clean sentences into the distant file with wsner annotate"
             )
         sentences.append(match)
     return Dataset(tuple(sentences), clean.tag_set)

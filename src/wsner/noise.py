@@ -2,11 +2,12 @@
 
 ``fit`` is the one training pipeline, shared by ``wsner train`` and the
 sweep. It runs one of ``METHODS`` with the settings in a ``MethodOptions``
-and returns a ``FitResult``: the tagger and the method's channel, if it
-has one. Embeddings are frozen, so the caller's table never changes and is
-the one to tag with. ``load_settings`` reads the ``TaggerConfig`` and
-``MethodOptions`` of a flat JSON config file, for ``wsner train`` and the
-sweep alike.
+and returns the tagger and the method's channel, if it has one.
+Confusion and cleaning pair each clean sentence with its twin in the
+distant data themselves. Embeddings are frozen, so the caller's table
+never changes and is the one to tag with. ``load_settings`` reads the
+``TaggerConfig`` and ``MethodOptions`` of a flat JSON config file, for
+``wsner train`` and the sweep alike.
 
 * baseline-clean and naive-mix — plain training on the clean sentences,
   or on clean and distant ones with distant labels taken as gold.
@@ -26,13 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
 from . import tagger
 from .corpus import Dataset, check_aligned, merge, open_utf8, read_config
 from .errors import EstimationError, NumericsError, ParseError, WsnerError
+from .gazetteer import distant_twin
 from .tagger import (
     EmbeddingTable,
     TaggerConfig,
@@ -190,7 +191,7 @@ def train_confusion_method(
     on distant ones.
 
     The channel initializes from counting (gold, distant) tag pairs over
-    ``pair_source`` (the clean sentences re-annotated distantly) with
+    ``pair_source``, the distant annotation of the clean sentences, with
     add-``options.alpha`` smoothing.
     """
     labels = clean.tag_set.labels
@@ -382,24 +383,16 @@ def load_settings(path, overrides: dict | None = None, keys=(), build=None):
         raise WsnerError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """What ``fit`` trained: the tagger, and the method's channel when it
-    has one."""
-
-    params: TaggerParams
-    channel: ConfusionMatrix | None = None
-
-
 def fit(method: str, clean: Dataset, distant: Dataset, config: TaggerConfig,
-        table: EmbeddingTable, options: MethodOptions,
-        pair_source: Callable[[], Dataset]) -> FitResult:
-    """Train a tagger with one of ``METHODS``.
+        table: EmbeddingTable,
+        options: MethodOptions) -> tuple[TaggerParams, ConfusionMatrix | None]:
+    """The tagger that one of ``METHODS`` trains, and its channel when it has
+    one.
 
-    ``pair_source()`` returns the distant annotation of the clean sentences,
-    for clean/distant label pairs; only confusion and cleaning call it.
+    Confusion and cleaning pair each clean sentence with its distant twin,
+    its first token-identical sentence in *distant* (``distant_twin``).
     With no distant sentences every method is plain training on the clean
-    ones.
+    ones, and nothing is paired.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -409,12 +402,12 @@ def fit(method: str, clean: Dataset, distant: Dataset, config: TaggerConfig,
     elif method == "naive-mix":
         params = tagger.train(merge(clean, distant), config, table)
     elif method == "confusion":
-        params, channel = train_confusion_method(clean, distant, pair_source(), config,
-                                                 table, options)
+        params, channel = train_confusion_method(clean, distant, distant_twin(clean, distant),
+                                                 config, table, options)
     elif method == "noise-channel":
         data = merge(clean, distant) if options.noise_channel_data == "mix" else distant
         params, channel = em_noise_channel(data, config, table, options.em_iterations)
     else:
-        params, _ = train_cleaning_method(clean, distant, pair_source(), config,
-                                          table, options)
-    return FitResult(params, channel)
+        params, _ = train_cleaning_method(clean, distant, distant_twin(clean, distant),
+                                          config, table, options)
+    return params, channel

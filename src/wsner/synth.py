@@ -29,7 +29,7 @@ def _make_vocabulary(rng, tag_set: TagSet, entity_words: int, outside_words: int
     vectors = []
     labels = tag_set.labels
     counts = {lab: entity_words for lab in tag_set.entity_types}
-    counts[tag_set.outside] = outside_words
+    counts["O"] = outside_words
     for lab in labels:
         centroid = rng.normal(0.0, centroid_scale, size=dim)
         centroid[0] = 0.0
@@ -38,7 +38,7 @@ def _make_vocabulary(rng, tag_set: TagSet, entity_words: int, outside_words: int
             word = f"{lab.lower()}{i}"
             vec = centroid + rng.normal(0.0, jitter, size=dim)
             vec[0] = 0.0
-            if (lab != tag_set.outside and marker_words > 0.0
+            if (lab != "O" and marker_words > 0.0
                     and i < int(counts[lab] * marker_words)):
                 vec[0] = 2.0
                 marked.add(word)

@@ -876,11 +876,9 @@ def predict(dataset: Dataset, params: TaggerParams, table: EmbeddingTable) -> Da
 
 def save_checkpoint(path, params: TaggerParams, tag_set: TagSet) -> None:
     """Self-describing dump: named float64 arrays plus a JSON metadata
-    entry (label order)."""
-    meta = json.dumps({
-        "entity_types": list(tag_set.entity_types),
-        "outside": tag_set.outside,
-    })
+    entry (label order; the outside label is always ``O``, and is written
+    for readers that require the key)."""
+    meta = json.dumps({"entity_types": list(tag_set.entity_types), "outside": "O"})
     arrays = {name: arr for name, arr in params.arrays()}
     np.savez(path, __meta__=np.array(meta), **arrays)
 
@@ -905,7 +903,9 @@ def load_checkpoint(path) -> tuple[TaggerParams, TagSet]:
                         and all(isinstance(t, str) for t in [outside, *types])):
                     raise ParseError(f"{path}: checkpoint metadata needs a list of "
                                      "entity_types strings and an outside string")
-                tag_set = TagSet(tuple(types), outside)
+                if outside != "O":
+                    raise ParseError(f"{path}: outside label {outside!r}; wsner reads only 'O'")
+                tag_set = TagSet(tuple(types))
                 arrays = [np.array(data[f.name], dtype=float)
                           for f in dataclasses.fields(TaggerParams)]
     except (ValueError, EOFError, zipfile.BadZipFile):

@@ -2,8 +2,9 @@
 forward pass, a gradient workspace, token accuracy, frozen references of
 the token reader, the tag decoders, the parameter draw and the digit rule,
 synthetic tasks with a known noise process to train the noise methods on,
-a paper-shape gradient digest with the BLAS thread count it ran at, and
-the environment the tests' byte pins were taken in."""
+a paper-shape gradient digest with the BLAS thread count it ran at, sweep
+row functions that add a digest of what each cell trained, and the
+environment the tests' byte pins were taken in."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from wsner import experiment, noise
 from wsner.corpus import (Dataset, EntitySpan, LabeledSentence, TagSet, check_aligned,
                           has_whitespace, open_utf8)
 from wsner.errors import ParseError, SchemaError
@@ -76,6 +78,8 @@ def blas_report(cell) -> dict:
     return {"threads": blas_thread_count(), "digest": paper_shape_grads_digest()}
 
 
+_CELL_ROW = experiment._cell_row
+
 # The (python, numpy, BLAS) that the tests' byte pins were taken with;
 # another environment may round differently, so there a pin is skipped,
 # neither passed nor failed.
@@ -89,6 +93,31 @@ def environment() -> tuple[str, str, str]:
     except TypeError:  # numpy before 1.25
         blas = "unknown"
     return f"{sys.version_info[0]}.{sys.version_info[1]}", np.__version__, blas
+
+
+def cell_row_with_fit_digest(ctx, *cell) -> dict:
+    """The sweep's runs.csv row of *cell*, its status followed by the sha256
+    of the parameters that ``noise.fit`` trained for it, which the row's
+    scores alone may not tell apart."""
+    digests = []
+
+    def spy(*args):
+        params, channel = fit(*args)
+        digests.append(hashlib.sha256(b"".join(a.tobytes() for _, a in params.arrays())))
+        return params, channel
+
+    fit, noise.fit = noise.fit, spy
+    try:
+        row = _CELL_ROW(ctx, *cell)
+    finally:
+        noise.fit = fit
+    row["status"] += "".join(f" {d.hexdigest()}" for d in digests)
+    return row
+
+
+def worker_row_with_fit_digest(cell) -> dict:
+    """``cell_row_with_fit_digest`` as a sweep worker's row function."""
+    return cell_row_with_fit_digest(experiment._worker_ctx, *cell)
 
 
 def run_python(code: str, threads: str | None, *args: str) -> str:
@@ -174,7 +203,7 @@ def frozen_bio_to_spans(tags: list[str], tag_set: TagSet | None = None) -> list[
         start = current = None
 
     for i, tag in enumerate(tags):
-        if tag == tag_set.outside:
+        if tag == "O":
             close(i)
             continue
         if len(tag) < 3 or tag[1] != "-" or tag[0] not in "BI":
@@ -198,13 +227,13 @@ def frozen_io_to_spans(tags: list[str], tag_set: TagSet | None = None) -> list[E
     start = None
     current = None
     for i, tag in enumerate(tags):
-        if tag != tag_set.outside and tag not in known:
+        if tag != "O" and tag not in known:
             raise SchemaError(f"position {i}: unknown tag {tag!r}")
         if tag != current:
-            if current is not None and current != tag_set.outside:
+            if current is not None and current != "O":
                 spans.append(EntitySpan(current, start, i))
             start, current = i, tag
-    if current is not None and current != tag_set.outside:
+    if current is not None and current != "O":
         spans.append(EntitySpan(current, start, len(tags)))
     return spans
 

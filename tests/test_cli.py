@@ -5,9 +5,12 @@ the second reading the file's cache instead of parsing it; ``wsner
 evaluate --model`` scores with the checkpoint's labels; ``wsner train``
 with an empty ``--clean`` file still runs the methods that learn from
 distant sentences alone; ``wsner quality`` prints the span scores of the
-distant annotation; ``wsner train --gazetteer`` pairs the clean
-sentences with what ``wsner annotate`` writes for them under the same
-annotator flags, which are refused without ``--gazetteer``;
+distant annotation; ``wsner train`` pairs each clean sentence with its
+first token-identical sentence in ``--distant``, so annotating the clean
+sentences into that file under the annotator's flags gives the pairs
+those flags make, while ``wsner train`` itself refuses every annotator
+flag and names the files of a clean sentence absent from ``--distant``;
+labels with whitespace are refused;
 ``--confusion-out`` is refused for a method without a channel and, before
 training, without distant sentences; importing the CLI leaves the HTTP
 client unloaded; every subcommand exits 1 on bad input, naming the file
@@ -212,18 +215,22 @@ def test_train_pairs_clean_sentences_with_what_annotate_writes(corpus, tmp_path,
         annotated[name] = read_conll(out, provenance="distant")
     assert annotated["flagged"] != annotated["plain"]
 
+    # the distant file holds the flagged annotation of the clean sentences,
+    # then the unflagged one, so only first-twin pairing gives the flagged
+    distant = tmp_path / "distant.conll"
+    distant.write_bytes((tmp_path / "flagged.conll").read_bytes()
+                        + (tmp_path / "plain.conll").read_bytes())
     pairs = []
+    twin = noise.distant_twin
 
-    def fit(method, clean, distant, config, table, options, pair_source):
-        pairs.append(pair_source())
+    def spy(clean, distant):
+        pairs.append(twin(clean, distant))
         raise WsnerError("stopped after pairing")
 
-    monkeypatch.setattr(noise, "fit", fit)
-    # the distant file is the unflagged annotation, so only the flags can
-    # make the pairs equal the flagged one
-    assert cli.main(["train", "--clean", clean, "--distant", str(tmp_path / "plain.conll"),
+    monkeypatch.setattr(noise, "distant_twin", spy)
+    assert cli.main(["train", "--clean", clean, "--distant", str(distant),
                      "--embeddings", corpus["embeddings"], "--method", "confusion",
-                     "--model-out", str(tmp_path / "m.npz"), *annotator, *flags]) == 1
+                     "--model-out", str(tmp_path / "m.npz")]) == 1
     assert pairs == [annotated["flagged"]]
 
 
@@ -240,6 +247,33 @@ def test_misaligned_inputs_exit_1_naming_both_files(tmp_path, capsys, command, o
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err == f"error: {gold} vs {pred}: {message}\n"
+
+
+@pytest.mark.parametrize("method", ["confusion", "cleaning"])
+def test_clean_sentence_absent_from_distant_exits_1_naming_both_files(corpus, tmp_path, capsys,
+                                                                     method):
+    clean = _write(tmp_path / "clean.conll", "Kano\tB-LOC\n")
+    distant = _write(tmp_path / "distant.conll", "Adé\tB-PER\n")
+    code = cli.main(["train", "--clean", clean, "--distant", distant, "--method", method,
+                     "--embeddings", corpus["embeddings"], "--model-out", str(tmp_path / "m")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {clean} vs {distant}: cannot pair clean sentences with distant annotations: "
+        "a clean sentence has no token-identical sentence in the distant data; annotate the "
+        "clean sentences into the distant file with wsner annotate\n")
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("argv", [["annotate", "--corpus", "raw.txt", "--out", "o"],
+                                  ["train", "--clean", "c", "--embeddings", "e",
+                                   "--model-out", "m"],
+                                  ["quality", "--gold", "g", "--distant", "d"],
+                                  ["evaluate", "--gold", "g", "--pred", "p"]],
+                         ids=lambda argv: argv[0])
+def test_entity_types_with_whitespace_exit_1_naming_the_label(capsys, argv):
+    # not a type named " LOC"
+    assert cli.main([*argv, "--entity-types", "PER, LOC"]) == 1
+    assert capsys.readouterr().err == "error: label is empty or contains whitespace: ' LOC'\n"
 
 
 def test_importing_the_cli_does_not_load_requests():
@@ -454,21 +488,22 @@ def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_p
     (["annotate", "--corpus", "raw.txt", "--out", "o", "--min-len", "kb=x"], "--min-len"),
     (["annotate", "--corpus", "raw.txt", "--out", "o", "--min-len", "kb=0"], "--min-len"),
     (["annotate", "--corpus", "raw.txt", "--out", "o", "--min-len", "kb"], "--min-len"),
+    # wsner annotate takes the annotator's flags, wsner train none of them
     (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--min-len", "kb=-2"],
-     "--min-len"),
+     "unrecognized arguments: --min-len kb=-2\n"),
     (["annotate", "--corpus", "raw.txt", "--out", "o", "--default-min-len", "0"],
      "--default-min-len"),
     (["annotate", "--corpus", "raw.txt", "--out", "o", "--default-min-len", "-5"],
      "--default-min-len"),
     (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--gazetteer", "g",
-      "--default-min-len", "0"], "--default-min-len"),
+      "--default-min-len", "0"], "unrecognized arguments: --gazetteer g --default-min-len 0\n"),
     (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--gazetteer", "g",
-      "--default-min-len", "-5"], "--default-min-len"),
+      "--default-min-len", "-5"], "unrecognized arguments: --gazetteer g --default-min-len -5\n"),
     (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--keywords", "default",
-      "--lowercase"], "--keywords, --lowercase only act with --gazetteer"),
+      "--lowercase"], "unrecognized arguments: --keywords default --lowercase\n"),
     (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--min-len", "kb=3",
       "--default-min-len", "2", "--strip-diacritics"],
-     "--min-len, --default-min-len, --strip-diacritics only act with --gazetteer"),
+     "unrecognized arguments: --min-len kb=3 --default-min-len 2 --strip-diacritics\n"),
     (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m",
       "--confusion-out", "c.txt"], "--confusion-out: baseline-clean learns no channel"),
     (["train", "--clean", "c", "--distant", "d", "--embeddings", "e", "--model-out", "m",
@@ -481,6 +516,8 @@ def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_p
     (["evaluate", "--pred", "p.conll"], "--gold"),
     (["evaluate", "--gold", "g.conll", "--pred", "p.conll", "--csv"], "--csv"),
     (["evaluate", "--gold", "g.conll"], "--pred"),
+    (["evaluate", "--gold", "g.conll", "--pred", "p.conll", "--model", "m.npz",
+      "--embeddings", "e.txt"], "argument --model: not allowed with argument --pred"),
     (["experiment"], "--config"),
     (["experiment", "--config", "c.json", "--repeats", "two"], "--repeats"),
     (["experiment", "--config", "c.json", "--base-seed", "1.5"], "--base-seed"),
@@ -493,7 +530,7 @@ def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_p
         "train-min-lens-without-gazetteer", "train-confusion-out-baseline-clean",
         "train-confusion-out-cleaning", "quality-no-distant", "inspect-nothing", "inspect-both",
         "ingest-no-out", "ingest-bad-class", "evaluate-no-gold", "evaluate-csv-no-path",
-        "evaluate-no-pred-or-model",
+        "evaluate-no-pred-or-model", "evaluate-pred-and-model",
         "experiment-no-config", "experiment-repeats-not-int", "experiment-seed-not-int",
         "synth-no-out-dir", "synth-seed-not-int"])
 def test_bad_usage_exits_2_naming_the_option(capsys, argv, option):

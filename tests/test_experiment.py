@@ -7,9 +7,11 @@ depends on the cells before it, a sweep over the files ``wsner annotate``
 writes scores and pairs what annotation gives, a bug in a cell stops the
 sweep instead of writing an error row, the worker pool starts the most
 expensive cells first yet writes the same bytes as the in-process path,
-its workers run BLAS on one thread as the sweep's process does, a worker
-that dies fails the sweep instead of hanging it, and an interrupted sweep
-resumes to the bytes of an uninterrupted one."""
+its workers run BLAS on one thread as the sweep's process does (so a
+paper-shape cell resumed alone in the sweep's process trains the bytes
+its pool worker trained), a worker that dies fails the sweep instead of
+hanging it, and an interrupted sweep resumes to the bytes of an
+uninterrupted one."""
 
 import concurrent.futures
 import csv
@@ -19,6 +21,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -36,6 +39,7 @@ from wsner.errors import WsnerError
 from wsner.evaluation import metrics_columns, metrics_row, span_prf
 from wsner.gazetteer import annotate_distant, build_gazetteer, read_entity_tsv
 from wsner.make_synth import write_synth_corpus
+from wsner.tagger import EmbeddingTable
 
 from conftest import write_tiny_sweep
 from support import PINNED_ENVIRONMENT, environment, run_python
@@ -131,12 +135,13 @@ def test_sweep_reads_what_annotate_writes(tmp_path, monkeypatch):
     # confusion and cleaning cells pair each clean sentence with what
     # annotation gives for it
     pairs = []
+    twin = noise.distant_twin
 
-    def fit(method, clean, distant, config, table, options, pair_source):
-        pairs.append((clean, pair_source()))
+    def spy(clean, distant):
+        pairs.append((clean, twin(clean, distant)))
         raise WsnerError("stopped after pairing")
 
-    monkeypatch.setattr(noise, "fit", fit)
+    monkeypatch.setattr(noise, "distant_twin", spy)
     for budget in (40, None):
         for method in ("confusion", "cleaning"):
             for repeat in range(2):
@@ -438,6 +443,41 @@ def test_workers_and_the_sweep_process_run_blas_on_one_thread():
     assert len(reports) == 6
     assert {report["threads"] for report in reports} == {1}
     assert len({report["digest"] for report in reports}) == 1
+
+
+_SWEEP_WITH_FIT_DIGESTS = """
+import sys
+import support
+from wsner import experiment
+experiment._cpu_count = lambda: int(sys.argv[3])
+experiment._cell_row = support.cell_row_with_fit_digest
+experiment._worker_row = support.worker_row_with_fit_digest
+experiment.run_experiment(experiment.load_config(sys.argv[1], {"out_dir": sys.argv[2]}))
+"""
+
+
+def test_paper_shape_cell_run_alone_equals_its_row_from_a_pool(tmp_path):
+    # at d=300, h=300, f=128 the trained bytes depend on the BLAS thread
+    # count, which the BLAS variable asks to be 2; each row carries the
+    # digest of the parameters its cell trained, since every cell scores 0
+    paths = write_tiny_sweep(tmp_path / "corpus", hidden_size=300, feature_size=128,
+                             clean_budgets=["unlimited"], methods=["baseline-clean", "confusion"])
+    with open(paths["embeddings"], encoding="utf-8") as fh:
+        words = [line.split(" ", 1)[0] for line in list(fh)[1:]]
+    rng = np.random.default_rng(5)
+    EmbeddingTable({w: i for i, w in enumerate(words)},
+                   rng.normal(size=(len(words), 300))).save(paths["embeddings"])
+
+    out = tmp_path / "out"
+    run_python(_SWEEP_WITH_FIT_DIGESTS, "2", paths["config"], str(out), "2")
+    pooled = (out / "runs.csv").read_bytes()
+    header, *rows = pooled.splitlines(keepends=True)
+    assert [row.split(b",")[1] for row in rows] == [b"baseline-clean", b"confusion"]
+    assert all(re.fullmatch("ok [0-9a-f]{64}", row["status"]) for row in _rows(pooled))
+    # the confusion cell again, alone in this process
+    (out / "runs.csv").write_bytes(header + rows[0])
+    run_python(_SWEEP_WITH_FIT_DIGESTS, "2", paths["config"], str(out), "1")
+    assert (out / "runs.csv").read_bytes() == pooled
 
 
 @pytest.mark.parametrize("key, value, message", [

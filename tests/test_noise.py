@@ -3,11 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from wsner import experiment
+from wsner import experiment, noise
 from wsner.corpus import (Dataset, EntitySpan, LabeledSentence, TagSet, check_aligned, merge,
                           read_conll)
 from wsner.errors import AlignmentError, EstimationError, ParseError, SchemaError
-from wsner.gazetteer import distant_twin
 from wsner.noise import (
     EM_CHANNEL_ANCHOR,
     METHODS,
@@ -65,9 +64,7 @@ def test_fit_returns_the_pinned_bytes_for_every_method(tmp_path):
     table = EmbeddingTable.load(paths["embeddings"])
     digests = {}
     for method in METHODS:
-        result = fit(method, clean, distant, sweep.tagger, table, sweep.options,
-                     lambda: distant_twin(clean, distant))
-        params, channel = result.params, result.channel
+        params, channel = fit(method, clean, distant, sweep.tagger, table, sweep.options)
         digest = hashlib.sha256()
         for _, arr in params.arrays():
             digest.update(arr.tobytes())
@@ -198,23 +195,24 @@ def test_check_aligned_refuses_a_pair_source_of_other_sentences():
                    MethodOptions())
 
 
-def _fit_without_distant(method):
-    """``fit`` with an empty distant set, which must never need pairs."""
+def _fit_without_distant(method, monkeypatch):
+    """``fit`` with an empty distant set, which must never pair."""
     task = _small_task()
     cfg = _config()
     empty = Dataset((), task.clean.tag_set)
 
-    def no_pairs():
-        raise AssertionError("pair_source called without distant sentences")
+    def no_twins(clean, distant):
+        raise AssertionError("distant_twin called without distant sentences")
 
-    result = fit(method, task.clean, empty, cfg, task.table, MethodOptions(), no_pairs)
-    return result, train(task.clean, cfg, task.table)
+    monkeypatch.setattr(noise, "distant_twin", no_twins)
+    return (fit(method, task.clean, empty, cfg, task.table, MethodOptions()),
+            train(task.clean, cfg, task.table))
 
 
-def test_empty_distant_reduces_to_plain_training():
-    result, plain = _fit_without_distant("confusion")
-    assert result.channel is None
-    assert _params_equal(result.params, plain)
+def test_empty_distant_reduces_to_plain_training(monkeypatch):
+    (params, channel), plain = _fit_without_distant("confusion", monkeypatch)
+    assert channel is None
+    assert _params_equal(params, plain)
 
 
 def test_identity_channel_equals_naive_mix():
@@ -380,10 +378,10 @@ def test_cleaner_is_bitwise_the_outer_product_loop():
         assert g.tobytes() == w.tobytes(), name
 
 
-def test_cleaning_method_empty_distant_reduces_to_plain_training():
-    result, plain = _fit_without_distant("cleaning")
-    assert result.channel is None
-    assert _params_equal(result.params, plain)
+def test_cleaning_method_empty_distant_reduces_to_plain_training(monkeypatch):
+    (params, channel), plain = _fit_without_distant("cleaning", monkeypatch)
+    assert channel is None
+    assert _params_equal(params, plain)
 
 
 def test_cleaning_method_runs_and_is_deterministic():

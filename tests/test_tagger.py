@@ -1221,6 +1221,9 @@ def test_checkpoint_without_its_labels_is_refused(tmp_path):
     ({"entity_types": ["PER"], "outside": None},
      "checkpoint metadata needs a list of entity_types strings and an outside string"),
     ({"entity_types": ["PER", "PER"], "outside": "O"}, "entity types must be unique"),
+    ({"entity_types": ["PER", "A B"], "outside": "O"},
+     "label is empty or contains whitespace: 'A B'"),
+    ({"entity_types": ["PER"], "outside": "X"}, "outside label 'X'; wsner reads only 'O'"),
 ])
 def test_checkpoint_of_malformed_metadata_is_refused(tmp_path, capsys, meta, message):
     # a JSON list has no keys; the string "PER" would give the labels P, E and R
