@@ -4,7 +4,9 @@ experiment sweep.
 ``wsner annotate`` is the one place that makes distant labels. ``wsner
 train`` and the sweep read them from its files: confusion and cleaning pair
 each clean sentence with its first token-identical sentence in the distant
-file, so the clean sentences must be annotated into that file too.
+file, so the clean sentences must be annotated into that file too. ``wsner
+evaluate --pred`` scores any annotation against gold, a distant one
+included.
 
 Exit codes: 0 success, 1 data error (message names the file and line when
 known), 2 usage error (argparse).
@@ -17,12 +19,11 @@ import os
 import sys
 
 from . import evaluation, experiment, noise, tagger
-from .corpus import Dataset, TagSet, check_aligned, read_conll, read_tokens, write_conll
+from .corpus import Dataset, TagSet, read_conll, read_tokens, write_conll
 from .date_rules import DateRuleSet, default_date_rules
 from .errors import AlignmentError, WsnerError
-from .gazetteer import Gazetteer, annotate_distant, build_gazetteer, read_entity_tsv
+from .gazetteer import annotate_distant, build_gazetteer, read_entity_tsv, write_entity_tsv
 
-ENDPOINT_ENV = "WSNER_ENDPOINT"
 EMBEDDINGS_CACHE = (
     "The parsed embeddings are cached beside their text file as "
     f"FILE{tagger.CACHE_SUFFIX}, keyed by the sha256 of the file's bytes, so a later run "
@@ -60,31 +61,6 @@ def _min_len_item(text: str) -> tuple[str, int]:
                                          f"got {text!r}") from None
 
 
-def _annotator(args, tag_set: TagSet) -> tuple[Gazetteer, DateRuleSet | None]:
-    """The gazetteer and date rules set by the flags of ``_add_annotator_args``."""
-    entries = [entry for path in args.gazetteer for entry in read_entity_tsv(path, tag_set)]
-    gaz = build_gazetteer(entries, dict(args.min_len or ()), tag_set=tag_set,
-                          default_min_len=args.default_min_len, lowercase=args.lowercase,
-                          strip_marks=args.strip_diacritics)
-    if args.keywords is None:
-        return gaz, None
-    if args.keywords == "default":
-        return gaz, default_date_rules()
-    return gaz, DateRuleSet.load(args.keywords)
-
-
-def _read_aligned(gold_path, other_path, tag_set: TagSet) -> tuple[Dataset, Dataset]:
-    """The gold annotation at *gold_path* and another annotation of the same
-    sentences at *other_path*; an ``AlignmentError`` names both files."""
-    gold = read_conll(gold_path, tag_set=tag_set)
-    other = read_conll(other_path, tag_set=tag_set)
-    try:
-        check_aligned(gold, other)
-    except AlignmentError as exc:
-        raise AlignmentError(f"{gold_path} vs {other_path}: {exc}") from None
-    return gold, other
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -97,7 +73,7 @@ def cmd_ingest(args) -> int:
     query = ingest.EntityQuery(
         entity_class=args.entity_class,
         language_code=args.lang,
-        endpoint_url=args.endpoint or os.environ.get(ENDPOINT_ENV, ingest.WIKIDATA_ENDPOINT),
+        endpoint_url=args.endpoint or ingest.WIKIDATA_ENDPOINT,
         page_size=args.page_size,
         max_results=args.max_results,
     )
@@ -105,7 +81,7 @@ def cmd_ingest(args) -> int:
     if args.fixture:
         transport = ingest.FixtureTransport.from_files(args.fixture)
     result = ingest.fetch_entities(query, transport)
-    ingest.write_entity_tsv(result.entries, args.out)
+    write_entity_tsv(result.entries, args.out)
     note = " (truncated at max-results)" if result.truncated else ""
     print(f"wrote {len(result.entries)} {args.entity_class} entries to {args.out}{note}")
     return 0
@@ -113,9 +89,19 @@ def cmd_ingest(args) -> int:
 
 def cmd_annotate(args) -> int:
     tag_set = _tag_set(args)
-    corpus = read_tokens(args.corpus)
-    corpus = Dataset(corpus.sentences, tag_set)
-    gaz, rules = _annotator(args, tag_set)
+    if args.keywords is not None and DateRuleSet.date_label not in tag_set.entity_types:
+        args.usage_error(f"--keywords: date rules label {DateRuleSet.date_label}, which is "
+                         "not among --entity-types")
+    corpus = Dataset(read_tokens(args.corpus).sentences, tag_set)
+    entries = [entry for path in args.gazetteer for entry in read_entity_tsv(path, tag_set)]
+    gaz = build_gazetteer(entries, dict(args.min_len or ()), tag_set=tag_set,
+                          default_min_len=args.default_min_len, lowercase=args.lowercase,
+                          strip_marks=args.strip_diacritics)
+    rules = None
+    if args.keywords == "default":
+        rules = default_date_rules()
+    elif args.keywords is not None:
+        rules = DateRuleSet.load(args.keywords)
     annotated = annotate_distant(corpus, gaz, rules)
     write_conll(annotated, args.out)
     n_spans = sum(len(s.spans) for s in annotated.sentences)
@@ -158,11 +144,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.pred and args.embeddings:
+        args.usage_error("--embeddings: --pred is scored as it is; use it with --model")
+    if args.model and args.entity_types:
+        args.usage_error("--entity-types: --model scores with the checkpoint's labels")
     if not (args.pred or args.model and args.embeddings):
         args.usage_error("pass either --pred or both --model and --embeddings")
     if args.pred:
         tag_set = _tag_set(args)
-        gold, pred = _read_aligned(args.gold, args.pred, tag_set)
+        gold = read_conll(args.gold, tag_set=tag_set)
+        pred = read_conll(args.pred, tag_set=tag_set)
     else:
         params, tag_set = tagger.load_checkpoint(args.model)
         gold = read_conll(args.gold, tag_set=tag_set)
@@ -171,7 +162,11 @@ def cmd_evaluate(args) -> int:
             raise WsnerError(f"{args.embeddings}: vectors of dimension {table.dimension}, "
                              f"but {args.model} embeds in {params.embed_dim}")
         pred = tagger.predict(gold, params, table)
-    metrics = evaluation.span_prf(gold, pred)
+    source = args.pred or args.model
+    try:
+        metrics = evaluation.span_prf(gold, pred)
+    except AlignmentError as exc:
+        raise AlignmentError(f"{args.gold} vs {source}: {exc}") from None
     print(evaluation.format_report(metrics))
     if args.csv:
         import csv as _csv
@@ -179,18 +174,10 @@ def cmd_evaluate(args) -> int:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = _csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
             writer.writeheader()
-            row = {"gold": args.gold,
-                   "pred_source": args.pred or args.model}
+            row = {"gold": args.gold, "pred_source": source}
             row.update(evaluation.metrics_row(metrics, tag_set))
             writer.writerow(row)
         print(f"wrote metrics to {args.csv}")
-    return 0
-
-
-def cmd_quality(args) -> int:
-    gold, distant = _read_aligned(args.gold, args.distant, _tag_set(args))
-    metrics = evaluation.span_prf(gold, distant)
-    print(evaluation.format_report(metrics, title="Distant annotation quality"))
     return 0
 
 
@@ -247,23 +234,6 @@ def cmd_synth(args) -> int:
 # parser
 
 
-def _add_annotator_args(parser: argparse.ArgumentParser) -> None:
-    """The distant annotator's flags, read by ``_annotator``."""
-    group = parser.add_argument_group("distant annotator", "How the corpus is annotated.")
-    group.add_argument("--gazetteer", action="append", default=[],
-                       help="entity-list TSV 'surface<TAB>type<TAB>source'; repeatable")
-    group.add_argument("--keywords", default=None,
-                       help="date keyword file, or 'default' for the bundled list")
-    group.add_argument("--min-len", action="append", dest="min_len", type=_min_len_item,
-                       help="SOURCE=N minimum character length per source")
-    group.add_argument("--default-min-len", type=_min_len, default=1,
-                       help="minimum character length of a source without --min-len")
-    group.add_argument("--lowercase", action="store_true",
-                       help="match entity lists case-insensitively")
-    group.add_argument("--strip-diacritics", action="store_true",
-                       help="match entity lists with combining marks removed")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wsner",
@@ -276,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("person", "organization", "location"))
     p.add_argument("--lang", required=True, help="label language code, e.g. yo")
     p.add_argument("--endpoint", default=None,
-                   help=f"SPARQL endpoint URL (default: ${ENDPOINT_ENV}, "
-                        "else the Wikidata query service)")
+                   help="SPARQL endpoint URL (default: the Wikidata query service)")
     p.add_argument("--out", required=True)
     p.add_argument("--page-size", type=int, default=1000)
     p.add_argument("--max-results", type=int, default=None)
@@ -288,10 +257,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("annotate", help="distant annotation via entity lists and date rules")
     p.add_argument("--corpus", required=True,
                    help="pre-tokenized file, one token per line")
-    _add_annotator_args(p)
+    group = p.add_argument_group("distant annotator", "How the corpus is annotated.")
+    group.add_argument("--gazetteer", action="append", default=[],
+                       help="entity-list TSV 'surface<TAB>type<TAB>source'; repeatable")
+    group.add_argument("--keywords", default=None,
+                       help="date keyword file, or 'default' for the bundled list; "
+                            "needs DATE among --entity-types")
+    group.add_argument("--min-len", action="append", dest="min_len", type=_min_len_item,
+                       help="SOURCE=N minimum character length per source")
+    group.add_argument("--default-min-len", type=_min_len, default=1,
+                       help="minimum character length of a source without --min-len")
+    group.add_argument("--lowercase", action="store_true",
+                       help="match entity lists case-insensitively")
+    group.add_argument("--strip-diacritics", action="store_true",
+                       help="match entity lists with combining marks removed")
     p.add_argument("--entity-types", default=None, help="comma-separated")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_annotate)
+    p.set_defaults(func=cmd_annotate, usage_error=p.error)
 
     p = sub.add_parser("train", help="train a tagger, optionally with noise handling")
     p.add_argument("--clean", required=True)
@@ -311,22 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the learned channel; confusion and noise-channel only")
     p.set_defaults(func=cmd_train, usage_error=p.error)
 
-    p = sub.add_parser("evaluate", help="span P/R/F1 of predictions against gold")
+    p = sub.add_parser("evaluate", help="span P/R/F1 of predictions or of a distant "
+                                        "annotation against gold")
     p.add_argument("--gold", required=True)
     scored = p.add_mutually_exclusive_group()
-    scored.add_argument("--pred", default=None)
+    scored.add_argument("--pred", default=None,
+                        help="the annotation to score: predictions, or a distant annotation "
+                             "written by 'wsner annotate'")
     scored.add_argument("--model", default=None)
-    p.add_argument("--embeddings", default=None, help=EMBEDDINGS_HELP)
+    p.add_argument("--embeddings", default=None, help="with --model: " + EMBEDDINGS_HELP)
     p.add_argument("--entity-types", default=None,
-                   help="comma-separated; with --model the checkpoint's labels are used")
+                   help="with --pred: comma-separated labels of both files (--model uses the "
+                        "checkpoint's)")
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_evaluate, usage_error=p.error)
-
-    p = sub.add_parser("quality", help="score a distant annotation against gold")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--distant", required=True)
-    p.add_argument("--entity-types", default=None)
-    p.set_defaults(func=cmd_quality)
 
     p = sub.add_parser("inspect", help="dump a model checkpoint or confusion matrix")
     what = p.add_mutually_exclusive_group(required=True)

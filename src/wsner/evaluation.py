@@ -97,12 +97,9 @@ def metrics_row(metrics: RunMetrics, tag_set) -> dict[str, str]:
     return row
 
 
-def format_report(metrics: RunMetrics, title: str = "") -> str:
+def format_report(metrics: RunMetrics) -> str:
     """Plain-text table with integer percentages, overall row first."""
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(f"{'Class':<10} {'P':>4} {'R':>4} {'F1':>4}  {'TP':>6} {'Pred':>6} {'Gold':>6}")
+    lines = [f"{'Class':<10} {'P':>4} {'R':>4} {'F1':>4}  {'TP':>6} {'Pred':>6} {'Gold':>6}"]
     rows = [("Overall", metrics.overall)]
     rows += [(c, prf) for c, prf in metrics.per_class.items()]
     for name, prf in rows:

@@ -43,8 +43,9 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import noise, tagger
 from .corpus import Dataset, TagSet, read_conll, subsample_tokens
-from .errors import WsnerError
+from .errors import AlignmentError, WsnerError
 from .evaluation import mean_and_se, metrics_columns, metrics_row, span_prf
+from .gazetteer import distant_twin
 from .tagger import EmbeddingTable, TaggerConfig, require_integers
 
 METHODS = noise.METHODS + ("distant-only",)
@@ -67,8 +68,9 @@ class ExperimentConfig:
     ``distant`` and ``distant_test`` are files written by ``wsner annotate``:
     the distant training data, where confusion and cleaning look up each
     clean sentence's distant twin, and the annotation of the test split that
-    ``distant-only`` scores. Without ``distant`` every method trains on the
-    clean sentences alone."""
+    ``distant-only`` scores. A sweep with confusion or cleaning refuses a
+    train sentence without a twin before any cell runs. Without ``distant``
+    every method trains on the clean sentences alone."""
 
     train: str
     test: str
@@ -161,6 +163,12 @@ def _build_context(config: ExperimentConfig) -> _Context:
                if config.distant else Dataset((), tag_set))
     distant_test = (read_conll(config.distant_test, tag_set=tag_set, provenance="distant")
                     if config.distant_test else None)
+    # a cell pairs a subsample of train, so pairing all of it once covers every cell
+    if distant.sentences and {"confusion", "cleaning"}.intersection(config.methods):
+        try:
+            distant_twin(train, distant)
+        except AlignmentError as exc:
+            raise AlignmentError(f"{config.train} vs {config.distant}: {exc}") from None
     return _Context(config, tag_set, train, test, distant, distant_test, table)
 
 

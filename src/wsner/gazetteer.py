@@ -216,6 +216,14 @@ def distant_twin(clean: Dataset, distant: Dataset) -> Dataset:
     return Dataset(tuple(sentences), clean.tag_set)
 
 
+def write_entity_tsv(entries, path) -> None:
+    """Entity-list TSV, as ``read_entity_tsv`` reads it; overwriting is
+    idempotent."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for entry in entries:
+            fh.write(f"{' '.join(entry.surface)}\t{entry.label}\t{entry.source}\n")
+
+
 def read_entity_tsv(path, tag_set: TagSet | None = None) -> list[GazetteerEntry]:
     """Read entity-list TSV: ``surface<TAB>type<TAB>source``, one entry per
     line; multi-token surfaces use single spaces in the surface field."""

@@ -1,9 +1,10 @@
 """Entity-list extraction from a SPARQL knowledge endpoint.
 
 Fetches all labels of a class (person / organization / location) in one
-language and writes them as gazetteer TSV. Requests are paginated, rate
-limited, and retried with exponential backoff; tests replay recorded
-responses through ``FixtureTransport`` instead of touching the network.
+language as gazetteer entries, for ``gazetteer.write_entity_tsv``. Requests
+are paginated, rate limited, and retried with exponential backoff; tests
+replay recorded responses through ``FixtureTransport`` instead of touching
+the network.
 """
 
 from __future__ import annotations
@@ -185,11 +186,3 @@ def fetch_entities(query: EntityQuery, transport=None) -> FetchResult:
         for name in sorted(seen)
     )
     return FetchResult(entries, truncated)
-
-
-def write_entity_tsv(entries, path) -> None:
-    """Gazetteer TSV: ``surface<TAB>type<TAB>source``, one entry per line;
-    overwriting is idempotent."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(f"{' '.join(entry.surface)}\t{entry.label}\t{entry.source}\n")

@@ -15,9 +15,10 @@ never changes and is the one to tag with. ``load_settings`` reads the
   clean subset, then train with plain cross-entropy on clean sentences and
   channel-composed cross-entropy on distant ones; the channel itself stays
   trainable through a row-wise softmax.
-* noise-channel — treat every label as possibly noisy and alternate
-  ``_em_step``, whose E-step is the channel posterior that confusion's
-  channel items train towards, with an epoch towards those posteriors.
+* noise-channel — treat every label of the clean and distant sentences
+  alike as possibly noisy and alternate ``_em_step``, whose E-step is the
+  channel posterior that confusion's channel items train towards, with an
+  epoch towards those posteriors.
 * cleaning — train a small network that maps (noisy label one-hot, tagger
   features) to a corrected label distribution, then train on the cleaned
   soft targets.
@@ -62,15 +63,12 @@ class MethodOptions:
 
     alpha: float = 1.0  # confusion: add-alpha smoothing of the counted channel
     em_iterations: int = 10  # noise-channel
-    noise_channel_data: str = "mix"  # noise-channel: "mix" or "distant-only"
     cleaner_hidden: int = 32  # cleaning
     cleaner_epochs: int = 50  # cleaning
     cleaner_learning_rate: float = 0.1  # cleaning
 
     def __post_init__(self):
         require_integers(self, ("em_iterations", "cleaner_epochs", "cleaner_hidden"), 1)
-        if self.noise_channel_data not in ("mix", "distant-only"):
-            raise ValueError("noise_channel_data must be 'mix' or 'distant-only'")
         if not 0 < self.cleaner_learning_rate < math.inf:  # also refuses NaN
             raise ValueError("cleaner_learning_rate must be > 0 and finite")
         if not 0 <= self.alpha < math.inf:
@@ -390,7 +388,8 @@ def fit(method: str, clean: Dataset, distant: Dataset, config: TaggerConfig,
     one.
 
     Confusion and cleaning pair each clean sentence with its distant twin,
-    its first token-identical sentence in *distant* (``distant_twin``).
+    its first token-identical sentence in *distant* (``distant_twin``);
+    noise-channel runs EM over the clean and distant sentences together.
     With no distant sentences every method is plain training on the clean
     ones, and nothing is paired.
     """
@@ -405,8 +404,8 @@ def fit(method: str, clean: Dataset, distant: Dataset, config: TaggerConfig,
         params, channel = train_confusion_method(clean, distant, distant_twin(clean, distant),
                                                  config, table, options)
     elif method == "noise-channel":
-        data = merge(clean, distant) if options.noise_channel_data == "mix" else distant
-        params, channel = em_noise_channel(data, config, table, options.em_iterations)
+        params, channel = em_noise_channel(merge(clean, distant), config, table,
+                                           options.em_iterations)
     else:
         params, _ = train_cleaning_method(clean, distant, distant_twin(clean, distant),
                                           config, table, options)

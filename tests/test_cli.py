@@ -4,20 +4,20 @@ two ``wsner train`` runs on one embeddings file write the same checkpoint,
 the second reading the file's cache instead of parsing it; ``wsner
 evaluate --model`` scores with the checkpoint's labels; ``wsner train``
 with an empty ``--clean`` file still runs the methods that learn from
-distant sentences alone; ``wsner quality`` prints the span scores of the
-distant annotation; ``wsner train`` pairs each clean sentence with its
-first token-identical sentence in ``--distant``, so annotating the clean
-sentences into that file under the annotator's flags gives the pairs
-those flags make, while ``wsner train`` itself refuses every annotator
-flag and names the files of a clean sentence absent from ``--distant``;
-labels with whitespace are refused;
-``--confusion-out`` is refused for a method without a channel and, before
-training, without distant sentences; importing the CLI leaves the HTTP
-client unloaded; every subcommand exits 1 on bad input, naming the file
-and line (bad ``train`` configs, which ``wsner experiment`` refuses with
-the same line, misaligned ``quality`` and ``evaluate`` inputs and
-``--confusion-out`` without distant sentences have tests of their own),
-and 2 on bad usage, naming the option."""
+distant sentences alone; ``wsner evaluate --pred`` prints and writes the
+span scores of a distant annotation; ``wsner train`` pairs each clean
+sentence with its first token-identical sentence in ``--distant``, so
+annotating the clean sentences into that file under the annotator's flags
+gives the pairs those flags make, while ``wsner train`` itself refuses
+every annotator flag and names the files of a clean sentence absent from
+``--distant``; labels with whitespace are refused; ``--confusion-out`` is
+refused for a method without a channel and, before training, without
+distant sentences; importing the CLI leaves the HTTP client unloaded;
+every subcommand exits 1 on bad input, naming the file and line (bad
+``train`` configs, which ``wsner experiment`` refuses with the same line,
+misaligned ``evaluate`` inputs and ``--confusion-out`` without distant
+sentences have tests of their own), and 2 on bad usage, naming the
+option, a flag that the other options leave unused included."""
 
 import dataclasses
 import io
@@ -48,7 +48,7 @@ def corpus(tmp_path_factory):
     return write_tiny_sweep(tmp_path_factory.mktemp("corpus"))
 
 
-def _reference(method, extra, clean, distant, table):
+def _reference(method, clean, distant, table):
     """(params, channel) of the method's training function called directly."""
     config = tagger.TaggerConfig(hidden_size=4, feature_size=4, epochs=1,
                                  learning_rate=0.05, seed=SEED)
@@ -62,19 +62,16 @@ def _reference(method, extra, clean, distant, table):
         return noise.train_confusion_method(clean, distant, pairs, config, table,
                                             noise.MethodOptions())
     if method == "noise-channel":
-        data = distant if extra.get("noise_channel_data") == "distant-only" else merge(clean, distant)
-        return noise.em_noise_channel(data, config, table, 1)
+        return noise.em_noise_channel(merge(clean, distant), config, table, 1)
     params, _ = noise.train_cleaning_method(clean, distant, pairs, config, table,
                                             noise.MethodOptions(cleaner_epochs=2))
     return params, None
 
 
-@pytest.mark.parametrize("method, extra", [(m, {}) for m in noise.METHODS]
-                         + [("noise-channel", {"noise_channel_data": "distant-only"})],
-                         ids=list(noise.METHODS) + ["noise-channel-distant-only"])
-def test_train_equals_direct_method_call(corpus, tmp_path, method, extra):
+@pytest.mark.parametrize("method", noise.METHODS)
+def test_train_equals_direct_method_call(corpus, tmp_path, method):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({**CONFIG, **extra}), encoding="utf-8")
+    config_path.write_text(json.dumps(CONFIG), encoding="utf-8")
     model, confusion = tmp_path / "model.npz", tmp_path / "confusion.txt"
     channel = method in ("confusion", "noise-channel")
     code = cli.main(["train", "--clean", corpus["train"], "--distant", corpus["distant"],
@@ -87,7 +84,7 @@ def test_train_equals_direct_method_call(corpus, tmp_path, method, extra):
     clean = read_conll(corpus["train"], tag_set=TagSet())
     distant = read_conll(corpus["distant"], tag_set=TagSet(), provenance="distant")
     table = tagger.EmbeddingTable.load(corpus["embeddings"])
-    want, want_channel = _reference(method, extra, clean, distant, table)
+    want, want_channel = _reference(method, clean, distant, table)
     got, tag_set = tagger.load_checkpoint(model)
     assert tag_set == clean.tag_set
     for (name, g), (_, w) in zip(got.arrays(), want.arrays()):
@@ -116,11 +113,12 @@ def test_second_train_run_reads_the_embeddings_cache_and_saves_the_same_model(
 
 @pytest.mark.parametrize("doc, message", [
     ({"hidden_sise": 4}, "unknown config keys: ['hidden_sise']"),
-    ({"noise_channel_data": "both"}, "noise_channel_data must be"),
+    ({"cleaner_hidden": 0}, "cleaner_hidden must be >= 1"),
     ({"em_iterations": 0}, "em_iterations must be >= 1"),
     ({"cleaner_epochs": 0}, "cleaner_epochs must be >= 1"),
     ({"cell": "lstm"}, "unknown config keys: ['cell']"),
     ({"fine_tune_embeddings": True}, "unknown config keys: ['fine_tune_embeddings']"),
+    ({"noise_channel_data": "mix"}, "unknown config keys: ['noise_channel_data']"),
     *(({key: 4.5}, f"{key} must be an integer")
       for key in ("hidden_size", "feature_size", "epochs", "seed", "em_iterations",
                   "cleaner_hidden", "cleaner_epochs")),
@@ -131,8 +129,8 @@ def test_second_train_run_reads_the_embeddings_cache_and_saves_the_same_model(
                            ("alpha", "alpha must be >= 0 and finite"))
       for value in (float("nan"), float("inf"))),
 ], ids=["unknown-key", "bad-value", "no-em-iterations", "no-cleaner-epochs", "cell-key",
-        "fine-tune-key", "fractional-hidden-size", "fractional-feature-size",
-        "fractional-epochs", "fractional-seed", "fractional-em-iterations",
+        "fine-tune-key", "noise-channel-data-key", "fractional-hidden-size",
+        "fractional-feature-size", "fractional-epochs", "fractional-seed", "fractional-em-iterations",
         "fractional-cleaner-hidden", "fractional-cleaner-epochs", "nan-learning-rate",
         "infinite-learning-rate", "nan-cleaner-learning-rate",
         "infinite-cleaner-learning-rate", "nan-alpha", "infinite-alpha"])
@@ -187,15 +185,22 @@ def test_evaluate_model_reads_gold_with_the_checkpoint_labels(corpus, tmp_path, 
     assert out == evaluation.format_report(metrics) + "\n"
 
 
-def test_quality_prints_span_scores_of_the_distant_annotation(corpus, capsys):
-    code = cli.main(["quality", "--gold", corpus["test"], "--distant", corpus["distant_test"]])
+def test_evaluate_pred_prints_span_scores_of_the_distant_annotation(corpus, tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    code = cli.main(["evaluate", "--gold", corpus["test"], "--pred", corpus["distant_test"],
+                     "--csv", str(scores)])
     out, err = capsys.readouterr()
     assert code == 0, err
     gold = read_conll(corpus["test"], tag_set=TagSet())
     distant = read_conll(corpus["distant_test"], tag_set=TagSet(), provenance="distant")
     metrics = evaluation.span_prf(gold, distant)
     assert 0.0 < metrics.overall.f1 < 1.0
-    assert out == evaluation.format_report(metrics, title="Distant annotation quality") + "\n"
+    assert out == f"{evaluation.format_report(metrics)}\nwrote metrics to {scores}\n"
+    header, row = scores.read_text(encoding="utf-8").splitlines()
+    columns = ["gold", "pred_source"] + evaluation.metrics_columns(TagSet())
+    assert header == ",".join(columns)
+    assert row == ",".join([corpus["test"], corpus["distant_test"],
+                            *evaluation.metrics_row(metrics, TagSet()).values()])
 
 
 @pytest.mark.parametrize("flags", [["--lowercase"], ["--strip-diacritics"],
@@ -234,19 +239,22 @@ def test_train_pairs_clean_sentences_with_what_annotate_writes(corpus, tmp_path,
     assert pairs == [annotated["flagged"]]
 
 
-@pytest.mark.parametrize("command, other", [("quality", "--distant"), ("evaluate", "--pred")])
+@pytest.mark.parametrize("csv", [False, True], ids=["evaluate---pred", "evaluate---pred---csv"])
 @pytest.mark.parametrize("other_text, message", [
     ("Kano\tB-LOC\n", "sentence count mismatch: 2 vs 1"),
     ("Kano\tB-LOC\n\nAdé\tO\nOjo\tB-PER\n", "sentence 1: token count mismatch (1 vs 2)"),
 ], ids=["sentences", "tokens"])
-def test_misaligned_inputs_exit_1_naming_both_files(tmp_path, capsys, command, other,
-                                                    other_text, message):
+def test_misaligned_inputs_exit_1_naming_both_files(tmp_path, capsys, csv, other_text,
+                                                    message):
     gold = _write(tmp_path / "gold.conll", "Kano\tB-LOC\n\nAdé\tB-PER\n")
     pred = _write(tmp_path / "other.conll", other_text)
-    code = cli.main([command, "--gold", gold, other, pred])
+    scores = tmp_path / "scores.csv"
+    code = cli.main(["evaluate", "--gold", gold, "--pred", pred]
+                    + (["--csv", str(scores)] if csv else []))
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err == f"error: {gold} vs {pred}: {message}\n"
+    assert not scores.exists()
 
 
 @pytest.mark.parametrize("method", ["confusion", "cleaning"])
@@ -267,7 +275,6 @@ def test_clean_sentence_absent_from_distant_exits_1_naming_both_files(corpus, tm
 @pytest.mark.parametrize("argv", [["annotate", "--corpus", "raw.txt", "--out", "o"],
                                   ["train", "--clean", "c", "--embeddings", "e",
                                    "--model-out", "m"],
-                                  ["quality", "--gold", "g", "--distant", "d"],
                                   ["evaluate", "--gold", "g", "--pred", "p"]],
                          ids=lambda argv: argv[0])
 def test_entity_types_with_whitespace_exit_1_naming_the_label(capsys, argv):
@@ -320,12 +327,13 @@ BAD_INPUT = {
     "annotate-tsv-empty-token": (
         "annotate", {"raw.txt": "Kano\n", "ents.tsv": "Adé  Ojo\tPER\tkb\n"},
         ["--gazetteer", "ents.tsv"], "ents.tsv:1: empty token in surface 'Adé  Ojo'"),
-    "quality-malformed-conll": (
-        "quality", {"gold.conll": "Kano\tB-LOC\nbroken line here\n",
-                    "distant.conll": "Kano\tB-LOC\n"}, [], "gold.conll:2: expected"),
-    "quality-token-whitespace": (
-        "quality", {"gold.conll": "Kano\tB-LOC\n", "distant.conll": "Adé Ojo\tB-PER\n"},
-        [], "distant.conll:1: token contains whitespace"),
+    "evaluate-malformed-gold": (
+        "evaluate", {"gold.conll": "Kano\tB-LOC\nbroken line here\n",
+                     "distant.conll": "Kano\tB-LOC\n"}, ["--pred", "distant.conll"],
+        "gold.conll:2: expected"),
+    "evaluate-pred-token-whitespace": (
+        "evaluate", {"gold.conll": "Kano\tB-LOC\n", "distant.conll": "Adé Ojo\tB-PER\n"},
+        ["--pred", "distant.conll"], "distant.conll:1: token contains whitespace"),
     "inspect-confusion-entry": (
         "inspect", {"c.txt": "# labels: O PER\n1 0\n0 x\n"}, ["--confusion", "c.txt"],
         "c.txt:3: non-numeric matrix entry"),
@@ -443,9 +451,6 @@ def _base_args(command, tmp_path, files):
     if command == "annotate":
         return ["--corpus", str(tmp_path / next(iter(files))),
                 "--out", str(tmp_path / "out.conll")]
-    if command == "quality":
-        return ["--gold", str(tmp_path / "gold.conll"),
-                "--distant", str(tmp_path / "distant.conll")]
     if command == "ingest":
         return ["--class", "person", "--lang", "yo", "--out", str(tmp_path / "out.tsv")]
     if command == "evaluate":
@@ -495,6 +500,8 @@ def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_p
      "--default-min-len"),
     (["annotate", "--corpus", "raw.txt", "--out", "o", "--default-min-len", "-5"],
      "--default-min-len"),
+    (["annotate", "--corpus", "raw.txt", "--out", "o", "--keywords", "default",
+      "--entity-types", "PER,LOC"], "--keywords"),
     (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--gazetteer", "g",
       "--default-min-len", "0"], "unrecognized arguments: --gazetteer g --default-min-len 0\n"),
     (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--gazetteer", "g",
@@ -508,7 +515,7 @@ def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_p
       "--confusion-out", "c.txt"], "--confusion-out: baseline-clean learns no channel"),
     (["train", "--clean", "c", "--distant", "d", "--embeddings", "e", "--model-out", "m",
       "--method", "cleaning", "--confusion-out", "c.txt"], "--confusion-out: cleaning learns"),
-    (["quality", "--gold", "g.conll"], "--distant"),
+    (["quality", "--gold", "g.conll", "--distant", "d.conll"], "invalid choice: 'quality'"),
     (["inspect"], "--model"),
     (["inspect", "--model", "m.npz", "--confusion", "c.txt"], "--confusion"),
     (["ingest", "--class", "person", "--lang", "yo"], "--out"),
@@ -516,6 +523,11 @@ def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_p
     (["evaluate", "--pred", "p.conll"], "--gold"),
     (["evaluate", "--gold", "g.conll", "--pred", "p.conll", "--csv"], "--csv"),
     (["evaluate", "--gold", "g.conll"], "--pred"),
+    (["evaluate", "--gold", "g.conll", "--pred"], "--pred"),
+    (["evaluate", "--gold", "g.conll", "--pred", "p.conll", "--embeddings", "e.txt"],
+     "--embeddings"),
+    (["evaluate", "--gold", "g.conll", "--model", "m.npz", "--embeddings", "e.txt",
+      "--entity-types", "PER"], "--entity-types"),
     (["evaluate", "--gold", "g.conll", "--pred", "p.conll", "--model", "m.npz",
       "--embeddings", "e.txt"], "argument --model: not allowed with argument --pred"),
     (["experiment"], "--config"),
@@ -525,12 +537,15 @@ def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_p
     (["synth", "--out-dir", "d", "--seed", "x"], "--seed"),
 ], ids=["annotate-no-out", "min-len-not-int", "min-len-zero", "min-len-no-equals",
         "train-min-len-negative", "default-min-len-zero", "default-min-len-negative",
-        "train-default-min-len-zero", "train-default-min-len-negative",
+        "annotate-keywords-without-date", "train-default-min-len-zero",
+        "train-default-min-len-negative",
         "train-keywords-without-gazetteer",
         "train-min-lens-without-gazetteer", "train-confusion-out-baseline-clean",
-        "train-confusion-out-cleaning", "quality-no-distant", "inspect-nothing", "inspect-both",
+        "train-confusion-out-cleaning", "no-quality-subcommand", "inspect-nothing",
+        "inspect-both",
         "ingest-no-out", "ingest-bad-class", "evaluate-no-gold", "evaluate-csv-no-path",
-        "evaluate-no-pred-or-model", "evaluate-pred-and-model",
+        "evaluate-no-pred-or-model", "evaluate-pred-no-path", "evaluate-pred-with-embeddings",
+        "evaluate-model-with-entity-types", "evaluate-pred-and-model",
         "experiment-no-config", "experiment-repeats-not-int", "experiment-seed-not-int",
         "synth-no-out-dir", "synth-seed-not-int"])
 def test_bad_usage_exits_2_naming_the_option(capsys, argv, option):

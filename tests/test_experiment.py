@@ -5,9 +5,10 @@ second reads their cache; in one recorded environment, bytes pinned by
 their digests), a cell neither changes the shared context nor
 depends on the cells before it, a sweep over the files ``wsner annotate``
 writes scores and pairs what annotation gives, a bug in a cell stops the
-sweep instead of writing an error row, the worker pool starts the most
-expensive cells first yet writes the same bytes as the in-process path,
-its workers run BLAS on one thread as the sweep's process does (so a
+sweep instead of writing an error row, a train sentence without a distant
+twin stops a sweep with confusion or cleaning before any cell runs, the
+worker pool starts the most expensive cells first yet writes the same
+bytes as the in-process path, its workers run BLAS on one thread as the sweep's process does (so a
 paper-shape cell resumed alone in the sweep's process trains the bytes
 its pool worker trained), a worker that dies fails the sweep instead of
 hanging it, and an interrupted sweep resumes to the bytes of an
@@ -166,6 +167,21 @@ def test_a_bug_in_a_cell_stops_the_sweep_instead_of_writing_an_error_row(tmp_pat
         experiment.run_experiment(config)
     runs = (tmp_path / "out" / "runs.csv").read_text(encoding="utf-8")
     assert runs == ",".join(experiment._runs_columns(TagSet())) + "\n"
+
+
+def test_sweep_refuses_train_sentences_without_a_distant_twin_before_any_cell(tmp_path,
+                                                                             capsys):
+    # the distant file annotates the test split, so no train sentence has a
+    # twin in it
+    paths = write_tiny_sweep(tmp_path / "corpus", distant="distant_test.conll",
+                             methods=["confusion", "cleaning", "naive-mix"])
+    out = tmp_path / "out"
+    assert cli.main(["experiment", "--config", paths["config"], "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {paths['train']} vs {paths['distant_test']}: cannot pair clean sentences "
+        "with distant annotations: a clean sentence has no token-identical sentence in the "
+        "distant data; annotate the clean sentences into the distant file with wsner annotate\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from wsner.gazetteer import (
     build_gazetteer,
     match_sentence,
     read_entity_tsv,
+    write_entity_tsv,
 )
 from wsner.textnorm import canonical, strip_diacritics
 
@@ -316,8 +317,6 @@ def test_annotate_distant_equals_uncached_reference(sentences, lowercase, strip_
 
 
 def test_entity_tsv_round_trip(tmp_path):
-    from wsner.ingest import write_entity_tsv
-
     entries = [entry("New York", "LOC"), entry("Ade", "PER", "nigerian")]
     path = tmp_path / "ents.tsv"
     write_entity_tsv(entries, path)

@@ -3,14 +3,8 @@ import json
 import pytest
 
 from wsner.errors import ResponseDecodeError, SchemaError, TransportError
-from wsner.gazetteer import read_entity_tsv
-from wsner.ingest import (
-    EntityQuery,
-    FixtureTransport,
-    HttpTransport,
-    fetch_entities,
-    write_entity_tsv,
-)
+from wsner.gazetteer import read_entity_tsv, write_entity_tsv
+from wsner.ingest import EntityQuery, FixtureTransport, HttpTransport, fetch_entities
 
 
 def page(labels, lang="yo"):
