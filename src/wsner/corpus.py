@@ -175,11 +175,24 @@ class EntitySpan:
 
 @dataclass(frozen=True)
 class LabeledSentence:
-    """Tokenized sentence with non-overlapping spans, sorted by start."""
+    """Tokenized sentence with non-overlapping spans, sorted by start.
+
+    ``_trusted`` skips the checks for the two producers whose fields hold by
+    construction, ``gazetteer.annotate_distant`` and the bulk path of
+    ``read_tokens``; ``tests/test_trusted_sentences.py`` fails on any other."""
 
     tokens: tuple[str, ...]
     spans: tuple[EntitySpan, ...] = ()
     provenance: str = "gold"
+
+    @classmethod
+    def _trusted(cls, tokens: tuple, spans: tuple, provenance: str) -> LabeledSentence:
+        """The sentence of fields that already pass ``__post_init__``."""
+        sent = object.__new__(cls)
+        object.__setattr__(sent, "tokens", tokens)
+        object.__setattr__(sent, "spans", spans)
+        object.__setattr__(sent, "provenance", provenance)
+        return sent
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
@@ -349,11 +362,24 @@ def read_conll(
 
 
 def write_conll(dataset: Dataset, path) -> None:
-    """Write a dataset in BIO encoding (the lossless serialization)."""
+    """Write a dataset in BIO encoding (the lossless serialization): the
+    lines of ``spans_to_bio``, one join per outside run and per ``I-`` run
+    and one write per sentence."""
     with open(path, "w", encoding="utf-8") as fh:
         for sent in dataset.sentences:
-            fh.write("".join([f"{token}\t{tag}\n" for token, tag
-                              in zip(sent.tokens, spans_to_bio(sent))]) + "\n")
+            tokens, pos, parts = sent.tokens, 0, []
+            for span in sent.spans:
+                if pos < span.start:
+                    parts += ("\tO\n".join(tokens[pos:span.start]), "\tO\n")
+                parts.append(f"{tokens[span.start]}\tB-{span.label}\n")
+                if span.end - span.start > 1:
+                    inside = f"\tI-{span.label}\n"
+                    parts += (inside.join(tokens[span.start + 1:span.end]), inside)
+                pos = span.end
+            if pos < len(tokens):
+                parts += ("\tO\n".join(tokens[pos:]), "\tO\n")
+            parts.append("\n")
+            fh.write("".join(parts))
 
 
 def read_tokens(path) -> Dataset:
@@ -364,15 +390,16 @@ def read_tokens(path) -> Dataset:
     The file is read once. When its text holds no whitespace but ``\\n``
     (after CRLF and lone CR line ends become ``\\n``), every line is a
     token or empty: the text is split on ``\\n`` in one call and each run
-    of non-empty lines is a sentence. Any other text goes through the line
-    loop, which names the ``file:line`` of a bad token line."""
+    of non-empty lines is a sentence, made unchecked since it holds what a
+    sentence checks. Any other text goes through the line loop, which
+    names the ``file:line`` of a bad token line."""
     with open_utf8(path) as fh:
         text = fh.read()
     bulk = _NON_NEWLINE_SPACE.search(text) is None
     lines = text.split("\n")
     del text  # not held beside the sentences made from it
     if bulk:
-        return Dataset(tuple(LabeledSentence(tuple(run), (), "distant")
+        return Dataset(tuple(LabeledSentence._trusted(tuple(run), (), "distant")
                              for nonblank, run in groupby(lines, bool) if nonblank))
     sentences = []
     tokens: list[str] = []

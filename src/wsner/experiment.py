@@ -42,7 +42,7 @@ import tempfile
 from dataclasses import dataclass, field, fields, replace
 
 from . import noise, tagger
-from .corpus import Dataset, TagSet, read_conll, subsample_tokens
+from .corpus import Dataset, TagSet, check_aligned, read_conll, subsample_tokens
 from .errors import AlignmentError, WsnerError
 from .evaluation import mean_and_se, metrics_columns, metrics_row, span_prf
 from .gazetteer import distant_twin
@@ -69,8 +69,9 @@ class ExperimentConfig:
     the distant training data, where confusion and cleaning look up each
     clean sentence's distant twin, and the annotation of the test split that
     ``distant-only`` scores. A sweep with confusion or cleaning refuses a
-    train sentence without a twin before any cell runs. Without ``distant``
-    every method trains on the clean sentences alone."""
+    train sentence without a twin before any cell runs, and distant-only a
+    missing or misaligned ``distant_test``. Without ``distant`` every method
+    trains on the clean sentences alone."""
 
     train: str
     test: str
@@ -169,6 +170,13 @@ def _build_context(config: ExperimentConfig) -> _Context:
             distant_twin(train, distant)
         except AlignmentError as exc:
             raise AlignmentError(f"{config.train} vs {config.distant}: {exc}") from None
+    if "distant-only" in config.methods:  # every such cell scores these two files
+        if distant_test is None:
+            raise WsnerError(f"{config.test}: distant-only needs a distant_test file")
+        try:
+            check_aligned(test, distant_test)
+        except AlignmentError as exc:
+            raise AlignmentError(f"{config.test} vs {config.distant_test}: {exc}") from None
     return _Context(config, tag_set, train, test, distant, distant_test, table)
 
 
@@ -176,8 +184,6 @@ def run_cell(ctx: _Context, budget, method: str, repeat: int):
     """Train/score one sweep cell; returns RunMetrics."""
     config = ctx.config
     if method == "distant-only":
-        if ctx.distant_test is None:
-            raise WsnerError("distant-only needs a distant_test file")
         return span_prf(ctx.test, ctx.distant_test)
 
     seed = config.base_seed + repeat

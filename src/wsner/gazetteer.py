@@ -155,13 +155,6 @@ def match_sentence(tokens, gaz: Gazetteer) -> list[EntitySpan]:
     return spans
 
 
-def _merge_rank(span: EntitySpan, gaz: Gazetteer):
-    # Earlier start wins; ties go to the longer span, then to the priority
-    # order with DATE last.
-    return (span.start, -(span.end - span.start),
-            span.label == DateRuleSet.date_label, gaz.rank(span.label))
-
-
 def annotate_distant(
     dataset: Dataset,
     gaz: Gazetteer,
@@ -171,8 +164,13 @@ def annotate_distant(
     spans; existing spans are ignored and provenance becomes ``distant``.
 
     ``match_sentence`` and ``annotate_dates`` run once per sentence. Each
-    returns sorted, non-overlapping spans, so the candidates are sorted by
-    the merge order and overlaps dropped only when both found some.
+    returns sorted, non-overlapping spans, so only where both found some
+    are the candidates merged: sorted by start, the longer first, and each
+    dropped that overlaps one kept before it. Two candidates tie only as a
+    name and a date of one start and length; the name is kept, since it
+    comes first in ``names + dates`` and the sort is stable. The kept spans
+    and the checked tokens hold what a sentence checks, so each output
+    sentence is made unchecked (``LabeledSentence._trusted``).
 
     Token normalisation (``textnorm.canonical`` for the date keywords,
     ``textnorm.strip_diacritics`` under ``strip_marks``) is memoised per
@@ -186,13 +184,13 @@ def annotate_distant(
         if names and dates:
             kept = []
             last_end = 0
-            for span in sorted(names + dates, key=lambda s: _merge_rank(s, gaz)):
+            for span in sorted(names + dates, key=lambda s: (s.start, s.start - s.end)):
                 if span.start >= last_end:
                     kept.append(span)
                     last_end = span.end
         else:
             kept = names or dates
-        sentences.append(LabeledSentence(sent.tokens, tuple(kept), "distant"))
+        sentences.append(LabeledSentence._trusted(sent.tokens, tuple(kept), "distant"))
     return Dataset(tuple(sentences), dataset.tag_set)
 
 

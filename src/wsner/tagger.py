@@ -731,7 +731,7 @@ def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None, *,
     item's target ``w`` (see ``TrainItem``; an item is a channel item only
     when ``C`` is given). A channel item's loss is ``−mean log q`` and
     ``dC`` its gradient with respect to ``C``; any other item's loss is the
-    cross-entropy to ``w``, and ``dC`` is None."""
+    cross-entropy to ``w``, and ``dC`` is None. A non-finite loss raises ``NumericsError``."""
     probs, cache = _sentence_forward(params, X)
     T = X.shape[0]
     dC = None
@@ -747,9 +747,12 @@ def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None, *,
     else:
         w = np.eye(probs.shape[1])[item.hard]
     if dC is None:
-        with np.errstate(divide="ignore"):
-            lp = np.log(probs)
-        loss = -np.where(w > 0.0, w * lp, 0.0).sum() / T
+        # a probability of 0 makes 0 * log 0 = nan where the target is 0, which
+        # np.where drops; divergence shows in the loss, checked before backward
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loss = -np.where(w > 0.0, w * np.log(probs), 0.0).sum() / T
+    if not np.isfinite(loss):
+        raise NumericsError("non-finite training loss")
     dlogits = (probs - w) / T
     return loss, _sentence_backward(params, cache, dlogits, grads), dC
 
@@ -789,9 +792,7 @@ def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfi
     for k in rng.permutation(len(items)):
         item = items[int(k)]
         C = _softmax(B) if item.channel and B is not None else None
-        loss, _, dC = _item_loss_grads(params, item.X, item, C=C, grads=grads)
-        if not np.isfinite(loss):
-            raise NumericsError("non-finite training loss")
+        _, _, dC = _item_loss_grads(params, item.X, item, C=C, grads=grads)
         # dC back through the row softmax C = softmax(B) is the gradient of B
         _sgd_step(pairs if dC is None else
                   pairs + [(B, C * (dC - (dC * C).sum(axis=1, keepdims=True)))], lr)
@@ -886,11 +887,13 @@ def save_checkpoint(path, params: TaggerParams, tag_set: TagSet) -> None:
 def load_checkpoint(path) -> tuple[TaggerParams, TagSet]:
     """The parameters and tag set saved by ``save_checkpoint``; a ``ParseError``
     for a file that is no checkpoint, lacks an entry, has malformed metadata,
-    or has a parameter of a wrong shape or with a non-finite value."""
-    try:
-        # the file is opened here: np.load leaves it open when the archive
-        # turns out to be corrupt
-        with open(path, "rb") as fh:
+    has a parameter of a wrong shape or with a non-finite value, or fails to
+    be read once open (``zipfile`` raises ``RuntimeError`` or its subclass
+    ``NotImplementedError`` on some damaged headers, a bad offset ``OSError``)."""
+    # the file is opened here: np.load leaves it open when the archive
+    # turns out to be corrupt
+    with open(path, "rb") as fh:
+        try:
             archive = np.load(fh, allow_pickle=False)
             if not isinstance(archive, np.lib.npyio.NpzFile):
                 raise ParseError(f"{path}: not a checkpoint (.npz archive)")
@@ -908,12 +911,12 @@ def load_checkpoint(path) -> tuple[TaggerParams, TagSet]:
                 tag_set = TagSet(tuple(types))
                 arrays = [np.array(data[f.name], dtype=float)
                           for f in dataclasses.fields(TaggerParams)]
-    except (ValueError, EOFError, zipfile.BadZipFile):
-        raise ParseError(f"{path}: not a checkpoint (.npz archive)") from None
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing checkpoint entry {exc}") from None
-    except SchemaError as exc:  # labels TagSet refuses, such as a repeated type
-        raise ParseError(f"{path}: {exc}") from None
+        except (ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile):
+            raise ParseError(f"{path}: not a checkpoint (.npz archive)") from None
+        except KeyError as exc:
+            raise ParseError(f"{path}: missing checkpoint entry {exc}") from None
+        except SchemaError as exc:  # labels TagSet refuses, such as a repeated type
+            raise ParseError(f"{path}: {exc}") from None
     # checkpoints from before the LSTM became the only cell name their cell
     if meta.get("cell", "lstm") != "lstm":
         raise ParseError(f"{path}: unknown cell type {meta['cell']!r}; the tagger is an LSTM")

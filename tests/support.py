@@ -1,10 +1,10 @@
 """Helpers the tests share and nothing in ``wsner`` calls: a single-sentence
 forward pass, a gradient workspace, token accuracy, frozen references of
-the token reader, the tag decoders, the parameter draw and the digit rule,
-synthetic tasks with a known noise process to train the noise methods on,
-a paper-shape gradient digest with the BLAS thread count it ran at, sweep
-row functions that add a digest of what each cell trained, and the
-environment the tests' byte pins were taken in."""
+the token reader, the CoNLL writer, the tag decoders, the parameter draw
+and the digit rule, synthetic tasks with a known noise process to train
+the noise methods on, a paper-shape gradient digest with the BLAS thread
+count it ran at, sweep row functions that add a digest of what each cell
+trained, and the environment the tests' byte pins were taken in."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from wsner import experiment, noise
 from wsner.corpus import (Dataset, EntitySpan, LabeledSentence, TagSet, check_aligned,
-                          has_whitespace, open_utf8)
+                          has_whitespace, open_utf8, spans_to_bio)
 from wsner.errors import ParseError, SchemaError
 from wsner.synth import _make_sentences, _make_vocabulary, uniform_flip
 from wsner.tagger import (EmbeddingTable, TaggerParams, TrainItem, _forward_batched,
@@ -185,6 +185,15 @@ def line_loop_read_tokens(path) -> Dataset:
     if tokens:
         sentences.append(LabeledSentence(tuple(tokens), (), "distant"))
     return Dataset(tuple(sentences))
+
+
+def per_token_write_conll(dataset: Dataset, path) -> None:
+    """``corpus.write_conll`` as one formatted line per token of the
+    ``spans_to_bio`` tags, frozen as the reference of its span-run writer."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for sent in dataset.sentences:
+            fh.write("".join([f"{token}\t{tag}\n" for token, tag
+                              in zip(sent.tokens, spans_to_bio(sent))]) + "\n")
 
 
 def frozen_bio_to_spans(tags: list[str], tag_set: TagSet | None = None) -> list[EntitySpan]:

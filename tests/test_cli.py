@@ -13,16 +13,18 @@ every annotator flag and names the files of a clean sentence absent from
 ``--distant``; labels with whitespace are refused; ``--confusion-out`` is
 refused for a method without a channel and, before training, without
 distant sentences; importing the CLI leaves the HTTP client unloaded;
-every subcommand exits 1 on bad input, naming the file and line (bad
-``train`` configs, which ``wsner experiment`` refuses with the same line,
-misaligned ``evaluate`` inputs and ``--confusion-out`` without distant
-sentences have tests of their own), and 2 on bad usage, naming the
-option, a flag that the other options leave unused included."""
+a damaged checkpoint loads or exits 1 naming the file, never with a
+traceback; every subcommand exits 1 on bad input, naming the file and
+line (bad ``train`` configs, which ``wsner experiment`` refuses with the
+same line, misaligned ``evaluate`` inputs and ``--confusion-out`` without
+distant sentences have tests of their own), and 2 on bad usage, naming
+the option, a flag that the other options leave unused included."""
 
 import dataclasses
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -34,7 +36,7 @@ import wsner
 from wsner import cli, evaluation, noise, tagger
 from wsner.corpus import (Dataset, EntitySpan, LabeledSentence, TagSet, merge, read_conll,
                           write_conll)
-from wsner.errors import WsnerError
+from wsner.errors import ParseError, WsnerError
 
 from conftest import write_tiny_sweep
 
@@ -475,6 +477,39 @@ def test_bad_input_exits_1_naming_file_and_line(tmp_path, capsys, case):
     assert err.startswith("error: ") and f"{tmp_path}{os.sep}{message}" in err, err
     assert "Traceback" not in err and out == ""
     assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("out")]
+
+
+def test_damaged_checkpoints_load_or_exit_1_naming_the_file(tmp_path, capsys):
+    # copies of a tiny checkpoint with 1-4 random bytes changed each; zipfile
+    # refuses some damaged entry headers with RuntimeError or its subclass
+    # NotImplementedError, which must end as a ParseError like the rest
+    base, rng = _checkpoint(3), random.Random(0)
+    model = tmp_path / "m.npz"
+    gold = _write(tmp_path / "gold.conll", "Kano\tB-LOC\n")
+    vectors = _write(tmp_path / "e.txt", "1 3\nKano 0.1 0.2 0.3\n")
+    loaded, causes = 0, set()
+    for case in range(600):
+        data = bytearray(base)
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        model.write_bytes(data)
+        try:
+            tagger.load_checkpoint(model)
+        except ParseError as exc:
+            assert str(exc).startswith(f"{model}: ")
+            causes.add(type(exc.__context__))
+        else:
+            loaded += 1
+        if case % 10:
+            continue
+        # the CLI on a sample: argparse makes each call cost milliseconds
+        for argv in (["inspect", "--model", str(model)],
+                     ["evaluate", "--gold", gold, "--model", str(model), "--embeddings", vectors]):
+            code = cli.main(argv)
+            err = capsys.readouterr().err
+            assert code == 0 and err == "" or code == 1 and str(model) in err, (argv, err)
+    assert 0 < loaded < 600
+    assert NotImplementedError in causes
 
 
 @pytest.mark.parametrize("method", ["naive-mix", "confusion", "noise-channel"])

@@ -26,7 +26,8 @@ from wsner.corpus import (
 from wsner.errors import ParseError, SchemaError
 
 from conftest import make_dataset, make_sentence, random_sentences
-from support import frozen_bio_to_spans, frozen_io_to_spans, line_loop_read_tokens
+from support import (frozen_bio_to_spans, frozen_io_to_spans, line_loop_read_tokens,
+                     per_token_write_conll)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +257,36 @@ def test_write_read_round_trip(tmp_path):
     write_conll(ds, path)
     back = read_conll(path)
     assert back.sentences == ds.sentences
+
+
+# tokens with tone marks, under-dots, a combining mark of their own, other
+# scripts and a byte-order mark, and every label: a segment is a run of
+# one to 30 tokens, outside or one span, so spans are adjacent, of length 1,
+# long, or at either edge of a sentence
+_WRITER_WORDS = ("Adé", "ọdún", "K", "2018", "\u0301x", "東京", "Лагос", "\ufeff", "a" * 12)
+_SEGMENTS = st.lists(st.tuples(st.integers(1, 30), st.sampled_from((None, *TagSet().entity_types)),
+                               st.sampled_from(_WRITER_WORDS)), min_size=1, max_size=6)
+
+
+def _sentence_of(segments) -> LabeledSentence:
+    tokens, spans = [], []
+    for length, label, word in segments:
+        if label is not None:
+            spans.append(EntitySpan(label, len(tokens), len(tokens) + length))
+        tokens += [f"{word}{j}" if j % 3 else word for j in range(length)]
+    return LabeledSentence(tuple(tokens), tuple(spans))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_SEGMENTS, max_size=5))
+def test_write_conll_equals_the_per_token_writer_and_reads_back(tmp_path, sentences):
+    ds = make_dataset([_sentence_of(s) for s in sentences])
+    path, reference = tmp_path / "runs.conll", tmp_path / "tokens.conll"
+    write_conll(ds, path)
+    per_token_write_conll(ds, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    assert read_conll(path) == ds
 
 
 def test_read_tokens_one_column(tmp_path):

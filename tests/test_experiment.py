@@ -5,10 +5,12 @@ second reads their cache; in one recorded environment, bytes pinned by
 their digests), a cell neither changes the shared context nor
 depends on the cells before it, a sweep over the files ``wsner annotate``
 writes scores and pairs what annotation gives, a bug in a cell stops the
-sweep instead of writing an error row, a train sentence without a distant
-twin stops a sweep with confusion or cleaning before any cell runs, the
-worker pool starts the most expensive cells first yet writes the same
-bytes as the in-process path, its workers run BLAS on one thread as the sweep's process does (so a
+sweep instead of writing an error row while a cell that fails writes the
+same error row in the pool and in process, a train sentence without a
+distant twin stops a sweep with confusion or cleaning before any cell
+runs, as a missing or misaligned distant test file stops one with
+distant-only, the worker pool starts the most expensive cells first yet
+writes the same bytes as the in-process path, its workers run BLAS on one thread as the sweep's process does (so a
 paper-shape cell resumed alone in the sweep's process trains the bytes
 its pool worker trained), a worker that dies fails the sweep instead of
 hanging it, and an interrupted sweep resumes to the bytes of an
@@ -36,7 +38,7 @@ import wsner
 from wsner import cli, experiment, noise, tagger
 from wsner.corpus import EntitySpan, TagSet, merge, read_conll, read_tokens
 from wsner.date_rules import DateRuleSet
-from wsner.errors import WsnerError
+from wsner.errors import NumericsError, WsnerError
 from wsner.evaluation import metrics_columns, metrics_row, span_prf
 from wsner.gazetteer import annotate_distant, build_gazetteer, read_entity_tsv
 from wsner.make_synth import write_synth_corpus
@@ -184,6 +186,22 @@ def test_sweep_refuses_train_sentences_without_a_distant_twin_before_any_cell(tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("distant_test, message", [
+    (None, "error: {test}: distant-only needs a distant_test file\n"),
+    ("distant.conll", "error: {test} vs {distant_test}: sentence count mismatch: 5 vs 16\n"),
+], ids=["missing", "misaligned"])
+def test_sweep_refuses_distant_only_without_an_aligned_distant_test_before_any_cell(
+        tmp_path, capsys, distant_test, message):
+    paths = write_tiny_sweep(tmp_path / "corpus", distant_test=distant_test,
+                             methods=["baseline-clean", "distant-only"])
+    out = tmp_path / "out"
+    assert cli.main(["experiment", "--config", paths["config"], "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == message.format(
+        test=paths["test"], distant_test=os.path.join(os.path.dirname(paths["config"]),
+                                                      str(distant_test)))
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # worker pool and resume
 
@@ -267,10 +285,9 @@ CANONICAL = [(setting, method, "0") for setting in ("40", "unlimited")
 
 @pytest.fixture(scope="module")
 def sweep(tmp_path_factory):
-    """A tiny sweep whose distant-only cells fail (no distant test file), and
-    the bytes of one uninterrupted run of it."""
+    """A tiny sweep and the bytes of one uninterrupted run of it."""
     root = tmp_path_factory.mktemp("sweep")
-    config_path = write_tiny_sweep(root / "corpus", distant_test=None)["config"]
+    config_path = write_tiny_sweep(root / "corpus")["config"]
     return config_path, _run(config_path, root / "whole")
 
 
@@ -284,9 +301,48 @@ def test_pool_and_in_process_write_identical_csvs(sweep, tmp_path, monkeypatch):
         assert multiprocessing.active_children() == []
     assert outputs[1] == outputs[2] == whole
     assert _keys(whole[0]) == CANONICAL
-    failed = [r for r in _rows(whole[0]) if r["status"] != "ok"]
+    assert all(r["status"] == "ok" for r in _rows(whole[0]))
+
+
+_RUN_CELL = experiment.run_cell
+
+
+def _diverging_distant_only(ctx, budget, method, repeat):
+    """``run_cell``, except that every distant-only cell fails the way a
+    diverging cell does."""
+    if method == "distant-only":
+        raise NumericsError("non-finite training loss")
+    return _RUN_CELL(ctx, budget, method, repeat)
+
+
+def _row_with_diverging_distant_only(cell):
+    """A worker row function that installs ``_diverging_distant_only`` in
+    its own (spawned) process."""
+    experiment.run_cell = _diverging_distant_only
+    return experiment._worker_row(cell)
+
+
+def test_a_failing_cell_writes_the_same_error_row_in_the_pool_and_in_process(
+        sweep, tmp_path, monkeypatch):
+    config_path, whole = sweep
+    outputs = {}
+    for cpus in (1, 2):
+        with monkeypatch.context() as patch:
+            _workers(patch, cpus)
+            patch.setattr(experiment, "run_cell", _diverging_distant_only)
+            patch.setattr(experiment, "_worker_row", _row_with_diverging_distant_only)
+            with _deadline(120):
+                outputs[cpus] = _run(config_path, tmp_path / str(cpus))
+    assert outputs[1] == outputs[2]
+    runs, aggregate = outputs[1]
+    failed = [r for r in _rows(runs) if r["status"] != "ok"]
     assert [r["method"] for r in failed] == ["distant-only"] * 2
-    assert failed[0]["status"].startswith("error: WsnerError: distant-only needs")
+    assert failed[0]["status"] == "error: NumericsError: non-finite training loss"
+    # the other rows are those of the sweep without the failure, and the
+    # failed cells have no aggregate row
+    assert [r for r in _rows(runs) if r["status"] == "ok"] == [
+        r for r in _rows(whole[0]) if r["method"] != "distant-only"]
+    assert b"distant-only" in whole[1] and b"distant-only" not in aggregate
 
 
 def test_dead_worker_fails_the_sweep_and_it_resumes(sweep, tmp_path, monkeypatch, capsys):

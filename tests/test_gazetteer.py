@@ -284,9 +284,9 @@ def reference_annotation(tokens, entries, rules, lowercase, strip_marks):
 
 
 # words of the generated tokens: tone marks, under-dots, date keywords,
-# digits and mixed digit tokens
+# digits, mixed digit tokens and digits outside ASCII
 _WORDS = ("ọdún", "odun", "ọjọ́", "oṣù", "Adé", "ade", "Ọlá", "Ìbàdàn", "Ibadan",
-          "Kàno", "ilé", "2018", "8", "8th", "ẹ̀ẹ̀kan")
+          "Kàno", "ilé", "2018", "8", "8th", "ẹ̀ẹ̀kan", "²", "٣")
 _FORMS = (lambda w: unicodedata.normalize("NFC", w), lambda w: unicodedata.normalize("NFD", w),
           str.upper, str.lower, str.capitalize, lambda w: strip_diacritics.__wrapped__(w))
 _mixed_token = st.builds(lambda w, f: f(w), st.sampled_from(_WORDS), st.sampled_from(_FORMS))

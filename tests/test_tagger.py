@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from wsner.corpus import Dataset, EntitySpan, LabeledSentence, TagSet, io_to_spans
 from wsner import cli, tagger
-from wsner.errors import ParseError
+from wsner.errors import NumericsError, ParseError
 from wsner.tagger import (
     EmbeddingTable,
     TaggerConfig,
@@ -40,7 +40,7 @@ from wsner.tagger import (
     train,
 )
 
-from conftest import make_dataset, make_sentence
+from conftest import make_dataset, make_sentence, random_sentences
 from gradcheck import finite_difference, max_relative_error
 from support import (blas_thread_count, forward, frozen_init_params, nan_workspace,
                      paper_shape_model, run_python, token_accuracy)
@@ -867,6 +867,21 @@ def test_training_is_deterministic_per_seed():
     b = train(ds, config, table)
     for (_, x), (_, y) in zip(a.arrays(), b.arrays()):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("lr", [5.0, 20.0, 100.0, 1000.0])
+def test_diverging_training_raises_numerics_error_before_any_numpy_warning(lr):
+    # embeddings scaled by 50 saturate the softmax: some probabilities
+    # round to 0 before the loss turns non-finite
+    tag_set = TagSet()
+    sentences = random_sentences(np.random.default_rng(0), 30, tag_set)
+    vocab = {f"t{i}": i for i in range(50)}
+    table = EmbeddingTable(vocab, np.random.default_rng(1).normal(size=(50, 12)) * 50)
+    config = TaggerConfig(hidden_size=16, feature_size=16, learning_rate=lr, epochs=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="non-finite training loss"):
+            train(Dataset(tuple(sentences), tag_set), config, table)
 
 
 def test_seed_changes_parameters():
