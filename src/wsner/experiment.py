@@ -46,7 +46,7 @@ from .corpus import Dataset, TagSet, check_aligned, read_conll, subsample_tokens
 from .errors import AlignmentError, WsnerError
 from .evaluation import mean_and_se, metrics_columns, metrics_row, span_prf
 from .gazetteer import distant_twin
-from .tagger import EmbeddingTable, TaggerConfig, require_integers
+from .tagger import EmbeddingTable, TaggerConfig, _cpu_count, require_integers
 
 METHODS = noise.METHODS + ("distant-only",)
 
@@ -261,14 +261,6 @@ def _init_worker(ctx_path: str) -> None:
 
 def _worker_row(cell: tuple) -> dict[str, str]:
     return _cell_row(_worker_ctx, *cell)
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 # Submission rank of each method in a worker pool, most expensive first, as

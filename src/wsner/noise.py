@@ -220,8 +220,10 @@ def _em_step(params: TaggerParams, items, noisy: np.ndarray, C: np.ndarray):
     per observed label, a closed-form maximizer; a row without mass keeps
     its value) and the E-step's observed-data log-likelihood."""
     probs = np.vstack([_sentence_forward(params, it.X)[0] for it in items])
-    posteriors, q = channel_posterior(probs, C, noisy)
-    ll = float(np.log(q).sum())
+    # a q of 0 makes 0 / 0 posteriors and log 0; the check comes first
+    with np.errstate(divide="ignore", invalid="ignore"):
+        posteriors, q = channel_posterior(probs, C, noisy)
+        ll = float(np.log(q).sum())
     if not math.isfinite(ll):
         raise NumericsError("non-finite log-likelihood in E-step")
     counts = np.zeros_like(C)

@@ -21,7 +21,11 @@ the CLI, each sweep worker and any library caller (``_pin_blas_threads``,
 called at import). A threaded matrix product splits its sums by the thread
 count, so at paper shape one seed would otherwise give other bytes at
 another count: in a sweep worker than in the process that started it, or
-under another setting of the environment.
+under another setting of the environment. Each product still runs on one
+BLAS thread when ``predict`` uses two: from ``_THREAD_HIDDEN`` (100)
+hidden units up, in a process that may use two CPUs, it runs the LSTM's
+two directions on two Python threads, with the same bytes as on one.
+Training runs on one thread.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import math
 import numbers
 import os
 import stat
+import threading
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -569,9 +574,12 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray,
 # makes one embedding gather, one input product into a (tokens, 4h) gate
 # buffer and one head product. Only the recurrent product and the gate
 # arithmetic run per step, in place on the step's slice, and the step's
-# hidden states overwrite its spent input gates. At paper shape BLAS
-# repacks the (4h, h) recurrent weights on every call, so that product
-# costs about 4.5 times more per row at 4 rows than at 64.
+# hidden states overwrite its spent input gates. Each step also takes the
+# next step's recurrent product, so a window's last states are read before
+# the next window's input product overwrites them, and no copy of them is
+# kept. At paper shape BLAS repacks the (4h, h) recurrent weights on every
+# call, so that product costs about 4.5 times more per row at 4 rows than
+# at 64.
 #
 # Folded head. The feature and output layers are linear, so the logits are
 # H @ M.T + m0 with M = w_out @ w_feat (L, 2h) and m0 = w_out @ b_feat +
@@ -579,19 +587,47 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray,
 # half of M into the batch's (tokens, L) logits, and the softmax runs once
 # per batch. This equals the per-sentence pass up to rounding.
 #
-# Memory. The gate, recurrent-product and state buffers are allocated once
-# per call and serve every batch, direction and window. Besides them a
-# batch holds its (tokens, L) logits and distributions and a few integer
-# index arrays, never (tokens, f) features or the (tokens, 4h) input
-# projection of the whole batch; a process that tags with the paper-shape
-# tagger reaches its peak memory here. The row cap follows from h so that
-# the gate buffer has about _WINDOW_FLOATS floats at every shape: 64 rows
-# at h=300, a whole batch at h=16.
+# Threads. The directions do not depend on each other until their logits
+# are summed. From _THREAD_HIDDEN units up, in a process that may use two
+# CPUs, a second thread runs the forward direction into the bias-filled
+# logits while the calling thread runs the backward one into zeros, and
+# the two are added after the join: each token gets bias + forward, then +
+# backward, the one-thread order, and every product is the same one-thread
+# BLAS product, so the distributions are the same bytes. numpy releases the
+# GIL inside the products and the gate arithmetic, so the threads overlap.
+#
+# Memory. A buffer set (the gate, recurrent-product and cell-state
+# buffers) is allocated once per call, in the calling thread, and serves
+# every batch and window; one set serves both directions on one thread,
+# and each thread has its own on two. Besides them a batch holds its
+# (tokens, L) logits and distributions (and the backward direction's
+# (tokens, L) share on two threads) and a few integer index arrays, never
+# (tokens, f) features or the (tokens, 4h) input projection of the whole
+# batch; a process that tags with the paper-shape tagger reaches its peak
+# memory here. The row cap follows from h so that the gate buffer has
+# about _WINDOW_FLOATS floats at every shape: 64 rows at h=300, a whole
+# batch at h=16.
 
 # A batch holds this many sentences (the last one fewer).
 _BATCH_SENTENCES = 64
 # The gate buffer of a window holds about this many floats (600 KiB).
 _WINDOW_FLOATS = 64 * 1200
+# From this hidden size up, the two directions run on two threads when the
+# process may use two CPUs. Below it the per-step work is too small for the
+# second thread to outweigh its start and the handing over of the GIL. On
+# a 2-vCPU x86-64 host, tagging 1,012 tokens in sentences of 5-40 took, in
+# median ms, one thread against two: 5.9 / 8.2 at d=12, h=16 (the
+# synthetic shape); 9.8 / 11.4 at d=12, h=64; 21.2 / 16.5 at d=12, h=100;
+# 29.7 / 20.1 at d=300, h=100; 121 / 81 at d=300, h=300.
+_THREAD_HIDDEN = 100
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _inference_batches(lengths: np.ndarray):
@@ -609,12 +645,12 @@ def _batch_direction(w, u, b, proj, table: EmbeddingTable, rows, pos, offs,
     and adds its states times ``proj.T`` into ``out`` at ``pos`` of the
     same slice. Windows are the step ranges ``bounds[k]:bounds[k + 1]``.
     ``buffers`` are the gate buffer, with a row for each token of a window,
-    and the recurrent product, cell state and carried hidden state, with a
-    row for each sentence."""
+    and the recurrent product and cell state, with a row for each
+    sentence."""
     h = u.shape[1]
     scale, shift = _gate_affine(h)
-    gates, rec, cell, carry = buffers
-    h_prev = None
+    gates, rec, cell = buffers
+    last = len(offs) - 2
     for t0, t1 in zip(bounds, bounds[1:]):
         lo, hi = offs[t0], offs[t1]
         window = gates[:hi - lo]
@@ -625,7 +661,7 @@ def _batch_direction(w, u, b, proj, table: EmbeddingTable, rows, pos, offs,
             a = window[offs[t] - lo:offs[t + 1] - lo]
             c = cell[:n]
             if t:
-                a += np.matmul(h_prev[:n], u.T, out=rec[:n])
+                a += rec[:n]
             a *= scale
             np.tanh(a, out=a)
             a *= scale
@@ -639,21 +675,24 @@ def _batch_direction(w, u, b, proj, table: EmbeddingTable, rows, pos, offs,
                 c += i
             else:
                 c[...] = i
-            h_prev = np.multiply(o, np.tanh(c, out=g), out=i)
+            h_t = np.multiply(o, np.tanh(c, out=g), out=i)
+            if t < last:
+                # the next step's recurrent product, taken now: after a
+                # window's last step its input product overwrites these states
+                m = offs[t + 2] - offs[t + 1]
+                np.matmul(h_t[:m], u.T, out=rec[:m])
         out[pos[lo:hi]] += window[:, :h] @ proj.T
-        # the next window's input product overwrites the gate buffer
-        carry[:n] = h_prev
-        h_prev = carry[:n]
 
 
 def _batch_probs(directions, bias, table: EmbeddingTable, batch_rows,
-                 buffers) -> np.ndarray:
+                 buffer_sets) -> np.ndarray:
     """Label distributions of sentences given as row-index arrays sorted
     longest first, as one ``(tokens, L)`` array in batch order.
     ``directions`` holds the forward, then the backward weights ``(w, u,
-    b, proj)`` of ``_batch_direction``, ``bias`` the folded head's ``m0``;
-    ``buffers`` are ``_batch_direction``'s, and a window has at most as
-    many tokens as the gate buffer has rows."""
+    b, proj)`` of ``_batch_direction``, ``bias`` the folded head's ``m0``.
+    ``buffer_sets`` holds one set of ``_batch_direction``'s buffers, or two
+    to run the directions on two threads (``_two_directions``); a window
+    has at most as many tokens as a gate buffer has rows."""
     lengths = np.array([len(r) for r in batch_rows], dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
     flat = np.concatenate(batch_rows)
@@ -662,21 +701,58 @@ def _batch_probs(directions, bias, table: EmbeddingTable, batch_rows,
     step, sent = np.nonzero(running)
     pos_f = starts[sent] + step
     pos_b = starts[sent] + lengths[sent] - 1 - step
+    del step, sent
     offs = np.concatenate(([0], np.cumsum(running.sum(axis=1))))
     bounds = [0]
     while bounds[-1] < len(offs) - 1:
-        end = np.searchsorted(offs, offs[bounds[-1]] + len(buffers[0]), side="right")
+        end = np.searchsorted(offs, offs[bounds[-1]] + len(buffer_sets[0][0]), side="right")
         bounds.append(int(end) - 1)
     offs = offs.tolist()
     logits = np.tile(bias, (len(flat), 1))
-    for weights, pos in zip(directions, (pos_f, pos_b)):
-        _batch_direction(*weights, table, flat[pos], pos, offs, bounds, buffers, logits)
+    runs = [(weights, flat[pos], pos) for weights, pos in zip(directions, (pos_f, pos_b))]
+    if len(buffer_sets) == 2:
+        logits += _two_directions(runs, table, offs, bounds, buffer_sets, logits)
+    else:
+        for weights, rows, pos in runs:
+            _batch_direction(*weights, table, rows, pos, offs, bounds, buffer_sets[0], logits)
     return _softmax(logits)
+
+
+def _two_directions(runs, table: EmbeddingTable, offs, bounds, buffer_sets,
+                    logits) -> np.ndarray:
+    """``_batch_probs``'s two directions at once: a thread adds the forward
+    one into ``logits`` with the second buffer set, while this thread adds
+    the backward one into zeros, which are returned for the caller to add.
+    Every token gets one term per direction in the one-thread order, bias
+    plus forward, then plus backward, so the sums are the same bits. The
+    thread is joined before this returns or raises, and its exception is
+    raised here."""
+    (fwd, rows_f, pos_f), (bwd, rows_b, pos_b) = runs
+    backward = np.zeros_like(logits)
+    failure = []
+
+    def forward():
+        try:
+            _batch_direction(*fwd, table, rows_f, pos_f, offs, bounds, buffer_sets[1], logits)
+        except BaseException as exc:  # raised again in the calling thread
+            failure.append(exc)
+
+    worker = threading.Thread(target=forward, name="wsner-forward")
+    worker.start()
+    try:
+        _batch_direction(*bwd, table, rows_b, pos_b, offs, bounds, buffer_sets[0], backward)
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
+    return backward
 
 
 def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
     """``(index, probs)`` for every token sequence in ``token_lists``, one
-    batch at a time, so that only one batch's distributions are held."""
+    batch at a time, so that only one batch's distributions are held. From
+    ``_THREAD_HIDDEN`` units up, in a process that may use two CPUs, a
+    batch's two directions run on two threads."""
     lengths = np.array([len(tokens) for tokens in token_lists], dtype=np.int64)
     h = params.hidden_size
     fold = params.w_out @ params.w_feat
@@ -684,14 +760,16 @@ def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
                   (params.w_in_b, params.u_b, params.b_b, fold[:, h:]))
     bias = params.w_out @ params.b_feat + params.b_out
     # once per call, not per batch: gate buffers allocated and freed batch
-    # after batch fragment the heap and raise the process's peak memory
+    # after batch fragment the heap and raise the process's peak memory;
+    # and in this thread, so the other one allocates little
     rows = min(max(_BATCH_SENTENCES, _WINDOW_FLOATS // (4 * h)), int(lengths.sum()))
     width = min(_BATCH_SENTENCES, len(token_lists))
-    buffers = (np.empty((rows, 4 * h)), np.empty((width, 4 * h)),
-               np.empty((width, h)), np.empty((width, h)))
+    threads = 2 if h >= _THREAD_HIDDEN and _cpu_count() >= 2 else 1
+    buffer_sets = [(np.empty((rows, 4 * h)), np.empty((width, 4 * h)), np.empty((width, h)))
+                   for _ in range(threads)]
     for batch in _inference_batches(lengths):
         batch_rows = [table.row_indices(token_lists[i]) for i in batch]
-        probs = _batch_probs(directions, bias, table, batch_rows, buffers)
+        probs = _batch_probs(directions, bias, table, batch_rows, buffer_sets)
         yield from zip(batch.tolist(), np.split(probs, np.cumsum(lengths[batch])[:-1]))
 
 
@@ -734,25 +812,29 @@ def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None, *,
     cross-entropy to ``w``, and ``dC`` is None. A non-finite loss raises ``NumericsError``."""
     probs, cache = _sentence_forward(params, X)
     T = X.shape[0]
-    dC = None
-    # keep soft > channel > hard: perfbench/tracing.py names loss spans by it
-    if item.soft is not None:
-        w = item.soft
-    elif item.channel and C is not None:
-        w, q = channel_posterior(probs, C, item.hard)
-        loss = -np.log(q).sum() / T
-        dC = np.zeros_like(C)
-        dq = -1.0 / (q * T)
-        np.add.at(dC.T, item.hard, probs * dq[:, None])
-    else:
-        w = np.eye(probs.shape[1])[item.hard]
-    if dC is None:
-        # a probability of 0 makes 0 * log 0 = nan where the target is 0, which
-        # np.where drops; divergence shows in the loss, checked before backward
-        with np.errstate(divide="ignore", invalid="ignore"):
+    channel = item.soft is None and item.channel and C is not None
+    # divergence shows in the loss, checked before any gradient is formed:
+    # a channel probability q of 0 makes 0 / 0 posteriors and log 0, and a
+    # probability of 0 makes 0 * log 0 = nan where the target is 0, which
+    # np.where drops
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # keep soft > channel > hard: perfbench/tracing.py names loss spans by it
+        if item.soft is not None:
+            w = item.soft
+        elif channel:
+            w, q = channel_posterior(probs, C, item.hard)
+            loss = -np.log(q).sum() / T
+        else:
+            w = np.eye(probs.shape[1])[item.hard]
+        if not channel:
             loss = -np.where(w > 0.0, w * np.log(probs), 0.0).sum() / T
     if not np.isfinite(loss):
         raise NumericsError("non-finite training loss")
+    dC = None
+    if channel:
+        dC = np.zeros_like(C)
+        dq = -1.0 / (q * T)
+        np.add.at(dC.T, item.hard, probs * dq[:, None])
     dlogits = (probs - w) / T
     return loss, _sentence_backward(params, cache, dlogits, grads), dC
 
@@ -848,12 +930,21 @@ def predict(dataset: Dataset, params: TaggerParams, table: EmbeddingTable) -> Da
     batch at small h. A window makes one embedding gather, one input
     product and one product of its states with the folded head
     ``w_out @ w_feat``; only the recurrent product and the gates run per
-    timestep. So a batch holds about ``_WINDOW_FLOATS`` (76,800) gate
-    floats, a (64, 4h) recurrent product and its (tokens, L) logits, never
-    (tokens, f) features or the (tokens, 4h) input projection of the whole
-    batch. Since the head is linear, folding it changes only the rounding:
-    the distributions equal the per-sentence forward pass up to rounding,
-    and the output keeps the input order.
+    timestep. So a batch holds, per thread, about ``_WINDOW_FLOATS``
+    (76,800) gate floats and a (64, 4h) recurrent product, and its (tokens,
+    L) logits, never (tokens, f) features or the (tokens, 4h) input
+    projection of the whole batch. Since the head is linear, folding it
+    changes only the rounding: the distributions equal the per-sentence
+    forward pass up to rounding, and the output keeps the input order.
+
+    From 100 hidden units up (``_THREAD_HIDDEN``; the paper shape, not the
+    synthetic one), in a process that may use two CPUs, the forward
+    direction of each batch runs on a second thread, with a second set of
+    buffers, while this thread runs the backward one. The thread is joined
+    before the batch's sentences are decoded, and an error in it is raised
+    here. Each token's logits are summed in the one-thread order and every
+    product still runs on one BLAS thread, so the output is the same bytes
+    on one thread or two.
 
     The rounding also depends on the batch: a window's products have as
     many rows as the window has tokens, so a sentence's distributions may

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from wsner import experiment, noise
 from wsner.corpus import (Dataset, EntitySpan, LabeledSentence, TagSet, check_aligned, merge,
                           read_conll)
-from wsner.errors import AlignmentError, EstimationError, ParseError, SchemaError
+from wsner.errors import AlignmentError, EstimationError, NumericsError, ParseError, SchemaError
 from wsner.noise import (
     EM_CHANNEL_ANCHOR,
     METHODS,
@@ -75,6 +76,18 @@ def test_fit_returns_the_pinned_bytes_for_every_method(tmp_path):
         pytest.skip(f"bytes pinned under python, numpy, BLAS {PINNED_ENVIRONMENT}, "
                     f"not {environment()}")
     assert digests == FIT_SHA256
+
+
+@pytest.mark.parametrize("lr", [1000.0, 10000.0])
+def test_diverging_confusion_raises_numerics_error_before_any_numpy_warning(tmp_path, lr):
+    # the trained channel saturates until it gives some token's noisy label
+    # probability 0: its posterior is 0 / 0 and its loss -log 0
+    paths = write_tiny_sweep(tmp_path, learning_rate=lr, methods=["confusion"])
+    ctx = experiment._build_context(experiment.load_config(paths["config"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="non-finite training loss"):
+            experiment.run_cell(ctx, None, "confusion", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +326,21 @@ def test_em_posteriors_are_distributions():
     assert posteriors.shape == (len(noisy), task.distant.tag_set.size)
     assert np.abs(posteriors.sum(axis=1) - 1.0).max() < 1e-9
     assert posteriors.min() >= 0
+
+
+def test_em_step_raises_numerics_error_before_any_numpy_warning():
+    # a channel that never emits an observed label gives that label's
+    # tokens q = 0: 0 / 0 posteriors and log 0
+    task = _small_task()
+    params, items, noisy = _em_inputs(task)
+    L = task.distant.tag_set.size
+    label = int(noisy[noisy != O][0])
+    channel = np.eye(L)
+    channel[label] = np.eye(L)[O]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="non-finite log-likelihood"):
+            _em_step(params, items, noisy, channel)
 
 
 def test_em_requires_data():

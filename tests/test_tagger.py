@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -1027,6 +1028,84 @@ def test_inference_batches_sort_stably_within_caps(caps, monkeypatch):
     assert len(batches) == caps[1]
     # every batch but the last is full, whatever its lengths
     assert all(len(batch) == caps[0] for batch in batches[:-1])
+
+
+def _use_threads(monkeypatch, on):
+    """Run the batched forward's two directions on two threads (*on*) or on
+    one, whatever the model's hidden size and the host's CPUs."""
+    monkeypatch.setattr(tagger, "_THREAD_HIDDEN", 1 if on else math.inf)
+    monkeypatch.setattr(tagger, "_cpu_count", lambda: 2)
+
+
+# (sentences per batch, window floats): one batch in one window, and six
+# batches of 3 sentences in windows of 5 tokens, as in the last case of
+# test_batched_forward_matches_per_sentence
+@pytest.mark.parametrize("caps", [None, (3, 5 * 16)])
+def test_two_threads_give_the_one_thread_bytes(caps, monkeypatch):
+    if caps is not None:
+        monkeypatch.setattr(tagger, "_BATCH_SENTENCES", caps[0])
+        monkeypatch.setattr(tagger, "_WINDOW_FLOATS", caps[1])
+    _, table, params, ds = _batch_test_model("lstm", 30)
+    tokens = [s.tokens for s in ds.sentences]
+    batches = len(list(_inference_batches(np.array([len(t) for t in tokens]))))
+    thread = threading.Thread
+    runs = {}
+    for on in (False, True):
+        _use_threads(monkeypatch, on)
+        started = []
+        monkeypatch.setattr(threading, "Thread",
+                            lambda *a, **k: started.append(1) or thread(*a, **k))
+        # a short switch interval hands the GIL between the threads often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pairs = list(_forward_batched(params, table, tokens))
+        finally:
+            sys.setswitchinterval(interval)
+        runs[on] = (len(started), pairs)
+    assert (runs[False][0], runs[True][0]) == (0, batches)
+    one, two = runs[False][1], runs[True][1]
+    assert [i for i, _ in one] == [i for i, _ in two]
+    assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(one, two))
+
+
+@pytest.mark.parametrize("failing", ["forward thread", "calling thread"])
+def test_an_error_in_either_direction_is_raised_after_the_join(failing, monkeypatch):
+    _use_threads(monkeypatch, True)
+    _, table, params, ds = _batch_test_model("lstm", 9)
+    caller = threading.get_ident()
+    direction = tagger._batch_direction
+
+    def fails_in_one_thread(*args):
+        if (threading.get_ident() == caller) == (failing == "calling thread"):
+            raise FloatingPointError(f"in the {failing}")
+        return direction(*args)
+
+    monkeypatch.setattr(tagger, "_batch_direction", fails_in_one_thread)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"in the {failing}"):
+        predict(ds, params, table)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("shape", ["small hidden size", "one CPU"])
+def test_no_thread_is_started_below_the_size_or_on_one_cpu(shape, monkeypatch):
+    if shape == "small hidden size":
+        monkeypatch.setattr(tagger, "_cpu_count", lambda: 2)
+        _, table, params, ds = _batch_test_model("lstm", 9)
+        assert params.hidden_size < tagger._THREAD_HIDDEN
+    else:
+        monkeypatch.setattr(tagger, "_cpu_count", lambda: 1)
+        params, table = paper_shape_model(vocab=20)
+        ds = make_dataset([make_sentence(("w1", "oov", "w3")), make_sentence(("w4",))])
+        assert params.hidden_size >= tagger._THREAD_HIDDEN
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    out = predict(ds, params, table)
+    assert [s.tokens for s in out.sentences] == [s.tokens for s in ds.sentences]
 
 
 def _paper_batch_peak(count, length):
