@@ -9,12 +9,13 @@ evaluate --pred`` scores any annotation against gold, a distant one
 included.
 
 Exit codes: 0 success, 1 data error (message names the file and line when
-known), 2 usage error (argparse).
+known) or a sweep with a failed cell, 2 usage error (argparse).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
@@ -218,6 +219,15 @@ def cmd_experiment(args) -> int:
     runs_path, agg_path = experiment.run_experiment(config)
     print(f"per-run metrics: {runs_path}")
     print(f"aggregated metrics: {agg_path}")
+    with open(runs_path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    failed = [row for row in rows if row["status"] != "ok"]
+    if failed:
+        first = failed[0]
+        print(f"error: {len(failed)} of {len(rows)} sweep cells failed; the first is "
+              f"{first['setting']}/{first['method']}/{first['repeat']}: "
+              f"{first['status'].removeprefix('error: ')}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -328,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "cell in (budget, method, repeat) order, each flushed as it is written, "
                     "so an interrupted sweep resumes where it stopped. A finished row waits "
                     "until the rows before it are written; rows still held at an interrupt "
-                    "are lost and their cells run again on resume. "
-                    + EMBEDDINGS_CACHE)
+                    "are lost and their cells run again on resume. A cell that fails gets an "
+                    "error row; after writing both files the sweep then exits 1, naming the "
+                    "count of failed cells and the first one. " + EMBEDDINGS_CACHE)
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--repeats", type=int, default=None)

@@ -12,12 +12,14 @@ files.
 Pending cells run in a pool of worker processes started with ``spawn``,
 one per CPU the process may use (``os.sched_getaffinity``), but never
 more than there are pending cells; with one worker the cells run in this
-process. The shared context is built once and pickled to a temporary
-file that each worker reads once when it starts. The pool starts the
-cells most expensive first: cleaning, then noise-channel, then
-confusion and naive-mix, then baseline-clean, then distant-only, the
-larger budget first within a method, so the longest cells do not start
-last and leave the other workers idle. This process alone writes
+process. A worker runs the tagger's two LSTM directions on one thread
+unless the process may use two CPUs for each worker (see
+``tagger._two_threads``). The shared context is built once and pickled
+to a temporary file that each worker reads once when it starts. The
+pool starts the cells most expensive first: cleaning, then
+noise-channel, then confusion and naive-mix, then baseline-clean, then
+distant-only, the larger budget first within a method, so the longest
+cells do not start last and leave the other workers idle. This process alone writes
 ``runs.csv``, in canonical (budget, method, repeat) order: a finished row
 waits until every row before it is written, then is flushed at once, so
 the rows are the same bytes whichever path ran them and an interrupted
@@ -253,10 +255,13 @@ def _cell_row(ctx: _Context, budget, method: str, repeat: int) -> dict[str, str]
 _worker_ctx: _Context | None = None
 
 
-def _init_worker(ctx_path: str) -> None:
+def _init_worker(ctx_path: str, workers: int) -> None:
+    """Load the sweep context; a pool of *workers* processes shares this
+    process's CPUs, so the tagger counts them before it starts a thread."""
     global _worker_ctx
     with open(ctx_path, "rb") as fh:
         _worker_ctx = pickle.load(fh)
+    tagger._sharing_processes = workers
 
 
 def _worker_row(cell: tuple) -> dict[str, str]:
@@ -302,7 +307,7 @@ def _run_cells(ctx: _Context, cells: list[tuple], write) -> None:
         with open(ctx_path, "wb") as fh:
             pickle.dump(ctx, fh)
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                                   initializer=_init_worker, initargs=(ctx_path,))
+                                   initializer=_init_worker, initargs=(ctx_path, workers))
         written = 0
         try:
             futures = {cell: pool.submit(_worker_row, cell) for cell in _longest_first(cells)}

@@ -22,15 +22,18 @@ called at import). A threaded matrix product splits its sums by the thread
 count, so at paper shape one seed would otherwise give other bytes at
 another count: in a sweep worker than in the process that started it, or
 under another setting of the environment. Each product still runs on one
-BLAS thread when ``predict`` uses two: from ``_THREAD_HIDDEN`` (100)
-hidden units up, in a process that may use two CPUs, it runs the LSTM's
-two directions on two Python threads, with the same bytes as on one.
-Training runs on one thread.
+BLAS thread when the tagger uses two Python threads: from
+``_THREAD_WEIGHTS`` (300,000) LSTM weight floats per direction up (the
+paper shape, not the synthetic one), the training forward and backward
+passes and ``predict`` run the LSTM's two directions at once, given two
+CPUs for the process, or for each worker of a sweep pool. The bytes are
+those of one thread.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import dataclasses
 import functools
@@ -524,9 +527,76 @@ def _lstm_backward(u, cache, dHs, *, out):
     return out
 
 
+# ---------------------------------------------------------------------------
+# the two directions at once
+#
+# The LSTM's two directions touch disjoint arrays until a sentence pass
+# joins their states, once its backward pass has split their gradients,
+# and until batched inference sums their logits. From _THREAD_WEIGHTS
+# weight floats per direction, 4h(d + h), _both runs them on two threads,
+# with the bytes of one: numpy releases the GIL inside products and
+# elementwise arithmetic, and nothing is summed across threads. Below it,
+# handing the GIL over at every step costs more than the overlap gains:
+# on a 2-vCPU x86-64 host an SGD epoch took 38 / 89 ms on one / two
+# threads at d=12, h=16 (the synthetic shape), 151 / 212 at d=300, h=100,
+# 258 / 271 at d=300, h=160, 311 / 293 at d=300, h=175 and 980 / 678 at
+# d=300, h=300 (the paper shape); tagging wins from about 100,000 floats.
+_THREAD_WEIGHTS = 300_000
+# Processes that share this one's CPUs: a sweep worker's pool size
+# (experiment._init_worker), else 1.
+_sharing_processes = 1
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _two_threads(d: int, h: int) -> bool:
+    """Whether an LSTM over d-dimensional inputs with h units runs its
+    directions on two threads: from ``_THREAD_WEIGHTS`` up, with two CPUs
+    for each process that shares them, so a pool that fills the CPUs
+    keeps to one thread per worker."""
+    return (4 * h * (d + h) >= _THREAD_WEIGHTS
+            and _cpu_count() >= 2 * _sharing_processes)
+
+
+def _both(first, second, threaded: bool):
+    """``(first(), second())``, in that order on this thread, or, if
+    *threaded*, ``first`` on a new thread in a copy of this thread's
+    context (numpy's error state lives there) while ``second`` runs here.
+    The thread is joined before this returns or raises, and its exception
+    is raised here."""
+    if not threaded:
+        return first(), second()
+    context = contextvars.copy_context()
+    result, failure = [], []
+
+    def work():
+        try:
+            result.append(context.run(first))
+        except BaseException as exc:  # raised again in the calling thread
+            failure.append(exc)
+
+    worker = threading.Thread(target=work, name="wsner-forward")
+    worker.start()
+    try:
+        second_result = second()
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
+    return result[0], second_result
+
+
 def _sentence_forward(params: TaggerParams, X: np.ndarray):
-    hs_f, cache_f = _lstm_forward(params.w_in_f, params.u_f, params.b_f, X)
-    hs_b_rev, cache_b = _lstm_forward(params.w_in_b, params.u_b, params.b_b, X[::-1])
+    (hs_f, cache_f), (hs_b_rev, cache_b) = _both(
+        lambda: _lstm_forward(params.w_in_f, params.u_f, params.b_f, X),
+        lambda: _lstm_forward(params.w_in_b, params.u_b, params.b_b, X[::-1]),
+        _two_threads(params.embed_dim, params.hidden_size))
     H = np.concatenate([hs_f, hs_b_rev[::-1]], axis=1)
     feats = H @ params.w_feat.T + params.b_feat
     logits = feats @ params.w_out.T + params.b_out
@@ -547,11 +617,13 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray,
     dfeats = dlogits @ params.w_out
     dH = dfeats @ params.w_feat
     # dHs and out by keyword: perfbench/tracing.py counts the tokens of
-    # argument 3 or of the keyword dHs, so out must not take position 3
-    _lstm_backward(params.u_f, cache_f, dHs=dH[:, :h],
-                   out=(grads.w_in_f, grads.u_f, grads.b_f))
-    _lstm_backward(params.u_b, cache_b, dHs=dH[::-1, h:],
-                   out=(grads.w_in_b, grads.u_b, grads.b_b))
+    # argument 3 or of the keyword dHs, so out must not take position 3;
+    # the directions write disjoint fields of grads
+    _both(lambda: _lstm_backward(params.u_f, cache_f, dHs=dH[:, :h],
+                                 out=(grads.w_in_f, grads.u_f, grads.b_f)),
+          lambda: _lstm_backward(params.u_b, cache_b, dHs=dH[::-1, h:],
+                                 out=(grads.w_in_b, grads.u_b, grads.b_b)),
+          _two_threads(params.embed_dim, h))
     np.matmul(dfeats.T, H, out=grads.w_feat)
     dfeats.sum(axis=0, out=grads.b_feat)
     np.matmul(dlogits.T, feats, out=grads.w_out)
@@ -587,14 +659,8 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray,
 # half of M into the batch's (tokens, L) logits, and the softmax runs once
 # per batch. This equals the per-sentence pass up to rounding.
 #
-# Threads. The directions do not depend on each other until their logits
-# are summed. From _THREAD_HIDDEN units up, in a process that may use two
-# CPUs, a second thread runs the forward direction into the bias-filled
-# logits while the calling thread runs the backward one into zeros, and
-# the two are added after the join: each token gets bias + forward, then +
-# backward, the one-thread order, and every product is the same one-thread
-# BLAS product, so the distributions are the same bytes. numpy releases the
-# GIL inside the products and the gate arithmetic, so the threads overlap.
+# Threads. On two (_two_threads), the backward direction adds into zeros,
+# added after the join: bias + forward, then + backward, as on one.
 #
 # Memory. A buffer set (the gate, recurrent-product and cell-state
 # buffers) is allocated once per call, in the calling thread, and serves
@@ -612,23 +678,6 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray,
 _BATCH_SENTENCES = 64
 # The gate buffer of a window holds about this many floats (600 KiB).
 _WINDOW_FLOATS = 64 * 1200
-# From this hidden size up, the two directions run on two threads when the
-# process may use two CPUs. Below it the per-step work is too small for the
-# second thread to outweigh its start and the handing over of the GIL. On
-# a 2-vCPU x86-64 host, tagging 1,012 tokens in sentences of 5-40 took, in
-# median ms, one thread against two: 5.9 / 8.2 at d=12, h=16 (the
-# synthetic shape); 9.8 / 11.4 at d=12, h=64; 21.2 / 16.5 at d=12, h=100;
-# 29.7 / 20.1 at d=300, h=100; 121 / 81 at d=300, h=300.
-_THREAD_HIDDEN = 100
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
 
 def _inference_batches(lengths: np.ndarray):
     """Input indices sorted by length, longest first (equal lengths keep
@@ -691,8 +740,8 @@ def _batch_probs(directions, bias, table: EmbeddingTable, batch_rows,
     ``directions`` holds the forward, then the backward weights ``(w, u,
     b, proj)`` of ``_batch_direction``, ``bias`` the folded head's ``m0``.
     ``buffer_sets`` holds one set of ``_batch_direction``'s buffers, or two
-    to run the directions on two threads (``_two_directions``); a window
-    has at most as many tokens as a gate buffer has rows."""
+    to run the directions on two threads (``_both``); a window has at most
+    as many tokens as a gate buffer has rows."""
     lengths = np.array([len(r) for r in batch_rows], dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
     flat = np.concatenate(batch_rows)
@@ -709,50 +758,23 @@ def _batch_probs(directions, bias, table: EmbeddingTable, batch_rows,
         bounds.append(int(end) - 1)
     offs = offs.tolist()
     logits = np.tile(bias, (len(flat), 1))
-    runs = [(weights, flat[pos], pos) for weights, pos in zip(directions, (pos_f, pos_b))]
-    if len(buffer_sets) == 2:
-        logits += _two_directions(runs, table, offs, bounds, buffer_sets, logits)
-    else:
-        for weights, rows, pos in runs:
-            _batch_direction(*weights, table, rows, pos, offs, bounds, buffer_sets[0], logits)
+    threaded = len(buffer_sets) == 2
+    backward = np.zeros_like(logits) if threaded else logits
+    (fwd, bwd), rows_f, rows_b = directions, flat[pos_f], flat[pos_b]
+    _both(lambda: _batch_direction(*fwd, table, rows_f, pos_f, offs, bounds,
+                                   buffer_sets[-1], logits),
+          lambda: _batch_direction(*bwd, table, rows_b, pos_b, offs, bounds,
+                                   buffer_sets[0], backward),
+          threaded)
+    if threaded:
+        logits += backward
     return _softmax(logits)
-
-
-def _two_directions(runs, table: EmbeddingTable, offs, bounds, buffer_sets,
-                    logits) -> np.ndarray:
-    """``_batch_probs``'s two directions at once: a thread adds the forward
-    one into ``logits`` with the second buffer set, while this thread adds
-    the backward one into zeros, which are returned for the caller to add.
-    Every token gets one term per direction in the one-thread order, bias
-    plus forward, then plus backward, so the sums are the same bits. The
-    thread is joined before this returns or raises, and its exception is
-    raised here."""
-    (fwd, rows_f, pos_f), (bwd, rows_b, pos_b) = runs
-    backward = np.zeros_like(logits)
-    failure = []
-
-    def forward():
-        try:
-            _batch_direction(*fwd, table, rows_f, pos_f, offs, bounds, buffer_sets[1], logits)
-        except BaseException as exc:  # raised again in the calling thread
-            failure.append(exc)
-
-    worker = threading.Thread(target=forward, name="wsner-forward")
-    worker.start()
-    try:
-        _batch_direction(*bwd, table, rows_b, pos_b, offs, bounds, buffer_sets[0], backward)
-    finally:
-        worker.join()
-    if failure:
-        raise failure[0]
-    return backward
 
 
 def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
     """``(index, probs)`` for every token sequence in ``token_lists``, one
-    batch at a time, so that only one batch's distributions are held. From
-    ``_THREAD_HIDDEN`` units up, in a process that may use two CPUs, a
-    batch's two directions run on two threads."""
+    batch at a time, so that only one batch's distributions are held,
+    each batch's two directions on two threads where ``_two_threads``."""
     lengths = np.array([len(tokens) for tokens in token_lists], dtype=np.int64)
     h = params.hidden_size
     fold = params.w_out @ params.w_feat
@@ -764,7 +786,7 @@ def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
     # and in this thread, so the other one allocates little
     rows = min(max(_BATCH_SENTENCES, _WINDOW_FLOATS // (4 * h)), int(lengths.sum()))
     width = min(_BATCH_SENTENCES, len(token_lists))
-    threads = 2 if h >= _THREAD_HIDDEN and _cpu_count() >= 2 else 1
+    threads = 2 if _two_threads(params.embed_dim, h) else 1
     buffer_sets = [(np.empty((rows, 4 * h)), np.empty((width, 4 * h)), np.empty((width, h)))
                    for _ in range(threads)]
     for batch in _inference_batches(lengths):
@@ -937,14 +959,10 @@ def predict(dataset: Dataset, params: TaggerParams, table: EmbeddingTable) -> Da
     changes only the rounding: the distributions equal the per-sentence
     forward pass up to rounding, and the output keeps the input order.
 
-    From 100 hidden units up (``_THREAD_HIDDEN``; the paper shape, not the
-    synthetic one), in a process that may use two CPUs, the forward
-    direction of each batch runs on a second thread, with a second set of
-    buffers, while this thread runs the backward one. The thread is joined
-    before the batch's sentences are decoded, and an error in it is raised
-    here. Each token's logits are summed in the one-thread order and every
-    product still runs on one BLAS thread, so the output is the same bytes
-    on one thread or two.
+    At paper shape, given two CPUs (``_two_threads``), each batch's
+    forward direction runs on a second thread, with a second set of
+    buffers, joined before the batch is decoded; an error in it is raised
+    here, and the output is the same bytes as on one thread.
 
     The rounding also depends on the batch: a window's products have as
     many rows as the window has tokens, so a sentence's distributions may

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wsner import experiment, noise
+from wsner import experiment, noise, tagger
 from wsner.corpus import (Dataset, EntitySpan, LabeledSentence, TagSet, check_aligned,
                           has_whitespace, open_utf8, spans_to_bio)
 from wsner.errors import ParseError, SchemaError
@@ -33,6 +33,15 @@ def forward(tokens, params: TaggerParams, table: EmbeddingTable) -> np.ndarray:
     batched inference path that ``tagger.predict`` uses."""
     (_, probs), = _forward_batched(params, table, [tokens])
     return probs
+
+
+def use_threads(monkeypatch, on: bool) -> None:
+    """Run the LSTM's two directions on two threads (*on*) or on one, in
+    training and in the batched forward, whatever the model's size and the
+    host's CPUs."""
+    monkeypatch.setattr(tagger, "_THREAD_WEIGHTS", 1 if on else math.inf)
+    monkeypatch.setattr(tagger, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(tagger, "_sharing_processes", 1)
 
 
 def nan_workspace(params: TaggerParams) -> TaggerParams:

@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 import wsner
-from wsner import cli, evaluation, noise, tagger
+from wsner import cli, evaluation, experiment, noise, tagger
 from wsner.corpus import (Dataset, EntitySpan, LabeledSentence, TagSet, merge, read_conll,
                           write_conll)
 from wsner.errors import ParseError, WsnerError
@@ -158,6 +158,26 @@ def test_train_rejects_bad_config_naming_the_file(corpus, tmp_path, capsys, doc,
     assert capsys.readouterr().err.replace(str(sweep_path), "FILE") == err.replace(
         str(config_path), "FILE")
     assert not (tmp_path / "out").exists()
+
+
+def test_experiment_exits_1_naming_its_failed_cells(tmp_path, capsys, monkeypatch):
+    # at this learning rate the confusion cells diverge; distant-only
+    # trains nothing
+    paths = write_tiny_sweep(tmp_path / "corpus", learning_rate=1000.0,
+                             methods=["confusion", "distant-only"])
+    monkeypatch.setattr(experiment, "_cpu_count", lambda: 1)
+    code = cli.main(["experiment", "--config", paths["config"],
+                     "--out-dir", str(tmp_path / "cli")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == ("error: 2 of 4 sweep cells failed; the first is 40/confusion/0: "
+                   "NumericsError: non-finite training loss\n")
+    assert "runs.csv" in out and "aggregate.csv" in out
+    # both files are written, the bytes the sweep writes
+    experiment.run_experiment(experiment.load_config(paths["config"],
+                                                     {"out_dir": str(tmp_path / "direct")}))
+    for name in ("runs.csv", "aggregate.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
 
 
 def test_evaluate_model_reads_gold_with_the_checkpoint_labels(corpus, tmp_path, capsys):

@@ -12,7 +12,9 @@ runs, as a missing or misaligned distant test file stops one with
 distant-only, the worker pool starts the most expensive cells first yet
 writes the same bytes as the in-process path, its workers run BLAS on one thread as the sweep's process does (so a
 paper-shape cell resumed alone in the sweep's process trains the bytes
-its pool worker trained), a worker that dies fails the sweep instead of
+its pool worker trained), a paper-shape cell trains on two threads in the
+sweep's process but on one in a pool with a worker per CPU, a worker that
+dies fails the sweep instead of
 hanging it, and an interrupted sweep resumes to the bytes of an
 uninterrupted one."""
 
@@ -28,6 +30,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from contextlib import contextmanager
 
@@ -550,6 +553,36 @@ def test_paper_shape_cell_run_alone_equals_its_row_from_a_pool(tmp_path):
     (out / "runs.csv").write_bytes(header + rows[0])
     run_python(_SWEEP_WITH_FIT_DIGESTS, "2", paths["config"], str(out), "1")
     assert (out / "runs.csv").read_bytes() == pooled
+
+
+@pytest.mark.parametrize("pool", ["lone cell in process", "worker of a full pool"])
+def test_a_paper_shape_cell_trains_on_two_threads_unless_its_pool_fills_the_cpus(
+        pool, tmp_path, monkeypatch):
+    # two CPUs: a cell run in the sweep's process has both, while each of
+    # two pool workers has one, whatever the worker process itself may use
+    paths = write_tiny_sweep(tmp_path / "corpus", hidden_size=300, feature_size=128,
+                             clean_budgets=["unlimited"], methods=["baseline-clean"])
+    table = EmbeddingTable.load(paths["embeddings"])
+    EmbeddingTable(table.vocab, np.random.default_rng(5).normal(size=(len(table), 300))
+                   ).save(paths["embeddings"])
+    config = experiment.load_config(paths["config"], {"out_dir": str(tmp_path / "out")})
+    monkeypatch.setattr(tagger, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(tagger, "_sharing_processes", 1)
+    monkeypatch.setattr(experiment, "_worker_ctx", None)
+    thread = threading.Thread
+    started = []
+    monkeypatch.setattr(threading, "Thread",
+                        lambda *a, **k: started.append(1) or thread(*a, **k))
+    if pool == "lone cell in process":
+        monkeypatch.setattr(experiment, "_cpu_count", lambda: 1)
+        experiment.run_experiment(config)
+        assert started
+    else:
+        ctx_path = tmp_path / "context.pickle"
+        ctx_path.write_bytes(pickle.dumps(experiment._build_context(config)))
+        experiment._init_worker(str(ctx_path), 2)
+        assert experiment._worker_row((None, "baseline-clean", 0))["status"] == "ok"
+        assert not started
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -36,6 +38,7 @@ from support import (
     make_noise_benchmark,
     nan_workspace,
     token_accuracy,
+    use_threads,
 )
 
 LABELS = ("O", "PER", "ORG", "LOC", "DATE")
@@ -56,8 +59,10 @@ FIT_SHA256 = {
 }
 
 
-def test_fit_returns_the_pinned_bytes_for_every_method(tmp_path):
-    paths = write_tiny_sweep(tmp_path)
+def _fit_digests(root) -> dict[str, str]:
+    """Per method, the sha256 of every parameter array and the channel
+    (when there is one) that fit returns on the tiny sweep."""
+    paths = write_tiny_sweep(root)
     sweep = experiment.load_config(paths["config"])
     tag_set = TagSet(sweep.entity_types)
     clean = read_conll(paths["train"], tag_set=tag_set)
@@ -72,10 +77,37 @@ def test_fit_returns_the_pinned_bytes_for_every_method(tmp_path):
         if channel is not None:
             digest.update(channel.matrix.tobytes())
         digests[method] = digest.hexdigest()
+    return digests
+
+
+def test_fit_returns_the_pinned_bytes_for_every_method(tmp_path):
+    digests = _fit_digests(tmp_path)
     if environment() != PINNED_ENVIRONMENT:
         pytest.skip(f"bytes pinned under python, numpy, BLAS {PINNED_ENVIRONMENT}, "
                     f"not {environment()}")
     assert digests == FIT_SHA256
+
+
+def test_fit_trains_the_same_bytes_on_one_thread_or_two(tmp_path, monkeypatch):
+    # every training forward and backward pass, the cleaner's feature
+    # vectors and the EM E-step, at the tiny sweep's d=12, h=4
+    runs = {}
+    thread = threading.Thread
+    for on in (False, True):
+        use_threads(monkeypatch, on)
+        started = []
+        monkeypatch.setattr(threading, "Thread",
+                            lambda *a, **k: started.append(1) or thread(*a, **k))
+        # a short switch interval hands the GIL between the threads often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            digests = _fit_digests(tmp_path / str(on))
+        finally:
+            sys.setswitchinterval(interval)
+        runs[on] = (len(started) > 0, digests)
+    assert (runs[False][0], runs[True][0]) == (False, True)
+    assert runs[False][1] == runs[True][1]
 
 
 @pytest.mark.parametrize("lr", [1000.0, 10000.0])

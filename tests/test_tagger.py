@@ -44,7 +44,7 @@ from wsner.tagger import (
 from conftest import make_dataset, make_sentence, random_sentences
 from gradcheck import finite_difference, max_relative_error
 from support import (blas_thread_count, forward, frozen_init_params, nan_workspace,
-                     paper_shape_model, run_python, token_accuracy)
+                     paper_shape_model, run_python, token_accuracy, use_threads)
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +654,18 @@ def test_gradient_matches_finite_differences(cell):
                                                     hard=ts.encode(sent)))
 
 
+def test_gradient_matches_finite_differences_on_two_threads(monkeypatch):
+    use_threads(monkeypatch, True)
+    thread = threading.Thread
+    started = []
+    monkeypatch.setattr(threading, "Thread",
+                        lambda *a, **k: started.append(1) or thread(*a, **k))
+    test_gradient_matches_finite_differences("lstm")
+    # a forward and a backward pass per gradient, two forward passes per
+    # finite difference
+    assert len(started) > 1000
+
+
 @pytest.mark.parametrize("T", [1, 12])
 def test_lstm_gradient_at_sequence_ends(T):
     # T=1 leaves no recurrent term; T=12 spans both ends of the one-step
@@ -1030,13 +1042,6 @@ def test_inference_batches_sort_stably_within_caps(caps, monkeypatch):
     assert all(len(batch) == caps[0] for batch in batches[:-1])
 
 
-def _use_threads(monkeypatch, on):
-    """Run the batched forward's two directions on two threads (*on*) or on
-    one, whatever the model's hidden size and the host's CPUs."""
-    monkeypatch.setattr(tagger, "_THREAD_HIDDEN", 1 if on else math.inf)
-    monkeypatch.setattr(tagger, "_cpu_count", lambda: 2)
-
-
 # (sentences per batch, window floats): one batch in one window, and six
 # batches of 3 sentences in windows of 5 tokens, as in the last case of
 # test_batched_forward_matches_per_sentence
@@ -1051,7 +1056,7 @@ def test_two_threads_give_the_one_thread_bytes(caps, monkeypatch):
     thread = threading.Thread
     runs = {}
     for on in (False, True):
-        _use_threads(monkeypatch, on)
+        use_threads(monkeypatch, on)
         started = []
         monkeypatch.setattr(threading, "Thread",
                             lambda *a, **k: started.append(1) or thread(*a, **k))
@@ -1071,7 +1076,7 @@ def test_two_threads_give_the_one_thread_bytes(caps, monkeypatch):
 
 @pytest.mark.parametrize("failing", ["forward thread", "calling thread"])
 def test_an_error_in_either_direction_is_raised_after_the_join(failing, monkeypatch):
-    _use_threads(monkeypatch, True)
+    use_threads(monkeypatch, True)
     _, table, params, ds = _batch_test_model("lstm", 9)
     caller = threading.get_ident()
     direction = tagger._batch_direction
@@ -1088,17 +1093,89 @@ def test_an_error_in_either_direction_is_raised_after_the_join(failing, monkeypa
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("direction", ["_lstm_forward", "_lstm_backward"])
+@pytest.mark.parametrize("failing", ["forward thread", "calling thread"])
+def test_an_error_in_either_training_direction_is_raised_after_the_join(failing, direction,
+                                                                         monkeypatch):
+    use_threads(monkeypatch, True)
+    params, table, ts, sents = _random_model(np.random.default_rng(3))
+    item = TrainItem(table.embed(sents[0].tokens), hard=ts.encode(sents[0]))
+    caller = threading.get_ident()
+    original = getattr(tagger, direction)
+
+    def fails_in_one_thread(*args, **kwargs):
+        if (threading.get_ident() == caller) == (failing == "calling thread"):
+            raise FloatingPointError(f"in the {failing}")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tagger, direction, fails_in_one_thread)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"in the {failing}"):
+        _item_loss_grads(params, item.X, item, grads=nan_workspace(params))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("on", [False, True])
+@pytest.mark.parametrize("saturated", ["forward", "backward"])
+@pytest.mark.parametrize("path", ["sentence", "batched"])
+def test_a_saturated_direction_raises_under_the_callers_error_state(path, saturated, on,
+                                                                    monkeypatch):
+    # numpy keeps its error state in a context variable, which a new
+    # thread does not inherit unless it runs in a copy of the caller's
+    use_threads(monkeypatch, on)
+    table = EmbeddingTable({"w0": 0, "w1": 1}, np.ones((2, 2)))
+    params = init_params(np.random.default_rng(0), "lstm", 2, 3, 4, 3)
+    # input products of 1e308 plus a bias of 1e308 overflow
+    suffix = "f" if saturated == "forward" else "b"
+    getattr(params, f"w_in_{suffix}")[:] = 5e307
+    getattr(params, f"b_{suffix}")[:] = 1e308
+    tokens = ["w0", "w1", "oov"]
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        if path == "sentence":
+            _sentence_forward(params, table.embed(tokens))
+        else:
+            list(_forward_batched(params, table, [tokens, tokens[:1]]))
+
+
+# the synthetic shape, each side of the 300,000 floats of 4h(d + h), and
+# the paper shape
+@pytest.mark.parametrize("d, h, threaded", [(12, 16, False), (50, 249, False),
+                                            (50, 250, True), (300, 300, True)])
+def test_two_threads_from_the_weight_threshold(d, h, threaded, monkeypatch):
+    monkeypatch.setattr(tagger, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(tagger, "_sharing_processes", 1)
+    assert tagger._two_threads(d, h) == threaded
+    thread = threading.Thread
+    started = []
+    monkeypatch.setattr(threading, "Thread",
+                        lambda *a, **k: started.append(1) or thread(*a, **k))
+    rng = np.random.default_rng(0)
+    table = EmbeddingTable({"w0": 0, "w1": 1}, rng.normal(size=(2, d)))
+    params = init_params(rng, "lstm", d, h, 8, 3)
+    X = table.embed(["w0", "w1", "oov"])
+    _item_loss_grads(params, X, TrainItem(X, hard=np.array([0, 1, 2])),
+                     grads=nan_workspace(params))
+    list(_forward_batched(params, table, [["w1", "w0"]]))
+    # a training forward and backward pass and a batch
+    assert len(started) == (3 if threaded else 0)
+
+
 @pytest.mark.parametrize("shape", ["small hidden size", "one CPU"])
 def test_no_thread_is_started_below_the_size_or_on_one_cpu(shape, monkeypatch):
     if shape == "small hidden size":
         monkeypatch.setattr(tagger, "_cpu_count", lambda: 2)
         _, table, params, ds = _batch_test_model("lstm", 9)
-        assert params.hidden_size < tagger._THREAD_HIDDEN
+        assert not tagger._two_threads(params.embed_dim, params.hidden_size)
+        # training at the synthetic shape
+        train_table = EmbeddingTable(table.vocab, np.random.default_rng(0).normal(size=(8, 12)))
+        config = TaggerConfig(hidden_size=16, feature_size=8, epochs=1)
+        assert not tagger._two_threads(12, 16)
     else:
         monkeypatch.setattr(tagger, "_cpu_count", lambda: 1)
         params, table = paper_shape_model(vocab=20)
         ds = make_dataset([make_sentence(("w1", "oov", "w3")), make_sentence(("w4",))])
-        assert params.hidden_size >= tagger._THREAD_HIDDEN
+        assert 4 * 300 * (300 + 300) >= tagger._THREAD_WEIGHTS
+        train_table, config = table, TaggerConfig(hidden_size=300, feature_size=128, epochs=1)
 
     def no_thread(*args, **kwargs):
         raise AssertionError("a thread was started")
@@ -1106,6 +1183,7 @@ def test_no_thread_is_started_below_the_size_or_on_one_cpu(shape, monkeypatch):
     monkeypatch.setattr(threading, "Thread", no_thread)
     out = predict(ds, params, table)
     assert [s.tokens for s in out.sentences] == [s.tokens for s in ds.sentences]
+    train(ds, config, train_table).check_finite()
 
 
 def _paper_batch_peak(count, length):
