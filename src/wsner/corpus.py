@@ -177,9 +177,10 @@ class EntitySpan:
 class LabeledSentence:
     """Tokenized sentence with non-overlapping spans, sorted by start.
 
-    ``_trusted`` skips the checks for the two producers whose fields hold by
-    construction, ``gazetteer.annotate_distant`` and the bulk path of
-    ``read_tokens``; ``tests/test_trusted_sentences.py`` fails on any other."""
+    ``_trusted`` skips the checks for the three producers whose fields hold
+    by construction, ``gazetteer.annotate_distant``, the bulk path of
+    ``read_tokens`` and ``tagger.predict``; ``tests/test_trusted_sentences.py``
+    fails on any other."""
 
     tokens: tuple[str, ...]
     spans: tuple[EntitySpan, ...] = ()

@@ -46,6 +46,7 @@ import threading
 import warnings
 import zipfile
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -260,12 +261,12 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return self.matrix.shape[0]
 
-    def index(self, token: str) -> int:
-        """Row index, or -1 for out-of-vocabulary tokens."""
-        return self.vocab.get(token, -1)
-
-    def row_indices(self, tokens) -> np.ndarray:
-        return np.array([self.index(t) for t in tokens], dtype=np.int64)
+    def row_indices(self, tokens, count: int | None = None) -> np.ndarray:
+        """The row index of every token, -1 for an out-of-vocabulary one, as
+        int64, looked up in one C-level pass; *tokens* may be any iterable
+        when its *count* is given."""
+        return np.fromiter(map(self.vocab.get, tokens, repeat(-1)), np.int64,
+                           len(tokens) if count is None else count)
 
     def embed_rows(self, rows: np.ndarray) -> np.ndarray:
         X = self.matrix[np.maximum(rows, 0)]
@@ -634,24 +635,34 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray,
 # ---------------------------------------------------------------------------
 # batched inference
 #
-# Inference-only forward over many sentences at once. Sentences are sorted
-# longest first (a stable sort) and cut into batches of _BATCH_SENTENCES,
-# whatever their lengths. The sentences still running at a timestep are a
-# prefix of the batch, so no masking is needed: in time-major order, step
-# t's tokens are the one slice offs[t]:offs[t+1].
+# Inference-only forward over many sentences at once. One float budget sizes
+# batches and windows alike: _batch_width(h), max(_BATCH_SENTENCES,
+# _WINDOW_FLOATS // 4h), is 1,200 at h=16 (the synthetic shape) and 64 at
+# h=300 (the paper shape). Sentences are sorted longest first (a stable
+# sort) and cut into batches of that many sentences, whatever their
+# lengths. The sentences still running at a timestep are a prefix of the
+# batch, so no masking is needed: in time-major order, step t's tokens are
+# the one slice offs[t]:offs[t+1].
+#
+# Per batch, not per sentence. The embedding row indices of all a batch's
+# tokens are looked up in one C-level pass (EmbeddingTable.row_indices over
+# the chained token sequences) into one flat array, and predict takes one
+# argmax of the batch's distributions, as one list that it slices per
+# sentence. A decoded sentence is made unchecked (LabeledSentence._trusted):
+# its tokens and provenance are those of a checked sentence, and
+# TagSet.decode makes spans that are sorted and in range by construction.
 #
 # Windows. The steps are cut into runs of consecutive steps with at most
-# max(_BATCH_SENTENCES, _WINDOW_FLOATS // 4h) tokens in total; a step has at
-# most _BATCH_SENTENCES tokens, so every step fits. Per window a direction
-# makes one embedding gather, one input product into a (tokens, 4h) gate
-# buffer and one head product. Only the recurrent product and the gate
-# arithmetic run per step, in place on the step's slice, and the step's
-# hidden states overwrite its spent input gates. Each step also takes the
-# next step's recurrent product, so a window's last states are read before
-# the next window's input product overwrites them, and no copy of them is
-# kept. At paper shape BLAS repacks the (4h, h) recurrent weights on every
-# call, so that product costs about 4.5 times more per row at 4 rows than
-# at 64.
+# _batch_width(h) tokens in total; a step has at most one token per sentence
+# of its batch, so every step fits. Per window a direction makes one
+# embedding gather, one input product into a (tokens, 4h) gate buffer and
+# one head product. Only the recurrent product and the gate arithmetic run
+# per step, in place on the step's slice, and the step's hidden states
+# overwrite its spent input gates. Each step also takes the next step's
+# recurrent product, so a window's last states are read before the next
+# window's input product overwrites them, and no copy of them is kept. At
+# paper shape BLAS repacks the (4h, h) recurrent weights on every call, so
+# that product costs about 4.5 times more per row at 4 rows than at 64.
 #
 # Folded head. The feature and output layers are linear, so the logits are
 # H @ M.T + m0 with M = w_out @ w_feat (L, 2h) and m0 = w_out @ b_feat +
@@ -670,21 +681,31 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray,
 # (tokens, L) share on two threads) and a few integer index arrays, never
 # (tokens, f) features or the (tokens, 4h) input projection of the whole
 # batch; a process that tags with the paper-shape tagger reaches its peak
-# memory here. The row cap follows from h so that the gate buffer has
-# about _WINDOW_FLOATS floats at every shape: 64 rows at h=300, a whole
-# batch at h=16.
+# memory here. The width follows from h so that the gate buffer has about
+# _WINDOW_FLOATS floats at every shape, and the recurrent-product and
+# cell-state buffers have a row per sentence of a batch: (64, 4h) and
+# (64, h) at h=300.
 
-# A batch holds this many sentences (the last one fewer).
+# The least width (_batch_width): sentences per batch (the last one fewer)
+# and tokens per window.
 _BATCH_SENTENCES = 64
 # The gate buffer of a window holds about this many floats (600 KiB).
 _WINDOW_FLOATS = 64 * 1200
 
-def _inference_batches(lengths: np.ndarray):
+
+def _batch_width(h: int) -> int:
+    """Sentences per batch and tokens per window at hidden size *h*: the
+    gate buffer's float budget in rows of 4h, and at least
+    ``_BATCH_SENTENCES``."""
+    return max(_BATCH_SENTENCES, _WINDOW_FLOATS // (4 * h))
+
+
+def _inference_batches(lengths: np.ndarray, width: int):
     """Input indices sorted by length, longest first (equal lengths keep
-    input order), cut into batches of ``_BATCH_SENTENCES``."""
+    input order), cut into batches of *width*."""
     order = np.argsort(-lengths, kind="stable")
-    for start in range(0, len(order), _BATCH_SENTENCES):
-        yield order[start:start + _BATCH_SENTENCES]
+    for start in range(0, len(order), width):
+        yield order[start:start + width]
 
 
 def _batch_direction(w, u, b, proj, table: EmbeddingTable, rows, pos, offs,
@@ -733,18 +754,17 @@ def _batch_direction(w, u, b, proj, table: EmbeddingTable, rows, pos, offs,
         out[pos[lo:hi]] += window[:, :h] @ proj.T
 
 
-def _batch_probs(directions, bias, table: EmbeddingTable, batch_rows,
+def _batch_probs(directions, bias, table: EmbeddingTable, flat, lengths,
                  buffer_sets) -> np.ndarray:
-    """Label distributions of sentences given as row-index arrays sorted
-    longest first, as one ``(tokens, L)`` array in batch order.
+    """Label distributions of one batch, as one ``(tokens, L)`` array in
+    batch order: ``flat`` holds the embedding row indices of its sentences
+    one after another, ``lengths`` their lengths, longest first.
     ``directions`` holds the forward, then the backward weights ``(w, u,
     b, proj)`` of ``_batch_direction``, ``bias`` the folded head's ``m0``.
     ``buffer_sets`` holds one set of ``_batch_direction``'s buffers, or two
     to run the directions on two threads (``_both``); a window has at most
     as many tokens as a gate buffer has rows."""
-    lengths = np.array([len(r) for r in batch_rows], dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
-    flat = np.concatenate(batch_rows)
     running = np.arange(lengths[0])[:, None] < lengths
     # time-major (step, sentence) pairs and each token's flat position
     step, sent = np.nonzero(running)
@@ -772,11 +792,14 @@ def _batch_probs(directions, bias, table: EmbeddingTable, batch_rows,
 
 
 def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
-    """``(index, probs)`` for every token sequence in ``token_lists``, one
-    batch at a time, so that only one batch's distributions are held,
-    each batch's two directions on two threads where ``_two_threads``."""
-    lengths = np.array([len(tokens) for tokens in token_lists], dtype=np.int64)
+    """``(batch, probs)`` for each batch of the token sequences in the list
+    ``token_lists``: the batch's input indices (``_inference_batches``) and
+    its ``(tokens, L)`` distributions, its sentences' rows one after another
+    in that order. Only one batch's distributions are held at a time, and
+    each batch's two directions run on two threads where ``_two_threads``."""
+    lengths = np.fromiter(map(len, token_lists), np.int64, len(token_lists))
     h = params.hidden_size
+    width = _batch_width(h)
     fold = params.w_out @ params.w_feat
     directions = ((params.w_in_f, params.u_f, params.b_f, fold[:, :h]),
                   (params.w_in_b, params.u_b, params.b_b, fold[:, h:]))
@@ -784,15 +807,17 @@ def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
     # once per call, not per batch: gate buffers allocated and freed batch
     # after batch fragment the heap and raise the process's peak memory;
     # and in this thread, so the other one allocates little
-    rows = min(max(_BATCH_SENTENCES, _WINDOW_FLOATS // (4 * h)), int(lengths.sum()))
-    width = min(_BATCH_SENTENCES, len(token_lists))
+    rows = min(width, int(lengths.sum()))
+    sentences = min(width, len(token_lists))
     threads = 2 if _two_threads(params.embed_dim, h) else 1
-    buffer_sets = [(np.empty((rows, 4 * h)), np.empty((width, 4 * h)), np.empty((width, h)))
+    buffer_sets = [(np.empty((rows, 4 * h)), np.empty((sentences, 4 * h)),
+                    np.empty((sentences, h)))
                    for _ in range(threads)]
-    for batch in _inference_batches(lengths):
-        batch_rows = [table.row_indices(token_lists[i]) for i in batch]
-        probs = _batch_probs(directions, bias, table, batch_rows, buffer_sets)
-        yield from zip(batch.tolist(), np.split(probs, np.cumsum(lengths[batch])[:-1]))
+    for batch in _inference_batches(lengths, width):
+        batch_lengths = lengths[batch]
+        tokens = chain.from_iterable(map(token_lists.__getitem__, batch.tolist()))
+        flat = table.row_indices(tokens, int(batch_lengths.sum()))
+        yield batch, _batch_probs(directions, bias, table, flat, batch_lengths, buffer_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -944,20 +969,31 @@ def predict(dataset: Dataset, params: TaggerParams, table: EmbeddingTable) -> Da
     """Replace spans by per-token argmax predictions (ties go to the lowest
     label index, so all-uniform output yields the outside label).
 
+    The model's label count must equal the tag set's size and its
+    embedding size the table's, else ``ValueError`` names both numbers;
+    this is the one check on the path, since nothing after it checks again.
+
     Sentences are tagged in batches: sorted by length, longest first (a
-    stable sort), then cut into batches of 64 sentences
-    (``_BATCH_SENTENCES``) whatever their lengths. Each LSTM direction
-    runs over a batch in windows of consecutive timesteps with at most
-    ``max(64, _WINDOW_FLOATS // 4h)`` tokens in total: 64 at h=300, a whole
-    batch at small h. A window makes one embedding gather, one input
-    product and one product of its states with the folded head
-    ``w_out @ w_feat``; only the recurrent product and the gates run per
-    timestep. So a batch holds, per thread, about ``_WINDOW_FLOATS``
-    (76,800) gate floats and a (64, 4h) recurrent product, and its (tokens,
+    stable sort), then cut into batches of ``_batch_width(h)`` sentences,
+    ``max(64, _WINDOW_FLOATS // 4h)``, whatever their lengths: 1,200 at
+    h=16 and 64 at h=300. Each LSTM direction runs over a batch in windows
+    of consecutive timesteps with at most as many tokens in total as a
+    batch has sentences. A window makes one embedding gather, one input
+    product and one product of its states with the folded head ``w_out @
+    w_feat``; only the recurrent product and the gates run per timestep.
+    So a batch holds, per thread, about ``_WINDOW_FLOATS`` (76,800) gate
+    floats, a recurrent product of a row per sentence, and its (tokens,
     L) logits, never (tokens, f) features or the (tokens, 4h) input
     projection of the whole batch. Since the head is linear, folding it
     changes only the rounding: the distributions equal the per-sentence
     forward pass up to rounding, and the output keeps the input order.
+
+    A batch pays once, not per sentence, for its row lookup, one C-level
+    pass over all its tokens into one flat array, and for its argmax, one
+    list that each sentence's labels are sliced from. Each decoded
+    sentence is made unchecked (``LabeledSentence._trusted``): its tokens
+    and provenance come from an already-checked sentence, and
+    ``TagSet.decode`` makes spans that are sorted and in range.
 
     At paper shape, given two CPUs (``_two_threads``), each batch's
     forward direction runs on a second thread, with a second set of
@@ -971,13 +1007,24 @@ def predict(dataset: Dataset, params: TaggerParams, table: EmbeddingTable) -> Da
     dataset need not give bit-equal distributions for the sentences it
     shares with the whole, and in a near tie their argmax labels may differ.
     """
-    decode = dataset.tag_set.decode
+    tag_set = dataset.tag_set
+    if params.label_count != tag_set.size:
+        raise ValueError(f"the model has {params.label_count} labels but the tag set "
+                         f"has {tag_set.size}")
+    if params.embed_dim != table.dimension:
+        raise ValueError(f"the model takes embeddings of size {params.embed_dim} but "
+                         f"the table's have size {table.dimension}")
+    decode = tag_set.decode
     sentences = list(dataset.sentences)
-    for i, probs in _forward_batched(params, table, [s.tokens for s in sentences]):
-        sent = sentences[i]
-        sentences[i] = LabeledSentence(sent.tokens, decode(probs.argmax(axis=1)),
-                                       sent.provenance)
-    return Dataset(tuple(sentences), dataset.tag_set)
+    for batch, probs in _forward_batched(params, table, [s.tokens for s in sentences]):
+        labels = probs.argmax(axis=1).tolist()
+        end = 0
+        for i in batch.tolist():
+            sent = sentences[i]
+            start, end = end, end + len(sent.tokens)
+            sentences[i] = LabeledSentence._trusted(sent.tokens, decode(labels[start:end]),
+                                                    sent.provenance)
+    return Dataset(tuple(sentences), tag_set)
 
 
 # ---------------------------------------------------------------------------

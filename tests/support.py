@@ -1,10 +1,11 @@
-"""Helpers the tests share and nothing in ``wsner`` calls: a single-sentence
-forward pass, a gradient workspace, token accuracy, frozen references of
-the token reader, the CoNLL writer, the tag decoders, the parameter draw
-and the digit rule, synthetic tasks with a known noise process to train
-the noise methods on, a paper-shape gradient digest with the BLAS thread
-count it ran at, sweep row functions that add a digest of what each cell
-trained, and the environment the tests' byte pins were taken in."""
+"""Helpers the tests share and nothing in ``wsner`` calls: the batched forward
+pass split by sentence, a single-sentence one, a gradient workspace, token
+accuracy, frozen references of the token reader, the CoNLL writer, the tag
+decoders, the parameter draw and the digit rule, synthetic tasks with a
+known noise process to train the noise methods on, a paper-shape gradient
+digest with the BLAS thread count it ran at, sweep row functions that add a
+digest of what each cell trained, and the environment the tests' byte pins
+were taken in."""
 
 from __future__ import annotations
 
@@ -28,10 +29,22 @@ from wsner.tagger import (EmbeddingTable, TaggerParams, TrainItem, _forward_batc
                           _item_loss_grads, init_params)
 
 
+def sentence_probs(params: TaggerParams, table: EmbeddingTable, token_lists):
+    """``(index, probs)`` for every token sequence of the list
+    ``token_lists``, in the order the batched inference path that
+    ``tagger.predict`` uses tags them: each batch's distributions split by
+    sentence."""
+    pairs = []
+    for batch, probs in _forward_batched(params, table, token_lists):
+        ends = np.cumsum([len(token_lists[i]) for i in batch.tolist()])
+        pairs += zip(batch.tolist(), np.split(probs, ends[:-1]))
+    return pairs
+
+
 def forward(tokens, params: TaggerParams, table: EmbeddingTable) -> np.ndarray:
     """Per-token label distributions, shape (len(tokens), L), through the
     batched inference path that ``tagger.predict`` uses."""
-    (_, probs), = _forward_batched(params, table, [tokens])
+    (_, probs), = sentence_probs(params, table, [tokens])
     return probs
 
 

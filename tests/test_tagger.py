@@ -16,14 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsner.corpus import Dataset, EntitySpan, LabeledSentence, TagSet, io_to_spans
+from wsner.corpus import (Dataset, EntitySpan, LabeledSentence, TagSet, io_to_spans,
+                          read_conll)
 from wsner import cli, tagger
 from wsner.errors import NumericsError, ParseError
+from wsner.make_synth import write_synth_corpus
 from wsner.tagger import (
     EmbeddingTable,
     TaggerConfig,
     TaggerParams,
     TrainItem,
+    _batch_width,
     _forward_batched,
     _inference_batches,
     _item_loss_grads,
@@ -44,7 +47,8 @@ from wsner.tagger import (
 from conftest import make_dataset, make_sentence, random_sentences
 from gradcheck import finite_difference, max_relative_error
 from support import (blas_thread_count, forward, frozen_init_params, nan_workspace,
-                     paper_shape_model, run_python, token_accuracy, use_threads)
+                     paper_shape_model, run_python, sentence_probs, token_accuracy,
+                     use_threads)
 
 
 # ---------------------------------------------------------------------------
@@ -981,33 +985,40 @@ def _batch_test_model(cell, long_length):
     return ts, table, params, make_dataset(sents, ts)
 
 
+def _use_width(monkeypatch, width):
+    """Batches of *width* sentences and windows of *width* tokens at every
+    hidden size; the rule's own width if *width* is None."""
+    if width is not None:
+        monkeypatch.setattr(tagger, "_batch_width", lambda h: width)
+    return tagger._batch_width(4)  # the batch test model's h
+
+
 @pytest.mark.parametrize("cell", ["lstm"])
-# (sentences per batch, window floats). Batches of 3 sorted longest first
-# are (long, 7, 5), (5, 5, 5) twice, (5, 5, 4), (3, 2, 1) and (1, 1). With
-# 5 window rows at h=4, the active count of (5, 5, 4) drops from 3 to 2
-# within its last window, that of (3, 2, 1) drops within its first window
-# and from 2 to 1 at the start of its second, and the long sentence ends
-# alone in a window of 5 steps. In every row the long sentence is longer
-# than a window.
-@pytest.mark.parametrize("caps", [None, (3, None), (3, 5 * 16)])
+# (sentences per batch and tokens per window, batches), or None for the
+# rule's own width, one batch in one window. Batches of 3 sorted longest
+# first are (long, 7, 5), (5, 5, 5) twice, (5, 5, 4), (3, 2, 1) and
+# (1, 1); the active count of (3, 2, 1) drops from 3 to 2 at the start of
+# its second window and from 2 to 1 within it. Batches of 5 are (long, 7,
+# 5, 5, 5), (5, 5, 5, 5, 5), (5, 4, 3, 2, 1) and (1, 1); the active count
+# of the first drops from 2 to 1 within a window, and that of (5, 4, 3, 2,
+# 1) from 5 to 4 at the start of its second window and from 3 to 2 within
+# its third. In every row the long sentence is longer than a window and
+# ends alone in windows of as many steps as a window has tokens.
+@pytest.mark.parametrize("caps", [None, (3, 6), (5, 4)])
 def test_batched_forward_matches_per_sentence(cell, caps, monkeypatch):
-    if caps is not None:
-        monkeypatch.setattr(tagger, "_BATCH_SENTENCES", caps[0])
-        if caps[1] is not None:
-            monkeypatch.setattr(tagger, "_WINDOW_FLOATS", caps[1])
-    # the model's h is 4
-    window_rows = max(tagger._BATCH_SENTENCES, tagger._WINDOW_FLOATS // (4 * 4))
+    width, count = caps or (None, 1)
+    window_rows = _use_width(monkeypatch, width)
     ts, table, params, ds = _batch_test_model(cell, window_rows + 10)
     lengths = np.array([len(s.tokens) for s in ds.sentences])
-    batches = list(_inference_batches(lengths))
-    assert len(batches) == (1 if caps is None else 6)
+    batches = list(_inference_batches(lengths, window_rows))
+    assert len(batches) == count
 
     reference = _per_sentence_probs(ds, params, table)
     gathers = []
     embed_rows = EmbeddingTable.embed_rows
     monkeypatch.setattr(EmbeddingTable, "embed_rows",
                         lambda self, rows: gathers.append(len(rows)) or embed_rows(self, rows))
-    pairs = list(_forward_batched(params, table, [s.tokens for s in ds.sentences]))
+    pairs = sentence_probs(params, table, [s.tokens for s in ds.sentences])
     # one gather per window and direction, each within the window's rows;
     # the long sentence needs more than one window
     assert max(gathers) <= window_rows
@@ -1031,10 +1042,9 @@ def test_batched_forward_matches_per_sentence(cell, caps, monkeypatch):
 
 # (sentences per batch, batches of the 51 sentences)
 @pytest.mark.parametrize("caps", [(64, 1), (3, 17), (1, 51)])
-def test_inference_batches_sort_stably_within_caps(caps, monkeypatch):
-    monkeypatch.setattr(tagger, "_BATCH_SENTENCES", caps[0])
+def test_inference_batches_sort_stably_within_caps(caps):
     lengths = np.array([3, 1, 5, 5, 5, 2000, 1, 5, 5, 2, 5, 5, 5, 1, 7, 5, 4] * 3)
-    batches = list(_inference_batches(lengths))
+    batches = list(_inference_batches(lengths, caps[0]))
     order = np.concatenate(batches)
     assert order.tolist() == sorted(range(len(lengths)), key=lambda i: -lengths[i])
     assert len(batches) == caps[1]
@@ -1042,17 +1052,69 @@ def test_inference_batches_sort_stably_within_caps(caps, monkeypatch):
     assert all(len(batch) == caps[0] for batch in batches[:-1])
 
 
-# (sentences per batch, window floats): one batch in one window, and six
-# batches of 3 sentences in windows of 5 tokens, as in the last case of
-# test_batched_forward_matches_per_sentence
-@pytest.mark.parametrize("caps", [None, (3, 5 * 16)])
+# the synthetic and the paper shape: a batch of as many sentences as the
+# width and one more, each of 2 tokens, OOV ones among them
+@pytest.mark.parametrize("d, h, width", [(2, 16, 1200), (300, 300, 64)])
+def test_one_width_sizes_batches_and_windows(d, h, width, monkeypatch):
+    use_threads(monkeypatch, False)
+    assert _batch_width(h) == width
+    rng = np.random.default_rng(4)
+    table = EmbeddingTable({"w0": 0, "w1": 1}, rng.normal(size=(2, d)))
+    params = init_params(rng, "lstm", d, h, 8, 3)
+    sents = [["w0", "oov"] if k % 3 else ["w1", "w0"] for k in range(width + 1)]
+    gathers = []
+    embed_rows = EmbeddingTable.embed_rows
+    monkeypatch.setattr(EmbeddingTable, "embed_rows",
+                        lambda self, rows: gathers.append(len(rows)) or embed_rows(self, rows))
+    assert [len(batch) for batch, _ in _forward_batched(params, table, sents)] == [width, 1]
+    # a window holds as many tokens as a batch holds sentences: each of the
+    # full batch's steps fills one, and the last sentence's 2 steps share one
+    assert sorted(gathers) == [2, 2] + [width] * 4
+    # a split of up to the width is one batch
+    assert len(list(_forward_batched(params, table, sents[:width]))) == 1
+
+
+def test_predict_on_the_bundled_test_split_is_the_per_sentence_argmax(tmp_path):
+    paths = write_synth_corpus(str(tmp_path), seed=0)
+    test = read_conll(paths["test"])
+    table = EmbeddingTable.load(paths["embeddings"])
+    rng = np.random.default_rng(5)
+    params = init_params(rng, "lstm", table.dimension, 16, 16, test.tag_set.size)
+    params.b_out[:] = rng.normal(size=test.tag_set.size)
+    tokens = [sent.tokens for sent in test.sentences]
+    assert len(list(_forward_batched(params, table, tokens))) == 1
+    out = predict(test, params, table)
+    for sent, probs in zip(out.sentences, _per_sentence_probs(test, params, table)):
+        assert test.tag_set.encode(sent).tolist() == probs.argmax(axis=1).tolist()
+
+
+# (labels, embedding size, message) of models for the default 5-label tag
+# set and 3-dimensional embeddings: too few labels would tag with the wrong
+# label names, too many fail in the decoder and a wrong embedding size in a
+# product, unless predict checks them first
+@pytest.mark.parametrize("labels, dim, message", [
+    (3, 3, "model has 3 labels but the tag set has 5"),
+    (8, 3, "model has 8 labels but the tag set has 5"),
+    (5, 4, "model takes embeddings of size 4 but the table's have size 3")])
+def test_predict_refuses_a_model_of_other_sizes(labels, dim, message):
+    table = EmbeddingTable({"w0": 0, "w1": 1}, np.ones((2, 3)))
+    params = init_params(np.random.default_rng(0), "lstm", dim, 4, 5, labels)
+    ds = make_dataset([make_sentence(("w0", "w1", "oov"))])
+    with pytest.raises(ValueError, match=message):
+        predict(ds, params, table)
+
+
+# (sentences per batch and tokens per window, batches): one batch in one
+# window, and four batches of 5 sentences in windows of 5 tokens, as in the
+# last case of test_batched_forward_matches_per_sentence
+@pytest.mark.parametrize("caps", [None, (5, 4)])
 def test_two_threads_give_the_one_thread_bytes(caps, monkeypatch):
-    if caps is not None:
-        monkeypatch.setattr(tagger, "_BATCH_SENTENCES", caps[0])
-        monkeypatch.setattr(tagger, "_WINDOW_FLOATS", caps[1])
+    width, count = caps or (None, 1)
+    width = _use_width(monkeypatch, width)
     _, table, params, ds = _batch_test_model("lstm", 30)
     tokens = [s.tokens for s in ds.sentences]
-    batches = len(list(_inference_batches(np.array([len(t) for t in tokens]))))
+    batches = len(list(_inference_batches(np.array([len(t) for t in tokens]), width)))
+    assert batches == count
     thread = threading.Thread
     runs = {}
     for on in (False, True):
@@ -1064,7 +1126,7 @@ def test_two_threads_give_the_one_thread_bytes(caps, monkeypatch):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pairs = list(_forward_batched(params, table, tokens))
+            pairs = sentence_probs(params, table, tokens)
         finally:
             sys.setswitchinterval(interval)
         runs[on] = (len(started), pairs)
@@ -1173,7 +1235,8 @@ def test_no_thread_is_started_below_the_size_or_on_one_cpu(shape, monkeypatch):
     else:
         monkeypatch.setattr(tagger, "_cpu_count", lambda: 1)
         params, table = paper_shape_model(vocab=20)
-        ds = make_dataset([make_sentence(("w1", "oov", "w3")), make_sentence(("w4",))])
+        ds = make_dataset([make_sentence(("w1", "oov", "w3")), make_sentence(("w4",))],
+                          TagSet(("PER", "LOC")))
         assert 4 * 300 * (300 + 300) >= tagger._THREAD_WEIGHTS
         train_table, config = table, TaggerConfig(hidden_size=300, feature_size=128, epochs=1)
 
@@ -1194,7 +1257,8 @@ def _paper_batch_peak(count, length):
     rng = np.random.default_rng(1)
     sents = [[f"w{i}" if i >= 0 else "oov" for i in rng.integers(-1, len(table), size=length)]
              for _ in range(count)]
-    assert [len(b) for b in _inference_batches(np.full(count, length))] == [count]
+    assert [len(b) for b in _inference_batches(np.full(count, length),
+                                               _batch_width(300))] == [count]
     list(_forward_batched(params, table, sents))
     tracemalloc.start()
     try:
@@ -1231,14 +1295,13 @@ def test_paper_batch_holds_no_feature_rows():
 _BATCHED_PROBS_HASH = """
 import hashlib
 import numpy as np
-from support import paper_shape_model
-from wsner.tagger import _forward_batched
+from support import paper_shape_model, sentence_probs
 params, table = paper_shape_model()
 rng = np.random.default_rng(2)
 sents = [[f"w{i}" if i >= 0 else "oov" for i in rng.integers(-1, len(table), size=n)]
          for n in rng.integers(1, 61, size=150)]
 digest = hashlib.sha256()
-for i, probs in _forward_batched(params, table, sents):
+for i, probs in sentence_probs(params, table, sents):
     digest.update(repr(i).encode())
     digest.update(probs.tobytes())
 print(digest.hexdigest())

@@ -1,28 +1,31 @@
 """``LabeledSentence._trusted`` makes a sentence without the constructor's
-checks. Only two producers may call it, each of which makes fields that
-hold by construction: ``gazetteer.annotate_distant`` and the bulk path of
-``corpus.read_tokens`` (the ``if bulk:`` branch). A call anywhere else
-would let a reader of user input skip validation silently. Every sentence
-those two producers emit equals the one the checking constructor makes
-from its fields."""
+checks. Only three producers may call it, each of which makes fields that
+hold by construction: ``gazetteer.annotate_distant``, the bulk path of
+``corpus.read_tokens`` (the ``if bulk:`` branch) and ``tagger.predict``.
+A call anywhere else would let a reader of user input skip validation
+silently. Every sentence those producers emit equals the one the checking
+constructor makes from its fields."""
 
 import ast
 import pickle
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wsner.corpus import LabeledSentence, read_tokens
+from wsner.corpus import PROVENANCES, Dataset, EntitySpan, LabeledSentence, TagSet, read_tokens
 from wsner.date_rules import DateRuleSet
 from wsner.errors import ParseError
 from wsner.gazetteer import GazetteerEntry, annotate_distant, build_gazetteer
+from wsner.tagger import EmbeddingTable, init_params, predict
 
 from conftest import make_dataset, make_sentence
 
 ROOT = Path(__file__).resolve().parent.parent
 TRUSTED = "_trusted"
-ALLOWED = {("corpus.py", "read_tokens", "bulk"), ("gazetteer.py", "annotate_distant", "")}
+ALLOWED = {("corpus.py", "read_tokens", "bulk"), ("gazetteer.py", "annotate_distant", ""),
+           ("tagger.py", "predict", "")}
 
 
 def _trusted_uses(tree) -> list[tuple[str, str, int]]:
@@ -51,7 +54,7 @@ def _trusted_uses(tree) -> list[tuple[str, str, int]]:
     return found
 
 
-def test_only_the_two_producers_make_unchecked_sentences():
+def test_only_the_listed_producers_make_unchecked_sentences():
     found = {}
     for path in sorted((ROOT / "src" / "wsner").glob("*.py")) + sorted(
             (ROOT / "perfbench").glob("*.py")):
@@ -127,4 +130,30 @@ def test_read_tokens_emits_what_the_checking_constructor_makes(tmp_path, text):
     except ParseError:  # a bad token line, which only the line loop reads
         return
     for sent in data.sentences:
+        _assert_equal_to_checked(sent)
+
+
+_TAG_SET = TagSet(("PER", "LOC", "DATE"))
+# a table for six of the words: the others are out of vocabulary
+_TABLE = EmbeddingTable({w: k for k, w in enumerate(_WORDS[:6])},
+                        np.random.default_rng(0).normal(size=(6, 3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12),
+                          st.sampled_from(PROVENANCES), st.booleans()),
+                min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_predict_emits_what_the_checking_constructor_makes(sentences, seed):
+    # spans in the input, which predict replaces, and output biases far
+    # enough apart that each label wins somewhere
+    rng = np.random.default_rng(seed)
+    params = init_params(rng, "lstm", 3, 4, 5, _TAG_SET.size)
+    params.b_out[:] = rng.normal(scale=2.0, size=_TAG_SET.size)
+    data = Dataset(tuple(make_sentence(tokens, [EntitySpan("LOC", 0, 1)] if labeled else (),
+                                       provenance)
+                         for tokens, provenance, labeled in sentences), _TAG_SET)
+    out = predict(data, params, _TABLE)
+    assert [s.tokens for s in out.sentences] == [s.tokens for s in data.sentences]
+    for sent in out.sentences:
         _assert_equal_to_checked(sent)
