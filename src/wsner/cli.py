@@ -67,8 +67,8 @@ def _min_len_item(text: str) -> tuple[str, int]:
 
 
 def cmd_ingest(args) -> int:
-    # imported here: it loads requests, which no other subcommand needs and
-    # every spawned sweep worker would otherwise load too
+    # imported here: urllib.request loads ssl, which no other subcommand
+    # needs and every spawned sweep worker would otherwise load too
     from . import ingest
 
     query = ingest.EntityQuery(
@@ -170,10 +170,9 @@ def cmd_evaluate(args) -> int:
         raise AlignmentError(f"{args.gold} vs {source}: {exc}") from None
     print(evaluation.format_report(metrics))
     if args.csv:
-        import csv as _csv
         columns = ["gold", "pred_source"] + evaluation.metrics_columns(tag_set)
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
+            writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
             writer.writeheader()
             row = {"gold": args.gold, "pred_source": source}
             row.update(evaluation.metrics_row(metrics, tag_set))

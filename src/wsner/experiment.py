@@ -358,12 +358,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[str, str]:
 
 
 def write_aggregate(runs_path, agg_path, tag_set: TagSet) -> None:
-    """Mean and standard error per (setting, method) over the ok rows."""
+    """Mean and standard error per (setting, method) over the ok rows, in
+    the canonical order of ``runs.csv``. A group whose every cell failed
+    keeps its row, with ``n`` 0 and empty means and standard errors."""
     groups: dict[tuple[str, str], list[dict]] = {}
     with open(runs_path, encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
+            group = groups.setdefault((row["setting"], row["method"]), [])
             if row["status"] == "ok":
-                groups.setdefault((row["setting"], row["method"]), []).append(row)
+                group.append(row)
     value_cols = metrics_columns(tag_set)
     out_cols = ["setting", "method", "n"]
     for col in value_cols:
@@ -373,7 +376,7 @@ def write_aggregate(runs_path, agg_path, tag_set: TagSet) -> None:
         writer.writeheader()
         for key, rows in groups.items():
             out = {"setting": key[0], "method": key[1], "n": str(len(rows))}
-            for col in value_cols:
+            for col in value_cols if rows else ():
                 mean, se = mean_and_se([float(r[col]) for r in rows])
                 out[f"{col}_mean"] = repr(mean)
                 out[f"{col}_se"] = repr(se)

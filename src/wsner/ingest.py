@@ -2,18 +2,24 @@
 
 Fetches all labels of a class (person / organization / location) in one
 language as gazetteer entries, for ``gazetteer.write_entity_tsv``. Requests
-are paginated, rate limited, and retried with exponential backoff; tests
-replay recorded responses through ``FixtureTransport`` instead of touching
-the network.
+go through the standard library's ``urllib.request``; they are paginated,
+rate limited, and retried with exponential backoff. Tests replay recorded
+responses through ``FixtureTransport``, or give ``HttpTransport`` a fake
+opener, instead of touching the network.
 """
 
 from __future__ import annotations
 
+import json
+import re
 import time
 from dataclasses import dataclass
+from http.client import HTTPException
+from urllib.error import HTTPError
+from urllib.parse import urlencode, urlsplit, urlunsplit
+from urllib.request import Request, urlopen
 
-import requests
-
+from . import __version__
 from .corpus import read_json
 from .errors import ResponseDecodeError, SchemaError, TransportError
 from .gazetteer import GazetteerEntry
@@ -33,6 +39,9 @@ _CLASS_PATTERNS = {
     "location": "?item wdt:P31/wdt:P279* wd:Q2221906 .",
 }
 _CLASS_LABELS = {"person": "PER", "organization": "ORG", "location": "LOC"}
+# BCP 47-shaped language codes ("yo", "en-gb", "be-tarask"); the code is
+# pasted into a quoted SPARQL literal, so nothing else may pass
+_LANGUAGE_CODE = re.compile(r"[A-Za-z]{2,8}(-[A-Za-z0-9]{1,8})*")
 
 
 @dataclass(frozen=True)
@@ -48,8 +57,9 @@ class EntityQuery:
             raise SchemaError(
                 f"entity_class must be one of {sorted(_CLASS_PATTERNS)}"
             )
-        if not self.language_code:
-            raise SchemaError("language_code must be non-empty")
+        if not _LANGUAGE_CODE.fullmatch(self.language_code):
+            raise SchemaError("language_code must be a BCP 47 tag such as 'yo' or "
+                              f"'en-gb', got {self.language_code!r}")
         if not (1 <= self.page_size <= 10000):
             raise SchemaError("page_size must be in [1, 10000]")
         if self.max_results is not None and self.max_results < 1:
@@ -74,17 +84,27 @@ class FetchResult:
 
 
 class HttpTransport:
-    """GET with ``Accept: application/sparql-results+json``, one request
-    per ``MIN_INTERVAL`` seconds at most, exponential backoff on 429/5xx
-    (at most ``MAX_RETRIES`` retries)."""
+    """GET through ``urllib.request`` with ``Accept:
+    application/sparql-results+json`` and ``User-Agent: wsner/<version>``,
+    one request per ``MIN_INTERVAL`` seconds at most. A 4xx other than 429
+    fails at once; any other status but 200, a connection error or a
+    timeout is retried with exponential backoff (at most ``MAX_RETRIES``
+    retries). ``opener`` has ``urlopen``'s signature."""
 
-    def __init__(self, sleep=time.sleep, clock=time.monotonic, session=None):
+    def __init__(self, sleep=time.sleep, clock=time.monotonic, opener=urlopen):
         self._sleep = sleep
         self._clock = clock
-        self._session = session or requests.Session()
+        self._opener = opener
         self._last_request = None
 
     def get(self, url: str, params: dict) -> dict:
+        # parameters follow any query string the endpoint already has
+        parts = urlsplit(url)
+        query = "&".join(filter(None, [parts.query, urlencode(params)]))
+        request = Request(urlunsplit(parts._replace(query=query)), headers={
+            "Accept": "application/sparql-results+json",
+            "User-Agent": f"wsner/{__version__}",
+        })
         attempts = 0
         while True:
             if self._last_request is not None:
@@ -94,22 +114,21 @@ class HttpTransport:
             self._last_request = self._clock()
             attempts += 1
             try:
-                response = self._session.get(
-                    url, params=params,
-                    headers={"Accept": "application/sparql-results+json"},
-                    timeout=60,
-                )
-                status = response.status_code
-            except requests.RequestException as exc:
+                with self._opener(request, timeout=60) as response:
+                    status = response.status
+                    body = response.read() if status == 200 else None
+            except HTTPError as exc:
+                exc.close()
+                status = exc.code
+            except (OSError, HTTPException) as exc:
                 status = None
                 error = str(exc)
-            if status is not None and status == 200:
+            if status == 200:
                 try:
-                    return response.json()
+                    return json.loads(body)
                 except ValueError:
-                    raise ResponseDecodeError(
-                        f"response is not JSON: {response.text[:200]!r}"
-                    ) from None
+                    text = body.decode("utf-8", "replace")[:200]
+                    raise ResponseDecodeError(f"response is not JSON: {text!r}") from None
             if status is not None and 400 <= status < 500 and status != 429:
                 raise TransportError(f"HTTP {status} from {url}")
             if status is not None:

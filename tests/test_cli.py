@@ -305,15 +305,17 @@ def test_entity_types_with_whitespace_exit_1_naming_the_label(capsys, argv):
     assert capsys.readouterr().err == "error: label is empty or contains whitespace: ' LOC'\n"
 
 
-def test_importing_the_cli_does_not_load_requests():
-    # a fresh interpreter: this one may have loaded requests for other tests
+def test_importing_the_cli_does_not_load_the_http_client():
+    # a fresh interpreter: this one may have loaded urllib.request and ssl
+    # for other tests
     src = os.path.dirname(os.path.dirname(wsner.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, wsner.cli; print('requests' in sys.modules)"],
+        [sys.executable, "-c", "import sys, wsner.cli; "
+         "print([m for m in ('urllib.request', 'ssl') if m in sys.modules])"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 def _checkpoint(embed_dim, **arrays):

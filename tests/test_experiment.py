@@ -341,11 +341,14 @@ def test_a_failing_cell_writes_the_same_error_row_in_the_pool_and_in_process(
     failed = [r for r in _rows(runs) if r["status"] != "ok"]
     assert [r["method"] for r in failed] == ["distant-only"] * 2
     assert failed[0]["status"] == "error: NumericsError: non-finite training loss"
-    # the other rows are those of the sweep without the failure, and the
-    # failed cells have no aggregate row
+    # the other rows are those of the sweep without the failure, and each
+    # failed group keeps its aggregate row in its place, with n 0 and no means
     assert [r for r in _rows(runs) if r["status"] == "ok"] == [
         r for r in _rows(whole[0]) if r["method"] != "distant-only"]
-    assert b"distant-only" in whole[1] and b"distant-only" not in aggregate
+    expected = [dict(r, n="0", **{col: "" for col in r if col.endswith(("_mean", "_se"))})
+                if r["method"] == "distant-only" else r for r in _rows(whole[1])]
+    assert [r["n"] for r in expected if r["method"] == "distant-only"] == ["0", "0"]
+    assert _rows(aggregate) == expected
 
 
 def test_dead_worker_fails_the_sweep_and_it_resumes(sweep, tmp_path, monkeypatch, capsys):

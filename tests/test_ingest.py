@@ -1,7 +1,14 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from http.client import IncompleteRead
+from urllib.error import HTTPError, URLError
 
 import pytest
 
+import wsner
 from wsner.errors import ResponseDecodeError, SchemaError, TransportError
 from wsner.gazetteer import read_entity_tsv, write_entity_tsv
 from wsner.ingest import EntityQuery, FixtureTransport, HttpTransport, fetch_entities
@@ -38,6 +45,12 @@ def test_query_validation():
         query(endpoint_url="http://insecure.example/sparql")
     with pytest.raises(SchemaError):
         query(max_results=0)
+    # the code lands in a quoted SPARQL literal: only BCP 47-shaped codes
+    for code in ("", 'yo") } #', "y", "en_gb", "en-", "yo\n", "toolonglang"):
+        with pytest.raises(SchemaError, match="language_code"):
+            query(language_code=code)
+    for code in ("yo", "ha", "en-gb", "be-tarask", "zh-Hant-TW"):
+        assert query(language_code=code).language_code == code
 
 
 def test_sparql_text_carries_paging_and_language():
@@ -128,70 +141,111 @@ def test_malformed_body_raises_decode_error():
 
 
 # ---------------------------------------------------------------------------
-# HTTP transport behavior (fake session, no network)
+# HTTP transport behavior (fake opener, no network)
+
+
+def ok(body):
+    return 200, json.dumps(body).encode("utf-8")
+
+
+def status(code):
+    return code, b"{}"
 
 
 class FakeResponse:
-    def __init__(self, status, body=None, text="not json"):
-        self.status_code = status
-        self._body = body
-        self.text = text
+    """What ``urlopen`` returns for a 200."""
 
-    def json(self):
-        if self._body is None:
-            raise ValueError("no body")
+    def __init__(self, body):
+        self.status = 200
+        self._body = body
+        self.closed = False
+
+    def read(self):
         return self._body
 
+    def __enter__(self):
+        return self
 
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = 0
-
-    def get(self, url, params=None, headers=None, timeout=None):
-        self.calls += 1
-        return self.responses.pop(0)
+    def __exit__(self, *exc):
+        self.closed = True
 
 
-def _transport(responses):
+class FakeOpener:
+    """``urlopen``'s stand-in, one reply per call: a ``(status, body)`` pair
+    or an exception to raise. A status other than 200 raises ``HTTPError``,
+    as ``urlopen`` does."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.requests = []
+        self.timeouts = []
+        self.opened = []
+
+    @property
+    def calls(self):
+        return len(self.requests)
+
+    def __call__(self, request, timeout=None):
+        self.requests.append(request)
+        self.timeouts.append(timeout)
+        reply = self.replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        code, body = reply
+        if code == 200:
+            opened = FakeResponse(body)
+        else:
+            opened = HTTPError(request.full_url, code, "error", {}, io.BytesIO(body))
+        self.opened.append(opened)
+        if code != 200:
+            raise opened
+        return opened
+
+
+def _transport(replies):
     sleeps = []
     clock = iter(range(1000))
-    session = FakeSession(responses)
-    t = HttpTransport(sleep=sleeps.append, clock=lambda: next(clock), session=session)
-    return t, sleeps, session
+    opener = FakeOpener(replies)
+    t = HttpTransport(sleep=sleeps.append, clock=lambda: next(clock), opener=opener)
+    return t, sleeps, opener
 
 
 def test_retry_on_server_error_then_success():
-    t, sleeps, _ = _transport([FakeResponse(500), FakeResponse(429),
-                            FakeResponse(200, body=page(["Kano"]))])
+    t, sleeps, _ = _transport([status(500), status(429), ok(page(["Kano"]))])
     body = t.get("https://x/sparql", {})
     assert body["results"]["bindings"]
     assert sleeps  # backoff happened
 
 
 def test_gives_up_after_max_retries():
-    t, _, session = _transport([FakeResponse(500)] * 10)
+    t, _, opener = _transport([status(500)] * 10)
     with pytest.raises(TransportError, match="after 6 attempts"):
         t.get("https://x/sparql", {})
-    assert session.calls == 6  # initial try + 5 retries
+    assert opener.calls == 6  # initial try + 5 retries
 
 
 def test_client_error_fails_fast():
-    t, _, session = _transport([FakeResponse(404)])
+    t, _, opener = _transport([status(404)])
     with pytest.raises(TransportError, match="HTTP 404"):
         t.get("https://x/sparql", {})
-    assert session.calls == 1
+    assert opener.calls == 1
 
 
 def test_non_json_success_is_decode_error():
-    t, _, _ = _transport([FakeResponse(200, body=None, text="<html>oops")])
+    t, _, _ = _transport([(200, b"<html>oops")])
     with pytest.raises(ResponseDecodeError, match="not JSON: '<html>oops'"):
         t.get("https://x/sparql", {})
 
 
+def test_non_utf8_success_is_decode_error_quoting_with_replacement():
+    t, _, _ = _transport([(200, b"caf\xe9" + b"x" * 300)])
+    with pytest.raises(ResponseDecodeError) as err:
+        t.get("https://x/sparql", {})
+    assert str(err.value) == "response is not JSON: " + repr("caf\ufffd" + "x" * 196)
+
+
 def test_rate_limit_sleeps_between_requests():
-    t, sleeps, _ = _transport([FakeResponse(200, body=page([])),
-                            FakeResponse(200, body=page([]))])
+    t, sleeps, _ = _transport([ok(page([])), ok(page([]))])
     t.get("https://x/sparql", {})
     t.get("https://x/sparql", {})
     assert not sleeps  # fake clock advances 1s per call, no wait needed
@@ -199,8 +253,67 @@ def test_rate_limit_sleeps_between_requests():
     sleeps2 = []
     t2 = HttpTransport(sleep=sleeps2.append,
                        clock=lambda: next(fast_clock),
-                       session=FakeSession([FakeResponse(200, body=page([])),
-                                            FakeResponse(200, body=page([]))]))
+                       opener=FakeOpener([ok(page([])), ok(page([]))]))
     t2.get("https://x/sparql", {})
     t2.get("https://x/sparql", {})
     assert sleeps2 and sleeps2[0] == pytest.approx(0.9)
+
+
+def test_opener_gets_the_encoded_url_both_headers_and_the_timeout():
+    t, _, opener = _transport([ok(page([]))])
+    t.get("https://x/sparql", {"query": 'SELECT ?l { FILTER(LANG(?l) = "yo") }',
+                               "format": "json"})
+    (request,) = opener.requests
+    assert request.get_method() == "GET"
+    assert request.full_url == ("https://x/sparql?query=SELECT+%3Fl+%7B+FILTER%28LANG"
+                                "%28%3Fl%29+%3D+%22yo%22%29+%7D&format=json")
+    assert dict(request.header_items()) == {
+        "Accept": "application/sparql-results+json",
+        "User-agent": f"wsner/{wsner.__version__}",
+    }
+    assert opener.timeouts == [60]
+
+
+def test_endpoint_with_a_query_string_gets_and_joined_parameters():
+    t, _, opener = _transport([ok(page([]))])
+    t.get("https://x/sparql?key=v", {"format": "json"})
+    assert opener.requests[0].full_url == "https://x/sparql?key=v&format=json"
+
+
+def test_url_error_and_incomplete_read_are_retried_then_succeed():
+    t, sleeps, opener = _transport([URLError("connection reset"), IncompleteRead(b"{"),
+                                    ok(page(["Kano"]))])
+    body = t.get("https://x/sparql", {})
+    assert body["results"]["bindings"][0]["label"]["value"] == "Kano"
+    assert opener.calls == 3
+    assert sleeps == [1.0, 2.0]
+
+
+def test_every_response_and_error_body_is_closed():
+    t, _, opener = _transport([status(503), status(429), ok(page([])), status(404)])
+    t.get("https://x/sparql", {})
+    with pytest.raises(TransportError, match="HTTP 404"):
+        t.get("https://x/sparql", {})
+    assert len(opener.opened) == 4
+    assert all(r.closed if isinstance(r, FakeResponse) else r.fp.closed
+               for r in opener.opened)
+
+
+def test_ingest_runs_without_requests(tmp_path):
+    # a fresh interpreter in which importing requests fails
+    (tmp_path / "page.json").write_text(json.dumps(page(["Lagos", "Kano"])),
+                                        encoding="utf-8")
+    script = (
+        "import sys\n"
+        "sys.modules['requests'] = None\n"
+        "import wsner.ingest\n"
+        "from wsner import cli\n"
+        "sys.exit(cli.main(['ingest', '--class', 'location', '--lang', 'yo',\n"
+        "                   '--fixture', 'page.json', '--out', 'out.tsv']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(wsner.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert [e.surface for e in read_entity_tsv(tmp_path / "out.tsv")] == [("Kano",), ("Lagos",)]

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import struct
 import sys
 import tempfile
 import threading
@@ -1436,6 +1437,32 @@ def test_truncated_checkpoint_is_refused_and_its_file_closed(tmp_path):
             load_checkpoint(path)
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.parametrize("where", ["past the end", "before the start"])
+def test_checkpoint_of_damaged_member_offsets_is_refused_naming_the_file(
+        tmp_path, capsys, where):
+    # the central directory points a member outside the file; read lazily,
+    # that member once raised zipfile's bare OSError (EINVAL from a seek)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, init_params(np.random.default_rng(12), "lstm", 3, 2, 3, 3),
+                    TagSet(("PER", "LOC")))
+    data = bytearray(path.read_bytes())
+    end_record = data.rindex(b"PK\x05\x06")
+    if where == "past the end":
+        # the local-header offset of the last central-directory entry
+        last_entry = data.rindex(b"PK\x01\x02", 0, end_record)
+        struct.pack_into("<I", data, last_entry + 42, len(data) + 100)
+    else:
+        # a directory offset too large shifts every member before byte 0
+        offset = struct.unpack_from("<I", data, end_record + 16)[0]
+        struct.pack_into("<I", data, end_record + 16, offset + len(data))
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert cli.main(["inspect", "--model", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_checkpoint_without_its_labels_is_refused(tmp_path):
