@@ -22,7 +22,7 @@ import sys
 from . import evaluation, experiment, noise, tagger
 from .corpus import Dataset, TagSet, read_conll, read_tokens, write_conll
 from .date_rules import DateRuleSet, default_date_rules
-from .errors import AlignmentError, WsnerError
+from .errors import AlignmentError, SchemaError, WsnerError
 from .gazetteer import annotate_distant, build_gazetteer, read_entity_tsv, write_entity_tsv
 
 EMBEDDINGS_CACHE = (
@@ -159,10 +159,10 @@ def cmd_evaluate(args) -> int:
         params, tag_set = tagger.load_checkpoint(args.model)
         gold = read_conll(args.gold, tag_set=tag_set)
         table = tagger.EmbeddingTable.load(args.embeddings)
-        if table.dimension != params.embed_dim:
-            raise WsnerError(f"{args.embeddings}: vectors of dimension {table.dimension}, "
-                             f"but {args.model} embeds in {params.embed_dim}")
-        pred = tagger.predict(gold, params, table)
+        try:
+            pred = tagger.predict(gold, params, table)
+        except SchemaError as exc:  # a table of another size than the model's
+            raise SchemaError(f"{args.model} vs {args.embeddings}: {exc}") from None
     source = args.pred or args.model
     try:
         metrics = evaluation.span_prf(gold, pred)
@@ -362,10 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WsnerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (WsnerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

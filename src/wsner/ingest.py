@@ -178,7 +178,9 @@ def fetch_entities(query: EntityQuery, transport=None) -> FetchResult:
     """All labels of the queried class/language as gazetteer entries,
     deduplicated and sorted; pagination is transparent.
 
-    Hitting ``max_results`` stops early and sets the truncation flag.
+    At most ``max_results`` labels are kept. The truncation flag is set
+    when a further distinct label arrives, so a cap reached at the end of a
+    full page fetches the next page to find out.
     """
     transport = transport or HttpTransport()
     label = _CLASS_LABELS[query.entity_class]
@@ -192,11 +194,11 @@ def fetch_entities(query: EntityQuery, transport=None) -> FetchResult:
         )
         page = _parse_labels(body)
         for value in page:
-            if value.strip():
+            if value.strip() and value not in seen:
+                if query.max_results is not None and len(seen) == query.max_results:
+                    truncated = True
+                    break
                 seen.add(value)
-            if query.max_results is not None and len(seen) >= query.max_results:
-                truncated = True
-                break
         if truncated or len(page) < query.page_size:
             break
         offset += query.page_size

@@ -18,7 +18,8 @@ never changes and is the one to tag with. ``load_settings`` reads the
 * noise-channel — treat every label of the clean and distant sentences
   alike as possibly noisy and alternate ``_em_step``, whose E-step is the
   channel posterior that confusion's channel items train towards, with an
-  epoch towards those posteriors.
+  epoch towards those posteriors: ``em_iterations`` epochs in all, and
+  ``TaggerConfig.epochs`` is not read.
 * cleaning — train a small network that maps (noisy label one-hot, tagger
   features) to a corrected label distribution, then train on the cleaned
   soft targets.
@@ -62,7 +63,7 @@ class MethodOptions:
     """Settings of the noise methods; each method reads only its own."""
 
     alpha: float = 1.0  # confusion: add-alpha smoothing of the counted channel
-    em_iterations: int = 10  # noise-channel
+    em_iterations: int = 10  # noise-channel: EM rounds of one SGD epoch each; epochs is unread
     cleaner_hidden: int = 32  # cleaning
     cleaner_epochs: int = 50  # cleaning
     cleaner_learning_rate: float = 0.1  # cleaning
@@ -151,6 +152,9 @@ def load_confusion(path) -> ConfusionMatrix:
                 rows.append([float(v) for v in line.split()])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric matrix entry") from None
+            if len(rows[-1]) != len(labels):
+                raise ParseError(f"{path}:{lineno}: expected {len(labels)} values, "
+                                 f"got {len(rows[-1])}")
     try:
         return ConfusionMatrix(labels, np.array(rows))
     except ValueError as exc:
@@ -391,9 +395,10 @@ def fit(method: str, clean: Dataset, distant: Dataset, config: TaggerConfig,
 
     Confusion and cleaning pair each clean sentence with its distant twin,
     its first token-identical sentence in *distant* (``distant_twin``);
-    noise-channel runs EM over the clean and distant sentences together.
-    With no distant sentences every method is plain training on the clean
-    ones, and nothing is paired.
+    noise-channel runs EM over the clean and distant sentences together,
+    ``options.em_iterations`` rounds of one SGD epoch each, and ignores
+    ``config.epochs``. With no distant sentences every method is plain
+    training on the clean ones, and nothing is paired.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")

@@ -4,30 +4,14 @@ Architecture: a frozen pretrained embedding lookup, a bidirectional LSTM,
 a linear feature layer, and a linear classifier producing per-token label
 distributions. Training is plain SGD with per-sentence updates; all
 randomness (parameter init, shuffling) flows from one seeded generator, so
-runs are bit-reproducible.
+runs are bit-reproducible. Everything is float64 numpy; gradients are
+exact (they are checked against central finite differences in the test
+suite).
 
-The backward pass writes every parameter gradient into a workspace, a
-``TaggerParams`` of gradient arrays that an SGD epoch allocates once and
-reuses for every step. At paper shape (d=h=300) a step's gradients are
-about 11.5 MB; allocating them afresh per sentence costs page faults and
-raises the process's peak memory, for values that are subtracted from the
-weights at once.
-
-Everything is float64 numpy; gradients are exact (they are checked against
-central finite differences in the test suite).
-
-numpy's BLAS runs on one thread in every process that imports this module:
-the CLI, each sweep worker and any library caller (``_pin_blas_threads``,
-called at import). A threaded matrix product splits its sums by the thread
-count, so at paper shape one seed would otherwise give other bytes at
-another count: in a sweep worker than in the process that started it, or
-under another setting of the environment. Each product still runs on one
-BLAS thread when the tagger uses two Python threads: from
-``_THREAD_WEIGHTS`` (300,000) LSTM weight floats per direction up (the
-paper shape, not the synthetic one), the training forward and backward
-passes and ``predict`` run the LSTM's two directions at once, given two
-CPUs for the process, or for each worker of a sweep pool. The bytes are
-those of one thread.
+The design is explained where it is implemented: the one-thread BLAS pin
+at ``_pin_blas_threads``, running the LSTM's two directions on two threads
+in "the two directions at once", the reused gradient workspace at
+``_sgd_epoch``, and batched tagging in "batched inference".
 """
 
 from __future__ import annotations
@@ -55,8 +39,13 @@ from .errors import NumericsError, ParseError, SchemaError
 
 
 def _pin_blas_threads() -> None:
-    """Set numpy's BLAS to one thread (see the module docstring); where it
-    has no known thread-count setter, warn and change nothing."""
+    """Set numpy's BLAS to one thread, in every process that imports this
+    module: the CLI, each sweep worker and any library caller. A threaded
+    matrix product splits its sums by the thread count, so at paper shape
+    one seed would otherwise give other bytes at another count: in a sweep
+    worker than in the process that started it, or under another setting
+    of the environment. Where numpy's BLAS has no known thread-count
+    setter, warn and change nothing."""
     # A handle of a numpy extension also finds the symbols of the libraries
     # it links: the OpenBLAS of numpy 2 wheels (64- or 32-bit integers), of
     # numpy 1 wheels, or of the system.
@@ -533,11 +522,15 @@ def _lstm_backward(u, cache, dHs, *, out):
 #
 # The LSTM's two directions touch disjoint arrays until a sentence pass
 # joins their states, once its backward pass has split their gradients,
-# and until batched inference sums their logits. From _THREAD_WEIGHTS
-# weight floats per direction, 4h(d + h), _both runs them on two threads,
-# with the bytes of one: numpy releases the GIL inside products and
-# elementwise arithmetic, and nothing is summed across threads. Below it,
-# handing the GIL over at every step costs more than the overlap gains:
+# and until batched inference sums their logits. _both runs them on two
+# threads from _THREAD_WEIGHTS weight floats per direction, 4h(d + h) (the
+# paper shape, not the synthetic one), given two CPUs for each process
+# that shares them, so a sweep pool that fills the CPUs keeps to one
+# thread per worker. The bytes are those of one thread: each product still
+# runs on one BLAS thread, numpy releases the GIL inside products and
+# elementwise arithmetic, and nothing is summed across threads. Below the
+# threshold, handing the GIL over at every step costs more than the
+# overlap gains:
 # on a 2-vCPU x86-64 host an SGD epoch took 38 / 89 ms on one / two
 # threads at d=12, h=16 (the synthetic shape), 151 / 212 at d=300, h=100,
 # 258 / 271 at d=300, h=160, 311 / 293 at d=300, h=175 and 980 / 678 at
@@ -558,9 +551,7 @@ def _cpu_count() -> int:
 
 def _two_threads(d: int, h: int) -> bool:
     """Whether an LSTM over d-dimensional inputs with h units runs its
-    directions on two threads: from ``_THREAD_WEIGHTS`` up, with two CPUs
-    for each process that shares them, so a pool that fills the CPUs
-    keeps to one thread per worker."""
+    directions on two threads, by the rule above."""
     return (4 * h * (d + h) >= _THREAD_WEIGHTS
             and _cpu_count() >= 2 * _sharing_processes)
 
@@ -611,8 +602,7 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray,
     gradients, written into the workspace ``grads`` (a ``TaggerParams`` of
     the parameters' shapes), which is returned. Every element of every
     field is overwritten, so the workspace may hold anything before, such
-    as a previous, longer sentence's gradients: one workspace serves every
-    step of an epoch, and no step allocates parameter-sized arrays."""
+    as a previous, longer sentence's gradients."""
     cache_f, cache_b, H, feats = cache
     h = params.hidden_size
     dfeats = dlogits @ params.w_out
@@ -666,37 +656,31 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray,
 #
 # Folded head. The feature and output layers are linear, so the logits are
 # H @ M.T + m0 with M = w_out @ w_feat (L, 2h) and m0 = w_out @ b_feat +
-# b_out, formed once per call. Each direction adds its states times its
-# half of M into the batch's (tokens, L) logits, and the softmax runs once
-# per batch. This equals the per-sentence pass up to rounding.
-#
-# Threads. On two (_two_threads), the backward direction adds into zeros,
-# added after the join: bias + forward, then + backward, as on one.
+# b_out, formed once per call. The forward direction adds its states times
+# its half of M into the batch's (tokens, L) logits, which start at m0; the
+# backward direction adds into a zeroed (tokens, L) share of its own, added
+# once both have run, so every logit is (m0 + forward) + backward on one
+# thread or two. The softmax runs once per batch.
 #
 # Memory. A buffer set (the gate, recurrent-product and cell-state
-# buffers) is allocated once per call, in the calling thread, and serves
+# buffers) is allocated once per call, since buffers allocated and freed
+# batch after batch fragment the heap and raise the process's peak memory,
+# and in the calling thread, so the other one allocates little. It serves
 # every batch and window; one set serves both directions on one thread,
 # and each thread has its own on two. Besides them a batch holds its
-# (tokens, L) logits and distributions (and the backward direction's
-# (tokens, L) share on two threads) and a few integer index arrays, never
-# (tokens, f) features or the (tokens, 4h) input projection of the whole
-# batch; a process that tags with the paper-shape tagger reaches its peak
-# memory here. The width follows from h so that the gate buffer has about
-# _WINDOW_FLOATS floats at every shape, and the recurrent-product and
-# cell-state buffers have a row per sentence of a batch: (64, 4h) and
-# (64, h) at h=300.
-
-# The least width (_batch_width): sentences per batch (the last one fewer)
-# and tokens per window.
+# (tokens, L) logits, backward share and distributions and a few integer
+# index arrays, never (tokens, f) features or the (tokens, 4h) input
+# projection of the whole batch; a process that tags with the paper-shape
+# tagger reaches its peak memory here. The width follows from h so that
+# the gate buffer has about _WINDOW_FLOATS floats (600 KiB) at every
+# shape, and the recurrent-product and cell-state buffers have a row per
+# sentence of a batch: (64, 4h) and (64, h) at h=300.
 _BATCH_SENTENCES = 64
-# The gate buffer of a window holds about this many floats (600 KiB).
 _WINDOW_FLOATS = 64 * 1200
 
 
 def _batch_width(h: int) -> int:
-    """Sentences per batch and tokens per window at hidden size *h*: the
-    gate buffer's float budget in rows of 4h, and at least
-    ``_BATCH_SENTENCES``."""
+    """Sentences per batch and tokens per window at hidden size *h*."""
     return max(_BATCH_SENTENCES, _WINDOW_FLOATS // (4 * h))
 
 
@@ -778,16 +762,14 @@ def _batch_probs(directions, bias, table: EmbeddingTable, flat, lengths,
         bounds.append(int(end) - 1)
     offs = offs.tolist()
     logits = np.tile(bias, (len(flat), 1))
-    threaded = len(buffer_sets) == 2
-    backward = np.zeros_like(logits) if threaded else logits
+    backward = np.zeros_like(logits)
     (fwd, bwd), rows_f, rows_b = directions, flat[pos_f], flat[pos_b]
     _both(lambda: _batch_direction(*fwd, table, rows_f, pos_f, offs, bounds,
                                    buffer_sets[-1], logits),
           lambda: _batch_direction(*bwd, table, rows_b, pos_b, offs, bounds,
                                    buffer_sets[0], backward),
-          threaded)
-    if threaded:
-        logits += backward
+          len(buffer_sets) == 2)
+    logits += backward
     return _softmax(logits)
 
 
@@ -795,8 +777,7 @@ def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
     """``(batch, probs)`` for each batch of the token sequences in the list
     ``token_lists``: the batch's input indices (``_inference_batches``) and
     its ``(tokens, L)`` distributions, its sentences' rows one after another
-    in that order. Only one batch's distributions are held at a time, and
-    each batch's two directions run on two threads where ``_two_threads``."""
+    in that order. Only one batch's distributions are held at a time."""
     lengths = np.fromiter(map(len, token_lists), np.int64, len(token_lists))
     h = params.hidden_size
     width = _batch_width(h)
@@ -804,9 +785,6 @@ def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
     directions = ((params.w_in_f, params.u_f, params.b_f, fold[:, :h]),
                   (params.w_in_b, params.u_b, params.b_b, fold[:, h:]))
     bias = params.w_out @ params.b_feat + params.b_out
-    # once per call, not per batch: gate buffers allocated and freed batch
-    # after batch fragment the heap and raise the process's peak memory;
-    # and in this thread, so the other one allocates little
     rows = min(width, int(lengths.sum()))
     sentences = min(width, len(token_lists))
     threads = 2 if _two_threads(params.embed_dim, h) else 1
@@ -913,8 +891,9 @@ def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfi
     Every step's gradients are written into one workspace allocated here,
     uninitialised (``np.empty_like`` of each parameter), since the backward
     pass overwrites all of it and ``_sgd_step`` then scales it in place.
-    Fresh gradients per step would cost, at paper shape, four (1200, 300)
-    arrays a sentence, allocated and freed again."""
+    At paper shape (d=h=300) a step's gradients are about 11.5 MB;
+    allocating them afresh per sentence costs page faults and raises the
+    process's peak memory, for values subtracted from the weights at once."""
     lr = config.learning_rate
     grads = TaggerParams(*(np.empty_like(arr) for _, arr in params.arrays()))
     pairs = [(arr, g) for (_, arr), (_, g) in zip(params.arrays(), grads.arrays())]
@@ -967,40 +946,15 @@ def train(clean: Dataset, config: TaggerConfig, table: EmbeddingTable) -> Tagger
 
 def predict(dataset: Dataset, params: TaggerParams, table: EmbeddingTable) -> Dataset:
     """Replace spans by per-token argmax predictions (ties go to the lowest
-    label index, so all-uniform output yields the outside label).
+    label index, so all-uniform output yields the outside label), keeping
+    the input order; sentences are tagged in batches ("batched inference").
 
     The model's label count must equal the tag set's size and its
-    embedding size the table's, else ``ValueError`` names both numbers;
+    embedding size the table's, else ``SchemaError`` names both numbers;
     this is the one check on the path, since nothing after it checks again.
 
-    Sentences are tagged in batches: sorted by length, longest first (a
-    stable sort), then cut into batches of ``_batch_width(h)`` sentences,
-    ``max(64, _WINDOW_FLOATS // 4h)``, whatever their lengths: 1,200 at
-    h=16 and 64 at h=300. Each LSTM direction runs over a batch in windows
-    of consecutive timesteps with at most as many tokens in total as a
-    batch has sentences. A window makes one embedding gather, one input
-    product and one product of its states with the folded head ``w_out @
-    w_feat``; only the recurrent product and the gates run per timestep.
-    So a batch holds, per thread, about ``_WINDOW_FLOATS`` (76,800) gate
-    floats, a recurrent product of a row per sentence, and its (tokens,
-    L) logits, never (tokens, f) features or the (tokens, 4h) input
-    projection of the whole batch. Since the head is linear, folding it
-    changes only the rounding: the distributions equal the per-sentence
-    forward pass up to rounding, and the output keeps the input order.
-
-    A batch pays once, not per sentence, for its row lookup, one C-level
-    pass over all its tokens into one flat array, and for its argmax, one
-    list that each sentence's labels are sliced from. Each decoded
-    sentence is made unchecked (``LabeledSentence._trusted``): its tokens
-    and provenance come from an already-checked sentence, and
-    ``TagSet.decode`` makes spans that are sorted and in range.
-
-    At paper shape, given two CPUs (``_two_threads``), each batch's
-    forward direction runs on a second thread, with a second set of
-    buffers, joined before the batch is decoded; an error in it is raised
-    here, and the output is the same bytes as on one thread.
-
-    The rounding also depends on the batch: a window's products have as
+    The distributions equal the per-sentence forward pass up to rounding,
+    and the rounding depends on the batch: a window's products have as
     many rows as the window has tokens, so a sentence's distributions may
     differ in the last bits with the sentences that share its batch. The
     same input always gives the same output, but tagging a subset of a
@@ -1009,11 +963,11 @@ def predict(dataset: Dataset, params: TaggerParams, table: EmbeddingTable) -> Da
     """
     tag_set = dataset.tag_set
     if params.label_count != tag_set.size:
-        raise ValueError(f"the model has {params.label_count} labels but the tag set "
-                         f"has {tag_set.size}")
+        raise SchemaError(f"the model has {params.label_count} labels but the tag set "
+                          f"has {tag_set.size}")
     if params.embed_dim != table.dimension:
-        raise ValueError(f"the model takes embeddings of size {params.embed_dim} but "
-                         f"the table's have size {table.dimension}")
+        raise SchemaError(f"the model takes embeddings of size {params.embed_dim} but "
+                          f"the table's have size {table.dimension}")
     decode = tag_set.decode
     sentences = list(dataset.sentences)
     for batch, probs in _forward_batched(params, table, [s.tokens for s in sentences]):

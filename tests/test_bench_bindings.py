@@ -1,8 +1,13 @@
 """The benchmark's tracer (perfbench/tracing.py) binds wsner functions by
 name; a rename that breaks it fails here in a second rather than in a
-multi-minute benchmark smoke run. Nothing under perfbench/ is changed."""
+multi-minute benchmark smoke run. The benchmark's workloads call other
+private wsner names too, so one test runs the whole benchmark at tiny
+sizes. Nothing under perfbench/ is changed."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +19,8 @@ from wsner.tagger import TaggerConfig
 from conftest import write_tiny_sweep
 from support import make_noise_benchmark
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing_module():
@@ -138,3 +144,14 @@ def test_traced_annotation_of_a_read_corpus_sees_every_sentence_and_token(tmp_pa
     assert values["gazetteer.match.calls"] == values["date_rules.annotate.calls"] == 60
     assert values["gazetteer.match.tokens"] == values["date_rules.annotate.tokens"] == tokens
     assert values["gazetteer.merge.kept"] == sum(len(s.spans) for s in out.sentences) > 0
+
+
+def test_the_benchmark_runs_every_workload_at_tiny_sizes():
+    # each workload checks its own output; about 7 s on two CPUs
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all",
+         "--seed", "1", "--seconds", "1", "--tiny"],
+        cwd=ROOT, stdout=subprocess.PIPE, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0 < result["attempted"], result

@@ -361,6 +361,12 @@ BAD_INPUT = {
     "inspect-confusion-entry": (
         "inspect", {"c.txt": "# labels: O PER\n1 0\n0 x\n"}, ["--confusion", "c.txt"],
         "c.txt:3: non-numeric matrix entry"),
+    "inspect-confusion-short-row": (
+        "inspect", {"c.txt": "# labels: O PER\n1 0\n0\n"}, ["--confusion", "c.txt"],
+        "c.txt:3: expected 2 values, got 1"),
+    "inspect-confusion-long-row": (
+        "inspect", {"c.txt": "# labels: O PER\n1 0 0\n0 1\n"}, ["--confusion", "c.txt"],
+        "c.txt:2: expected 2 values, got 3"),
     "inspect-not-a-checkpoint": (
         "inspect", {"m.npz": "not an archive\n"}, ["--model", "m.npz"],
         "m.npz: not a checkpoint"),
@@ -381,7 +387,7 @@ BAD_INPUT = {
         "evaluate", {"gold.conll": "Kano\tB-LOC\n", "m.npz": _checkpoint(12),
                      "e.txt": "1 3\nKano 0.5 0.5 0.5\n"},
         ["--model", "m.npz", "--embeddings", "e.txt"],
-        "e.txt: vectors of dimension 3, but "),
+        "e.txt: the model takes embeddings of size 12 but the table's have size 3"),
     "evaluate-checkpoint-shape": (
         "evaluate", {"gold.conll": "Kano\tB-LOC\n", "e.txt": "1 1\nKano 0.5\n",
                      "m.npz": _checkpoint(1, w_out=np.ones((5, 8)))},
@@ -499,6 +505,20 @@ def test_bad_input_exits_1_naming_file_and_line(tmp_path, capsys, case):
     assert err.startswith("error: ") and f"{tmp_path}{os.sep}{message}" in err, err
     assert "Traceback" not in err and out == ""
     assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("out")]
+
+
+def test_evaluate_with_a_table_of_another_size_names_both_files(tmp_path, capsys):
+    # predict's size check is the only one; evaluate adds the two paths
+    model, vectors, gold = tmp_path / "m.npz", tmp_path / "e.txt", tmp_path / "gold.conll"
+    model.write_bytes(_checkpoint(12))
+    vectors.write_text("1 3\nKano 0.5 0.5 0.5\n", encoding="utf-8")
+    gold.write_text("Kano\tB-LOC\n", encoding="utf-8")
+    code = cli.main(["evaluate", "--gold", str(gold), "--model", str(model),
+                     "--embeddings", str(vectors)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == (f"error: {model} vs {vectors}: the model takes embeddings of size 12 "
+                   "but the table's have size 3\n")
 
 
 def test_damaged_checkpoints_load_or_exit_1_naming_the_file(tmp_path, capsys):

@@ -98,6 +98,25 @@ def test_truncation_flag():
     assert result.truncated
 
 
+# labels capped at 2: two on a short page, two on a full page with nothing
+# after it or with a third label after it, and two with a repeat and a blank
+# after them; truncated only when a label was dropped
+@pytest.mark.parametrize("page_size, pages, kept, truncated", [
+    (1000, [["Kano", "Lagos"]], 2, False),
+    (2, [["Kano", "Lagos"], []], 2, False),
+    (2, [["Kano", "Lagos"], ["Abuja", "Kano"]], 2, True),
+    (5, [["Kano", "Lagos", "Kano", " "]], 2, False),
+], ids=["short-page", "full-page-then-empty", "full-page-then-new", "repeats-after-cap"])
+def test_truncated_only_when_a_label_is_dropped(page_size, pages, kept, truncated):
+    transport = FixtureTransport([page(labels) for labels in pages])
+    result = fetch_entities(query(page_size=page_size, max_results=2), transport)
+    assert len(result.entries) == kept
+    assert result.truncated is truncated
+    # no page past the last one that was needed is fetched
+    with pytest.raises(TransportError, match="fixture exhausted"):
+        transport.get("", {})
+
+
 def test_multi_token_labels_split_into_surfaces():
     result = fetch_entities(query(), FixtureTransport([page(["New York City"])]))
     assert result.entries[0].surface == ("New", "York", "City")

@@ -196,6 +196,16 @@ def test_channel_with_a_non_finite_entry_is_refused(tmp_path, row):
     assert str(err.value) == f"{path}: matrix entries must be finite"
 
 
+@pytest.mark.parametrize("rows, lineno, got", [("1 0\n0\n", 3, 1), ("1 0 0\n0 1\n", 2, 3)],
+                         ids=["short", "long"])
+def test_channel_row_of_the_wrong_width_names_its_line(tmp_path, rows, lineno, got):
+    path = tmp_path / "c.txt"
+    path.write_text(f"# labels: O PER\n{rows}", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_confusion(path)
+    assert str(err.value) == f"{path}:{lineno}: expected 2 values, got {got}"
+
+
 def test_serialization_round_trip(tmp_path):
     cm = estimate_confusion(np.array([O, O]), np.array([PER, O]), LABELS, alpha=0.5)
     path = tmp_path / "cm.txt"

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from wsner.corpus import (Dataset, EntitySpan, LabeledSentence, TagSet, io_to_spans,
                           read_conll)
 from wsner import cli, tagger
-from wsner.errors import NumericsError, ParseError
+from wsner.errors import NumericsError, ParseError, SchemaError
 from wsner.make_synth import write_synth_corpus
 from wsner.tagger import (
     EmbeddingTable,
@@ -269,20 +269,16 @@ def _garble(cache):
         fh.write(b"not an archive\n")
 
 
-def _other_version(cache):
-    with np.load(cache) as npz:
-        arrays = dict(npz)
-    arrays["version"] = np.int64(tagger._CACHE_VERSION + 1)
-    with open(cache, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def _unpaired_rows(cache):
-    with np.load(cache) as npz:
-        arrays = dict(npz)
-    arrays["rows"] = arrays["rows"][:-1]
-    with open(cache, "wb") as fh:
-        np.savez(fh, **arrays)
+def _rewrite(change):
+    """A spoil that rewrites the cache with *change* applied to its dict of
+    arrays; the archive still opens."""
+    def spoil(cache):
+        with np.load(cache) as npz:
+            arrays = dict(npz)
+        change(arrays)
+        with open(cache, "wb") as fh:
+            np.savez(fh, **arrays)
+    return spoil
 
 
 def _plain_array(cache):
@@ -290,10 +286,17 @@ def _plain_array(cache):
         np.save(fh, np.zeros(3))
 
 
-@pytest.mark.parametrize("spoil", [_truncate, _garble, _other_version, _unpaired_rows,
-                                   _plain_array, os.remove],
-                         ids=["truncated", "garbage", "other-version", "unpaired-rows",
-                              "npy-not-npz", "missing"])
+# the last four keep the cache's digest and version, and hold a table that
+# fails EmbeddingTable's own checks
+@pytest.mark.parametrize("spoil", [
+    _truncate, _garble, _rewrite(lambda a: a.update(version=a["version"] + 1)),
+    _rewrite(lambda a: a.update(rows=a["rows"][:-1])), _plain_array, os.remove,
+    _rewrite(lambda a: a["matrix"].__setitem__((0, 0), np.nan)),
+    _rewrite(lambda a: a["rows"].__setitem__(-1, len(a["matrix"]))),
+    _rewrite(lambda a: a.update(matrix=a["matrix"].ravel())),
+    _rewrite(lambda a: a.update(tokens=np.append(a["tokens"], np.uint8(0xFF))))],
+    ids=["truncated", "garbage", "other-version", "unpaired-rows", "npy-not-npz", "missing",
+         "nan-in-matrix", "row-past-the-end", "1-d-matrix", "tokens-not-utf8"])
 def test_bad_cache_is_reparsed_and_replaced(tmp_path, parse_calls, spoil):
     path = tmp_path / "vec.txt"
     path.write_text(YO_VECTORS, encoding="utf-8")
@@ -1101,7 +1104,7 @@ def test_predict_refuses_a_model_of_other_sizes(labels, dim, message):
     table = EmbeddingTable({"w0": 0, "w1": 1}, np.ones((2, 3)))
     params = init_params(np.random.default_rng(0), "lstm", dim, 4, 5, labels)
     ds = make_dataset([make_sentence(("w0", "w1", "oov"))])
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(SchemaError, match=message):
         predict(ds, params, table)
 
 
