@@ -359,25 +359,26 @@ def run_experiment(config: ExperimentConfig) -> tuple[str, str]:
 
 def write_aggregate(runs_path, agg_path, tag_set: TagSet) -> None:
     """Mean and standard error per (setting, method) over the ok rows, in
-    the canonical order of ``runs.csv``. A group whose every cell failed
+    the canonical order of ``runs.csv``, with ``n`` the count of ok rows
+    and ``failed`` that of error rows. A group whose every cell failed
     keeps its row, with ``n`` 0 and empty means and standard errors."""
     groups: dict[tuple[str, str], list[dict]] = {}
     with open(runs_path, encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
-            group = groups.setdefault((row["setting"], row["method"]), [])
-            if row["status"] == "ok":
-                group.append(row)
+            groups.setdefault((row["setting"], row["method"]), []).append(row)
     value_cols = metrics_columns(tag_set)
-    out_cols = ["setting", "method", "n"]
+    out_cols = ["setting", "method", "n", "failed"]
     for col in value_cols:
         out_cols += [f"{col}_mean", f"{col}_se"]
     with open(agg_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=out_cols, lineterminator="\n")
         writer.writeheader()
         for key, rows in groups.items():
-            out = {"setting": key[0], "method": key[1], "n": str(len(rows))}
-            for col in value_cols if rows else ():
-                mean, se = mean_and_se([float(r[col]) for r in rows])
+            ok = [r for r in rows if r["status"] == "ok"]
+            out = {"setting": key[0], "method": key[1], "n": str(len(ok)),
+                   "failed": str(len(rows) - len(ok))}
+            for col in value_cols if ok else ():
+                mean, se = mean_and_se([float(r[col]) for r in ok])
                 out[f"{col}_mean"] = repr(mean)
                 out[f"{col}_se"] = repr(se)
             writer.writerow(out)

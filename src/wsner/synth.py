@@ -15,16 +15,12 @@ from .tagger import EmbeddingTable
 
 
 def _make_vocabulary(rng, tag_set: TagSet, entity_words: int, outside_words: int,
-                     dim: int, centroid_scale: float, jitter: float,
-                     marker_words: float = 0.0):
-    """Words per label with centroid-plus-jitter embeddings.
-
-    ``marker_words`` > 0 reserves embedding dimension 0 as a marker set on
-    that fraction of each entity class's words (feature-dependent noise
-    experiments key off it).
-    """
+                     dim: int, centroid_scale: float, jitter: float):
+    """Words per label with centroid-plus-jitter embeddings whose dimension
+    0 is 0.0 (free for a caller to mark words in), the table, and an empty
+    set: the benchmark's inputs (``perfbench/inputs.py``) unpack three
+    values."""
     words_by_label: dict[str, list[str]] = {}
-    marked: set[str] = set()
     vocab: dict[str, int] = {}
     vectors = []
     labels = tag_set.labels
@@ -38,15 +34,11 @@ def _make_vocabulary(rng, tag_set: TagSet, entity_words: int, outside_words: int
             word = f"{lab.lower()}{i}"
             vec = centroid + rng.normal(0.0, jitter, size=dim)
             vec[0] = 0.0
-            if (lab != "O" and marker_words > 0.0
-                    and i < int(counts[lab] * marker_words)):
-                vec[0] = 2.0
-                marked.add(word)
             vocab[word] = len(vectors)
             vectors.append(vec)
             words.append(word)
         words_by_label[lab] = words
-    return words_by_label, EmbeddingTable(vocab, np.array(vectors)), marked
+    return words_by_label, EmbeddingTable(vocab, np.array(vectors)), set()
 
 
 def _make_sentences(rng, words_by_label, tag_set: TagSet, total_tokens: int,

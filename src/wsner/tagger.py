@@ -627,8 +627,9 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray,
 #
 # Inference-only forward over many sentences at once. One float budget sizes
 # batches and windows alike: _batch_width(h), max(_BATCH_SENTENCES,
-# _WINDOW_FLOATS // 4h), is 1,200 at h=16 (the synthetic shape) and 64 at
-# h=300 (the paper shape). Sentences are sorted longest first (a stable
+# _WINDOW_FLOATS // 4h), is 1,200 at h=16 (the synthetic shape) and 128 at
+# h=300 (the paper shape); the float budget decides below h=150 and the
+# sentence floor from there on. Sentences are sorted longest first (a stable
 # sort) and cut into batches of that many sentences, whatever their
 # lengths. The sentences still running at a timestep are a prefix of the
 # batch, so no masking is needed: in time-major order, step t's tokens are
@@ -650,9 +651,14 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray,
 # per step, in place on the step's slice, and the step's hidden states
 # overwrite its spent input gates. Each step also takes the next step's
 # recurrent product, so a window's last states are read before the next
-# window's input product overwrites them, and no copy of them is kept. At
-# paper shape BLAS repacks the (4h, h) recurrent weights on every call, so
-# that product costs about 4.5 times more per row at 4 rows than at 64.
+# window's input product overwrites them, and no copy of them is kept.
+#
+# Why a floor of 128 sentences. At paper shape each input or recurrent
+# product, (n, 300) @ (300, 1200), reads the whole weight matrix whatever
+# its row count n. One such float64 product on one BLAS thread of a 2-vCPU
+# x86-64 host took 87, 222, 334, 777, 1,341 and 2,589 us at n = 1, 4, 16,
+# 64, 128 and 256: roughly 200 us a call plus 10 us a row, so fewer and
+# fuller products win.
 #
 # Folded head. The feature and output layers are linear, so the logits are
 # H @ M.T + m0 with M = w_out @ w_feat (L, 2h) and m0 = w_out @ b_feat +
@@ -671,16 +677,20 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray,
 # (tokens, L) logits, backward share and distributions and a few integer
 # index arrays, never (tokens, f) features or the (tokens, 4h) input
 # projection of the whole batch; a process that tags with the paper-shape
-# tagger reaches its peak memory here. The width follows from h so that
-# the gate buffer has about _WINDOW_FLOATS floats (600 KiB) at every
-# shape, and the recurrent-product and cell-state buffers have a row per
-# sentence of a batch: (64, 4h) and (64, h) at h=300.
-_BATCH_SENTENCES = 64
+# tagger reaches its peak memory here. The gate buffer has a row per token
+# of a window, and the recurrent-product and cell-state buffers a row per
+# sentence of a batch. Up to h=150 the gate buffer holds about
+# _WINDOW_FLOATS floats (600 KiB); at h=300 the buffers are (128, 4h),
+# (128, 4h) and (128, h), about 2.7 MB per thread, and a full batch of
+# 60-token sentences peaks at about 6.6 MiB under tracemalloc on two threads.
+_BATCH_SENTENCES = 128
 _WINDOW_FLOATS = 64 * 1200
 
 
 def _batch_width(h: int) -> int:
-    """Sentences per batch and tokens per window at hidden size *h*."""
+    """Sentences per batch and tokens per window at hidden size *h*: the
+    float budget's width below h=150, 128 from there on (the rule and its
+    reason are in "batched inference")."""
     return max(_BATCH_SENTENCES, _WINDOW_FLOATS // (4 * h))
 
 

@@ -329,14 +329,20 @@ def make_feature_noise_task(seed: int, *, clean_tokens: int = 400,
                             dim: int = 12, centroid_scale: float = 1.2,
                             jitter: float = 0.5, entity_rate: float = 0.5,
                             marker_words: float = 0.5) -> SynthTask:
-    """Noise that depends on the input: marked words (marker set in the
-    embedding) get their labels rotated to the next entity type; unmarked
+    """Noise that depends on the input: marked words (embedding dimension 0
+    set to 2.0 on the first *marker_words* fraction of each entity type's
+    words) get their labels rotated to the next entity type; unmarked
     words keep clean labels. A global channel cannot express this."""
     rng = np.random.default_rng([seed, 0])
     tag_set = TagSet()
-    words, table, marked = _make_vocabulary(
-        rng, tag_set, entity_words, outside_words, dim, centroid_scale,
-        jitter, marker_words=marker_words)
+    words, table, _ = _make_vocabulary(rng, tag_set, entity_words, outside_words,
+                                       dim, centroid_scale, jitter)
+    marked = {word for lab in tag_set.entity_types
+              for word in words[lab][:int(entity_words * marker_words)]}
+    matrix = table.matrix.copy()
+    matrix[[table.vocab[word] for word in marked], 0] = 2.0
+    # a new table, so that its unknown-word vector is the mean of the marked matrix
+    table = EmbeddingTable(table.vocab, matrix)
     clean, pool, test = _splits(rng, words, tag_set, entity_rate,
                                 clean_tokens, noisy_tokens, test_tokens)
 

@@ -13,11 +13,12 @@ every annotator flag and names the files of a clean sentence absent from
 ``--distant``; labels with whitespace are refused; ``--confusion-out`` is
 refused for a method without a channel and, before training, without
 distant sentences; importing the CLI leaves the HTTP client unloaded;
-a damaged checkpoint loads or exits 1 naming the file, never with a
-traceback; every subcommand exits 1 on bad input, naming the file and
-line (bad ``train`` configs, which ``wsner experiment`` refuses with the
-same line, misaligned ``evaluate`` inputs and ``--confusion-out`` without
-distant sentences have tests of their own), and 2 on bad usage, naming
+a damaged checkpoint, or a mutated CoNLL, token, entity-list or keywords
+file, loads or exits 1 naming the file, never with a traceback; every
+subcommand exits 1 on bad input, naming the file and line (bad ``train``
+configs, which ``wsner experiment`` refuses with the same line,
+misaligned ``evaluate`` inputs and ``--confusion-out`` without distant
+sentences have tests of their own), and 2 on bad usage, naming
 the option, a flag that the other options leave unused included."""
 
 import dataclasses
@@ -552,6 +553,74 @@ def test_damaged_checkpoints_load_or_exit_1_naming_the_file(tmp_path, capsys):
             assert code == 0 and err == "" or code == 1 and str(model) in err, (argv, err)
     assert 0 < loaded < 600
     assert NotImplementedError in causes
+
+
+# valid inputs of the four text readers: the CoNLL reader (gold and
+# prediction), the token corpus, the entity TSV and the keywords file
+TEXT_INPUTS = {
+    "gold.conll": "Adé\tB-PER\nOjo\tI-PER\nlọ\tO\nsí\tO\nKano\tB-LOC\n\n"
+                  "ní\tO\nọjọ́\tB-DATE\nAjé\tI-DATE\n",
+    "pred.conll": "Adé\tB-PER\nOjo\tO\nlọ\tO\nsí\tO\nKano\tB-ORG\n\n"
+                  "ní\tO\nọjọ́\tB-DATE\nAjé\tI-DATE\n",
+    "raw.txt": "Adé\nOjo\nlọ\nsí\nKano\n\nní\r\nọjọ́\nAjé\n2020\n",
+    "ents.tsv": "Adé Ojo\tPER\twikidata\nKano\tLOC\twikidata\n",
+    "keys.txt": "# Yorùbá\nọjọ́\n\nAjé\n",
+}
+# bytes that separate the readers' fields and lines, or start a malformed
+# UTF-8 sequence, a comment or a tag prefix
+FIELD_BYTES = (b"\t", b"\n", b"\r", b" ", b"\x0b", b"\x1c", b"\x00", b"\xff", b"\xc3",
+               b"\xe2\x80\xa8", b"#", b"B-", b"I-", b"-", b"\n\n")
+
+
+def _mutate(data: bytes, rng: random.Random) -> bytes:
+    """*data* with one byte run deleted, one of ``FIELD_BYTES`` inserted,
+    one byte replaced, or a line repeated. Half the edits are at a field
+    or line separator, where the readers' checks are."""
+    separators = [i + rng.randint(0, 1) for i, byte in enumerate(data) if byte in b"\t\n "]
+    at = rng.randrange(len(data) + 1)
+    if separators and rng.random() < 0.5:
+        at = rng.choice(separators)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return data[:at] + data[at + rng.randint(1, 4):]
+    if kind == 1:
+        return data[:at] + rng.choice(FIELD_BYTES) + data[at:]
+    if kind == 2:
+        return data[:at] + bytes([rng.randrange(256)]) + data[at + 1:]
+    lines = data.splitlines(keepends=True)
+    k = rng.randrange(len(lines)) if lines else 0
+    return b"".join(lines[:k + 1] + lines[k:])
+
+
+def test_mutated_text_inputs_exit_0_or_1_naming_the_file(tmp_path, capsys):
+    # 500 seeded cases of 1-3 mutations of one input each, through the CLI:
+    # each either runs (exit 0), or exits 1 naming the mutated file; no
+    # exception leaves cli.main
+    paths = {name: tmp_path / name for name in TEXT_INPUTS}
+    evaluate = ["evaluate", "--gold", str(paths["gold.conll"]),
+                "--pred", str(paths["pred.conll"])]
+    annotate = ["annotate", "--corpus", str(paths["raw.txt"]),
+                "--gazetteer", str(paths["ents.tsv"]), "--keywords", str(paths["keys.txt"]),
+                "--out", str(tmp_path / "out.conll")]
+    rng, codes = random.Random(0), []
+    for _ in range(500):
+        for name, text in TEXT_INPUTS.items():
+            _write(paths[name], text)
+        name = rng.choice(list(TEXT_INPUTS))
+        data = TEXT_INPUTS[name].encode("utf-8")
+        for _ in range(rng.randint(1, 3)):
+            data = _mutate(data, rng)
+        paths[name].write_bytes(data)
+        argv = evaluate if name.endswith(".conll") else annotate
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            raise AssertionError(f"{name} as {data!r}: {exc!r}") from exc
+        err = capsys.readouterr().err
+        assert code == 0 and err == "" or code == 1 and str(paths[name]) in err, (name, data, err)
+        codes.append(code)
+    # the mutations reach the readers' error paths and leave files they read
+    assert 0 < codes.count(1) < len(codes)
 
 
 @pytest.mark.parametrize("method", ["naive-mix", "confusion", "noise-channel"])

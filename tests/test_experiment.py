@@ -56,7 +56,7 @@ from support import PINNED_ENVIRONMENT, environment, run_python
 # 0.0 (its tagger tags every token O), so these bytes pin scoring, the
 # distant-only rows and the CSV format; test_noise.py pins training.
 TINY_SWEEP_SHA256 = ("a12931cd453f4c443a6df139a8f95500a975e00a880a649eb2a865557f05e52d",
-                     "baad7599983622c405fd35cca54df21e924eb507b609a8caa6e806b32a4ec8a3")
+                     "79a52d73780645dd6a627d8c3ef8674d3958df2d531a8a3ab15b3e252cd63c98")
 
 
 def test_two_runs_write_identical_csvs(tmp_path, parse_calls):
@@ -342,13 +342,45 @@ def test_a_failing_cell_writes_the_same_error_row_in_the_pool_and_in_process(
     assert [r["method"] for r in failed] == ["distant-only"] * 2
     assert failed[0]["status"] == "error: NumericsError: non-finite training loss"
     # the other rows are those of the sweep without the failure, and each
-    # failed group keeps its aggregate row in its place, with n 0 and no means
+    # failed group keeps its aggregate row in its place, with n 0, its one
+    # failed cell counted and no means
     assert [r for r in _rows(runs) if r["status"] == "ok"] == [
         r for r in _rows(whole[0]) if r["method"] != "distant-only"]
-    expected = [dict(r, n="0", **{col: "" for col in r if col.endswith(("_mean", "_se"))})
+    assert {r["failed"] for r in _rows(whole[1])} == {"0"}
+    expected = [dict(r, n="0", failed="1",
+                     **{col: "" for col in r if col.endswith(("_mean", "_se"))})
                 if r["method"] == "distant-only" else r for r in _rows(whole[1])]
     assert [r["n"] for r in expected if r["method"] == "distant-only"] == ["0", "0"]
     assert _rows(aggregate) == expected
+
+
+def test_a_group_with_a_diverged_repeat_counts_it_as_failed(tmp_path, monkeypatch, capsys):
+    # of two repeats, training diverges in repeat 1: the group's means are
+    # over repeat 0 alone, and aggregate.csv says so with n 1 and failed 1
+    paths = write_tiny_sweep(tmp_path / "corpus", clean_budgets=[40], repeats=2,
+                             methods=["baseline-clean", "distant-only"])
+    diverging_seed = experiment.load_config(paths["config"]).base_seed + 1
+    fit = noise.fit
+
+    def diverging_fit(method, clean, distant, config, *args):
+        if config.seed == diverging_seed:
+            raise NumericsError("non-finite training loss")
+        return fit(method, clean, distant, config, *args)
+
+    monkeypatch.setattr(experiment, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(noise, "fit", diverging_fit)
+    out = tmp_path / "out"
+    code = cli.main(["experiment", "--config", paths["config"], "--out-dir", str(out)])
+    assert code == 1
+    assert "1 of 4 sweep cells failed; the first is 40/baseline-clean/1" in capsys.readouterr().err
+    runs = _rows((out / "runs.csv").read_bytes())
+    kept = [r for r in runs if r["method"] == "baseline-clean" and r["status"] == "ok"]
+    assert [r["repeat"] for r in kept] == ["0"]
+    trained, distant = _rows((out / "aggregate.csv").read_bytes())
+    assert (trained["method"], trained["n"], trained["failed"]) == ("baseline-clean", "1", "1")
+    assert trained["overall_f1_mean"] == repr(float(kept[0]["overall_f1"]))
+    assert trained["overall_f1_se"] == "0.0"
+    assert (distant["method"], distant["n"], distant["failed"]) == ("distant-only", "2", "0")
 
 
 def test_dead_worker_fails_the_sweep_and_it_resumes(sweep, tmp_path, monkeypatch, capsys):

@@ -1058,7 +1058,7 @@ def test_inference_batches_sort_stably_within_caps(caps):
 
 # the synthetic and the paper shape: a batch of as many sentences as the
 # width and one more, each of 2 tokens, OOV ones among them
-@pytest.mark.parametrize("d, h, width", [(2, 16, 1200), (300, 300, 64)])
+@pytest.mark.parametrize("d, h, width", [(2, 16, 1200), (300, 300, 128)])
 def test_one_width_sizes_batches_and_windows(d, h, width, monkeypatch):
     use_threads(monkeypatch, False)
     assert _batch_width(h) == width
@@ -1283,16 +1283,24 @@ def test_batched_forward_peaks_below_one_input_projection():
     assert peak < projection, peak / projection
 
 
+# the float budget decides below h=150 and the sentence floor of 128 from
+# there on; a floor of 64 would give 127 at h=151 and 96 at h=200
+@pytest.mark.parametrize("h, width", [(100, 192), (150, 128), (151, 128), (200, 128)])
+def test_batch_width_crosses_to_the_sentence_floor_at_h_150(h, width):
+    assert _batch_width(h) == width
+
+
 def test_paper_batch_holds_no_feature_rows():
-    # a full batch at paper shape, 64 sentences of 60 tokens. One (tokens,
-    # f) float64 array is 3840 * 128 * 8 bytes = 3.9 MB and a (tokens, 4h)
-    # one 36.9 MB, so a peak below the first shows that neither was held.
-    # What the batch does hold is about 2.2 MB: the gate and recurrent
-    # buffers (64 x 4h each, 1.2 MB together), the state buffers, one
-    # window's embedding gather, the (tokens, L) logits and distributions
-    # and the int64 index arrays of the tokens.
-    params, peak = _paper_batch_peak(64, 60)
-    features = 64 * 60 * params.feature_size * 8
+    # a full batch at paper shape, 128 sentences of 60 tokens. One (tokens,
+    # f) float64 array is 7680 * 128 * 8 bytes = 7.5 MiB and a (tokens, 4h)
+    # one 70.3 MiB, so a peak below the first shows that neither was held.
+    # What the batch does hold is about 4.0 MiB on one thread and 6.6 MiB
+    # on two: per thread a buffer set (the gate and recurrent buffers,
+    # 128 x 4h each, and the cell state, 2.6 MiB together) and one window's
+    # embedding gather, and per batch the (tokens, L) logits, backward share
+    # and distributions and the int64 index arrays of the tokens.
+    params, peak = _paper_batch_peak(128, 60)
+    features = 128 * 60 * params.feature_size * 8
     assert peak < features, peak / features
 
 
