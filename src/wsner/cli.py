@@ -2,7 +2,9 @@
 experiment sweep.
 
 ``wsner annotate`` is the one place that makes distant labels. ``wsner
-train`` and the sweep read them from its files: confusion and cleaning pair
+train`` and the sweep read them from its files and refuse, before any
+training, inputs that ``noise.require_inputs`` refuses: every method but
+baseline-clean needs distant sentences, and confusion and cleaning pair
 each clean sentence with its first token-identical sentence in the distant
 file, so the clean sentences must be annotated into that file too. ``wsner
 evaluate --pred`` scores any annotation against gold, a distant one
@@ -40,20 +42,26 @@ def _tag_set(args) -> TagSet:
     return TagSet()
 
 
-def _min_len(text: str) -> int:
-    """A ``--default-min-len`` value, an integer >= 1; argparse reports any
-    other as a usage error naming the option."""
-    try:
-        value = int(text)
-    except ValueError:  # also the empty N of a --min-len value without '='
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _at_least(minimum: int):
+    """The argparse type of an integer >= *minimum*; argparse reports any
+    other value as a usage error naming the option."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:  # also the empty N of a --min-len value without '='
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
+
+
+_min_len = _at_least(1)  # a --default-min-len value
+_seed = _at_least(0)  # numpy's generators take no negative seed
 
 
 def _min_len_item(text: str) -> tuple[str, int]:
-    """One ``--min-len SOURCE=N`` value, checked like ``--default-min-len``."""
+    """One ``--min-len SOURCE=N`` value, its N checked like ``--default-min-len``."""
     source, _, n = text.partition("=")
     try:
         return source, _min_len(n)
@@ -121,21 +129,10 @@ def cmd_train(args) -> int:
     clean = read_conll(args.clean, tag_set=tag_set)
     distant = (read_conll(args.distant, tag_set=tag_set, provenance="distant")
                if args.distant else Dataset((), tag_set))
-    # only naive-mix, confusion and noise-channel can learn from distant
-    # sentences alone
-    if not clean.sentences and (not distant.sentences
-                                or args.method in ("baseline-clean", "cleaning")):
-        raise WsnerError(f"{args.clean}: no sentences; {args.method} needs clean sentences")
-    # without distant sentences fit trains on the clean ones alone
-    if args.confusion_out and not distant.sentences:
-        source = f"{args.distant}: no sentences" if args.distant else "no --distant"
-        raise WsnerError(f"{source}; {args.method} learns the channel for --confusion-out "
-                         "from distant sentences")
+    noise.require_inputs((args.method,), clean, distant, args.clean,
+                         args.distant or "--distant (not given)")
     table = tagger.EmbeddingTable.load(args.embeddings)
-    try:
-        params, channel = noise.fit(args.method, clean, distant, config, table, options)
-    except AlignmentError as exc:  # a clean sentence without a twin in --distant
-        raise AlignmentError(f"{args.clean} vs {args.distant}: {exc}") from None
+    params, channel = noise.fit(args.method, clean, distant, config, table, options)
     tagger.save_checkpoint(args.model_out, params, tag_set)
     print(f"saved model to {args.model_out}")
     if args.confusion_out:
@@ -284,17 +281,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_annotate, usage_error=p.error)
 
-    p = sub.add_parser("train", help="train a tagger, optionally with noise handling")
+    p = sub.add_parser(
+        "train", help="train a tagger, optionally with noise handling",
+        description="Train a tagger with one method. baseline-clean trains on the --clean "
+                    "sentences; naive-mix, confusion and noise-channel need --distant "
+                    "sentences, and cleaning needs both. Confusion and cleaning also pair "
+                    "each clean sentence with its first token-identical sentence in "
+                    "--distant. Missing inputs are refused before the embeddings load.")
     p.add_argument("--clean", required=True)
     p.add_argument("--distant", default=None,
-                   help="distant training data written by 'wsner annotate'; confusion and "
-                        "cleaning pair each clean sentence with its first token-identical "
-                        "sentence in this file")
+                   help="distant training data written by 'wsner annotate'")
     p.add_argument("--method", default="baseline-clean", choices=noise.METHODS)
     p.add_argument("--config", default=None,
                    help="flat JSON config with any of the keys "
                         + ", ".join(noise.TAGGER_KEYS + noise.OPTION_KEYS))
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None,
+                   help="training seed, an integer >= 0; overrides the config's seed")
     p.add_argument("--embeddings", required=True, help=EMBEDDINGS_HELP)
     p.add_argument("--entity-types", default=None)
     p.add_argument("--model-out", required=True)
@@ -327,8 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", help="run the clean-size × method × seed sweep",
         description="Run the clean-size × method × seed sweep into OUT_DIR/runs.csv and "
                     "OUT_DIR/aggregate.csv. The config's distant and distant_test files "
-                    "come from 'wsner annotate'; confusion and cleaning pair each train "
-                    "sentence with its first token-identical sentence in the distant file. "
+                    "come from 'wsner annotate'. Every method but baseline-clean and "
+                    "distant-only trains on the distant file, and confusion and cleaning "
+                    "pair each train sentence with its first token-identical sentence there; "
+                    "distant-only scores distant_test. These inputs are checked before any "
+                    "cell runs. "
                     "Pending cells run in spawned worker processes, one per CPU this process "
                     "may use and at most one per pending cell; with one worker they run in "
                     "this process. Workers start the most expensive cells first (cleaning, "
@@ -343,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--base-seed", type=int, default=None)
+    p.add_argument("--base-seed", type=_seed, default=None,
+                   help="integer >= 0; repeat r trains with seed BASE_SEED + r")
     p.add_argument("--budgets", default=None,
                    help="comma-separated token budgets; 'unlimited' allowed")
     p.add_argument("--methods", default=None, help="comma-separated method names")
@@ -351,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="regenerate the bundled synthetic corpus")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -47,7 +47,6 @@ from . import noise, tagger
 from .corpus import Dataset, TagSet, check_aligned, read_conll, subsample_tokens
 from .errors import AlignmentError, WsnerError
 from .evaluation import mean_and_se, metrics_columns, metrics_row, span_prf
-from .gazetteer import distant_twin
 from .tagger import EmbeddingTable, TaggerConfig, _cpu_count, require_integers
 
 METHODS = noise.METHODS + ("distant-only",)
@@ -70,10 +69,11 @@ class ExperimentConfig:
     ``distant`` and ``distant_test`` are files written by ``wsner annotate``:
     the distant training data, where confusion and cleaning look up each
     clean sentence's distant twin, and the annotation of the test split that
-    ``distant-only`` scores. A sweep with confusion or cleaning refuses a
-    train sentence without a twin before any cell runs, and distant-only a
-    missing or misaligned ``distant_test``. Without ``distant`` every method
-    trains on the clean sentences alone."""
+    ``distant-only`` scores. Before any cell runs, a sweep refuses inputs
+    that ``noise.require_inputs`` refuses for one of its methods (so every
+    method but baseline-clean needs ``distant``, and confusion and cleaning
+    a twin for every train sentence), and distant-only a missing or
+    misaligned ``distant_test``."""
 
     train: str
     test: str
@@ -100,7 +100,7 @@ class ExperimentConfig:
                             ("entity_types", tuple(self.entity_types))):
             object.__setattr__(self, name, value)
         require_integers(self, ("repeats",), 1)
-        require_integers(self, ("base_seed",))
+        require_integers(self, ("base_seed",), 0)
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -166,12 +166,9 @@ def _build_context(config: ExperimentConfig) -> _Context:
                if config.distant else Dataset((), tag_set))
     distant_test = (read_conll(config.distant_test, tag_set=tag_set, provenance="distant")
                     if config.distant_test else None)
-    # a cell pairs a subsample of train, so pairing all of it once covers every cell
-    if distant.sentences and {"confusion", "cleaning"}.intersection(config.methods):
-        try:
-            distant_twin(train, distant)
-        except AlignmentError as exc:
-            raise AlignmentError(f"{config.train} vs {config.distant}: {exc}") from None
+    # a cell trains on a subsample of train, so checking all of it covers every cell
+    noise.require_inputs([m for m in config.methods if m in noise.METHODS], train, distant,
+                         config.train, config.distant or "distant (not in the config)")
     if "distant-only" in config.methods:  # every such cell scores these two files
         if distant_test is None:
             raise WsnerError(f"{config.test}: distant-only needs a distant_test file")

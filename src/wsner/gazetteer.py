@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .corpus import Dataset, EntitySpan, LabeledSentence, TagSet, open_utf8
+from .corpus import Dataset, EntitySpan, LabeledSentence, TagSet, has_whitespace, open_utf8
 from .date_rules import DateRuleSet, annotate_dates
 from .errors import AlignmentError, ParseError, SchemaError
 from .textnorm import strip_diacritics, visible_length
@@ -224,7 +224,8 @@ def write_entity_tsv(entries, path) -> None:
 
 def read_entity_tsv(path, tag_set: TagSet | None = None) -> list[GazetteerEntry]:
     """Read entity-list TSV: ``surface<TAB>type<TAB>source``, one entry per
-    line; multi-token surfaces use single spaces in the surface field."""
+    line; multi-token surfaces use single spaces in the surface field, and
+    no other whitespace."""
     tag_set = tag_set or TagSet()
     known = set(tag_set.entity_types)
     entries = []
@@ -244,6 +245,9 @@ def read_entity_tsv(path, tag_set: TagSet | None = None) -> list[GazetteerEntry]
                     f"{path}:{lineno}: empty token in surface {parts[0]!r} "
                     "(tokens are separated by single spaces)"
                 )
+            if has_whitespace(parts[0].replace(" ", "")):  # no corpus token can match it
+                raise ParseError(f"{path}:{lineno}: token contains whitespace in surface "
+                                 f"{parts[0]!r} (tokens are separated by single spaces)")
             if parts[1] not in known:
                 raise SchemaError(f"{path}:{lineno}: unknown type {parts[1]!r}")
             entries.append(GazetteerEntry(surface, parts[1], parts[2]))

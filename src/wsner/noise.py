@@ -3,11 +3,14 @@
 ``fit`` is the one training pipeline, shared by ``wsner train`` and the
 sweep. It runs one of ``METHODS`` with the settings in a ``MethodOptions``
 and returns the tagger and the method's channel, if it has one.
-Confusion and cleaning pair each clean sentence with its twin in the
-distant data themselves. Embeddings are frozen, so the caller's table
-never changes and is the one to tag with. ``load_settings`` reads the
-``TaggerConfig`` and ``MethodOptions`` of a flat JSON config file, for
-``wsner train`` and the sweep alike.
+``require_inputs`` is the one rule for what each method trains on, which
+``fit``, ``wsner train`` and the sweep check before any work; no method
+falls back to another when its data is missing. Confusion and cleaning
+pair each clean sentence with its twin in the distant data themselves.
+Embeddings are frozen, so the caller's table never changes and is the one
+to tag with. ``load_settings`` reads the ``TaggerConfig`` and
+``MethodOptions`` of a flat JSON config file, for ``wsner train`` and the
+sweep alike.
 
 * baseline-clean and naive-mix — plain training on the clean sentences,
   or on clean and distant ones with distant labels taken as gold.
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import tagger
 from .corpus import Dataset, check_aligned, merge, open_utf8, read_config
-from .errors import EstimationError, NumericsError, ParseError, WsnerError
+from .errors import AlignmentError, EstimationError, NumericsError, ParseError, WsnerError
 from .gazetteer import distant_twin
 from .tagger import (
     EmbeddingTable,
@@ -55,7 +58,11 @@ ROW_SUM_TOL = 1e-9
 # methods and their settings
 
 
-METHODS = ("baseline-clean", "naive-mix", "confusion", "noise-channel", "cleaning")
+# what each method trains on: clean sentences, distant sentences, and the
+# distant twin of every clean sentence (see ``require_inputs``)
+_NEEDS = {"baseline-clean": {"clean"}, "naive-mix": {"distant"}, "confusion": {"distant", "twins"},
+          "noise-channel": {"distant"}, "cleaning": {"clean", "distant", "twins"}}
+METHODS = tuple(_NEEDS)
 
 
 @dataclass(frozen=True)
@@ -387,33 +394,49 @@ def load_settings(path, overrides: dict | None = None, keys=(), build=None):
         raise WsnerError(f"{path}: {exc}") from None
 
 
+def require_inputs(methods, clean: Dataset, distant: Dataset, clean_name: str = "clean data",
+                   distant_name: str = "distant data") -> Dataset | None:
+    """Refuse *clean* and *distant* unless they hold what each of *methods*
+    trains on, and return the distant twins of the clean sentences when one
+    of them pairs (``distant_twin``), else None. baseline-clean needs clean
+    sentences, naive-mix and noise-channel distant ones, confusion distant
+    sentences and a twin for every clean one, and cleaning clean and
+    distant sentences and the twins. A missing source is a ``WsnerError``
+    and a clean sentence without a twin an ``AlignmentError``; either
+    message starts with the *clean_name* or *distant_name* it concerns."""
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        for kind, data, name in (("clean", clean, clean_name), ("distant", distant, distant_name)):
+            if kind in _NEEDS[method] and not data.sentences:
+                raise WsnerError(f"{name}: no sentences; {method} needs {kind} sentences")
+    if not any("twins" in _NEEDS[method] for method in methods):
+        return None
+    try:
+        return distant_twin(clean, distant)
+    except AlignmentError as exc:
+        raise AlignmentError(f"{clean_name} vs {distant_name}: {exc}") from None
+
+
 def fit(method: str, clean: Dataset, distant: Dataset, config: TaggerConfig,
         table: EmbeddingTable,
         options: MethodOptions) -> tuple[TaggerParams, ConfusionMatrix | None]:
     """The tagger that one of ``METHODS`` trains, and its channel when it has
-    one.
+    one, after ``require_inputs`` has checked *clean* and *distant*.
 
     Confusion and cleaning pair each clean sentence with its distant twin,
     its first token-identical sentence in *distant* (``distant_twin``);
     noise-channel runs EM over the clean and distant sentences together,
     ``options.em_iterations`` rounds of one SGD epoch each, and ignores
-    ``config.epochs``. With no distant sentences every method is plain
-    training on the clean ones, and nothing is paired.
+    ``config.epochs``.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    channel = None
-    if method == "baseline-clean" or not distant.sentences:
-        params = tagger.train(clean, config, table)
-    elif method == "naive-mix":
-        params = tagger.train(merge(clean, distant), config, table)
-    elif method == "confusion":
-        params, channel = train_confusion_method(clean, distant, distant_twin(clean, distant),
-                                                 config, table, options)
-    elif method == "noise-channel":
-        params, channel = em_noise_channel(merge(clean, distant), config, table,
-                                           options.em_iterations)
-    else:
-        params, _ = train_cleaning_method(clean, distant, distant_twin(clean, distant),
-                                          config, table, options)
-    return params, channel
+    twins = require_inputs((method,), clean, distant)
+    if method == "baseline-clean":
+        return tagger.train(clean, config, table), None
+    if method == "naive-mix":
+        return tagger.train(merge(clean, distant), config, table), None
+    if method == "confusion":
+        return train_confusion_method(clean, distant, twins, config, table, options)
+    if method == "noise-channel":
+        return em_noise_channel(merge(clean, distant), config, table, options.em_iterations)
+    return train_cleaning_method(clean, distant, twins, config, table, options)[0], None

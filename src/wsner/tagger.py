@@ -230,9 +230,10 @@ class EmbeddingTable:
                 return cls(vocab, npz["matrix"])
         # what np.load and the checks raise on a missing, truncated or
         # garbled file, or on an .npy file (no context manager) where an
-        # archive should be
+        # archive should be; zipfile refuses some damaged entry headers
+        # with RuntimeError or its subclass NotImplementedError
         except (OSError, EOFError, zipfile.BadZipFile, KeyError, ValueError,
-                AttributeError, TypeError):
+                AttributeError, TypeError, RuntimeError):
             return None
 
     def save(self, path) -> None:
@@ -272,7 +273,7 @@ class EmbeddingTable:
 # parameters
 
 
-def require_integers(config, names, minimum=None) -> None:
+def require_integers(config, names, minimum: int) -> None:
     """Refuse a field among *names* of *config* that is not an integer (a
     float such as 1.5 or 2.0, a bool or a string, as a JSON config may
     give), or that is below *minimum*."""
@@ -280,7 +281,7 @@ def require_integers(config, names, minimum=None) -> None:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer")
-        if minimum is not None and value < minimum:
+        if value < minimum:
             raise ValueError(f"{name} must be >= {minimum}")
 
 
@@ -294,7 +295,7 @@ class TaggerConfig:
 
     def __post_init__(self):
         require_integers(self, ("hidden_size", "feature_size", "epochs"), 1)
-        require_integers(self, ("seed",))
+        require_integers(self, ("seed",), 0)
         if not 0 < self.learning_rate < math.inf:  # also refuses NaN
             raise ValueError("learning_rate must be positive and finite")
 
@@ -996,12 +997,14 @@ def predict(dataset: Dataset, params: TaggerParams, table: EmbeddingTable) -> Da
 
 
 def save_checkpoint(path, params: TaggerParams, tag_set: TagSet) -> None:
-    """Self-describing dump: named float64 arrays plus a JSON metadata
-    entry (label order; the outside label is always ``O``, and is written
-    for readers that require the key)."""
+    """Self-describing dump at exactly *path*: named float64 arrays plus a
+    JSON metadata entry (label order; the outside label is always ``O``,
+    and is written for readers that require the key)."""
     meta = json.dumps({"entity_types": list(tag_set.entity_types), "outside": "O"})
     arrays = {name: arr for name, arr in params.arrays()}
-    np.savez(path, __meta__=np.array(meta), **arrays)
+    # an open file: given a path without '.npz', np.savez would add one
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.array(meta), **arrays)
 
 
 def load_checkpoint(path) -> tuple[TaggerParams, TagSet]:

@@ -11,24 +11,26 @@ annotating the clean sentences into that file under the annotator's flags
 gives the pairs those flags make, while ``wsner train`` itself refuses
 every annotator flag and names the files of a clean sentence absent from
 ``--distant``; labels with whitespace are refused; ``--confusion-out`` is
-refused for a method without a channel and, before training, without
-distant sentences; importing the CLI leaves the HTTP client unloaded;
-a damaged checkpoint, or a mutated CoNLL, token, entity-list or keywords
-file, loads or exits 1 naming the file, never with a traceback; every
-subcommand exits 1 on bad input, naming the file and line (bad ``train``
-configs, which ``wsner experiment`` refuses with the same line,
-misaligned ``evaluate`` inputs and ``--confusion-out`` without distant
-sentences have tests of their own), and 2 on bad usage, naming
-the option, a flag that the other options leave unused included."""
+refused for a method without a channel; every method but baseline-clean is
+refused without distant sentences before the embeddings load; importing
+the CLI leaves the HTTP client unloaded;
+a damaged checkpoint, or a mutated CoNLL, token, entity-list, keywords,
+embeddings, config or channel file, loads or exits 1 naming the file,
+never with a traceback, and a damaged embeddings cache still loads the
+table its text parses to; every subcommand exits 1 on bad input, naming
+the file and line (bad ``train`` configs, which ``wsner experiment``
+refuses with the same line, misaligned ``evaluate`` inputs and training
+without distant sentences have tests of their own), and 2 on bad usage,
+naming the option, a flag that the other options leave unused included."""
 
 import dataclasses
-import io
 import json
 import os
 import random
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -122,6 +124,7 @@ def test_second_train_run_reads_the_embeddings_cache_and_saves_the_same_model(
     ({"cell": "lstm"}, "unknown config keys: ['cell']"),
     ({"fine_tune_embeddings": True}, "unknown config keys: ['fine_tune_embeddings']"),
     ({"noise_channel_data": "mix"}, "unknown config keys: ['noise_channel_data']"),
+    ({"seed": -1}, "seed must be >= 0"),
     *(({key: 4.5}, f"{key} must be an integer")
       for key in ("hidden_size", "feature_size", "epochs", "seed", "em_iterations",
                   "cleaner_hidden", "cleaner_epochs")),
@@ -132,7 +135,7 @@ def test_second_train_run_reads_the_embeddings_cache_and_saves_the_same_model(
                            ("alpha", "alpha must be >= 0 and finite"))
       for value in (float("nan"), float("inf"))),
 ], ids=["unknown-key", "bad-value", "no-em-iterations", "no-cleaner-epochs", "cell-key",
-        "fine-tune-key", "noise-channel-data-key", "fractional-hidden-size",
+        "fine-tune-key", "noise-channel-data-key", "negative-seed", "fractional-hidden-size",
         "fractional-feature-size", "fractional-epochs", "fractional-seed", "fractional-em-iterations",
         "fractional-cleaner-hidden", "fractional-cleaner-epochs", "nan-learning-rate",
         "infinite-learning-rate", "nan-cleaner-learning-rate",
@@ -325,9 +328,11 @@ def _checkpoint(embed_dim, **arrays):
     parameters of those names."""
     params = dataclasses.replace(
         tagger.init_params(np.random.default_rng(0), "lstm", embed_dim, 2, 2, 5), **arrays)
-    buf = io.BytesIO()
-    tagger.save_checkpoint(buf, params, TagSet())
-    return buf.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.npz")
+        tagger.save_checkpoint(path, params, TagSet())
+        with open(path, "rb") as fh:
+            return fh.read()
 
 
 def _write(path, text):
@@ -352,6 +357,11 @@ BAD_INPUT = {
     "annotate-tsv-empty-token": (
         "annotate", {"raw.txt": "Kano\n", "ents.tsv": "Adé  Ojo\tPER\tkb\n"},
         ["--gazetteer", "ents.tsv"], "ents.tsv:1: empty token in surface 'Adé  Ojo'"),
+    "annotate-tsv-token-whitespace": (
+        "annotate", {"raw.txt": "Kano\n",
+                     "ents.tsv": "Kano\tLOC\tkb\nAdé\u00a0Ojo\tPER\tkb\n"},
+        ["--gazetteer", "ents.tsv"],
+        "ents.tsv:2: token contains whitespace in surface 'Adé\\xa0Ojo'"),
     "evaluate-malformed-gold": (
         "evaluate", {"gold.conll": "Kano\tB-LOC\nbroken line here\n",
                      "distant.conll": "Kano\tB-LOC\n"}, ["--pred", "distant.conll"],
@@ -623,6 +633,63 @@ def test_mutated_text_inputs_exit_0_or_1_naming_the_file(tmp_path, capsys):
     assert 0 < codes.count(1) < len(codes)
 
 
+# valid inputs of the readers of wsner train and wsner inspect --confusion:
+# the embeddings text, the JSON config and a channel file. The config sets
+# no learning rate, so no mutation of it can make training diverge.
+TRAIN_INPUTS = {
+    "e.txt": "3 2\nKano 0.5 -0.25\nAdé 0.125 1.0\nOjo -1.0 0.75 \n",
+    "config.json": '{\n "hidden_size": 2,\n "feature_size": 2,\n "epochs": 1,\n "seed": 3,\n'
+                   ' "alpha": 1.0,\n "cleaner_epochs": 2\n}\n',
+    "c.txt": "# labels: O PER\n0.75 0.25\n0.125 0.875\n",
+}
+
+
+def test_mutated_embeddings_config_and_channel_exit_0_or_1_naming_the_file(tmp_path, capsys):
+    # 600 seeded cases: mutated inputs through the CLI, as in the text
+    # readers' test above, and copies of the embeddings cache with 1-4
+    # random bytes changed beside unchanged text, each of which must load
+    # the table the text parses to
+    paths = {name: tmp_path / name for name in TRAIN_INPUTS}
+    clean = _write(tmp_path / "clean.conll", "Kano\tB-LOC\n\nAdé\tB-PER\nOjo\tI-PER\n")
+    cache = tmp_path / f"e.txt{tagger.CACHE_SUFFIX}"
+    train = ["train", "--clean", clean, "--embeddings", str(paths["e.txt"]),
+             "--config", str(paths["config.json"]), "--model-out", str(tmp_path / "m.npz")]
+    inspect = ["inspect", "--confusion", str(paths["c.txt"])]
+    _write(paths["e.txt"], TRAIN_INPUTS["e.txt"])
+    want = tagger.EmbeddingTable.load(paths["e.txt"])
+    cache_bytes = cache.read_bytes()
+    rng, codes = random.Random(0), []
+    for _ in range(600):
+        for name, text in TRAIN_INPUTS.items():
+            _write(paths[name], text)
+        name = rng.choice([*TRAIN_INPUTS, cache.name])
+        if name == cache.name:
+            data = bytearray(cache_bytes)
+            for _ in range(rng.randint(1, 4)):
+                data[rng.randrange(len(data))] = rng.randrange(256)
+            cache.write_bytes(data)
+            try:
+                got = tagger.EmbeddingTable.load(paths["e.txt"])
+            except Exception as exc:
+                raise AssertionError(f"cache as {bytes(data)!r}: {exc!r}") from exc
+            assert got.vocab == want.vocab, bytes(data)
+            assert got.matrix.tobytes() == want.matrix.tobytes(), bytes(data)
+            continue
+        data = TRAIN_INPUTS[name].encode("utf-8")
+        for _ in range(rng.randint(1, 3)):
+            data = _mutate(data, rng)
+        paths[name].write_bytes(data)
+        argv = inspect if name == "c.txt" else train
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            raise AssertionError(f"{name} as {data!r}: {exc!r}") from exc
+        err = capsys.readouterr().err
+        assert code == 0 and err == "" or code == 1 and str(paths[name]) in err, (name, data, err)
+        codes.append(code)
+    assert 0 < codes.count(1) < len(codes)
+
+
 @pytest.mark.parametrize("method", ["naive-mix", "confusion", "noise-channel"])
 def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_path, method):
     clean, model = _write(tmp_path / "clean.conll", ""), tmp_path / "model.npz"
@@ -679,8 +746,14 @@ def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_p
     (["experiment"], "--config"),
     (["experiment", "--config", "c.json", "--repeats", "two"], "--repeats"),
     (["experiment", "--config", "c.json", "--base-seed", "1.5"], "--base-seed"),
+    (["experiment", "--config", "c.json", "--base-seed", "-3"],
+     "argument --base-seed: expected an integer >= 0, got '-3'"),
+    (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--seed", "-1"],
+     "argument --seed: expected an integer >= 0, got '-1'"),
     (["synth"], "--out-dir"),
     (["synth", "--out-dir", "d", "--seed", "x"], "--seed"),
+    (["synth", "--out-dir", "d", "--seed", "-1"],
+     "argument --seed: expected an integer >= 0, got '-1'"),
 ], ids=["annotate-no-out", "min-len-not-int", "min-len-zero", "min-len-no-equals",
         "train-min-len-negative", "default-min-len-zero", "default-min-len-negative",
         "annotate-keywords-without-date", "train-default-min-len-zero",
@@ -693,7 +766,8 @@ def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_p
         "evaluate-no-pred-or-model", "evaluate-pred-no-path", "evaluate-pred-with-embeddings",
         "evaluate-model-with-entity-types", "evaluate-pred-and-model",
         "experiment-no-config", "experiment-repeats-not-int", "experiment-seed-not-int",
-        "synth-no-out-dir", "synth-seed-not-int"])
+        "experiment-seed-negative", "train-seed-negative", "synth-no-out-dir",
+        "synth-seed-not-int", "synth-seed-negative"])
 def test_bad_usage_exits_2_naming_the_option(capsys, argv, option):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -712,15 +786,33 @@ def test_confusion_out_without_distant_sentences_exits_1_before_training(
     argv = ["train", "--clean", corpus["train"], "--embeddings", corpus["embeddings"],
             "--method", method, "--model-out", str(out / "m.npz"),
             "--confusion-out", str(out / "c.txt")]
-    reason = "no --distant"
+    reason = "--distant (not given)"
     if with_distant:
         distant = _write(tmp_path / "distant.conll", "")
         argv += ["--distant", distant]
-        reason = f"{distant}: no sentences"
+        reason = distant
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err == (f"error: {reason}; {method} learns the channel for "
-                                       "--confusion-out from distant sentences\n")
+    assert capsys.readouterr().err == (f"error: {reason}: no sentences; {method} needs "
+                                       "distant sentences\n")
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("with_distant", [False, True], ids=["no-distant", "empty-distant"])
+@pytest.mark.parametrize("method", ["naive-mix", "confusion", "noise-channel", "cleaning"])
+def test_train_without_distant_sentences_exits_1_before_the_embeddings_load(
+        corpus, tmp_path, capsys, monkeypatch, method, with_distant):
+    # no method falls back to training on the clean sentences alone
+    monkeypatch.setattr(tagger.EmbeddingTable, "load", None)  # loading raises a TypeError
+    argv = ["train", "--clean", corpus["train"], "--embeddings", corpus["embeddings"],
+            "--method", method, "--model-out", str(tmp_path / "m.npz")]
+    source = "--distant (not given)"
+    if with_distant:
+        source = _write(tmp_path / "distant.conll", "")
+        argv += ["--distant", source]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (f"error: {source}: no sentences; {method} needs "
+                                       "distant sentences\n")
+    assert not (tmp_path / "m.npz").exists()
 
 
 def test_min_len_reaches_the_gazetteer(tmp_path, capsys):

@@ -8,7 +8,8 @@ writes scores and pairs what annotation gives, a bug in a cell stops the
 sweep instead of writing an error row while a cell that fails writes the
 same error row in the pool and in process, a train sentence without a
 distant twin stops a sweep with confusion or cleaning before any cell
-runs, as a missing or misaligned distant test file stops one with
+runs, as missing distant data stops one with any method but
+baseline-clean and a missing or misaligned distant test file one with
 distant-only, the worker pool starts the most expensive cells first yet
 writes the same bytes as the in-process path, its workers run BLAS on one thread as the sweep's process does (so a
 paper-shape cell resumed alone in the sweep's process trains the bytes
@@ -186,6 +187,25 @@ def test_sweep_refuses_train_sentences_without_a_distant_twin_before_any_cell(tm
         f"error: {paths['train']} vs {paths['distant_test']}: cannot pair clean sentences "
         "with distant annotations: a clean sentence has no token-identical sentence in the "
         "distant data; annotate the clean sentences into the distant file with wsner annotate\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("distant", [None, "empty.conll"], ids=["no-distant", "empty-distant"])
+@pytest.mark.parametrize("method", ["naive-mix", "confusion", "noise-channel", "cleaning"])
+def test_sweep_refuses_a_method_without_distant_sentences_before_any_cell(
+        tmp_path, capsys, monkeypatch, method, distant):
+    # no method falls back to training on the clean sentences alone
+    paths = write_tiny_sweep(tmp_path / "corpus", distant=distant,
+                             methods=["baseline-clean", method])
+    source = "distant (not in the config)"
+    if distant:
+        source = os.path.join(os.path.dirname(paths["config"]), distant)
+        open(source, "w").close()
+    monkeypatch.setattr(experiment, "run_cell", None)  # a cell would raise a TypeError
+    out = tmp_path / "out"
+    assert cli.main(["experiment", "--config", paths["config"], "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {source}: no sentences; {method} needs "
+                                       "distant sentences\n")
     assert not out.exists()
 
 
@@ -649,6 +669,9 @@ def test_a_paper_shape_cell_trains_on_two_threads_unless_its_pool_fills_the_cpus
     ("alpha", float("inf"), "alpha must be >= 0 and finite"),
     ("train", 5, "train must be a path string"),
     ("embeddings", ["e.txt"], "embeddings must be a path string"),
+    # numpy's generators take no negative seed
+    ("seed", -1, "seed must be >= 0"),
+    ("base_seed", -3, "base_seed must be >= 0"),
 ])
 def test_bad_method_option_is_refused_naming_the_file(tmp_path, capsys, key, value, message):
     config_path = write_tiny_sweep(tmp_path / "corpus", **{key: value})["config"]

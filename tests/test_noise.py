@@ -9,7 +9,8 @@ import pytest
 from wsner import experiment, noise
 from wsner.corpus import (Dataset, EntitySpan, LabeledSentence, TagSet, check_aligned, merge,
                           read_conll)
-from wsner.errors import AlignmentError, EstimationError, NumericsError, ParseError, SchemaError
+from wsner.errors import (AlignmentError, EstimationError, NumericsError, ParseError,
+                          SchemaError, WsnerError)
 from wsner.noise import (
     EM_CHANNEL_ANCHOR,
     METHODS,
@@ -250,24 +251,25 @@ def test_check_aligned_refuses_a_pair_source_of_other_sentences():
                    MethodOptions())
 
 
-def _fit_without_distant(method, monkeypatch):
-    """``fit`` with an empty distant set, which must never pair."""
+@pytest.mark.parametrize("method, kind", [
+    *((method, "distant") for method in METHODS if method != "baseline-clean"),
+    ("baseline-clean", "clean"), ("cleaning", "clean")])
+def test_fit_refuses_a_method_without_its_sentences(method, kind):
+    # no method falls back to training on the clean sentences alone
+    task = _small_task()
+    data = {"clean": task.clean, "distant": task.distant, kind: Dataset((), task.clean.tag_set)}
+    with pytest.raises(WsnerError) as err:
+        fit(method, data["clean"], data["distant"], _config(), task.table, MethodOptions())
+    assert str(err.value) == f"{kind} data: no sentences; {method} needs {kind} sentences"
+
+
+def test_baseline_clean_trains_without_distant_sentences():
     task = _small_task()
     cfg = _config()
-    empty = Dataset((), task.clean.tag_set)
-
-    def no_twins(clean, distant):
-        raise AssertionError("distant_twin called without distant sentences")
-
-    monkeypatch.setattr(noise, "distant_twin", no_twins)
-    return (fit(method, task.clean, empty, cfg, task.table, MethodOptions()),
-            train(task.clean, cfg, task.table))
-
-
-def test_empty_distant_reduces_to_plain_training(monkeypatch):
-    (params, channel), plain = _fit_without_distant("confusion", monkeypatch)
+    params, channel = fit("baseline-clean", task.clean, Dataset((), task.clean.tag_set), cfg,
+                          task.table, MethodOptions())
     assert channel is None
-    assert _params_equal(params, plain)
+    assert _params_equal(params, train(task.clean, cfg, task.table))
 
 
 def test_identity_channel_equals_naive_mix():
@@ -446,12 +448,6 @@ def test_cleaner_is_bitwise_the_outer_product_loop():
     got = (cleaner.w1, cleaner.b1, cleaner.w2, cleaner.b2)
     for name, g, w in zip(("w1", "b1", "w2", "b2"), got, want):
         assert g.tobytes() == w.tobytes(), name
-
-
-def test_cleaning_method_empty_distant_reduces_to_plain_training(monkeypatch):
-    (params, channel), plain = _fit_without_distant("cleaning", monkeypatch)
-    assert channel is None
-    assert _params_equal(params, plain)
 
 
 def test_cleaning_method_runs_and_is_deterministic():

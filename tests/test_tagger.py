@@ -1408,6 +1408,18 @@ def test_checkpoint_round_trip(tmp_path, tiny_table):
     assert before.sentences == after.sentences
 
 
+def test_checkpoint_is_written_at_exactly_a_path_without_extension(tmp_path):
+    # np.savez given the path itself would write model.npz
+    params = init_params(np.random.default_rng(12), "lstm", 3, 2, 3, 3)
+    path = tmp_path / "model"
+    save_checkpoint(path, params, TagSet(("PER", "LOC")))
+    assert [p.name for p in tmp_path.iterdir()] == ["model"]
+    loaded, tag_set = load_checkpoint(path)
+    assert tag_set == TagSet(("PER", "LOC"))
+    for (name, x), (_, y) in zip(params.arrays(), loaded.arrays()):
+        assert x.tobytes() == y.tobytes(), name
+
+
 def _checkpoint_naming_cell(path, cell: str) -> TaggerParams:
     """A checkpoint as written before the LSTM became the only cell: its
     metadata names the cell."""
