@@ -60,6 +60,25 @@ _min_len = _at_least(1)  # a --default-min-len value
 _seed = _at_least(0)  # numpy's generators take no negative seed
 
 
+def _path(text: str) -> str:
+    """The argparse type of a path, which may not be empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
+
+
+def _comma_list(parse):
+    """The argparse type of a comma-separated list that *parse* (one of
+    ``experiment``'s sweep field parsers) accepts, parsed; what it refuses
+    is a usage error naming the option, not an error of the config."""
+    def parse_list(text: str):
+        try:
+            return parse(text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse_list
+
+
 def _min_len_item(text: str) -> tuple[str, int]:
     """One ``--min-len SOURCE=N`` value, its N checked like ``--default-min-len``."""
     source, _, n = text.partition("=")
@@ -201,16 +220,16 @@ def cmd_inspect(args) -> int:
 
 def cmd_experiment(args) -> int:
     overrides = {}
-    if args.out_dir:
+    if args.out_dir is not None:
         overrides["out_dir"] = os.path.abspath(args.out_dir)
     if args.repeats is not None:
         overrides["repeats"] = args.repeats
     if args.base_seed is not None:
         overrides["base_seed"] = args.base_seed
-    if args.budgets:
-        overrides["clean_budgets"] = args.budgets.split(",")
-    if args.methods:
-        overrides["methods"] = args.methods.split(",")
+    if args.budgets is not None:
+        overrides["clean_budgets"] = args.budgets
+    if args.methods is not None:
+        overrides["methods"] = args.methods
     config = experiment.load_config(args.config, overrides)
     runs_path, agg_path = experiment.run_experiment(config)
     print(f"per-run metrics: {runs_path}")
@@ -346,13 +365,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "error row; after writing both files the sweep then exits 1, naming the "
                     "count of failed cells and the first one. " + EMBEDDINGS_CACHE)
     p.add_argument("--config", required=True)
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--repeats", type=int, default=None)
+    p.add_argument("--out-dir", type=_path, default=None)
+    p.add_argument("--repeats", type=_at_least(1), default=None, help="integer >= 1")
     p.add_argument("--base-seed", type=_seed, default=None,
                    help="integer >= 0; repeat r trains with seed BASE_SEED + r")
-    p.add_argument("--budgets", default=None,
-                   help="comma-separated token budgets; 'unlimited' allowed")
-    p.add_argument("--methods", default=None, help="comma-separated method names")
+    p.add_argument("--budgets", type=_comma_list(experiment.parse_budgets), default=None,
+                   help="comma-separated token budgets, strictly increasing; 'unlimited' "
+                        "(the whole train split) allowed last")
+    p.add_argument("--methods", type=_comma_list(experiment.parse_methods), default=None,
+                   help="comma-separated method names, each once: "
+                        + ", ".join(experiment.METHODS))
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("synth", help="regenerate the bundled synthetic corpus")

@@ -31,7 +31,8 @@ written stay.
 The runner is resumable: rows already present in the per-run CSV are
 detected by (setting, method, repeat) and skipped; a torn last line, left
 by a crash in the middle of a row, is cut off so its cell runs again, and a
-file whose header does not match this sweep's columns is refused untouched.
+file whose header does not match this sweep's columns, or that holds a row
+of another base seed, is refused untouched.
 """
 
 from __future__ import annotations
@@ -56,6 +57,42 @@ UNLIMITED = "unlimited"
 
 # the fields of ExperimentConfig that name one input file each
 _INPUTS = ("train", "test", "embeddings", "distant", "distant_test")
+
+
+def _budget(value):
+    if value is None or value == UNLIMITED:
+        return None
+    if isinstance(value, (bool, float)):
+        raise ValueError("budgets must be integers")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"budgets must be integers or {UNLIMITED!r}, got {value!r}") from None
+
+
+def parse_budgets(values) -> tuple:
+    """The clean budgets *values* of a sweep as token counts, ``None`` for
+    the full train split (``None`` or ``"unlimited"``); a ``ValueError``
+    unless they are positive and strictly increasing."""
+    budgets = tuple(map(_budget, values))
+    as_inf = [float("inf") if b is None else b for b in budgets]
+    if any(b < 1 for b in as_inf):
+        raise ValueError("budgets must be positive")
+    if any(a >= b for a, b in zip(as_inf, as_inf[1:])):
+        raise ValueError("budgets must be strictly increasing")
+    return budgets
+
+
+def parse_methods(values) -> tuple:
+    """The methods *values* of a sweep; a ``ValueError`` unless each is one
+    of ``METHODS``, once."""
+    methods = tuple(values)
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}")
+    if len(set(methods)) != len(methods):
+        raise ValueError("methods must be unique")
+    return methods
 
 
 @dataclass(frozen=True)
@@ -93,24 +130,12 @@ class ExperimentConfig:
         for name in ("clean_budgets", "methods", "entity_types"):
             if isinstance(getattr(self, name), str):  # tuple() would split it into letters
                 raise ValueError(f"{name} must be a list, not a string")
-        if any(isinstance(b, (bool, float)) for b in self.clean_budgets):
-            raise ValueError("budgets must be integers")
-        budgets = tuple(None if b in (None, UNLIMITED) else int(b) for b in self.clean_budgets)
-        for name, value in (("clean_budgets", budgets), ("methods", tuple(self.methods)),
+        for name, value in (("clean_budgets", parse_budgets(self.clean_budgets)),
+                            ("methods", parse_methods(self.methods)),
                             ("entity_types", tuple(self.entity_types))):
             object.__setattr__(self, name, value)
         require_integers(self, ("repeats",), 1)
         require_integers(self, ("base_seed",), 0)
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}")
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError("methods must be unique")
-        as_inf = [float("inf") if b is None else b for b in budgets]
-        if any(b < 1 for b in as_inf):
-            raise ValueError("budgets must be positive")
-        if any(a >= b for a, b in zip(as_inf, as_inf[1:])):
-            raise ValueError("budgets must be strictly increasing")
 
     def validate_paths(self) -> None:
         for p in (getattr(self, key) for key in _INPUTS):
@@ -205,11 +230,13 @@ def _runs_columns(tag_set: TagSet) -> list[str]:
     return ["setting", "method", "repeat", "seed", "status"] + metrics_columns(tag_set)
 
 
-def _resume_keys(path, columns: list[str]) -> set[tuple[str, str, str]]:
+def _resume_keys(path, columns: list[str], base_seed: int) -> set[tuple[str, str, str]]:
     """(setting, method, repeat) of the rows an earlier run left in the
-    per-run CSV at *path*. A file whose header is not *columns* is refused
-    untouched; otherwise a torn last line (no line end), left by a crash in
-    the middle of a write, is cut off so its cell runs again."""
+    per-run CSV at *path*. A file whose header is not *columns*, or with a
+    row whose seed is not ``base_seed + repeat`` (a sweep of another base
+    seed), is refused untouched; otherwise a torn last line (no line end),
+    left by a crash in the middle of a write, is cut off so its cell runs
+    again."""
     if not os.path.exists(path):
         return set()
     buf = io.StringIO()
@@ -225,11 +252,22 @@ def _resume_keys(path, columns: list[str]) -> set[tuple[str, str, str]]:
                 f"{columns}; use another out_dir"
             )
         keep = data.rfind(b"\n") + 1
+        rows = csv.DictReader(io.StringIO(data[len(header):keep].decode("utf-8")),
+                              fieldnames=columns)
+        keys, line = set(), 2
+        for row in rows:
+            repeat = row["repeat"] or ""
+            expected = str(base_seed + int(repeat)) if repeat.isdecimal() else "base_seed + repeat"
+            if row["seed"] != expected:
+                raise WsnerError(
+                    f"{path}:{line}: seed {row['seed']} of repeat {repeat}, but this sweep's "
+                    f"base_seed {base_seed} gives seed {expected}; use another out_dir or "
+                    "that sweep's base_seed")
+            keys.add((row["setting"], row["method"], row["repeat"]))
+            line = rows.line_num + 2
         if keep < len(data):
             fh.truncate(keep)
-    rows = csv.DictReader(io.StringIO(data[len(header):keep].decode("utf-8")),
-                          fieldnames=columns)
-    return {(row["setting"], row["method"], row["repeat"]) for row in rows}
+    return keys
 
 
 def _cell_row(ctx: _Context, budget, method: str, repeat: int) -> dict[str, str]:
@@ -332,7 +370,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[str, str]:
     runs_path = os.path.join(config.out_dir, "runs.csv")
     agg_path = os.path.join(config.out_dir, "aggregate.csv")
     columns = _runs_columns(ctx.tag_set)
-    done = _resume_keys(runs_path, columns)
+    done = _resume_keys(runs_path, columns, config.base_seed)
     cells = [(budget, method, repeat)
              for budget in config.clean_budgets
              for method in config.methods

@@ -10,8 +10,9 @@ suite).
 
 The design is explained where it is implemented: the one-thread BLAS pin
 at ``_pin_blas_threads``, running the LSTM's two directions on two threads
-in "the two directions at once", the reused gradient workspace at
-``_sgd_epoch``, and batched tagging in "batched inference".
+and stepping each direction's weights on the thread that formed their
+gradients in "the two directions at once", the reused gradient workspace
+at ``_sgd_epoch``, and batched tagging in "batched inference".
 """
 
 from __future__ import annotations
@@ -536,6 +537,21 @@ def _lstm_backward(u, cache, dHs, *, out):
 # threads at d=12, h=16 (the synthetic shape), 151 / 212 at d=300, h=100,
 # 258 / 271 at d=300, h=160, 311 / 293 at d=300, h=175 and 980 / 678 at
 # d=300, h=300 (the paper shape); tagging wins from about 100,000 floats.
+#
+# Training steps each direction's weights (w_in, u, b) on the thread that
+# ran its backward pass, right after it: their gradients are still in that
+# core's cache, and the other CPU would otherwise sit idle while the calling
+# thread walked all ~1.5 M parameters and their gradients (about 24 MB at
+# paper shape) after the join. The head (w_feat, b_feat, w_out, b_out) is
+# stepped on the calling thread after the join, and the channel logits B by
+# _sgd_epoch after that. The bytes are those of one step after the whole
+# backward pass: every update is the same _sgd_step arithmetic on the same
+# values, since no gradient reads a parameter stepped before it (nothing
+# after a direction's backward reads its weights; the head gradients need
+# only dfeats, H, feats and dlogits, and B's only C and dC). On a 2-vCPU
+# x86-64 host the step after the join took about a fifth of a paper-shape
+# confusion epoch; moved into the threads, it cut the benchmark's
+# paper-train work_s from 0.449 to 0.402 reference s (medians of 10 pairs).
 _THREAD_WEIGHTS = 300_000
 # Processes that share this one's CPUs: a sweep worker's pool size
 # (experiment._init_worker), else 1.
@@ -598,28 +614,45 @@ def _sentence_forward(params: TaggerParams, X: np.ndarray):
 
 
 def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray,
-                       grads: TaggerParams) -> TaggerParams:
+                       grads: TaggerParams, *, lr: float | None = None) -> TaggerParams:
     """Every parameter's gradient of one sentence pass from its logit
     gradients, written into the workspace ``grads`` (a ``TaggerParams`` of
     the parameters' shapes), which is returned. Every element of every
     field is overwritten, so the workspace may hold anything before, such
-    as a previous, longer sentence's gradients."""
+    as a previous, longer sentence's gradients.
+
+    Training passes ``lr``: every parameter then also takes its SGD step
+    (``_sgd_step``) as soon as its gradient is formed, each direction's
+    LSTM weights on the thread that ran its backward pass and the head on
+    the calling thread after the join, and the workspace is left holding
+    ``lr`` × gradient ("the two directions at once")."""
     cache_f, cache_b, H, feats = cache
     h = params.hidden_size
     dfeats = dlogits @ params.w_out
     dH = dfeats @ params.w_feat
-    # dHs and out by keyword: perfbench/tracing.py counts the tokens of
-    # argument 3 or of the keyword dHs, so out must not take position 3;
-    # the directions write disjoint fields of grads
-    _both(lambda: _lstm_backward(params.u_f, cache_f, dHs=dH[:, :h],
-                                 out=(grads.w_in_f, grads.u_f, grads.b_f)),
-          lambda: _lstm_backward(params.u_b, cache_b, dHs=dH[::-1, h:],
-                                 out=(grads.w_in_b, grads.u_b, grads.b_b)),
+
+    def direction(weights, cache, dHs, out):
+        # dHs and out by keyword: perfbench/tracing.py counts the tokens of
+        # argument 3 or of the keyword dHs, so out must not take position 3
+        _lstm_backward(weights[1], cache, dHs=dHs, out=out)
+        # nothing after this reads the direction's weights, so they are
+        # stepped at once, on the core that wrote their gradients
+        if lr is not None:
+            _sgd_step(zip(weights, out), lr)
+
+    # the directions read and write disjoint fields of params and grads
+    _both(lambda: direction((params.w_in_f, params.u_f, params.b_f), cache_f, dH[:, :h],
+                            (grads.w_in_f, grads.u_f, grads.b_f)),
+          lambda: direction((params.w_in_b, params.u_b, params.b_b), cache_b, dH[::-1, h:],
+                            (grads.w_in_b, grads.u_b, grads.b_b)),
           _two_threads(params.embed_dim, h))
     np.matmul(dfeats.T, H, out=grads.w_feat)
     dfeats.sum(axis=0, out=grads.b_feat)
     np.matmul(dlogits.T, feats, out=grads.w_out)
     dlogits.sum(axis=0, out=grads.b_out)
+    if lr is not None:
+        _sgd_step(((params.w_feat, grads.w_feat), (params.b_feat, grads.b_feat),
+                   (params.w_out, grads.w_out), (params.b_out, grads.b_out)), lr)
     return grads
 
 
@@ -836,16 +869,18 @@ def channel_posterior(probs: np.ndarray, C: np.ndarray, y: np.ndarray):
 
 
 def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None, *,
-                     grads: TaggerParams):
+                     grads: TaggerParams, lr: float | None = None):
     """Mean loss over one sentence's tokens and its gradients
     ``(loss, grads, dC)``, the parameter gradients written into the
-    workspace ``grads`` (see ``_sentence_backward``; ``C`` stays the fourth
-    parameter, which perfbench/tracing.py reads by position to name the
-    loss span). The logit gradient is ``(probs − w) / T`` for the
-    item's target ``w`` (see ``TrainItem``; an item is a channel item only
-    when ``C`` is given). A channel item's loss is ``−mean log q`` and
-    ``dC`` its gradient with respect to ``C``; any other item's loss is the
-    cross-entropy to ``w``, and ``dC`` is None. A non-finite loss raises ``NumericsError``."""
+    workspace ``grads`` (see ``_sentence_backward``, which also takes the
+    SGD step when given ``lr``; ``C`` stays the fourth parameter, which
+    perfbench/tracing.py reads by position to name the loss span). The
+    logit gradient is ``(probs − w) / T`` for the item's target ``w`` (see
+    ``TrainItem``; an item is a channel item only when ``C`` is given). A
+    channel item's loss is ``−mean log q`` and ``dC`` its gradient with
+    respect to ``C``; any other item's loss is the cross-entropy to ``w``,
+    and ``dC`` is None. A non-finite loss raises ``NumericsError``, before
+    any gradient is formed or parameter stepped."""
     probs, cache = _sentence_forward(params, X)
     T = X.shape[0]
     channel = item.soft is None and item.channel and C is not None
@@ -872,7 +907,7 @@ def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None, *,
         dq = -1.0 / (q * T)
         np.add.at(dC.T, item.hard, probs * dq[:, None])
     dlogits = (probs - w) / T
-    return loss, _sentence_backward(params, cache, dlogits, grads), dC
+    return loss, _sentence_backward(params, cache, dlogits, grads, lr=lr), dC
 
 
 def make_items(dataset: Dataset, table: EmbeddingTable, *,
@@ -897,7 +932,9 @@ def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfi
     """One pass of per-sentence SGD over *items* in an order drawn from
     *rng*; items flagged ``channel`` are scored through the row-softmax of
     the channel logits ``B``, which train in place. Both update through
-    ``_sgd_step``, the one update rule.
+    ``_sgd_step``, the one update rule: the tagger's parameters inside
+    ``_sentence_backward``, as each gradient is formed (``lr`` passed
+    through ``_item_loss_grads``), and then ``B`` here.
 
     Every step's gradients are written into one workspace allocated here,
     uninitialised (``np.empty_like`` of each parameter), since the backward
@@ -907,14 +944,13 @@ def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfi
     process's peak memory, for values subtracted from the weights at once."""
     lr = config.learning_rate
     grads = TaggerParams(*(np.empty_like(arr) for _, arr in params.arrays()))
-    pairs = [(arr, g) for (_, arr), (_, g) in zip(params.arrays(), grads.arrays())]
     for k in rng.permutation(len(items)):
         item = items[int(k)]
         C = _softmax(B) if item.channel and B is not None else None
-        _, _, dC = _item_loss_grads(params, item.X, item, C=C, grads=grads)
-        # dC back through the row softmax C = softmax(B) is the gradient of B
-        _sgd_step(pairs if dC is None else
-                  pairs + [(B, C * (dC - (dC * C).sum(axis=1, keepdims=True)))], lr)
+        _, _, dC = _item_loss_grads(params, item.X, item, C=C, grads=grads, lr=lr)
+        if dC is not None:
+            # dC back through the row softmax C = softmax(B) is the gradient of B
+            _sgd_step([(B, C * (dC - (dC * C).sum(axis=1, keepdims=True)))], lr)
     params.check_finite()
 
 

@@ -471,8 +471,9 @@ BAD_INPUT = {
         "sweep.json: config is not a JSON object"),
     "experiment-repeated-method": (
         "experiment", {"sweep.json": json.dumps({"train": "train.conll", "test": "test.conll",
-                                                 "embeddings": "e.txt", "out_dir": "out"})},
-        ["--methods", "distant-only,distant-only"], "sweep.json: methods must be unique"),
+                                                 "embeddings": "e.txt", "out_dir": "out",
+                                                 "methods": ["distant-only", "distant-only"]})},
+        [], "sweep.json: methods must be unique"),
     "train-config-a-list": (
         "train", {"clean.conll": "Kano\tB-LOC\n", "e.txt": "1 1\nKano 0.5\n", "c.json": "[1, 2]"},
         ["--config", "c.json"], "c.json: config is not a JSON object"),
@@ -748,6 +749,24 @@ def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_p
     (["experiment", "--config", "c.json", "--base-seed", "1.5"], "--base-seed"),
     (["experiment", "--config", "c.json", "--base-seed", "-3"],
      "argument --base-seed: expected an integer >= 0, got '-3'"),
+    (["experiment", "--config", "c.json", "--repeats", "0"],
+     "argument --repeats: expected an integer >= 1, got '0'"),
+    (["experiment", "--config", "c.json", "--budgets", "100,abc"],
+     "argument --budgets: budgets must be integers or 'unlimited', got 'abc'"),
+    (["experiment", "--config", "c.json", "--budgets", "0"],
+     "argument --budgets: budgets must be positive"),
+    (["experiment", "--config", "c.json", "--budgets", "300,100"],
+     "argument --budgets: budgets must be strictly increasing"),
+    (["experiment", "--config", "c.json", "--budgets", ""],
+     "argument --budgets: budgets must be integers or 'unlimited', got ''"),
+    (["experiment", "--config", "c.json", "--methods", "bogus"],
+     "argument --methods: unknown method 'bogus'"),
+    (["experiment", "--config", "c.json", "--methods", ""],
+     "argument --methods: unknown method ''"),
+    (["experiment", "--config", "c.json", "--methods", "distant-only,distant-only"],
+     "argument --methods: methods must be unique"),
+    (["experiment", "--config", "c.json", "--out-dir", ""],
+     "argument --out-dir: expected a path, got ''"),
     (["train", "--clean", "c", "--embeddings", "e", "--model-out", "m", "--seed", "-1"],
      "argument --seed: expected an integer >= 0, got '-1'"),
     (["synth"], "--out-dir"),
@@ -766,7 +785,10 @@ def test_train_on_distant_sentences_alone_with_an_empty_clean_file(corpus, tmp_p
         "evaluate-no-pred-or-model", "evaluate-pred-no-path", "evaluate-pred-with-embeddings",
         "evaluate-model-with-entity-types", "evaluate-pred-and-model",
         "experiment-no-config", "experiment-repeats-not-int", "experiment-seed-not-int",
-        "experiment-seed-negative", "train-seed-negative", "synth-no-out-dir",
+        "experiment-seed-negative", "experiment-repeats-zero", "experiment-budget-not-int",
+        "experiment-budget-zero", "experiment-budgets-decreasing", "experiment-budgets-empty",
+        "experiment-unknown-method", "experiment-methods-empty", "experiment-repeated-method",
+        "experiment-out-dir-empty", "train-seed-negative", "synth-no-out-dir",
         "synth-seed-not-int", "synth-seed-negative"])
 def test_bad_usage_exits_2_naming_the_option(capsys, argv, option):
     with pytest.raises(SystemExit) as exc:

@@ -552,6 +552,28 @@ def test_resume_refuses_a_header_of_another_tag_set(sweep, tmp_path, torn):
     assert runs.read_text(encoding="utf-8") == text
 
 
+def test_resume_refuses_a_row_of_another_base_seed(tmp_path, capsys):
+    # a resume with another base seed would keep repeat 0 of seed 0 beside
+    # a repeat 1 of seed 8 and average the two sweeps in aggregate.csv
+    config_path = write_tiny_sweep(tmp_path / "corpus", methods=["baseline-clean"],
+                                   clean_budgets=[40])["config"]
+    argv = ["experiment", "--config", config_path, "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv + ["--base-seed", "0"]) == 0
+    runs = tmp_path / "out" / "runs.csv"
+    # a torn row after it stays too: the refused file is left untouched
+    text = runs.read_text(encoding="utf-8") + "40,baseline-clean,1,8,o"
+    runs.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(argv + ["--repeats", "2", "--base-seed", "7"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {runs}:2: seed 0 of repeat 0, but this sweep's base_seed 7 gives seed 7" in err
+    assert runs.read_text(encoding="utf-8") == text
+    # the sweep's own base seed resumes it
+    assert cli.main(argv + ["--repeats", "2", "--base-seed", "0"]) == 0
+    assert [(row["repeat"], row["seed"]) for row in _rows(runs.read_bytes())] == [("0", "0"),
+                                                                                 ("1", "1")]
+
+
 _WORKER_BLAS = """
 import json
 import support

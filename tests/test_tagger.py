@@ -839,6 +839,86 @@ def test_sgd_step_is_bitwise_scaled_subtraction():
         assert got.tobytes() == want.tobytes(), name
 
 
+def _mixed_items(rng, d: int, L: int) -> list[TrainItem]:
+    """Hard, soft and channel items of lengths 1 to 7, T=1 among them."""
+    items = []
+    for T in (1, 4, 7, 1, 3, 6):
+        X = rng.normal(size=(T, d))
+        y = rng.integers(0, L, size=T)
+        items += [TrainItem(X, hard=y), TrainItem(X, soft=rng.dirichlet(np.ones(L), size=T)),
+                  TrainItem(X, hard=y, channel=True)]
+    return items
+
+
+def _gradient_then_step_epoch(params, items, config, rng, B):
+    """``_sgd_epoch`` as one ``_sgd_step`` per sentence over the whole
+    gradient-only workspace and the channel logits' gradient."""
+    grads = nan_workspace(params)
+    pairs = [(arr, g) for (_, arr), (_, g) in zip(params.arrays(), grads.arrays())]
+    for k in rng.permutation(len(items)):
+        item = items[int(k)]
+        C = tagger._softmax(B) if item.channel else None
+        _, _, dC = _item_loss_grads(params, item.X, item, C, grads=grads)
+        _sgd_step(pairs if dC is None else
+                  pairs + [(B, C * (dC - (dC * C).sum(axis=1, keepdims=True)))],
+                  config.learning_rate)
+
+
+def test_sgd_epoch_steps_each_direction_on_its_own_thread_as_one_step(monkeypatch):
+    # the training path steps each parameter where its gradient is formed:
+    # the same bytes as one step after the whole backward pass
+    use_threads(monkeypatch, True)
+    rng = np.random.default_rng(44)
+    L = 3
+    params = init_params(rng, "lstm", 5, 4, 6, L)
+    B = rng.normal(size=(L, L))
+    items = _mixed_items(rng, 5, L)
+    config = TaggerConfig(hidden_size=4, feature_size=6, learning_rate=0.3, epochs=1)
+    want, want_B = _copy(params), B.copy()
+    _gradient_then_step_epoch(want, items, config, np.random.default_rng(1), want_B)
+    steps = []
+
+    def spy(pairs, lr):
+        pairs = list(pairs)
+        steps.extend((id(arr), threading.get_ident()) for arr, _ in pairs)
+        _sgd_step(pairs, lr)
+
+    monkeypatch.setattr(tagger, "_sgd_step", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        tagger._sgd_epoch(params, items, config, np.random.default_rng(1), B)
+    finally:
+        sys.setswitchinterval(interval)
+    for (name, got), (_, ref) in zip(params.arrays(), want.arrays()):
+        assert got.tobytes() == ref.tobytes(), name
+    assert B.tobytes() == want_B.tobytes()
+    # every parameter once per sentence, B once per channel item; the
+    # forward direction on the worker thread, all else on the calling one
+    caller = threading.get_ident()
+    thread_of = {name: {t for a, t in steps if a == id(arr)} for name, arr in params.arrays()}
+    assert len(steps) == len(items) * len(thread_of) + len(items) // 3
+    for name, threads in thread_of.items():
+        if name in ("w_in_f", "u_f", "b_f"):
+            assert threads and caller not in threads, name
+        else:
+            assert threads == {caller}, name
+
+
+@pytest.mark.parametrize("on", [False, True])
+def test_gradient_only_calls_change_no_parameter(on, monkeypatch):
+    # the finite-difference checks evaluate gradients at fixed parameters
+    use_threads(monkeypatch, on)
+    rng = np.random.default_rng(45)
+    params = init_params(rng, "lstm", 5, 4, 6, 3)
+    before = _copy(params)
+    C = tagger._softmax(rng.normal(size=(3, 3)))
+    for item in _mixed_items(rng, 5, 3):
+        _item_loss_grads(params, item.X, item, C, grads=nan_workspace(params))
+    for (name, got), (_, ref) in zip(params.arrays(), before.arrays()):
+        assert got.tobytes() == ref.tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # training
 
