@@ -73,8 +73,11 @@ def _budget(value):
 def parse_budgets(values) -> tuple:
     """The clean budgets *values* of a sweep as token counts, ``None`` for
     the full train split (``None`` or ``"unlimited"``); a ``ValueError``
-    unless they are positive and strictly increasing."""
+    unless there is one at least, and they are positive and strictly
+    increasing."""
     budgets = tuple(map(_budget, values))
+    if not budgets:
+        raise ValueError("budgets must not be empty")
     as_inf = [float("inf") if b is None else b for b in budgets]
     if any(b < 1 for b in as_inf):
         raise ValueError("budgets must be positive")
@@ -84,9 +87,11 @@ def parse_budgets(values) -> tuple:
 
 
 def parse_methods(values) -> tuple:
-    """The methods *values* of a sweep; a ``ValueError`` unless each is one
-    of ``METHODS``, once."""
+    """The methods *values* of a sweep; a ``ValueError`` unless there is
+    one at least, and each is one of ``METHODS``, once."""
     methods = tuple(values)
+    if not methods:
+        raise ValueError("methods must not be empty")
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")

@@ -90,7 +90,8 @@ class MethodOptions:
 @dataclass(frozen=True)
 class ConfusionMatrix:
     """Row-stochastic matrix: ``matrix[t, y]`` is the probability that
-    clean label ``labels[t]`` is observed as noisy label ``labels[y]``."""
+    clean label ``labels[t]`` is observed as noisy label ``labels[y]``;
+    each label names one row and column, so a repeated label is refused."""
 
     labels: tuple[str, ...]
     matrix: np.ndarray
@@ -100,6 +101,8 @@ class ConfusionMatrix:
         m = np.array(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
         L = len(self.labels)
+        if len(set(self.labels)) < L:
+            raise ValueError(f"repeated label {max(self.labels, key=self.labels.count)!r}")
         if m.shape != (L, L):
             raise ValueError(f"matrix shape {m.shape} does not match {L} labels")
         if not np.isfinite(m).all():
@@ -151,6 +154,8 @@ def load_confusion(path) -> ConfusionMatrix:
         if not header.startswith("# labels:"):
             raise ParseError(f"{path}:1: expected '# labels: ...' header")
         labels = tuple(header[len("# labels:"):].split())
+        if len(set(labels)) < len(labels):
+            raise ParseError(f"{path}:1: repeated label {max(labels, key=labels.count)!r}")
         rows = []
         for lineno, line in enumerate(fh, 2):
             if not line.strip():
@@ -224,13 +229,14 @@ def train_confusion_method(
 EM_CHANNEL_ANCHOR = 0.5
 
 
-def _em_step(params: TaggerParams, items, noisy: np.ndarray, C: np.ndarray):
-    """One EM step over *items*, whose stacked noisy label indices are
-    *noisy*: every token's ``channel_posterior`` under the model and ``C``
-    (E-step), the channel of the M-step (the row-normalized posterior mass
-    per observed label, a closed-form maximizer; a row without mass keeps
-    its value) and the E-step's observed-data log-likelihood."""
-    probs = np.vstack([_sentence_forward(params, it.X)[0] for it in items])
+def _em_step(params: TaggerParams, items, table: EmbeddingTable, noisy, C):
+    """One EM step over *items*, whose rows index *table* and whose stacked
+    noisy label indices are *noisy*: every token's ``channel_posterior``
+    under the model and ``C`` (E-step), the channel of the M-step (the
+    row-normalized posterior mass per observed label, a closed-form
+    maximizer; a row without mass keeps its value) and the E-step's
+    observed-data log-likelihood."""
+    probs = np.vstack([_sentence_forward(params, table.embed_rows(it.rows))[0] for it in items])
     # a q of 0 makes 0 / 0 posteriors and log 0; the check comes first
     with np.errstate(divide="ignore", invalid="ignore"):
         posteriors, q = channel_posterior(probs, C, noisy)
@@ -260,10 +266,10 @@ def em_noise_channel(data: Dataset, config: TaggerConfig, table: EmbeddingTable,
     noisy = np.concatenate([it.hard for it in items])
     splits = np.cumsum([len(it.hard) for it in items])[:-1]
     for _ in range(em_iterations):
-        posteriors, C, _ = _em_step(params, items, noisy, C)
+        posteriors, C, _ = _em_step(params, items, table, noisy, C)
         for it, soft in zip(items, np.split(posteriors, splits)):
             it.soft = soft
-        _sgd_epoch(params, items, config, rng)
+        _sgd_epoch(params, items, table, config, rng)
     return params, ConfusionMatrix(data.tag_set.labels, C)
 
 
@@ -344,7 +350,8 @@ def train_cleaning_method(
     # phase 0/1: base tagger for features, then the cleaner on clean pairs
     base_params, _ = _train_core(clean_items, config, table, L,
                                  seed=np.random.SeedSequence([config.seed, 0]))
-    feats = np.vstack([tagger.feature_vectors(item.X, base_params) for item in clean_items])
+    feats = np.vstack([tagger.feature_vectors(table.embed_rows(item.rows), base_params)
+                       for item in clean_items])
     cleaner = train_cleaner(
         cleaner_inputs(feats, noisy, L), gold, L,
         np.random.default_rng(np.random.SeedSequence([config.seed, 1])),
@@ -356,7 +363,7 @@ def train_cleaning_method(
     # wins over the item's hard (distant) one
     distant_items = make_items(distant, table)
     for item in distant_items:
-        sent_feats = tagger.feature_vectors(item.X, base_params)
+        sent_feats = tagger.feature_vectors(table.embed_rows(item.rows), base_params)
         item.soft = cleaner.apply(cleaner_inputs(sent_feats, item.hard, L))
 
     # phase 3: final tagger on hard clean + soft cleaned-distant targets

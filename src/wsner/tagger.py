@@ -8,6 +8,14 @@ runs are bit-reproducible. Everything is float64 numpy; gradients are
 exact (they are checked against central finite differences in the test
 suite).
 
+The LSTM has one input format: a sentence's embedding row indices
+(``EmbeddingTable.row_indices``, -1 for an unknown token). Training items
+hold them (``TrainItem``), and batched tagging looks them up per batch.
+The float rows are gathered with ``EmbeddingTable.embed_rows`` only where a
+pass reads them: per SGD step in ``_sgd_epoch``, per sentence in the EM
+E-step and the cleaner's feature passes, and per window in batched
+tagging. No copy of a corpus's rows is held.
+
 The design is explained where it is implemented: the one-thread BLAS pin
 at ``_pin_blas_threads``, running the LSTM's two directions on two threads
 and stepping each direction's weights on the thread that formed their
@@ -169,12 +177,15 @@ class EmbeddingTable:
 
     The unknown vector is the arithmetic mean of all rows, computed once at
     construction. Embeddings are frozen: training never changes the matrix
-    or the fallback, so a float64 matrix is kept as given, not copied.
+    or the fallback. Both are read-only (``flags.writeable`` is False), in
+    a sweep worker too, so that a write through the table raises. The
+    matrix is a view of the array given: a float64 one is not copied, and
+    the caller's own array stays writable.
     """
 
     def __init__(self, vocab: dict[str, int], matrix):
         self.vocab = dict(vocab)
-        self.matrix = np.asarray(matrix, dtype=float)
+        self.matrix = np.asarray(matrix, dtype=float).view()
         if self.matrix.ndim != 2 or self.matrix.shape[0] < 1:
             raise ValueError("embedding matrix must be 2-D with at least one row")
         if not np.isfinite(self.matrix).all():
@@ -183,6 +194,13 @@ class EmbeddingTable:
             if not 0 <= row < self.matrix.shape[0]:
                 raise ValueError(f"row index out of range for {token!r}")
         self.unk = self.matrix.mean(axis=0)
+        self.matrix.flags.writeable = self.unk.flags.writeable = False
+
+    def __setstate__(self, state):
+        # unpickled arrays are writable: a sweep worker's table is made
+        # read-only again, with the unknown vector it was sent
+        vars(self).update(state)
+        self.matrix.flags.writeable = self.unk.flags.writeable = False
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
@@ -260,14 +278,14 @@ class EmbeddingTable:
                            len(tokens) if count is None else count)
 
     def embed_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The embedded rows ``(len(rows), d)`` of the row indices *rows*
+        (``row_indices``), the unknown vector for -1: a new array, which
+        the caller may write."""
         X = self.matrix[np.maximum(rows, 0)]
         oov = rows < 0
         if oov.any():
             X[oov] = self.unk
         return X
-
-    def embed(self, tokens) -> np.ndarray:
-        return self.embed_rows(self.row_indices(tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -848,12 +866,16 @@ def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
 
 @dataclass
 class TrainItem:
-    """One sentence prepared for training: its embedded rows ``X`` (T, d)
-    and label indices ``hard``. Its target, a distribution per token, is
-    ``soft`` (T, L) if set, else the channel posterior of ``hard`` for a
-    ``channel`` item, else the one-hot of ``hard``."""
+    """One sentence prepared for training: the embedding row indices
+    ``rows`` (T,) of its tokens (``EmbeddingTable.row_indices``, -1 for an
+    unknown token) and its label indices ``hard``. It holds no embedded
+    rows: whoever runs the LSTM on it gathers them with ``embed_rows`` from
+    the table the rows index, for that pass only. Its target, a
+    distribution per token, is ``soft`` (T, L) if set, else the channel
+    posterior of ``hard`` for a ``channel`` item, else the one-hot of
+    ``hard``."""
 
-    X: np.ndarray
+    rows: np.ndarray
     hard: np.ndarray | None = None
     soft: np.ndarray | None = None
     channel: bool = False
@@ -912,7 +934,10 @@ def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None, *,
 
 def make_items(dataset: Dataset, table: EmbeddingTable, *,
                channel: bool = False) -> list[TrainItem]:
-    return [TrainItem(table.embed(sent.tokens), hard=dataset.tag_set.encode(sent),
+    """One ``TrainItem`` per sentence of *dataset*: its tokens' row indices
+    in *table* and its label indices, int64 both, so that the items of a
+    corpus take 16 bytes a token whatever the embedding size."""
+    return [TrainItem(table.row_indices(sent.tokens), hard=dataset.tag_set.encode(sent),
                       channel=channel)
             for sent in dataset.sentences]
 
@@ -927,14 +952,16 @@ def _sgd_step(pairs, lr: float) -> None:
         arr -= g
 
 
-def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfig,
-               rng: np.random.Generator, B: np.ndarray | None = None) -> None:
+def _sgd_epoch(params: TaggerParams, items: list[TrainItem], table: EmbeddingTable,
+               config: TaggerConfig, rng: np.random.Generator, B: np.ndarray | None = None):
     """One pass of per-sentence SGD over *items* in an order drawn from
     *rng*; items flagged ``channel`` are scored through the row-softmax of
     the channel logits ``B``, which train in place. Both update through
     ``_sgd_step``, the one update rule: the tagger's parameters inside
     ``_sentence_backward``, as each gradient is formed (``lr`` passed
-    through ``_item_loss_grads``), and then ``B`` here.
+    through ``_item_loss_grads``), and then ``B`` here. Each step gathers
+    its item's rows from *table*; the block lives in the step's forward
+    cache and goes with it.
 
     Every step's gradients are written into one workspace allocated here,
     uninitialised (``np.empty_like`` of each parameter), since the backward
@@ -947,7 +974,8 @@ def _sgd_epoch(params: TaggerParams, items: list[TrainItem], config: TaggerConfi
     for k in rng.permutation(len(items)):
         item = items[int(k)]
         C = _softmax(B) if item.channel and B is not None else None
-        _, _, dC = _item_loss_grads(params, item.X, item, C=C, grads=grads, lr=lr)
+        _, _, dC = _item_loss_grads(params, table.embed_rows(item.rows), item, C=C,
+                                    grads=grads, lr=lr)
         if dC is not None:
             # dC back through the row softmax C = softmax(B) is the gradient of B
             _sgd_step([(B, C * (dC - (dC * C).sum(axis=1, keepdims=True)))], lr)
@@ -967,7 +995,7 @@ def _train_core(items: list[TrainItem], config: TaggerConfig, table: EmbeddingTa
                          config.feature_size, label_count)
     B = None if channel_logits is None else np.array(channel_logits, dtype=float)
     for _ in range(config.epochs):
-        _sgd_epoch(params, items, config, rng, B)
+        _sgd_epoch(params, items, table, config, rng, B)
     return params, B
 
 

@@ -41,6 +41,16 @@ def sentence_probs(params: TaggerParams, table: EmbeddingTable, token_lists):
     return pairs
 
 
+def stacked_table(blocks) -> tuple[EmbeddingTable, list[np.ndarray]]:
+    """A table whose matrix stacks the (T, d) arrays *blocks*, and the row
+    indices of each block in it: ``embed_rows`` of a block's rows gives the
+    block back, bit for bit, so that a training item can stand for any
+    input rows."""
+    ends = np.cumsum([len(block) for block in blocks])
+    table = EmbeddingTable({}, np.vstack(blocks))
+    return table, [np.arange(end - len(block), end) for block, end in zip(blocks, ends)]
+
+
 def forward(tokens, params: TaggerParams, table: EmbeddingTable) -> np.ndarray:
     """Per-token label distributions, shape (len(tokens), L), through the
     batched inference path that ``tagger.predict`` uses."""
@@ -77,8 +87,9 @@ def paper_shape_grads_digest(tokens: int = 20) -> str:
     *tokens*-token sentence through the tagger of ``paper_shape_model``."""
     params, table = paper_shape_model()
     rng = np.random.default_rng(1)
-    X = table.embed([f"w{i}" for i in rng.integers(0, len(table), size=tokens)])
-    loss, grads, _ = _item_loss_grads(params, X, TrainItem(X, hard=rng.integers(0, 3, tokens)),
+    rows = table.row_indices([f"w{i}" for i in rng.integers(0, len(table), size=tokens)])
+    item = TrainItem(rows, hard=rng.integers(0, 3, tokens))
+    loss, grads, _ = _item_loss_grads(params, table.embed_rows(rows), item,
                                       grads=nan_workspace(params))
     digest = hashlib.sha256(np.float64(loss).tobytes())
     for _, g in grads.arrays():

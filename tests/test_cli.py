@@ -164,6 +164,18 @@ def test_train_rejects_bad_config_naming_the_file(corpus, tmp_path, capsys, doc,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, name", [("methods", "methods"), ("clean_budgets", "budgets")])
+def test_experiment_with_an_empty_list_exits_1_naming_the_config(tmp_path, capsys, key, name):
+    # an empty list would run no cell and write header-only CSVs
+    paths = write_tiny_sweep(tmp_path / "corpus", **{key: []})
+    code = cli.main(["experiment", "--config", paths["config"],
+                     "--out-dir", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"error: {paths['config']}: {name} must not be empty\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_exits_1_naming_its_failed_cells(tmp_path, capsys, monkeypatch):
     # at this learning rate the confusion cells diverge; distant-only
     # trains nothing
@@ -378,6 +390,9 @@ BAD_INPUT = {
     "inspect-confusion-long-row": (
         "inspect", {"c.txt": "# labels: O PER\n1 0 0\n0 1\n"}, ["--confusion", "c.txt"],
         "c.txt:2: expected 2 values, got 3"),
+    "inspect-confusion-repeated-label": (
+        "inspect", {"c.txt": "# labels: O O\n1 0\n0 1\n"}, ["--confusion", "c.txt"],
+        "c.txt:1: repeated label 'O'"),
     "inspect-not-a-checkpoint": (
         "inspect", {"m.npz": "not an archive\n"}, ["--model", "m.npz"],
         "m.npz: not a checkpoint"),

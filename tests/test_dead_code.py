@@ -4,7 +4,10 @@ such a class other than a dunder, has a caller outside the test suite:
 definition. Code that only tests call belongs in ``tests/support.py``.
 Every parameter of a module-level function of ``wsner`` is read by its
 body (methods, which may have to match another class's signature, are
-not checked)."""
+not checked). Every field of a ``wsner`` dataclass is read as an attribute
+somewhere in ``src/wsner`` or ``perfbench``, its own class's methods
+included, so a field that nothing reads any more goes with the code that
+read it."""
 
 import ast
 from pathlib import Path
@@ -78,3 +81,28 @@ def _unread_parameters():
 
 def test_every_parameter_of_a_module_level_function_is_read():
     assert _unread_parameters() == set()
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    # @dataclass, @dataclass(frozen=True) or @dataclasses.dataclass
+    return any("dataclass" in _referenced(deco) for deco in node.decorator_list)
+
+
+def _unread_fields():
+    fields, read = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= {sub.attr for sub in ast.walk(tree)
+                 if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+        if path.parent != PACKAGE:
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef) and _is_dataclass(stmt):
+                fields |= {(path.stem, stmt.name, member.target.id) for member in stmt.body
+                           if isinstance(member, ast.AnnAssign)
+                           and isinstance(member.target, ast.Name)}
+    return {field for field in fields if field[2] not in read}
+
+
+def test_every_dataclass_field_is_read():
+    assert _unread_fields() == set()

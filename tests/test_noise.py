@@ -60,15 +60,20 @@ FIT_SHA256 = {
 }
 
 
-def _fit_digests(root) -> dict[str, str]:
-    """Per method, the sha256 of every parameter array and the channel
-    (when there is one) that fit returns on the tiny sweep."""
+def _tiny_sweep_inputs(root):
+    """The sweep config, clean and distant data and table of the tiny sweep."""
     paths = write_tiny_sweep(root)
     sweep = experiment.load_config(paths["config"])
     tag_set = TagSet(sweep.entity_types)
     clean = read_conll(paths["train"], tag_set=tag_set)
     distant = read_conll(paths["distant"], tag_set=tag_set, provenance="distant")
-    table = EmbeddingTable.load(paths["embeddings"])
+    return sweep, clean, distant, EmbeddingTable.load(paths["embeddings"])
+
+
+def _fit_digests(root) -> dict[str, str]:
+    """Per method, the sha256 of every parameter array and the channel
+    (when there is one) that fit returns on the tiny sweep."""
+    sweep, clean, distant, table = _tiny_sweep_inputs(root)
     digests = {}
     for method in METHODS:
         params, channel = fit(method, clean, distant, sweep.tagger, table, sweep.options)
@@ -87,6 +92,19 @@ def test_fit_returns_the_pinned_bytes_for_every_method(tmp_path):
         pytest.skip(f"bytes pinned under python, numpy, BLAS {PINNED_ENVIRONMENT}, "
                     f"not {environment()}")
     assert digests == FIT_SHA256
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_leaves_the_embeddings_bit_identical(tmp_path, method):
+    # the table is read-only, so a write would raise; the bytes show too that
+    # nothing replaced its arrays
+    sweep, clean, distant, table = _tiny_sweep_inputs(tmp_path)
+    matrix, unk = table.matrix, table.unk
+    before = matrix.tobytes(), unk.tobytes()
+    fit(method, clean, distant, sweep.tagger, table, sweep.options)
+    assert table.matrix is matrix and table.unk is unk
+    assert (matrix.tobytes(), unk.tobytes()) == before
+    assert not (matrix.flags.writeable or unk.flags.writeable)
 
 
 def test_fit_trains_the_same_bytes_on_one_thread_or_two(tmp_path, monkeypatch):
@@ -185,6 +203,17 @@ def test_matrix_validation():
         ConfusionMatrix(LABELS, np.ones((5, 5)))
     with pytest.raises(ValueError):
         ConfusionMatrix(LABELS, np.eye(4))
+    # each label names a row and a column
+    with pytest.raises(ValueError, match="repeated label 'PER'"):
+        ConfusionMatrix(("O", "PER", "LOC", "PER"), np.eye(4))
+
+
+def test_channel_with_a_repeated_label_names_the_header(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("# labels: O O\n1 0\n0 1\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_confusion(path)
+    assert str(err.value) == f"{path}:1: repeated label 'O'"
 
 
 @pytest.mark.parametrize("row", ["nan nan", "inf 0", "0.5 nan"])
@@ -306,8 +335,8 @@ def test_channel_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     params = T.init_params(rng, "lstm", task.table.dimension, 2, 3, ts.size)
     sent = task.distant.sentences[0]
-    X = task.table.embed(sent.tokens)
-    item = T.TrainItem(X, hard=ts.encode(sent), channel=True)
+    item = T.TrainItem(task.table.row_indices(sent.tokens), hard=ts.encode(sent), channel=True)
+    X = task.table.embed_rows(item.rows)
     B = np.log(0.6 * np.eye(ts.size) + 0.4 / ts.size)
     workspace = nan_workspace(params)
 
@@ -342,7 +371,7 @@ def test_em_step_keeps_the_identity_channel_with_one_hot_posteriors():
     task = _small_task()
     params, items, noisy = _em_inputs(task)
     L = task.distant.tag_set.size
-    posteriors, channel, _ = _em_step(params, items, noisy, np.eye(L))
+    posteriors, channel, _ = _em_step(params, items, task.table, noisy, np.eye(L))
     assert np.array_equal(posteriors, np.eye(L)[noisy])
     assert np.array_equal(channel, np.eye(L))
 
@@ -354,7 +383,7 @@ def test_em_log_likelihood_monotone_with_frozen_model():
     channel = (1.0 - EM_CHANNEL_ANCHOR) * np.eye(L) + EM_CHANNEL_ANCHOR / L
     lls = []
     for _ in range(9):
-        _, channel, ll = _em_step(params, items, noisy, channel)
+        _, channel, ll = _em_step(params, items, task.table, noisy, channel)
         lls.append(ll)
     assert (np.diff(lls) >= -1e-8).all()
     assert lls[-1] > lls[0]
@@ -366,7 +395,7 @@ def test_em_posteriors_are_distributions():
     params, channel = em_noise_channel(task.distant, _config(epochs=1), task.table, 2)
     items = make_items(task.distant, task.table)
     noisy = np.concatenate([it.hard for it in items])
-    posteriors, _, _ = _em_step(params, items, noisy, channel.matrix)
+    posteriors, _, _ = _em_step(params, items, task.table, noisy, channel.matrix)
     assert posteriors.shape == (len(noisy), task.distant.tag_set.size)
     assert np.abs(posteriors.sum(axis=1) - 1.0).max() < 1e-9
     assert posteriors.min() >= 0
@@ -384,7 +413,7 @@ def test_em_step_raises_numerics_error_before_any_numpy_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericsError, match="non-finite log-likelihood"):
-            _em_step(params, items, noisy, channel)
+            _em_step(params, items, task.table, noisy, channel)
 
 
 def test_em_requires_data():

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import pickle
 import struct
 import sys
 import tempfile
@@ -48,8 +49,8 @@ from wsner.tagger import (
 from conftest import make_dataset, make_sentence, random_sentences
 from gradcheck import finite_difference, max_relative_error
 from support import (blas_thread_count, forward, frozen_init_params, nan_workspace,
-                     paper_shape_model, run_python, sentence_probs, token_accuracy,
-                     use_threads)
+                     paper_shape_model, run_python, sentence_probs, stacked_table,
+                     token_accuracy, use_threads)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +62,7 @@ def test_load_embeddings(tmp_path):
     path.write_text("2 3\nfoo 1.0 2.0 3.0\nbar 0.0 1.0 0.5\n", encoding="utf-8")
     table = EmbeddingTable.load(path)
     assert len(table) == 2 and table.dimension == 3
-    assert np.array_equal(table.embed(["foo"])[0], [1.0, 2.0, 3.0])
+    assert np.array_equal(table.embed_rows(table.row_indices(["foo"]))[0], [1.0, 2.0, 3.0])
 
 
 def test_unknown_token_gets_mean_vector(tmp_path):
@@ -70,7 +71,7 @@ def test_unknown_token_gets_mean_vector(tmp_path):
     table = EmbeddingTable.load(path)
     # independent mean computation
     expected = np.array([(1.0 + 3.0) / 2, (3.0 + 5.0) / 2])
-    assert np.abs(table.embed(["zzz"])[0] - expected).max() < 1e-12
+    assert np.abs(table.embed_rows(table.row_indices(["zzz"]))[0] - expected).max() < 1e-12
 
 
 def test_unk_is_mean_of_rows_large(tmp_path):
@@ -161,7 +162,7 @@ def test_duplicate_tokens_keep_first(tmp_path):
     path.write_text("2 1\nfoo 1.0\nfoo 2.0\n", encoding="utf-8")
     table = EmbeddingTable.load(path)
     assert len(table) == 2  # both rows kept
-    assert table.embed(["foo"])[0, 0] == 1.0
+    assert table.embed_rows(table.row_indices(["foo"]))[0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -641,13 +642,15 @@ def _random_model(rng, cell="lstm"):
 
 # The LSTM is the only cell; the "cell" parameter of the cell tests below
 # keeps their test ids from when a second cell existed.
-def _assert_item_gradient(params, item, C=None):
-    """``_item_loss_grads``' parameter gradients against finite differences."""
-    _, grads, _ = _item_loss_grads(params, item.X, item, C, grads=nan_workspace(params))
+def _assert_item_gradient(params, table, item, C=None):
+    """``_item_loss_grads``' parameter gradients against finite differences,
+    for an item whose rows index *table*."""
+    X = table.embed_rows(item.rows)
+    _, grads, _ = _item_loss_grads(params, X, item, C, grads=nan_workspace(params))
     arrays = [arr for _, arr in params.arrays()]
     workspace = nan_workspace(params)
     numeric = finite_difference(
-        lambda: _item_loss_grads(params, item.X, item, C, grads=workspace)[0], arrays)
+        lambda: _item_loss_grads(params, X, item, C, grads=workspace)[0], arrays)
     assert max_relative_error([arr for _, arr in grads.arrays()], numeric) < 1e-4
 
 
@@ -658,8 +661,8 @@ def test_gradient_matches_finite_differences(cell):
         params, table, ts, sents = _random_model(rng, cell)
         assert params.num_parameters <= 200
         for sent in sents:
-            _assert_item_gradient(params, TrainItem(table.embed(sent.tokens),
-                                                    hard=ts.encode(sent)))
+            _assert_item_gradient(params, table, TrainItem(table.row_indices(sent.tokens),
+                                                           hard=ts.encode(sent)))
 
 
 def test_gradient_matches_finite_differences_on_two_threads(monkeypatch):
@@ -682,8 +685,8 @@ def test_lstm_gradient_at_sequence_ends(T):
     params = init_params(rng, "lstm", 3, 2, 3, 3)
     params.b_f[:] = rng.normal(size=8)
     params.b_b[:] = rng.normal(size=8)
-    X = rng.normal(size=(T, 3))
-    _assert_item_gradient(params, TrainItem(X, hard=rng.integers(0, 3, size=T)))
+    table, (rows,) = stacked_table([rng.normal(size=(T, 3))])
+    _assert_item_gradient(params, table, TrainItem(rows, hard=rng.integers(0, 3, size=T)))
 
 
 def test_soft_gradient_matches_finite_differences():
@@ -691,16 +694,17 @@ def test_soft_gradient_matches_finite_differences():
     params, table, ts, sents = _random_model(rng)
     for s in sents:
         w = rng.random((len(s.tokens), ts.size))
-        _assert_item_gradient(params, TrainItem(table.embed(s.tokens),
-                                                soft=w / w.sum(axis=1, keepdims=True)))
+        _assert_item_gradient(params, table, TrainItem(table.row_indices(s.tokens),
+                                                       soft=w / w.sum(axis=1, keepdims=True)))
 
 
 def test_perfect_soft_target_gives_zero_gradient(tiny_table):
     ts = TagSet(("PER", "LOC"))
     params = init_params(np.random.default_rng(4), "lstm", 4, 2, 3, ts.size)
-    X = tiny_table.embed(["w0", "w1"])
+    rows = tiny_table.row_indices(["w0", "w1"])
+    X = tiny_table.embed_rows(rows)
     probs, _ = _sentence_forward(params, X)
-    loss, grads, _ = _item_loss_grads(params, X, TrainItem(X, soft=probs),
+    loss, grads, _ = _item_loss_grads(params, X, TrainItem(rows, soft=probs),
                                       grads=nan_workspace(params))
     # cross-entropy of a distribution with itself is its entropy
     entropy = float(-(probs * np.log(probs)).sum() / len(X))
@@ -717,15 +721,16 @@ def test_hard_and_channel_gradients_are_those_of_their_soft_targets():
     for _ in range(200):
         L, T = int(rng.integers(2, 6)), int(rng.integers(1, 30))
         params = init_params(rng, "lstm", 12, 16, 8, L)
-        X = rng.normal(size=(T, 12))
+        table, (rows,) = stacked_table([rng.normal(size=(T, 12))])
+        X = table.embed_rows(rows)
         y = rng.integers(0, L, size=T)
         C = rng.dirichlet(np.ones(L), size=L)
         probs, _ = _sentence_forward(params, X)
         for item, C_arg, target in (
-                (TrainItem(X, hard=y), None, np.eye(L)[y]),
-                (TrainItem(X, hard=y, channel=True), C, channel_posterior(probs, C, y)[0])):
+                (TrainItem(rows, hard=y), None, np.eye(L)[y]),
+                (TrainItem(rows, hard=y, channel=True), C, channel_posterior(probs, C, y)[0])):
             _, grads, _ = _item_loss_grads(params, X, item, C_arg, grads=nan_workspace(params))
-            _, want, _ = _item_loss_grads(params, X, TrainItem(X, soft=target),
+            _, want, _ = _item_loss_grads(params, X, TrainItem(rows, soft=target),
                                           grads=nan_workspace(params))
             for (name, g), (_, r) in zip(grads.arrays(), want.arrays()):
                 assert g.tobytes() == r.tobytes(), (item.channel, T, name)
@@ -790,8 +795,9 @@ def test_item_loss_grads_allocates_no_parameter_sized_array():
     # workspace must peak below that, as every SGD step of an epoch does
     rng = np.random.default_rng(42)
     params = init_params(rng, "lstm", 200, 200, 16, 3)
-    X = rng.normal(size=(3, 200))
-    item = TrainItem(X, hard=np.array([0, 2, 1]))
+    table, (rows,) = stacked_table([rng.normal(size=(3, 200))])
+    X = table.embed_rows(rows)
+    item = TrainItem(rows, hard=np.array([0, 2, 1]))
     workspace = nan_workspace(params)
     _item_loss_grads(params, X, item, grads=workspace)
     gc.collect()
@@ -839,18 +845,21 @@ def test_sgd_step_is_bitwise_scaled_subtraction():
         assert got.tobytes() == want.tobytes(), name
 
 
-def _mixed_items(rng, d: int, L: int) -> list[TrainItem]:
-    """Hard, soft and channel items of lengths 1 to 7, T=1 among them."""
-    items = []
+def _mixed_items(rng, d: int, L: int) -> tuple[EmbeddingTable, list[TrainItem]]:
+    """Hard, soft and channel items of lengths 1 to 7, T=1 among them, and
+    the table of random rows they index."""
+    blocks, targets = [], []
     for T in (1, 4, 7, 1, 3, 6):
-        X = rng.normal(size=(T, d))
+        blocks.append(rng.normal(size=(T, d)))
         y = rng.integers(0, L, size=T)
-        items += [TrainItem(X, hard=y), TrainItem(X, soft=rng.dirichlet(np.ones(L), size=T)),
-                  TrainItem(X, hard=y, channel=True)]
-    return items
+        targets += [dict(hard=y), dict(soft=rng.dirichlet(np.ones(L), size=T)),
+                    dict(hard=y, channel=True)]
+    table, block_rows = stacked_table(blocks)
+    rows = [r for r in block_rows for _ in range(3)]
+    return table, [TrainItem(r, **target) for r, target in zip(rows, targets)]
 
 
-def _gradient_then_step_epoch(params, items, config, rng, B):
+def _gradient_then_step_epoch(params, items, table, config, rng, B):
     """``_sgd_epoch`` as one ``_sgd_step`` per sentence over the whole
     gradient-only workspace and the channel logits' gradient."""
     grads = nan_workspace(params)
@@ -858,7 +867,7 @@ def _gradient_then_step_epoch(params, items, config, rng, B):
     for k in rng.permutation(len(items)):
         item = items[int(k)]
         C = tagger._softmax(B) if item.channel else None
-        _, _, dC = _item_loss_grads(params, item.X, item, C, grads=grads)
+        _, _, dC = _item_loss_grads(params, table.embed_rows(item.rows), item, C, grads=grads)
         _sgd_step(pairs if dC is None else
                   pairs + [(B, C * (dC - (dC * C).sum(axis=1, keepdims=True)))],
                   config.learning_rate)
@@ -872,10 +881,10 @@ def test_sgd_epoch_steps_each_direction_on_its_own_thread_as_one_step(monkeypatc
     L = 3
     params = init_params(rng, "lstm", 5, 4, 6, L)
     B = rng.normal(size=(L, L))
-    items = _mixed_items(rng, 5, L)
+    table, items = _mixed_items(rng, 5, L)
     config = TaggerConfig(hidden_size=4, feature_size=6, learning_rate=0.3, epochs=1)
     want, want_B = _copy(params), B.copy()
-    _gradient_then_step_epoch(want, items, config, np.random.default_rng(1), want_B)
+    _gradient_then_step_epoch(want, items, table, config, np.random.default_rng(1), want_B)
     steps = []
 
     def spy(pairs, lr):
@@ -887,7 +896,7 @@ def test_sgd_epoch_steps_each_direction_on_its_own_thread_as_one_step(monkeypatc
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        tagger._sgd_epoch(params, items, config, np.random.default_rng(1), B)
+        tagger._sgd_epoch(params, items, table, config, np.random.default_rng(1), B)
     finally:
         sys.setswitchinterval(interval)
     for (name, got), (_, ref) in zip(params.arrays(), want.arrays()):
@@ -913,8 +922,10 @@ def test_gradient_only_calls_change_no_parameter(on, monkeypatch):
     params = init_params(rng, "lstm", 5, 4, 6, 3)
     before = _copy(params)
     C = tagger._softmax(rng.normal(size=(3, 3)))
-    for item in _mixed_items(rng, 5, 3):
-        _item_loss_grads(params, item.X, item, C, grads=nan_workspace(params))
+    table, items = _mixed_items(rng, 5, 3)
+    for item in items:
+        _item_loss_grads(params, table.embed_rows(item.rows), item, C,
+                         grads=nan_workspace(params))
     for (name, got), (_, ref) in zip(params.arrays(), before.arrays()):
         assert got.tobytes() == ref.tobytes(), name
 
@@ -947,8 +958,8 @@ def _mean_token_loss(ds, params, table):
     """Hard-target cross-entropy averaged over every token of *ds*."""
     items = make_items(ds, table)
     workspace = nan_workspace(params)
-    total = sum(_item_loss_grads(params, it.X, it, grads=workspace)[0] * len(it.X)
-                for it in items)
+    total = sum(_item_loss_grads(params, table.embed_rows(it.rows), it, grads=workspace)[0]
+                * len(it.rows) for it in items)
     return total / ds.num_tokens
 
 
@@ -1017,6 +1028,45 @@ def test_frozen_embeddings_are_bit_identical():
     assert np.array_equal(table.unk, unk_before)
 
 
+def test_the_table_refuses_writes_and_its_callers_array_does_not():
+    values = np.random.default_rng(3).normal(size=(3, 2))
+    table = EmbeddingTable({"a": 0, "b": 1}, values)
+    # a sweep worker gets its table by pickle
+    for t in (table, pickle.loads(pickle.dumps(table))):
+        for write in (lambda: t.matrix.__setitem__((0, 0), 1.0),
+                      lambda: t.unk.__setitem__(0, 1.0),
+                      lambda: t.matrix.__iadd__(1.0)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        assert t.unk.tobytes() == values.mean(axis=0).tobytes()
+    # the matrix is a view of the caller's array, which stays writable, and
+    # a gather is a new array of the caller's
+    assert table.matrix.base is values and values.flags.writeable
+    assert table.embed_rows(np.array([0, -1])).flags.writeable
+
+
+def test_items_hold_row_indices_not_embedded_rows():
+    # about 10k tokens at d=300: embedded rows would be 2,400 bytes a token
+    rng = np.random.default_rng(8)
+    table = EmbeddingTable({f"t{i}": i for i in range(500)}, rng.normal(size=(500, 300)))
+    ts = TagSet(("PER", "LOC"))
+    ds = Dataset(tuple(random_sentences(rng, 400, ts, vocab_size=600, max_len=49)), ts)
+    assert 9_000 < ds.num_tokens < 11_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        items = make_items(ds, table)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * ds.num_tokens, held / ds.num_tokens
+    for item, sent in zip(items, ds.sentences):
+        assert item.rows.dtype == np.int64
+        assert np.array_equal(item.rows, table.row_indices(sent.tokens))
+    assert {f.name for f in dataclasses.fields(TrainItem)} == {"rows", "hard", "soft", "channel"}
+
+
 # ---------------------------------------------------------------------------
 # prediction
 
@@ -1048,7 +1098,8 @@ def test_predict_is_pure(tiny_table):
 
 
 def _per_sentence_probs(dataset, params, table):
-    return [_sentence_forward(params, table.embed(s.tokens))[0] for s in dataset.sentences]
+    return [_sentence_forward(params, table.embed_rows(table.row_indices(s.tokens)))[0]
+            for s in dataset.sentences]
 
 
 def _batch_test_model(cell, long_length):
@@ -1245,7 +1296,7 @@ def test_an_error_in_either_training_direction_is_raised_after_the_join(failing,
                                                                          monkeypatch):
     use_threads(monkeypatch, True)
     params, table, ts, sents = _random_model(np.random.default_rng(3))
-    item = TrainItem(table.embed(sents[0].tokens), hard=ts.encode(sents[0]))
+    item = TrainItem(table.row_indices(sents[0].tokens), hard=ts.encode(sents[0]))
     caller = threading.get_ident()
     original = getattr(tagger, direction)
 
@@ -1257,7 +1308,8 @@ def test_an_error_in_either_training_direction_is_raised_after_the_join(failing,
     monkeypatch.setattr(tagger, direction, fails_in_one_thread)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match=f"in the {failing}"):
-        _item_loss_grads(params, item.X, item, grads=nan_workspace(params))
+        _item_loss_grads(params, table.embed_rows(item.rows), item,
+                         grads=nan_workspace(params))
     assert threading.active_count() == before
 
 
@@ -1278,7 +1330,7 @@ def test_a_saturated_direction_raises_under_the_callers_error_state(path, satura
     tokens = ["w0", "w1", "oov"]
     with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
         if path == "sentence":
-            _sentence_forward(params, table.embed(tokens))
+            _sentence_forward(params, table.embed_rows(table.row_indices(tokens)))
         else:
             list(_forward_batched(params, table, [tokens, tokens[:1]]))
 
@@ -1298,8 +1350,8 @@ def test_two_threads_from_the_weight_threshold(d, h, threaded, monkeypatch):
     rng = np.random.default_rng(0)
     table = EmbeddingTable({"w0": 0, "w1": 1}, rng.normal(size=(2, d)))
     params = init_params(rng, "lstm", d, h, 8, 3)
-    X = table.embed(["w0", "w1", "oov"])
-    _item_loss_grads(params, X, TrainItem(X, hard=np.array([0, 1, 2])),
+    rows = table.row_indices(["w0", "w1", "oov"])
+    _item_loss_grads(params, table.embed_rows(rows), TrainItem(rows, hard=np.array([0, 1, 2])),
                      grads=nan_workspace(params))
     list(_forward_batched(params, table, [["w1", "w0"]]))
     # a training forward and backward pass and a batch
