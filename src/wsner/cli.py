@@ -35,6 +35,12 @@ EMBEDDINGS_CACHE = (
 EMBEDDINGS_HELP = ("word vectors in text format: a '|V| d' line, then 'token v1 ... vd' "
                    "rows (fastText .vec files load as they are). " + EMBEDDINGS_CACHE)
 
+TRAINING_DTYPE = (
+    "Training computes in float32 when an LSTM direction has 4h(d + h) >= "
+    f"{tagger._FLOAT32_WEIGHTS:,} weights (d the embedding size, h hidden_size), as at the "
+    "paper's d=h=300, and in float64 below that, as at the bundled d=12, h=16; the model "
+    "keeps that dtype in its checkpoint and when it tags.")
+
 
 def _tag_set(args) -> TagSet:
     if args.entity_types:
@@ -203,7 +209,7 @@ def cmd_inspect(args) -> int:
         print(f"labels: {' '.join(tag_set.labels)}")
         print(f"embedding dim: {params.embed_dim}  hidden: {params.hidden_size}  "
               f"features: {params.feature_size}  labels: {params.label_count}")
-        print(f"parameters: {params.num_parameters}")
+        print(f"parameters: {params.num_parameters}  dtype: {params.dtype}")
         for name, arr in params.arrays():
             print(f"  {name:8s} shape={arr.shape} "
                   f"min={arr.min():+.4f} max={arr.max():+.4f}")
@@ -306,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "sentences; naive-mix, confusion and noise-channel need --distant "
                     "sentences, and cleaning needs both. Confusion and cleaning also pair "
                     "each clean sentence with its first token-identical sentence in "
-                    "--distant. Missing inputs are refused before the embeddings load.")
+                    "--distant. Missing inputs are refused before the embeddings load. "
+                    + TRAINING_DTYPE)
     p.add_argument("--clean", required=True)
     p.add_argument("--distant", default=None,
                    help="distant training data written by 'wsner annotate'")
@@ -363,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "until the rows before it are written; rows still held at an interrupt "
                     "are lost and their cells run again on resume. A cell that fails gets an "
                     "error row; after writing both files the sweep then exits 1, naming the "
-                    "count of failed cells and the first one. " + EMBEDDINGS_CACHE)
+                    "count of failed cells and the first one. " + TRAINING_DTYPE + " "
+                    + EMBEDDINGS_CACHE)
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", type=_path, default=None)
     p.add_argument("--repeats", type=_at_least(1), default=None, help="integer >= 1")

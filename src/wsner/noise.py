@@ -47,6 +47,7 @@ from .tagger import (
     _sgd_epoch,
     _train_core,
     channel_posterior,
+    embedded,
     make_items,
     require_integers,
 )
@@ -236,7 +237,8 @@ def _em_step(params: TaggerParams, items, table: EmbeddingTable, noisy, C):
     row-normalized posterior mass per observed label, a closed-form
     maximizer; a row without mass keeps its value) and the E-step's
     observed-data log-likelihood."""
-    probs = np.vstack([_sentence_forward(params, table.embed_rows(it.rows))[0] for it in items])
+    probs = np.vstack([_sentence_forward(params, embedded(table, it.rows, params.dtype))[0]
+                       for it in items])
     # a q of 0 makes 0 / 0 posteriors and log 0; the check comes first
     with np.errstate(divide="ignore", invalid="ignore"):
         posteriors, q = channel_posterior(probs, C, noisy)
@@ -259,8 +261,8 @@ def em_noise_channel(data: Dataset, config: TaggerConfig, table: EmbeddingTable,
         raise ValueError("dataset is empty")
     L = data.tag_set.size
     rng = np.random.default_rng(config.seed)
-    params = tagger.init_params(rng, "lstm", table.dimension,
-                                config.hidden_size, config.feature_size, L)
+    params = tagger._training_params(tagger.init_params(
+        rng, "lstm", table.dimension, config.hidden_size, config.feature_size, L))
     C = (1.0 - EM_CHANNEL_ANCHOR) * np.eye(L) + EM_CHANNEL_ANCHOR / L
     items = make_items(data, table)
     noisy = np.concatenate([it.hard for it in items])
@@ -342,15 +344,20 @@ def train_cleaning_method(
     train the cleaner on (distant tag, gold tag) pairs from the clean
     subset, then train the final tagger on clean hard targets plus cleaned
     soft targets for the distant sentences.
+
+    The base tagger is baseline-clean's tagger of the same clean data and
+    config, bit for bit: ``_train_core`` on the same items, seeded with
+    ``config.seed`` alone. The cleaner draws from a stream of its own,
+    ``[config.seed, 1]``.
     """
     L = clean.tag_set.size
     clean_items = make_items(clean, table)
     gold, noisy = _label_pairs(clean_items, clean, pair_source)
 
     # phase 0/1: base tagger for features, then the cleaner on clean pairs
-    base_params, _ = _train_core(clean_items, config, table, L,
-                                 seed=np.random.SeedSequence([config.seed, 0]))
-    feats = np.vstack([tagger.feature_vectors(table.embed_rows(item.rows), base_params)
+    base_params, _ = _train_core(clean_items, config, table, L)
+    feats = np.vstack([tagger.feature_vectors(embedded(table, item.rows, base_params.dtype),
+                                              base_params)
                        for item in clean_items])
     cleaner = train_cleaner(
         cleaner_inputs(feats, noisy, L), gold, L,
@@ -363,7 +370,8 @@ def train_cleaning_method(
     # wins over the item's hard (distant) one
     distant_items = make_items(distant, table)
     for item in distant_items:
-        sent_feats = tagger.feature_vectors(table.embed_rows(item.rows), base_params)
+        sent_feats = tagger.feature_vectors(embedded(table, item.rows, base_params.dtype),
+                                            base_params)
         item.soft = cleaner.apply(cleaner_inputs(sent_feats, item.hard, L))
 
     # phase 3: final tagger on hard clean + soft cleaned-distant targets

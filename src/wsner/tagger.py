@@ -4,23 +4,32 @@ Architecture: a frozen pretrained embedding lookup, a bidirectional LSTM,
 a linear feature layer, and a linear classifier producing per-token label
 distributions. Training is plain SGD with per-sentence updates; all
 randomness (parameter init, shuffling) flows from one seeded generator, so
-runs are bit-reproducible. Everything is float64 numpy; gradients are
-exact (they are checked against central finite differences in the test
-suite).
+runs are bit-reproducible. Gradients are exact (they are checked against
+central finite differences in the test suite).
+
+Everything is numpy, in one dtype per model: the parameters' dtype
+(``TaggerParams.dtype``), which every kernel computes and allocates in.
+Parameters are drawn in float64; training casts them to float32 from
+``_FLOAT32_WEIGHTS`` weight floats per LSTM direction, a rule on the shape
+alone that the paper shape (d=h=300) meets and the synthetic one (d=12,
+h=16) does not, and keeps them float64 below it.
+Tagging and checkpoints keep the dtype a model has. The embedding table,
+the channel logits and the label cleaner stay float64.
 
 The LSTM has one input format: a sentence's embedding row indices
 (``EmbeddingTable.row_indices``, -1 for an unknown token). Training items
 hold them (``TrainItem``), and batched tagging looks them up per batch.
-The float rows are gathered with ``EmbeddingTable.embed_rows`` only where a
-pass reads them: per SGD step in ``_sgd_epoch``, per sentence in the EM
-E-step and the cleaner's feature passes, and per window in batched
-tagging. No copy of a corpus's rows is held.
+The float rows are gathered with ``embedded``, in the parameters' dtype,
+only where a pass reads them: per SGD step in ``_sgd_epoch``, per
+sentence in the EM E-step and the cleaner's feature passes, and per window
+in batched tagging. No copy of a corpus's rows is held.
 
 The design is explained where it is implemented: the one-thread BLAS pin
 at ``_pin_blas_threads``, running the LSTM's two directions on two threads
 and stepping each direction's weights on the thread that formed their
 gradients in "the two directions at once", the reused gradient workspace
-at ``_sgd_epoch``, and batched tagging in "batched inference".
+at ``_sgd_epoch``, the training dtype at ``_FLOAT32_WEIGHTS``, and
+batched tagging in "batched inference".
 """
 
 from __future__ import annotations
@@ -288,6 +297,13 @@ class EmbeddingTable:
         return X
 
 
+def embedded(table: EmbeddingTable, rows: np.ndarray, dtype) -> np.ndarray:
+    """``table.embed_rows(rows)`` in *dtype*, the dtype of the parameters
+    that read them (``TaggerParams.dtype``): the one gather of every pass
+    that runs the LSTM, a new array either way."""
+    return table.embed_rows(rows).astype(dtype, copy=False)
+
+
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -355,6 +371,12 @@ class TaggerParams:
         return self.w_out.shape[0]
 
     @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every array: float64 as ``init_params`` draws them,
+        float32 once ``_training_params`` casts them."""
+        return self.w_in_f.dtype
+
+    @property
     def num_parameters(self) -> int:
         return sum(arr.size for _, arr in self.arrays())
 
@@ -389,6 +411,43 @@ def init_params(rng: np.random.Generator, cell: str, embed_dim: int,
                                                  label_count)))
 
 
+def _direction_weights(d: int, h: int) -> int:
+    """Weight floats of one LSTM direction over d-dimensional inputs with h
+    units, 4h(d + h): the size both ``_FLOAT32_WEIGHTS`` and
+    ``_THREAD_WEIGHTS`` are measured in."""
+    return 4 * h * (d + h)
+
+
+# Training precision. From _FLOAT32_WEIGHTS weight floats per direction
+# (_direction_weights) training computes in float32, below it in float64.
+# At the paper shape (d=h=300) a step is bound by memory traffic: the
+# recurrent product reads the 1200x300 matrix u per token and direction,
+# 2.9 MB in float64 and 1.4 MB in float32, which fits a core's 2 MB L2
+# cache; one (1200x300)(300) product took 93 us in float64 and 22 us in
+# float32 on one BLAS thread of a 2-vCPU x86-64 host. On that host an SGD
+# epoch over 1,151 tokens (medians of 7, float64 / float32) took 46 / 44 ms
+# at d=12, h=16 (the synthetic shape, 1,792 weights), 48 / 40 at d=300,
+# h=25 (32,500), 85 / 64 at h=50 (70,000), 159 / 111 at h=100 (160,000),
+# 248 / 157 at h=150, 283 / 205 at h=200, 361 / 232 at h=250 and 514 / 312
+# at h=300 (the paper shape, 720,000; two threads from h=200). In three
+# such sets float32 gained 1.03-1.05x at the synthetic shape, 1.07-1.19x at
+# 32,500 weights, 1.26-1.33x at 70,000 and 1.34x or more from 100,000 on:
+# small shapes are bound by the interpreter, and the threshold sits where
+# float32 gains clearly. The rule reads the shape alone, never the host, so
+# one seed trains the same bytes anywhere.
+_FLOAT32_WEIGHTS = 100_000
+
+
+def _training_params(params: TaggerParams) -> TaggerParams:
+    """*params*, freshly drawn in float64 by ``init_params``, in the dtype
+    that training computes in at their shape: cast to float32 from
+    ``_FLOAT32_WEIGHTS`` weight floats per direction, else as they are.
+    Every kernel then computes in the parameters' dtype."""
+    if _direction_weights(params.embed_dim, params.hidden_size) < _FLOAT32_WEIGHTS:
+        return params
+    return TaggerParams(*(arr.astype(np.float32) for _, arr in params.arrays()))
+
+
 # ---------------------------------------------------------------------------
 # forward / backward
 
@@ -406,13 +465,13 @@ _GATE_SHIFT = (0.5, 0.5, 0.0, 0.5)
 
 
 @functools.lru_cache(maxsize=8)
-def _gate_affine(h: int):
-    """``_GATE_SCALE`` and ``_GATE_SHIFT`` repeated over ``h`` units: flat
-    (4h,) read-only vectors that act on ``(..., 4h)`` preactivations, one
-    timestep's or a batch's. Cached per hidden size, since a process
-    trains one or two of them."""
-    scale = np.repeat(_GATE_SCALE, h)
-    shift = np.repeat(_GATE_SHIFT, h)
+def _gate_affine(h: int, dtype: np.dtype):
+    """``_GATE_SCALE`` and ``_GATE_SHIFT`` repeated over ``h`` units in
+    *dtype*: flat (4h,) read-only vectors that act on ``(..., 4h)``
+    preactivations, one timestep's or a batch's. Cached per hidden size
+    and dtype, since a process trains one or two of them."""
+    scale = np.repeat(np.array(_GATE_SCALE, dtype), h)
+    shift = np.repeat(np.array(_GATE_SHIFT, dtype), h)
     scale.flags.writeable = False
     shift.flags.writeable = False
     return scale, shift
@@ -443,13 +502,13 @@ def _lstm_forward(w, u, b, X):
     A = X @ w.T
     A += b
     I, F, G, O = A.reshape(T, 4, h).transpose(1, 0, 2)
-    scale, shift = _gate_affine(h)
-    Cs = np.empty((T, h))
-    TC = np.empty((T, h))
-    Hs = np.empty((T, h))
-    rec = np.empty(4 * h)
-    ig = np.empty(h)
-    c_prev = np.zeros(h)
+    scale, shift = _gate_affine(h, A.dtype)
+    Cs = np.empty((T, h), A.dtype)
+    TC = np.empty_like(Cs)
+    Hs = np.empty_like(Cs)
+    rec = np.empty(4 * h, A.dtype)
+    ig = np.empty(h, A.dtype)
+    c_prev = np.zeros(h, A.dtype)
     h_prev = None
     for a, i, f, g, o, c, tc, hs in zip(A, I, F, G, O, Cs, TC, Hs):
         if h_prev is not None:
@@ -488,7 +547,7 @@ def _lstm_backward(u, cache, dHs, *, out):
     T, h = Hs.shape
     gates = A.reshape(T, 4, h)
     I, F, G, O = gates.transpose(1, 0, 2)
-    dA = np.empty((T, 4 * h))
+    dA = np.empty_like(A)
     dgates = dA.reshape(T, 4, h)
     DI, DF, DG, DO = dgates.transpose(1, 0, 2)
     # Per gate, dA[t] = dc * D[t] (i, f, g) or dh * D[t] (o), where D is the
@@ -515,8 +574,8 @@ def _lstm_backward(u, cache, dHs, *, out):
     DC = dgates[:, :3]
     dh = dHs[T - 1]
     dc = dh * OT[T - 1]
-    rec = np.empty(h)
-    carry = np.empty(h)
+    rec = np.empty(h, A.dtype)
+    carry = np.empty_like(rec)
     # steps T-1 down to 1, each forming the dh and dc of the step before it
     steps = zip(DC[:0:-1], DO[:0:-1], dA[:0:-1], F[:0:-1], dHs[-2::-1], OT[-2::-1])
     for dc_gates, do_gate, da, f, dhs_prev, ot_prev in steps:
@@ -559,8 +618,8 @@ def _lstm_backward(u, cache, dHs, *, out):
 # Training steps each direction's weights (w_in, u, b) on the thread that
 # ran its backward pass, right after it: their gradients are still in that
 # core's cache, and the other CPU would otherwise sit idle while the calling
-# thread walked all ~1.5 M parameters and their gradients (about 24 MB at
-# paper shape) after the join. The head (w_feat, b_feat, w_out, b_out) is
+# thread walked all ~1.5 M parameters and their gradients (about 24 MB in
+# float64) after the join. The head (w_feat, b_feat, w_out, b_out) is
 # stepped on the calling thread after the join, and the channel logits B by
 # _sgd_epoch after that. The bytes are those of one step after the whole
 # backward pass: every update is the same _sgd_step arithmetic on the same
@@ -587,7 +646,7 @@ def _cpu_count() -> int:
 def _two_threads(d: int, h: int) -> bool:
     """Whether an LSTM over d-dimensional inputs with h units runs its
     directions on two threads, by the rule above."""
-    return (4 * h * (d + h) >= _THREAD_WEIGHTS
+    return (_direction_weights(d, h) >= _THREAD_WEIGHTS
             and _cpu_count() >= 2 * _sharing_processes)
 
 
@@ -733,8 +792,9 @@ def _sentence_backward(params: TaggerParams, cache, dlogits: np.ndarray,
 # of a window, and the recurrent-product and cell-state buffers a row per
 # sentence of a batch. Up to h=150 the gate buffer holds about
 # _WINDOW_FLOATS floats (600 KiB); at h=300 the buffers are (128, 4h),
-# (128, 4h) and (128, h), about 2.7 MB per thread, and a full batch of
-# 60-token sentences peaks at about 6.6 MiB under tracemalloc on two threads.
+# (128, 4h) and (128, h), about 2.7 MB per thread in float64, and a full
+# batch of 60-token sentences peaks at about 6.6 MiB under tracemalloc on
+# two threads; a float32 model's buffers take half that.
 _BATCH_SENTENCES = 128
 _WINDOW_FLOATS = 64 * 1200
 
@@ -764,13 +824,13 @@ def _batch_direction(w, u, b, proj, table: EmbeddingTable, rows, pos, offs,
     and the recurrent product and cell state, with a row for each
     sentence."""
     h = u.shape[1]
-    scale, shift = _gate_affine(h)
+    scale, shift = _gate_affine(h, u.dtype)
     gates, rec, cell = buffers
     last = len(offs) - 2
     for t0, t1 in zip(bounds, bounds[1:]):
         lo, hi = offs[t0], offs[t1]
         window = gates[:hi - lo]
-        np.matmul(table.embed_rows(rows[lo:hi]), w.T, out=window)
+        np.matmul(embedded(table, rows[lo:hi], w.dtype), w.T, out=window)
         window += b
         for t in range(t0, t1):
             n = offs[t + 1] - offs[t]
@@ -850,8 +910,9 @@ def _forward_batched(params: TaggerParams, table: EmbeddingTable, token_lists):
     rows = min(width, int(lengths.sum()))
     sentences = min(width, len(token_lists))
     threads = 2 if _two_threads(params.embed_dim, h) else 1
-    buffer_sets = [(np.empty((rows, 4 * h)), np.empty((sentences, 4 * h)),
-                    np.empty((sentences, h)))
+    dtype = params.dtype
+    buffer_sets = [(np.empty((rows, 4 * h), dtype), np.empty((sentences, 4 * h), dtype),
+                    np.empty((sentences, h), dtype))
                    for _ in range(threads)]
     for batch in _inference_batches(lengths, width):
         batch_lengths = lengths[batch]
@@ -869,7 +930,7 @@ class TrainItem:
     """One sentence prepared for training: the embedding row indices
     ``rows`` (T,) of its tokens (``EmbeddingTable.row_indices``, -1 for an
     unknown token) and its label indices ``hard``. It holds no embedded
-    rows: whoever runs the LSTM on it gathers them with ``embed_rows`` from
+    rows: whoever runs the LSTM on it gathers them with ``embedded`` from
     the table the rows index, for that pass only. Its target, a
     distribution per token, is ``soft`` (T, L) if set, else the channel
     posterior of ``hard`` for a ``channel`` item, else the one-hot of
@@ -897,8 +958,8 @@ def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None, *,
     workspace ``grads`` (see ``_sentence_backward``, which also takes the
     SGD step when given ``lr``; ``C`` stays the fourth parameter, which
     perfbench/tracing.py reads by position to name the loss span). The
-    logit gradient is ``(probs − w) / T`` for the item's target ``w`` (see
-    ``TrainItem``; an item is a channel item only when ``C`` is given). A
+    logit gradient is ``(probs − w) / T`` for the item's target ``w``, cast
+    to the dtype of ``probs`` (see ``TrainItem``; an item is a channel item only when ``C`` is given). A
     channel item's loss is ``−mean log q`` and ``dC`` its gradient with
     respect to ``C``; any other item's loss is the cross-entropy to ``w``,
     and ``dC`` is None. A non-finite loss raises ``NumericsError``, before
@@ -928,7 +989,7 @@ def _item_loss_grads(params, X, item: TrainItem, C: np.ndarray | None = None, *,
         dC = np.zeros_like(C)
         dq = -1.0 / (q * T)
         np.add.at(dC.T, item.hard, probs * dq[:, None])
-    dlogits = (probs - w) / T
+    dlogits = (probs - w.astype(probs.dtype, copy=False)) / T
     return loss, _sentence_backward(params, cache, dlogits, grads, lr=lr), dC
 
 
@@ -966,7 +1027,8 @@ def _sgd_epoch(params: TaggerParams, items: list[TrainItem], table: EmbeddingTab
     Every step's gradients are written into one workspace allocated here,
     uninitialised (``np.empty_like`` of each parameter), since the backward
     pass overwrites all of it and ``_sgd_step`` then scales it in place.
-    At paper shape (d=h=300) a step's gradients are about 11.5 MB;
+    At paper shape (d=h=300) a step's gradients are about 5.8 MB in
+    float32;
     allocating them afresh per sentence costs page faults and raises the
     process's peak memory, for values subtracted from the weights at once."""
     lr = config.learning_rate
@@ -974,8 +1036,8 @@ def _sgd_epoch(params: TaggerParams, items: list[TrainItem], table: EmbeddingTab
     for k in rng.permutation(len(items)):
         item = items[int(k)]
         C = _softmax(B) if item.channel and B is not None else None
-        _, _, dC = _item_loss_grads(params, table.embed_rows(item.rows), item, C=C,
-                                    grads=grads, lr=lr)
+        _, _, dC = _item_loss_grads(params, embedded(table, item.rows, params.dtype), item,
+                                    C=C, grads=grads, lr=lr)
         if dC is not None:
             # dC back through the row softmax C = softmax(B) is the gradient of B
             _sgd_step([(B, C * (dC - (dC * C).sum(axis=1, keepdims=True)))], lr)
@@ -983,16 +1045,19 @@ def _sgd_epoch(params: TaggerParams, items: list[TrainItem], table: EmbeddingTab
 
 
 def _train_core(items: list[TrainItem], config: TaggerConfig, table: EmbeddingTable,
-                label_count: int, *, channel_logits: np.ndarray | None = None,
-                seed=None):
-    """Seeded SGD, ``config.epochs`` passes of ``_sgd_epoch``.
+                label_count: int, *, channel_logits: np.ndarray | None = None):
+    """Seeded SGD, ``config.epochs`` passes of ``_sgd_epoch``, from
+    parameters drawn from ``config.seed`` alone and cast to the training
+    dtype (``_training_params``). Every call with equal items, config and
+    table therefore trains the same bytes, whichever method makes it.
 
     Returns the trained parameters and the trained channel logits (None
-    without ``channel_logits``).
+    without ``channel_logits``), which stay float64 whatever the
+    parameters' dtype.
     """
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    params = init_params(rng, "lstm", table.dimension, config.hidden_size,
-                         config.feature_size, label_count)
+    rng = np.random.default_rng(config.seed)
+    params = _training_params(init_params(rng, "lstm", table.dimension, config.hidden_size,
+                                          config.feature_size, label_count))
     B = None if channel_logits is None else np.array(channel_logits, dtype=float)
     for _ in range(config.epochs):
         _sgd_epoch(params, items, table, config, rng, B)
@@ -1011,7 +1076,9 @@ def feature_vectors(X: np.ndarray, params: TaggerParams) -> np.ndarray:
 
 
 def train(clean: Dataset, config: TaggerConfig, table: EmbeddingTable) -> TaggerParams:
-    """Plain supervised training on gold spans (IO label space)."""
+    """Plain supervised training on gold spans (IO label space), in float32
+    at the paper's shape and in float64 at small shapes
+    (``_FLOAT32_WEIGHTS``); the parameters come back in that dtype."""
     if not clean.sentences:
         raise ValueError("training dataset is empty")
     items = make_items(clean, table)
@@ -1022,7 +1089,9 @@ def train(clean: Dataset, config: TaggerConfig, table: EmbeddingTable) -> Tagger
 def predict(dataset: Dataset, params: TaggerParams, table: EmbeddingTable) -> Dataset:
     """Replace spans by per-token argmax predictions (ties go to the lowest
     label index, so all-uniform output yields the outside label), keeping
-    the input order; sentences are tagged in batches ("batched inference").
+    the input order; sentences are tagged in batches ("batched inference"),
+    computed in the parameters' dtype: a float64 model tags in float64 and
+    a float32 one in float32.
 
     The model's label count must equal the tag set's size and its
     embedding size the table's, else ``SchemaError`` names both numbers;
@@ -1061,9 +1130,10 @@ def predict(dataset: Dataset, params: TaggerParams, table: EmbeddingTable) -> Da
 
 
 def save_checkpoint(path, params: TaggerParams, tag_set: TagSet) -> None:
-    """Self-describing dump at exactly *path*: named float64 arrays plus a
-    JSON metadata entry (label order; the outside label is always ``O``,
-    and is written for readers that require the key)."""
+    """Self-describing dump at exactly *path*: the named arrays in the
+    parameters' dtype, float32 or float64, plus a JSON metadata entry
+    (label order; the outside label is always ``O``, and is written for
+    readers that require the key)."""
     meta = json.dumps({"entity_types": list(tag_set.entity_types), "outside": "O"})
     arrays = {name: arr for name, arr in params.arrays()}
     # an open file: given a path without '.npz', np.savez would add one
@@ -1072,11 +1142,14 @@ def save_checkpoint(path, params: TaggerParams, tag_set: TagSet) -> None:
 
 
 def load_checkpoint(path) -> tuple[TaggerParams, TagSet]:
-    """The parameters and tag set saved by ``save_checkpoint``; a ``ParseError``
-    for a file that is no checkpoint, lacks an entry, has malformed metadata,
-    has a parameter of a wrong shape or with a non-finite value, or fails to
-    be read once open (``zipfile`` raises ``RuntimeError`` or its subclass
-    ``NotImplementedError`` on some damaged headers, a bad offset ``OSError``)."""
+    """The parameters and tag set saved by ``save_checkpoint``, in the dtype
+    they were saved in; a ``ParseError`` for a file that is no checkpoint,
+    lacks an entry, has malformed metadata, has a parameter that is not
+    float32 or float64 or not of the first parameter's dtype, of a wrong
+    shape or with a non-finite value, or fails to be read once open
+    (``zipfile`` raises ``RuntimeError`` or its subclass
+    ``NotImplementedError`` on some damaged headers, a bad offset
+    ``OSError``)."""
     # the file is opened here: np.load leaves it open when the archive
     # turns out to be corrupt
     with open(path, "rb") as fh:
@@ -1096,8 +1169,7 @@ def load_checkpoint(path) -> tuple[TaggerParams, TagSet]:
                 if outside != "O":
                     raise ParseError(f"{path}: outside label {outside!r}; wsner reads only 'O'")
                 tag_set = TagSet(tuple(types))
-                arrays = [np.array(data[f.name], dtype=float)
-                          for f in dataclasses.fields(TaggerParams)]
+                arrays = [data[f.name] for f in dataclasses.fields(TaggerParams)]
         except (ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile):
             raise ParseError(f"{path}: not a checkpoint (.npz archive)") from None
         except KeyError as exc:
@@ -1108,6 +1180,13 @@ def load_checkpoint(path) -> tuple[TaggerParams, TagSet]:
     if meta.get("cell", "lstm") != "lstm":
         raise ParseError(f"{path}: unknown cell type {meta['cell']!r}; the tagger is an LSTM")
     params = TaggerParams(*arrays)
+    for name, arr in params.arrays():
+        if arr.dtype not in (np.float32, np.float64):
+            raise ParseError(f"{path}: parameter {name} has dtype {arr.dtype}; a checkpoint "
+                             "holds float32 or float64 parameters")
+        if arr.dtype != params.dtype:
+            raise ParseError(f"{path}: parameter {name} has dtype {arr.dtype} but w_in_f "
+                             f"has {params.dtype}; a checkpoint holds one dtype")
     # the matrices that give the sizes every other shape must agree with
     for name in ("w_in_f", "u_f", "w_feat"):
         if getattr(params, name).ndim != 2:

@@ -26,7 +26,7 @@ from wsner.corpus import (Dataset, EntitySpan, LabeledSentence, TagSet, check_al
 from wsner.errors import ParseError, SchemaError
 from wsner.synth import _make_sentences, _make_vocabulary, uniform_flip
 from wsner.tagger import (EmbeddingTable, TaggerParams, TrainItem, _forward_batched,
-                          _item_loss_grads, init_params)
+                          _item_loss_grads, embedded, init_params)
 
 
 def sentence_probs(params: TaggerParams, table: EmbeddingTable, token_lists):
@@ -82,14 +82,16 @@ def paper_shape_model(vocab: int = 500, seed: int = 0):
     return init_params(rng, "lstm", 300, 300, 128, 3), table
 
 
-def paper_shape_grads_digest(tokens: int = 20) -> str:
+def paper_shape_grads_digest(tokens: int = 20, dtype=np.float64) -> str:
     """sha256 of the loss and every parameter gradient of one seeded
-    *tokens*-token sentence through the tagger of ``paper_shape_model``."""
+    *tokens*-token sentence through the tagger of ``paper_shape_model``,
+    its parameters and inputs cast to *dtype*."""
     params, table = paper_shape_model()
+    params = TaggerParams(*(arr.astype(dtype) for _, arr in params.arrays()))
     rng = np.random.default_rng(1)
     rows = table.row_indices([f"w{i}" for i in rng.integers(0, len(table), size=tokens)])
     item = TrainItem(rows, hard=rng.integers(0, 3, tokens))
-    loss, grads, _ = _item_loss_grads(params, table.embed_rows(rows), item,
+    loss, grads, _ = _item_loss_grads(params, embedded(table, rows, dtype), item,
                                       grads=nan_workspace(params))
     digest = hashlib.sha256(np.float64(loss).tobytes())
     for _, g in grads.arrays():

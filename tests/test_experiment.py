@@ -98,6 +98,49 @@ def test_cells_leave_context_table_unchanged(tmp_path):
     assert np.array_equal(ctx.table.matrix, matrix)
 
 
+def _params_digest(params) -> str:
+    return hashlib.sha256(b"".join(arr.tobytes() for _, arr in params.arrays())).hexdigest()
+
+
+def test_trained_methods_of_one_cell_start_from_equal_parameters(tmp_path, monkeypatch):
+    # comparing methods within one (budget, repeat) rests on their taggers
+    # starting from one draw, cleaning's base and final taggers included;
+    # and cleaning's base tagger is baseline-clean's trained tagger
+    config = experiment.load_config(write_tiny_sweep(tmp_path)["config"], {"repeats": 2})
+    ctx = experiment._build_context(config)
+    draws, trained = [], []
+    init_params, train_core = tagger.init_params, tagger._train_core
+
+    def spy_init(*args):
+        params = init_params(*args)
+        draws.append(_params_digest(params))
+        return params
+
+    def spy_core(*args, **kwargs):
+        params, channel_logits = train_core(*args, **kwargs)
+        trained.append(_params_digest(params))
+        return params, channel_logits
+
+    monkeypatch.setattr(tagger, "init_params", spy_init)
+    monkeypatch.setattr(tagger, "_train_core", spy_core)
+    monkeypatch.setattr(noise, "_train_core", spy_core)
+    starts = set()
+    for budget in config.clean_budgets:
+        for repeat in range(config.repeats):
+            cell = {}
+            for method in noise.METHODS:
+                draws.clear()
+                trained.clear()
+                experiment.run_cell(ctx, budget, method, repeat)
+                cell[method] = list(draws), list(trained)
+            assert {m: len(cell[m][0]) for m in cell} == {**dict.fromkeys(cell, 1), "cleaning": 2}
+            assert len({d for method_draws, _ in cell.values() for d in method_draws}) == 1
+            assert cell["cleaning"][1][0] == cell["baseline-clean"][1][0]
+            starts.add(cell["baseline-clean"][0][0])
+    # a repeat's seed, not its budget, decides the draw
+    assert len(starts) == config.repeats == 2
+
+
 def test_sweep_reads_what_annotate_writes(tmp_path, monkeypatch):
     # the distant data is the annotation of the train split followed by
     # that of an extra corpus, and the distant test file the annotation of

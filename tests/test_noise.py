@@ -479,6 +479,33 @@ def test_cleaner_is_bitwise_the_outer_product_loop():
         assert g.tobytes() == w.tobytes(), name
 
 
+def test_cleaner_gradient_matches_finite_differences():
+    # One update of train_cleaner on one example at learning rate 1 is
+    # weights - gradient, so the hand-written gradient is the difference
+    # between the cleaner before any update (zero epochs, same seed) and
+    # after one. It must match central differences of the cross-entropy of
+    # the cleaner's own forward pass (CleaningParams.apply) at the start.
+    rng = np.random.default_rng(8)
+    L = 4
+    target = np.array([2])
+    inputs = cleaner_inputs(rng.normal(size=(1, 5)), np.array([1]), L)
+
+    def fit(epochs):
+        return train_cleaner(inputs, target, L, np.random.default_rng(3), hidden_size=6,
+                             learning_rate=1.0, epochs=epochs)
+
+    start, stepped = fit(0), fit(1)
+    names = ("w1", "b1", "w2", "b2")
+    analytic = [getattr(start, n) - getattr(stepped, n) for n in names]
+    weights = [getattr(start, n) for n in names]
+
+    def loss():
+        return -np.log(start.apply(inputs)[0, target[0]])
+
+    numeric = finite_difference(loss, weights)
+    assert max_relative_error(analytic, numeric) < 1e-6
+
+
 def test_cleaning_method_runs_and_is_deterministic():
     task = _small_task()
     cfg = _config(epochs=2)

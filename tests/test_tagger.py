@@ -1470,6 +1470,15 @@ def test_sentence_gradients_do_not_depend_on_blas_threads():
     assert len(hashes) == 1
 
 
+def test_float32_sentence_gradients_do_not_depend_on_blas_threads():
+    # training at paper shape computes in float32: the pin must fix the
+    # bytes of sgemm and sgemv as it does those of dgemm and dgemv
+    code = ("import numpy as np, support; "
+            "print(support.paper_shape_grads_digest(20, np.float32))")
+    hashes = {run_python(code, threads) for threads in BLAS_SETTINGS}
+    assert len(hashes) == 1
+
+
 def test_trained_checkpoint_does_not_depend_on_blas_threads(tmp_path):
     rng = np.random.default_rng(4)
     words = [f"w{i}" for i in range(40)]
